@@ -232,10 +232,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     theorem_id = _check_theorem(ns.theorem)
     td = ver.THEOREMS[theorem_id]
     spec = fun.preset(td.preset_name)
-
-    def tolerance(breakdown: fun.TermBreakdown) -> float:
-        return ns.tol if ns.tol is not None else ver.violation_tolerance(breakdown)
-
     rows: list[dict] = []
     violations = 0
     if ns.family is not None:
@@ -251,7 +247,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
                 fun.RadiusSpec.diagonal(n, r),
             )
             rows.append(_breakdown_row(theorem_id, n, a0, r, breakdown))
-            if interp == fun.INTERP_LITERAL and breakdown.total > 1.0 + tolerance(breakdown):
+            if interp == fun.INTERP_LITERAL and ver.violates(breakdown, ns.tol):
                 violations += 1
     else:
         n_list = parse_n_list(ns.n) if ns.n else None
@@ -260,9 +256,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         report = ver.theorem_sweep(theorem_id, n_list, a_grid, r_values)
         for row in report.rows:
             rows.append(_breakdown_row(row.theorem, row.n, row.a, row.r, row.breakdown))
-            if (
-                row.breakdown.interpretation == fun.INTERP_LITERAL
-                and row.breakdown.total > 1.0 + tolerance(row.breakdown)
+            if row.breakdown.interpretation == fun.INTERP_LITERAL and ver.violates(
+                row.breakdown, ns.tol
             ):
                 violations += 1
     meta = {"command": "verify", "theorem": theorem_id, "violations": violations}
@@ -372,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--seed", type=int, default=0, help="reserved")
 
     p = sub.add_parser("constants", help="compute sharp constants and residuals")
     common(p)

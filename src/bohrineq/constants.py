@@ -315,12 +315,6 @@ class ConstantsReport:
     tolerances: dict[str, float]
     ok: bool
 
-    def radius_multi(self, n: int) -> float:
-        return radius_multi(n)
-
-    def radius_multi_abs(self, n: int) -> float:
-        return radius_multi_abs(n)
-
     def failed(self) -> list[str]:
         return [
             name

@@ -10,25 +10,25 @@ degree-weighted square sum sum_k k sum_{|alpha| = k} |a_alpha|^2 r^(2 alpha).
 
 A carries two interpretations for n >= 2.  ``literal`` evaluates the true
 multi-index sum.  ``slice`` evaluates sum_k k |b_k|^2 rho^(2k) from the
-univariate coefficients in s = z_1 + ... + z_n at rho = n * bold_r, which is
-the identification under which the polydisk equality cases close.  The two
-agree for n = 1 and differ by the multinomial deficit
+univariate coefficients in s = z_1 + ... + z_n at rho = r_1 + ... + r_n,
+which is the identification under which the polydisk equality cases close.
+The two agree for n = 1 and differ by the multinomial deficit
 sum_{|alpha|=k} (k!/alpha!)^2 < n^(2k) otherwise; both are exposed and the
 deficit is measured, never hidden.
 
-For Moebius-type families every term has an exact closed form in (a, sigma),
-where sigma is the radius reached by the Moebius argument; truncated paths
-carry certified geometric tail bounds.
+Evaluation is slice-first: every term is read from the family's own rules
+(series.py) at sigma = (r_1 + ... + r_n)/q, the radius reached by the
+Moebius argument, which is exact at any polyradius.  Moebius-type families
+give closed forms in (a, sigma), Blaschke products a slice sum to a
+certified degree.  Only the literal area at a non-diagonal polyradius of an
+n >= 2 family expands the multi-index series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Union
-
-import numpy as np
 
 from . import constants as sharp
 from . import series as ser
@@ -41,10 +41,8 @@ HEAD_ABS_SQ = "abs_f_squared"
 INTERP_LITERAL = "literal"
 INTERP_SLICE = "slice"
 
-#: Tail target for truncated functional terms (matches the series policy).
-TAIL_TARGET = ser.TAIL_TARGET
-
-_BLASCHKE_SUP_SAMPLES = 4096
+#: The literal/slice deficit per degree, kept under its historical name.
+multinomial_sq_ratio = ser.multinomial_sq_ratio
 
 
 # --------------------------------------------------------------------------
@@ -61,8 +59,8 @@ class RadiusSpec:
         cs = tuple(float(r) for r in self.coords)
         if not cs:
             raise DomainError("radius needs at least one coordinate")
-        if any(r < 0 for r in cs):
-            raise DomainError("radii must be nonnegative")
+        if not all(0.0 <= r < math.inf for r in cs):
+            raise DomainError("radii must be finite and nonnegative")
         object.__setattr__(self, "coords", cs)
 
     @classmethod
@@ -186,7 +184,7 @@ class TermBreakdown:
 
 
 # --------------------------------------------------------------------------
-# Closed forms in (a, sigma)
+# Schwarz-Pick bound
 # --------------------------------------------------------------------------
 
 def schwarz_pick(a0: float, bold_r: float) -> float:
@@ -196,62 +194,6 @@ def schwarz_pick(a0: float, bold_r: float) -> float:
     if not 0.0 <= bold_r < 1.0:
         raise DomainError(f"bold_r={bold_r} outside [0, 1)")
     return (a0 + bold_r) / (1.0 + a0 * bold_r)
-
-
-def _closed_tail(a: float, sigma: float) -> float:
-    return (1.0 - a * a) * sigma / (1.0 - a * sigma)
-
-
-def _closed_slice_area(a: float, sigma: float) -> float:
-    one = 1.0 - a * a
-    return sigma * sigma * one * one / (1.0 - a * a * sigma * sigma) ** 2
-
-
-def _slice_area_tail(a: float, sigma: float, K: int) -> float:
-    """Exact value of sum_{k > K} k (1-a^2)^2 a^(2k-2) sigma^(2k)."""
-    y = (a * sigma) ** 2
-    one = 1.0 - a * a
-    return one * one * sigma * sigma * y**K * ((K + 1) - K * y) / (1.0 - y) ** 2
-
-
-@lru_cache(maxsize=None)
-def _sq_multinomial_sum(n: int, k: int) -> int:
-    """sum over |alpha| = k in n variables of (k!/alpha!)^2, exactly."""
-    if n == 1 or k == 0:
-        return 1
-    return sum(
-        math.comb(k, j) ** 2 * _sq_multinomial_sum(n - 1, k - j) for j in range(k + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def multinomial_sq_ratio(n: int, k: int) -> float:
-    """sum_{|alpha|=k} (k!/alpha!)^2 / n^(2k): the degree-k ratio between the
-    literal and slice square sums.  Equals 1 iff n = 1 or k <= 0."""
-    if n == 1:
-        return 1.0
-    return _sq_multinomial_sum(n, k) / n ** (2 * k)
-
-
-def _literal_area_diagonal(a: float, sigma: float, n: int) -> tuple[float, bool]:
-    """Literal area term of a Moebius-type family at a diagonal point,
-    as (certified upper value, closed_form flag)."""
-    if n == 1:
-        return _closed_slice_area(a, sigma), True
-    one_sq = (1.0 - a * a) ** 2
-    K = _area_truncation(a, sigma)
-    terms = [
-        k * one_sq * a ** (2 * k - 2) * sigma ** (2 * k) * multinomial_sq_ratio(n, k)
-        for k in range(1, K + 1)
-    ]
-    return math.fsum(terms) + _slice_area_tail(a, sigma, K), False
-
-
-def _area_truncation(a: float, sigma: float) -> int:
-    for K in range(1, ser.MAX_TRUNCATION + 1):
-        if _slice_area_tail(a, sigma, K) < TAIL_TARGET:
-            return K
-    return ser.MAX_TRUNCATION
 
 
 # --------------------------------------------------------------------------
@@ -274,11 +216,8 @@ def _check_radius_for(
 ) -> None:
     if radius.n != n:
         raise DomainError(f"radius has dimension {radius.n}, expected {n}")
-    if family is not None and radius.bold_r >= ser.domain_radius_cap(family):
-        raise DomainError(
-            f"radius {radius.bold_r} not below the domain cap "
-            f"{ser.domain_radius_cap(family)}"
-        )
+    if family is not None and radius.bold_r >= family.cap:
+        raise DomainError(f"radius {radius.bold_r} not below the domain cap {family.cap}")
 
 
 # --------------------------------------------------------------------------
@@ -308,53 +247,27 @@ def area_term(
             )
         target = target.source
     family = target
-    _check_radius_for(family, radius, ser.dimension(family))
-    if isinstance(family, ser.ConstantFn):
-        return 0.0
-    if isinstance(family, ser.FiniteBlaschke):
-        # n = 1: both interpretations coincide with the univariate sum.
-        expanded = ser.expand(family, ser.default_truncation(family, radius.bold_r))
-        return _literal_area_from_series(expanded, radius)
-    a, _ = ser.moebius_profile(family)
-    if interpretation == INTERP_SLICE:
-        sigma = _slice_sigma(family, radius.bold_r)
-        return _closed_slice_area(a, sigma)
+    _check_radius_for(family, radius, family.n)
+    sigma = family.sigma(radius.coords)
+    if interpretation == INTERP_SLICE or family.n == 1:
+        return family.area(sigma)
     if radius.is_diagonal:
-        sigma = _slice_sigma(family, radius.bold_r)
-        value, _ = _literal_area_diagonal(a, sigma, ser.dimension(family))
-        return value
+        return family.literal_area(sigma)
     expanded = ser.expand(family, ser.default_truncation(family, radius.bold_r))
     return _literal_area_from_series(expanded, radius)
 
 
-def _slice_sigma(family: ser.FamilySpec, bold_r: float) -> float:
-    a, scale = ser.moebius_profile(family)
-    return scale * bold_r
-
-
 def _literal_area_from_series(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:
+    """Literal multi-index sum, plus the slice tail bound of the generating
+    family (literal degree masses never exceed the slice ones)."""
     partial = math.fsum(
         k * series.homogeneous_sq_sum(k, radius.coords)
         for k in range(1, series.truncation + 1)
     )
-    tail = _sq_area_tail_bound(series.source, series.truncation, radius.bold_r)
-    return partial + tail if tail is not None else partial
-
-
-def _sq_area_tail_bound(
-    family: ser.FamilySpec | None, K: int, bold_r: float
-) -> float | None:
-    """Bound on sum_{k > K} k sum_{|alpha|=k} |a_alpha|^2 r^(2 alpha) via the
-    slice majorant (literal degree masses never exceed the slice ones)."""
+    family = series.source
     if family is None:
-        return None
-    if isinstance(family, ser.ConstantFn):
-        return 0.0
-    if isinstance(family, ser.FiniteBlaschke):
-        y = bold_r * bold_r
-        return y ** (K + 1) * ((K + 1) - K * y) / (1.0 - y) ** 2
-    a, _ = ser.moebius_profile(family)
-    return _slice_area_tail(a, _slice_sigma(family, bold_r), K)
+        return partial
+    return partial + family.sq_tail(series.truncation, family.sigma(radius.coords))
 
 
 # --------------------------------------------------------------------------
@@ -375,20 +288,18 @@ def evaluate(
     sharpness computations close and the worst case the inequality must
     survive.  An explicit point evaluates |f(point)| exactly instead.
     """
-    _check_radius_for(family, radius, ser.dimension(family))
-    head_value, head_certified, head_closed = _head(spec, family, radius, eval_point)
-    if spec.include_majorant_tail:
-        tail_value, tail_closed = _majorant_tail(family, radius)
-    else:
-        tail_value, tail_closed = 0.0, True
-    if spec.uses_area():
-        area = area_term(family, radius, spec.area_interpretation)
-        area_closed = _area_is_closed(family, radius, spec.area_interpretation)
-    else:
-        area, area_closed = 0.0, True
+    _check_radius_for(family, radius, family.n)
+    sigma = family.sigma(radius.coords)
+    head_value, certified = _head(spec, family, sigma, eval_point)
+    tail_value = family.majorant(sigma) if spec.include_majorant_tail else 0.0
+    area = area_term(family, radius, spec.area_interpretation) if spec.uses_area() else 0.0
     area_sq = spec.area_sq_weight * area * area
     extra = spec.extra_area_weight * area
     total = head_value + tail_value + spec.area_weight * area + area_sq + extra
+    tail_closed = family.closed or not spec.include_majorant_tail
+    area_closed = not spec.uses_area() or (
+        family.closed and (spec.area_interpretation == INTERP_SLICE or family.n == 1)
+    )
     return TermBreakdown(
         head_value=head_value,
         majorant_tail=tail_value,
@@ -397,8 +308,8 @@ def evaluate(
         extra_area_contribution=extra,
         total=total,
         margin=1.0 - total,
-        certified=head_certified,
-        closed_form=head_closed and tail_closed and area_closed,
+        certified=certified,
+        closed_form=tail_closed and area_closed,
         interpretation=spec.area_interpretation,
     )
 
@@ -406,62 +317,15 @@ def evaluate(
 def _head(
     spec: FunctionalSpec,
     family: ser.FamilySpec,
-    radius: RadiusSpec,
+    sigma: float,
     eval_point: tuple[complex, ...] | None,
-) -> tuple[float, bool, bool]:
+) -> tuple[float, bool]:
+    """(head value, certified); the boundary sup of |f| is exact except for
+    Blaschke products, whose sampled sup is a lower estimate."""
     if spec.head == HEAD_CONSTANT:
-        return abs(ser.constant_term(family)), True, True
+        return abs(family.a0), True
     if eval_point is not None:
-        value = abs(ser.family_value(family, eval_point))
+        value, certified = abs(ser.family_value(family, eval_point)), True
     else:
-        value, certified = _boundary_sup(family, radius)
-        if spec.head == HEAD_ABS_SQ:
-            value = value * value
-        return value, certified, True
-    if spec.head == HEAD_ABS_SQ:
-        value = value * value
-    return value, True, True
-
-
-def _boundary_sup(family: ser.FamilySpec, radius: RadiusSpec) -> tuple[float, bool]:
-    """sup of |f| over the torus of the given polyradius."""
-    if isinstance(family, ser.ConstantFn):
-        return abs(family.c), True
-    if isinstance(family, ser.FiniteBlaschke):
-        # Sampled sup: a lower estimate of the true boundary supremum.
-        theta = 2.0 * np.pi * np.arange(_BLASCHKE_SUP_SAMPLES) / _BLASCHKE_SUP_SAMPLES
-        z = radius.bold_r * np.exp(1j * theta)
-        vals = np.ones_like(z)
-        for w in family.zeros:
-            vals = vals * (w - z) / (1.0 - np.conjugate(w) * z)
-        return float(np.max(np.abs(vals))), False
-    a, scale = ser.moebius_profile(family)
-    sigma = scale * radius.bold_r
-    return (a + sigma) / (1.0 + a * sigma), True
-
-
-def _majorant_tail(family: ser.FamilySpec, radius: RadiusSpec) -> tuple[float, bool]:
-    """sum_{|alpha| >= 1} |a_alpha| r^alpha at the enclosing diagonal radius."""
-    if isinstance(family, ser.ConstantFn):
-        return 0.0, True
-    if isinstance(family, ser.FiniteBlaschke):
-        K = ser.default_truncation(family, radius.bold_r)
-        expanded = ser.expand(family, K)
-        partial = math.fsum(
-            expanded.homogeneous_abs_sum(k, radius.coords) for k in range(1, K + 1)
-        )
-        return partial + ser.majorant_tail_bound(family, K, radius.bold_r), False
-    a, scale = ser.moebius_profile(family)
-    return _closed_tail(a, scale * radius.bold_r), True
-
-
-def _area_is_closed(
-    family: ser.FamilySpec, radius: RadiusSpec, interpretation: str
-) -> bool:
-    if isinstance(family, ser.ConstantFn):
-        return True
-    if isinstance(family, ser.FiniteBlaschke):
-        return False
-    if interpretation == INTERP_SLICE:
-        return True
-    return ser.dimension(family) == 1 and radius.is_diagonal
+        value, certified = family.boundary_sup(sigma)
+    return (value * value if spec.head == HEAD_ABS_SQ else value), certified

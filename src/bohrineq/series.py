@@ -1,22 +1,27 @@
-"""Truncated multivariate power series and the closed-form function families.
+"""Function families, their slice-first rules, and truncated power series.
 
-A series lives on an n-dimensional polydisk and is stored as a sparse map
-from multi-indices to complex coefficients, truncated at a total degree K.
-The families implemented here are the disk automorphism type functions
+Every family is f = g(s) with s = z_1 + ... + z_n:
 
     psi_a(z)            = (a - z) / (1 - a z)                    (n = 1)
     f_a(z), unit form   = (a - s) / (1 - a s),    s = z_1+...+z_n
     f_a(z), scaled form = (a - s/n) / (1 - a s/n)
 
-together with finite Blaschke products and constants.  The unit form is
-bounded by one on the polydisk of polyradius 1/n, every other family on the
-unit polydisk.  All Moebius-type families admit exact geometric tail bounds,
-which is what makes truncated evaluations certifiable.
+together with finite Blaschke products and constants (n = 1).  Each family
+class is the one home of its rules: a_0, the slice coefficients b_k of g,
+the radius sigma = (r_1 + ... + r_n)/q that the argument u = s/q reaches on
+the torus of polyradius r (q = n for the scaled form, else 1), certified
+tails, the boundary supremum of |f| and the rational form.  Functionals read
+the slice list and sigma; the Moebius-type families give exact closed forms
+in (a, sigma), Blaschke products a slice sum to a certified degree.  The
+unit form is bounded by one on the polydisk of polyradius 1/n, every other
+family on the unit polydisk.
 
-Two independent expansion routes are provided: ``expand`` uses the
-multinomial closed form of the coefficients, ``oracle_expand`` performs
-formal power-series division from the numerator/denominator polynomials and
-never touches the closed form.  Their coefficientwise agreement is a standing
+A multi-index series stores the full expansion as a sparse map from
+multi-indices to complex coefficients, truncated at a total degree K.  Two
+independent expansion routes are provided: ``expand`` uses the multinomial
+closed form of the coefficients, ``oracle_expand`` performs formal
+power-series division from the numerator/denominator polynomials and never
+touches the closed form.  Their coefficientwise agreement is a standing
 test obligation.
 """
 
@@ -24,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterator, Union
+from functools import lru_cache, total_ordering
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -41,6 +46,9 @@ MAX_TRUNCATION = 200
 
 #: Slack allowed on the boundedness check of the distinguished boundary.
 TORUS_SLACK = 1e-9
+
+#: Boundary samples behind the (uncertified) Blaschke supremum of |f|.
+BLASCHKE_SUP_SAMPLES = 4096
 
 
 # --------------------------------------------------------------------------
@@ -114,74 +122,279 @@ def coefficient_count(n: int, max_degree: int) -> int:
 # Function families
 # --------------------------------------------------------------------------
 
+def truncation(tail: Callable[[int], float], first: int = 0) -> int:
+    """Smallest K in [first, MAX_TRUNCATION] with tail(K) < TAIL_TARGET,
+    else MAX_TRUNCATION."""
+    return next(
+        (K for K in range(first, MAX_TRUNCATION + 1) if tail(K) < TAIL_TARGET),
+        MAX_TRUNCATION,
+    )
+
+
+class _Family:
+    """The rules every family provides, in terms of its slice.
+
+    A family is f = g(s) with s = z_1 + ... + z_n, and g(s) = sum_k b_k s^k
+    (``slice``).  On the torus of polyradius r the argument u = s/q reaches
+    the radius sigma = sum(r_i)/q (``sigma``), and every functional is a
+    function of the slice and sigma.  With c_k = b_k q^k the coefficients
+    of u, each family provides the certified tails
+
+        majorant_tail(K, sigma) >= sum_{k>K} |c_k| sigma^k
+        sq_tail(K, sigma)       >= sum_{k>K} k |c_k|^2 sigma^(2k)
+        sq_mass_tail(K, t)      >= sum_{k>K} |c_k|^2 t^k
+
+    plus ``a0``, ``value``, ``boundary_sup`` and ``rational_form``.
+    ``closed`` marks families whose majorant and area are exact closed forms;
+    the slice sums below serve the one-variable families (n = q = 1).
+    """
+
+    q = 1
+    cap = 1.0
+    closed = True
+
+    def sigma(self, radii: tuple[float, ...]) -> float:
+        """sum(radii)/q; a diagonal (or single) radius r gives (n/q) r exactly."""
+        if all(r == radii[0] for r in radii):
+            return self.n // self.q * radii[0]
+        return math.fsum(radii) / self.q
+
+    def majorant(self, sigma: float, K: int | None = None) -> float:
+        """sum_{k>=1} |c_k| sigma^k: slice partial sum plus certified tail."""
+        K = K if K is not None else self._degree(sigma)
+        b = self.slice(K)
+        partial = math.fsum(abs(b[k]) * sigma**k for k in range(1, K + 1))
+        return partial + self.majorant_tail(K, sigma)
+
+    def area(self, sigma: float) -> float:
+        """sum_{k>=1} k |c_k|^2 sigma^(2k): slice partial sum plus certified tail."""
+        K = self._degree(sigma)
+        b = self.slice(K)
+        partial = math.fsum(k * (abs(b[k]) ** 2 * (sigma**k) ** 2) for k in range(1, K + 1))
+        return partial + self.sq_tail(K, sigma)
+
+    def sq_masses(self, K: int) -> list[float]:
+        """m2(k) = sum_{|alpha| = k} |a_alpha|^2 for k = 0..K."""
+        return [abs(c) ** 2 for c in self.slice(K)]
+
+    def _degree(self, sigma: float) -> int:
+        return truncation(lambda K: self.majorant_tail(K, sigma))
+
+
 @dataclass(frozen=True)
-class MoebiusDisk:
-    """psi_a(z) = (a - z)/(1 - a z) on the unit disk, a in [0, 1)."""
+class _MoebiusType(_Family):
+    """(a - u)/(1 - a u) with u = s/q: every term is a closed form in (a, sigma)."""
 
     a: float
 
     def __post_init__(self):
         if not 0.0 <= self.a < 1.0:
-            raise DomainError(f"Moebius parameter a={self.a} outside [0, 1)")
+            raise DomainError(f"family parameter a={self.a} outside [0, 1)")
+        if self.n < 1:
+            raise DomainError("dimension n must be >= 1")
+
+    @property
+    def a0(self) -> complex:
+        return complex(self.a)
+
+    def value(self, z: tuple[complex, ...]) -> complex:
+        u = sum(z) / self.q
+        return (self.a - u) / (1.0 - self.a * u)
+
+    def slice(self, K: int) -> list[complex]:
+        a = self.a
+        return [complex(a)] + [
+            complex(-(1.0 - a * a) * a ** (k - 1) / self.q**k) for k in range(1, K + 1)
+        ]
+
+    def majorant_tail(self, K: int, sigma: float) -> float:
+        a = self.a
+        # a**K with a = K = 0 correctly yields the full k >= 1 tail.
+        return (1.0 - a * a) * a**K * sigma ** (K + 1) / (1.0 - a * sigma)
+
+    def sq_tail(self, K: int, sigma: float) -> float:
+        a = self.a
+        y = (a * sigma) ** 2
+        one = 1.0 - a * a
+        return one * one * sigma * sigma * y**K * ((K + 1) - K * y) / (1.0 - y) ** 2
+
+    def sq_mass_tail(self, K: int, t: float) -> float:
+        a = self.a
+        return (1.0 - a * a) ** 2 * a ** (2 * K) * t ** (K + 1) / (1.0 - a * a * t)
+
+    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
+        return (self.a + sigma) / (1.0 + self.a * sigma), True
+
+    def majorant(self, sigma: float, K: int | None = None) -> float:
+        return self.majorant_tail(0, sigma)
+
+    def area(self, sigma: float) -> float:
+        one = 1.0 - self.a * self.a
+        return sigma * sigma * one * one / (1.0 - self.a * self.a * sigma * sigma) ** 2
+
+    def literal_area(self, sigma: float) -> float:
+        """Literal multi-index area at a diagonal polyradius: the slice terms
+        reweighted by the multinomial ratio, plus the slice tail."""
+        a = self.a
+        one_sq = (1.0 - a * a) ** 2
+        K = truncation(lambda k: self.sq_tail(k, sigma), first=1)
+        terms = [
+            k * one_sq * a ** (2 * k - 2) * sigma ** (2 * k) * multinomial_sq_ratio(self.n, k)
+            for k in range(1, K + 1)
+        ]
+        return math.fsum(terms) + self.sq_tail(K, sigma)
+
+    def sq_masses(self, K: int) -> list[float]:
+        # Degree-k masses of u-coefficients; equal to m2(k) when q = n.
+        a = self.a
+        one_sq = (1.0 - a * a) ** 2
+        return [a * a] + [
+            one_sq * a ** (2 * k - 2) * multinomial_sq_ratio(self.n, k) for k in range(1, K + 1)
+        ]
+
+    def rational_form(self) -> tuple[dict, dict]:
+        n = self.n
+        a = complex(self.a)
+        num = {(0,) * n: a}
+        den = {(0,) * n: 1.0 + 0j}
+        for i in range(n):
+            unit = tuple(1 if j == i else 0 for j in range(n))
+            num[unit] = -1.0 / self.q
+            den[unit] = -a / self.q
+        return num, den
 
 
 @dataclass(frozen=True)
-class ExtremalPolydiskUnit:
+class MoebiusDisk(_MoebiusType):
+    """psi_a(z) = (a - z)/(1 - a z) on the unit disk, a in [0, 1)."""
+
+    n = 1
+
+
+@dataclass(frozen=True)
+class ExtremalPolydiskUnit(_MoebiusType):
     """f_a(z) = (a - s)/(1 - a s) with s = z_1 + ... + z_n.
 
     Natural domain is the polydisk of polyradius 1/n, where |s| < 1.
     """
 
-    a: float
     n: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise DomainError(f"family parameter a={self.a} outside [0, 1)")
-        if self.n < 1:
-            raise DomainError("dimension n must be >= 1")
+    @property
+    def cap(self) -> float:
+        return 1.0 / self.n
 
 
 @dataclass(frozen=True)
-class ExtremalPolydiskScaled:
+class ExtremalPolydiskScaled(_MoebiusType):
     """f_a(z) = (a - s/n)/(1 - a s/n); bounded by one on the unit polydisk."""
 
-    a: float
     n: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise DomainError(f"family parameter a={self.a} outside [0, 1)")
-        if self.n < 1:
-            raise DomainError("dimension n must be >= 1")
+    @property
+    def q(self) -> int:
+        return self.n
 
 
 @dataclass(frozen=True)
-class FiniteBlaschke:
+class FiniteBlaschke(_Family):
     """Product of disk automorphism factors (w_j - z)/(1 - conj(w_j) z), n = 1."""
 
     zeros: tuple[complex, ...]
+    n = 1
+    closed = False
 
     def __post_init__(self):
         zs = tuple(complex(w) for w in self.zeros)
         if not zs:
             raise DomainError("Blaschke product needs at least one zero")
-        if any(abs(w) >= 1.0 for w in zs):
-            raise DomainError("Blaschke zeros must have modulus < 1")
+        if not all(abs(w) < 1.0 for w in zs):
+            raise DomainError("Blaschke zeros must be finite with modulus < 1")
         object.__setattr__(self, "zeros", zs)
+
+    @property
+    def a0(self) -> complex:
+        out = complex(1.0)
+        for w in self.zeros:
+            out *= w
+        return out
+
+    def value(self, z: tuple[complex, ...]) -> complex:
+        out = complex(1.0)
+        for w in self.zeros:
+            out *= (w - z[0]) / (1.0 - w.conjugate() * z[0])
+        return out
+
+    def slice(self, K: int) -> list[complex]:
+        out = [complex(1.0)]
+        for w in self.zeros:
+            out = _conv1d(out, _blaschke_factor(w, K), K)
+        return out
+
+    def majorant_tail(self, K: int, sigma: float) -> float:
+        # Coefficients of a unit-bounded disk function have modulus <= 1.
+        if sigma >= 1.0:
+            raise DomainError("Blaschke tail bound needs radius < 1")
+        return sigma ** (K + 1) / (1.0 - sigma)
+
+    def sq_tail(self, K: int, sigma: float) -> float:
+        y = sigma * sigma
+        return y ** (K + 1) * ((K + 1) - K * y) / (1.0 - y) ** 2
+
+    def sq_mass_tail(self, K: int, t: float) -> float:
+        return t ** (K + 1) / (1.0 - t)
+
+    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
+        # Sampled sup: a lower estimate of the true boundary supremum.
+        theta = 2.0 * np.pi * np.arange(BLASCHKE_SUP_SAMPLES) / BLASCHKE_SUP_SAMPLES
+        z = sigma * np.exp(1j * theta)
+        vals = np.ones_like(z)
+        for w in self.zeros:
+            vals = vals * (w - z) / (1.0 - np.conjugate(w) * z)
+        return float(np.max(np.abs(vals))), False
+
+    def rational_form(self) -> tuple[dict, dict]:
+        num: dict[tuple[int, ...], complex] = {(0,): 1.0 + 0j}
+        den: dict[tuple[int, ...], complex] = {(0,): 1.0 + 0j}
+        for w in self.zeros:
+            num = _poly_mul(num, {(0,): w, (1,): -1.0 + 0j}, len(self.zeros))
+            den = _poly_mul(den, {(0,): 1.0 + 0j, (1,): -w.conjugate()}, len(self.zeros))
+        return num, den
 
 
 @dataclass(frozen=True)
-class ConstantFn:
+class ConstantFn(_Family):
     """Constant function z -> c with |c| <= 1."""
 
     c: complex
+    n = 1
 
     def __post_init__(self):
         cc = complex(self.c)
-        if abs(cc) > 1.0:
-            raise DomainError(f"constant modulus {abs(cc)} exceeds 1")
+        if not abs(cc) <= 1.0:
+            raise DomainError(f"constant modulus {abs(cc)} is not a finite value <= 1")
         object.__setattr__(self, "c", cc)
+
+    @property
+    def a0(self) -> complex:
+        return self.c
+
+    def value(self, z: tuple[complex, ...]) -> complex:
+        return self.c
+
+    def slice(self, K: int) -> list[complex]:
+        return [self.c] + [0j] * K
+
+    def majorant_tail(self, K: int, sigma: float) -> float:
+        return 0.0
+
+    sq_tail = sq_mass_tail = majorant_tail
+
+    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
+        return abs(self.c), True
+
+    def rational_form(self) -> tuple[dict, dict]:
+        return ({(0,): self.c} if self.c != 0 else {}), {(0,): 1.0 + 0j}
 
 
 FamilySpec = Union[
@@ -190,67 +403,45 @@ FamilySpec = Union[
 
 
 def dimension(family: FamilySpec) -> int:
-    if isinstance(family, (ExtremalPolydiskUnit, ExtremalPolydiskScaled)):
-        return family.n
-    return 1
+    return family.n
 
 
 def domain_radius_cap(family: FamilySpec) -> float:
     """Polyradius below which the family is defined and bounded by one."""
-    if isinstance(family, ExtremalPolydiskUnit):
-        return 1.0 / family.n
-    return 1.0
-
-
-def moebius_profile(family: FamilySpec) -> tuple[float, float] | None:
-    """(a, sigma_scale) for Moebius-type families, else None.
-
-    The family equals (a - u)/(1 - a u) where the argument u ranges over the
-    disk of radius sigma = sigma_scale * bold_r when the polyradius is bold_r.
-    All diagonal closed forms (majorant tail, slice area, boundary sup of |f|)
-    are functions of (a, sigma) alone.
-    """
-    if isinstance(family, MoebiusDisk):
-        return family.a, 1.0
-    if isinstance(family, ExtremalPolydiskUnit):
-        return family.a, float(family.n)
-    if isinstance(family, ExtremalPolydiskScaled):
-        return family.a, 1.0
-    return None
+    return family.cap
 
 
 def constant_term(family: FamilySpec) -> complex:
     """Value at the origin, the a_0 of the expansion."""
-    if isinstance(family, (MoebiusDisk, ExtremalPolydiskUnit, ExtremalPolydiskScaled)):
-        return complex(family.a)
-    if isinstance(family, FiniteBlaschke):
-        out = complex(1.0)
-        for w in family.zeros:
-            out *= w
-        return out
-    return family.c
+    return family.a0
 
 
 def family_value(family: FamilySpec, z: tuple[complex, ...]) -> complex:
     """Exact rational evaluation at a point of the open domain."""
-    n = dimension(family)
-    if len(z) != n:
-        raise DomainError(f"point has {len(z)} coordinates, family has dimension {n}")
-    cap = domain_radius_cap(family)
-    if any(abs(zi) >= cap for zi in z):
-        raise DomainError(f"point outside the open polydisk of radius {cap}")
-    if isinstance(family, ConstantFn):
-        return family.c
-    if isinstance(family, FiniteBlaschke):
-        out = complex(1.0)
-        for w in family.zeros:
-            out *= (w - z[0]) / (1.0 - w.conjugate() * z[0])
-        return out
-    s = sum(z)
-    if isinstance(family, ExtremalPolydiskScaled):
-        s = s / family.n
-    a = family.a
-    return (a - s) / (1.0 - a * s)
+    if len(z) != family.n:
+        raise DomainError(f"point has {len(z)} coordinates, family has dimension {family.n}")
+    if any(abs(zi) >= family.cap for zi in z):
+        raise DomainError(f"point outside the open polydisk of radius {family.cap}")
+    return family.value(z)
+
+
+@lru_cache(maxsize=None)
+def _sq_multinomial_sum(n: int, k: int) -> int:
+    """sum over |alpha| = k in n variables of (k!/alpha!)^2, exactly."""
+    if n == 1 or k == 0:
+        return 1
+    return sum(
+        math.comb(k, j) ** 2 * _sq_multinomial_sum(n - 1, k - j) for j in range(k + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def multinomial_sq_ratio(n: int, k: int) -> float:
+    """sum_{|alpha|=k} (k!/alpha!)^2 / n^(2k): the degree-k ratio between the
+    literal and slice square sums.  Equals 1 iff n = 1 or k <= 0."""
+    if n == 1:
+        return 1.0
+    return _sq_multinomial_sum(n, k) / n ** (2 * k)
 
 
 # --------------------------------------------------------------------------
@@ -266,31 +457,12 @@ def slice_coefficients(family: FamilySpec, K: int) -> list[complex]:
     """
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
-    if isinstance(family, FiniteBlaschke):
-        series = expand(family, K)
-        return [series.coefficient(MultiIndex((k,))) for k in range(K + 1)]
-    if isinstance(family, ConstantFn):
-        return [family.c] + [0j] * K
-    a = family.a
-    scale = family.n if isinstance(family, ExtremalPolydiskScaled) else 1
-    out: list[complex] = [complex(a)]
-    for k in range(1, K + 1):
-        out.append(complex(-(1.0 - a * a) * a ** (k - 1) / scale**k))
-    return out
+    return family.slice(K)
 
 
 # --------------------------------------------------------------------------
 # Coefficient series
 # --------------------------------------------------------------------------
-
-_ZERO_CACHE: dict[int, MultiIndex] = {}
-
-
-def _zero_index(n: int) -> MultiIndex:
-    if n not in _ZERO_CACHE:
-        _ZERO_CACHE[n] = MultiIndex((0,) * n)
-    return _ZERO_CACHE[n]
-
 
 @dataclass(frozen=True)
 class CoefficientSeries:
@@ -318,7 +490,7 @@ class CoefficientSeries:
         return self.coeffs.get(idx, 0j)
 
     def constant_term(self) -> complex:
-        return self.coeffs.get(_zero_index(self.n), 0j)
+        return self.coeffs.get(MultiIndex((0,) * self.n), 0j)
 
     def sorted_items(self) -> list[tuple[MultiIndex, complex]]:
         """Canonical (graded-lexicographic) iteration order."""
@@ -370,33 +542,19 @@ def majorant_tail_bound(family: FamilySpec | None, K: int, bold_r: float) -> flo
     radius bold_r.  None for inputs without a closed-form certificate."""
     if family is None:
         return None
-    if bold_r < 0 or bold_r > domain_radius_cap(family):
+    return family.majorant_tail(K, _diagonal_sigma(family, bold_r))
+
+
+def default_truncation(family: FamilySpec, bold_r: float) -> int:
+    """Smallest K whose certified majorant tail at bold_r is < TAIL_TARGET."""
+    sigma = _diagonal_sigma(family, bold_r)
+    return truncation(lambda K: family.majorant_tail(K, sigma))
+
+
+def _diagonal_sigma(family: FamilySpec, bold_r: float) -> float:
+    if not 0.0 <= bold_r <= family.cap:
         raise DomainError(f"radius {bold_r} outside the closed domain of the family")
-    if isinstance(family, ConstantFn):
-        return 0.0
-    if isinstance(family, FiniteBlaschke):
-        # Coefficients of a unit-bounded disk function have modulus <= 1.
-        if bold_r >= 1.0:
-            raise DomainError("Blaschke tail bound needs radius < 1")
-        return bold_r ** (K + 1) / (1.0 - bold_r)
-    a, sigma_scale = moebius_profile(family)
-    sigma = sigma_scale * bold_r
-    # a**K with a = K = 0 correctly yields the full k >= 1 tail.
-    return (1.0 - a * a) * a**K * sigma ** (K + 1) / (1.0 - a * sigma)
-
-
-def default_truncation(
-    family: FamilySpec,
-    bold_r: float,
-    tol: float = TAIL_TARGET,
-    cap: int = MAX_TRUNCATION,
-) -> int:
-    """Smallest K <= cap whose certified majorant tail at bold_r is < tol."""
-    for K in range(cap + 1):
-        bound = majorant_tail_bound(family, K, bold_r)
-        if bound is not None and bound < tol:
-            return K
-    return cap
+    return family.sigma((bold_r,))
 
 
 # --------------------------------------------------------------------------
@@ -406,37 +564,18 @@ def default_truncation(
 def expand(
     family: FamilySpec, K: int, budget: int = DEFAULT_COEFF_BUDGET
 ) -> CoefficientSeries:
-    """All coefficients of degree <= K from the multinomial closed form.
-
-    For the Moebius-type families the coefficient at |alpha| = k >= 1 is
-    b_k * k!/alpha! with b_k the slice coefficient; zeros are not stored.
-    """
+    """All coefficients of degree <= K from the multinomial closed form:
+    the coefficient at alpha is b_|alpha| * |alpha|!/alpha! with b_k the
+    slice coefficient; zeros are not stored."""
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
-    n = dimension(family)
-    _check_budget(n, K, budget)
+    _check_budget(family.n, K, budget)
     coeffs: dict[MultiIndex, complex] = {}
-    if isinstance(family, ConstantFn):
-        if family.c != 0:
-            coeffs[_zero_index(1)] = family.c
-        return CoefficientSeries(1, K, coeffs, source=family)
-    if isinstance(family, FiniteBlaschke):
-        univariate = [complex(1.0)]
-        for w in family.zeros:
-            univariate = _conv1d(univariate, _blaschke_factor(w, K), K)
-        for k, c in enumerate(univariate):
-            if c != 0:
-                coeffs[MultiIndex((k,))] = c
-        return CoefficientSeries(1, K, coeffs, source=family)
-    b = slice_coefficients(family, K)
-    if b[0] != 0:
-        coeffs[_zero_index(n)] = b[0]
-    for k in range(1, K + 1):
-        if b[k] == 0:
-            continue
-        for idx in multi_indices(n, k):
-            coeffs[idx] = b[k] * idx.multinomial()
-    return CoefficientSeries(n, K, coeffs, source=family)
+    for k, bk in enumerate(family.slice(K)):
+        if bk != 0:
+            for idx in multi_indices(family.n, k):
+                coeffs[idx] = bk * idx.multinomial()
+    return CoefficientSeries(family.n, K, coeffs, source=family)
 
 
 def _blaschke_factor(w: complex, K: int) -> list[complex]:
@@ -481,9 +620,9 @@ def oracle_expand(
     """
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
-    n = dimension(family)
+    n = family.n
     _check_budget(n, K, budget)
-    numerator, denominator = _rational_form(family)
+    numerator, denominator = family.rational_form()
     inverse = _series_inverse(denominator, n, K)
     product = _poly_mul(numerator, inverse, K)
     coeffs = {
@@ -492,31 +631,6 @@ def oracle_expand(
         if value != 0
     }
     return CoefficientSeries(n, K, coeffs, source=family)
-
-
-def _rational_form(
-    family: FamilySpec,
-) -> tuple[dict[tuple[int, ...], complex], dict[tuple[int, ...], complex]]:
-    n = dimension(family)
-    zero = (0,) * n
-    if isinstance(family, ConstantFn):
-        return ({zero: family.c} if family.c != 0 else {}), {zero: 1.0 + 0j}
-    if isinstance(family, FiniteBlaschke):
-        num: dict[tuple[int, ...], complex] = {zero: 1.0 + 0j}
-        den: dict[tuple[int, ...], complex] = {zero: 1.0 + 0j}
-        for w in family.zeros:
-            num = _poly_mul(num, {zero: w, (1,): -1.0 + 0j}, len(family.zeros))
-            den = _poly_mul(den, {zero: 1.0 + 0j, (1,): -w.conjugate()}, len(family.zeros))
-        return num, den
-    a = complex(family.a)
-    scale = family.n if isinstance(family, ExtremalPolydiskScaled) else 1
-    num = {zero: a}
-    den = {zero: 1.0 + 0j}
-    for i in range(n):
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        num[unit] = -1.0 / scale
-        den[unit] = -a / scale
-    return num, den
 
 
 def _poly_mul(

@@ -58,34 +58,13 @@ class LemmaCheck:
 
 
 def _require_unit_polydisk_family(family: ser.FamilySpec) -> None:
-    if isinstance(family, ser.ExtremalPolydiskUnit):
+    """Admit only families bounded on the unit polydisk; for these q = n,
+    so the argument radius sigma equals the diagonal radius."""
+    if family.cap < 1.0:
         raise DomainError(
             "family is bounded only on the polydisk of radius 1/n; "
             "the lemma hypothesis needs boundedness on the unit polydisk"
         )
-
-
-def _sq_degree_masses(family: ser.FamilySpec, K: int) -> list[float]:
-    """m2(k) = sum_{|alpha| = k} |a_alpha|^2 for k = 0..K."""
-    if isinstance(family, ser.ConstantFn):
-        return [abs(family.c) ** 2] + [0.0] * K
-    if isinstance(family, ser.FiniteBlaschke):
-        b = ser.slice_coefficients(family, K)
-        return [abs(c) ** 2 for c in b]
-    a = family.a
-    n = ser.dimension(family)
-    one_sq = (1.0 - a * a) ** 2
-    out = [a * a]
-    for k in range(1, K + 1):
-        out.append(one_sq * a ** (2 * k - 2) * fun.multinomial_sq_ratio(n, k))
-    return out
-
-
-def _lemma_truncation(family: ser.FamilySpec, tail: Callable[[int], float]) -> int:
-    for K in range(1, ser.MAX_TRUNCATION + 1):
-        if tail(K) < ser.TAIL_TARGET:
-            return K
-    return ser.MAX_TRUNCATION
 
 
 def lemma1a_check(
@@ -98,12 +77,12 @@ def lemma1a_check(
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
 
     def tail(k: int) -> float:
-        return _lemma_sq_tail_second(family, k, bold_r)
+        return family.sq_tail(k, bold_r)
 
-    K = K if K is not None else _lemma_truncation(family, tail)
-    m2 = _sq_degree_masses(family, K)
+    K = K if K is not None else ser.truncation(tail, first=1)
+    m2 = family.sq_masses(K)
     lhs = math.fsum(k * m2[k] * bold_r ** (2 * k) for k in range(1, K + 1)) + tail(K)
-    a0 = abs(ser.constant_term(family))
+    a0 = abs(family.a0)
     rhs = bold_r**2 * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r * bold_r) ** 2
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
 
@@ -118,36 +97,14 @@ def lemma1b_check(
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
 
     def tail(k: int) -> float:
-        return _lemma_sq_tail_first(family, k, bold_r)
+        return family.sq_mass_tail(k, bold_r)
 
-    K = K if K is not None else _lemma_truncation(family, tail)
-    m2 = _sq_degree_masses(family, K)
+    K = K if K is not None else ser.truncation(tail, first=1)
+    m2 = family.sq_masses(K)
     lhs = math.fsum(m2[k] * bold_r**k for k in range(1, K + 1)) + tail(K)
-    a0 = abs(ser.constant_term(family))
+    a0 = abs(family.a0)
     rhs = bold_r * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r)
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
-
-
-def _lemma_sq_tail_second(family: ser.FamilySpec, K: int, r: float) -> float:
-    """Bound on sum_{k > K} k m2(k) r^(2k) via the slice degree masses."""
-    if isinstance(family, ser.ConstantFn):
-        return 0.0
-    if isinstance(family, ser.FiniteBlaschke):
-        y = r * r
-        return y ** (K + 1) * ((K + 1) - K * y) / (1.0 - y) ** 2
-    a = family.a
-    y = (a * r) ** 2
-    return (1.0 - a * a) ** 2 * r * r * y**K * ((K + 1) - K * y) / (1.0 - y) ** 2
-
-
-def _lemma_sq_tail_first(family: ser.FamilySpec, K: int, r: float) -> float:
-    """Bound on sum_{k > K} m2(k) r^k via the slice degree masses."""
-    if isinstance(family, ser.ConstantFn):
-        return 0.0
-    if isinstance(family, ser.FiniteBlaschke):
-        return r ** (K + 1) / (1.0 - r)
-    a = family.a
-    return (1.0 - a * a) ** 2 * a ** (2 * K) * r ** (K + 1) / (1.0 - a * a * r)
 
 
 def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
@@ -158,7 +115,7 @@ def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
     """
     if not 0.0 <= a0 <= 1.0:
         raise DomainError(f"a0={a0} outside [0, 1]")
-    if bold_r < 0:
+    if not bold_r >= 0:
         raise DomainError("bold_r must be nonnegative")
     if n < 1:
         raise DomainError("dimension n must be >= 1")
@@ -177,20 +134,8 @@ def lemma1c_check(
     """Majorant tail of the family at diagonal radius bold_r against the
     two-branch bound."""
     _require_unit_polydisk_family(family)
-    a0 = abs(ser.constant_term(family))
-    rhs = lemma1c_bound(a0, bold_r, ser.dimension(family))
-    if isinstance(family, ser.ConstantFn):
-        lhs = 0.0
-    elif isinstance(family, ser.FiniteBlaschke):
-        K = K if K is not None else ser.default_truncation(family, bold_r)
-        expanded = ser.expand(family, K)
-        radii = (bold_r,)
-        lhs = math.fsum(
-            expanded.homogeneous_abs_sum(k, radii) for k in range(1, K + 1)
-        ) + ser.majorant_tail_bound(family, K, bold_r)
-    else:
-        a = family.a
-        lhs = (1.0 - a * a) * bold_r / (1.0 - a * bold_r)
+    rhs = lemma1c_bound(abs(family.a0), bold_r, family.n)
+    lhs = family.majorant(bold_r, K)
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
 
 
@@ -219,14 +164,13 @@ def radius_search(
     bracket.  When the total never reaches 1 the result is the near-cap
     radius with binding = False.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
-    n = ser.dimension(family)
-    cap = ser.domain_radius_cap(family)
+    cap = family.cap
     hi = cap * (1.0 - 1e-9)
 
     def total(r: float) -> fun.TermBreakdown:
-        return fun.evaluate(spec, family, fun.RadiusSpec.diagonal(n, r))
+        return fun.evaluate(spec, family, fun.RadiusSpec.diagonal(family.n, r))
 
     samples = [total(hi * i / (_PRESAMPLES - 1)) for i in range(_PRESAMPLES)]
     values = [s.total for s in samples]
@@ -265,14 +209,6 @@ class TheoremDef:
     threshold: Callable[[int], float]
     perturb_field: str
     a_star: Callable[[sharp.SharpConstants], float] | None
-
-
-def _moebius_family(a: float, n: int) -> ser.FamilySpec:
-    return ser.MoebiusDisk(a)
-
-
-def _polydisk_family(a: float, n: int) -> ser.FamilySpec:
-    return ser.ExtremalPolydiskUnit(a, n)
 
 
 THEOREMS: dict[str, TheoremDef] = {
@@ -320,8 +256,9 @@ THEOREMS: dict[str, TheoremDef] = {
 
 
 def theorem_family(theorem_id: str, a: float, n: int) -> ser.FamilySpec:
-    td = _theorem(theorem_id)
-    return _polydisk_family(a, n) if td.multidimensional else _moebius_family(a, n)
+    if _theorem(theorem_id).multidimensional:
+        return ser.ExtremalPolydiskUnit(a, n)
+    return ser.MoebiusDisk(a)
 
 
 def _theorem(theorem_id: str) -> TheoremDef:
@@ -340,6 +277,14 @@ def _check_n(td: TheoremDef, n: int) -> None:
 
 def violation_tolerance(breakdown: fun.TermBreakdown) -> float:
     return TOL_CLOSED if breakdown.closed_form else TOL_TRUNCATED
+
+
+def violates(breakdown: fun.TermBreakdown, tol: float | None = None) -> bool:
+    """True unless the total is within 1 + tol (default: the tolerance of
+    its evaluation path).  A NaN total or tolerance counts as a violation."""
+    if tol is None:
+        tol = violation_tolerance(breakdown)
+    return not breakdown.total <= 1.0 + tol
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +328,7 @@ def sharpness_scan(
     """
     td = _theorem(theorem_id)
     _check_n(td, n)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError("epsilon must be >= 0")
     c = constants if constants is not None else sharp.sharp_constants()
     r = bold_r if bold_r is not None else td.threshold(n)
@@ -487,10 +432,6 @@ def theorem_sweep(
                     rows.append(SweepRow(theorem_id, n, a, r, breakdown))
     rows.sort(key=lambda row: (row.n, row.a, row.r, row.breakdown.interpretation))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
-    violations = tuple(
-        row
-        for row in literal
-        if row.breakdown.total > 1.0 + violation_tolerance(row.breakdown)
-    )
+    violations = tuple(row for row in literal if violates(row.breakdown))
     worst = min(row.breakdown.margin for row in literal) if literal else math.inf
     return SweepReport(theorem_id, tuple(rows), worst, violations)

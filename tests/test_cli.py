@@ -177,6 +177,40 @@ def test_domain_error_exit_code(capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "classic", "--family", "moebius:0.5", "--r", "nan"],
+        ["verify", "--theorem", "classic", "--family", "const:nan", "--r", "0.3"],
+        ["verify", "--theorem", "classic", "--family", "blaschke:0.3,nan"],
+        ["verify", "--theorem", "classic", "--r", "nan"],
+        ["verify", "--theorem", "classic", "--r", "inf"],
+        ["lemma", "--part", "c", "--family", "moebius:0.5", "--r", "nan"],
+        ["radius", "--functional", "classic", "--family", "moebius:0.5", "--tol", "nan"],
+        ["scan", "--theorem", "C", "--a", "0:0.5:0.1", "--epsilon", "nan"],
+    ],
+)
+def test_non_finite_input_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert "domain error" in err
+
+
+@pytest.mark.parametrize("target", [["--family", "moebius:0.5"], ["--a", "0.5"]])
+def test_verify_nan_tolerance_fails_closed(capsys, target):
+    code, out, _ = run_cli(
+        capsys, "verify", "--theorem", "classic", *target, "--tol", "nan", "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out)["meta"]["violations"] == 1
+
+
+def test_seed_flag_is_gone(capsys):
+    code, _, _ = run_cli(capsys, "constants", "--seed", "1")
+    assert code == 64
+
+
 def test_monotonicity_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise MonotonicityError("functional decreases")

@@ -140,7 +140,6 @@ def test_constants_report_passes_quickly():
     assert report.failed() == []
     assert elapsed < 1.0
     assert report.constants.p == pytest.approx(2.4721359550, abs=1e-9)
-    assert report.radius_multi(3) == pytest.approx(1 / 9)
 
 
 def test_constants_report_tolerance_override_flags_failure():

@@ -51,6 +51,14 @@ def test_radius_spec_basics():
         RadiusSpec.vector((-0.1,))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_radius_spec_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        RadiusSpec.diagonal(2, bad)
+    with pytest.raises(DomainError):
+        RadiusSpec.vector((0.1, bad))
+
+
 # ---------------------------------------------------------------- majorant
 
 def test_majorant_threshold_value():
@@ -139,6 +147,27 @@ def test_area_slice_needs_family():
     bare = type(series)(series.n, series.truncation, dict(series.coeffs))
     with pytest.raises(UnsupportedInterpretationError):
         area_term(bare, _diag(1, 0.3), INTERP_SLICE)
+
+
+@pytest.mark.parametrize(
+    "family,coords",
+    [
+        (ExtremalPolydiskUnit(0.5, 2), (0.1, 0.3)),
+        (ExtremalPolydiskScaled(0.5, 2), (0.2, 0.6)),
+    ],
+)
+def test_vector_radius_is_exact_at_sum_of_radii(family, coords):
+    # The Moebius argument reaches sigma = (r_1 + r_2)/q = 0.4 on this torus,
+    # not its value at the enclosing diagonal radius.
+    rad = RadiusSpec.vector(coords)
+    out = evaluate(FunctionalSpec("abs_f"), family, rad)
+    assert out.head_value == pytest.approx((0.5 + 0.4) / (1 + 0.5 * 0.4), abs=1e-15)
+    assert out.majorant_tail == pytest.approx(0.75 * 0.4 / (1 - 0.5 * 0.4), abs=1e-15)
+    assert out.head_value == pytest.approx(0.75, abs=1e-15)
+    assert out.majorant_tail == pytest.approx(0.375, abs=1e-15)
+    assert out.closed_form
+    partial = majorant(expand(family, 80), rad) - 0.5
+    assert out.majorant_tail == pytest.approx(partial, abs=1e-12)
 
 
 def test_area_vector_radius_below_diagonal():

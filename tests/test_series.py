@@ -69,6 +69,22 @@ def test_family_parameter_validation():
         ConstantFn(1.0 + 0.5j)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_families_reject_non_finite_parameters(bad):
+    with pytest.raises(DomainError):
+        ConstantFn(bad)
+    with pytest.raises(DomainError):
+        ConstantFn(complex(0.1, bad))
+    with pytest.raises(DomainError):
+        FiniteBlaschke((0.3, bad))
+    with pytest.raises(DomainError):
+        FiniteBlaschke((complex(bad, 0.1),))
+    with pytest.raises(DomainError):
+        MoebiusDisk(bad)
+    with pytest.raises(DomainError):
+        ExtremalPolydiskScaled(bad, 2)
+
+
 def test_domain_caps():
     assert domain_radius_cap(MoebiusDisk(0.4)) == 1.0
     assert domain_radius_cap(ExtremalPolydiskUnit(0.4, 4)) == 0.25

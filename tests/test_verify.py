@@ -1,6 +1,7 @@
 """Lemma checks, radius search, sharpness scans, and theorem sweeps."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,7 @@ from bohrineq.verify import (
     radius_search,
     sharpness_scan,
     theorem_sweep,
+    violates,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -346,6 +348,23 @@ def test_sweep_rejects_bad_dimensions():
         theorem_sweep("C", n_list=[2])
     with pytest.raises(DomainError):
         theorem_sweep("nope")
+
+
+def test_violation_check_fails_closed_on_nan():
+    out = evaluate(preset("classic"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 0.3))
+    assert not violates(out)
+    assert not violates(out, tol=0.0)
+    assert violates(replace(out, total=math.nan))
+    assert violates(out, tol=math.nan)
+
+
+def test_lemma_and_search_reject_non_finite_arguments():
+    with pytest.raises(DomainError):
+        lemma1c_check(MoebiusDisk(0.5), math.nan)
+    with pytest.raises(DomainError):
+        radius_search(preset("classic"), MoebiusDisk(0.5), tol=math.nan)
+    with pytest.raises(DomainError):
+        sharpness_scan("C", [0.5], epsilon=math.nan)
 
 
 def test_registry_thresholds():
