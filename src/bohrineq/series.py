@@ -16,18 +16,24 @@ in (a, sigma), Blaschke products a slice sum to a certified degree.  The
 unit form is bounded by one on the polydisk of polyradius 1/n, every other
 family on the unit polydisk.
 
-A multi-index series stores the full expansion as a sparse map from
-multi-indices to complex coefficients, truncated at a total degree K.  Two
-independent expansion routes are provided: ``expand`` uses the multinomial
-closed form of the coefficients, ``oracle_expand`` performs formal
-power-series division from the numerator/denominator polynomials and never
-touches the closed form.  Their coefficientwise agreement is a standing
-test obligation.
+A multi-index series is a sparse map from multi-indices to complex
+coefficients, truncated at a total degree K.  Two independent expansion
+routes are provided: ``expand`` uses the multinomial closed form of the
+coefficients, ``oracle_expand`` performs formal power-series division from
+the numerator/denominator polynomials and never touches the closed form.
+Their coefficientwise agreement is a standing test obligation.
+
+``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
+demand (lookups and ``len`` read the slice, ``degree_slice`` builds one
+degree, full iteration builds the map once), and its torus check sums
+b_k s^k at each sample point, O(points * K).  Blaschke slices are cached
+per (zeros, K).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Callable, Iterator, Union
@@ -326,10 +332,9 @@ class FiniteBlaschke(_Family):
         return out
 
     def slice(self, K: int) -> list[complex]:
-        out = [complex(1.0)]
-        for w in self.zeros:
-            out = _conv1d(out, _blaschke_factor(w, K), K)
-        return out
+        # repr tells signed zeros apart: they compare equal as zeros but
+        # give slices that differ in the last bits.
+        return list(_blaschke_slice(self.zeros, K, repr(self.zeros)))
 
     def majorant_tail(self, K: int, sigma: float) -> float:
         # Coefficients of a unit-bounded disk function have modulus <= 1.
@@ -425,14 +430,24 @@ def family_value(family: FamilySpec, z: tuple[complex, ...]) -> complex:
     return family.value(z)
 
 
-@lru_cache(maxsize=None)
+#: S_m(0), S_m(1), ... of ``_sq_multinomial_sum`` for each dimension m >= 2
+#: computed so far; rows only grow.
+_SQ_SUM_ROWS: dict[int, list[int]] = {}
+
+
 def _sq_multinomial_sum(n: int, k: int) -> int:
-    """sum over |alpha| = k in n variables of (k!/alpha!)^2, exactly."""
-    if n == 1 or k == 0:
-        return 1
-    return sum(
-        math.comb(k, j) ** 2 * _sq_multinomial_sum(n - 1, k - j) for j in range(k + 1)
-    )
+    """S_n(k) = sum over |alpha| = k in n variables of (k!/alpha!)^2, exactly.
+
+    Built up one dimension at a time from S_1 = 1 by
+    S_m(i) = sum_j C(i, j)^2 S_{m-1}(i - j), so any n works without recursion.
+    """
+    below = [1] * (k + 1)
+    for m in range(2, n + 1):
+        row = _SQ_SUM_ROWS.setdefault(m, [1])
+        for i in range(len(row), k + 1):
+            row.append(sum(math.comb(i, j) ** 2 * below[i - j] for j in range(i + 1)))
+        below = row
+    return below[k]
 
 
 @lru_cache(maxsize=None)
@@ -464,6 +479,54 @@ def slice_coefficients(family: FamilySpec, K: int) -> list[complex]:
 # Coefficient series
 # --------------------------------------------------------------------------
 
+class _SliceCoefficients(Mapping):
+    """Read-only multi-index map of g(z_1 + ... + z_n) = sum_k b_k s^k.
+
+    The coefficient at alpha is b_|alpha| |alpha|!/alpha! (multinomial
+    theorem); degrees with b_k = 0 hold no keys.  Lookups, ``len`` and
+    ``degree`` read the slice b_0..b_K; only full iteration builds the map,
+    once, in graded-lexicographic order.
+    """
+
+    def __init__(self, n: int, b: list[complex]):
+        self.n = n
+        self.b = tuple(b)
+        self._built: dict[MultiIndex, complex] | None = None
+
+    def degree(self, k: int) -> dict[MultiIndex, complex]:
+        """The coefficients of total degree k, built for that degree only."""
+        bk = self.b[k] if 0 <= k < len(self.b) else 0
+        if bk == 0:
+            return {}
+        return {idx: bk * idx.multinomial() for idx in multi_indices(self.n, k)}
+
+    def __getitem__(self, idx: MultiIndex) -> complex:
+        if isinstance(idx, MultiIndex) and idx.dimension == self.n and idx.degree < len(self.b):
+            bk = self.b[idx.degree]
+            if bk != 0:
+                return bk * idx.multinomial()
+        raise KeyError(idx)
+
+    def __len__(self) -> int:
+        return sum(math.comb(k + self.n - 1, self.n - 1) for k, bk in enumerate(self.b) if bk != 0)
+
+    def __iter__(self) -> Iterator[MultiIndex]:
+        return iter(self._map())
+
+    def items(self):
+        return self._map().items()
+
+    def __repr__(self) -> str:
+        return repr(self._map())
+
+    def _map(self) -> dict[MultiIndex, complex]:
+        if self._built is None:
+            self._built = {}
+            for k in range(len(self.b)):
+                self._built.update(self.degree(k))
+        return self._built
+
+
 @dataclass(frozen=True)
 class CoefficientSeries:
     """Sparse truncated power series: coefficients of degree <= truncation.
@@ -471,20 +534,28 @@ class CoefficientSeries:
     Instances are immutable after construction; the coefficient map must be
     treated as read-only.  ``source`` records the generating family when the
     series came from an expansion, which is what enables certified tail
-    bounds; hand-built series carry no certificate.
+    bounds; hand-built series carry no certificate.  A series from
+    ``expand`` is slice-backed (``slice``): its map is built on demand.
     """
 
     n: int
     truncation: int
-    coeffs: dict[MultiIndex, complex]
+    coeffs: Mapping[MultiIndex, complex]
     source: FamilySpec | None = None
 
     def __post_init__(self):
+        if self.slice is not None:
+            return  # keys are generated from (n, b_0..b_K)
         for idx in self.coeffs:
             if idx.dimension != self.n:
                 raise DomainError(f"key {idx.exponents} has wrong dimension")
             if idx.degree > self.truncation:
                 raise DomainError(f"key {idx.exponents} exceeds truncation degree")
+
+    @property
+    def slice(self) -> tuple[complex, ...] | None:
+        """b_0..b_K when the series is sum_k b_k (z_1 + ... + z_n)^k, else None."""
+        return self.coeffs.b if isinstance(self.coeffs, _SliceCoefficients) else None
 
     def coefficient(self, idx: MultiIndex) -> complex:
         return self.coeffs.get(idx, 0j)
@@ -497,25 +568,25 @@ class CoefficientSeries:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
     def degree_slice(self, k: int) -> dict[MultiIndex, complex]:
+        if self.slice is not None:
+            return self.coeffs.degree(k)
         return {idx: c for idx, c in self.coeffs.items() if idx.degree == k}
 
     def homogeneous_abs_sum(self, k: int, radii: tuple[float, ...]) -> float:
         """sum over |alpha| = k of |a_alpha| * r^alpha."""
         self._check_radii(radii)
-        terms = [
-            abs(c) * _monomial(radii, idx.exponents)
-            for idx, c in sorted(self.degree_slice(k).items())
-        ]
-        return math.fsum(terms)
+        # fsum is exactly rounded, so the term order does not matter.
+        return math.fsum(
+            abs(c) * _monomial(radii, idx.exponents) for idx, c in self.degree_slice(k).items()
+        )
 
     def homogeneous_sq_sum(self, k: int, radii: tuple[float, ...]) -> float:
         """sum over |alpha| = k of |a_alpha|^2 * r^(2 alpha)."""
         self._check_radii(radii)
-        terms = [
+        return math.fsum(
             abs(c) ** 2 * _monomial(radii, idx.exponents) ** 2
-            for idx, c in sorted(self.degree_slice(k).items())
-        ]
-        return math.fsum(terms)
+            for idx, c in self.degree_slice(k).items()
+        )
 
     def majorant_tail_bound(self, bold_r: float) -> float | None:
         """Upper bound on sum_{|alpha| > K} |a_alpha| r^alpha at diagonal
@@ -566,16 +637,24 @@ def expand(
 ) -> CoefficientSeries:
     """All coefficients of degree <= K from the multinomial closed form:
     the coefficient at alpha is b_|alpha| * |alpha|!/alpha! with b_k the
-    slice coefficient; zeros are not stored."""
+    slice coefficient; zeros are not stored.  The series keeps b_0..b_K and
+    builds multi-index coefficients only when they are read."""
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
     _check_budget(family.n, K, budget)
-    coeffs: dict[MultiIndex, complex] = {}
-    for k, bk in enumerate(family.slice(K)):
-        if bk != 0:
-            for idx in multi_indices(family.n, k):
-                coeffs[idx] = bk * idx.multinomial()
-    return CoefficientSeries(family.n, K, coeffs, source=family)
+    return CoefficientSeries(
+        family.n, K, _SliceCoefficients(family.n, family.slice(K)), source=family
+    )
+
+
+@lru_cache(maxsize=128)
+def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[complex, ...]:
+    """Taylor coefficients b_0..b_K of a Blaschke product, built once per
+    (zeros, K); ``key`` is repr(zeros)."""
+    out = [complex(1.0)]
+    for w in zeros:
+        out = _conv1d(out, _blaschke_factor(w, K), K)
+    return tuple(out)
 
 
 def _blaschke_factor(w: complex, K: int) -> list[complex]:
@@ -709,7 +788,9 @@ def torus_bound_check(
     {|z_i| = radius_cap}, plus the tail certificate when one exists.
 
     ``ok`` is set only on certified reports with sup + tail <= 1 + 1e-9;
-    a series without a tail certificate is never silently certified.
+    a series without a tail certificate is never silently certified.  A
+    slice-backed series is summed as sum_k b_k s^k, O(points * K); a
+    dictionary series monomial by monomial.
     """
     if samples_per_axis < 8:
         raise DomainError("need at least 8 samples per axis")
@@ -740,6 +821,14 @@ def _torus_values(
     axis = radius * np.exp(1j * theta)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)  # (P, n)
+    b = series.slice
+    if b is not None:
+        # Horner in s = z_1 + ... + z_n: O(points * K), no multi-index.
+        s = points.sum(axis=1)
+        total = np.full(points.shape[0], b[-1], dtype=complex)
+        for bk in reversed(b[:-1]):
+            total = total * s + bk
+        return total, points
     items = series.sorted_items()
     if not items:
         return np.zeros(points.shape[0], dtype=complex), points

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,24 @@ def test_verify_sweep_ok_and_header(capsys):
     rows = parse_csv(out)
     # 10 grid points: literal rows at n=1, literal+slice at n=2.
     assert len(rows) == 10 + 20
+
+
+def test_verify_sweep_at_large_dimension_exits_cleanly():
+    # The squared multinomial sums at n = 1200 are deeper than the
+    # interpreter's recursion limit; a traceback would exit 1 ("violation").
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bohrineq.cli import main; sys.exit(main())",
+         "verify", "--theorem", "T21", "--n", "1200", "--a", "0.5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = parse_csv(proc.stdout)
+    assert [row["interpretation"] for row in rows] == ["literal", "slice"]
+    assert all(row["n"] == "1200" and row["certified"] == "true" for row in rows)
 
 
 def test_verify_output_byte_stable(tmp_path, capsys):

@@ -18,7 +18,9 @@ from bohrineq.functionals import (
     preset,
     schwarz_pick,
 )
+from bohrineq import series as ser
 from bohrineq.series import (
+    CoefficientSeries,
     ConstantFn,
     ExtremalPolydiskScaled,
     ExtremalPolydiskUnit,
@@ -168,6 +170,23 @@ def test_vector_radius_is_exact_at_sum_of_radii(family, coords):
     assert out.closed_form
     partial = majorant(expand(family, 80), rad) - 0.5
     assert out.majorant_tail == pytest.approx(partial, abs=1e-12)
+
+
+def test_vector_radius_literal_area_reads_one_degree_at_a_time(monkeypatch):
+    # The expanded series is summed degree by degree; its full multi-index
+    # map is never built, and the value equals that of a dictionary series.
+    family = ExtremalPolydiskUnit(0.5, 3)
+    rad = RadiusSpec.vector((0.1, 0.04, 0.02))
+    spec = preset("thm_2_1").with_interpretation(INTERP_LITERAL)
+    series = expand(family, default_truncation(family, rad.bold_r))
+    copy = CoefficientSeries(3, series.truncation, dict(series.coeffs), source=family)
+    expected = area_term(copy, rad)
+
+    def refuse(self):
+        raise AssertionError("full multi-index map built")
+
+    monkeypatch.setattr(ser._SliceCoefficients, "_map", refuse)
+    assert evaluate(spec, family, rad).area_term == expected
 
 
 def test_area_vector_radius_below_diagonal():

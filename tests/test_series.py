@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from bohrineq import series as ser
 from bohrineq.errors import BudgetExceededError, DomainError
+from bohrineq.functionals import RadiusSpec, evaluate, preset
 from bohrineq.series import (
     CoefficientSeries,
     ConstantFn,
@@ -20,6 +22,7 @@ from bohrineq.series import (
     family_value,
     majorant_tail_bound,
     multi_indices,
+    multinomial_sq_ratio,
     oracle_expand,
     slice_coefficients,
     torus_bound_check,
@@ -190,6 +193,144 @@ def test_budget_exhaustion_is_distinct_from_domain_error():
         expand(ExtremalPolydiskUnit(0.5, 3), 300)
     with pytest.raises(DomainError):
         oracle_expand(ConstantFn(0.5), -1)
+
+
+# ---------------------------------------------------------------- slice-backed series
+
+SLICE_BACKED_CASES = [
+    (MoebiusDisk(0.6), 12),
+    (ExtremalPolydiskUnit(0.0, 2), 6),
+    (ConstantFn(0.3), 4),
+    (ConstantFn(0.0), 3),
+    (FiniteBlaschke((0.5, -0.3 + 0.2j)), 10),
+] + [
+    (family(a, n), K)
+    for family in (ExtremalPolydiskUnit, ExtremalPolydiskScaled)
+    for n, K in ((1, 15), (2, 12), (3, 8))
+    for a in (0.35, 0.8)
+]
+
+
+def _eager_expand(family, K):
+    """The multi-index map built key by key, as a dictionary series holds it."""
+    coeffs = {}
+    for k, bk in enumerate(family.slice(K)):
+        if bk != 0:
+            for idx in multi_indices(family.n, k):
+                coeffs[idx] = bk * idx.multinomial()
+    return CoefficientSeries(family.n, K, coeffs, source=family)
+
+
+@pytest.mark.parametrize("family,K", SLICE_BACKED_CASES)
+def test_slice_backed_map_equals_eager_build(family, K):
+    series, eager = expand(family, K), _eager_expand(family, K)
+    assert series.slice == tuple(family.slice(K))
+    assert eager.slice is None
+    assert len(series.coeffs) == len(eager.coeffs)
+    # Same keys, same graded-lex order, bit-identical values.
+    assert repr(list(series.coeffs.items())) == repr(list(eager.coeffs.items()))
+    assert repr(series) == repr(eager)
+
+
+@pytest.mark.parametrize("family,K", SLICE_BACKED_CASES)
+def test_slice_backed_reads_equal_dictionary_reads(family, K):
+    series, eager = expand(family, K), _eager_expand(family, K)
+    n = family.n
+    radii = tuple(0.9 * family.cap * (i + 1) / n for i in range(n))
+    # Plus a key above the truncation and one of the wrong dimension.
+    probes = list(eager.coeffs) + [
+        MultiIndex((K + 1,) + (0,) * (n - 1)),
+        MultiIndex((1,) * (n + 1)),
+    ]
+    for idx in probes:
+        assert repr(series.coefficient(idx)) == repr(eager.coefficient(idx))
+    assert repr(series.constant_term()) == repr(eager.constant_term())
+    for k in range(K + 2):
+        assert repr(series.degree_slice(k)) == repr(eager.degree_slice(k))
+        assert series.homogeneous_abs_sum(k, radii) == eager.homogeneous_abs_sum(k, radii)
+        assert series.homogeneous_sq_sum(k, radii) == eager.homogeneous_sq_sum(k, radii)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        family(a, n)
+        for family in (ExtremalPolydiskUnit, ExtremalPolydiskScaled)
+        for n in (1, 2, 3)
+        for a in (0.0, 0.25, 0.5)
+    ]
+    + [MoebiusDisk(0.5), FiniteBlaschke((0.4, -0.2 + 0.3j)), ConstantFn(0.3)],
+)
+def test_slice_torus_matches_dictionary_torus(family):
+    cap = 0.99 if family.cap == 1.0 and family.n == 1 else family.cap
+    series = expand(family, default_truncation(family, cap))
+    eager = _eager_expand(family, series.truncation)
+    m = 16 if family.n < 3 else 8
+    fast, slow = torus_bound_check(series, cap, m), torus_bound_check(eager, cap, m)
+    assert fast.sup_modulus == pytest.approx(slow.sup_modulus, abs=1e-12)
+    assert (fast.tail_bound, fast.certified, fast.ok) == (slow.tail_bound, slow.certified, slow.ok)
+    values, points = ser._torus_values(series, cap, m)
+    slow_values, slow_points = ser._torus_values(eager, cap, m)
+    assert (points == slow_points).all()
+    assert abs(values - slow_values).max() <= 1e-12
+
+
+def test_expanded_torus_at_cap_builds_no_multi_index(monkeypatch):
+    def refuse(n, degree):
+        raise AssertionError("multi-index map built")
+
+    monkeypatch.setattr(ser, "multi_indices", refuse)
+    family = ExtremalPolydiskUnit(0.75, 3)
+    cap = domain_radius_cap(family)
+    series = expand(family, default_truncation(family, cap))
+    assert len(series.coeffs) == coefficient_count(3, series.truncation)
+    report = torus_bound_check(series, cap, samples_per_axis=8)
+    assert report.ok and report.certified
+
+
+def test_blaschke_evaluate_builds_the_product_once(monkeypatch):
+    calls = []
+    conv = ser._conv1d
+
+    def counting(p, q, K):
+        calls.append(K)
+        return conv(p, q, K)
+
+    monkeypatch.setattr(ser, "_conv1d", counting)
+    zeros = (0.41 - 0.17j, -0.23 + 0.52j, 0.08 + 0.66j)
+    evaluate(preset("thm_e"), FiniteBlaschke(zeros), RadiusSpec.diagonal(1, 0.8))
+    assert len(calls) == len(zeros)
+
+
+def test_blaschke_slice_cache_returns_fresh_exact_lists():
+    family = FiniteBlaschke((0.37, -0.29 + 0.44j))
+    first = family.slice(20)
+    first[3] = 99.0
+    assert family.slice(20)[3] != 99.0
+    assert family.slice(20)[:11] == family.slice(10)
+    # Signed zeros compare equal but give slices that differ in the last bits.
+    plus = FiniteBlaschke((-0.5, 0.2j))
+    minus = FiniteBlaschke((complex(-0.5, -0.0), complex(-0.0, 0.2)))
+    assert plus == minus and plus.slice(150) != minus.slice(150)
+
+
+def _sq_sum_recursive(n, k):
+    if n == 1 or k == 0:
+        return 1
+    return sum(math.comb(k, j) ** 2 * _sq_sum_recursive(n - 1, k - j) for j in range(k + 1))
+
+
+def test_sq_multinomial_sum_matches_recursive_definition():
+    for n in range(1, 6):
+        for k in range(13):
+            assert ser._sq_multinomial_sum(n, k) == _sq_sum_recursive(n, k)
+            ratio = 1.0 if n == 1 else _sq_sum_recursive(n, k) / n ** (2 * k)
+            assert multinomial_sq_ratio(n, k) == ratio
+
+
+def test_sq_multinomial_sum_at_large_dimension():
+    # Deeper than the interpreter's recursion limit; S_n(2) = n + 4 C(n, 2).
+    assert ser._sq_multinomial_sum(3000, 2) == 3000 + 4 * math.comb(3000, 2)
 
 
 # ---------------------------------------------------------------- slices
