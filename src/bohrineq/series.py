@@ -26,8 +26,9 @@ Their coefficientwise agreement is a standing test obligation.
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
 demand (lookups and ``len`` read the slice, ``degree_slice`` builds one
 degree, full iteration builds the map once), and its torus check sums
-b_k s^k at each sample point, O(points * K).  Blaschke slices are cached
-per (zeros, K).
+b_k s^k at each sample point, O(points * K).  Blaschke slices take one O(K)
+recurrence per zero and are cached per (zeros, K): a radius search reads
+the same product at every bisection step.
 """
 
 from __future__ import annotations
@@ -304,7 +305,10 @@ class ExtremalPolydiskScaled(_MoebiusType):
 
 @dataclass(frozen=True)
 class FiniteBlaschke(_Family):
-    """Product of disk automorphism factors (w_j - z)/(1 - conj(w_j) z), n = 1."""
+    """Product of disk automorphism factors (w_j - z)/(1 - conj(w_j) z), n = 1.
+
+    ``slice(K)`` costs O(mK) for m zeros, one recurrence per zero, and is
+    cached per (zeros, K), since a radius search re-reads it at every step."""
 
     zeros: tuple[complex, ...]
     n = 1
@@ -320,20 +324,15 @@ class FiniteBlaschke(_Family):
 
     @property
     def a0(self) -> complex:
-        out = complex(1.0)
-        for w in self.zeros:
-            out *= w
-        return out
+        return math.prod(self.zeros, start=complex(1.0))
 
     def value(self, z: tuple[complex, ...]) -> complex:
-        out = complex(1.0)
-        for w in self.zeros:
-            out *= (w - z[0]) / (1.0 - w.conjugate() * z[0])
-        return out
+        factors = ((w - z[0]) / (1.0 - w.conjugate() * z[0]) for w in self.zeros)
+        return math.prod(factors, start=complex(1.0))
 
     def slice(self, K: int) -> list[complex]:
         # repr tells signed zeros apart: they compare equal as zeros but
-        # give slices that differ in the last bits.
+        # can give slices whose zero parts differ in sign.
         return list(_blaschke_slice(self.zeros, K, repr(self.zeros)))
 
     def majorant_tail(self, K: int, sigma: float) -> float:
@@ -650,30 +649,19 @@ def expand(
 @lru_cache(maxsize=128)
 def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[complex, ...]:
     """Taylor coefficients b_0..b_K of a Blaschke product, built once per
-    (zeros, K); ``key`` is repr(zeros)."""
-    out = [complex(1.0)]
+    (zeros, K); ``key`` is repr(zeros).  Per zero w, with c = conj(w),
+    dividing by 1 - c z is y_k = x_k + c y_(k-1) (the root 1/c lies outside
+    the disk, so rounding errors are damped) and multiplying by w - z is
+    w y_k - y_(k-1).  b_k reads b_0..b_k only: slices are prefix-stable."""
+    b = [complex(1.0)] + [0j] * K
     for w in zeros:
-        out = _conv1d(out, _blaschke_factor(w, K), K)
-    return tuple(out)
-
-
-def _blaschke_factor(w: complex, K: int) -> list[complex]:
-    """(w - z)/(1 - conj(w) z) = w + (|w|^2 - 1) sum_k conj(w)^(k-1) z^k."""
-    out = [w]
-    lead = abs(w) ** 2 - 1.0
-    for k in range(1, K + 1):
-        out.append(lead * w.conjugate() ** (k - 1))
-    return out
-
-
-def _conv1d(p: list[complex], q: list[complex], K: int) -> list[complex]:
-    out = [0j] * (K + 1)
-    for i, pi in enumerate(p[: K + 1]):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q[: K + 1 - i]):
-            out[i + j] += pi * qj
-    return out
+        c = w.conjugate()
+        for k in range(1, K + 1):
+            b[k] += c * b[k - 1]
+        for k in range(K, 0, -1):
+            b[k] = w * b[k] - b[k - 1]
+        b[0] *= w
+    return tuple(b)
 
 
 def _check_budget(n: int, K: int, budget: int) -> None:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from . import constants as sharp
 from . import functionals as fun
 from . import series as ser
-from .errors import DomainError, MonotonicityError
+from .errors import BudgetExceededError, DomainError, MonotonicityError
 
 #: Violation tolerances: closed-form evaluations vs truncated-but-certified.
 TOL_CLOSED = 1e-12
@@ -33,15 +33,23 @@ LEMMA_SLACK = 1e-10
 
 _PRESAMPLES = 64
 
+#: Most points ``grid_values`` builds; the default scan grid has 10^4.
+MAX_GRID_POINTS = 1_000_000
+
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
     """Inclusive arithmetic grid with stable 10-decimal rounding."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError("grid start, stop and step must be finite")
     if step <= 0:
         raise DomainError("grid step must be positive")
     if stop < start:
         raise DomainError("grid stop must be >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 10) for i in range(count)]
+    # Checked before any list is built; stop - start may overflow to inf.
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise BudgetExceededError(f"grid would hold more than {MAX_GRID_POINTS} points")
+    return [round(start + i * step, 10) for i in range(int(steps) + 1)]
 
 
 # --------------------------------------------------------------------------

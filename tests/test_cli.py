@@ -257,6 +257,24 @@ def test_budget_exit_code(monkeypatch, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", [["scan", "--theorem", "C"], ["verify", "--theorem", "C"]])
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0.5:0.1", "nan:1:0.1", "0:1:nan"])
+def test_non_finite_grid_is_usage_error(capsys, command, grid):
+    code, out, err = run_cli(capsys, *command, f"--a={grid}")
+    assert code == 64
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("command", [["scan", "--theorem", "C"], ["verify", "--theorem", "C"]])
+@pytest.mark.parametrize("grid", ["0:0.99:1e-12", "0:1000000:1", "-1e308:1e308:1"])
+def test_oversized_grid_is_budget_error(capsys, command, grid):
+    code, out, err = run_cli(capsys, *command, f"--a={grid}")
+    assert code == 67
+    assert out == ""
+    assert "budget" in err
+
+
 def test_out_file_and_json_stability(tmp_path, capsys):
     first = tmp_path / "scan1.json"
     second = tmp_path / "scan2.json"

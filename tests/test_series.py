@@ -1,6 +1,7 @@
 """Series core: expansions, the brute-force oracle, tails, torus checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -288,18 +289,11 @@ def test_expanded_torus_at_cap_builds_no_multi_index(monkeypatch):
     assert report.ok and report.certified
 
 
-def test_blaschke_evaluate_builds_the_product_once(monkeypatch):
-    calls = []
-    conv = ser._conv1d
-
-    def counting(p, q, K):
-        calls.append(K)
-        return conv(p, q, K)
-
-    monkeypatch.setattr(ser, "_conv1d", counting)
-    zeros = (0.41 - 0.17j, -0.23 + 0.52j, 0.08 + 0.66j)
+def test_blaschke_evaluate_builds_the_product_once():
+    zeros = (0.413 - 0.171j, -0.237 + 0.529j, 0.083 + 0.661j)
+    misses = ser._blaschke_slice.cache_info().misses
     evaluate(preset("thm_e"), FiniteBlaschke(zeros), RadiusSpec.diagonal(1, 0.8))
-    assert len(calls) == len(zeros)
+    assert ser._blaschke_slice.cache_info().misses == misses + 1
 
 
 def test_blaschke_slice_cache_returns_fresh_exact_lists():
@@ -307,11 +301,81 @@ def test_blaschke_slice_cache_returns_fresh_exact_lists():
     first = family.slice(20)
     first[3] = 99.0
     assert family.slice(20)[3] != 99.0
-    assert family.slice(20)[:11] == family.slice(10)
-    # Signed zeros compare equal but give slices that differ in the last bits.
+    assert repr(family.slice(141)[:11]) == repr(family.slice(10))
+    # Signed zeros compare equal, so the cache key carries repr(zeros): each
+    # variant gets the bits of its own build, never the other's.
     plus = FiniteBlaschke((-0.5, 0.2j))
     minus = FiniteBlaschke((complex(-0.5, -0.0), complex(-0.0, 0.2)))
-    assert plus == minus and plus.slice(150) != minus.slice(150)
+    assert plus == minus
+    for family in (minus, plus, minus):
+        uncached = ser._blaschke_slice.__wrapped__(family.zeros, 150, repr(family.zeros))
+        assert repr(family.slice(150)) == repr(list(uncached))
+
+
+def _conv_blaschke_slice(zeros, K):
+    """Loop reference: the product as m dense O(K^2) convolutions of the
+    factors (w - z)/(1 - conj(w) z) = w + (|w|^2 - 1) sum conj(w)^(k-1) z^k."""
+    out = [complex(1.0)] + [0j] * K
+    for w in zeros:
+        factor = [w] + [(abs(w) ** 2 - 1.0) * w.conjugate() ** (k - 1) for k in range(1, K + 1)]
+        prod = [0j] * (K + 1)
+        for i, pi in enumerate(out):
+            for j, qj in enumerate(factor[: K + 1 - i]):
+                prod[i + j] += pi * qj
+        out = prod
+    return out
+
+
+def _exact_blaschke_slice(zeros, K):
+    """Exact reference: numerator prod (w - z) and denominator
+    prod (1 - conj(w) z) multiplied out in Fractions, then divided as power
+    series.  Complex numbers are (re, im) pairs of Fractions."""
+
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def poly_mul(p, q):
+        out = [(Fraction(0), Fraction(0))] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                t = mul(pi, qj)
+                out[i + j] = (out[i + j][0] + t[0], out[i + j][1] + t[1])
+        return out
+
+    one, minus_one = (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))
+    num, den = [one], [one]
+    for w in zeros:
+        re, im = Fraction(w.real), Fraction(w.imag)
+        num = poly_mul(num, [(re, im), minus_one])
+        den = poly_mul(den, [one, (-re, im)])
+    out = []
+    for k in range(K + 1):
+        re, im = num[k] if k < len(num) else (Fraction(0), Fraction(0))
+        for i in range(1, min(k, len(den) - 1) + 1):
+            t = mul(den[i], out[k - i])
+            re, im = re - t[0], im - t[1]
+        out.append((re, im))
+    return [complex(float(re), float(im)) for re, im in out]
+
+
+BLASCHKE_REFERENCE_ZEROS = [
+    (0.5,),
+    (-0.95,),
+    (0.3 + 0.4j, -0.6),
+    (0.95j, -0.2 - 0.1j),
+    (0.41 - 0.17j, -0.23 + 0.52j, 0.08 + 0.66j),
+    (0.9, -0.9, 0.7j, -0.5 - 0.5j),
+    (0.95, 0.95, -0.67 + 0.67j),
+]
+
+
+@pytest.mark.parametrize("zeros", BLASCHKE_REFERENCE_ZEROS)
+def test_blaschke_slice_matches_convolution_and_exact_product(zeros):
+    K = 141
+    got = FiniteBlaschke(zeros).slice(K)
+    assert len(got) == K + 1
+    for reference in (_conv_blaschke_slice(zeros, K), _exact_blaschke_slice(zeros, K)):
+        assert max(abs(g - r) for g, r in zip(got, reference)) <= 1e-15
 
 
 def _sq_sum_recursive(n, k):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from bohrineq.errors import DomainError, MonotonicityError
+from bohrineq.errors import BudgetExceededError, DomainError, MonotonicityError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
@@ -25,6 +25,7 @@ from bohrineq.series import (
     oracle_expand,
 )
 from bohrineq.verify import (
+    MAX_GRID_POINTS,
     THEOREMS,
     grid_values,
     lemma1a_check,
@@ -46,6 +47,26 @@ def test_grid_values_inclusive_and_stable():
     assert grid_values(0.5, 0.5, 0.1) == [0.5]
     with pytest.raises(DomainError):
         grid_values(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, math.inf, 1.0), (-math.inf, 0.5, 0.1), (math.nan, 1.0, 0.1), (0.0, 1.0, math.nan),
+     (0.0, 1.0, math.inf)],
+)
+def test_grid_values_rejects_non_finite_input(bounds):
+    with pytest.raises(DomainError):
+        grid_values(*bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, float(MAX_GRID_POINTS), 1.0), (0.0, 0.99, 1e-12), (-1e308, 1e308, 1.0),
+     (0.0, 0.99, 5e-324)],
+)
+def test_grid_values_refuses_grids_over_the_cap(bounds):
+    with pytest.raises(BudgetExceededError):
+        grid_values(*bounds)
 
 
 # ---------------------------------------------------------------- lemma1a_check
