@@ -239,13 +239,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         n = ser.dimension(family)
         r = _resolve_r(ns.r, theorem_id, n)
         a0 = abs(ser.constant_term(family))
+        radius = fun.RadiusSpec.diagonal(n, r)
         interps = [fun.INTERP_LITERAL] if n == 1 else [fun.INTERP_LITERAL, fun.INTERP_SLICE]
         for interp in interps:
-            breakdown = fun.evaluate(
-                spec.with_interpretation(interp),
-                family,
-                fun.RadiusSpec.diagonal(n, r),
-            )
+            breakdown = fun.evaluate(spec.with_interpretation(interp), family, radius)
             rows.append(_breakdown_row(theorem_id, n, a0, r, breakdown))
             if interp == fun.INTERP_LITERAL and ver.violates(breakdown, ns.tol):
                 violations += 1
@@ -253,13 +250,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         n_list = parse_n_list(ns.n) if ns.n else None
         a_grid = parse_grid(ns.a) if ns.a else None
         r_values = None if ns.r == "threshold" else [_resolve_r(ns.r, theorem_id, 1)]
-        report = ver.theorem_sweep(theorem_id, n_list, a_grid, r_values)
+        report = ver.theorem_sweep(theorem_id, n_list, a_grid, r_values, tol=ns.tol)
         for row in report.rows:
             rows.append(_breakdown_row(row.theorem, row.n, row.a, row.r, row.breakdown))
-            if row.breakdown.interpretation == fun.INTERP_LITERAL and ver.violates(
-                row.breakdown, ns.tol
-            ):
-                violations += 1
+        violations = len(report.violations)
     meta = {"command": "verify", "theorem": theorem_id, "violations": violations}
     emit(rows, VERIFY_COLUMNS, ns.format, ns.out, meta)
     return EXIT_VIOLATIONS if violations else EXIT_OK

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 from . import constants as sharp
@@ -51,7 +52,7 @@ multinomial_sq_ratio = ser.multinomial_sq_ratio
 
 @dataclass(frozen=True)
 class RadiusSpec:
-    """Evaluation polyradius; bold_r is the max coordinate."""
+    """Evaluation polyradius; bold_r (the max coordinate) and is_diagonal are cached."""
 
     coords: tuple[float, ...]
 
@@ -77,11 +78,11 @@ class RadiusSpec:
     def n(self) -> int:
         return len(self.coords)
 
-    @property
+    @cached_property
     def bold_r(self) -> float:
         return max(self.coords)
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
         return all(r == self.coords[0] for r in self.coords)
 
@@ -248,8 +249,12 @@ def area_term(
         target = target.source
     family = target
     _check_radius_for(family, radius, family.n)
-    sigma = family.sigma(radius.coords)
-    if interpretation == INTERP_SLICE or family.n == 1:
+    return _family_area(family, radius, family.sigma(radius.coords), interpretation)
+
+
+def _family_area(family: ser.FamilySpec, radius: RadiusSpec, sigma: float, interp: str) -> float:
+    """Area of a family at a checked radius whose argument radius is sigma."""
+    if interp == INTERP_SLICE or family.n == 1:
         return family.area(sigma)
     if radius.is_diagonal:
         return family.literal_area(sigma)
@@ -292,12 +297,13 @@ def evaluate(
     sigma = family.sigma(radius.coords)
     head_value, certified = _head(spec, family, sigma, eval_point)
     tail_value = family.majorant(sigma) if spec.include_majorant_tail else 0.0
-    area = area_term(family, radius, spec.area_interpretation) if spec.uses_area() else 0.0
+    uses_area = spec.uses_area()
+    area = _family_area(family, radius, sigma, spec.area_interpretation) if uses_area else 0.0
     area_sq = spec.area_sq_weight * area * area
     extra = spec.extra_area_weight * area
     total = head_value + tail_value + spec.area_weight * area + area_sq + extra
     tail_closed = family.closed or not spec.include_majorant_tail
-    area_closed = not spec.uses_area() or (
+    area_closed = not uses_area or (
         family.closed and (spec.area_interpretation == INTERP_SLICE or family.n == 1)
     )
     return TermBreakdown(

@@ -162,7 +162,7 @@ class _Family:
 
     def sigma(self, radii: tuple[float, ...]) -> float:
         """sum(radii)/q; a diagonal (or single) radius r gives (n/q) r exactly."""
-        if all(r == radii[0] for r in radii):
+        if radii.count(radii[0]) == len(radii):
             return self.n // self.q * radii[0]
         return math.fsum(radii) / self.q
 

@@ -7,7 +7,8 @@ extremal family template, and its threshold radius:
     T21, T22, T23                 polydisk, family (a - s)/(1 - a s)
 
 Sweeps evaluate the literal interpretation as the pass/fail authority and
-report slice values alongside for n >= 2.  Scans run on the slice
+report slice values alongside for n >= 2, in (n, a, r, interpretation)
+order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Lemma checks admit only
 families bounded by one on the unit polydisk, which is the hypothesis the
 lemmas carry.
@@ -15,9 +16,10 @@ lemmas carry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -352,14 +354,12 @@ def sharpness_scan(
     perturbed_spec = replace(
         spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
     )
+    radius = fun.RadiusSpec.diagonal(n, r)
     rows = []
     for a in grid:
         family = theorem_family(theorem_id, a, n)
-        radius = fun.RadiusSpec.diagonal(n, r)
         base = fun.evaluate(spec, family, radius).total
-        pert = (
-            fun.evaluate(perturbed_spec, family, radius).total if epsilon > 0 else base
-        )
+        pert = fun.evaluate(perturbed_spec, family, radius).total if epsilon > 0 else base
         rows.append(ScanRow(a, base, pert))
     best = max(rows, key=lambda row: (row.total, row.a))
     best_pert = max(rows, key=lambda row: (row.perturbed_total, row.a))
@@ -398,19 +398,25 @@ class SweepReport:
     violations: tuple[SweepRow, ...]
 
 
+def _runs(values: Iterable) -> list[list]:
+    """The values sorted, in runs of equal values, each run in input order."""
+    return [list(run) for _, run in itertools.groupby(sorted(values))]
+
+
 def theorem_sweep(
     theorem_id: str,
     n_list: Sequence[int] | None = None,
     a_grid: Sequence[float] | None = None,
     r_values: Sequence[float] | None = None,
     constants: sharp.SharpConstants | None = None,
+    tol: float | None = None,
 ) -> SweepReport:
     """Evaluate the theorem functional over the (n, a, r) grid.
 
     The literal interpretation is the pass/fail authority; slice values are
     reported alongside for n >= 2.  A row violates when its literal total
-    exceeds 1 by more than the tolerance of its evaluation path.  Radii
-    default to the theorem threshold for each n.
+    exceeds 1 by more than ``tol`` (default: the tolerance of its evaluation
+    path).  Radii default to the theorem threshold for each n.
     """
     td = _theorem(theorem_id)
     c = constants if constants is not None else sharp.sharp_constants()
@@ -421,25 +427,24 @@ def theorem_sweep(
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("sweep grid must lie inside [0, 1)")
     spec = fun.preset(td.preset_name, c)
+    literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
+    slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
+    # Runs of equal keys (repeats, 0.0 and -0.0) keep their input order, so the
+    # rows come out exactly as a stable sort by (n, a, r, interpretation) puts them.
     rows: list[SweepRow] = []
-    for n in sorted(ns):
-        radii = list(r_values) if r_values is not None else [td.threshold(n)]
-        for a in sorted(grid):
-            family = theorem_family(theorem_id, a, n)
-            for r in sorted(radii):
-                radius = fun.RadiusSpec.diagonal(n, r)
-                interps = [fun.INTERP_LITERAL] if n == 1 else [
-                    fun.INTERP_LITERAL,
-                    fun.INTERP_SLICE,
-                ]
-                for interp in interps:
-                    breakdown = fun.evaluate(
-                        spec.with_interpretation(interp), family, radius
-                    )
-                    rows.append(SweepRow(theorem_id, n, a, r, breakdown))
-    rows.sort(key=lambda row: (row.n, row.a, row.r, row.breakdown.interpretation))
+    for n_run in _runs(ns):
+        n = n_run[0]
+        specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
+        radii = r_values if r_values is not None else [td.threshold(n)]
+        r_runs = [[(r, fun.RadiusSpec.diagonal(n, r)) for r in run] for run in _runs(radii)]
+        for a_run in _runs(grid):
+            families = [(m, a, theorem_family(theorem_id, a, m)) for m in n_run for a in a_run]
+            for r_run, interp_spec in itertools.product(r_runs, specs):
+                for (m, a, family), (r, radius) in itertools.product(families, r_run):
+                    breakdown = fun.evaluate(interp_spec, family, radius)
+                    rows.append(SweepRow(theorem_id, m, a, r, breakdown))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
-    violations = tuple(row for row in literal if violates(row.breakdown))
+    violations = tuple(row for row in literal if violates(row.breakdown, tol))
     worst = min(row.breakdown.margin for row in literal) if literal else math.inf
     return SweepReport(theorem_id, tuple(rows), worst, violations)

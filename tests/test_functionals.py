@@ -53,6 +53,44 @@ def test_radius_spec_basics():
         RadiusSpec.vector((-0.1,))
 
 
+@pytest.mark.parametrize(
+    "coords", [(0.3,), (0.2, 0.2, 0.2), (0.1, 0.3, 0.2), (0.3, 0.1), (0.0, -0.0), (-0.0, 0.0)]
+)
+def test_radius_spec_cached_properties_equal_fresh_values(coords):
+    rad = RadiusSpec.vector(coords)
+    for _ in range(2):  # first read computes, second reads the cache
+        assert repr(rad.bold_r) == repr(max(rad.coords))
+        assert rad.is_diagonal is all(r == rad.coords[0] for r in rad.coords)
+    twin = RadiusSpec.vector(coords)
+    assert rad == twin and hash(rad) == hash(twin)
+    assert repr(rad) == f"RadiusSpec(coords={tuple(float(r) for r in coords)!r})"
+
+
+_AREA_CASES = [
+    (MoebiusDisk(0.5), _diag(1, 0.2), INTERP_LITERAL),
+    (ExtremalPolydiskUnit(0.5, 2), _diag(2, 0.2), INTERP_LITERAL),
+    (ExtremalPolydiskUnit(0.5, 2), _diag(2, 0.2), INTERP_SLICE),
+    (ExtremalPolydiskScaled(0.6, 3), RadiusSpec.vector((0.1, 0.05, 0.2)), INTERP_SLICE),
+    (FiniteBlaschke((0.3, -0.5)), _diag(1, 0.4), INTERP_LITERAL),
+]
+
+
+@pytest.mark.parametrize("family,rad,interp", _AREA_CASES)
+def test_evaluate_computes_sigma_once(monkeypatch, family, rad, interp):
+    calls = []
+    sigma = type(family).sigma
+
+    def counted(self, radii):
+        calls.append(radii)
+        return sigma(self, radii)
+
+    monkeypatch.setattr(type(family), "sigma", counted)
+    spec = preset("thm_c").with_interpretation(interp)
+    out = evaluate(spec, family, rad)
+    assert len(calls) == 1
+    assert out.area_term == area_term(family, rad, interp)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_radius_spec_rejects_non_finite(bad):
     with pytest.raises(DomainError):

@@ -5,7 +5,11 @@
 the reports passes unchanged; a change that alters a reported number must
 regenerate the files and say which value was wrong.  Regenerate with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+which rewrites every file from the code under test and prints the names of
+the files whose bytes changed.  Run with no argument or any other argument,
+the script prints this usage and exits 2 without writing anything.
 """
 
 import contextlib
@@ -73,17 +77,62 @@ def test_golden_report(name, argv):
     assert text.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-def regenerate() -> None:
+@pytest.mark.parametrize("argv", [[], ["--help"], ["regenerate"], ["--regenerate", "--force"]])
+def test_script_writes_nothing_without_regenerate(argv, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("golden files rewritten")
+
+    monkeypatch.setitem(globals(), "regenerate", refuse)
+    assert main(argv) == 2
+    assert "usage: python tests/test_golden.py --regenerate" in capsys.readouterr().err
+
+
+def test_regenerate_lists_the_files_it_changed(monkeypatch, tmp_path, capsys):
+    for path in GOLDEN.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "scan_c.csv").write_bytes(b"stale\n")
+    (tmp_path / "constants.json").unlink()
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    assert main(["--regenerate"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "changed: constants.json",
+        "changed: scan_c.csv",
+        "2 golden files changed",
+    ]
+    for path in GOLDEN.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def regenerate() -> list[str]:
+    """Rewrite every golden file; return the names whose bytes changed."""
     GOLDEN.mkdir(exist_ok=True)
+    files = {}
     manifest = {}
     for name, argv in _runs():
         code, text = _run(argv)
-        (GOLDEN / name).write_bytes(text.encode("utf-8"))
+        files[name] = text.encode("utf-8")
         manifest[name] = {"argv": argv, "exit": code}
-    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    (GOLDEN / "manifest.json").write_text(text, encoding="utf-8")
+    files["manifest.json"] = (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode()
+    changed = []
+    for name, data in files.items():
+        path = GOLDEN / name
+        if not path.exists() or path.read_bytes() != data:
+            changed.append(name)
+        path.write_bytes(data)
+    return changed
+
+
+def main(argv: list[str]) -> int:
+    if argv != ["--regenerate"]:
+        print(__doc__, file=sys.stderr)
+        print("usage: python tests/test_golden.py --regenerate", file=sys.stderr)
+        return 2
+    changed = regenerate()
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"{len(changed)} golden files changed")
+    return 0
 
 
 if __name__ == "__main__":
-    regenerate()
-    sys.exit(0)
+    sys.exit(main(sys.argv[1:]))

@@ -26,6 +26,7 @@ from bohrineq.series import (
 )
 from bohrineq.verify import (
     MAX_GRID_POINTS,
+    SweepRow,
     THEOREMS,
     grid_values,
     lemma1a_check,
@@ -34,6 +35,7 @@ from bohrineq.verify import (
     lemma1c_check,
     radius_search,
     sharpness_scan,
+    theorem_family,
     theorem_sweep,
     violates,
 )
@@ -347,6 +349,83 @@ def test_sweep_rows_sorted_deterministically():
         (row.n, row.a, row.r, row.breakdown.interpretation) for row in report.rows
     ]
     assert keys == sorted(keys)
+
+
+def _sweep_key(row):
+    return (row.n, row.a, row.r, row.breakdown.interpretation)
+
+
+def _sweep_reference(theorem_id, ns, grid, radii):
+    """The rows as an evaluation per grid point followed by a stable sort."""
+    spec = preset(THEOREMS[theorem_id].preset_name)
+    rows = []
+    for n in sorted(ns):
+        for a in sorted(grid):
+            for r in sorted(radii):
+                for interp in [INTERP_LITERAL] if n == 1 else [INTERP_LITERAL, INTERP_SLICE]:
+                    out = evaluate(
+                        spec.with_interpretation(interp),
+                        theorem_family(theorem_id, a, n),
+                        RadiusSpec.diagonal(n, r),
+                    )
+                    rows.append(SweepRow(theorem_id, n, a, r, out))
+    rows.sort(key=_sweep_key)
+    return rows
+
+
+def test_sweep_rows_come_out_stably_sorted_with_repeats_and_signed_zeros():
+    # Unsorted inputs with repeats and both zeros: rows with equal sort keys
+    # must keep their input order, exactly as a stable sort leaves them.
+    ns, grid, radii = [3, 1, 2, 3], [0.5, -0.0, 0.2, 0.5, 0.0], [0.1, 0.02, -0.0, 0.0, 0.1]
+    report = theorem_sweep("T21", ns, grid, radii)
+    rows = list(report.rows)
+    assert rows == sorted(rows, key=_sweep_key)
+    assert [repr(row) for row in rows] == [repr(row) for row in sorted(rows, key=_sweep_key)]
+    assert [repr(row) for row in rows] == [
+        repr(row) for row in _sweep_reference("T21", ns, grid, radii)
+    ]
+    assert len(rows) == 5 * 5 * (1 + 2 * 3)
+
+
+def test_sweep_tolerance_decides_violations():
+    grid = grid_values(0.5, 0.9, 0.1)
+    flagged = theorem_sweep("classic", a_grid=grid, r_values=[0.4])
+    assert [row.a for row in flagged.violations] == [0.8, 0.9]
+    assert not theorem_sweep("classic", a_grid=grid, r_values=[0.4], tol=1.0).violations
+    assert len(theorem_sweep("classic", a_grid=grid, r_values=[0.4], tol=math.nan).violations) == 5
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_scan_builds_one_radius(monkeypatch):
+    grid = grid_values(0.0, 0.9995, 0.0005)
+    assert len(grid) == 2000
+    built = _count_calls(monkeypatch, RadiusSpec, "__post_init__")
+    report = sharpness_scan("T22", grid, n=3, epsilon=1e-3)
+    assert len(built) == 1
+    assert len(report.rows) == 2001  # the extremal parameter is appended
+
+
+def test_sweep_builds_one_radius_per_dimension_and_two_specs(monkeypatch):
+    built = _count_calls(monkeypatch, RadiusSpec, "__post_init__")
+    specs = _count_calls(monkeypatch, FunctionalSpec, "with_interpretation")
+    report = theorem_sweep("T21", [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
+    assert len(built) == 4
+    assert len(specs) <= 2
+    assert len(report.rows) == 100 * (1 + 2 * 3)
+    built.clear()
+    theorem_sweep("T22", [2, 3], grid_values(0.0, 0.9, 0.1), [0.05, 0.1, 0.2])
+    assert len(built) == 2 * 3
 
 
 def test_sweep_b2_margin_shrinks_toward_one():
