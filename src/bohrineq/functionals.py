@@ -20,8 +20,8 @@ Evaluation is slice-first: every term is read from the family's own rules
 (series.py) at sigma = (r_1 + ... + r_n)/q, the radius reached by the
 Moebius argument, which is exact at any polyradius.  Moebius-type families
 give closed forms in (a, sigma), Blaschke products a slice sum to a
-certified degree.  Only the literal area at a non-diagonal polyradius of an
-n >= 2 family expands the multi-index series.
+certified degree.  No family functional expands a multi-index series: the
+literal area reweights the slice sum per degree (``literal_area``).
 """
 
 from __future__ import annotations
@@ -256,10 +256,7 @@ def _family_area(family: ser.FamilySpec, radius: RadiusSpec, sigma: float, inter
     """Area of a family at a checked radius whose argument radius is sigma."""
     if interp == INTERP_SLICE or family.n == 1:
         return family.area(sigma)
-    if radius.is_diagonal:
-        return family.literal_area(sigma)
-    expanded = ser.expand(family, ser.default_truncation(family, radius.bold_r))
-    return _literal_area_from_series(expanded, radius)
+    return family.literal_area(sigma, radius.coords)
 
 
 def _literal_area_from_series(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:

@@ -12,8 +12,9 @@ the radius sigma = (r_1 + ... + r_n)/q that the argument u = s/q reaches on
 the torus of polyradius r (q = n for the scaled form, else 1), certified
 tails, the boundary supremum of |f| and the rational form.  Functionals read
 the slice list and sigma; the Moebius-type families give exact closed forms
-in (a, sigma), Blaschke products a slice sum to a certified degree.  The
-unit form is bounded by one on the polydisk of polyradius 1/n, every other
+in (a, sigma), Blaschke products a slice sum to a certified degree, and the
+literal area weights slice degree k by W_k (``_degree_weights``).  The unit
+form is bounded by one on the polydisk of polyradius 1/n, every other
 family on the unit polydisk.
 
 A multi-index series is a sparse map from multi-indices to complex
@@ -26,7 +27,9 @@ Their coefficientwise agreement is a standing test obligation.
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
 demand (lookups and ``len`` read the slice, ``degree_slice`` builds one
 degree, full iteration builds the map once), and its torus check sums
-b_k s^k at each sample point, O(points * K).  Blaschke slices take one O(K)
+b_k s^k at each sample point, O(points * K).  The coefficient budget is
+checked where a whole map is built: by ``oracle_expand`` up front, and by a
+slice-backed map when it is first iterated.  Blaschke slices take one O(K)
 recurrence per zero and are cached per (zeros, K): a radius search reads
 the same product at every bisection step.
 """
@@ -37,13 +40,15 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from itertools import repeat
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 
-#: Hard cap on materialized coefficients for any single expansion.
+#: Hard cap on the multi-index coefficients one map may build: checked by
+#: ``oracle_expand`` up front and by a slice-backed map when it is iterated.
 DEFAULT_COEFF_BUDGET = 500_000
 
 #: Target for certified majorant tails when a truncation degree is chosen
@@ -162,7 +167,7 @@ class _Family:
 
     def sigma(self, radii: tuple[float, ...]) -> float:
         """sum(radii)/q; a diagonal (or single) radius r gives (n/q) r exactly."""
-        if radii.count(radii[0]) == len(radii):
+        if _is_diagonal(radii):
             return self.n // self.q * radii[0]
         return math.fsum(radii) / self.q
 
@@ -239,15 +244,20 @@ class _MoebiusType(_Family):
         one = 1.0 - self.a * self.a
         return sigma * sigma * one * one / (1.0 - self.a * self.a * sigma * sigma) ** 2
 
-    def literal_area(self, sigma: float) -> float:
-        """Literal multi-index area at a diagonal polyradius: the slice terms
-        reweighted by the multinomial ratio, plus the slice tail."""
+    def literal_area(self, sigma: float, radii: tuple[float, ...]) -> float:
+        """Literal multi-index area at polyradius radii: the slice terms
+        k |c_k|^2 sigma^(2k) reweighted by the degree weights W_k, plus the
+        slice tail, which stays a certificate because W_k <= 1."""
         a = self.a
         one_sq = (1.0 - a * a) ** 2
         K = truncation(lambda k: self.sq_tail(k, sigma), first=1)
+        if _is_diagonal(radii):
+            weights = map(multinomial_sq_ratio, repeat(self.n), range(1, K + 1))
+        else:
+            weights = _degree_weights(radii, K)[1:]
         terms = [
-            k * one_sq * a ** (2 * k - 2) * sigma ** (2 * k) * multinomial_sq_ratio(self.n, k)
-            for k in range(1, K + 1)
+            k * one_sq * a ** (2 * k - 2) * sigma ** (2 * k) * w
+            for k, w in enumerate(weights, 1)
         ]
         return math.fsum(terms) + self.sq_tail(K, sigma)
 
@@ -449,6 +459,27 @@ def _sq_multinomial_sum(n: int, k: int) -> int:
     return below[k]
 
 
+def _is_diagonal(radii: tuple[float, ...]) -> bool:
+    return radii.count(radii[0]) == len(radii)
+
+
+def _degree_weights(radii: tuple[float, ...], K: int) -> list[float]:
+    """W_k = sum_{|alpha|=k} (k!/alpha!)^2 p^(2 alpha), p = radii/sum(radii), k <= K,
+    built one variable at a time by W'_k = sum_j C(k, j)^2 W_(k-j) p_m^(2j) in
+    O(n K^2) floats; C(k, j)^2 <= C(200, 100)^2 ~ 8e117 is finite for K <= 200."""
+    total = math.fsum(radii)
+    t = (radii[0] / total) ** 2
+    weights = [t**k for k in range(K + 1)]
+    for r in radii[1:]:
+        t = (r / total) ** 2
+        powers = [t**j for j in range(K + 1)]
+        weights = [
+            math.fsum(math.comb(k, j) ** 2 * weights[k - j] * powers[j] for j in range(k + 1))
+            for k in range(K + 1)
+        ]
+    return weights
+
+
 @lru_cache(maxsize=None)
 def multinomial_sq_ratio(n: int, k: int) -> float:
     """sum_{|alpha|=k} (k!/alpha!)^2 / n^(2k): the degree-k ratio between the
@@ -483,8 +514,9 @@ class _SliceCoefficients(Mapping):
 
     The coefficient at alpha is b_|alpha| |alpha|!/alpha! (multinomial
     theorem); degrees with b_k = 0 hold no keys.  Lookups, ``len`` and
-    ``degree`` read the slice b_0..b_K; only full iteration builds the map,
-    once, in graded-lexicographic order.
+    ``degree`` read the slice b_0..b_K; only full iteration (``iter``,
+    ``items``, ``repr``) builds the map, once, in graded-lexicographic order,
+    and refuses a map over the coefficient budget.
     """
 
     def __init__(self, n: int, b: list[complex]):
@@ -520,6 +552,7 @@ class _SliceCoefficients(Mapping):
 
     def _map(self) -> dict[MultiIndex, complex]:
         if self._built is None:
+            _check_budget(len(self))
             self._built = {}
             for k in range(len(self.b)):
                 self._built.update(self.degree(k))
@@ -631,16 +664,13 @@ def _diagonal_sigma(family: FamilySpec, bold_r: float) -> float:
 # Closed-form expansion
 # --------------------------------------------------------------------------
 
-def expand(
-    family: FamilySpec, K: int, budget: int = DEFAULT_COEFF_BUDGET
-) -> CoefficientSeries:
+def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     """All coefficients of degree <= K from the multinomial closed form:
     the coefficient at alpha is b_|alpha| * |alpha|!/alpha! with b_k the
     slice coefficient; zeros are not stored.  The series keeps b_0..b_K and
     builds multi-index coefficients only when they are read."""
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
-    _check_budget(family.n, K, budget)
     return CoefficientSeries(
         family.n, K, _SliceCoefficients(family.n, family.slice(K)), source=family
     )
@@ -664,11 +694,10 @@ def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[compl
     return tuple(b)
 
 
-def _check_budget(n: int, K: int, budget: int) -> None:
-    if coefficient_count(n, K) > budget:
+def _check_budget(count: int) -> None:
+    if count > DEFAULT_COEFF_BUDGET:
         raise BudgetExceededError(
-            f"expansion would hold {coefficient_count(n, K)} coefficients, "
-            f"budget is {budget}"
+            f"expansion would hold {count} coefficients, budget is {DEFAULT_COEFF_BUDGET}"
         )
 
 
@@ -676,19 +705,17 @@ def _check_budget(n: int, K: int, budget: int) -> None:
 # Brute-force oracle: formal power-series division
 # --------------------------------------------------------------------------
 
-def oracle_expand(
-    family: FamilySpec, K: int, budget: int = DEFAULT_COEFF_BUDGET
-) -> CoefficientSeries:
+def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     """Coefficients of degree <= K via N * (1/D) computed by formal division.
 
     Independent of the multinomial closed form in :func:`expand`; both the
     series inverse and the products run on exponent-tuple dictionaries with
-    deterministic fsum accumulation.
+    deterministic fsum accumulation; the coefficient budget is checked first.
     """
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
     n = family.n
-    _check_budget(n, K, budget)
+    _check_budget(coefficient_count(n, K))
     numerator, denominator = family.rational_form()
     inverse = _series_inverse(denominator, n, K)
     product = _poly_mul(numerator, inverse, K)

@@ -348,6 +348,8 @@ def sharpness_scan(
     a_star = td.a_star(c) if td.a_star is not None else None
     if a_star is not None and a_star not in grid:
         grid.append(a_star)
+    if not grid:
+        raise DomainError("scan grid is empty")
     grid.sort()
 
     spec = fun.preset(td.preset_name, c).with_interpretation(fun.INTERP_SLICE)

@@ -9,6 +9,7 @@ from bohrineq.errors import DomainError, UnsupportedInterpretationError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
+    PRESET_NAMES,
     FunctionalSpec,
     RadiusSpec,
     area_term,
@@ -72,6 +73,7 @@ _AREA_CASES = [
     (ExtremalPolydiskUnit(0.5, 2), _diag(2, 0.2), INTERP_SLICE),
     (ExtremalPolydiskScaled(0.6, 3), RadiusSpec.vector((0.1, 0.05, 0.2)), INTERP_SLICE),
     (FiniteBlaschke((0.3, -0.5)), _diag(1, 0.4), INTERP_LITERAL),
+    (ExtremalPolydiskUnit(0.5, 2), RadiusSpec.vector((0.1, 0.3)), INTERP_LITERAL),
 ]
 
 
@@ -210,21 +212,63 @@ def test_vector_radius_is_exact_at_sum_of_radii(family, coords):
     assert out.majorant_tail == pytest.approx(partial, abs=1e-12)
 
 
-def test_vector_radius_literal_area_reads_one_degree_at_a_time(monkeypatch):
-    # The expanded series is summed degree by degree; its full multi-index
-    # map is never built, and the value equals that of a dictionary series.
-    family = ExtremalPolydiskUnit(0.5, 3)
-    rad = RadiusSpec.vector((0.1, 0.04, 0.02))
-    spec = preset("thm_2_1").with_interpretation(INTERP_LITERAL)
-    series = expand(family, default_truncation(family, rad.bold_r))
-    copy = CoefficientSeries(3, series.truncation, dict(series.coeffs), source=family)
-    expected = area_term(copy, rad)
+def test_vector_radius_literal_area_matches_dictionary_series():
+    # The degree-weight recurrence against the monomial-by-monomial sum of a
+    # dictionary series expanded at the family's own truncation degree, so
+    # both add the same tail.  Tolerance fixed beforehand: 1e-14 relative.
+    cases = [
+        (ExtremalPolydiskUnit(0.5, 3), (0.1, 0.04, 0.02)),
+        (ExtremalPolydiskUnit(0.5, 2), (0.1, 0.3)),
+        (ExtremalPolydiskUnit(0.9, 3), (0.3, 0.01, 0.2)),
+        (ExtremalPolydiskScaled(0.6, 3), (0.2, 0.5, 0.9)),
+        (ExtremalPolydiskScaled(0.3, 2), (0.0, 0.7)),
+    ]
+    for family, coords in cases:
+        rad = RadiusSpec.vector(coords)
+        sigma = family.sigma(coords)
+        K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)
+        series = expand(family, K)
+        copy = CoefficientSeries(family.n, K, dict(series.coeffs), source=family)
+        expected = area_term(copy, rad)
+        got = evaluate(preset("thm_2_1").with_interpretation(INTERP_LITERAL), family, rad)
+        assert got.area_term == pytest.approx(expected, rel=1e-14, abs=0.0), (family, coords)
 
-    def refuse(self):
-        raise AssertionError("full multi-index map built")
 
-    monkeypatch.setattr(ser._SliceCoefficients, "_map", refuse)
-    assert evaluate(spec, family, rad).area_term == expected
+_GUARD_FAMILIES = [
+    (family(a, n), coords)
+    for family in (ExtremalPolydiskUnit, ExtremalPolydiskScaled)
+    for a in (0.0, 0.6, 0.95)
+    for n, coords in ((1, (0.3,)), (2, (0.1, 0.3)), (2, (0.2, 0.2)), (3, (0.1, 0.04, 0.2)))
+] + [
+    (MoebiusDisk(0.7), (0.4,)),
+    (FiniteBlaschke((0.5, -0.3 + 0.2j)), (0.6,)),
+    (ConstantFn(0.4), (0.5,)),
+]
+
+
+def test_family_functionals_build_no_multi_index(monkeypatch):
+    # Every family functional reads the slice and sigma: with the
+    # multi-index layer refusing, evaluate, area_term and lemmas a/b/c run.
+    from bohrineq import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("multi-index work")
+
+    monkeypatch.setattr(ser, "multi_indices", refuse)
+    monkeypatch.setattr(ser, "MultiIndex", refuse)
+    lemmas = (verify.lemma1a_check, verify.lemma1b_check, verify.lemma1c_check)
+    for family, coords in _GUARD_FAMILIES:
+        scale = family.cap * (1.0 if family.cap < 1.0 else 0.99)
+        rad = RadiusSpec.vector(tuple(scale * r for r in coords))
+        for name in PRESET_NAMES:
+            for interp in (INTERP_LITERAL, INTERP_SLICE):
+                out = evaluate(preset(name).with_interpretation(interp), family, rad)
+                assert math.isfinite(out.total)
+        for interp in (INTERP_LITERAL, INTERP_SLICE):
+            assert area_term(family, rad, interp) >= 0.0
+        if family.cap == 1.0:
+            for lemma in lemmas:
+                assert lemma(family, 0.3).certified
 
 
 def test_area_vector_radius_below_diagonal():

@@ -190,8 +190,13 @@ def test_oracle_on_small_unit_instance():
 def test_budget_exhaustion_is_distinct_from_domain_error():
     with pytest.raises(BudgetExceededError):
         oracle_expand(ExtremalPolydiskUnit(0.5, 3), 300)
-    with pytest.raises(BudgetExceededError):
-        expand(ExtremalPolydiskUnit(0.5, 3), 300)
+    # A slice-backed series refuses only when its whole map is built.
+    series = expand(ExtremalPolydiskUnit(0.5, 3), 300)
+    assert len(series.coeffs) == coefficient_count(3, 300)
+    assert series.coefficient(MultiIndex((100, 100, 100))) != 0
+    for build in (list, lambda coeffs: coeffs.items(), repr):
+        with pytest.raises(BudgetExceededError):
+            build(series.coeffs)
     with pytest.raises(DomainError):
         oracle_expand(ConstantFn(0.5), -1)
 
@@ -509,11 +514,12 @@ def test_torus_determinism():
 
 @pytest.mark.parametrize(
     "n,a",
-    # a is capped per dimension so the certified truncation stays inside the
-    # coefficient budget at the domain boundary, where decay is slowest.
+    # a is capped by MAX_TRUNCATION: at the domain boundary, where decay is
+    # slowest, a = 0.9 and 0.95 need K > 200, and the tails left at K = 200
+    # (1.3e-9 and 6.8e-5) exceed TORUS_SLACK.
     [(1, a) for a in (0.0, 0.25, 0.5, 0.75, 0.85)]
     + [(2, a) for a in (0.0, 0.25, 0.5, 0.75, 0.85)]
-    + [(3, a) for a in (0.0, 0.25, 0.5, 0.75)],
+    + [(3, a) for a in (0.0, 0.25, 0.5, 0.75, 0.85)],
 )
 def test_torus_sweep_families_bounded_at_cap(n, a):
     for family in (ExtremalPolydiskUnit(a, n), ExtremalPolydiskScaled(a, n)):

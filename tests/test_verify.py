@@ -329,6 +329,15 @@ def test_scan_grid_validation():
         sharpness_scan("C", [0.5], n=2)
 
 
+def test_scan_empty_grid(constants):
+    # Without an extremal parameter nothing is left to scan; with one, the
+    # scan still reports the equality case alone.
+    with pytest.raises(DomainError):
+        sharpness_scan("B1", [])
+    report = sharpness_scan("C", [])
+    assert [row.a for row in report.rows] == [constants.a_star1]
+
+
 # ---------------------------------------------------------------- sweeps
 
 def test_sweep_t21_no_violations_and_both_interpretations():
