@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, NonUniqueRootError, RootBracketError
@@ -49,7 +50,6 @@ RESIDUAL_TOL = {
     "radius_abs_head": 1e-6,
 }
 
-_UNIQUENESS_GRID = 10_000
 _POLISH_BRACKET = 1e-6
 
 
@@ -78,7 +78,7 @@ class PolynomialR:
     coefficients: tuple[float, ...]
 
     def __call__(self, t: float) -> float:
-        out = 0.0
+        out = 0  # an int start keeps Fraction coefficients and points exact
         for c in reversed(self.coefficients):
             out = out * t + c
         return out
@@ -95,13 +95,16 @@ PSI2 = PolynomialR((-513.0, 910.0, 80.0, 2.0, 1.0))
 def solve_unique_root(poly: PolynomialR, lo: float, hi: float, tol: float = 1e-12) -> float:
     """The unique root of poly in [lo, hi].
 
-    Uniqueness is certified by sign-counting on a 10^4-point grid; more than
-    one sign change raises.  Bisection narrows the bracket to width 1e-6,
-    then Newton steps polish the root, falling back to plain bisection
-    whenever an iterate leaves the bracket.
+    Uniqueness is proved by counting the distinct roots in [lo, hi] exactly,
+    with a Sturm sequence in rational arithmetic; any count but one raises.
+    Bisection narrows the bracket to width 1e-6, then Newton steps polish the
+    root, falling back to plain bisection whenever an iterate leaves the
+    bracket.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tolerance must be finite and positive")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError("bracket ends must be finite with lo <= hi")
     f_lo, f_hi = poly(lo), poly(hi)
     if f_lo == 0.0:
         return lo
@@ -109,17 +112,9 @@ def solve_unique_root(poly: PolynomialR, lo: float, hi: float, tol: float = 1e-1
         return hi
     if f_lo * f_hi > 0:
         raise RootBracketError(f"no sign change on [{lo}, {hi}]")
-    changes = 0
-    prev = f_lo
-    for i in range(1, _UNIQUENESS_GRID + 1):
-        value = poly(lo + (hi - lo) * i / _UNIQUENESS_GRID)
-        if value == 0.0:
-            continue
-        if prev * value < 0:
-            changes += 1
-        prev = value
-    if changes > 1:
-        raise NonUniqueRootError(f"{changes} sign changes on [{lo}, {hi}]")
+    roots = _sturm_root_count(poly, lo, hi)
+    if roots != 1:
+        raise NonUniqueRootError(f"{roots} distinct roots on [{lo}, {hi}], expected 1")
 
     a, b, f_a = lo, hi, f_lo
     while b - a > _POLISH_BRACKET:
@@ -153,6 +148,52 @@ def solve_unique_root(poly: PolynomialR, lo: float, hi: float, tol: float = 1e-1
             return nxt
         x = nxt
     return x
+
+
+def _sturm_root_count(poly: PolynomialR, lo: float, hi: float) -> int:
+    """Number of distinct real roots of poly in [lo, hi], exactly.
+
+    Coefficients and endpoints convert to ``Fraction`` without rounding.
+    The Sturm chain p, p', -rem(p, p'), ... ends at g = gcd(p, p'); divided
+    by g it is the chain of the square-free part of p, whose drop in sign
+    changes from lo to hi counts the distinct roots in (lo, hi] (Sturm's
+    theorem).  A root at lo is added.
+    """
+    p = _trim([Fraction(c) for c in poly.coefficients])
+    chain = [p]
+    nxt = _trim([k * c for k, c in enumerate(p)][1:])  # p'
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
+    chain = [PolynomialR(tuple(_poly_divmod(q, chain[-1])[0])) for q in chain]
+    a, b = Fraction(lo), Fraction(hi)
+    return _sign_changes(chain, a) - _sign_changes(chain, b) + (chain[0](a) == 0)
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    """Ascending coefficients without leading zeros; [] is the zero polynomial."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list, list]:
+    """Quotient and remainder of num / den, ascending coefficients, exact."""
+    rem = list(num)
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        q = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        quot[shift] = q
+        for i, c in enumerate(den):
+            rem[shift + i] -= q * c
+        rem = _trim(rem[:-1])
+    return quot, rem
+
+
+def _sign_changes(chain: list[PolynomialR], t: Fraction) -> int:
+    signs = [v > 0 for v in (q(t) for q in chain) if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,12 @@ Moebius argument, which is exact at any polyradius.  Moebius-type families
 give closed forms in (a, sigma), Blaschke products a slice sum to a
 certified degree.  No family functional expands a multi-index series: the
 literal area reweights the slice sum per degree (``literal_area``).
+
+``evaluate`` is its checks (dimension, domain cap) plus one private core,
+``_terms``, which takes the checked radius and its sigma and returns the
+terms and the total.  Every evaluation runs that one arithmetic path: grid
+loops in ``verify`` check once per radius and call the core per row, and
+``_breakdown`` itemizes its result as a ``TermBreakdown``.
 """
 
 from __future__ import annotations
@@ -291,16 +297,23 @@ def evaluate(
     survive.  An explicit point evaluates |f(point)| exactly instead.
     """
     _check_radius_for(family, radius, family.n)
-    sigma = family.sigma(radius.coords)
-    head_value, certified = _head(spec, family, sigma, eval_point)
-    tail_value = family.majorant(sigma) if spec.include_majorant_tail else 0.0
-    uses_area = spec.uses_area()
-    area = _family_area(family, radius, sigma, spec.area_interpretation) if uses_area else 0.0
-    area_sq = spec.area_sq_weight * area * area
-    extra = spec.extra_area_weight * area
-    total = head_value + tail_value + spec.area_weight * area + area_sq + extra
+    return _breakdown(spec, family, radius, family.sigma(radius.coords), eval_point)
+
+
+def _breakdown(
+    spec: FunctionalSpec,
+    family: ser.FamilySpec,
+    radius: RadiusSpec,
+    sigma: float,
+    eval_point: tuple[complex, ...] | None = None,
+) -> TermBreakdown:
+    """``evaluate`` at a radius already checked for the family, whose
+    argument radius is sigma; sweeps call it with both hoisted."""
+    head_value, certified, tail_value, area, area_sq, extra, total = _terms(
+        spec, family, radius, sigma, eval_point
+    )
     tail_closed = family.closed or not spec.include_majorant_tail
-    area_closed = not uses_area or (
+    area_closed = not spec.uses_area() or (
         family.closed and (spec.area_interpretation == INTERP_SLICE or family.n == 1)
     )
     return TermBreakdown(
@@ -315,6 +328,27 @@ def evaluate(
         closed_form=tail_closed and area_closed,
         interpretation=spec.area_interpretation,
     )
+
+
+def _terms(
+    spec: FunctionalSpec,
+    family: ser.FamilySpec,
+    radius: RadiusSpec,
+    sigma: float,
+    eval_point: tuple[complex, ...] | None = None,
+) -> tuple[float, bool, float, float, float, float, float]:
+    """(head, certified, majorant tail, area, area^2 term, extra term, total)
+    at a checked radius: the one arithmetic path of every evaluation.  Scans
+    read the total (last) without building a ``TermBreakdown``."""
+    head_value, certified = _head(spec, family, sigma, eval_point)
+    tail_value = family.majorant(sigma) if spec.include_majorant_tail else 0.0
+    area = (
+        _family_area(family, radius, sigma, spec.area_interpretation) if spec.uses_area() else 0.0
+    )
+    area_sq = spec.area_sq_weight * area * area
+    extra = spec.extra_area_weight * area
+    total = head_value + tail_value + spec.area_weight * area + area_sq + extra
+    return head_value, certified, tail_value, area, area_sq, extra, total
 
 
 def _head(

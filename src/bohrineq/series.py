@@ -225,10 +225,15 @@ class _MoebiusType(_Family):
         return (1.0 - a * a) * a**K * sigma ** (K + 1) / (1.0 - a * sigma)
 
     def sq_tail(self, K: int, sigma: float) -> float:
+        lead, y, den = self._sq_tail_factors(sigma)
+        return _sq_tail_at(K, lead, y, den)
+
+    def _sq_tail_factors(self, sigma: float) -> tuple[float, float, float]:
+        """The factors of ``sq_tail`` that do not depend on K."""
         a = self.a
         y = (a * sigma) ** 2
         one = 1.0 - a * a
-        return one * one * sigma * sigma * y**K * ((K + 1) - K * y) / (1.0 - y) ** 2
+        return one * one * sigma * sigma, y, (1.0 - y) ** 2
 
     def sq_mass_tail(self, K: int, t: float) -> float:
         a = self.a
@@ -250,7 +255,13 @@ class _MoebiusType(_Family):
         slice tail, which stays a certificate because W_k <= 1."""
         a = self.a
         one_sq = (1.0 - a * a) ** 2
-        K = truncation(lambda k: self.sq_tail(k, sigma), first=1)
+        # The degree rule of ``truncation(sq_tail, first=1)``: the first tail
+        # below TAIL_TARGET, else MAX_TRUNCATION and its tail.
+        lead, y, den = self._sq_tail_factors(sigma)
+        for K in range(1, MAX_TRUNCATION + 1):
+            tail = _sq_tail_at(K, lead, y, den)
+            if tail < TAIL_TARGET:
+                break
         if _is_diagonal(radii):
             weights = map(multinomial_sq_ratio, repeat(self.n), range(1, K + 1))
         else:
@@ -259,7 +270,7 @@ class _MoebiusType(_Family):
             k * one_sq * a ** (2 * k - 2) * sigma ** (2 * k) * w
             for k, w in enumerate(weights, 1)
         ]
-        return math.fsum(terms) + self.sq_tail(K, sigma)
+        return math.fsum(terms) + tail
 
     def sq_masses(self, K: int) -> list[float]:
         # Degree-k masses of u-coefficients; equal to m2(k) when q = n.
@@ -279,6 +290,12 @@ class _MoebiusType(_Family):
             num[unit] = -1.0 / self.q
             den[unit] = -a / self.q
         return num, den
+
+
+def _sq_tail_at(K: int, lead: float, y: float, den: float) -> float:
+    """sum_{k>K} k |c_k|^2 sigma^(2k) of a Moebius-type family from its
+    K-free factors, multiplied left to right as one expression would be."""
+    return lead * y**K * ((K + 1) - K * y) / den
 
 
 @dataclass(frozen=True)
@@ -463,7 +480,8 @@ def _is_diagonal(radii: tuple[float, ...]) -> bool:
     return radii.count(radii[0]) == len(radii)
 
 
-def _degree_weights(radii: tuple[float, ...], K: int) -> list[float]:
+@lru_cache(maxsize=32)
+def _degree_weights(radii: tuple[float, ...], K: int) -> tuple[float, ...]:
     """W_k = sum_{|alpha|=k} (k!/alpha!)^2 p^(2 alpha), p = radii/sum(radii), k <= K,
     built one variable at a time by W'_k = sum_j C(k, j)^2 W_(k-j) p_m^(2j) in
     O(n K^2) floats; C(k, j)^2 <= C(200, 100)^2 ~ 8e117 is finite for K <= 200."""
@@ -477,7 +495,7 @@ def _degree_weights(radii: tuple[float, ...], K: int) -> list[float]:
             math.fsum(math.comb(k, j) ** 2 * weights[k - j] * powers[j] for j in range(k + 1))
             for k in range(K + 1)
         ]
-    return weights
+    return tuple(weights)
 
 
 @lru_cache(maxsize=None)
@@ -605,20 +623,39 @@ class CoefficientSeries:
         return {idx: c for idx, c in self.coeffs.items() if idx.degree == k}
 
     def homogeneous_abs_sum(self, k: int, radii: tuple[float, ...]) -> float:
-        """sum over |alpha| = k of |a_alpha| * r^alpha."""
+        """sum over |alpha| = k of |a_alpha| * r^alpha; for a slice-backed
+        series |b_k| (sum r)^k by the multinomial theorem, in O(1)."""
         self._check_radii(radii)
-        # fsum is exactly rounded, so the term order does not matter.
-        return math.fsum(
-            abs(c) * _monomial(radii, idx.exponents) for idx, c in self.degree_slice(k).items()
-        )
+        if self.slice is None:
+            # fsum is exactly rounded, so the term order does not matter.
+            return math.fsum(
+                abs(c) * _monomial(radii, idx.exponents) for idx, c in self.degree_slice(k).items()
+            )
+        bk = self._slice_coefficient(k)
+        return abs(bk) * math.fsum(radii) ** k if bk else 0.0
 
     def homogeneous_sq_sum(self, k: int, radii: tuple[float, ...]) -> float:
-        """sum over |alpha| = k of |a_alpha|^2 * r^(2 alpha)."""
+        """sum over |alpha| = k of |a_alpha|^2 * r^(2 alpha); for a
+        slice-backed series |b_k|^2 W_k (sum r)^(2k), W_k the degree weight."""
         self._check_radii(radii)
-        return math.fsum(
-            abs(c) ** 2 * _monomial(radii, idx.exponents) ** 2
-            for idx, c in self.degree_slice(k).items()
-        )
+        if self.slice is None:
+            return math.fsum(
+                abs(c) ** 2 * _monomial(radii, idx.exponents) ** 2
+                for idx, c in self.degree_slice(k).items()
+            )
+        bk = self._slice_coefficient(k)
+        if not bk:
+            return 0.0
+        # A diagonal radius needs no p = radii/sum(radii), so sum(radii) = 0 is safe.
+        if _is_diagonal(radii):
+            weight = multinomial_sq_ratio(self.n, k)
+        else:
+            weight = _degree_weights(tuple(radii), self.truncation)[k]
+        return abs(bk) ** 2 * weight * math.fsum(radii) ** (2 * k)
+
+    def _slice_coefficient(self, k: int) -> complex:
+        b = self.slice
+        return b[k] if 0 <= k < len(b) else 0j
 
     def majorant_tail_bound(self, bold_r: float) -> float | None:
         """Upper bound on sum_{|alpha| > K} |a_alpha| r^alpha at diagonal
@@ -628,8 +665,8 @@ class CoefficientSeries:
     def _check_radii(self, radii: tuple[float, ...]) -> None:
         if len(radii) != self.n:
             raise DomainError(f"radius vector has length {len(radii)}, expected {self.n}")
-        if any(r < 0 for r in radii):
-            raise DomainError("radii must be nonnegative")
+        if not all(0.0 <= r < math.inf for r in radii):
+            raise DomainError("radii must be finite and nonnegative")
 
 
 def _monomial(radii: tuple[float, ...], exps: tuple[int, ...]) -> float:

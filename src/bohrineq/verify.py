@@ -9,9 +9,12 @@ extremal family template, and its threshold radius:
 Sweeps evaluate the literal interpretation as the pass/fail authority and
 report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
-interpretation, where the equality cases close.  Lemma checks admit only
-families bounded by one on the unit polydisk, which is the hypothesis the
-lemmas carry.
+interpretation, where the equality cases close.  Both check the radius
+against the cap of the theorem's family and compute sigma once per (n, r),
+since neither depends on a, and evaluate their rows through the unchecked
+core of ``functionals``; scans read only each row's total.  Lemma checks
+admit only families bounded by one on the unit polydisk, which is the
+hypothesis the lemmas carry.
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ def radius_search(
     bracket.  When the total never reaches 1 the result is the near-cap
     radius with binding = False.
     """
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tolerance must be finite and positive")
     cap = family.cap
     hi = cap * (1.0 - 1e-9)
 
@@ -285,6 +288,17 @@ def _check_n(td: TheoremDef, n: int) -> None:
         raise DomainError(f"theorem {td.theorem_id} is single-variable; n must be 1")
 
 
+def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, float]:
+    """The diagonal radius r in dimension n, checked against the cap of the
+    theorem's family, and its argument radius sigma.  Cap and sigma depend on
+    the family's class and n only, not on a, so scans and sweeps call this
+    once per (n, r) and evaluate their rows through the unchecked core."""
+    family = theorem_family(theorem_id, 0.0, n)
+    radius = fun.RadiusSpec.diagonal(n, r)
+    fun._check_radius_for(family, radius, n)
+    return radius, family.sigma(radius.coords)
+
+
 def violation_tolerance(breakdown: fun.TermBreakdown) -> float:
     return TOL_CLOSED if breakdown.closed_form else TOL_TRUNCATED
 
@@ -338,8 +352,8 @@ def sharpness_scan(
     """
     td = _theorem(theorem_id)
     _check_n(td, n)
-    if not epsilon >= 0:
-        raise DomainError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise DomainError("epsilon must be finite and >= 0")
     c = constants if constants is not None else sharp.sharp_constants()
     r = bold_r if bold_r is not None else td.threshold(n)
     grid = [float(a) for a in a_grid]
@@ -356,12 +370,13 @@ def sharpness_scan(
     perturbed_spec = replace(
         spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
     )
-    radius = fun.RadiusSpec.diagonal(n, r)
+    radius, sigma = _checked_radius(theorem_id, n, r)
     rows = []
     for a in grid:
         family = theorem_family(theorem_id, a, n)
-        base = fun.evaluate(spec, family, radius).total
-        pert = fun.evaluate(perturbed_spec, family, radius).total if epsilon > 0 else base
+        # The total is the last of the terms; no TermBreakdown per row.
+        base = fun._terms(spec, family, radius, sigma)[-1]
+        pert = fun._terms(perturbed_spec, family, radius, sigma)[-1] if epsilon > 0 else base
         rows.append(ScanRow(a, base, pert))
     best = max(rows, key=lambda row: (row.total, row.a))
     best_pert = max(rows, key=lambda row: (row.perturbed_total, row.a))
@@ -439,12 +454,12 @@ def theorem_sweep(
         n = n_run[0]
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
         radii = r_values if r_values is not None else [td.threshold(n)]
-        r_runs = [[(r, fun.RadiusSpec.diagonal(n, r)) for r in run] for run in _runs(radii)]
+        r_runs = [[(r, *_checked_radius(theorem_id, n, r)) for r in run] for run in _runs(radii)]
         for a_run in _runs(grid):
             families = [(m, a, theorem_family(theorem_id, a, m)) for m in n_run for a in a_run]
             for r_run, interp_spec in itertools.product(r_runs, specs):
-                for (m, a, family), (r, radius) in itertools.product(families, r_run):
-                    breakdown = fun.evaluate(interp_spec, family, radius)
+                for (m, a, family), (r, radius, sigma) in itertools.product(families, r_run):
+                    breakdown = fun._breakdown(interp_spec, family, radius, sigma)
                     rows.append(SweepRow(theorem_id, m, a, r, breakdown))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
     violations = tuple(row for row in literal if violates(row.breakdown, tol))

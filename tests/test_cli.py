@@ -210,6 +210,8 @@ def test_domain_error_exit_code(capsys):
         ["lemma", "--part", "c", "--family", "moebius:0.5", "--r", "nan"],
         ["radius", "--functional", "classic", "--family", "moebius:0.5", "--tol", "nan"],
         ["scan", "--theorem", "C", "--a", "0:0.5:0.1", "--epsilon", "nan"],
+        ["scan", "--theorem", "C", "--epsilon", "inf"],
+        ["radius", "--functional", "classic", "--family", "moebius:0.5", "--tol", "inf"],
     ],
 )
 def test_non_finite_input_is_domain_error(capsys, argv):

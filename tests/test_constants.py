@@ -26,6 +26,7 @@ from bohrineq.constants import (
     radius_multi,
     radius_multi_abs,
     solve_unique_root,
+    _sturm_root_count,
 )
 from bohrineq.errors import DomainError, NonUniqueRootError, RootBracketError
 
@@ -61,6 +62,45 @@ def test_root_bracket_errors():
     triple = PolynomialR((-0.08, 0.66, -1.5, 1.0))  # roots 0.2, 0.5, 0.8
     with pytest.raises(NonUniqueRootError):
         solve_unique_root(triple, 0.0, 1.0, 1e-12)
+
+
+def test_uniqueness_is_counted_exactly():
+    # Roots 0.5 and 0.50001 share one cell of a 10^4-point grid, which sees a
+    # single sign change; the Sturm count finds all three roots.
+    r = (0.2, 0.5, 0.50001)
+    close_pair = PolynomialR(
+        (-r[0] * r[1] * r[2], r[0] * r[1] + r[0] * r[2] + r[1] * r[2], -(r[0] + r[1] + r[2]), 1.0)
+    )
+    with pytest.raises(NonUniqueRootError, match="3 distinct roots"):
+        solve_unique_root(close_pair, 0.0, 1.0, 1e-12)
+    # One root on each side of the pair: both brackets stay unique.
+    assert solve_unique_root(close_pair, 0.0, 0.4, 1e-12) == pytest.approx(0.2, abs=1e-12)
+    assert _sturm_root_count(close_pair, 0.3, 1.0) == 2
+
+
+def test_sturm_count_distinct_roots_and_endpoints():
+    double = PolynomialR((-0.0625, 0.5, -1.25, 1.0))  # (t - 1/2)^2 (t - 1/4)
+    assert _sturm_root_count(double, 0.0, 1.0) == 2
+    assert _sturm_root_count(double, 0.5, 1.0) == 1  # root at the lower end
+    assert _sturm_root_count(double, 0.0, 0.5) == 2  # root at the upper end
+    assert _sturm_root_count(double, 0.3, 0.4) == 0
+    assert _sturm_root_count(PolynomialR((2.0, 0.0)), 0.0, 1.0) == 0
+    assert _sturm_root_count(PSI1, 0.0, 1.0) == _sturm_root_count(PSI2, 0.0, 1.0) == 1
+
+
+@pytest.mark.parametrize(
+    "lo,hi,tol",
+    [
+        (0.0, 1.0, math.inf),
+        (0.0, 1.0, math.nan),
+        (math.nan, 1.0, 1e-12),
+        (0.0, math.inf, 1e-12),
+        (1.0, 0.0, 1e-12),
+    ],
+)
+def test_solve_rejects_non_finite_or_reversed_arguments(lo, hi, tol):
+    with pytest.raises(DomainError):
+        solve_unique_root(PSI1, lo, hi, tol)
 
 
 def test_lambda_formula_values(constants):

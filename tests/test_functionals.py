@@ -271,6 +271,28 @@ def test_family_functionals_build_no_multi_index(monkeypatch):
                 assert lemma(family, 0.3).certified
 
 
+@pytest.mark.parametrize(
+    "rad", [_diag(3, 0.3), RadiusSpec.vector((0.1, 0.3, 0.2)), _diag(3, 0.0)]
+)
+def test_slice_backed_series_sums_build_no_multi_index(monkeypatch, rad):
+    # |b_k| (sum r)^k and |b_k|^2 W_k (sum r)^(2k) per degree: the 176,851
+    # coefficients of this series are never built.
+    family = ExtremalPolydiskUnit(0.75, 3)
+    series = expand(family, 100)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("multi-index work")
+
+    monkeypatch.setattr(ser, "multi_indices", refuse)
+    monkeypatch.setattr(ser, "MultiIndex", refuse)
+    sigma = family.sigma(rad.coords)
+    assert majorant(series, rad) == pytest.approx(0.75 + family.majorant(sigma), rel=1e-13)
+    # The family stops at its own degree, where the tail is below TAIL_TARGET;
+    # both values bound the same sum from above.
+    literal = area_term(family, rad, INTERP_LITERAL)
+    assert area_term(series, rad) == pytest.approx(literal, rel=0.0, abs=ser.TAIL_TARGET)
+
+
 def test_area_vector_radius_below_diagonal():
     fam = ExtremalPolydiskUnit(0.5, 2)
     vec = area_term(fam, RadiusSpec.vector((0.1, 0.2)), INTERP_LITERAL)

@@ -253,8 +253,48 @@ def test_slice_backed_reads_equal_dictionary_reads(family, K):
     assert repr(series.constant_term()) == repr(eager.constant_term())
     for k in range(K + 2):
         assert repr(series.degree_slice(k)) == repr(eager.degree_slice(k))
-        assert series.homogeneous_abs_sum(k, radii) == eager.homogeneous_abs_sum(k, radii)
-        assert series.homogeneous_sq_sum(k, radii) == eager.homogeneous_sq_sum(k, radii)
+        # The slice-backed sums come from the multinomial theorem, not from
+        # summing the map.  Tolerance fixed beforehand: 1e-14 relative.
+        for total in ("homogeneous_abs_sum", "homogeneous_sq_sum"):
+            fast, slow = getattr(series, total)(k, radii), getattr(eager, total)(k, radii)
+            assert fast == pytest.approx(slow, rel=1e-14, abs=0.0), (total, k)
+
+
+@pytest.mark.parametrize("radii", [(math.nan, 0.1), (math.inf, 0.1), (-0.1, 0.1), (0.1,)])
+def test_homogeneous_sums_reject_bad_radii(radii):
+    family = ExtremalPolydiskUnit(0.5, 2)
+    for series in (expand(family, 5), _eager_expand(family, 5)):
+        for total in (series.homogeneous_abs_sum, series.homogeneous_sq_sum):
+            with pytest.raises(DomainError):
+                total(2, radii)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 0.95])
+@pytest.mark.parametrize("coords", [(1 / 9,) * 3, (0.02, 0.1, 0.05)])
+def test_literal_area_reads_its_final_tail_once(monkeypatch, a, coords):
+    # The degree search runs on the K-free factors of sq_tail; the degree
+    # and the value stay those of truncation(sq_tail, first=1).
+    family = ExtremalPolydiskUnit(a, 3)
+    sigma = family.sigma(coords)
+    K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)
+    weights = [multinomial_sq_ratio(3, k) for k in range(1, K + 1)]
+    if coords[0] != coords[1]:
+        weights = list(ser._degree_weights(coords, K)[1:])
+    terms = [
+        k * (1 - a * a) ** 2 * a ** (2 * k - 2) * sigma ** (2 * k) * w
+        for k, w in enumerate(weights, 1)
+    ]
+    expected = math.fsum(terms) + family.sq_tail(K, sigma)
+    calls = []
+    sq_tail = ExtremalPolydiskUnit.sq_tail
+
+    def counted(self, k, s):
+        calls.append(k)
+        return sq_tail(self, k, s)
+
+    monkeypatch.setattr(ExtremalPolydiskUnit, "sq_tail", counted)
+    assert family.literal_area(sigma, coords) == expected
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize(

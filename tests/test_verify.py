@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import pytest
 
+from bohrineq import functionals as fun
 from bohrineq.errors import BudgetExceededError, DomainError, MonotonicityError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
     FunctionalSpec,
     RadiusSpec,
+    TermBreakdown,
     area_term,
     evaluate,
     preset,
@@ -437,6 +439,59 @@ def test_sweep_builds_one_radius_per_dimension_and_two_specs(monkeypatch):
     assert len(built) == 2 * 3
 
 
+def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
+    grid = [(k + 0.5) / 2000 for k in range(2000)]
+    checks = _count_calls(monkeypatch, fun, "_check_radius_for")
+    sigmas = _count_calls(monkeypatch, ExtremalPolydiskUnit, "sigma")
+    breakdowns = _count_calls(monkeypatch, TermBreakdown, "__init__")
+    report = sharpness_scan("T21", grid, n=2, epsilon=1e-3)
+    assert len(report.rows) == 2001
+    assert (len(checks), len(sigmas), len(breakdowns)) == (1, 1, 0)
+
+
+def test_sweep_checks_the_radius_once_per_dimension_and_radius(monkeypatch):
+    checks = _count_calls(monkeypatch, fun, "_check_radius_for")
+    sigmas = _count_calls(monkeypatch, ExtremalPolydiskUnit, "sigma")
+    report = theorem_sweep("T21", [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
+    assert len(report.rows) == 700
+    assert (len(checks), len(sigmas)) == (4, 4)
+    checks.clear()
+    theorem_sweep("T22", [2, 3], grid_values(0.0, 0.9, 0.1), [0.05, 0.1, 0.2])
+    assert len(checks) == 2 * 3
+
+
+def test_sweep_refuses_a_radius_beyond_the_cap():
+    with pytest.raises(DomainError, match="cap"):
+        theorem_sweep("T21", [2], [0.5], [0.6])
+
+
+def _theorem_cases():
+    for tid, td in THEOREMS.items():
+        for n in (1, 2, 3) if td.multidimensional else (1,):
+            yield tid, n
+
+
+@pytest.mark.parametrize("tid,n", list(_theorem_cases()))
+def test_scan_and_sweep_rows_equal_evaluate(tid, n, constants):
+    # Scans and sweeps check the radius once and evaluate rows through the
+    # unchecked core; every row must be what evaluate returns, exactly.
+    td = THEOREMS[tid]
+    grid = [0.0, 0.05, 0.3, 0.55, 0.6, 0.8, 0.97]
+    r = td.threshold(n)
+    radius = RadiusSpec.diagonal(n, r)
+    spec = preset(td.preset_name, constants).with_interpretation(INTERP_SLICE)
+    for epsilon in (0.0, 1e-3):
+        pert = replace(spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon})
+        report = sharpness_scan(tid, grid, n=n, epsilon=epsilon, constants=constants)
+        for row in report.rows:
+            family = theorem_family(tid, row.a, n)
+            assert row.total == evaluate(spec, family, radius).total
+            assert row.perturbed_total == evaluate(pert, family, radius).total
+    for row in theorem_sweep(tid, [n], grid, constants=constants).rows:
+        interp_spec = spec.with_interpretation(row.breakdown.interpretation)
+        assert row.breakdown == evaluate(interp_spec, theorem_family(tid, row.a, n), radius)
+
+
 def test_sweep_b2_margin_shrinks_toward_one():
     report = theorem_sweep("B2", a_grid=grid_values(0.0, 0.99, 0.01))
     assert not report.violations
@@ -474,6 +529,11 @@ def test_lemma_and_search_reject_non_finite_arguments():
         radius_search(preset("classic"), MoebiusDisk(0.5), tol=math.nan)
     with pytest.raises(DomainError):
         sharpness_scan("C", [0.5], epsilon=math.nan)
+    with pytest.raises(DomainError):
+        radius_search(preset("classic"), MoebiusDisk(0.5), tol=math.inf)
+    for bold_r in (None, 0.0):
+        with pytest.raises(DomainError):
+            sharpness_scan("C", [0.5], bold_r=bold_r, epsilon=math.inf)
 
 
 def test_registry_thresholds():
