@@ -230,6 +230,7 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     theorem_id = _check_theorem(ns.theorem)
+    ver.check_tolerance(ns.tol)
     td = ver.THEOREMS[theorem_id]
     spec = fun.preset(td.preset_name)
     rows: list[dict] = []
@@ -287,6 +288,7 @@ def cmd_radius(ns: argparse.Namespace) -> int:
 
 def cmd_scan(ns: argparse.Namespace) -> int:
     theorem_id = _check_theorem(ns.theorem)
+    ver.check_tolerance(ns.tol)
     try:
         n = int(ns.n) if ns.n else 1
     except ValueError:
@@ -321,6 +323,7 @@ def cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def cmd_lemma(ns: argparse.Namespace) -> int:
+    ver.check_tolerance(ns.tol)
     family = parse_family(ns.family)
     r = _resolve_r(ns.r, None, ser.dimension(family))
     checks = {"a": ver.lemma1a_check, "b": ver.lemma1b_check, "c": ver.lemma1c_check}

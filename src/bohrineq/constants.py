@@ -357,11 +357,7 @@ class ConstantsReport:
     ok: bool
 
     def failed(self) -> list[str]:
-        return [
-            name
-            for name, residual in sorted(self.residuals.items())
-            if residual > self.tolerances[name]
-        ]
+        return _breaches(self.residuals, self.tolerances)
 
     def as_dict(self) -> dict:
         c = self.constants
@@ -382,8 +378,12 @@ def constants_report(tol_override: float | None = None) -> ConstantsReport:
     """Compute every constant and compare with the reference decimals.
 
     ``tol_override`` replaces every per-constant tolerance, which is mainly
-    useful to force a failing report in tests of the reporting path.
+    useful to force a failing report in tests of the reporting path.  An
+    infinite override would pass any residual and is refused; a NaN override
+    fails every constant.
     """
+    if tol_override is not None and math.isinf(tol_override):
+        raise DomainError("tolerance override must not be infinite")
     c = sharp_constants()
     residuals = {
         "a_star1": abs(c.a_star1 - REFERENCE["a_star1"]),
@@ -397,7 +397,7 @@ def constants_report(tol_override: float | None = None) -> ConstantsReport:
         tolerances = dict(RESIDUAL_TOL)
     else:
         tolerances = {k: tol_override for k in residuals}
-    ok = all(residuals[k] <= tolerances[k] for k in residuals)
+    ok = not _breaches(residuals, tolerances)
     return ConstantsReport(
         constants=c,
         radius_classic=RADIUS_CLASSIC,
@@ -406,3 +406,11 @@ def constants_report(tol_override: float | None = None) -> ConstantsReport:
         tolerances=tolerances,
         ok=ok,
     )
+
+
+def _breaches(residuals: dict[str, float], tolerances: dict[str, float]) -> list[str]:
+    """Names whose residual is not within its tolerance; a NaN on either
+    side is a breach, so ``ok`` and ``failed`` fail closed together."""
+    return [
+        name for name, residual in sorted(residuals.items()) if not residual <= tolerances[name]
+    ]

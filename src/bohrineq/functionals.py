@@ -25,9 +25,16 @@ literal area reweights the slice sum per degree (``literal_area``).
 
 ``evaluate`` is its checks (dimension, domain cap) plus one private core,
 ``_terms``, which takes the checked radius and its sigma and returns the
-terms and the total.  Every evaluation runs that one arithmetic path: grid
-loops in ``verify`` check once per radius and call the core per row, and
-``_breakdown`` itemizes its result as a ``TermBreakdown``.
+terms and the total; ``_breakdown`` itemizes them as a ``TermBreakdown``.
+Moebius-type rows have one kernel, ``_grid_terms``: given the family class,
+n, a grid of parameters a, the checked radius and sigma, it reads the
+class's rules in (a, sigma) for every a, with the spec's head kind,
+weights and flags read once and the literal area's sigma^(2k) and W_k
+built once.  ``_terms`` on a Moebius-type family is that kernel on [a], so
+each Moebius evaluation runs one arithmetic path; sweeps and scans in
+``verify`` call it once per (spec, n, r) and build no family per row.
+Blaschke products, constants and explicit evaluation points take the
+per-family rules.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 from . import constants as sharp
 from . import series as ser
@@ -308,25 +315,47 @@ def _breakdown(
     eval_point: tuple[complex, ...] | None = None,
 ) -> TermBreakdown:
     """``evaluate`` at a radius already checked for the family, whose
-    argument radius is sigma; sweeps call it with both hoisted."""
-    head_value, certified, tail_value, area, area_sq, extra, total = _terms(
-        spec, family, radius, sigma, eval_point
-    )
-    tail_closed = family.closed or not spec.include_majorant_tail
+    argument radius is sigma."""
+    terms = _terms(spec, family, radius, sigma, eval_point)
+    return _itemize(spec, terms, _closed_form(spec, family.closed, family.n))
+
+
+def _grid_breakdowns(
+    spec: FunctionalSpec,
+    cls: type,
+    n: int,
+    avals,
+    radius: RadiusSpec,
+    sigma: float,
+) -> list[TermBreakdown]:
+    """``_breakdown`` of the family cls(a) in dimension n for every a of
+    avals, from one ``_grid_terms`` call."""
+    closed_form = _closed_form(spec, cls.closed, n)
+    rows = _grid_terms(spec, cls, n, avals, radius, sigma)
+    return [_itemize(spec, terms, closed_form) for terms in rows]
+
+
+def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
+    """True when no term of the evaluation was truncated."""
+    tail_closed = closed or not spec.include_majorant_tail
     area_closed = not spec.uses_area() or (
-        family.closed and (spec.area_interpretation == INTERP_SLICE or family.n == 1)
+        closed and (spec.area_interpretation == INTERP_SLICE or n == 1)
     )
+    return tail_closed and area_closed
+
+
+def _itemize(
+    spec: FunctionalSpec,
+    terms: tuple[float, bool, float, float, float, float, float],
+    closed_form: bool,
+) -> TermBreakdown:
+    """The ``TermBreakdown`` of one row's terms."""
+    head_value, certified, tail_value, area, area_sq, extra, total = terms
+    # Positional, in field order: head, tail, area, area^2 term, extra term,
+    # total, margin, certified, closed_form, interpretation.
     return TermBreakdown(
-        head_value=head_value,
-        majorant_tail=tail_value,
-        area_term=area,
-        area_sq_contribution=area_sq,
-        extra_area_contribution=extra,
-        total=total,
-        margin=1.0 - total,
-        certified=certified,
-        closed_form=tail_closed and area_closed,
-        interpretation=spec.area_interpretation,
+        head_value, tail_value, area, area_sq, extra, total, 1.0 - total,
+        certified, closed_form, spec.area_interpretation,
     )
 
 
@@ -338,8 +367,10 @@ def _terms(
     eval_point: tuple[complex, ...] | None = None,
 ) -> tuple[float, bool, float, float, float, float, float]:
     """(head, certified, majorant tail, area, area^2 term, extra term, total)
-    at a checked radius: the one arithmetic path of every evaluation.  Scans
-    read the total (last) without building a ``TermBreakdown``."""
+    at a checked radius.  A Moebius-type family without an evaluation point
+    is the grid kernel on its one parameter."""
+    if family.grid_rules and eval_point is None:
+        return next(_grid_terms(spec, type(family), family.n, (family.a,), radius, sigma))
     head_value, certified = _head(spec, family, sigma, eval_point)
     tail_value = family.majorant(sigma) if spec.include_majorant_tail else 0.0
     area = (
@@ -349,6 +380,47 @@ def _terms(
     extra = spec.extra_area_weight * area
     total = head_value + tail_value + spec.area_weight * area + area_sq + extra
     return head_value, certified, tail_value, area, area_sq, extra, total
+
+
+def _grid_terms(
+    spec: FunctionalSpec,
+    cls: type,
+    n: int,
+    avals,
+    radius: RadiusSpec,
+    sigma: float,
+) -> Iterator[tuple[float, bool, float, float, float, float, float]]:
+    """``_terms`` of the Moebius-type family cls(a) in dimension n for every
+    a of avals (already inside [0, 1)), at a radius checked for that class
+    and n, whose argument radius is sigma.  Each term is one call of the
+    class's rule in (a, sigma); the spec is read once, and the literal area
+    shares sigma^(2k) and W_k across the grid.  Rows are yielded in order:
+    a scan that keeps only the totals holds no tuple per row."""
+    constant_head, square_head = spec.head == HEAD_CONSTANT, spec.head == HEAD_ABS_SQ
+    with_tail = spec.include_majorant_tail
+    weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    a0_at, sup_at, tail_at, area_at = cls.a0_at, cls.sup_at, cls.majorant_tail_at, cls.area_at
+    literal = None
+    if not spec.uses_area():
+        area_at = None
+    elif spec.area_interpretation != INTERP_SLICE and n != 1:
+        literal = iter(cls.literal_area_grid(avals, sigma, radius.coords, n))
+    for a in avals:
+        if constant_head:
+            head = abs(a0_at(a))
+        else:
+            head = sup_at(a, sigma)
+            if square_head:
+                head = head * head
+        tail = tail_at(a, 0, sigma) if with_tail else 0.0
+        if literal is not None:
+            area = next(literal)
+        else:
+            area = area_at(a, sigma) if area_at is not None else 0.0
+        area_sq = sq_weight * area * area
+        extra = extra_weight * area
+        # Moebius-type heads are exact closed forms: every row is certified.
+        yield head, True, tail, area, area_sq, extra, head + tail + weight * area + area_sq + extra
 
 
 def _head(

@@ -12,10 +12,11 @@ the radius sigma = (r_1 + ... + r_n)/q that the argument u = s/q reaches on
 the torus of polyradius r (q = n for the scaled form, else 1), certified
 tails, the boundary supremum of |f| and the rational form.  Functionals read
 the slice list and sigma; the Moebius-type families give exact closed forms
-in (a, sigma), Blaschke products a slice sum to a certified degree, and the
-literal area weights slice degree k by W_k (``_degree_weights``).  The unit
-form is bounded by one on the polydisk of polyradius 1/n, every other
-family on the unit polydisk.
+in (a, sigma), each written once as a rule of the class that a grid kernel
+reads for many a at once, Blaschke products a slice sum to a certified
+degree, and the literal area weights slice degree k by W_k
+(``_degree_weights``).  The unit form is bounded by one on the polydisk of
+polyradius 1/n, every other family on the unit polydisk.
 
 A multi-index series is a sparse map from multi-indices to complex
 coefficients, truncated at a total degree K.  Two independent expansion
@@ -37,9 +38,9 @@ the same product at every bisection step.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache, partial, total_ordering
 from itertools import repeat
 from typing import Callable, Iterator, Union
 
@@ -159,11 +160,14 @@ class _Family:
     plus ``a0``, ``value``, ``boundary_sup`` and ``rational_form``.
     ``closed`` marks families whose majorant and area are exact closed forms;
     the slice sums below serve the one-variable families (n = q = 1).
+    ``grid_rules`` marks the classes whose terms are rules in (a, sigma)
+    that the grid kernel of ``functionals`` reads for a whole grid of a.
     """
 
     q = 1
     cap = 1.0
     closed = True
+    grid_rules = False
 
     def sigma(self, radii: tuple[float, ...]) -> float:
         """sum(radii)/q; a diagonal (or single) radius r gives (n/q) r exactly."""
@@ -189,15 +193,31 @@ class _Family:
         """m2(k) = sum_{|alpha| = k} |a_alpha|^2 for k = 0..K."""
         return [abs(c) ** 2 for c in self.slice(K)]
 
+    def sq_tail_degree(self, sigma: float) -> tuple[int, float]:
+        """(K, sq_tail(K, sigma)) for K = truncation(sq_tail, first=1)."""
+        K = truncation(lambda k: self.sq_tail(k, sigma), first=1)
+        return K, self.sq_tail(K, sigma)
+
+    def sq_mass_tail_degree(self, t: float) -> tuple[int, float]:
+        """(K, sq_mass_tail(K, t)) for K = truncation(sq_mass_tail, first=1)."""
+        K = truncation(lambda k: self.sq_mass_tail(k, t), first=1)
+        return K, self.sq_mass_tail(K, t)
+
     def _degree(self, sigma: float) -> int:
         return truncation(lambda K: self.majorant_tail(K, sigma))
 
 
 @dataclass(frozen=True)
 class _MoebiusType(_Family):
-    """(a - u)/(1 - a u) with u = s/q: every term is a closed form in (a, sigma)."""
+    """(a - u)/(1 - a u) with u = s/q: every term is a closed form in (a, sigma).
+
+    Each closed form is written once, as a rule in (a, sigma) (``sup_at``,
+    ``majorant_tail_at``, ``area_at``, ``literal_area_grid``): the methods
+    read it at self.a, and the grid kernel of ``functionals`` reads it for
+    every a of a grid without building a family per a."""
 
     a: float
+    grid_rules = True
 
     def __post_init__(self):
         if not 0.0 <= self.a < 1.0:
@@ -207,7 +227,7 @@ class _MoebiusType(_Family):
 
     @property
     def a0(self) -> complex:
-        return complex(self.a)
+        return self.a0_at(self.a)
 
     def value(self, z: tuple[complex, ...]) -> complex:
         u = sum(z) / self.q
@@ -220,57 +240,70 @@ class _MoebiusType(_Family):
         ]
 
     def majorant_tail(self, K: int, sigma: float) -> float:
-        a = self.a
+        return self.majorant_tail_at(self.a, K, sigma)
+
+    def sq_tail(self, K: int, sigma: float) -> float:
+        return _sq_tail_at(*_sq_tail_factors(self.a, sigma), K)
+
+    def sq_tail_degree(self, sigma: float) -> tuple[int, float]:
+        return _sq_tail_degree(self.a, sigma)
+
+    def sq_mass_tail(self, K: int, t: float) -> float:
+        return _sq_mass_tail_at(*_sq_mass_tail_factors(self.a, t), K)
+
+    def sq_mass_tail_degree(self, t: float) -> tuple[int, float]:
+        tail = partial(_sq_mass_tail_at, *_sq_mass_tail_factors(self.a, t))
+        K = truncation(tail, first=1)
+        return K, tail(K)
+
+    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
+        return self.sup_at(self.a, sigma), True
+
+    def majorant(self, sigma: float, K: int | None = None) -> float:
+        return self.majorant_tail_at(self.a, 0, sigma)
+
+    def area(self, sigma: float) -> float:
+        return self.area_at(self.a, sigma)
+
+    def literal_area(self, sigma: float, radii: tuple[float, ...]) -> float:
+        return self.literal_area_grid((self.a,), sigma, radii, self.n)[0]
+
+    a0_at = staticmethod(complex)
+
+    @staticmethod
+    def sup_at(a: float, sigma: float) -> float:
+        """sup |f| on the torus."""
+        return (a + sigma) / (1.0 + a * sigma)
+
+    @staticmethod
+    def majorant_tail_at(a: float, K: int, sigma: float) -> float:
+        """sum_{k>K} |c_k| sigma^k."""
         # a**K with a = K = 0 correctly yields the full k >= 1 tail.
         return (1.0 - a * a) * a**K * sigma ** (K + 1) / (1.0 - a * sigma)
 
-    def sq_tail(self, K: int, sigma: float) -> float:
-        lead, y, den = self._sq_tail_factors(sigma)
-        return _sq_tail_at(K, lead, y, den)
-
-    def _sq_tail_factors(self, sigma: float) -> tuple[float, float, float]:
-        """The factors of ``sq_tail`` that do not depend on K."""
-        a = self.a
-        y = (a * sigma) ** 2
+    @staticmethod
+    def area_at(a: float, sigma: float) -> float:
+        """sum_{k>=1} k |c_k|^2 sigma^(2k)."""
         one = 1.0 - a * a
-        return one * one * sigma * sigma, y, (1.0 - y) ** 2
+        return sigma * sigma * one * one / (1.0 - a * a * sigma * sigma) ** 2
 
-    def sq_mass_tail(self, K: int, t: float) -> float:
-        a = self.a
-        return (1.0 - a * a) ** 2 * a ** (2 * K) * t ** (K + 1) / (1.0 - a * a * t)
-
-    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
-        return (self.a + sigma) / (1.0 + self.a * sigma), True
-
-    def majorant(self, sigma: float, K: int | None = None) -> float:
-        return self.majorant_tail(0, sigma)
-
-    def area(self, sigma: float) -> float:
-        one = 1.0 - self.a * self.a
-        return sigma * sigma * one * one / (1.0 - self.a * self.a * sigma * sigma) ** 2
-
-    def literal_area(self, sigma: float, radii: tuple[float, ...]) -> float:
-        """Literal multi-index area at polyradius radii: the slice terms
-        k |c_k|^2 sigma^(2k) reweighted by the degree weights W_k, plus the
-        slice tail, which stays a certificate because W_k <= 1."""
-        a = self.a
-        one_sq = (1.0 - a * a) ** 2
-        # The degree rule of ``truncation(sq_tail, first=1)``: the first tail
-        # below TAIL_TARGET, else MAX_TRUNCATION and its tail.
-        lead, y, den = self._sq_tail_factors(sigma)
-        for K in range(1, MAX_TRUNCATION + 1):
-            tail = _sq_tail_at(K, lead, y, den)
-            if tail < TAIL_TARGET:
-                break
-        if _is_diagonal(radii):
-            weights = map(multinomial_sq_ratio, repeat(self.n), range(1, K + 1))
-        else:
-            weights = _degree_weights(radii, K)[1:]
-        terms = [
-            k * one_sq * a ** (2 * k - 2) * sigma ** (2 * k) * w
-            for k, w in enumerate(weights, 1)
-        ]
-        return math.fsum(terms) + tail
+    @staticmethod
+    def literal_area_grid(avals, sigma: float, radii: tuple[float, ...], n: int) -> list[float]:
+        """Literal multi-index area at polyradius radii for every a of avals:
+        the slice terms k |c_k|^2 sigma^(2k) reweighted by the degree weights
+        W_k, plus the slice tail, which stays a certificate because W_k <= 1.
+        Each a takes the degree of ``sq_tail_degree``; sigma^(2k) and W_k
+        are built once, up to the largest degree the grid needs."""
+        degrees = list(map(_sq_tail_degree, avals, repeat(sigma)))
+        powers, weights = _literal_table(sigma, radii, n, max(degrees, default=(0,))[0])
+        areas = []
+        for a, (K, tail) in zip(avals, degrees):
+            one_sq = (1.0 - a * a) ** 2
+            terms = [
+                k * one_sq * a ** (2 * k - 2) * powers[k] * weights[k] for k in range(1, K + 1)
+            ]
+            areas.append(math.fsum(terms) + tail)
+        return areas
 
     def sq_masses(self, K: int) -> list[float]:
         # Degree-k masses of u-coefficients; equal to m2(k) when q = n.
@@ -292,10 +325,39 @@ class _MoebiusType(_Family):
         return num, den
 
 
-def _sq_tail_at(K: int, lead: float, y: float, den: float) -> float:
-    """sum_{k>K} k |c_k|^2 sigma^(2k) of a Moebius-type family from its
-    K-free factors, multiplied left to right as one expression would be."""
+# The square tails of a Moebius-type family split into factors that do not
+# depend on K, read once per (a, sigma) by a degree search, and the K-th tail
+# from them, multiplied left to right as one expression would be.
+
+def _sq_tail_factors(a: float, sigma: float) -> tuple[float, float, float]:
+    y = (a * sigma) ** 2
+    one = 1.0 - a * a
+    return one * one * sigma * sigma, y, (1.0 - y) ** 2
+
+
+def _sq_tail_at(lead: float, y: float, den: float, K: int) -> float:
+    """sum_{k>K} k |c_k|^2 sigma^(2k)."""
     return lead * y**K * ((K + 1) - K * y) / den
+
+
+def _sq_tail_degree(a: float, sigma: float) -> tuple[int, float]:
+    """(K, sq_tail(K, sigma)) for K = truncation(sq_tail, first=1), with the
+    rule spelled out: it runs once per literal row."""
+    lead, y, den = _sq_tail_factors(a, sigma)
+    for K in range(1, MAX_TRUNCATION + 1):
+        tail = _sq_tail_at(lead, y, den, K)
+        if tail < TAIL_TARGET:
+            break
+    return K, tail
+
+
+def _sq_mass_tail_factors(a: float, t: float) -> tuple[float, float, float, float]:
+    return (1.0 - a * a) ** 2, a, t, 1.0 - a * a * t
+
+
+def _sq_mass_tail_at(lead: float, a: float, t: float, den: float, K: int) -> float:
+    """sum_{k>K} |c_k|^2 t^k."""
+    return lead * a ** (2 * K) * t ** (K + 1) / den
 
 
 @dataclass(frozen=True)
@@ -478,6 +540,17 @@ def _sq_multinomial_sum(n: int, k: int) -> int:
 
 def _is_diagonal(radii: tuple[float, ...]) -> bool:
     return radii.count(radii[0]) == len(radii)
+
+
+def _literal_table(
+    sigma: float, radii: tuple[float, ...], n: int, K: int
+) -> tuple[list[float], Sequence[float]]:
+    """sigma^(2k) and the degree weights W_k at polyradius radii for k <= K:
+    what every a of a literal area shares."""
+    powers = list(map(pow, repeat(sigma), range(0, 2 * K + 1, 2)))
+    if _is_diagonal(radii):
+        return powers, list(map(multinomial_sq_ratio, repeat(n), range(K + 1)))
+    return powers, _degree_weights(radii, K)
 
 
 @lru_cache(maxsize=32)

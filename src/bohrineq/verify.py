@@ -11,10 +11,12 @@ report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
-since neither depends on a, and evaluate their rows through the unchecked
-core of ``functionals``; scans read only each row's total.  Lemma checks
-admit only families bounded by one on the unit polydisk, which is the
-hypothesis the lemmas carry.
+since neither depends on a, and evaluate the whole sorted a-grid with one
+call of the Moebius-type kernel of ``functionals`` per (spec, n, r): no
+family object is built per row, and scans read only each row's total.
+Lemma checks admit only families bounded by one on the unit polydisk,
+which is the hypothesis the lemmas carry; for Moebius-type families their
+degree search reads the K-free tail factors once.
 """
 
 from __future__ import annotations
@@ -89,12 +91,12 @@ def lemma1a_check(
     if not 0.0 < bold_r <= 1.0 / math.sqrt(2.0):
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
 
-    def tail(k: int) -> float:
-        return family.sq_tail(k, bold_r)
-
-    K = K if K is not None else ser.truncation(tail, first=1)
+    if K is None:
+        K, tail = family.sq_tail_degree(bold_r)
+    else:
+        tail = family.sq_tail(K, bold_r)
     m2 = family.sq_masses(K)
-    lhs = math.fsum(k * m2[k] * bold_r ** (2 * k) for k in range(1, K + 1)) + tail(K)
+    lhs = math.fsum(k * m2[k] * bold_r ** (2 * k) for k in range(1, K + 1)) + tail
     a0 = abs(family.a0)
     rhs = bold_r**2 * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r * bold_r) ** 2
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
@@ -109,12 +111,12 @@ def lemma1b_check(
     if not 0.0 < bold_r < 1.0:
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
 
-    def tail(k: int) -> float:
-        return family.sq_mass_tail(k, bold_r)
-
-    K = K if K is not None else ser.truncation(tail, first=1)
+    if K is None:
+        K, tail = family.sq_mass_tail_degree(bold_r)
+    else:
+        tail = family.sq_mass_tail(K, bold_r)
     m2 = family.sq_masses(K)
-    lhs = math.fsum(m2[k] * bold_r**k for k in range(1, K + 1)) + tail(K)
+    lhs = math.fsum(m2[k] * bold_r**k for k in range(1, K + 1)) + tail
     a0 = abs(family.a0)
     rhs = bold_r * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r)
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
@@ -175,7 +177,9 @@ def radius_search(
     Monotonicity of the total in bold_r is asserted on 64 samples before
     bisecting; a non-monotone pattern aborts rather than risking a wrong
     bracket.  When the total never reaches 1 the result is the near-cap
-    radius with binding = False.
+    radius with binding = False.  Bisection stops at width ``tol``, or
+    earlier when the midpoint no longer splits the bracket: the bracket then
+    holds two adjacent floats.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tolerance must be finite and positive")
@@ -200,6 +204,8 @@ def radius_search(
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         breakdown = total(mid)
         certified = certified and breakdown.certified
         if breakdown.total <= 1.0:
@@ -288,15 +294,23 @@ def _check_n(td: TheoremDef, n: int) -> None:
         raise DomainError(f"theorem {td.theorem_id} is single-variable; n must be 1")
 
 
-def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, float]:
+def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, float, type]:
     """The diagonal radius r in dimension n, checked against the cap of the
-    theorem's family, and its argument radius sigma.  Cap and sigma depend on
-    the family's class and n only, not on a, so scans and sweeps call this
-    once per (n, r) and evaluate their rows through the unchecked core."""
+    theorem's family, its argument radius sigma, and the family's class.
+    Cap and sigma depend on the class and n only, not on a, so scans and
+    sweeps call this once per (n, r) and evaluate their rows with the grid
+    kernel of that class."""
     family = theorem_family(theorem_id, 0.0, n)
     radius = fun.RadiusSpec.diagonal(n, r)
     fun._check_radius_for(family, radius, n)
-    return radius, family.sigma(radius.coords)
+    return radius, family.sigma(radius.coords), type(family)
+
+
+def check_tolerance(tol: float | None) -> None:
+    """Refuse an infinite pass tolerance, which would pass any total.  A NaN
+    tolerance is let through: every verdict test fails on it."""
+    if tol is not None and math.isinf(tol):
+        raise DomainError("tolerance must not be infinite")
 
 
 def violation_tolerance(breakdown: fun.TermBreakdown) -> float:
@@ -370,26 +384,27 @@ def sharpness_scan(
     perturbed_spec = replace(
         spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
     )
-    radius, sigma = _checked_radius(theorem_id, n, r)
-    rows = []
-    for a in grid:
-        family = theorem_family(theorem_id, a, n)
+    radius, sigma, cls = _checked_radius(theorem_id, n, r)
+
+    def totals(row_spec: fun.FunctionalSpec) -> list[float]:
         # The total is the last of the terms; no TermBreakdown per row.
-        base = fun._terms(spec, family, radius, sigma)[-1]
-        pert = fun._terms(perturbed_spec, family, radius, sigma)[-1] if epsilon > 0 else base
-        rows.append(ScanRow(a, base, pert))
-    best = max(rows, key=lambda row: (row.total, row.a))
-    best_pert = max(rows, key=lambda row: (row.perturbed_total, row.a))
+        return [terms[-1] for terms in fun._grid_terms(row_spec, cls, n, grid, radius, sigma)]
+
+    base = totals(spec)
+    pert = totals(perturbed_spec) if epsilon > 0 else base
+    # The largest (total, a): ties in the total go to the larger a.
+    max_total, argmax_a = max(zip(base, grid))
+    perturbed_max, perturbed_argmax = max(zip(pert, grid))
     return ScanReport(
         theorem=theorem_id,
         n=n,
         bold_r=r,
         epsilon=epsilon,
-        rows=tuple(rows),
-        max_total=best.total,
-        argmax_a=best.a,
-        perturbed_max=best_pert.perturbed_total,
-        perturbed_argmax=best_pert.a,
+        rows=tuple(map(ScanRow, grid, base, pert)),
+        max_total=max_total,
+        argmax_a=argmax_a,
+        perturbed_max=perturbed_max,
+        perturbed_argmax=perturbed_argmax,
         a_star=a_star,
     )
 
@@ -433,8 +448,11 @@ def theorem_sweep(
     The literal interpretation is the pass/fail authority; slice values are
     reported alongside for n >= 2.  A row violates when its literal total
     exceeds 1 by more than ``tol`` (default: the tolerance of its evaluation
-    path).  Radii default to the theorem threshold for each n.
+    path).  An infinite ``tol`` would pass every row and is refused; a NaN
+    ``tol`` makes every row a violation.  Radii default to the theorem
+    threshold for each n.
     """
+    check_tolerance(tol)
     td = _theorem(theorem_id)
     c = constants if constants is not None else sharp.sharp_constants()
     ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
@@ -447,20 +465,30 @@ def theorem_sweep(
     literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
+    # One kernel call per (n, r, interpretation) evaluates the sorted grid.
     # Runs of equal keys (repeats, 0.0 and -0.0) keep their input order, so the
     # rows come out exactly as a stable sort by (n, a, r, interpretation) puts them.
+    a_sorted = sorted(grid)
+    a_runs = [list(run) for _, run in itertools.groupby(range(len(a_sorted)), a_sorted.__getitem__)]
     rows: list[SweepRow] = []
     for n_run in _runs(ns):
         n = n_run[0]
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
         radii = r_values if r_values is not None else [td.threshold(n)]
-        r_runs = [[(r, *_checked_radius(theorem_id, n, r)) for r in run] for run in _runs(radii)]
-        for a_run in _runs(grid):
-            families = [(m, a, theorem_family(theorem_id, a, m)) for m in n_run for a in a_run]
-            for r_run, interp_spec in itertools.product(r_runs, specs):
-                for (m, a, family), (r, radius, sigma) in itertools.product(families, r_run):
-                    breakdown = fun._breakdown(interp_spec, family, radius, sigma)
-                    rows.append(SweepRow(theorem_id, m, a, r, breakdown))
+        columns = []
+        for r_run in _runs(radii):
+            checked = [(r, *_checked_radius(theorem_id, n, r)) for r in r_run]
+            for interp_spec in specs:
+                columns.append([
+                    (r, fun._grid_breakdowns(interp_spec, cls, n, a_sorted, radius, sigma))
+                    for r, radius, sigma, cls in checked
+                ])
+        for a_run in a_runs:
+            for column in columns:
+                for m in n_run:
+                    for i in a_run:
+                        for r, breakdowns in column:
+                            rows.append(SweepRow(theorem_id, m, a_sorted[i], r, breakdowns[i]))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
     violations = tuple(row for row in literal if violates(row.breakdown, tol))
     worst = min(row.breakdown.margin for row in literal) if literal else math.inf

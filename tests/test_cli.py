@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,12 @@ def test_domain_error_exit_code(capsys):
         ["scan", "--theorem", "C", "--a", "0:0.5:0.1", "--epsilon", "nan"],
         ["scan", "--theorem", "C", "--epsilon", "inf"],
         ["radius", "--functional", "classic", "--family", "moebius:0.5", "--tol", "inf"],
+        ["verify", "--theorem", "classic", "--family", "moebius:0.5", "--r", "0.9", "--tol", "inf"],
+        ["verify", "--theorem", "classic", "--a", "0.5", "--r", "0.9", "--tol", "inf"],
+        ["verify", "--theorem", "classic", "--family", "moebius:0.5", "--r", "0.9", "--tol=-inf"],
+        ["scan", "--theorem", "C", "--a", "0.1:0.2:0.05", "--r", "0.9", "--tol", "inf"],
+        ["lemma", "--part", "a", "--family", "moebius:0.5", "--r", "0.5", "--tol", "inf"],
+        ["constants", "--tol", "inf"],
     ],
 )
 def test_non_finite_input_is_domain_error(capsys, argv):
@@ -228,6 +235,36 @@ def test_verify_nan_tolerance_fails_closed(capsys, target):
     )
     assert code == 1
     assert json.loads(out)["meta"]["violations"] == 1
+
+
+def test_constants_nan_tolerance_names_every_constant(capsys):
+    code, out, err = run_cli(capsys, "constants", "--tol", "nan")
+    assert code == 2
+    assert parse_csv(out)[0]["ok"] == "false"
+    assert err == (
+        "constants residual breach: "
+        "a_star1, a_star2, lambda1, lambda2, p, radius_abs_head\n"
+    )
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-20"])
+def test_radius_below_float_spacing_terminates(tol):
+    # Below the float spacing of the bracket the midpoint rounds to one of
+    # its ends; the search stops there instead of looping forever.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bohrineq.cli import main; sys.exit(main())",
+         "radius", "--functional", "classic", "--family", "moebius:0.5", "--tol", tol,
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["hi"] == math.nextafter(row["lo"], math.inf)
+    assert row["binding"] is True
+    assert 30 < row["iterations"] < 64
 
 
 def test_seed_flag_is_gone(capsys):

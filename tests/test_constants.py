@@ -186,3 +186,13 @@ def test_constants_report_tolerance_override_flags_failure():
     report = constants_report(tol_override=1e-18)
     assert not report.ok
     assert "a_star1" in report.failed()
+
+
+def test_constants_report_non_finite_override_fails_closed():
+    # An infinite tolerance would pass every residual; a NaN one must fail
+    # every constant, in ``ok`` and in ``failed`` alike.
+    with pytest.raises(DomainError):
+        constants_report(tol_override=math.inf)
+    report = constants_report(tol_override=math.nan)
+    assert not report.ok
+    assert report.failed() == sorted(report.residuals)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from bohrineq import functionals as fun
+from bohrineq import series as ser
 from bohrineq.errors import BudgetExceededError, DomainError, MonotonicityError
 from bohrineq.functionals import (
     INTERP_LITERAL,
@@ -233,6 +234,31 @@ def test_radius_search_stable_under_tolerance_refinement():
     assert abs(fine.radius - coarse.radius) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [1e-16, 1e-17, 1e-20, 5e-324])
+def test_radius_search_stops_at_adjacent_floats(monkeypatch, tol):
+    # Below the float spacing of the bracket the midpoint rounds to one of
+    # its ends.  The search must stop there; a budget on evaluate calls
+    # stands in for a timeout.
+    calls = []
+    evaluate_ = fun.evaluate
+
+    def budgeted(*args):
+        calls.append(args)
+        if len(calls) > 500:
+            raise RuntimeError("radius search does not terminate")
+        return evaluate_(*args)
+
+    monkeypatch.setattr(fun, "evaluate", budgeted)
+    result = radius_search(preset("classic"), MoebiusDisk(0.5), tol=tol)
+    lo, hi = result.bracket
+    assert hi == math.nextafter(lo, math.inf)
+    assert result.binding and lo <= result.radius <= hi
+    assert result.iterations == len(calls) - 64  # after the monotonicity samples
+    spec, family = preset("classic"), MoebiusDisk(0.5)
+    assert evaluate_(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
+    assert evaluate_(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
+
+
 def test_radius_search_rejects_non_monotone_functional():
     # A negative area weight bends the total downward after an initial rise.
     spec = FunctionalSpec("constant_term", extra_area_weight=-5.0)
@@ -439,6 +465,50 @@ def test_sweep_builds_one_radius_per_dimension_and_two_specs(monkeypatch):
     assert len(built) == 2 * 3
 
 
+def test_scan_and_sweep_build_no_family_per_row(monkeypatch):
+    # Rows are evaluated by the grid kernel; the only families built are the
+    # cap probes of the checked radii, one per (n, r), whatever the grid size.
+    built = _count_calls(monkeypatch, ser._MoebiusType, "__post_init__")
+    report = sharpness_scan("T21", grid_values(0.0, 0.9995, 0.0005), n=2, epsilon=1e-3)
+    assert len(report.rows) == 2001
+    assert len(built) == 1
+    built.clear()
+    report = theorem_sweep("T21", [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
+    assert len(report.rows) == 700
+    assert len(built) == 4
+    built.clear()
+    sharpness_scan("C", grid_values(0.0, 0.9995, 0.0005))
+    theorem_sweep("D", a_grid=grid_values(0.0, 0.99, 0.01))
+    assert len(built) == 2
+
+
+def test_literal_rows_share_their_powers_and_weights(monkeypatch):
+    # Literal diagonal rows of one (n, r) read sigma^(2k) and W_k from one
+    # table: no (n, k) weight is asked for twice in a sweep.
+    weights = _count_calls(monkeypatch, ser, "multinomial_sq_ratio")
+    tables = _count_calls(monkeypatch, ser, "_literal_table")
+    report = theorem_sweep("T21", [2, 3, 5], grid_values(0.0, 0.99, 0.01))
+    assert len(report.rows) == 600
+    assert len(tables) == 3  # one per literal (n, r)
+    assert len(weights) == len(set(weights))
+    assert {n for n, _ in weights} == {2, 3, 5}
+
+
+def test_lemma_degree_search_reads_the_tail_factors_once(monkeypatch):
+    family = ExtremalPolydiskScaled(0.6, 3)
+    factors = _count_calls(monkeypatch, ser, "_sq_tail_factors")
+    mass_factors = _count_calls(monkeypatch, ser, "_sq_mass_tail_factors")
+    check = lemma1a_check(family, 0.5)
+    assert len(factors) == 1
+    check_b = lemma1b_check(family, 0.5)
+    assert len(mass_factors) == 1
+    # The degree is still the one ``truncation`` picks.
+    K = ser.truncation(lambda k: family.sq_tail(k, 0.5), first=1)
+    assert check == lemma1a_check(family, 0.5, K=K)
+    K_b = ser.truncation(lambda k: family.sq_mass_tail(k, 0.5), first=1)
+    assert check_b == lemma1b_check(family, 0.5, K=K_b)
+
+
 def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
     grid = [(k + 0.5) / 2000 for k in range(2000)]
     checks = _count_calls(monkeypatch, fun, "_check_radius_for")
@@ -473,21 +543,25 @@ def _theorem_cases():
 
 @pytest.mark.parametrize("tid,n", list(_theorem_cases()))
 def test_scan_and_sweep_rows_equal_evaluate(tid, n, constants):
-    # Scans and sweeps check the radius once and evaluate rows through the
-    # unchecked core; every row must be what evaluate returns, exactly.
+    # Scans and sweeps evaluate their rows with the grid kernel; every row
+    # must be what evaluate returns on the row's own family, exactly.  The
+    # grid holds a = 0, an integer 0, -0.0, a near 1 and a repeat.
     td = THEOREMS[tid]
-    grid = [0.0, 0.05, 0.3, 0.55, 0.6, 0.8, 0.97]
+    grid = [0.3, 0.0, 0.05, 0, 0.3, 0.55, -0.0, 0.6, 0.8, 0.97, 0.999]
     r = td.threshold(n)
     radius = RadiusSpec.diagonal(n, r)
     spec = preset(td.preset_name, constants).with_interpretation(INTERP_SLICE)
-    for epsilon in (0.0, 1e-3):
+    for epsilon in (0.0, 1e-3, 0.5):
         pert = replace(spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon})
         report = sharpness_scan(tid, grid, n=n, epsilon=epsilon, constants=constants)
         for row in report.rows:
             family = theorem_family(tid, row.a, n)
             assert row.total == evaluate(spec, family, radius).total
             assert row.perturbed_total == evaluate(pert, family, radius).total
-    for row in theorem_sweep(tid, [n], grid, constants=constants).rows:
+    rows = theorem_sweep(tid, [n], grid, constants=constants).rows
+    literal_a = [row.a for row in rows if row.breakdown.interpretation == INTERP_LITERAL]
+    assert list(map(repr, literal_a)) == list(map(repr, sorted(grid)))
+    for row in rows:
         interp_spec = spec.with_interpretation(row.breakdown.interpretation)
         assert row.breakdown == evaluate(interp_spec, theorem_family(tid, row.a, n), radius)
 
@@ -534,6 +608,9 @@ def test_lemma_and_search_reject_non_finite_arguments():
     for bold_r in (None, 0.0):
         with pytest.raises(DomainError):
             sharpness_scan("C", [0.5], bold_r=bold_r, epsilon=math.inf)
+    for tol in (math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            theorem_sweep("classic", a_grid=[0.5], r_values=[0.9], tol=tol)
 
 
 def test_registry_thresholds():
