@@ -27,7 +27,7 @@ class RootBracketError(BohrIneqError, ValueError):
 
 
 class NonUniqueRootError(BohrIneqError, ValueError):
-    """Grid sign-counting found more than one root in the bracket."""
+    """An exact Sturm count found other than one root in the bracket."""
 
 
 class UnsupportedInterpretationError(BohrIneqError, ValueError):

@@ -23,9 +23,9 @@ give closed forms in (a, sigma), Blaschke products a slice sum to a
 certified degree.  No family functional expands a multi-index series: the
 literal area reweights the slice sum per degree (``literal_area``).
 
-``evaluate`` is its checks (dimension, domain cap) plus one private core,
+``evaluate`` is its checks (dimension, domain cap), one private core,
 ``_terms``, which takes the checked radius and its sigma and returns the
-terms and the total; ``_breakdown`` itemizes them as a ``TermBreakdown``.
+terms and the total, and ``_itemize``, which makes them a ``TermBreakdown``.
 Moebius-type rows have one kernel, ``_grid_terms``: given the family class,
 n, a grid of parameters a, the checked radius and sigma, it reads the
 class's rules in (a, sigma) for every a, with the spec's head kind,
@@ -65,7 +65,7 @@ multinomial_sq_ratio = ser.multinomial_sq_ratio
 
 @dataclass(frozen=True)
 class RadiusSpec:
-    """Evaluation polyradius; bold_r (the max coordinate) and is_diagonal are cached."""
+    """Evaluation polyradius; bold_r (the max coordinate) is cached."""
 
     coords: tuple[float, ...]
 
@@ -94,10 +94,6 @@ class RadiusSpec:
     @cached_property
     def bold_r(self) -> float:
         return max(self.coords)
-
-    @cached_property
-    def is_diagonal(self) -> bool:
-        return all(r == self.coords[0] for r in self.coords)
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +142,9 @@ PRESET_NAMES = (
 )
 
 
-def preset(name: str, constants: sharp.SharpConstants | None = None) -> FunctionalSpec:
+def preset(name: str) -> FunctionalSpec:
     """Named functional with weights injected from the constants module."""
-    c = constants if constants is not None else sharp.sharp_constants()
+    c = sharp.sharp_constants()
     table = {
         "classic": FunctionalSpec(HEAD_CONSTANT),
         "thm_a": FunctionalSpec(HEAD_CONSTANT, area_weight=16.0 / 9.0),
@@ -304,19 +300,7 @@ def evaluate(
     survive.  An explicit point evaluates |f(point)| exactly instead.
     """
     _check_radius_for(family, radius, family.n)
-    return _breakdown(spec, family, radius, family.sigma(radius.coords), eval_point)
-
-
-def _breakdown(
-    spec: FunctionalSpec,
-    family: ser.FamilySpec,
-    radius: RadiusSpec,
-    sigma: float,
-    eval_point: tuple[complex, ...] | None = None,
-) -> TermBreakdown:
-    """``evaluate`` at a radius already checked for the family, whose
-    argument radius is sigma."""
-    terms = _terms(spec, family, radius, sigma, eval_point)
+    terms = _terms(spec, family, radius, family.sigma(radius.coords), eval_point)
     return _itemize(spec, terms, _closed_form(spec, family.closed, family.n))
 
 
@@ -328,8 +312,9 @@ def _grid_breakdowns(
     radius: RadiusSpec,
     sigma: float,
 ) -> list[TermBreakdown]:
-    """``_breakdown`` of the family cls(a) in dimension n for every a of
-    avals, from one ``_grid_terms`` call."""
+    """``evaluate`` of the family cls(a) in dimension n for every a of
+    avals, at a radius checked for that class and n whose argument radius
+    is sigma, from one ``_grid_terms`` call."""
     closed_form = _closed_form(spec, cls.closed, n)
     rows = _grid_terms(spec, cls, n, avals, radius, sigma)
     return [_itemize(spec, terms, closed_form) for terms in rows]

@@ -18,6 +18,11 @@ degree, and the literal area weights slice degree k by W_k
 (``_degree_weights``).  The unit form is bounded by one on the polydisk of
 polyradius 1/n, every other family on the unit polydisk.
 
+Every certified degree comes from one search, ``truncation``: given a tail
+rule K -> tail(K) it returns the smallest K whose tail is below
+``TAIL_TARGET``, with that tail.  The majorant, the area, the literal area
+and the lemma square sums all pick their K there.
+
 A multi-index series is a sparse map from multi-indices to complex
 coefficients, truncated at a total degree K.  Two independent expansion
 routes are provided: ``expand`` uses the multinomial closed form of the
@@ -38,9 +43,10 @@ the same product at every bisection step.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial, total_ordering
+from functools import lru_cache, total_ordering
 from itertools import repeat
 from typing import Callable, Iterator, Union
 
@@ -135,13 +141,14 @@ def coefficient_count(n: int, max_degree: int) -> int:
 # Function families
 # --------------------------------------------------------------------------
 
-def truncation(tail: Callable[[int], float], first: int = 0) -> int:
-    """Smallest K in [first, MAX_TRUNCATION] with tail(K) < TAIL_TARGET,
-    else MAX_TRUNCATION."""
-    return next(
-        (K for K in range(first, MAX_TRUNCATION + 1) if tail(K) < TAIL_TARGET),
-        MAX_TRUNCATION,
-    )
+def truncation(tail: Callable[[int], float], first: int = 0) -> tuple[int, float]:
+    """(K, tail(K)) for the smallest K in [first, MAX_TRUNCATION] with
+    tail(K) < TAIL_TARGET, else for K = MAX_TRUNCATION."""
+    for K in range(first, MAX_TRUNCATION + 1):
+        value = tail(K)
+        if value < TAIL_TARGET:
+            break
+    return K, value
 
 
 class _Family:
@@ -177,14 +184,14 @@ class _Family:
 
     def majorant(self, sigma: float, K: int | None = None) -> float:
         """sum_{k>=1} |c_k| sigma^k: slice partial sum plus certified tail."""
-        K = K if K is not None else self._degree(sigma)
+        K = K if K is not None else truncation(lambda k: self.majorant_tail(k, sigma))[0]
         b = self.slice(K)
         partial = math.fsum(abs(b[k]) * sigma**k for k in range(1, K + 1))
         return partial + self.majorant_tail(K, sigma)
 
     def area(self, sigma: float) -> float:
         """sum_{k>=1} k |c_k|^2 sigma^(2k): slice partial sum plus certified tail."""
-        K = self._degree(sigma)
+        K = truncation(lambda k: self.majorant_tail(k, sigma))[0]
         b = self.slice(K)
         partial = math.fsum(k * (abs(b[k]) ** 2 * (sigma**k) ** 2) for k in range(1, K + 1))
         return partial + self.sq_tail(K, sigma)
@@ -192,19 +199,6 @@ class _Family:
     def sq_masses(self, K: int) -> list[float]:
         """m2(k) = sum_{|alpha| = k} |a_alpha|^2 for k = 0..K."""
         return [abs(c) ** 2 for c in self.slice(K)]
-
-    def sq_tail_degree(self, sigma: float) -> tuple[int, float]:
-        """(K, sq_tail(K, sigma)) for K = truncation(sq_tail, first=1)."""
-        K = truncation(lambda k: self.sq_tail(k, sigma), first=1)
-        return K, self.sq_tail(K, sigma)
-
-    def sq_mass_tail_degree(self, t: float) -> tuple[int, float]:
-        """(K, sq_mass_tail(K, t)) for K = truncation(sq_mass_tail, first=1)."""
-        K = truncation(lambda k: self.sq_mass_tail(k, t), first=1)
-        return K, self.sq_mass_tail(K, t)
-
-    def _degree(self, sigma: float) -> int:
-        return truncation(lambda K: self.majorant_tail(K, sigma))
 
 
 @dataclass(frozen=True)
@@ -243,18 +237,11 @@ class _MoebiusType(_Family):
         return self.majorant_tail_at(self.a, K, sigma)
 
     def sq_tail(self, K: int, sigma: float) -> float:
-        return _sq_tail_at(*_sq_tail_factors(self.a, sigma), K)
-
-    def sq_tail_degree(self, sigma: float) -> tuple[int, float]:
-        return _sq_tail_degree(self.a, sigma)
+        return _sq_tail_rule(self.a, sigma)(K)
 
     def sq_mass_tail(self, K: int, t: float) -> float:
-        return _sq_mass_tail_at(*_sq_mass_tail_factors(self.a, t), K)
-
-    def sq_mass_tail_degree(self, t: float) -> tuple[int, float]:
-        tail = partial(_sq_mass_tail_at, *_sq_mass_tail_factors(self.a, t))
-        K = truncation(tail, first=1)
-        return K, tail(K)
+        a = self.a
+        return (1.0 - a * a) ** 2 * a ** (2 * K) * t ** (K + 1) / (1.0 - a * a * t)
 
     def boundary_sup(self, sigma: float) -> tuple[float, bool]:
         return self.sup_at(self.a, sigma), True
@@ -292,9 +279,10 @@ class _MoebiusType(_Family):
         """Literal multi-index area at polyradius radii for every a of avals:
         the slice terms k |c_k|^2 sigma^(2k) reweighted by the degree weights
         W_k, plus the slice tail, which stays a certificate because W_k <= 1.
-        Each a takes the degree of ``sq_tail_degree``; sigma^(2k) and W_k
-        are built once, up to the largest degree the grid needs."""
-        degrees = list(map(_sq_tail_degree, avals, repeat(sigma)))
+        Each a takes the degree ``truncation`` picks for its ``sq_tail``, from
+        one ``_sq_tail_rule``; sigma^(2k) and W_k are built once, up to the
+        largest degree the grid needs."""
+        degrees = [truncation(_sq_tail_rule(a, sigma), first=1) for a in avals]
         powers, weights = _literal_table(sigma, radii, n, max(degrees, default=(0,))[0])
         areas = []
         for a, (K, tail) in zip(avals, degrees):
@@ -325,39 +313,13 @@ class _MoebiusType(_Family):
         return num, den
 
 
-# The square tails of a Moebius-type family split into factors that do not
-# depend on K, read once per (a, sigma) by a degree search, and the K-th tail
-# from them, multiplied left to right as one expression would be.
-
-def _sq_tail_factors(a: float, sigma: float) -> tuple[float, float, float]:
+def _sq_tail_rule(a: float, sigma: float) -> Callable[[int], float]:
+    """K -> sum_{k>K} k |c_k|^2 sigma^(2k) of a Moebius-type family, with
+    the K-free factors computed once for a whole degree search."""
     y = (a * sigma) ** 2
     one = 1.0 - a * a
-    return one * one * sigma * sigma, y, (1.0 - y) ** 2
-
-
-def _sq_tail_at(lead: float, y: float, den: float, K: int) -> float:
-    """sum_{k>K} k |c_k|^2 sigma^(2k)."""
-    return lead * y**K * ((K + 1) - K * y) / den
-
-
-def _sq_tail_degree(a: float, sigma: float) -> tuple[int, float]:
-    """(K, sq_tail(K, sigma)) for K = truncation(sq_tail, first=1), with the
-    rule spelled out: it runs once per literal row."""
-    lead, y, den = _sq_tail_factors(a, sigma)
-    for K in range(1, MAX_TRUNCATION + 1):
-        tail = _sq_tail_at(lead, y, den, K)
-        if tail < TAIL_TARGET:
-            break
-    return K, tail
-
-
-def _sq_mass_tail_factors(a: float, t: float) -> tuple[float, float, float, float]:
-    return (1.0 - a * a) ** 2, a, t, 1.0 - a * a * t
-
-
-def _sq_mass_tail_at(lead: float, a: float, t: float, den: float, K: int) -> float:
-    """sum_{k>K} |c_k|^2 t^k."""
-    return lead * a ** (2 * K) * t ** (K + 1) / den
+    lead, den = one * one * sigma * sigma, (1.0 - y) ** 2
+    return lambda K: lead * y**K * ((K + 1) - K * y) / den
 
 
 @dataclass(frozen=True)
@@ -761,7 +723,7 @@ def majorant_tail_bound(family: FamilySpec | None, K: int, bold_r: float) -> flo
 def default_truncation(family: FamilySpec, bold_r: float) -> int:
     """Smallest K whose certified majorant tail at bold_r is < TAIL_TARGET."""
     sigma = _diagonal_sigma(family, bold_r)
-    return truncation(lambda K: family.majorant_tail(K, sigma))
+    return truncation(lambda K: family.majorant_tail(K, sigma))[0]
 
 
 def _diagonal_sigma(family: FamilySpec, bold_r: float) -> float:
@@ -915,12 +877,13 @@ def torus_bound_check(
     ``ok`` is set only on certified reports with sup + tail <= 1 + 1e-9;
     a series without a tail certificate is never silently certified.  A
     slice-backed series is summed as sum_k b_k s^k, O(points * K); a
-    dictionary series monomial by monomial.
+    dictionary series monomial by monomial.  A non-finite radius, or a
+    sample count that is not an integer >= 8, is refused.
     """
-    if samples_per_axis < 8:
-        raise DomainError("need at least 8 samples per axis")
-    if radius_cap < 0:
-        raise DomainError("radius must be nonnegative")
+    if not (isinstance(samples_per_axis, numbers.Integral) and samples_per_axis >= 8):
+        raise DomainError("samples per axis must be an integer >= 8")
+    if not 0 <= radius_cap < math.inf:
+        raise DomainError("radius must be finite and nonnegative")
     if series.source is not None and radius_cap > domain_radius_cap(series.source):
         raise DomainError("radius exceeds the domain cap of the generating family")
     values, points = _torus_values(series, radius_cap, samples_per_axis)

@@ -15,8 +15,8 @@ since neither depends on a, and evaluate the whole sorted a-grid with one
 call of the Moebius-type kernel of ``functionals`` per (spec, n, r): no
 family object is built per row, and scans read only each row's total.
 Lemma checks admit only families bounded by one on the unit polydisk,
-which is the hypothesis the lemmas carry; for Moebius-type families their
-degree search reads the K-free tail factors once.
+which is the hypothesis the lemmas carry, and a degree K >= 0; without an
+explicit K they take the one ``series.truncation`` picks for their tail.
 """
 
 from __future__ import annotations
@@ -72,14 +72,16 @@ class LemmaCheck:
     certified: bool
 
 
-def _require_unit_polydisk_family(family: ser.FamilySpec) -> None:
-    """Admit only families bounded on the unit polydisk; for these q = n,
-    so the argument radius sigma equals the diagonal radius."""
+def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> None:
+    """Admit only families bounded on the unit polydisk, for which q = n so
+    the argument radius sigma equals the diagonal radius, and no negative K."""
     if family.cap < 1.0:
         raise DomainError(
             "family is bounded only on the polydisk of radius 1/n; "
             "the lemma hypothesis needs boundedness on the unit polydisk"
         )
+    if K is not None and K < 0:
+        raise DomainError("truncation degree must be >= 0")
 
 
 def lemma1a_check(
@@ -87,12 +89,12 @@ def lemma1a_check(
 ) -> LemmaCheck:
     """sum_k k sum_{|alpha|=k} |a_alpha|^2 r^(2|alpha|)
        <= r^2 (1-a0^2)^2 / (1-a0^2 r^2)^2   for 0 < r <= 1/sqrt2."""
-    _require_unit_polydisk_family(family)
+    _check_lemma_input(family, K)
     if not 0.0 < bold_r <= 1.0 / math.sqrt(2.0):
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
 
     if K is None:
-        K, tail = family.sq_tail_degree(bold_r)
+        K, tail = ser.truncation(lambda k: family.sq_tail(k, bold_r), first=1)
     else:
         tail = family.sq_tail(K, bold_r)
     m2 = family.sq_masses(K)
@@ -107,12 +109,12 @@ def lemma1b_check(
 ) -> LemmaCheck:
     """sum_k sum_{|alpha|=k} |a_alpha|^2 r^|alpha|
        <= r (1-a0^2)^2 / (1-a0^2 r)   for 0 < r < 1."""
-    _require_unit_polydisk_family(family)
+    _check_lemma_input(family, K)
     if not 0.0 < bold_r < 1.0:
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
 
     if K is None:
-        K, tail = family.sq_mass_tail_degree(bold_r)
+        K, tail = ser.truncation(lambda k: family.sq_mass_tail(k, bold_r), first=1)
     else:
         tail = family.sq_mass_tail(K, bold_r)
     m2 = family.sq_masses(K)
@@ -148,7 +150,7 @@ def lemma1c_check(
 ) -> LemmaCheck:
     """Majorant tail of the family at diagonal radius bold_r against the
     two-branch bound."""
-    _require_unit_polydisk_family(family)
+    _check_lemma_input(family, K)
     rhs = lemma1c_bound(abs(family.a0), bold_r, family.n)
     lhs = family.majorant(bold_r, K)
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
@@ -356,7 +358,6 @@ def sharpness_scan(
     n: int = 1,
     bold_r: float | None = None,
     epsilon: float = 0.0,
-    constants: sharp.SharpConstants | None = None,
 ) -> ScanReport:
     """Slice-interpretation totals over the parameter grid at the theorem
     threshold, with an optional perturbation of the sharp weight.
@@ -368,19 +369,18 @@ def sharpness_scan(
     _check_n(td, n)
     if not 0 <= epsilon < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
-    c = constants if constants is not None else sharp.sharp_constants()
     r = bold_r if bold_r is not None else td.threshold(n)
     grid = [float(a) for a in a_grid]
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("scan grid must lie inside [0, 1)")
-    a_star = td.a_star(c) if td.a_star is not None else None
+    a_star = td.a_star(sharp.sharp_constants()) if td.a_star is not None else None
     if a_star is not None and a_star not in grid:
         grid.append(a_star)
     if not grid:
         raise DomainError("scan grid is empty")
     grid.sort()
 
-    spec = fun.preset(td.preset_name, c).with_interpretation(fun.INTERP_SLICE)
+    spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
     perturbed_spec = replace(
         spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
     )
@@ -440,7 +440,6 @@ def theorem_sweep(
     n_list: Sequence[int] | None = None,
     a_grid: Sequence[float] | None = None,
     r_values: Sequence[float] | None = None,
-    constants: sharp.SharpConstants | None = None,
     tol: float | None = None,
 ) -> SweepReport:
     """Evaluate the theorem functional over the (n, a, r) grid.
@@ -454,14 +453,13 @@ def theorem_sweep(
     """
     check_tolerance(tol)
     td = _theorem(theorem_id)
-    c = constants if constants is not None else sharp.sharp_constants()
     ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
     for n in ns:
         _check_n(td, n)
-    grid = list(a_grid) if a_grid is not None else grid_values(0.0, 0.99, 0.01)
+    grid = [float(a) for a in a_grid] if a_grid is not None else grid_values(0.0, 0.99, 0.01)
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("sweep grid must lie inside [0, 1)")
-    spec = fun.preset(td.preset_name, c)
+    spec = fun.preset(td.preset_name)
     literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 

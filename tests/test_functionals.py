@@ -48,8 +48,7 @@ def _moebius_series(a, r):
 
 def test_radius_spec_basics():
     rad = RadiusSpec.vector((0.1, 0.3, 0.2))
-    assert rad.n == 3 and rad.bold_r == 0.3 and not rad.is_diagonal
-    assert _diag(2, 0.25).is_diagonal
+    assert rad.n == 3 and rad.bold_r == 0.3
     with pytest.raises(DomainError):
         RadiusSpec.vector((-0.1,))
 
@@ -61,7 +60,6 @@ def test_radius_spec_cached_properties_equal_fresh_values(coords):
     rad = RadiusSpec.vector(coords)
     for _ in range(2):  # first read computes, second reads the cache
         assert repr(rad.bold_r) == repr(max(rad.coords))
-        assert rad.is_diagonal is all(r == rad.coords[0] for r in rad.coords)
     twin = RadiusSpec.vector(coords)
     assert rad == twin and hash(rad) == hash(twin)
     assert repr(rad) == f"RadiusSpec(coords={tuple(float(r) for r in coords)!r})"
@@ -226,7 +224,7 @@ def test_vector_radius_literal_area_matches_dictionary_series():
     for family, coords in cases:
         rad = RadiusSpec.vector(coords)
         sigma = family.sigma(coords)
-        K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)
+        K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)[0]
         series = expand(family, K)
         copy = CoefficientSeries(family.n, K, dict(series.coeffs), source=family)
         expected = area_term(copy, rad)

@@ -1,9 +1,14 @@
 """Golden reports: every CLI subcommand, byte for byte, with its exit code.
 
 ``tests/golden/manifest.json`` maps each case name to its argv and exit code;
-``tests/golden/<name>`` holds the stdout of that run.  A refactor that keeps
-the reports passes unchanged; a change that alters a reported number must
-regenerate the files and say which value was wrong.  Regenerate with
+``tests/golden/<name>`` holds the stdout of that run.  ``library.txt`` holds
+one ``label = repr`` line per library result on a path the CLI never takes
+(vector radii, evaluation points, constants under every preset, lemmas at an
+explicit K, sweeps with repeats, functionals of expanded series); it leaves
+out values numpy computes, so it does not depend on the numpy build.  A
+refactor that keeps the reports passes unchanged; a change that alters a
+reported number must regenerate the files and say which value was wrong.
+Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
@@ -21,6 +26,9 @@ import sys
 import pytest
 
 from bohrineq import cli
+from bohrineq import functionals as fun
+from bohrineq import series as ser
+from bohrineq import verify as ver
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -77,6 +85,102 @@ def test_golden_report(name, argv):
     assert text.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
+def _library() -> str:
+    """The text of ``library.txt``: float inputs only, no numpy-computed value."""
+    lines = []
+
+    def add(label, value):
+        lines.append(f"{label} = {value!r}")
+
+    interps = (fun.INTERP_LITERAL, fun.INTERP_SLICE)
+    vector_cases = [
+        (ser.ExtremalPolydiskUnit(0.5, 2), [(0.1, 0.3), (0.0, 0.45)]),
+        (ser.ExtremalPolydiskUnit(0.9, 3), [(0.1, 0.04, 0.02), (0.3, 0.01, 0.2)]),
+        (ser.ExtremalPolydiskScaled(0.6, 2), [(0.0, 0.7), (0.2, 0.9)]),
+        (ser.ExtremalPolydiskScaled(0.3, 3), [(0.2, 0.5, 0.9), (0.05, 0.1, 0.3)]),
+    ]
+    for family, radii in vector_cases:
+        for coords in radii:
+            for name in fun.PRESET_NAMES:
+                for interp in interps:
+                    spec = fun.preset(name).with_interpretation(interp)
+                    out = fun.evaluate(spec, family, fun.RadiusSpec(coords))
+                    add(f"evaluate {name} {interp} {family!r} {coords!r}", out)
+
+    point_cases = [
+        (ser.MoebiusDisk(0.5), (0.3j,)),
+        (ser.ExtremalPolydiskUnit(0.5, 2), (0.1, -0.2j)),
+        (ser.ExtremalPolydiskScaled(0.6, 3), (0.2, 0.1 + 0.1j, -0.3)),
+        (ser.FiniteBlaschke((0.5, -0.3 + 0.2j)), (0.2 - 0.1j,)),
+        (ser.ConstantFn(0.4j), (0.1,)),
+    ]
+    for family, point in point_cases:
+        radius = fun.RadiusSpec.diagonal(family.n, 0.25)
+        for name in fun.PRESET_NAMES:
+            out = fun.evaluate(fun.preset(name), family, radius, point)
+            add(f"evaluate {name} {family!r} 0.25 at {point!r}", out)
+
+    for c in (0.0, 0.4j, -1.0):
+        for r in (0.0, 0.3):
+            for name in fun.PRESET_NAMES:
+                for interp in interps:
+                    spec = fun.preset(name).with_interpretation(interp)
+                    out = fun.evaluate(spec, ser.ConstantFn(c), fun.RadiusSpec.diagonal(1, r))
+                    add(f"evaluate {name} {interp} ConstantFn({c!r}) {r!r}", out)
+
+    lemma_families = [
+        ser.MoebiusDisk(0.5),
+        ser.ExtremalPolydiskScaled(0.6, 2),
+        ser.ExtremalPolydiskScaled(0.3, 3),
+        ser.FiniteBlaschke((0.5, -0.3)),
+        ser.ConstantFn(0.4),
+    ]
+    for family in lemma_families:
+        checks = ((ver.lemma1a_check, 0.5), (ver.lemma1b_check, 0.8), (ver.lemma1c_check, 0.2))
+        for check, r in checks:
+            for K in (None, 0, 3, 40):
+                add(f"{check.__name__} {family!r} {r!r} K={K}", check(family, r, K))
+        for r in (0.0, 0.2, 0.5, 0.99):
+            add(f"default_truncation {family!r} {r!r}", ser.default_truncation(family, r))
+
+    sweep_cases = [
+        ("T21", [3, 2, 3], [0.5, -0.0, 0.2, 0.5, 0.0], [0.1, 0.05, 0.1]),
+        ("T23", [2, 2], [0.9, 0.1, 0.9], None),
+        ("C", [1, 1], [0.9, -0.0, 0.3, 0.9], [0.3, 0.3, 0.25]),
+    ]
+    for tid, ns, grid, radii in sweep_cases:
+        report = ver.theorem_sweep(tid, ns, grid, radii)
+        label = f"theorem_sweep {tid} {ns!r} {grid!r} {radii!r}"
+        for row in report.rows:
+            add(label, row)
+        add(f"{label} worst_margin", report.worst_margin)
+        add(f"{label} violations", len(report.violations))
+
+    series_cases = [
+        (ser.MoebiusDisk(0.5), (0.3,)),
+        (ser.ExtremalPolydiskUnit(0.5, 2), (0.2, 0.2)),
+        (ser.ExtremalPolydiskUnit(0.5, 3), (0.1, 0.04, 0.02)),
+        (ser.ExtremalPolydiskScaled(0.6, 2), (0.2, 0.7)),
+        (ser.FiniteBlaschke((0.5, -0.3 + 0.2j)), (0.6,)),
+        (ser.ConstantFn(0.4), (0.3,)),
+    ]
+    for family, coords in series_cases:
+        radius = fun.RadiusSpec(coords)
+        for series in (
+            ser.expand(family, ser.default_truncation(family, radius.bold_r)),
+            ser.oracle_expand(family, 8),
+        ):
+            label = f"{family!r} K={series.truncation} {coords!r}"
+            add(f"majorant {label}", fun.majorant(series, radius))
+            for interp in interps:
+                add(f"area_term {interp} {label}", fun.area_term(series, radius, interp))
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_library():
+    assert _library().encode("utf-8") == (GOLDEN / "library.txt").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [[], ["--help"], ["regenerate"], ["--regenerate", "--force"]])
 def test_script_writes_nothing_without_regenerate(argv, monkeypatch, capsys):
     def refuse():
@@ -112,6 +216,7 @@ def regenerate() -> list[str]:
         code, text = _run(argv)
         files[name] = text.encode("utf-8")
         manifest[name] = {"argv": argv, "exit": code}
+    files["library.txt"] = _library().encode("utf-8")
     files["manifest.json"] = (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode()
     changed = []
     for name, data in files.items():

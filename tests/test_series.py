@@ -272,11 +272,10 @@ def test_homogeneous_sums_reject_bad_radii(radii):
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 0.95])
 @pytest.mark.parametrize("coords", [(1 / 9,) * 3, (0.02, 0.1, 0.05)])
 def test_literal_area_reads_its_final_tail_once(monkeypatch, a, coords):
-    # The degree search runs on the K-free factors of sq_tail; the degree
-    # and the value stay those of truncation(sq_tail, first=1).
+    # The degree and the tail are those of truncation(sq_tail, first=1).
     family = ExtremalPolydiskUnit(a, 3)
     sigma = family.sigma(coords)
-    K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)
+    K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)[0]
     weights = [multinomial_sq_ratio(3, k) for k in range(1, K + 1)]
     if coords[0] != coords[1]:
         weights = list(ser._degree_weights(coords, K)[1:])
@@ -543,6 +542,20 @@ def test_torus_argument_validation():
     series2 = expand(ExtremalPolydiskUnit(0.5, 2), 5)
     with pytest.raises(DomainError):
         torus_bound_check(series2, 0.8)
+
+
+@pytest.mark.parametrize("radius_cap", [math.nan, math.inf])
+def test_torus_refuses_a_non_finite_radius(radius_cap):
+    bare = CoefficientSeries(1, 1, {MultiIndex((1,)): 0.5 + 0j})
+    with pytest.raises(DomainError, match="finite"):
+        torus_bound_check(bare, radius_cap)
+
+
+@pytest.mark.parametrize("samples", [8.5, math.inf, 8.0, True])
+def test_torus_refuses_a_sample_count_that_is_not_an_integer(samples):
+    series = expand(MoebiusDisk(0.5), 5)
+    with pytest.raises(DomainError, match="integer"):
+        torus_bound_check(series, 0.5, samples_per_axis=samples)
 
 
 def test_torus_determinism():

@@ -494,19 +494,35 @@ def test_literal_rows_share_their_powers_and_weights(monkeypatch):
     assert {n for n, _ in weights} == {2, 3, 5}
 
 
-def test_lemma_degree_search_reads_the_tail_factors_once(monkeypatch):
-    family = ExtremalPolydiskScaled(0.6, 3)
-    factors = _count_calls(monkeypatch, ser, "_sq_tail_factors")
-    mass_factors = _count_calls(monkeypatch, ser, "_sq_mass_tail_factors")
-    check = lemma1a_check(family, 0.5)
-    assert len(factors) == 1
-    check_b = lemma1b_check(family, 0.5)
-    assert len(mass_factors) == 1
-    # The degree is still the one ``truncation`` picks.
-    K = ser.truncation(lambda k: family.sq_tail(k, 0.5), first=1)
-    assert check == lemma1a_check(family, 0.5, K=K)
-    K_b = ser.truncation(lambda k: family.sq_mass_tail(k, 0.5), first=1)
-    assert check_b == lemma1b_check(family, 0.5, K=K_b)
+def test_lemma_default_degree_is_the_truncation_degree():
+    # Without an explicit K, lemmas 1a and 1b take the degree ``truncation``
+    # picks for their own tail.
+    for family in (ExtremalPolydiskScaled(0.6, 3), MoebiusDisk(0.5), FiniteBlaschke((0.5, -0.3))):
+        K = ser.truncation(lambda k: family.sq_tail(k, 0.5), first=1)[0]
+        assert lemma1a_check(family, 0.5) == lemma1a_check(family, 0.5, K=K)
+        K_b = ser.truncation(lambda k: family.sq_mass_tail(k, 0.5), first=1)[0]
+        assert lemma1b_check(family, 0.5) == lemma1b_check(family, 0.5, K=K_b)
+
+
+@pytest.mark.parametrize("check", [lemma1a_check, lemma1b_check, lemma1c_check])
+@pytest.mark.parametrize(
+    "family", [MoebiusDisk(0.5), FiniteBlaschke((0.5,)), ExtremalPolydiskScaled(0.6, 2)]
+)
+def test_lemma_refuses_a_negative_degree(check, family):
+    # K = -1 would sum no terms and add the tail of a degree below zero,
+    # which reported false violations; K = 0 stays valid.
+    with pytest.raises(DomainError, match="degree"):
+        check(family, 0.5, K=-1)
+    assert check(family, 0.5, K=0).certified
+
+
+def test_sweep_builds_one_tail_rule_per_literal_row(monkeypatch):
+    rules = _count_calls(monkeypatch, ser, "_sq_tail_rule")
+    report = theorem_sweep("T21", [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
+    literal = [
+        row for row in report.rows if row.n > 1 and row.breakdown.interpretation == INTERP_LITERAL
+    ]
+    assert len(rules) == len(literal) == 300
 
 
 def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
@@ -542,7 +558,7 @@ def _theorem_cases():
 
 
 @pytest.mark.parametrize("tid,n", list(_theorem_cases()))
-def test_scan_and_sweep_rows_equal_evaluate(tid, n, constants):
+def test_scan_and_sweep_rows_equal_evaluate(tid, n):
     # Scans and sweeps evaluate their rows with the grid kernel; every row
     # must be what evaluate returns on the row's own family, exactly.  The
     # grid holds a = 0, an integer 0, -0.0, a near 1 and a repeat.
@@ -550,20 +566,32 @@ def test_scan_and_sweep_rows_equal_evaluate(tid, n, constants):
     grid = [0.3, 0.0, 0.05, 0, 0.3, 0.55, -0.0, 0.6, 0.8, 0.97, 0.999]
     r = td.threshold(n)
     radius = RadiusSpec.diagonal(n, r)
-    spec = preset(td.preset_name, constants).with_interpretation(INTERP_SLICE)
+    spec = preset(td.preset_name).with_interpretation(INTERP_SLICE)
     for epsilon in (0.0, 1e-3, 0.5):
         pert = replace(spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon})
-        report = sharpness_scan(tid, grid, n=n, epsilon=epsilon, constants=constants)
+        report = sharpness_scan(tid, grid, n=n, epsilon=epsilon)
         for row in report.rows:
             family = theorem_family(tid, row.a, n)
             assert row.total == evaluate(spec, family, radius).total
             assert row.perturbed_total == evaluate(pert, family, radius).total
-    rows = theorem_sweep(tid, [n], grid, constants=constants).rows
+    rows = theorem_sweep(tid, [n], grid).rows
     literal_a = [row.a for row in rows if row.breakdown.interpretation == INTERP_LITERAL]
-    assert list(map(repr, literal_a)) == list(map(repr, sorted(grid)))
+    # The grid is read as floats, as a scan reads it: the integer 0 is 0.0.
+    assert list(map(repr, literal_a)) == list(map(repr, sorted(map(float, grid))))
     for row in rows:
         interp_spec = spec.with_interpretation(row.breakdown.interpretation)
         assert row.breakdown == evaluate(interp_spec, theorem_family(tid, row.a, n), radius)
+
+
+def test_sweep_reads_its_grid_as_floats_like_a_scan():
+    grid = [0, "0.5", -0.0]
+    rows = theorem_sweep("C", a_grid=grid).rows
+    assert [repr(row.a) for row in rows] == ["0.0", "-0.0", "0.5"]
+    assert rows == theorem_sweep("C", a_grid=[0.0, 0.5, -0.0]).rows
+    scan = sharpness_scan("B1", grid)
+    assert [repr(row.a) for row in scan.rows] == ["0.0", "-0.0", "0.5"]
+    with pytest.raises(DomainError):
+        theorem_sweep("C", a_grid=["nan"])
 
 
 def test_sweep_b2_margin_shrinks_toward_one():
