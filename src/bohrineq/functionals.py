@@ -23,16 +23,18 @@ give closed forms in (a, sigma), Blaschke products a slice sum to a
 certified degree.  No family functional expands a multi-index series: the
 literal area reweights the slice sum per degree (``literal_area``).
 
-``evaluate`` is its checks (dimension, domain cap), one private core,
+``evaluate`` is its checks (dimension, domain cap) and one private core,
 ``_terms``, which takes the checked radius and its sigma and returns the
-terms and the total, and ``_itemize``, which makes them a ``TermBreakdown``.
+row in ``TermBreakdown`` field order; ``evaluate`` makes that tuple the
+record with ``TermBreakdown._make``, and no row has another layout.
 Moebius-type rows have one kernel, ``_grid_terms``: given the family class,
 n, a grid of parameters a, the checked radius and sigma, it reads the
 class's rules in (a, sigma) for every a, with the spec's head kind,
 weights and flags read once and the literal area's sigma^(2k) and W_k
-built once.  ``_terms`` on a Moebius-type family is that kernel on [a], so
-each Moebius evaluation runs one arithmetic path; sweeps and scans in
-``verify`` call it once per (spec, n, r) and build no family per row.
+built once, and ``closed_form`` computed once per call.  ``_terms`` on a
+Moebius-type family is that kernel on [a], so each Moebius evaluation runs
+one arithmetic path; sweeps and scans in ``verify`` call it once per
+(spec, n, r) and build no family per row.
 Blaschke products, constants and explicit evaluation points take the
 per-family rules.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from . import constants as sharp
 from . import series as ser
@@ -171,8 +173,7 @@ def preset(name: str) -> FunctionalSpec:
 # Term breakdown
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermBreakdown:
+class TermBreakdown(NamedTuple):
     """Itemized functional evaluation.
 
     total = head_value + majorant_tail + area_weight * area_term
@@ -191,6 +192,10 @@ class TermBreakdown:
     certified: bool
     closed_form: bool
     interpretation: str
+
+
+#: One row of the core: the ``TermBreakdown`` fields, in order.
+_Row = tuple[float, float, float, float, float, float, float, bool, bool, str]
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +305,8 @@ def evaluate(
     survive.  An explicit point evaluates |f(point)| exactly instead.
     """
     _check_radius_for(family, radius, family.n)
-    terms = _terms(spec, family, radius, family.sigma(radius.coords), eval_point)
-    return _itemize(spec, terms, _closed_form(spec, family.closed, family.n))
+    sigma = family.sigma(radius.coords)
+    return TermBreakdown._make(_terms(spec, family, radius, sigma, eval_point))
 
 
 def _grid_breakdowns(
@@ -315,9 +320,7 @@ def _grid_breakdowns(
     """``evaluate`` of the family cls(a) in dimension n for every a of
     avals, at a radius checked for that class and n whose argument radius
     is sigma, from one ``_grid_terms`` call."""
-    closed_form = _closed_form(spec, cls.closed, n)
-    rows = _grid_terms(spec, cls, n, avals, radius, sigma)
-    return [_itemize(spec, terms, closed_form) for terms in rows]
+    return list(map(TermBreakdown._make, _grid_terms(spec, cls, n, avals, radius, sigma)))
 
 
 def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
@@ -329,31 +332,17 @@ def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
     return tail_closed and area_closed
 
 
-def _itemize(
-    spec: FunctionalSpec,
-    terms: tuple[float, bool, float, float, float, float, float],
-    closed_form: bool,
-) -> TermBreakdown:
-    """The ``TermBreakdown`` of one row's terms."""
-    head_value, certified, tail_value, area, area_sq, extra, total = terms
-    # Positional, in field order: head, tail, area, area^2 term, extra term,
-    # total, margin, certified, closed_form, interpretation.
-    return TermBreakdown(
-        head_value, tail_value, area, area_sq, extra, total, 1.0 - total,
-        certified, closed_form, spec.area_interpretation,
-    )
-
-
 def _terms(
     spec: FunctionalSpec,
     family: ser.FamilySpec,
     radius: RadiusSpec,
     sigma: float,
     eval_point: tuple[complex, ...] | None = None,
-) -> tuple[float, bool, float, float, float, float, float]:
-    """(head, certified, majorant tail, area, area^2 term, extra term, total)
-    at a checked radius.  A Moebius-type family without an evaluation point
-    is the grid kernel on its one parameter."""
+) -> _Row:
+    """The row (head, majorant tail, area, area^2 term, extra term, total,
+    margin, certified, closed_form, interpretation) at a checked radius.  A
+    Moebius-type family without an evaluation point is the grid kernel on
+    its one parameter."""
     if family.grid_rules and eval_point is None:
         return next(_grid_terms(spec, type(family), family.n, (family.a,), radius, sigma))
     head_value, certified = _head(spec, family, sigma, eval_point)
@@ -364,7 +353,10 @@ def _terms(
     area_sq = spec.area_sq_weight * area * area
     extra = spec.extra_area_weight * area
     total = head_value + tail_value + spec.area_weight * area + area_sq + extra
-    return head_value, certified, tail_value, area, area_sq, extra, total
+    return (
+        head_value, tail_value, area, area_sq, extra, total, 1.0 - total,
+        certified, _closed_form(spec, family.closed, family.n), spec.area_interpretation,
+    )
 
 
 def _grid_terms(
@@ -374,7 +366,7 @@ def _grid_terms(
     avals,
     radius: RadiusSpec,
     sigma: float,
-) -> Iterator[tuple[float, bool, float, float, float, float, float]]:
+) -> Iterator[_Row]:
     """``_terms`` of the Moebius-type family cls(a) in dimension n for every
     a of avals (already inside [0, 1)), at a radius checked for that class
     and n, whose argument radius is sigma.  Each term is one call of the
@@ -382,13 +374,14 @@ def _grid_terms(
     shares sigma^(2k) and W_k across the grid.  Rows are yielded in order:
     a scan that keeps only the totals holds no tuple per row."""
     constant_head, square_head = spec.head == HEAD_CONSTANT, spec.head == HEAD_ABS_SQ
-    with_tail = spec.include_majorant_tail
+    with_tail, interp = spec.include_majorant_tail, spec.area_interpretation
+    closed_form = _closed_form(spec, cls.closed, n)
     weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
     a0_at, sup_at, tail_at, area_at = cls.a0_at, cls.sup_at, cls.majorant_tail_at, cls.area_at
     literal = None
     if not spec.uses_area():
         area_at = None
-    elif spec.area_interpretation != INTERP_SLICE and n != 1:
+    elif interp != INTERP_SLICE and n != 1:
         literal = iter(cls.literal_area_grid(avals, sigma, radius.coords, n))
     for a in avals:
         if constant_head:
@@ -404,8 +397,9 @@ def _grid_terms(
             area = area_at(a, sigma) if area_at is not None else 0.0
         area_sq = sq_weight * area * area
         extra = extra_weight * area
+        total = head + tail + weight * area + area_sq + extra
         # Moebius-type heads are exact closed forms: every row is certified.
-        yield head, True, tail, area, area_sq, extra, head + tail + weight * area + area_sq + extra
+        yield head, tail, area, area_sq, extra, total, 1.0 - total, True, closed_form, interp
 
 
 def _head(

@@ -15,16 +15,18 @@ since neither depends on a, and evaluate the whole sorted a-grid with one
 call of the Moebius-type kernel of ``functionals`` per (spec, n, r): no
 family object is built per row, and scans read only each row's total.
 Lemma checks admit only families bounded by one on the unit polydisk,
-which is the hypothesis the lemmas carry, and a degree K >= 0; without an
-explicit K they take the one ``series.truncation`` picks for their tail.
+which is the hypothesis the lemmas carry, and an integer degree K >= 0;
+without an explicit K they take the one ``series.truncation`` picks for
+their tail.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -39,6 +41,9 @@ TOL_TRUNCATED = 1e-9
 LEMMA_SLACK = 1e-10
 
 _PRESAMPLES = 64
+
+#: The total of a row of the ``functionals`` core, read by position.
+_total_of = operator.itemgetter(fun.TermBreakdown._fields.index("total"))
 
 #: Most points ``grid_values`` builds; the default scan grid has 10^4.
 MAX_GRID_POINTS = 1_000_000
@@ -74,13 +79,20 @@ class LemmaCheck:
 
 def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> None:
     """Admit only families bounded on the unit polydisk, for which q = n so
-    the argument radius sigma equals the diagonal radius, and no negative K."""
+    the argument radius sigma equals the diagonal radius, and only an
+    integer K >= 0."""
     if family.cap < 1.0:
         raise DomainError(
             "family is bounded only on the polydisk of radius 1/n; "
             "the lemma hypothesis needs boundedness on the unit polydisk"
         )
-    if K is not None and K < 0:
+    if K is None:
+        return
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise DomainError(f"truncation degree must be an integer, not {K!r}") from None
+    if K < 0:
         raise DomainError("truncation degree must be >= 0")
 
 
@@ -331,8 +343,7 @@ def violates(breakdown: fun.TermBreakdown, tol: float | None = None) -> bool:
 # Sharpness scan
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     a: float
     total: float
     perturbed_total: float
@@ -387,8 +398,8 @@ def sharpness_scan(
     radius, sigma, cls = _checked_radius(theorem_id, n, r)
 
     def totals(row_spec: fun.FunctionalSpec) -> list[float]:
-        # The total is the last of the terms; no TermBreakdown per row.
-        return [terms[-1] for terms in fun._grid_terms(row_spec, cls, n, grid, radius, sigma)]
+        # Only the total of each row; no TermBreakdown per row.
+        return list(map(_total_of, fun._grid_terms(row_spec, cls, n, grid, radius, sigma)))
 
     base = totals(spec)
     pert = totals(perturbed_spec) if epsilon > 0 else base
@@ -400,7 +411,7 @@ def sharpness_scan(
         n=n,
         bold_r=r,
         epsilon=epsilon,
-        rows=tuple(map(ScanRow, grid, base, pert)),
+        rows=tuple(map(ScanRow._make, zip(grid, base, pert))),
         max_total=max_total,
         argmax_a=argmax_a,
         perturbed_max=perturbed_max,
@@ -413,8 +424,7 @@ def sharpness_scan(
 # Theorem sweep
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     theorem: str
     n: int
     a: float
@@ -448,8 +458,8 @@ def theorem_sweep(
     reported alongside for n >= 2.  A row violates when its literal total
     exceeds 1 by more than ``tol`` (default: the tolerance of its evaluation
     path).  An infinite ``tol`` would pass every row and is refused; a NaN
-    ``tol`` makes every row a violation.  Radii default to the theorem
-    threshold for each n.
+    ``tol`` makes every row a violation.  Radii are read as floats, like the
+    grid, and default to the theorem threshold for each n.
     """
     check_tolerance(tol)
     td = _theorem(theorem_id)
@@ -457,6 +467,7 @@ def theorem_sweep(
     for n in ns:
         _check_n(td, n)
     grid = [float(a) for a in a_grid] if a_grid is not None else grid_values(0.0, 0.99, 0.01)
+    r_floats = [float(r) for r in r_values] if r_values is not None else None
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("sweep grid must lie inside [0, 1)")
     spec = fun.preset(td.preset_name)
@@ -472,7 +483,7 @@ def theorem_sweep(
     for n_run in _runs(ns):
         n = n_run[0]
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
-        radii = r_values if r_values is not None else [td.threshold(n)]
+        radii = r_floats if r_floats is not None else [td.threshold(n)]
         columns = []
         for r_run in _runs(radii):
             checked = [(r, *_checked_radius(theorem_id, n, r)) for r in r_run]
@@ -485,8 +496,9 @@ def theorem_sweep(
             for column in columns:
                 for m in n_run:
                     for i in a_run:
+                        a = a_sorted[i]
                         for r, breakdowns in column:
-                            rows.append(SweepRow(theorem_id, m, a_sorted[i], r, breakdowns[i]))
+                            rows.append(SweepRow._make((theorem_id, m, a, r, breakdowns[i])))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
     violations = tuple(row for row in literal if violates(row.breakdown, tol))
     worst = min(row.breakdown.margin for row in literal) if literal else math.inf

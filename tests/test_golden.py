@@ -4,7 +4,8 @@
 ``tests/golden/<name>`` holds the stdout of that run.  ``library.txt`` holds
 one ``label = repr`` line per library result on a path the CLI never takes
 (vector radii, evaluation points, constants under every preset, lemmas at an
-explicit K, sweeps with repeats, functionals of expanded series); it leaves
+explicit K, sweeps and scans with repeats, radius searches on Moebius-type
+families, functionals of expanded series); it leaves
 out values numpy computes, so it does not depend on the numpy build.  A
 refactor that keeps the reports passes unchanged; a change that alters a
 reported number must regenerate the files and say which value was wrong.
@@ -155,6 +156,28 @@ def _library() -> str:
             add(label, row)
         add(f"{label} worst_margin", report.worst_margin)
         add(f"{label} violations", len(report.violations))
+
+    scan_grid = [0.9, -0.0, 0.3, 0.55, 0.3, 0.0, 0.75]
+    for tid, n in (("C", 1), ("D", 1), ("T21", 2), ("T22", 3)):
+        for epsilon in (0.0, 1e-3):
+            report = ver.sharpness_scan(tid, scan_grid, n=n, epsilon=epsilon)
+            label = f"sharpness_scan {tid} n={n} {scan_grid!r} epsilon={epsilon!r}"
+            for row in report.rows:
+                add(label, row)
+            add(f"{label} bold_r", report.bold_r)
+            add(f"{label} max", (report.max_total, report.argmax_a))
+            add(f"{label} perturbed max", (report.perturbed_max, report.perturbed_argmax))
+            add(f"{label} a_star", report.a_star)
+
+    search_families = [
+        ser.MoebiusDisk(0.5),
+        ser.MoebiusDisk(0.9),
+        ser.ExtremalPolydiskUnit(0.5, 2),
+        ser.ExtremalPolydiskUnit(0.3, 3),
+    ]
+    for family in search_families:
+        for name in ("classic", "thm_c", "thm_d", "thm_e"):
+            add(f"radius_search {name} {family!r}", ver.radius_search(fun.preset(name), family))
 
     series_cases = [
         (ser.MoebiusDisk(0.5), (0.3,)),

@@ -510,9 +510,11 @@ def test_lemma_default_degree_is_the_truncation_degree():
 )
 def test_lemma_refuses_a_negative_degree(check, family):
     # K = -1 would sum no terms and add the tail of a degree below zero,
-    # which reported false violations; K = 0 stays valid.
-    with pytest.raises(DomainError, match="degree"):
-        check(family, 0.5, K=-1)
+    # which reported false violations; a non-integer K is no degree either.
+    # K = 0 stays valid.
+    for K in (-1, 2.5, 3.0, math.nan, math.inf, "3"):
+        with pytest.raises(DomainError, match="degree"):
+            check(family, 0.5, K=K)
     assert check(family, 0.5, K=0).certified
 
 
@@ -525,11 +527,38 @@ def test_sweep_builds_one_tail_rule_per_literal_row(monkeypatch):
     assert len(rules) == len(literal) == 300
 
 
+def _count_builds(monkeypatch, cls):
+    """Count every construction of the named tuple cls: through its
+    constructor, and through ``_make``, which ``_replace`` also calls."""
+    calls = []
+    new, make = cls.__new__, cls._make.__func__
+
+    def counted_new(*args, **kwargs):
+        calls.append(args)
+        return new(*args, **kwargs)
+
+    def counted_make(owner, iterable):
+        calls.append(iterable)
+        return make(owner, iterable)
+
+    monkeypatch.setattr(cls, "__new__", counted_new)
+    monkeypatch.setattr(cls, "_make", classmethod(counted_make))
+    return calls
+
+
+def test_build_counter_sees_every_way_to_build_a_breakdown(monkeypatch):
+    breakdowns = _count_builds(monkeypatch, TermBreakdown)
+    out = evaluate(preset("classic"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 0.3))
+    TermBreakdown(*out)
+    out._replace(total=0.0)
+    assert len(breakdowns) == 3
+
+
 def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
     grid = [(k + 0.5) / 2000 for k in range(2000)]
     checks = _count_calls(monkeypatch, fun, "_check_radius_for")
     sigmas = _count_calls(monkeypatch, ExtremalPolydiskUnit, "sigma")
-    breakdowns = _count_calls(monkeypatch, TermBreakdown, "__init__")
+    breakdowns = _count_builds(monkeypatch, TermBreakdown)
     report = sharpness_scan("T21", grid, n=2, epsilon=1e-3)
     assert len(report.rows) == 2001
     assert (len(checks), len(sigmas), len(breakdowns)) == (1, 1, 0)
@@ -594,6 +623,37 @@ def test_sweep_reads_its_grid_as_floats_like_a_scan():
         theorem_sweep("C", a_grid=["nan"])
 
 
+def test_sweep_reads_its_radii_as_floats():
+    rows = theorem_sweep("classic", a_grid=[0.5], r_values=[0]).rows
+    assert [repr(row.r) for row in rows] == ["0.0"]
+    rows = theorem_sweep("classic", a_grid=[0.5], r_values=["0.3", 0.2]).rows
+    assert [repr(row.r) for row in rows] == ["0.2", "0.3"]
+    assert rows == theorem_sweep("classic", a_grid=[0.5], r_values=[0.3, 0.2]).rows
+    for bad in (math.nan, "nan"):
+        with pytest.raises(DomainError):
+            theorem_sweep("classic", a_grid=[0.5], r_values=[0.2, bad])
+
+
+def test_row_records_are_immutable_hashable_tuples():
+    breakdown = evaluate(preset("thm_c"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 1 / 3))
+    records = [
+        (breakdown, (
+            "head_value", "majorant_tail", "area_term", "area_sq_contribution",
+            "extra_area_contribution", "total", "margin", "certified", "closed_form",
+            "interpretation",
+        )),
+        (theorem_sweep("C", a_grid=[0.5]).rows[0], ("theorem", "n", "a", "r", "breakdown")),
+        (sharpness_scan("C", [0.5]).rows[0], ("a", "total", "perturbed_total")),
+    ]
+    for row, fields in records:
+        assert type(row)._fields == fields
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(row, name, None)
+        assert hash(row) == hash(tuple(row))
+        assert row == tuple(row)
+
+
 def test_sweep_b2_margin_shrinks_toward_one():
     report = theorem_sweep("B2", a_grid=grid_values(0.0, 0.99, 0.01))
     assert not report.violations
@@ -620,7 +680,7 @@ def test_violation_check_fails_closed_on_nan():
     out = evaluate(preset("classic"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 0.3))
     assert not violates(out)
     assert not violates(out, tol=0.0)
-    assert violates(replace(out, total=math.nan))
+    assert violates(out._replace(total=math.nan))
     assert violates(out, tol=math.nan)
 
 
