@@ -24,7 +24,6 @@ from .errors import (
     BohrIneqError,
     BudgetExceededError,
     DomainError,
-    MonotonicityError,
     NonUniqueRootError,
     RootBracketError,
     UnsupportedInterpretationError,

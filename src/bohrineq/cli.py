@@ -4,7 +4,7 @@ Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
 to stdout or --out, byte-stable across runs for identical arguments.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
-64 usage, 65 domain error, 66 monotonicity abort, 67 expansion budget.
+64 usage, 65 domain error, 67 expansion budget.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from . import verify as ver
 from .errors import (
     BudgetExceededError,
     DomainError,
-    MonotonicityError,
     NonUniqueRootError,
     RootBracketError,
     UnsupportedInterpretationError,
@@ -35,7 +34,6 @@ EXIT_VIOLATIONS = 1
 EXIT_RESIDUAL = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
-EXIT_MONOTONICITY = 66
 EXIT_BUDGET = 67
 
 VERIFY_COLUMNS = [
@@ -424,9 +422,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except MonotonicityError as exc:
-        print(f"monotonicity error: {exc}", file=sys.stderr)
-        return EXIT_MONOTONICITY
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,8 +1,7 @@
 """Exception taxonomy shared by all modules.
 
 Each class maps to one CLI exit code, so callers can distinguish a
-mathematical domain violation from a resource limit or a broken
-precondition of a search.
+mathematical domain violation from a resource limit.
 """
 
 
@@ -16,10 +15,6 @@ class DomainError(BohrIneqError, ValueError):
 
 class BudgetExceededError(BohrIneqError, RuntimeError):
     """Requested expansion would materialize more coefficients than allowed."""
-
-
-class MonotonicityError(BohrIneqError, RuntimeError):
-    """Pre-bisection sampling found a non-monotone functional; searching would lie."""
 
 
 class RootBracketError(BohrIneqError, ValueError):

@@ -118,6 +118,11 @@ class FunctionalSpec:
             raise DomainError(f"unknown head {self.head!r}")
         if self.area_interpretation not in (INTERP_LITERAL, INTERP_SLICE):
             raise DomainError(f"unknown interpretation {self.area_interpretation!r}")
+        # Nonnegative weights keep every total nondecreasing in the radius,
+        # which is all a radius search assumes.
+        for name in ("area_weight", "area_sq_weight", "extra_area_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and nonnegative")
 
     def uses_area(self) -> bool:
         return (

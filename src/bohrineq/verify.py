@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import constants as sharp
 from . import functionals as fun
 from . import series as ser
-from .errors import BudgetExceededError, DomainError, MonotonicityError
+from .errors import BudgetExceededError, DomainError
 
 #: Violation tolerances: closed-form evaluations vs truncated-but-certified.
 TOL_CLOSED = 1e-12
@@ -39,8 +39,6 @@ TOL_TRUNCATED = 1e-9
 
 #: Slack for lemma inequality checks.
 LEMMA_SLACK = 1e-10
-
-_PRESAMPLES = 64
 
 #: The total of a row of the ``functionals`` core, read by position.
 _total_of = operator.itemgetter(fun.TermBreakdown._fields.index("total"))
@@ -77,6 +75,13 @@ class LemmaCheck:
     certified: bool
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, not {value!r}") from None
+
+
 def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> None:
     """Admit only families bounded on the unit polydisk, for which q = n so
     the argument radius sigma equals the diagonal radius, and only an
@@ -86,13 +91,7 @@ def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> None:
             "family is bounded only on the polydisk of radius 1/n; "
             "the lemma hypothesis needs boundedness on the unit polydisk"
         )
-    if K is None:
-        return
-    try:
-        K = operator.index(K)
-    except TypeError:
-        raise DomainError(f"truncation degree must be an integer, not {K!r}") from None
-    if K < 0:
+    if K is not None and _integer(K, "truncation degree") < 0:
         raise DomainError("truncation degree must be >= 0")
 
 
@@ -188,12 +187,16 @@ def radius_search(
 ) -> RadiusResult:
     """Largest diagonal bold_r in [0, cap) with functional total <= 1.
 
-    Monotonicity of the total in bold_r is asserted on 64 samples before
-    bisecting; a non-monotone pattern aborts rather than risking a wrong
-    bracket.  When the total never reaches 1 the result is the near-cap
-    radius with binding = False.  Bisection stops at width ``tol``, or
-    earlier when the midpoint no longer splits the bracket: the bracket then
-    holds two adjacent floats.
+    ``FunctionalSpec`` admits only nonnegative weights, so every term, and
+    with them the total, is nondecreasing in bold_r: |a_0| is constant, the
+    supremum of |f| over the torus grows by the maximum principle, and the
+    majorant tail and both readings of the area are power series in bold_r
+    with nonnegative coefficients.  Bisection therefore needs no presamples,
+    and a certified total(lo) <= 1 certifies the whole interval [0, lo].
+    One evaluation near the cap decides whether the total reaches 1; if not,
+    the result is that radius with binding = False.  Bisection stops at
+    width ``tol``, or earlier when the midpoint no longer splits the
+    bracket: the bracket then holds two adjacent floats.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tolerance must be finite and positive")
@@ -203,15 +206,9 @@ def radius_search(
     def total(r: float) -> fun.TermBreakdown:
         return fun.evaluate(spec, family, fun.RadiusSpec.diagonal(family.n, r))
 
-    samples = [total(hi * i / (_PRESAMPLES - 1)) for i in range(_PRESAMPLES)]
-    values = [s.total for s in samples]
-    certified = all(s.certified for s in samples)
-    for prev, nxt in zip(values, values[1:]):
-        if nxt < prev - 1e-12:
-            raise MonotonicityError(
-                f"functional decreases from {prev} to {nxt}; refusing to bisect"
-            )
-    if values[-1] <= 1.0:
+    top = total(hi)
+    certified = top.certified
+    if top.total <= 1.0:
         return RadiusResult(hi, (hi, cap), 0, False, certified)
 
     lo = 0.0
@@ -302,7 +299,7 @@ def _theorem(theorem_id: str) -> TheoremDef:
 
 
 def _check_n(td: TheoremDef, n: int) -> None:
-    if n < 1:
+    if _integer(n, "dimension n") < 1:
         raise DomainError("dimension n must be >= 1")
     if not td.multidimensional and n != 1:
         raise DomainError(f"theorem {td.theorem_id} is single-variable; n must be 1")
@@ -318,6 +315,14 @@ def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, 
     radius = fun.RadiusSpec.diagonal(n, r)
     fun._check_radius_for(family, radius, n)
     return radius, family.sigma(radius.coords), type(family)
+
+
+def _as_floats(values: Iterable) -> list[float]:
+    """Grid points or radii as floats; anything else is a domain error."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"grid points and radii must be real numbers: {exc}") from None
 
 
 def check_tolerance(tol: float | None) -> None:
@@ -381,7 +386,7 @@ def sharpness_scan(
     if not 0 <= epsilon < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
     r = bold_r if bold_r is not None else td.threshold(n)
-    grid = [float(a) for a in a_grid]
+    grid = _as_floats(a_grid)
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("scan grid must lie inside [0, 1)")
     a_star = td.a_star(sharp.sharp_constants()) if td.a_star is not None else None
@@ -466,8 +471,8 @@ def theorem_sweep(
     ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
     for n in ns:
         _check_n(td, n)
-    grid = [float(a) for a in a_grid] if a_grid is not None else grid_values(0.0, 0.99, 0.01)
-    r_floats = [float(r) for r in r_values] if r_values is not None else None
+    grid = _as_floats(a_grid) if a_grid is not None else grid_values(0.0, 0.99, 0.01)
+    r_floats = _as_floats(r_values) if r_values is not None else None
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("sweep grid must lie inside [0, 1)")
     spec = fun.preset(td.preset_name)

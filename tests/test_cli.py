@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from bohrineq import cli
-from bohrineq.errors import BudgetExceededError, MonotonicityError
+from bohrineq.errors import BudgetExceededError
 
 
 def run_cli(capsys, *argv):
@@ -272,16 +273,19 @@ def test_seed_flag_is_gone(capsys):
     assert code == 64
 
 
-def test_monotonicity_exit_code(monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise MonotonicityError("functional decreases")
+def _exit_code_paragraph(text):
+    return text[text.index("Exit codes:"):].split("\n\n")[0]
 
-    monkeypatch.setattr(cli.ver, "radius_search", boom)
-    code, _, err = run_cli(
-        capsys, "radius", "--functional", "classic", "--family", "moebius:0.5",
-    )
-    assert code == 66
-    assert "monotonicity" in err
+
+def test_documented_exit_codes_match_the_constants():
+    # One list in three places: a code dropped from one must go from all.
+    docstring = {int(c) for c in re.findall(r"\b\d+\b", _exit_code_paragraph(cli.__doc__))}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = {
+        int(c) for c in re.findall(r"`(\d+)`", _exit_code_paragraph(readme.read_text()))
+    }
+    constants = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert docstring == documented == constants == {0, 1, 2, 64, 65, 67}
 
 
 def test_budget_exit_code(monkeypatch, capsys):

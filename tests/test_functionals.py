@@ -1,6 +1,8 @@
 """Majorant, area term, composite functionals, and their closed forms."""
 
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -441,12 +443,38 @@ def test_evaluate_domain_checks():
         preset("no_such_preset")
 
 
+@pytest.mark.parametrize("weight", ["area_weight", "area_sq_weight", "extra_area_weight"])
+@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+def test_spec_refuses_negative_or_non_finite_weights(weight, bad):
+    # A negative weight could make a total decrease in the radius.
+    with pytest.raises(DomainError):
+        FunctionalSpec("abs_f", **{weight: bad})
+    with pytest.raises(DomainError):
+        replace(preset("thm_c"), **{weight: bad})
+    assert getattr(FunctionalSpec("abs_f", **{weight: 0.0}), weight) == 0.0
+
+
+def _seeded_blaschke(seed):
+    rng = random.Random(seed)
+    return FiniteBlaschke(tuple(
+        complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)) for _ in range(2)
+    ))
+
+
 def test_total_monotone_in_bold_r():
-    for name in ("classic", "thm_a", "thm_b1", "thm_b2", "thm_c", "thm_d", "thm_e", "thm_2_3"):
-        spec = preset(name)
-        fam = ExtremalPolydiskUnit(0.5, 2)
-        totals = [
-            evaluate(spec, fam, _diag(2, r)).total
-            for r in [0.01 * i for i in range(1, 49)]
-        ]
-        assert all(x <= y + 1e-13 for x, y in zip(totals, totals[1:]))
+    # The theorem radius_search relies on instead of sampling: with
+    # nonnegative weights |a_0|, the torus supremum of |f|, the majorant tail
+    # and both areas never decrease in bold_r, for every family class.  For
+    # n = 1 the two interpretations run the same code, so one is evaluated.
+    families = [
+        MoebiusDisk(0.5), ExtremalPolydiskUnit(0.5, 2), ExtremalPolydiskScaled(0.6, 3),
+        ConstantFn(0.3), _seeded_blaschke(1), _seeded_blaschke(2),
+    ]
+    for family in families:
+        interps = (INTERP_LITERAL, INTERP_SLICE) if family.n > 1 else (INTERP_SLICE,)
+        specs = {preset(name).with_interpretation(i) for name in PRESET_NAMES for i in interps}
+        hi = family.cap * (1.0 - 1e-9)
+        radii = [_diag(family.n, hi * i / 255) for i in range(256)]
+        for spec in specs:
+            totals = [evaluate(spec, family, radius).total for radius in radii]
+            assert all(x <= y for x, y in zip(totals, totals[1:])), (family, spec)

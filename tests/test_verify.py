@@ -7,7 +7,7 @@ import pytest
 
 from bohrineq import functionals as fun
 from bohrineq import series as ser
-from bohrineq.errors import BudgetExceededError, DomainError, MonotonicityError
+from bohrineq.errors import BudgetExceededError, DomainError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
@@ -210,9 +210,13 @@ def test_classic_radius_law():
         assert abs(result.radius - 1.0 / (1.0 + 2.0 * a)) <= 1e-9
 
 
-def test_radius_search_non_binding_constant():
+def test_radius_search_non_binding_constant(monkeypatch):
+    calls = []
+    evaluate_ = fun.evaluate
+    monkeypatch.setattr(fun, "evaluate", lambda *args: calls.append(args) or evaluate_(*args))
     result = radius_search(preset("classic"), ConstantFn(0.3))
     assert not result.binding
+    assert len(calls) == 1  # the total at hi decides; nothing is sampled
     assert result.radius == pytest.approx(1.0, abs=1e-8)
 
 
@@ -253,17 +257,17 @@ def test_radius_search_stops_at_adjacent_floats(monkeypatch, tol):
     lo, hi = result.bracket
     assert hi == math.nextafter(lo, math.inf)
     assert result.binding and lo <= result.radius <= hi
-    assert result.iterations == len(calls) - 64  # after the monotonicity samples
+    assert result.iterations == len(calls) - 1  # after the one evaluation at hi
     spec, family = preset("classic"), MoebiusDisk(0.5)
     assert evaluate_(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
     assert evaluate_(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
 
 
 def test_radius_search_rejects_non_monotone_functional():
-    # A negative area weight bends the total downward after an initial rise.
-    spec = FunctionalSpec("constant_term", extra_area_weight=-5.0)
-    with pytest.raises(MonotonicityError):
-        radius_search(spec, MoebiusDisk(0.8))
+    # A negative area weight bends the total downward after an initial rise;
+    # the spec is refused before any search can assume monotonicity.
+    with pytest.raises(DomainError):
+        radius_search(FunctionalSpec("constant_term", extra_area_weight=-5.0), MoebiusDisk(0.8))
 
 
 def test_thm_e_radius_exceeds_threshold_for_all_a():
@@ -699,6 +703,18 @@ def test_lemma_and_search_reject_non_finite_arguments():
     for tol in (math.inf, -math.inf):
         with pytest.raises(DomainError):
             theorem_sweep("classic", a_grid=[0.5], r_values=[0.9], tol=tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theorem_sweep("C", a_grid=["abc"]),
+    lambda: theorem_sweep("C", a_grid=[0.5], r_values=["abc"]),
+    lambda: sharpness_scan("C", [None]),
+    lambda: theorem_sweep("C", n_list=["x"]),
+    lambda: theorem_sweep("T21", n_list=[2.5], a_grid=[0.5]),
+], ids=["sweep-grid", "sweep-radius", "scan-grid", "sweep-n-str", "sweep-n-float"])
+def test_sweep_and_scan_refuse_non_numeric_input(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_registry_thresholds():
