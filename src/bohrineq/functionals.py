@@ -121,8 +121,12 @@ class FunctionalSpec:
         # Nonnegative weights keep every total nondecreasing in the radius,
         # which is all a radius search assumes.
         for name in ("area_weight", "area_sq_weight", "extra_area_weight"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and nonnegative")
+            try:
+                valid = 0.0 <= getattr(self, name) < math.inf
+            except TypeError:  # not a real number
+                valid = False
+            if not valid:
+                raise DomainError(f"{name} must be a finite, nonnegative real number")
 
     def uses_area(self) -> bool:
         return (
@@ -413,8 +417,10 @@ def _head(
     sigma: float,
     eval_point: tuple[complex, ...] | None,
 ) -> tuple[float, bool]:
-    """(head value, certified); the boundary sup of |f| is exact except for
-    Blaschke products, whose sampled sup is a lower estimate."""
+    """(head value, certified).  The boundary sup of |f| is a closed form
+    for Moebius-type families and constants, and for a Blaschke product the
+    upper end of a certified enclosure of max |B| on |z| = sigma, so every
+    head is certified."""
     if spec.head == HEAD_CONSTANT:
         return abs(family.a0), True
     if eval_point is not None:

@@ -32,25 +32,28 @@ Their coefficientwise agreement is a standing test obligation.
 
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
 demand (lookups and ``len`` read the slice, ``degree_slice`` builds one
-degree, full iteration builds the map once), and its torus check sums
-b_k s^k at each sample point, O(points * K).  The coefficient budget is
-checked where a whole map is built: by ``oracle_expand`` up front, and by a
-slice-backed map when it is first iterated.  Blaschke slices take one O(K)
-recurrence per zero and are cached per (zeros, K): a radius search reads
-the same product at every bisection step.
+degree, full iteration builds the map once), and its torus check samples
+sum_k b_k s^k on the circle |s| = n r only, which holds the torus supremum
+by the maximum principle.  The coefficient budget is checked where a whole
+map is built: by ``oracle_expand`` up front, and by a slice-backed map when
+it is first iterated.  Blaschke slices take one O(K) recurrence per zero
+and are cached per (zeros, K): a radius search reads the same product at
+every bisection step.  The supremum of |B| on a circle is a certified
+enclosure (``_blaschke_sup``), cached per (zeros, sigma).
+
+The module is pure Python: it needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from itertools import repeat
+from itertools import product, repeat
 from typing import Callable, Iterator, Union
-
-import numpy as np
 
 from .errors import BudgetExceededError, DomainError
 
@@ -65,9 +68,6 @@ MAX_TRUNCATION = 200
 
 #: Slack allowed on the boundedness check of the distinguished boundary.
 TORUS_SLACK = 1e-9
-
-#: Boundary samples behind the (uncertified) Blaschke supremum of |f|.
-BLASCHKE_SUP_SAMPLES = 4096
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +359,9 @@ class FiniteBlaschke(_Family):
     """Product of disk automorphism factors (w_j - z)/(1 - conj(w_j) z), n = 1.
 
     ``slice(K)`` costs O(mK) for m zeros, one recurrence per zero, and is
-    cached per (zeros, K), since a radius search re-reads it at every step."""
+    cached per (zeros, K), since a radius search re-reads it at every step;
+    ``boundary_sup`` is the certified enclosure ``_blaschke_sup``, cached
+    per (zeros, sigma), which every |f| head of one radius shares."""
 
     zeros: tuple[complex, ...]
     n = 1
@@ -400,13 +402,10 @@ class FiniteBlaschke(_Family):
         return t ** (K + 1) / (1.0 - t)
 
     def boundary_sup(self, sigma: float) -> tuple[float, bool]:
-        # Sampled sup: a lower estimate of the true boundary supremum.
-        theta = 2.0 * np.pi * np.arange(BLASCHKE_SUP_SAMPLES) / BLASCHKE_SUP_SAMPLES
-        z = sigma * np.exp(1j * theta)
-        vals = np.ones_like(z)
-        for w in self.zeros:
-            vals = vals * (w - z) / (1.0 - np.conjugate(w) * z)
-        return float(np.max(np.abs(vals))), False
+        # A certified upper end of max |B| on |z| = sigma, cached like the slice.
+        if not 0.0 <= sigma < 1.0:
+            raise DomainError("Blaschke supremum needs a radius in [0, 1)")
+        return _blaschke_sup(self.zeros, repr(self.zeros), sigma), True
 
     def rational_form(self) -> tuple[dict, dict]:
         num: dict[tuple[int, ...], complex] = {(0,): 1.0 + 0j}
@@ -766,6 +765,191 @@ def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[compl
     return tuple(b)
 
 
+# --------------------------------------------------------------------------
+# Circle maximum of a Blaschke product
+# --------------------------------------------------------------------------
+
+#: One ulp of 1.0; every float bound below is widened by multiples of it.
+_ULP = 2.0**-52
+#: The float just above 2 pi, so that the arcs cover the whole circle.
+_TWO_PI_UP = math.nextafter(2.0 * math.pi, math.inf)
+#: Arcs the circle is first cut into, and the most halvings of one arc
+#: before it takes its chord bound.
+_SUP_ARCS = 8
+_SUP_DEPTH = 30
+
+
+@lru_cache(maxsize=256)
+def _blaschke_sup(zeros: tuple[complex, ...], key: str, sigma: float) -> float:
+    """Certified upper end of max_theta |B(sigma e^(i theta))|, at most 1,
+    cached per (zeros, sigma); ``key`` is repr(zeros), as for the slice.
+
+    On the circle F = |B|^2 = prod_j (A_j - x_j)/(B_j - x_j), with
+    x_j = 2 sigma Re(conj(w_j) e^(i theta)), A_j = |w_j|^2 + sigma^2 and
+    B_j = 1 + |w_j|^2 sigma^2 = A_j + D_j, D_j = (1 - |w_j|^2)(1 - sigma^2).
+    The circle is cut into arcs; each arc [a, b] of width w is bounded by
+
+    1. the chord bound max(F(a), F(b)) + K2 w^2/8, K2 >= |F''|, once that
+       cannot beat the largest F seen;
+    2. else enclosures of F, G = (log F)' and G' = (log F)'' on the arc,
+       from Taylor enclosures of x_j and x_j' at its midpoint: an arc with
+       F below the largest value seen, or monotone (G of one sign), or
+       log-convex (G' >= 0), is bounded by its endpoints;
+    3. a log-concave arc (G' <= -mu < 0) by Newton on G to a point t and
+       F <= F(t) exp(G(t)^2 / mu);
+    4. any other arc is halved, and at depth ``_SUP_DEPTH`` takes its chord
+       bound, so the search always ends with a valid bound.
+
+    Rounding is accounted for: each F value moves x_j, A_j and B_j by their
+    rounding bounds in the unfavourable direction and the product up by
+    (6m + 4) ulp, the interval sums widen by (16 + 2m) ulp of their absolute
+    size, and the square root rounds up.  Three zeros at sigma = 0.8 take
+    about 12 values of F, 13 arc enclosures and 10 Newton steps.
+    """
+    m = len(zeros)
+    ss = sigma * sigma
+    rows = []
+    first = second = 0.0
+    for w in zeros:
+        u, v = w.real, w.imag
+        mod2 = u * u + v * v
+        # |x_j|, |x_j'| <= amp, and dx bounds the rounding of x_j.
+        amp = 2.0 * sigma * math.sqrt(mod2) * (1.0 + 4.0 * _ULP)
+        dx = 8.0 * _ULP * sigma * (abs(u) + abs(v))
+        A, B, D = mod2 + ss, 1.0 + mod2 * ss, (1.0 - mod2) * (1.0 - ss)
+        rows.append((2.0 * sigma * u, 2.0 * sigma * v, A, B, D, amp, dx,
+                     dx + 2.0 * _ULP * A, dx + 2.0 * _ULP * B))
+        # Factor f = (A - x)/(B - x): |f'| <= D amp / gap^2 = s and
+        # |f''| <= s (1 + 2 amp / gap) in theta, where B - x >= gap.
+        gap = B - amp
+        s = D * amp / (gap * gap)
+        first += s
+        second += s + 2.0 * s * amp / gap
+    curvature = (second + first * first) * (1.0 + 1e-10)
+    widen = 1.0 + (6 * m + 4) * _ULP
+    slack = (16 + 2 * m) * _ULP
+
+    def value(t: float) -> float:
+        co, si = math.cos(t), math.sin(t)
+        f = widen
+        for pu, pv, A, B, D, amp, dx, nA, nB in rows:
+            x = pu * co + pv * si
+            f *= (A - x + nA) / (B - x - nB)
+        return f
+
+    def newton_step(t: float) -> float:
+        co, si = math.cos(t), math.sin(t)
+        g = dg = 0.0
+        for pu, pv, A, B, D, amp, dx, nA, nB in rows:
+            x = pu * co + pv * si
+            p = pv * co - pu * si
+            a, b = A - x, B - x
+            q = D / (a * b)
+            g -= q * p
+            dg += q * (x - p * p * (1.0 / a + 1.0 / b))
+        return g / dg
+
+    def enclose(t: float, h: float):
+        """(upper F, G lo, G hi, G' lo, G' hi) on [t - h, t + h], or None
+        where a factor may vanish.  With q = D/((A - x)(B - x)),
+        G = -sum q x' and G' = sum q (x - x'^2 (1/(A - x) + 1/(B - x)))."""
+        co, si = math.cos(t), math.sin(t)
+        fup = widen
+        glo = ghi = dlo = dhi = gmag = dmag = 0.0
+        curve = 0.5 * h * h
+        for pu, pv, A, B, D, amp, dx, nA, nB in rows:
+            x = pu * co + pv * si
+            p = pv * co - pu * si  # x'; and x'' = -x
+            # On the arc x moves by at most |x'| h + amp h^2/2, x' likewise;
+            # 4 dx also covers the rounding of these moves.
+            reach = amp * curve + 4.0 * dx
+            ex = (p if p >= 0.0 else -p) * h + reach
+            ep = (x if x >= 0.0 else -x) * h + reach
+            xl, xh, pl, ph = x - ex, x + ex, p - ep, p + ep
+            if xl < -amp:
+                xl = -amp
+            if xh > amp:
+                xh = amp
+            if pl < -amp:
+                pl = -amp
+            if ph > amp:
+                ph = amp
+            al = A - xh - nA + dx
+            if not al > 0.0:
+                return None
+            bl, ah, bh = B - xh - nB + dx, A - xl + nA - dx, B - xl + nB - dx
+            fup *= ah / (B - xl - nB + dx)
+            qh, ql = D / (al * bl), D / (ah * bh)
+            if pl >= 0.0:
+                glo, ghi, pm, p2l = glo - ph * qh, ghi - pl * ql, ph, pl * pl
+            elif ph <= 0.0:
+                glo, ghi, pm, p2l = glo - ph * ql, ghi - pl * qh, -pl, ph * ph
+            else:
+                glo, ghi, pm, p2l = glo - ph * qh, ghi - pl * qh, (ph if ph >= -pl else -pl), 0.0
+            if xl >= 0.0:
+                xql, xqh, xm = xl * ql, xh * qh, xh
+            elif xh <= 0.0:
+                xql, xqh, xm = xl * qh, xh * ql, -xl
+            else:
+                xql, xqh, xm = xl * qh, xh * qh, (xh if xh >= -xl else -xl)
+            bend = pm * pm * qh * (1.0 / al + 1.0 / bl)
+            dlo += xql - bend
+            dhi += xqh - p2l * ql * (1.0 / ah + 1.0 / bh)
+            gmag += pm * qh
+            dmag += xm * qh + bend
+        return fup, glo - slack * gmag, ghi + slack * gmag, dlo - slack * dmag, dhi + slack * dmag
+
+    ts = [_TWO_PI_UP * i / _SUP_ARCS for i in range(_SUP_ARCS)] + [_TWO_PI_UP]
+    fs = [value(t) for t in ts]
+    best = max(fs)
+    # Depth first, the half with the larger end on top, so best rises early.
+    arcs = sorted(
+        ((ts[i], ts[i + 1], fs[i], fs[i + 1], 0) for i in range(_SUP_ARCS)),
+        key=lambda arc: max(arc[2], arc[3]),
+    )
+    upper = 0.0
+    while arcs:
+        a, b, fa, fb, depth = arcs.pop()
+        top = fa if fa >= fb else fb
+        w = (b - a) * (1.0 + 2.0 * _ULP)
+        bound = top + curvature * w * w * 0.125
+        if bound > best and depth < _SUP_DEPTH:
+            mid = 0.5 * (a + b)
+            arc = enclose(mid, (b - mid if b - mid >= mid - a else mid - a) * (1.0 + 2.0 * _ULP))
+            bound = None
+            if arc is not None:
+                fup, glo, ghi, dlo, dhi = arc
+                if fup <= best:
+                    bound = fup
+                elif glo >= 0.0 or ghi <= 0.0 or dlo >= 0.0:
+                    bound = top
+                elif dhi < 0.0:
+                    t = mid
+                    for _ in range(16):
+                        step = newton_step(t)
+                        t = min(max(t - step, a), b)
+                        if abs(step) <= 1e-7:
+                            break
+                    point = enclose(t, 0.0)
+                    if point is not None:
+                        growth = max(-point[1], point[2]) ** 2 / -dhi
+                        if growth <= _ULP:
+                            ft = value(t)
+                            best = max(best, ft)
+                            bound = ft * math.exp(growth) * (1.0 + 4.0 * _ULP)
+            if bound is None:
+                fm = value(mid)
+                best = max(best, fm)
+                if fa > fb:
+                    arcs += [(mid, b, fm, fb, depth + 1), (a, mid, fa, fm, depth + 1)]
+                else:
+                    arcs += [(a, mid, fa, fm, depth + 1), (mid, b, fm, fb, depth + 1)]
+                continue
+        upper = max(upper, bound)
+    root = math.sqrt(upper)
+    return min(1.0, math.nextafter(root, math.inf) if root else 0.0)
+
+
 def _check_budget(count: int) -> None:
     if count > DEFAULT_COEFF_BUDGET:
         raise BudgetExceededError(
@@ -857,7 +1041,10 @@ def _fsum_complex(values: list[complex]) -> complex:
 
 @dataclass(frozen=True)
 class TorusBoundReport:
-    """Result of sampling |truncated series| on the torus {|z_i| = r}."""
+    """Result of sampling |truncated series| on the torus {|z_i| = r}: the
+    largest sampled modulus, the sample point where it was found (a tuple
+    of Python complex numbers), the tail certificate when the series
+    carries one, and the verdict."""
 
     sup_modulus: float
     witness: tuple[complex, ...]
@@ -871,14 +1058,18 @@ def torus_bound_check(
     radius_cap: float,
     samples_per_axis: int = 16,
 ) -> TorusBoundReport:
-    """Maximum of the truncated series modulus over the sampled torus
+    """Largest sampled modulus of the truncated series on the torus
     {|z_i| = radius_cap}, plus the tail certificate when one exists.
 
-    ``ok`` is set only on certified reports with sup + tail <= 1 + 1e-9;
-    a series without a tail certificate is never silently certified.  A
-    slice-backed series is summed as sum_k b_k s^k, O(points * K); a
-    dictionary series monomial by monomial.  A non-finite radius, or a
-    sample count that is not an integer >= 8, is refused.
+    A slice-backed series is g(s) with s = z_1 + ... + z_n, and s fills the
+    disk |s| <= n r on the torus, so by the maximum principle the torus
+    supremum lies on the circle |s| = n r: that circle is sampled at
+    n * samples_per_axis aligned points z_1 = ... = z_n, by Horner in s,
+    O(n m K).  A dictionary series is sampled on the grid of
+    samples_per_axis^n points, summed one axis at a time.  ``ok`` is set
+    only on certified reports with sup + tail <= 1 + 1e-9; a series without
+    a tail certificate is never silently certified.  A non-finite radius,
+    or a sample count that is not an integer >= 8, is refused.
     """
     if not (isinstance(samples_per_axis, numbers.Integral) and samples_per_axis >= 8):
         raise DomainError("samples per axis must be an integer >= 8")
@@ -886,50 +1077,61 @@ def torus_bound_check(
         raise DomainError("radius must be finite and nonnegative")
     if series.source is not None and radius_cap > domain_radius_cap(series.source):
         raise DomainError("radius exceeds the domain cap of the generating family")
-    values, points = _torus_values(series, radius_cap, samples_per_axis)
-    arg = int(np.argmax(np.abs(values)))
-    sup = float(abs(values[arg]))
+    samples = _torus_samples(series, radius_cap, samples_per_axis)
+    # The first largest modulus, as a scan in sample order finds it.
+    sup, witness = max(samples, key=lambda sample: sample[0])
     tail = series.majorant_tail_bound(radius_cap)
     certified = tail is not None
     ok = certified and sup + tail <= 1.0 + TORUS_SLACK
     return TorusBoundReport(
-        sup_modulus=sup,
-        witness=tuple(points[arg]),
-        tail_bound=tail,
-        certified=certified,
-        ok=ok,
+        sup_modulus=sup, witness=witness, tail_bound=tail, certified=certified, ok=ok
     )
 
 
-def _torus_values(
+def _torus_samples(
     series: CoefficientSeries, radius: float, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[tuple[float, tuple[complex, ...]]]:
+    """(|value|, point) at each sample point of ``torus_bound_check``."""
     n = series.n
-    theta = 2.0 * np.pi * np.arange(m) / m
-    axis = radius * np.exp(1j * theta)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)  # (P, n)
     b = series.slice
     if b is not None:
-        # Horner in s = z_1 + ... + z_n: O(points * K), no multi-index.
-        s = points.sum(axis=1)
-        total = np.full(points.shape[0], b[-1], dtype=complex)
-        for bk in reversed(b[:-1]):
-            total = total * s + bk
-        return total, points
-    items = series.sorted_items()
-    if not items:
-        return np.zeros(points.shape[0], dtype=complex), points
-    K = series.truncation
-    powers = [np.power.outer(points[:, i], np.arange(K + 1)) for i in range(n)]
-    exps = np.array([idx.exponents for idx, _ in items], dtype=int)
-    vals = np.array([c for _, c in items], dtype=complex)
-    total = np.zeros(points.shape[0], dtype=complex)
-    block = 256
-    for start in range(0, len(items), block):
-        stop = min(start + block, len(items))
-        term = vals[start:stop, None] * powers[0][:, exps[start:stop, 0]].T
-        for i in range(1, n):
-            term = term * powers[i][:, exps[start:stop, i]].T
-        total += term.sum(axis=0)
-    return total, points
+        circle = _circle(radius, n * m)
+        points = [(z,) * n for z in circle]
+        values = []
+        for z in circle:
+            # Horner in s = z_1 + ... + z_n = n z: O(K), no multi-index.
+            s, total = n * z, b[-1]
+            for bk in reversed(b[:-1]):
+                total = total * s + bk
+            values.append(total)
+    else:
+        axis = _circle(radius, m)
+        points = list(product(axis, repeat=n))
+        values = _grid_sum(series, axis)
+    return [(abs(v), point) for v, point in zip(values, points)]
+
+
+def _circle(radius: float, count: int) -> list[complex]:
+    return [radius * cmath.exp(2j * math.pi * k / count) for k in range(count)]
+
+
+def _grid_sum(series: CoefficientSeries, axis: list[complex]) -> list[complex]:
+    """sum_alpha c_alpha z^alpha at every point of axis^n, in the order of
+    itertools.product.  Each pass folds the last exponent of every key into
+    a block of values over one more axis, O(len(coeffs) * m) per pass."""
+    m = len(axis)
+    powers = [[1 + 0j] * m]
+    for _ in range(series.truncation):
+        powers.append([p * z for p, z in zip(powers[-1], axis)])
+    level = {idx.exponents: [c] for idx, c in series.sorted_items()}
+    for _ in range(series.n):
+        folded: dict[tuple[int, ...], list[complex]] = {}
+        for exps, block in level.items():
+            size = len(block)
+            acc = folded.setdefault(exps[:-1], [0j] * (m * size))
+            for i, p in enumerate(powers[exps[-1]]):
+                acc[i * size:(i + 1) * size] = [
+                    a + v * p for a, v in zip(acc[i * size:(i + 1) * size], block)
+                ]
+        level = folded
+    return level.get((), [0j] * m**series.n)

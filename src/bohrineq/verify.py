@@ -385,7 +385,7 @@ def sharpness_scan(
     _check_n(td, n)
     if not 0 <= epsilon < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
-    r = bold_r if bold_r is not None else td.threshold(n)
+    r = _as_floats([bold_r])[0] if bold_r is not None else td.threshold(n)
     grid = _as_floats(a_grid)
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("scan grid must lie inside [0, 1)")
@@ -468,7 +468,10 @@ def theorem_sweep(
     """
     check_tolerance(tol)
     td = _theorem(theorem_id)
-    ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
+    try:
+        ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
+    except TypeError:
+        raise DomainError(f"n_list must be a sequence of dimensions, not {n_list!r}") from None
     for n in ns:
         _check_n(td, n)
     grid = _as_floats(a_grid) if a_grid is not None else grid_values(0.0, 0.99, 0.01)

@@ -52,6 +52,7 @@ from bohrineq.verify import (
     radius_search,
     theorem_sweep,
 )
+from grids import linspace
 
 SQRT5 = math.sqrt(5.0)
 
@@ -149,16 +150,14 @@ def test_criterion_6_proof_polynomials(constants):
             lam = rng.uniform(0.0, 50.0)
             assert phi1(1.0, lam) == 4096.0
             assert phi2(1.0, lam) == 1920.0
-        import numpy as np
-
-        for s in np.linspace(0.01, 0.998, 101):
+        for s in linspace(0.01, 0.998, 101):
             lhs1, rhs1 = phi1(s, lambda1_of(s)), phi1_factored(s)
             assert abs(lhs1 - rhs1) <= 1e-8 * max(1.0, abs(rhs1))
             lhs2, rhs2 = phi2(s, lambda2_of(s)), phi2_factored(s)
             assert abs(lhs2 - rhs2) <= 1e-8 * max(1.0, abs(rhs2))
         assert case2_bound_constant_head(1 / 3, constants.lambda1) <= 0.98
         assert case2_bound_squared_head(1 / 3, constants.lambda2) <= 0.987
-        for a in np.linspace(0.0, 1.0, 1001):
+        for a in linspace(0.0, 1.0, 1001):
             assert big_f(a) <= 0.0
 
 

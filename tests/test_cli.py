@@ -111,6 +111,31 @@ def test_verify_sweep_at_large_dimension_exits_cleanly():
     assert all(row["n"] == "1200" and row["certified"] == "true" for row in rows)
 
 
+@pytest.mark.parametrize("blocked", [True, False], ids=["numpy-blocked", "numpy-importable"])
+def test_package_and_cli_need_no_numpy(blocked):
+    # With numpy blocked, any import of it would raise ImportError; without
+    # the block, nothing may import it either.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = (
+        "import sys\n"
+        + ("sys.modules['numpy'] = None\n" if blocked else "")
+        + "import bohrineq\n"
+        "from bohrineq.cli import main\n"
+        "code = main(['verify', '--theorem', 'E', '--family', 'blaschke:0.3,-0.5'])\n"
+        "loaded = [m for m in sys.modules if m.partition('.')[0] == 'numpy'\n"
+        "          and sys.modules[m] is not None]\n"
+        "print(code, loaded, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split("\n")[-2] == f"0 [] {blocked}"
+    assert parse_csv(proc.stdout)[0]["certified"] == "true"
+
+
 def test_verify_output_byte_stable(tmp_path, capsys):
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for path in paths:

@@ -4,7 +4,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from bohrineq.constants import (
@@ -29,9 +28,10 @@ from bohrineq.constants import (
     _sturm_root_count,
 )
 from bohrineq.errors import DomainError, NonUniqueRootError, RootBracketError
+from grids import linspace
 
 # 101 points of (0, 1), asymmetric so the grid avoids the poles 1/2 and 3/5.
-FACTOR_GRID = np.linspace(0.01, 0.998, 101)
+FACTOR_GRID = linspace(0.01, 0.998, 101)
 
 
 def test_psi_endpoint_values():
@@ -142,13 +142,13 @@ def test_phi2_factorization_identity():
 
 
 def test_phi_nonnegative_on_upper_interval(constants):
-    for s in np.linspace(1 / 3, 1.0, 1001):
+    for s in linspace(1 / 3, 1.0, 1001):
         assert phi1(s, constants.lambda1) >= -1e-9
         assert phi2(s, constants.lambda2) >= -1e-9
 
 
 def test_case2_bounds(constants):
-    grid = np.linspace(0.0, 1 / 3, 10_001)
+    grid = linspace(0.0, 1 / 3, 10_001)
     psi1_vals = [case2_bound_constant_head(a, constants.lambda1) for a in grid]
     psi2_vals = [case2_bound_squared_head(a, constants.lambda2) for a in grid]
     assert all(x < y for x, y in zip(psi1_vals, psi1_vals[1:]))
@@ -158,7 +158,7 @@ def test_case2_bounds(constants):
 
 
 def test_big_f_nonpositive():
-    for a in np.linspace(0.0, 1.0, 1001):
+    for a in linspace(0.0, 1.0, 1001):
         assert big_f(a) <= 0.0
     assert big_f(1.0) == 0.0
 

@@ -426,12 +426,14 @@ def test_explicit_eval_point_uses_exact_value():
     assert at_point < sup
 
 
-def test_blaschke_head_is_uncertified():
+def test_blaschke_head_is_certified():
+    # Both factors peak on |z| = 0.2 at z = -0.2, so max |B| is their product.
     out = evaluate(
-        FunctionalSpec("abs_f"), FiniteBlaschke((0.5, -0.3)), _diag(1, 0.2)
+        FunctionalSpec("abs_f"), FiniteBlaschke((0.5, 0.3)), _diag(1, 0.2)
     )
-    assert not out.certified
-    assert out.total > 0
+    assert out.certified
+    exact = (0.7 / 1.1) * (0.5 / 1.06)
+    assert exact <= out.head_value <= exact * (1.0 + 1e-14)
 
 
 def test_evaluate_domain_checks():
@@ -444,7 +446,7 @@ def test_evaluate_domain_checks():
 
 
 @pytest.mark.parametrize("weight", ["area_weight", "area_sq_weight", "extra_area_weight"])
-@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf, "x", None, 1j])
 def test_spec_refuses_negative_or_non_finite_weights(weight, bad):
     # A negative weight could make a total decrease in the radius.
     with pytest.raises(DomainError):

@@ -4,9 +4,10 @@
 ``tests/golden/<name>`` holds the stdout of that run.  ``library.txt`` holds
 one ``label = repr`` line per library result on a path the CLI never takes
 (vector radii, evaluation points, constants under every preset, lemmas at an
-explicit K, sweeps and scans with repeats, radius searches on Moebius-type
-families, functionals of expanded series); it leaves
-out values numpy computes, so it does not depend on the numpy build.  A
+explicit K, sweeps and scans with repeats, radius searches, Blaschke
+products under every preset, functionals of expanded series).  The package
+is pure Python and its summation orders are fixed, so every line, the
+certified Blaschke suprema included, is deterministic.  A
 refactor that keeps the reports passes unchanged; a change that alters a
 reported number must regenerate the files and say which value was wrong.
 Regenerate with
@@ -87,7 +88,7 @@ def test_golden_report(name, argv):
 
 
 def _library() -> str:
-    """The text of ``library.txt``: float inputs only, no numpy-computed value."""
+    """The text of ``library.txt``: float inputs only."""
     lines = []
 
     def add(label, value):
@@ -177,6 +178,21 @@ def _library() -> str:
     ]
     for family in search_families:
         for name in ("classic", "thm_c", "thm_d", "thm_e"):
+            add(f"radius_search {name} {family!r}", ver.radius_search(fun.preset(name), family))
+
+    blaschke_families = [
+        ser.FiniteBlaschke((0.5, -0.3 + 0.2j, 0.1j)),
+        ser.FiniteBlaschke((0.3, -0.5)),
+        ser.FiniteBlaschke((0.9,)),
+        ser.FiniteBlaschke((0.0, 0.6j)),
+    ]
+    for family in blaschke_families:
+        for r in (0.0, 0.2, 0.5, 0.8):
+            for name in fun.PRESET_NAMES:
+                out = fun.evaluate(fun.preset(name), family, fun.RadiusSpec.diagonal(1, r))
+                add(f"evaluate {name} {family!r} {r!r}", out)
+    for family in blaschke_families[:2]:
+        for name in ("classic", "thm_b1", "thm_b2", "thm_d", "thm_e", "thm_2_3"):
             add(f"radius_search {name} {family!r}", ver.radius_search(fun.preset(name), family))
 
     series_cases = [

@@ -1,5 +1,6 @@
 """Series core: expansions, the brute-force oracle, tails, torus checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -311,13 +312,38 @@ def test_slice_torus_matches_dictionary_torus(family):
     series = expand(family, default_truncation(family, cap))
     eager = _eager_expand(family, series.truncation)
     m = 16 if family.n < 3 else 8
+    # The slice series samples the circle |s| = n r at n m aligned points,
+    # the dictionary series the m^n grid, whose aligned points are among
+    # them; every family here peaks at such a point (s = -n r, or any point
+    # when |g| is constant on the circle), so the two maxima agree.
     fast, slow = torus_bound_check(series, cap, m), torus_bound_check(eager, cap, m)
     assert fast.sup_modulus == pytest.approx(slow.sup_modulus, abs=1e-12)
     assert (fast.tail_bound, fast.certified, fast.ok) == (slow.tail_bound, slow.certified, slow.ok)
-    values, points = ser._torus_values(series, cap, m)
-    slow_values, slow_points = ser._torus_values(eager, cap, m)
-    assert (points == slow_points).all()
-    assert abs(values - slow_values).max() <= 1e-12
+    for report in (fast, slow):
+        assert len(report.witness) == family.n
+        assert all(type(z) is complex and abs(abs(z) - cap) <= 1e-15 for z in report.witness)
+    assert len(set(fast.witness)) == 1
+    value = ser.family_value(family, fast.witness) if family.cap > cap else None
+    if value is not None:
+        assert abs(value) == pytest.approx(fast.sup_modulus, abs=1e-12)
+
+
+def test_dictionary_torus_sums_the_grid_in_product_order():
+    coeffs = {(0, 0, 0): 0.25, (1, 0, 0): 0.5j, (0, 2, 1): -0.125, (1, 1, 2): 0.3 - 0.1j}
+    series = CoefficientSeries(3, 4, {MultiIndex(e): complex(c) for e, c in coeffs.items()})
+    axis = ser._circle(0.7, 8)
+    values = ser._grid_sum(series, axis)
+    points = list(itertools.product(axis, repeat=3))
+    assert len(values) == len(points) == 512
+    for value, z in zip(values, points):
+        direct = sum(c * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2] for e, c in coeffs.items())
+        assert abs(value - direct) <= 1e-15
+    # |z_1 - z_2| peaks first at z_1 = 0.5, z_2 = -0.5: the witness is that point.
+    pair = CoefficientSeries(2, 1, {MultiIndex((1, 0)): 1 + 0j, MultiIndex((0, 1)): -1 + 0j})
+    report = torus_bound_check(pair, 0.5, samples_per_axis=8)
+    assert report.witness == (ser._circle(0.5, 8)[0], ser._circle(0.5, 8)[4])
+    assert report.sup_modulus == pytest.approx(1.0, abs=1e-15)
+    assert not report.certified and not report.ok
 
 
 def test_expanded_torus_at_cap_builds_no_multi_index(monkeypatch):

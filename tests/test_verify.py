@@ -711,10 +711,21 @@ def test_lemma_and_search_reject_non_finite_arguments():
     lambda: sharpness_scan("C", [None]),
     lambda: theorem_sweep("C", n_list=["x"]),
     lambda: theorem_sweep("T21", n_list=[2.5], a_grid=[0.5]),
-], ids=["sweep-grid", "sweep-radius", "scan-grid", "sweep-n-str", "sweep-n-float"])
+    lambda: sharpness_scan("C", [0.5], bold_r="abc"),
+    lambda: theorem_sweep("C", n_list=3),
+], ids=[
+    "sweep-grid", "sweep-radius", "scan-grid", "sweep-n-str", "sweep-n-float",
+    "scan-bold-r", "sweep-n-not-a-list",
+])
 def test_sweep_and_scan_refuse_non_numeric_input(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_scan_reads_its_radius_as_a_float():
+    report = sharpness_scan("classic", [0.5], bold_r=0)
+    assert type(report.bold_r) is float and report.bold_r == 0.0
+    assert report == sharpness_scan("classic", [0.5], bold_r=0.0)
 
 
 def test_registry_thresholds():
