@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from . import constants as sharp
@@ -327,7 +326,7 @@ def cmd_lemma(ns: argparse.Namespace) -> int:
     checks = {"a": ver.lemma1a_check, "b": ver.lemma1b_check, "c": ver.lemma1c_check}
     check = checks[ns.part](family, r)
     if ns.tol is not None:
-        check = replace(check, ok=check.lhs <= check.rhs + ns.tol)
+        check = check._replace(ok=check.lhs <= check.rhs + ns.tol)
     row = {
         "part": ns.part,
         "family": ns.family,

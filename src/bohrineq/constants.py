@@ -21,11 +21,12 @@ the printed six-figure reference values are used only for residual checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, NonUniqueRootError, RootBracketError
+from .series import _integer
 
 RADIUS_CLASSIC = 1.0 / 3.0
 RADIUS_ABS_HEAD = math.sqrt(5.0) - 2.0
@@ -51,28 +52,25 @@ RESIDUAL_TOL = {
 }
 
 _POLISH_BRACKET = 1e-6
+#: Newton polishing stops once a step is below a quarter of this.
+_ROOT_TOL = 1e-12
 
 
 def radius_multi(n: int) -> float:
     """Threshold 1/(3n) of the constant-head polydisk inequalities."""
-    if n < 1:
-        raise DomainError("dimension n must be >= 1")
-    return 1.0 / (3.0 * n)
+    return 1.0 / (3.0 * _integer(n, "dimension n", 1))
 
 
 def radius_multi_abs(n: int) -> float:
     """Threshold (sqrt5 - 2)/n of the |f|-head polydisk inequality."""
-    if n < 1:
-        raise DomainError("dimension n must be >= 1")
-    return RADIUS_ABS_HEAD / n
+    return RADIUS_ABS_HEAD / _integer(n, "dimension n", 1)
 
 
 # --------------------------------------------------------------------------
 # Polynomials and root-finding
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolynomialR:
+class PolynomialR(NamedTuple):
     """Real polynomial with ascending coefficients, evaluated by Horner."""
 
     coefficients: tuple[float, ...]
@@ -92,17 +90,15 @@ PSI1 = PolynomialR((-405.0, 473.0, 402.0, 38.0, 3.0, 1.0))
 PSI2 = PolynomialR((-513.0, 910.0, 80.0, 2.0, 1.0))
 
 
-def solve_unique_root(poly: PolynomialR, lo: float, hi: float, tol: float = 1e-12) -> float:
+def solve_unique_root(poly: PolynomialR, lo: float, hi: float) -> float:
     """The unique root of poly in [lo, hi].
 
     Uniqueness is proved by counting the distinct roots in [lo, hi] exactly,
     with a Sturm sequence in rational arithmetic; any count but one raises.
     Bisection narrows the bracket to width 1e-6, then Newton steps polish the
     root, falling back to plain bisection whenever an iterate leaves the
-    bracket.
+    bracket, until a step is below a quarter of 1e-12.
     """
-    if not 0 < tol < math.inf:
-        raise DomainError("tolerance must be finite and positive")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise DomainError("bracket ends must be finite with lo <= hi")
     f_lo, f_hi = poly(lo), poly(hi)
@@ -144,7 +140,7 @@ def solve_unique_root(poly: PolynomialR, lo: float, hi: float, tol: float = 1e-1
                 nxt = 0.5 * (a + b)
         else:
             nxt = 0.5 * (a + b)
-        if abs(nxt - x) <= 0.25 * tol:
+        if abs(nxt - x) <= 0.25 * _ROOT_TOL:
             return nxt
         x = nxt
     return x
@@ -317,8 +313,7 @@ def _check_unit_interval(t: float) -> None:
 # Aggregate report
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SharpConstants:
+class SharpConstants(NamedTuple):
     """The computed sharp constants, single source of truth for all presets."""
 
     a_star1: float
@@ -329,8 +324,8 @@ class SharpConstants:
 
     @classmethod
     def compute(cls) -> "SharpConstants":
-        a1 = solve_unique_root(PSI1, 0.0, 1.0, 1e-12)
-        a2 = solve_unique_root(PSI2, 0.0, 1.0, 1e-12)
+        a1 = solve_unique_root(PSI1, 0.0, 1.0)
+        a2 = solve_unique_root(PSI2, 0.0, 1.0)
         return cls(
             a_star1=a1,
             a_star2=a2,
@@ -345,8 +340,7 @@ def sharp_constants() -> SharpConstants:
     return SharpConstants.compute()
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     """Computed constants with residuals against the reference decimals."""
 
     constants: SharpConstants

@@ -30,8 +30,8 @@ record with ``TermBreakdown._make``, and no row has another layout.
 Moebius-type rows have one kernel, ``_grid_terms``: given the family class,
 n, a grid of parameters a, the checked radius and sigma, it reads the
 class's rules in (a, sigma) for every a, with the spec's head kind,
-weights and flags read once and the literal area's sigma^(2k) and W_k
-built once, and ``closed_form`` computed once per call.  ``_terms`` on a
+weights and interpretation read once and the literal area's sigma^(2k)
+and W_k built once, and ``closed_form`` computed once per call.  ``_terms`` on a
 Moebius-type family is that kernel on [a], so each Moebius evaluation runs
 one arithmetic path; sweeps and scans in ``verify`` call it once per
 (spec, n, r) and build no family per row.
@@ -57,9 +57,6 @@ HEAD_ABS_SQ = "abs_f_squared"
 INTERP_LITERAL = "literal"
 INTERP_SLICE = "slice"
 
-#: The literal/slice deficit per degree, kept under its historical name.
-multinomial_sq_ratio = ser.multinomial_sq_ratio
-
 
 # --------------------------------------------------------------------------
 # Radius specification
@@ -81,13 +78,7 @@ class RadiusSpec:
 
     @classmethod
     def diagonal(cls, n: int, r: float) -> "RadiusSpec":
-        if n < 1:
-            raise DomainError("dimension n must be >= 1")
-        return cls((float(r),) * n)
-
-    @classmethod
-    def vector(cls, rs: tuple[float, ...]) -> "RadiusSpec":
-        return cls(tuple(rs))
+        return cls((float(r),) * ser._integer(n, "dimension n", 1))
 
     @property
     def n(self) -> int:
@@ -107,7 +98,6 @@ class FunctionalSpec:
     """Declarative description of one Bohr-type functional."""
 
     head: str
-    include_majorant_tail: bool = True
     area_weight: float = 0.0
     area_sq_weight: float = 0.0
     extra_area_weight: float = 0.0
@@ -318,27 +308,11 @@ def evaluate(
     return TermBreakdown._make(_terms(spec, family, radius, sigma, eval_point))
 
 
-def _grid_breakdowns(
-    spec: FunctionalSpec,
-    cls: type,
-    n: int,
-    avals,
-    radius: RadiusSpec,
-    sigma: float,
-) -> list[TermBreakdown]:
-    """``evaluate`` of the family cls(a) in dimension n for every a of
-    avals, at a radius checked for that class and n whose argument radius
-    is sigma, from one ``_grid_terms`` call."""
-    return list(map(TermBreakdown._make, _grid_terms(spec, cls, n, avals, radius, sigma)))
-
-
 def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
     """True when no term of the evaluation was truncated."""
-    tail_closed = closed or not spec.include_majorant_tail
-    area_closed = not spec.uses_area() or (
-        closed and (spec.area_interpretation == INTERP_SLICE or n == 1)
+    return closed and (
+        not spec.uses_area() or spec.area_interpretation == INTERP_SLICE or n == 1
     )
-    return tail_closed and area_closed
 
 
 def _terms(
@@ -355,7 +329,7 @@ def _terms(
     if family.grid_rules and eval_point is None:
         return next(_grid_terms(spec, type(family), family.n, (family.a,), radius, sigma))
     head_value, certified = _head(spec, family, sigma, eval_point)
-    tail_value = family.majorant(sigma) if spec.include_majorant_tail else 0.0
+    tail_value = family.majorant(sigma)
     area = (
         _family_area(family, radius, sigma, spec.area_interpretation) if spec.uses_area() else 0.0
     )
@@ -383,7 +357,7 @@ def _grid_terms(
     shares sigma^(2k) and W_k across the grid.  Rows are yielded in order:
     a scan that keeps only the totals holds no tuple per row."""
     constant_head, square_head = spec.head == HEAD_CONSTANT, spec.head == HEAD_ABS_SQ
-    with_tail, interp = spec.include_majorant_tail, spec.area_interpretation
+    interp = spec.area_interpretation
     closed_form = _closed_form(spec, cls.closed, n)
     weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
     a0_at, sup_at, tail_at, area_at = cls.a0_at, cls.sup_at, cls.majorant_tail_at, cls.area_at
@@ -399,7 +373,7 @@ def _grid_terms(
             head = sup_at(a, sigma)
             if square_head:
                 head = head * head
-        tail = tail_at(a, 0, sigma) if with_tail else 0.0
+        tail = tail_at(a, 0, sigma)
         if literal is not None:
             area = next(literal)
         else:

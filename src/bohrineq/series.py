@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import product, repeat
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import BudgetExceededError, DomainError
 
@@ -68,6 +68,17 @@ MAX_TRUNCATION = 200
 
 #: Slack allowed on the boundedness check of the distinguished boundary.
 TORUS_SLACK = 1e-9
+
+
+def _integer(value, what: str, least: int) -> int:
+    """value as an int; anything but an integer >= least is a domain error."""
+    try:
+        number = operator.index(value)
+        if number >= least:
+            return number
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be an integer >= {least}, not {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -214,10 +225,15 @@ class _MoebiusType(_Family):
     grid_rules = True
 
     def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise DomainError(f"family parameter a={self.a} outside [0, 1)")
-        if self.n < 1:
-            raise DomainError("dimension n must be >= 1")
+        try:
+            inside = 0.0 <= self.a < 1.0
+        except TypeError:  # not a real number
+            inside = False
+        if not inside:
+            raise DomainError(f"family parameter a={self.a!r} outside [0, 1)")
+        n = _integer(self.n, "dimension n", 1)
+        if n is not self.n:  # an integer of another type, stored as int
+            object.__setattr__(self, "n", n)
 
     @property
     def a0(self) -> complex:
@@ -552,9 +568,7 @@ def slice_coefficients(family: FamilySpec, K: int) -> list[complex]:
     additionally by n^-k for the scaled family.  A Blaschke product (n = 1)
     returns its own Taylor coefficients; a constant returns (c, 0, ..., 0).
     """
-    if K < 0:
-        raise DomainError("truncation degree must be >= 0")
-    return family.slice(K)
+    return family.slice(_integer(K, "truncation degree", 0))
 
 
 # --------------------------------------------------------------------------
@@ -740,8 +754,7 @@ def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     the coefficient at alpha is b_|alpha| * |alpha|!/alpha! with b_k the
     slice coefficient; zeros are not stored.  The series keeps b_0..b_K and
     builds multi-index coefficients only when they are read."""
-    if K < 0:
-        raise DomainError("truncation degree must be >= 0")
+    K = _integer(K, "truncation degree", 0)
     return CoefficientSeries(
         family.n, K, _SliceCoefficients(family.n, family.slice(K)), source=family
     )
@@ -968,8 +981,7 @@ def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     series inverse and the products run on exponent-tuple dictionaries with
     deterministic fsum accumulation; the coefficient budget is checked first.
     """
-    if K < 0:
-        raise DomainError("truncation degree must be >= 0")
+    K = _integer(K, "truncation degree", 0)
     n = family.n
     _check_budget(coefficient_count(n, K))
     numerator, denominator = family.rational_form()
@@ -1039,8 +1051,7 @@ def _fsum_complex(values: list[complex]) -> complex:
 # Distinguished-boundary boundedness check
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorusBoundReport:
+class TorusBoundReport(NamedTuple):
     """Result of sampling |truncated series| on the torus {|z_i| = r}: the
     largest sampled modulus, the sample point where it was found (a tuple
     of Python complex numbers), the tail certificate when the series
@@ -1071,8 +1082,7 @@ def torus_bound_check(
     a tail certificate is never silently certified.  A non-finite radius,
     or a sample count that is not an integer >= 8, is refused.
     """
-    if not (isinstance(samples_per_axis, numbers.Integral) and samples_per_axis >= 8):
-        raise DomainError("samples per axis must be an integer >= 8")
+    _integer(samples_per_axis, "samples per axis", 8)
     if not 0 <= radius_cap < math.inf:
         raise DomainError("radius must be finite and nonnegative")
     if series.source is not None and radius_cap > domain_radius_cap(series.source):

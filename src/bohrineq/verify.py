@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import constants as sharp
@@ -66,8 +66,7 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
 # Lemma checks
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     lhs: float
     rhs: float
     ok: bool
@@ -75,24 +74,16 @@ class LemmaCheck:
     certified: bool
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, not {value!r}") from None
-
-
-def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> None:
+def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> int | None:
     """Admit only families bounded on the unit polydisk, for which q = n so
     the argument radius sigma equals the diagonal radius, and only an
-    integer K >= 0."""
+    integer K >= 0, which is returned as an int."""
     if family.cap < 1.0:
         raise DomainError(
             "family is bounded only on the polydisk of radius 1/n; "
             "the lemma hypothesis needs boundedness on the unit polydisk"
         )
-    if K is not None and _integer(K, "truncation degree") < 0:
-        raise DomainError("truncation degree must be >= 0")
+    return K if K is None else ser._integer(K, "truncation degree", 0)
 
 
 def lemma1a_check(
@@ -100,7 +91,7 @@ def lemma1a_check(
 ) -> LemmaCheck:
     """sum_k k sum_{|alpha|=k} |a_alpha|^2 r^(2|alpha|)
        <= r^2 (1-a0^2)^2 / (1-a0^2 r^2)^2   for 0 < r <= 1/sqrt2."""
-    _check_lemma_input(family, K)
+    K = _check_lemma_input(family, K)
     if not 0.0 < bold_r <= 1.0 / math.sqrt(2.0):
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
 
@@ -120,7 +111,7 @@ def lemma1b_check(
 ) -> LemmaCheck:
     """sum_k sum_{|alpha|=k} |a_alpha|^2 r^|alpha|
        <= r (1-a0^2)^2 / (1-a0^2 r)   for 0 < r < 1."""
-    _check_lemma_input(family, K)
+    K = _check_lemma_input(family, K)
     if not 0.0 < bold_r < 1.0:
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
 
@@ -145,8 +136,7 @@ def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
         raise DomainError(f"a0={a0} outside [0, 1]")
     if not bold_r >= 0:
         raise DomainError("bold_r must be nonnegative")
-    if n < 1:
-        raise DomainError("dimension n must be >= 1")
+    n = ser._integer(n, "dimension n", 1)
     if a0 >= bold_r:
         if n * a0 * bold_r >= 1.0:
             raise DomainError("first branch needs n a0 r < 1")
@@ -161,7 +151,7 @@ def lemma1c_check(
 ) -> LemmaCheck:
     """Majorant tail of the family at diagonal radius bold_r against the
     two-branch bound."""
-    _check_lemma_input(family, K)
+    K = _check_lemma_input(family, K)
     rhs = lemma1c_bound(abs(family.a0), bold_r, family.n)
     lhs = family.majorant(bold_r, K)
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
@@ -171,8 +161,7 @@ def lemma1c_check(
 # Radius search
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(NamedTuple):
     radius: float
     bracket: tuple[float, float]
     iterations: int
@@ -231,8 +220,7 @@ def radius_search(
 # Theorem registry
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremDef:
+class TheoremDef(NamedTuple):
     theorem_id: str
     preset_name: str
     multidimensional: bool
@@ -298,11 +286,11 @@ def _theorem(theorem_id: str) -> TheoremDef:
         raise DomainError(f"unknown theorem id {theorem_id!r}") from None
 
 
-def _check_n(td: TheoremDef, n: int) -> None:
-    if _integer(n, "dimension n") < 1:
-        raise DomainError("dimension n must be >= 1")
+def _check_n(td: TheoremDef, n: int) -> int:
+    n = ser._integer(n, "dimension n", 1)
     if not td.multidimensional and n != 1:
         raise DomainError(f"theorem {td.theorem_id} is single-variable; n must be 1")
+    return n
 
 
 def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, float, type]:
@@ -332,15 +320,11 @@ def check_tolerance(tol: float | None) -> None:
         raise DomainError("tolerance must not be infinite")
 
 
-def violation_tolerance(breakdown: fun.TermBreakdown) -> float:
-    return TOL_CLOSED if breakdown.closed_form else TOL_TRUNCATED
-
-
 def violates(breakdown: fun.TermBreakdown, tol: float | None = None) -> bool:
     """True unless the total is within 1 + tol (default: the tolerance of
     its evaluation path).  A NaN total or tolerance counts as a violation."""
     if tol is None:
-        tol = violation_tolerance(breakdown)
+        tol = TOL_CLOSED if breakdown.closed_form else TOL_TRUNCATED
     return not breakdown.total <= 1.0 + tol
 
 
@@ -354,8 +338,7 @@ class ScanRow(NamedTuple):
     perturbed_total: float
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     theorem: str
     n: int
     bold_r: float
@@ -382,7 +365,7 @@ def sharpness_scan(
     the grid, so the reported maximum exhibits the equality case exactly.
     """
     td = _theorem(theorem_id)
-    _check_n(td, n)
+    n = _check_n(td, n)
     if not 0 <= epsilon < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
     r = _as_floats([bold_r])[0] if bold_r is not None else td.threshold(n)
@@ -437,8 +420,7 @@ class SweepRow(NamedTuple):
     breakdown: fun.TermBreakdown
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     theorem: str
     rows: tuple[SweepRow, ...]
     worst_margin: float
@@ -472,8 +454,7 @@ def theorem_sweep(
         ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
     except TypeError:
         raise DomainError(f"n_list must be a sequence of dimensions, not {n_list!r}") from None
-    for n in ns:
-        _check_n(td, n)
+    ns = [_check_n(td, n) for n in ns]
     grid = _as_floats(a_grid) if a_grid is not None else grid_values(0.0, 0.99, 0.01)
     r_floats = _as_floats(r_values) if r_values is not None else None
     if any(not 0.0 <= a < 1.0 for a in grid):
@@ -497,7 +478,8 @@ def theorem_sweep(
             checked = [(r, *_checked_radius(theorem_id, n, r)) for r in r_run]
             for interp_spec in specs:
                 columns.append([
-                    (r, fun._grid_breakdowns(interp_spec, cls, n, a_sorted, radius, sigma))
+                    (r, list(map(fun.TermBreakdown._make,
+                                 fun._grid_terms(interp_spec, cls, n, a_sorted, radius, sigma))))
                     for r, radius, sigma, cls in checked
                 ])
         for a_run in a_runs:

@@ -189,7 +189,7 @@ def test_criterion_7_lemma_suite():
         slice_k2 = 2 * ((1 - a * a) * a) ** 2 * bold_r**4
         assert slice_k2 - literal_k2 == pytest.approx((10 / 16) * slice_k2, rel=1e-12)
         # Boundary-sup chain |f| <= (r + a0)/(1 + a0 r) <= (nr + a0)/(1 + a0 nr).
-        head = FunctionalSpec("abs_f", include_majorant_tail=False)
+        head = FunctionalSpec("abs_f")
         bounded = [
             MoebiusDisk(0.5),
             ExtremalPolydiskScaled(0.5, 2),

@@ -17,7 +17,6 @@ from bohrineq.functionals import (
     area_term,
     evaluate,
     majorant,
-    multinomial_sq_ratio,
     preset,
     schwarz_pick,
 )
@@ -31,6 +30,7 @@ from bohrineq.series import (
     MoebiusDisk,
     default_truncation,
     expand,
+    multinomial_sq_ratio,
     oracle_expand,
 )
 
@@ -49,20 +49,20 @@ def _moebius_series(a, r):
 # ---------------------------------------------------------------- radius spec
 
 def test_radius_spec_basics():
-    rad = RadiusSpec.vector((0.1, 0.3, 0.2))
+    rad = RadiusSpec((0.1, 0.3, 0.2))
     assert rad.n == 3 and rad.bold_r == 0.3
     with pytest.raises(DomainError):
-        RadiusSpec.vector((-0.1,))
+        RadiusSpec((-0.1,))
 
 
 @pytest.mark.parametrize(
     "coords", [(0.3,), (0.2, 0.2, 0.2), (0.1, 0.3, 0.2), (0.3, 0.1), (0.0, -0.0), (-0.0, 0.0)]
 )
 def test_radius_spec_cached_properties_equal_fresh_values(coords):
-    rad = RadiusSpec.vector(coords)
+    rad = RadiusSpec(coords)
     for _ in range(2):  # first read computes, second reads the cache
         assert repr(rad.bold_r) == repr(max(rad.coords))
-    twin = RadiusSpec.vector(coords)
+    twin = RadiusSpec(coords)
     assert rad == twin and hash(rad) == hash(twin)
     assert repr(rad) == f"RadiusSpec(coords={tuple(float(r) for r in coords)!r})"
 
@@ -71,9 +71,9 @@ _AREA_CASES = [
     (MoebiusDisk(0.5), _diag(1, 0.2), INTERP_LITERAL),
     (ExtremalPolydiskUnit(0.5, 2), _diag(2, 0.2), INTERP_LITERAL),
     (ExtremalPolydiskUnit(0.5, 2), _diag(2, 0.2), INTERP_SLICE),
-    (ExtremalPolydiskScaled(0.6, 3), RadiusSpec.vector((0.1, 0.05, 0.2)), INTERP_SLICE),
+    (ExtremalPolydiskScaled(0.6, 3), RadiusSpec((0.1, 0.05, 0.2)), INTERP_SLICE),
     (FiniteBlaschke((0.3, -0.5)), _diag(1, 0.4), INTERP_LITERAL),
-    (ExtremalPolydiskUnit(0.5, 2), RadiusSpec.vector((0.1, 0.3)), INTERP_LITERAL),
+    (ExtremalPolydiskUnit(0.5, 2), RadiusSpec((0.1, 0.3)), INTERP_LITERAL),
 ]
 
 
@@ -98,7 +98,13 @@ def test_radius_spec_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         RadiusSpec.diagonal(2, bad)
     with pytest.raises(DomainError):
-        RadiusSpec.vector((0.1, bad))
+        RadiusSpec((0.1, bad))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None, 0])
+def test_diagonal_radius_refuses_a_dimension_that_is_not_a_positive_integer(n):
+    with pytest.raises(DomainError, match="dimension"):
+        RadiusSpec.diagonal(n, 0.1)
 
 
 # ---------------------------------------------------------------- majorant
@@ -201,7 +207,7 @@ def test_area_slice_needs_family():
 def test_vector_radius_is_exact_at_sum_of_radii(family, coords):
     # The Moebius argument reaches sigma = (r_1 + r_2)/q = 0.4 on this torus,
     # not its value at the enclosing diagonal radius.
-    rad = RadiusSpec.vector(coords)
+    rad = RadiusSpec(coords)
     out = evaluate(FunctionalSpec("abs_f"), family, rad)
     assert out.head_value == pytest.approx((0.5 + 0.4) / (1 + 0.5 * 0.4), abs=1e-15)
     assert out.majorant_tail == pytest.approx(0.75 * 0.4 / (1 - 0.5 * 0.4), abs=1e-15)
@@ -224,7 +230,7 @@ def test_vector_radius_literal_area_matches_dictionary_series():
         (ExtremalPolydiskScaled(0.3, 2), (0.0, 0.7)),
     ]
     for family, coords in cases:
-        rad = RadiusSpec.vector(coords)
+        rad = RadiusSpec(coords)
         sigma = family.sigma(coords)
         K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)[0]
         series = expand(family, K)
@@ -259,7 +265,7 @@ def test_family_functionals_build_no_multi_index(monkeypatch):
     lemmas = (verify.lemma1a_check, verify.lemma1b_check, verify.lemma1c_check)
     for family, coords in _GUARD_FAMILIES:
         scale = family.cap * (1.0 if family.cap < 1.0 else 0.99)
-        rad = RadiusSpec.vector(tuple(scale * r for r in coords))
+        rad = RadiusSpec(tuple(scale * r for r in coords))
         for name in PRESET_NAMES:
             for interp in (INTERP_LITERAL, INTERP_SLICE):
                 out = evaluate(preset(name).with_interpretation(interp), family, rad)
@@ -272,7 +278,7 @@ def test_family_functionals_build_no_multi_index(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rad", [_diag(3, 0.3), RadiusSpec.vector((0.1, 0.3, 0.2)), _diag(3, 0.0)]
+    "rad", [_diag(3, 0.3), RadiusSpec((0.1, 0.3, 0.2)), _diag(3, 0.0)]
 )
 def test_slice_backed_series_sums_build_no_multi_index(monkeypatch, rad):
     # |b_k| (sum r)^k and |b_k|^2 W_k (sum r)^(2k) per degree: the 176,851
@@ -295,7 +301,7 @@ def test_slice_backed_series_sums_build_no_multi_index(monkeypatch, rad):
 
 def test_area_vector_radius_below_diagonal():
     fam = ExtremalPolydiskUnit(0.5, 2)
-    vec = area_term(fam, RadiusSpec.vector((0.1, 0.2)), INTERP_LITERAL)
+    vec = area_term(fam, RadiusSpec((0.1, 0.2)), INTERP_LITERAL)
     diag = area_term(fam, _diag(2, 0.2), INTERP_LITERAL)
     assert 0 < vec < diag
 
@@ -323,7 +329,7 @@ def test_abs_head_within_schwarz_pick(family):
     # Families bounded on the unit polydisk obey the boundary bound.
     from bohrineq.series import constant_term, dimension
 
-    spec = FunctionalSpec("abs_f", include_majorant_tail=False)
+    spec = FunctionalSpec("abs_f")
     n = dimension(family)
     for r in (0.1, 0.3, 0.6):
         head = evaluate(spec, family, _diag(n, r)).head_value
@@ -417,7 +423,7 @@ def test_breakdown_total_composition(constants):
 
 def test_explicit_eval_point_uses_exact_value():
     fam = MoebiusDisk(0.5)
-    spec = FunctionalSpec("abs_f", include_majorant_tail=False)
+    spec = FunctionalSpec("abs_f")
     r = 0.2
     at_point = evaluate(spec, fam, _diag(1, r), eval_point=(r + 0j,)).head_value
     assert at_point == pytest.approx(abs((0.5 - r) / (1 - 0.5 * r)), abs=1e-15)

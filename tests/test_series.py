@@ -90,6 +90,43 @@ def test_families_reject_non_finite_parameters(bad):
         ExtremalPolydiskScaled(bad, 2)
 
 
+class _Three:
+    """An integer that is not an int, as numpy integers are."""
+
+    def __index__(self):
+        return 3
+
+
+@pytest.mark.parametrize("family", [ExtremalPolydiskUnit, ExtremalPolydiskScaled])
+def test_polydisk_families_read_their_dimension_as_an_integer(family):
+    # A float or string n used to be stored and fail, or evaluate, later.
+    for bad in (2.5, 2.0, "2", None, 0, -1):
+        with pytest.raises(DomainError, match="dimension"):
+            family(0.5, bad)
+    three = family(0.5, _Three())
+    assert type(three.n) is int and three == family(0.5, 3)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 0.5j])
+def test_moebius_refuses_a_parameter_that_is_not_real(bad):
+    with pytest.raises(DomainError, match="outside"):
+        MoebiusDisk(bad)
+
+
+@pytest.mark.parametrize("route", [expand, oracle_expand, slice_coefficients])
+def test_expansions_read_their_degree_as_an_integer(route):
+    for bad in (2.5, 3.0, "3", None, -1):
+        with pytest.raises(DomainError, match="degree"):
+            route(MoebiusDisk(0.5), bad)
+    assert route(MoebiusDisk(0.5), _Three()) == route(MoebiusDisk(0.5), 3)
+
+
+@pytest.mark.parametrize("route", [expand, oracle_expand])
+def test_series_stores_its_degree_as_an_int(route):
+    series = route(MoebiusDisk(0.5), True)
+    assert type(series.truncation) is int and series.truncation == 1
+
+
 def test_domain_caps():
     assert domain_radius_cap(MoebiusDisk(0.4)) == 1.0
     assert domain_radius_cap(ExtremalPolydiskUnit(0.4, 4)) == 0.25

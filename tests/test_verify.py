@@ -1,10 +1,12 @@
 """Lemma checks, radius search, sharpness scans, and theorem sweeps."""
 
 import math
+from collections.abc import Hashable
 from dataclasses import replace
 
 import pytest
 
+from bohrineq import constants as sharp
 from bohrineq import functionals as fun
 from bohrineq import series as ser
 from bohrineq.errors import BudgetExceededError, DomainError
@@ -152,6 +154,9 @@ def test_lemma1c_branch_preconditions():
         lemma1c_bound(0.9, 0.5, 3)  # n a0 r >= 1
     with pytest.raises(DomainError):
         lemma1c_bound(0.1, 0.7, 3)  # n r^2 >= 1
+    for n in (1.5, 2.0, "2", None, 0):  # n = 1.5 used to return 0.216
+        with pytest.raises(DomainError, match="dimension"):
+            lemma1c_bound(0.5, 0.2, n)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +287,7 @@ def test_thm_e_radius_exceeds_threshold_for_all_a():
 # ---------------------------------------------------------------- Schwarz-Pick chain
 
 def test_schwarz_pick_chain_on_grids():
-    head = FunctionalSpec("abs_f", include_majorant_tail=False)
+    head = FunctionalSpec("abs_f")
     for fam in (MoebiusDisk(0.5), ExtremalPolydiskScaled(0.5, 2), FiniteBlaschke((0.4,))):
         from bohrineq.series import constant_term, dimension
 
@@ -296,7 +301,7 @@ def test_schwarz_pick_chain_on_grids():
 
 
 def test_unit_family_saturates_outer_bound():
-    head = FunctionalSpec("abs_f", include_majorant_tail=False)
+    head = FunctionalSpec("abs_f")
     a, n, r = 0.6, 3, 0.1
     sup = evaluate(head, ExtremalPolydiskUnit(a, n), RadiusSpec.diagonal(n, r)).head_value
     assert sup == pytest.approx((n * r + a) / (1 + a * n * r), rel=1e-15)
@@ -640,22 +645,46 @@ def test_sweep_reads_its_radii_as_floats():
 
 def test_row_records_are_immutable_hashable_tuples():
     breakdown = evaluate(preset("thm_c"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 1 / 3))
+    scan = sharpness_scan("C", [0.5])
+    sweep = theorem_sweep("C", a_grid=[0.5])
     records = [
         (breakdown, (
             "head_value", "majorant_tail", "area_term", "area_sq_contribution",
             "extra_area_contribution", "total", "margin", "certified", "closed_form",
             "interpretation",
         )),
-        (theorem_sweep("C", a_grid=[0.5]).rows[0], ("theorem", "n", "a", "r", "breakdown")),
-        (sharpness_scan("C", [0.5]).rows[0], ("a", "total", "perturbed_total")),
+        (sweep.rows[0], ("theorem", "n", "a", "r", "breakdown")),
+        (scan.rows[0], ("a", "total", "perturbed_total")),
+        # The reports, lemma results and constants validate nothing either.
+        (ser.torus_bound_check(ser.expand(MoebiusDisk(0.5), 5), 0.5),
+         ("sup_modulus", "witness", "tail_bound", "certified", "ok")),
+        (lemma1a_check(MoebiusDisk(0.5), 0.5), ("lhs", "rhs", "ok", "gap", "certified")),
+        (radius_search(preset("classic"), MoebiusDisk(0.5)),
+         ("radius", "bracket", "iterations", "binding", "certified")),
+        (THEOREMS["C"], (
+            "theorem_id", "preset_name", "multidimensional", "threshold", "perturb_field",
+            "a_star",
+        )),
+        (scan, (
+            "theorem", "n", "bold_r", "epsilon", "rows", "max_total", "argmax_a",
+            "perturbed_max", "perturbed_argmax", "a_star",
+        )),
+        (sweep, ("theorem", "rows", "worst_margin", "violations")),
+        (sharp.PSI1, ("coefficients",)),
+        (sharp.sharp_constants(), ("a_star1", "a_star2", "lambda1", "lambda2", "p")),
+        (sharp.constants_report(), (
+            "constants", "radius_classic", "radius_abs_head", "residuals", "tolerances", "ok",
+        )),
     ]
     for row, fields in records:
         assert type(row)._fields == fields
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(row, name, None)
-        assert hash(row) == hash(tuple(row))
         assert row == tuple(row)
+        # A report holding dicts (the constants residuals) is not hashable.
+        if all(isinstance(value, Hashable) for value in row):
+            assert hash(row) == hash(tuple(row))
 
 
 def test_sweep_b2_margin_shrinks_toward_one():
@@ -726,6 +755,13 @@ def test_scan_reads_its_radius_as_a_float():
     report = sharpness_scan("classic", [0.5], bold_r=0)
     assert type(report.bold_r) is float and report.bold_r == 0.0
     assert report == sharpness_scan("classic", [0.5], bold_r=0.0)
+
+
+def test_sweep_and_scan_report_their_dimensions_as_ints():
+    # An integer of another type, such as a bool or a numpy integer, is read as an int.
+    assert type(sharpness_scan("T21", [0.5], n=True).n) is int
+    rows = theorem_sweep("T21", n_list=[True, 2], a_grid=[0.5]).rows
+    assert [type(row.n) for row in rows] == [int] * len(rows) and len(rows) == 3
 
 
 def test_registry_thresholds():
