@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
-Each class maps to one CLI exit code, so callers can distinguish a
-mathematical domain violation from a resource limit.
+Each base class maps to one CLI exit code, shared by its subclasses, so
+callers can tell a mathematical domain violation from a resource limit.
 """
 
 
@@ -17,13 +17,13 @@ class BudgetExceededError(BohrIneqError, RuntimeError):
     """Requested expansion would materialize more coefficients than allowed."""
 
 
-class RootBracketError(BohrIneqError, ValueError):
+class RootBracketError(DomainError):
     """Root bracket endpoints do not straddle a sign change."""
 
 
-class NonUniqueRootError(BohrIneqError, ValueError):
+class NonUniqueRootError(DomainError):
     """An exact Sturm count found other than one root in the bracket."""
 
 
-class UnsupportedInterpretationError(BohrIneqError, ValueError):
+class UnsupportedInterpretationError(DomainError):
     """The requested area-term interpretation is undefined for this input."""

@@ -69,7 +69,7 @@ class RadiusSpec:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        cs = tuple(float(r) for r in self.coords)
+        cs = ser._numbers(self.coords, "radius coordinates")
         if not cs:
             raise DomainError("radius needs at least one coordinate")
         if not all(0.0 <= r < math.inf for r in cs):
@@ -78,7 +78,7 @@ class RadiusSpec:
 
     @classmethod
     def diagonal(cls, n: int, r: float) -> "RadiusSpec":
-        return cls((float(r),) * ser._integer(n, "dimension n", 1))
+        return cls((r,) * ser._integer(n, "dimension n", 1))
 
     @property
     def n(self) -> int:
@@ -111,11 +111,7 @@ class FunctionalSpec:
         # Nonnegative weights keep every total nondecreasing in the radius,
         # which is all a radius search assumes.
         for name in ("area_weight", "area_sq_weight", "extra_area_weight"):
-            try:
-                valid = 0.0 <= getattr(self, name) < math.inf
-            except TypeError:  # not a real number
-                valid = False
-            if not valid:
+            if not 0.0 <= ser._real(getattr(self, name), name) < math.inf:
                 raise DomainError(f"{name} must be a finite, nonnegative real number")
 
     def uses_area(self) -> bool:
@@ -203,9 +199,9 @@ _Row = tuple[float, float, float, float, float, float, float, bool, bool, str]
 
 def schwarz_pick(a0: float, bold_r: float) -> float:
     """(a0 + r)/(1 + a0 r): boundary bound on |f| from |f(0)| = a0."""
-    if not 0.0 <= a0 <= 1.0:
+    if not 0.0 <= ser._real(a0, "a0") <= 1.0:
         raise DomainError(f"a0={a0} outside [0, 1]")
-    if not 0.0 <= bold_r < 1.0:
+    if not 0.0 <= ser._real(bold_r, "bold_r") < 1.0:
         raise DomainError(f"bold_r={bold_r} outside [0, 1)")
     return (a0 + bold_r) / (1.0 + a0 * bold_r)
 

@@ -81,6 +81,25 @@ def _integer(value, what: str, least: int) -> int:
     raise DomainError(f"{what} must be an integer >= {least}, not {value!r}")
 
 
+def _real(value, what: str):
+    """value itself when it orders against floats; anything else (a string,
+    None, a complex number) is a domain error that names the input."""
+    try:
+        value < 0.0
+    except TypeError:
+        raise DomainError(f"{what} must be a real number, not {value!r}") from None
+    return value
+
+
+def _numbers(values, what: str, read: Callable = float) -> tuple:
+    """tuple(map(read, values)); a value that read refuses, or values that
+    are not iterable, is a domain error that names the input."""
+    try:
+        return tuple(map(read, values))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be numbers, not {values!r}") from None
+
+
 # --------------------------------------------------------------------------
 # Multi-indices
 # --------------------------------------------------------------------------
@@ -384,7 +403,7 @@ class FiniteBlaschke(_Family):
     closed = False
 
     def __post_init__(self):
-        zs = tuple(complex(w) for w in self.zeros)
+        zs = _numbers(self.zeros, "Blaschke zeros", complex)
         if not zs:
             raise DomainError("Blaschke product needs at least one zero")
         if not all(abs(w) < 1.0 for w in zs):
@@ -440,7 +459,7 @@ class ConstantFn(_Family):
     n = 1
 
     def __post_init__(self):
-        cc = complex(self.c)
+        (cc,) = _numbers((self.c,), "constant c", complex)
         if not abs(cc) <= 1.0:
             raise DomainError(f"constant modulus {abs(cc)} is not a finite value <= 1")
         object.__setattr__(self, "c", cc)
@@ -490,7 +509,7 @@ def family_value(family: FamilySpec, z: tuple[complex, ...]) -> complex:
     """Exact rational evaluation at a point of the open domain."""
     if len(z) != family.n:
         raise DomainError(f"point has {len(z)} coordinates, family has dimension {family.n}")
-    if any(abs(zi) >= family.cap for zi in z):
+    if any(m >= family.cap for m in _numbers(z, "point coordinates", abs)):
         raise DomainError(f"point outside the open polydisk of radius {family.cap}")
     return family.value(z)
 
@@ -740,7 +759,7 @@ def default_truncation(family: FamilySpec, bold_r: float) -> int:
 
 
 def _diagonal_sigma(family: FamilySpec, bold_r: float) -> float:
-    if not 0.0 <= bold_r <= family.cap:
+    if not 0.0 <= _real(bold_r, "radius") <= family.cap:
         raise DomainError(f"radius {bold_r} outside the closed domain of the family")
     return family.sigma((bold_r,))
 
@@ -1083,7 +1102,7 @@ def torus_bound_check(
     or a sample count that is not an integer >= 8, is refused.
     """
     _integer(samples_per_axis, "samples per axis", 8)
-    if not 0 <= radius_cap < math.inf:
+    if not 0 <= _real(radius_cap, "radius") < math.inf:
         raise DomainError("radius must be finite and nonnegative")
     if series.source is not None and radius_cap > domain_radius_cap(series.source):
         raise DomainError("radius exceeds the domain cap of the generating family")

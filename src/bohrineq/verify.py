@@ -11,9 +11,10 @@ report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
-since neither depends on a, and evaluate the whole sorted a-grid with one
-call of the Moebius-type kernel of ``functionals`` per (spec, n, r): no
-family object is built per row, and scans read only each row's total.
+since neither depends on a, and evaluate the a-grid with one call of the
+Moebius-type kernel of ``functionals`` per (spec, n, r): no family object
+is built per row, and scans read only each row's total.  Sweeps evaluate
+the grid as given and order their rows with one stable sort.
 Lemma checks admit only families bounded by one on the unit polydisk,
 which is the hypothesis the lemmas carry, and an integer degree K >= 0;
 without an explicit K they take the one ``series.truncation`` picks for
@@ -22,11 +23,10 @@ their tail.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -49,7 +49,7 @@ MAX_GRID_POINTS = 1_000_000
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
     """Inclusive arithmetic grid with stable 10-decimal rounding."""
-    if not all(math.isfinite(v) for v in (start, stop, step)):
+    if not all(ser._numbers((start, stop, step), "grid start, stop and step", math.isfinite)):
         raise DomainError("grid start, stop and step must be finite")
     if step <= 0:
         raise DomainError("grid step must be positive")
@@ -92,7 +92,7 @@ def lemma1a_check(
     """sum_k k sum_{|alpha|=k} |a_alpha|^2 r^(2|alpha|)
        <= r^2 (1-a0^2)^2 / (1-a0^2 r^2)^2   for 0 < r <= 1/sqrt2."""
     K = _check_lemma_input(family, K)
-    if not 0.0 < bold_r <= 1.0 / math.sqrt(2.0):
+    if not 0.0 < ser._real(bold_r, "bold_r") <= 1.0 / math.sqrt(2.0):
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
 
     if K is None:
@@ -112,7 +112,7 @@ def lemma1b_check(
     """sum_k sum_{|alpha|=k} |a_alpha|^2 r^|alpha|
        <= r (1-a0^2)^2 / (1-a0^2 r)   for 0 < r < 1."""
     K = _check_lemma_input(family, K)
-    if not 0.0 < bold_r < 1.0:
+    if not 0.0 < ser._real(bold_r, "bold_r") < 1.0:
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
 
     if K is None:
@@ -132,9 +132,9 @@ def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
         sqrt(n) r (1 - a0^2) / (1 - n a0 r)          for a0 >= r
         sqrt(n) r sqrt(1 - a0^2) / sqrt(1 - n r^2)   for a0 < r
     """
-    if not 0.0 <= a0 <= 1.0:
+    if not 0.0 <= ser._real(a0, "a0") <= 1.0:
         raise DomainError(f"a0={a0} outside [0, 1]")
-    if not bold_r >= 0:
+    if not ser._real(bold_r, "bold_r") >= 0:
         raise DomainError("bold_r must be nonnegative")
     n = ser._integer(n, "dimension n", 1)
     if a0 >= bold_r:
@@ -187,7 +187,7 @@ def radius_search(
     width ``tol``, or earlier when the midpoint no longer splits the
     bracket: the bracket then holds two adjacent floats.
     """
-    if not 0 < tol < math.inf:
+    if not 0 < ser._real(tol, "tolerance") < math.inf:
         raise DomainError("tolerance must be finite and positive")
     cap = family.cap
     hi = cap * (1.0 - 1e-9)
@@ -305,18 +305,10 @@ def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, 
     return radius, family.sigma(radius.coords), type(family)
 
 
-def _as_floats(values: Iterable) -> list[float]:
-    """Grid points or radii as floats; anything else is a domain error."""
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"grid points and radii must be real numbers: {exc}") from None
-
-
 def check_tolerance(tol: float | None) -> None:
     """Refuse an infinite pass tolerance, which would pass any total.  A NaN
     tolerance is let through: every verdict test fails on it."""
-    if tol is not None and math.isinf(tol):
+    if tol is not None and math.isinf(ser._real(tol, "tolerance")):
         raise DomainError("tolerance must not be infinite")
 
 
@@ -366,10 +358,10 @@ def sharpness_scan(
     """
     td = _theorem(theorem_id)
     n = _check_n(td, n)
-    if not 0 <= epsilon < math.inf:
+    if not 0 <= ser._real(epsilon, "epsilon") < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
-    r = _as_floats([bold_r])[0] if bold_r is not None else td.threshold(n)
-    grid = _as_floats(a_grid)
+    r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
+    grid = list(ser._numbers(a_grid, "scan grid"))
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("scan grid must lie inside [0, 1)")
     a_star = td.a_star(sharp.sharp_constants()) if td.a_star is not None else None
@@ -427,11 +419,6 @@ class SweepReport(NamedTuple):
     violations: tuple[SweepRow, ...]
 
 
-def _runs(values: Iterable) -> list[list]:
-    """The values sorted, in runs of equal values, each run in input order."""
-    return [list(run) for _, run in itertools.groupby(sorted(values))]
-
-
 def theorem_sweep(
     theorem_id: str,
     n_list: Sequence[int] | None = None,
@@ -455,40 +442,32 @@ def theorem_sweep(
     except TypeError:
         raise DomainError(f"n_list must be a sequence of dimensions, not {n_list!r}") from None
     ns = [_check_n(td, n) for n in ns]
-    grid = _as_floats(a_grid) if a_grid is not None else grid_values(0.0, 0.99, 0.01)
-    r_floats = _as_floats(r_values) if r_values is not None else None
+    grid = grid_values(0.0, 0.99, 0.01) if a_grid is None else ser._numbers(a_grid, "sweep grid")
+    r_floats = ser._numbers(r_values, "sweep radii") if r_values is not None else None
     if any(not 0.0 <= a < 1.0 for a in grid):
         raise DomainError("sweep grid must lie inside [0, 1)")
     spec = fun.preset(td.preset_name)
     literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
-    # One kernel call per (n, r, interpretation) evaluates the sorted grid.
-    # Runs of equal keys (repeats, 0.0 and -0.0) keep their input order, so the
-    # rows come out exactly as a stable sort by (n, a, r, interpretation) puts them.
-    a_sorted = sorted(grid)
-    a_runs = [list(run) for _, run in itertools.groupby(range(len(a_sorted)), a_sorted.__getitem__)]
+    # One kernel call per input (n, r, interpretation) evaluates the grid as
+    # given; the rows are built in input order (n, a, r, interpretation) and
+    # sorted once.  The sort is stable, so repeated keys (repeats, 0.0 and
+    # -0.0) keep their input order, and "literal" < "slice" puts each literal
+    # row before its slice row.  An attrgetter key runs at C speed.
     rows: list[SweepRow] = []
-    for n_run in _runs(ns):
-        n = n_run[0]
+    for n in ns:
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
-        radii = r_floats if r_floats is not None else [td.threshold(n)]
         columns = []
-        for r_run in _runs(radii):
-            checked = [(r, *_checked_radius(theorem_id, n, r)) for r in r_run]
+        for r in r_floats if r_floats is not None else [td.threshold(n)]:
+            radius, sigma, cls = _checked_radius(theorem_id, n, r)
             for interp_spec in specs:
-                columns.append([
-                    (r, list(map(fun.TermBreakdown._make,
-                                 fun._grid_terms(interp_spec, cls, n, a_sorted, radius, sigma))))
-                    for r, radius, sigma, cls in checked
-                ])
-        for a_run in a_runs:
-            for column in columns:
-                for m in n_run:
-                    for i in a_run:
-                        a = a_sorted[i]
-                        for r, breakdowns in column:
-                            rows.append(SweepRow._make((theorem_id, m, a, r, breakdowns[i])))
+                terms = fun._grid_terms(interp_spec, cls, n, grid, radius, sigma)
+                columns.append((r, list(map(fun.TermBreakdown._make, terms))))
+        for i, a in enumerate(grid):
+            for r, breakdowns in columns:
+                rows.append(SweepRow._make((theorem_id, n, a, r, breakdowns[i])))
+    rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
     violations = tuple(row for row in literal if violates(row.breakdown, tol))
     worst = min(row.breakdown.margin for row in literal) if literal else math.inf

@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 from bohrineq import cli
-from bohrineq.errors import BudgetExceededError
+from bohrineq.errors import (
+    BohrIneqError,
+    BudgetExceededError,
+    DomainError,
+    NonUniqueRootError,
+    RootBracketError,
+    UnsupportedInterpretationError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -205,9 +212,15 @@ def test_lemma_part_c_moebius(capsys):
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_theorem_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--theorem", "Z9")
-    assert code == 64
-    assert "unknown theorem" in err
+    for argv in (
+        ["verify", "--theorem", "Z9"],
+        ["scan", "--theorem", "Z9"],
+        ["radius", "--functional", "thm_0.15", "--family", "moebius:0.5"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert f"invalid choice: {argv[2]!r}" in err
 
 
 def test_malformed_family_is_usage_error(capsys):
@@ -311,6 +324,25 @@ def test_documented_exit_codes_match_the_constants():
     }
     constants = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert docstring == documented == constants == {0, 1, 2, 64, 65, 67}
+
+
+@pytest.mark.parametrize(
+    "error", [RootBracketError, NonUniqueRootError, UnsupportedInterpretationError]
+)
+def test_domain_error_subclasses_exit_65(monkeypatch, capsys, error):
+    assert issubclass(error, DomainError)
+    assert issubclass(error, ValueError) and issubclass(error, BohrIneqError)
+
+    def boom(*args, **kwargs):
+        raise error("no root here")
+
+    monkeypatch.setattr(cli.ver, "lemma1a_check", boom)
+    code, out, err = run_cli(
+        capsys, "lemma", "--part", "a", "--family", "scaled:0.6,2", "--r", "0.5",
+    )
+    assert code == 65
+    assert out == ""
+    assert err == "domain error: no root here\n"
 
 
 def test_budget_exit_code(monkeypatch, capsys):

@@ -751,6 +751,45 @@ def test_sweep_and_scan_refuse_non_numeric_input(call):
         call()
 
 
+_MOEBIUS = MoebiusDisk(0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: RadiusSpec(("abc",)), "radius coordinates"),
+    (lambda: RadiusSpec.diagonal(2, None), "radius coordinates"),
+    (lambda: FiniteBlaschke(("x",)), "Blaschke zeros"),
+    (lambda: ConstantFn(None), "constant c"),
+    (lambda: lemma1a_check(_MOEBIUS, "0.5"), "bold_r"),
+    (lambda: lemma1b_check(_MOEBIUS, "0.5"), "bold_r"),
+    (lambda: lemma1c_check(_MOEBIUS, "0.5"), "bold_r"),
+    (lambda: radius_search(preset("classic"), _MOEBIUS, tol="x"), "tolerance"),
+    (lambda: ser.torus_bound_check(ser.expand(_MOEBIUS, 4), "0.5"), "radius"),
+    (lambda: sharpness_scan("C", [0.5], epsilon="x"), "epsilon"),
+    (lambda: theorem_sweep("C", a_grid=[0.5], tol="x"), "tolerance"),
+    (lambda: fun.schwarz_pick("0.5", 0.1), "a0"),
+    (lambda: lemma1c_bound("0.5", 0.1, 1), "a0"),
+    (lambda: ser.majorant_tail_bound(_MOEBIUS, 3, "0.5"), "radius"),
+    (lambda: ser.default_truncation(_MOEBIUS, None), "radius"),
+    (lambda: ser.family_value(_MOEBIUS, ("x",)), "point coordinates"),
+    (lambda: grid_values("a", 1, 0.1), "grid start, stop and step"),
+], ids=[
+    "RadiusSpec", "RadiusSpec.diagonal", "FiniteBlaschke", "ConstantFn", "lemma1a",
+    "lemma1b", "lemma1c", "radius_search", "torus_bound_check", "sharpness_scan",
+    "theorem_sweep", "schwarz_pick", "lemma1c_bound", "majorant_tail_bound",
+    "default_truncation", "family_value", "grid_values",
+])
+def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        call()
+
+
+def test_inputs_read_by_float_or_complex_still_take_numeric_strings():
+    assert RadiusSpec(("0.5",)) == RadiusSpec((0.5,)) == RadiusSpec.diagonal(1, "0.5")
+    assert ConstantFn("0.3") == ConstantFn(0.3) and FiniteBlaschke(("0.5",)).zeros == (0.5,)
+    rows = theorem_sweep("C", a_grid=["0.5"], r_values=["0.3"]).rows
+    assert rows == theorem_sweep("C", a_grid=[0.5], r_values=[0.3]).rows
+
+
 def test_scan_reads_its_radius_as_a_float():
     report = sharpness_scan("classic", [0.5], bold_r=0)
     assert type(report.bold_r) is float and report.bold_r == 0.0
