@@ -4,7 +4,8 @@ Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
 to stdout or --out, byte-stable across runs for identical arguments.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
-64 usage, 65 domain error, 67 expansion budget.
+64 usage, 65 domain error, 67 expansion budget, 73 --out file that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_RESIDUAL = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 EXIT_BUDGET = 67
+EXIT_CANTCREAT = 73
 
 VERIFY_COLUMNS = [
     "theorem", "n", "a", "r", "interpretation",
@@ -47,6 +49,10 @@ CONSTANTS_COLUMNS = [
 
 
 class UsageError(Exception):
+    pass
+
+
+class OutputError(Exception):
     pass
 
 
@@ -154,8 +160,11 @@ def emit(
             {"meta": meta, "rows": rows}, indent=2, sort_keys=True
         ) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise OutputError(exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -402,6 +411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

@@ -323,7 +323,7 @@ def test_documented_exit_codes_match_the_constants():
         int(c) for c in re.findall(r"`(\d+)`", _exit_code_paragraph(readme.read_text()))
     }
     constants = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
-    assert docstring == documented == constants == {0, 1, 2, 64, 65, 67}
+    assert docstring == documented == constants == {0, 1, 2, 64, 65, 67, 73}
 
 
 @pytest.mark.parametrize(
@@ -373,6 +373,15 @@ def test_oversized_grid_is_budget_error(capsys, command, grid):
     assert code == 67
     assert out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_exits_73(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "constants", "--out", str(path))
+    assert code == 73
+    assert out == ""
+    assert err.startswith("output error: ") and str(path) in err
 
 
 def test_out_file_and_json_stability(tmp_path, capsys):

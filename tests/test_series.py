@@ -29,6 +29,7 @@ from bohrineq.series import (
     slice_coefficients,
     torus_bound_check,
 )
+from bohrineq.verify import theorem_sweep
 
 
 def _coeff(series, *exps):
@@ -138,6 +139,8 @@ def test_family_value_moebius():
     fam = MoebiusDisk(0.5)
     z = 0.3 + 0.1j
     assert family_value(fam, (z,)) == (0.5 - z) / (1 - 0.5 * z)
+    # A point is read once, so an iterator gives the same value.
+    assert family_value(fam, iter((z,))) == family_value(fam, [z])
     with pytest.raises(DomainError):
         family_value(fam, (1.0 + 0j,))
 
@@ -417,6 +420,25 @@ def test_blaschke_slice_cache_returns_fresh_exact_lists():
     for family in (minus, plus, minus):
         uncached = ser._blaschke_slice.__wrapped__(family.zeros, 150, repr(family.zeros))
         assert repr(family.slice(150)) == repr(list(uncached))
+        assert repr(_one_pass_slice(family.zeros)) == repr(_two_pass_blaschke_slice(family.zeros))
+
+
+def _two_pass_blaschke_slice(zeros, K=200):
+    """The recurrence as two passes per zero: divide by 1 - conj(w) z
+    forward, then multiply by w - z backward."""
+    b = [complex(1.0)] + [0j] * K
+    for w in zeros:
+        c = w.conjugate()
+        for k in range(1, K + 1):
+            b[k] += c * b[k - 1]
+        for k in range(K, 0, -1):
+            b[k] = w * b[k] - b[k - 1]
+        b[0] *= w
+    return tuple(b)
+
+
+def _one_pass_slice(zeros, K=200):
+    return ser._blaschke_slice.__wrapped__(zeros, K, repr(zeros))
 
 
 def _conv_blaschke_slice(zeros, K):
@@ -479,10 +501,14 @@ BLASCHKE_REFERENCE_ZEROS = [
 @pytest.mark.parametrize("zeros", BLASCHKE_REFERENCE_ZEROS)
 def test_blaschke_slice_matches_convolution_and_exact_product(zeros):
     K = 141
-    got = FiniteBlaschke(zeros).slice(K)
+    family = FiniteBlaschke(zeros)
+    got = family.slice(K)
     assert len(got) == K + 1
     for reference in (_conv_blaschke_slice(zeros, K), _exact_blaschke_slice(zeros, K)):
         assert max(abs(g - r) for g, r in zip(got, reference)) <= 1e-15
+    # One ascending pass per zero does the two passes' operations in their
+    # order, so every bit is kept.
+    assert repr(_one_pass_slice(family.zeros)) == repr(_two_pass_blaschke_slice(family.zeros))
 
 
 def _sq_sum_recursive(n, k):
@@ -562,6 +588,86 @@ def test_default_truncation_meets_target():
     K = default_truncation(fam, 1.0 / 6.0)
     assert K <= 200
     assert majorant_tail_bound(fam, K, 1.0 / 6.0) < 1e-13
+
+
+def _linear_truncation(tail, first):
+    """Reference degree search: the first K from first up whose tail is
+    below the target, else MAX_TRUNCATION."""
+    for K in range(first, ser.MAX_TRUNCATION + 1):
+        value = tail(K)
+        if value < ser.TAIL_TARGET:
+            break
+    return K, value
+
+
+def _tail_rules():
+    """(name, tail rule) for every tail rule of the package, on coarse a and
+    sigma grids with sigma = 0, the cap and values near 1, where a search
+    runs to MAX_TRUNCATION."""
+    sigmas = (0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999999)
+    blaschke = FiniteBlaschke((0.5,))
+    for s in sigmas:
+        yield f"blaschke.majorant_tail {s}", lambda k, s=s: blaschke.majorant_tail(k, s)
+        yield f"blaschke.sq_tail {s}", lambda k, s=s: blaschke.sq_tail(k, s)
+        yield f"blaschke.sq_mass_tail {s}", lambda k, s=s: blaschke.sq_mass_tail(k, s)
+    for a in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999):
+        for s in sigmas + (1.0,):
+            yield f"majorant_tail_at {a} {s}", lambda k, a=a, s=s: (
+                MoebiusDisk.majorant_tail_at(a, k, s)
+            )
+            yield f"_sq_tail_rule {a} {s}", ser._sq_tail_rule(a, s)
+            yield f"moebius.sq_mass_tail {a} {s}", lambda k, a=a, s=s: (
+                MoebiusDisk(a).sq_mass_tail(k, s)
+            )
+    constant = ConstantFn(0.3)
+    for s in (0.0, 0.5, 1.0):
+        yield f"constant {s}", lambda k, s=s: constant.majorant_tail(k, s)
+
+
+def test_truncation_equals_a_linear_scan():
+    capped = 0
+    for name, tail in _tail_rules():
+        for first in (0, 1):
+            expected = _linear_truncation(tail, first)
+            assert repr(ser.truncation(tail, first)) == repr(expected), (name, first)
+            capped += expected[0] == ser.MAX_TRUNCATION
+    assert capped > 0  # the grids reach the cap
+
+
+def _counting(tail):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return tail(k)
+
+    return counted, calls
+
+
+def test_blaschke_majorant_search_bisects_past_degree_16():
+    family = FiniteBlaschke((0.41 - 0.17j, -0.23 + 0.52j, 0.08 + 0.66j))
+    tail, calls = _counting(lambda k: family.majorant_tail(k, 0.8))
+    assert ser.truncation(tail)[0] == 141
+    assert len(calls) <= 26  # a linear scan reads 142 tails
+    assert calls[:16] == list(range(16))
+
+
+def test_literal_area_search_at_the_t21_threshold_stays_linear(monkeypatch):
+    # sigma = n r = 1/3 at r = 1/(3n): every search ends below degree
+    # 1 + 16 and reads exactly the tails a linear scan reads.
+    searches = []
+    rule = ser._sq_tail_rule
+
+    def counting_rule(a, sigma):
+        tail, calls = _counting(rule(a, sigma))
+        searches.append((_linear_truncation(rule(a, sigma), 1)[0], calls))
+        return tail
+
+    monkeypatch.setattr(ser, "_sq_tail_rule", counting_rule)
+    theorem_sweep("T21")
+    assert len(searches) == 200  # n = 2, 3 on the 100-point grid
+    for K, calls in searches:
+        assert K < 1 + 16 and calls == list(range(1, K + 1))
 
 
 # ---------------------------------------------------------------- torus

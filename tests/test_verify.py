@@ -771,12 +771,18 @@ _MOEBIUS = MoebiusDisk(0.5)
     (lambda: ser.majorant_tail_bound(_MOEBIUS, 3, "0.5"), "radius"),
     (lambda: ser.default_truncation(_MOEBIUS, None), "radius"),
     (lambda: ser.family_value(_MOEBIUS, ("x",)), "point coordinates"),
+    (lambda: ser.family_value(_MOEBIUS, 0.3), "point coordinates"),
+    (
+        lambda: evaluate(preset("thm_b1"), _MOEBIUS, RadiusSpec((0.1,)), eval_point=0.3),
+        "point coordinates",
+    ),
     (lambda: grid_values("a", 1, 0.1), "grid start, stop and step"),
 ], ids=[
     "RadiusSpec", "RadiusSpec.diagonal", "FiniteBlaschke", "ConstantFn", "lemma1a",
     "lemma1b", "lemma1c", "radius_search", "torus_bound_check", "sharpness_scan",
     "theorem_sweep", "schwarz_pick", "lemma1c_bound", "majorant_tail_bound",
-    "default_truncation", "family_value", "grid_values",
+    "default_truncation", "family_value", "family_value-scalar", "evaluate-eval_point",
+    "grid_values",
 ])
 def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
