@@ -18,25 +18,18 @@ deficit is measured, never hidden.
 
 Evaluation is slice-first: every term is read from the family's own rules
 (series.py) at sigma = (r_1 + ... + r_n)/q, the radius reached by the
-Moebius argument, which is exact at any polyradius.  Moebius-type families
-give closed forms in (a, sigma), Blaschke products a slice sum to a
-certified degree.  No family functional expands a multi-index series: the
-literal area reweights the slice sum per degree (``literal_area``).
+Moebius argument, which is exact at any polyradius.  No family functional
+expands a multi-index series: the literal area reweights the slice sum per
+degree (``literal_area``).
 
 ``evaluate`` is its checks (dimension, domain cap) and one private core,
-``_terms``, which takes the checked radius and its sigma and returns the
-row in ``TermBreakdown`` field order; ``evaluate`` makes that tuple the
-record with ``TermBreakdown._make``, and no row has another layout.
-Moebius-type rows have one kernel, ``_grid_terms``: given the family class,
-n, a grid of parameters a, the checked radius and sigma, it reads the
-class's rules in (a, sigma) for every a, with the spec's head kind,
-weights and interpretation read once and the literal area's sigma^(2k)
-and W_k built once, and ``closed_form`` computed once per call.  ``_terms`` on a
-Moebius-type family is that kernel on [a], so each Moebius evaluation runs
-one arithmetic path; sweeps and scans in ``verify`` call it once per
-(spec, n, r) and build no family per row.
-Blaschke products, constants and explicit evaluation points take the
-per-family rules.
+``_terms``, which takes the checked polyradius and its sigma, reads every
+family through the family's methods and returns the row in
+``TermBreakdown`` field order.  ``_grid_columns`` is the same functional for
+the Moebius-type family of one class and n over a whole grid of a: it reads
+the class's column rules, each closed form's one home, once per term and
+returns the ``TermBreakdown`` columns, so sweeps and scans in ``verify``
+build no family per row and scans read the total column alone.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from . import constants as sharp
 from . import series as ser
@@ -115,11 +108,7 @@ class FunctionalSpec:
                 raise DomainError(f"{name} must be a finite, nonnegative real number")
 
     def uses_area(self) -> bool:
-        return (
-            self.area_weight != 0.0
-            or self.area_sq_weight != 0.0
-            or self.extra_area_weight != 0.0
-        )
+        return any((self.area_weight, self.area_sq_weight, self.extra_area_weight))
 
     def with_interpretation(self, interpretation: str) -> "FunctionalSpec":
         return replace(self, area_interpretation=interpretation)
@@ -252,20 +241,20 @@ def area_term(
             _check_radius_for(target.source, radius, target.n)
             return _literal_area_from_series(target, radius)
         if target.source is None:
-            raise UnsupportedInterpretationError(
-                "slice interpretation needs a generating family"
-            )
+            raise UnsupportedInterpretationError("slice interpretation needs a generating family")
         target = target.source
     family = target
     _check_radius_for(family, radius, family.n)
-    return _family_area(family, radius, family.sigma(radius.coords), interpretation)
+    return _family_area(family, radius.coords, family.sigma(radius.coords), interpretation)
 
 
-def _family_area(family: ser.FamilySpec, radius: RadiusSpec, sigma: float, interp: str) -> float:
-    """Area of a family at a checked radius whose argument radius is sigma."""
+def _family_area(
+    family: ser.FamilySpec, coords: tuple[float, ...], sigma: float, interp: str
+) -> float:
+    """Area of a family at a checked polyradius whose argument radius is sigma."""
     if interp == INTERP_SLICE or family.n == 1:
         return family.area(sigma)
-    return family.literal_area(sigma, radius.coords)
+    return family.literal_area(sigma, coords)
 
 
 def _literal_area_from_series(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:
@@ -301,7 +290,7 @@ def evaluate(
     """
     _check_radius_for(family, radius, family.n)
     sigma = family.sigma(radius.coords)
-    return TermBreakdown._make(_terms(spec, family, radius, sigma, eval_point))
+    return TermBreakdown._make(_terms(spec, family, radius.coords, sigma, eval_point))
 
 
 def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
@@ -314,20 +303,17 @@ def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
 def _terms(
     spec: FunctionalSpec,
     family: ser.FamilySpec,
-    radius: RadiusSpec,
+    coords: tuple[float, ...],
     sigma: float,
     eval_point: tuple[complex, ...] | None = None,
 ) -> _Row:
     """The row (head, majorant tail, area, area^2 term, extra term, total,
-    margin, certified, closed_form, interpretation) at a checked radius.  A
-    Moebius-type family without an evaluation point is the grid kernel on
-    its one parameter."""
-    if family.grid_rules and eval_point is None:
-        return next(_grid_terms(spec, type(family), family.n, (family.a,), radius, sigma))
+    margin, certified, closed_form, interpretation) at a checked polyradius
+    coords whose argument radius is sigma, read from the family's methods."""
     head_value, certified = _head(spec, family, sigma, eval_point)
     tail_value = family.majorant(sigma)
     area = (
-        _family_area(family, radius, sigma, spec.area_interpretation) if spec.uses_area() else 0.0
+        _family_area(family, coords, sigma, spec.area_interpretation) if spec.uses_area() else 0.0
     )
     area_sq = spec.area_sq_weight * area * area
     extra = spec.extra_area_weight * area
@@ -338,47 +324,46 @@ def _terms(
     )
 
 
-def _grid_terms(
+def _grid_columns(
     spec: FunctionalSpec,
     cls: type,
     n: int,
     avals,
-    radius: RadiusSpec,
+    coords: tuple[float, ...],
     sigma: float,
-) -> Iterator[_Row]:
+) -> tuple[list, ...]:
     """``_terms`` of the Moebius-type family cls(a) in dimension n for every
-    a of avals (already inside [0, 1)), at a radius checked for that class
-    and n, whose argument radius is sigma.  Each term is one call of the
-    class's rule in (a, sigma); the spec is read once, and the literal area
-    shares sigma^(2k) and W_k across the grid.  Rows are yielded in order:
-    a scan that keeps only the totals holds no tuple per row."""
-    constant_head, square_head = spec.head == HEAD_CONSTANT, spec.head == HEAD_ABS_SQ
+    a of avals (inside [0, 1)), at a polyradius coords checked for that
+    class and n whose argument radius is sigma, as the ten ``TermBreakdown``
+    columns in field order, which ``zip`` makes rows.  Each term is one call
+    of a column rule of the class, and the spec is read once."""
+    if spec.head == HEAD_CONSTANT:
+        heads = list(map(abs, avals))  # a_0 = a
+    else:
+        heads = cls.sup_grid(avals, sigma)
+        if spec.head == HEAD_ABS_SQ:
+            heads = [head * head for head in heads]
+    tails = cls.majorant_tail_grid(avals, 0, sigma)
     interp = spec.area_interpretation
-    closed_form = _closed_form(spec, cls.closed, n)
-    weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
-    a0_at, sup_at, tail_at, area_at = cls.a0_at, cls.sup_at, cls.majorant_tail_at, cls.area_at
-    literal = None
     if not spec.uses_area():
-        area_at = None
-    elif interp != INTERP_SLICE and n != 1:
-        literal = iter(cls.literal_area_grid(avals, sigma, radius.coords, n))
-    for a in avals:
-        if constant_head:
-            head = abs(a0_at(a))
-        else:
-            head = sup_at(a, sigma)
-            if square_head:
-                head = head * head
-        tail = tail_at(a, 0, sigma)
-        if literal is not None:
-            area = next(literal)
-        else:
-            area = area_at(a, sigma) if area_at is not None else 0.0
-        area_sq = sq_weight * area * area
-        extra = extra_weight * area
-        total = head + tail + weight * area + area_sq + extra
-        # Moebius-type heads are exact closed forms: every row is certified.
-        yield head, tail, area, area_sq, extra, total, 1.0 - total, True, closed_form, interp
+        areas = [0.0] * len(heads)
+    elif interp == INTERP_SLICE or n == 1:
+        areas = cls.area_grid(avals, sigma)
+    else:
+        areas = cls.literal_area_grid(avals, sigma, coords, n)
+    weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    area_sqs = [sq_weight * area * area for area in areas]
+    extras = [extra_weight * area for area in areas]
+    totals = [
+        head + tail + weight * area + area_sq + extra
+        for head, tail, area, area_sq, extra in zip(heads, tails, areas, area_sqs, extras)
+    ]
+    size = len(heads)
+    # Moebius-type heads are exact closed forms: every row is certified.
+    return (
+        heads, tails, areas, area_sqs, extras, totals, [1.0 - total for total in totals],
+        [True] * size, [_closed_form(spec, cls.closed, n)] * size, [interp] * size,
+    )
 
 
 def _head(

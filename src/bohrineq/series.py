@@ -11,18 +11,19 @@ class is the one home of its rules: a_0, the slice coefficients b_k of g,
 the radius sigma = (r_1 + ... + r_n)/q that the argument u = s/q reaches on
 the torus of polyradius r (q = n for the scaled form, else 1), certified
 tails, the boundary supremum of |f| and the rational form.  Functionals read
-the slice list and sigma; the Moebius-type families give exact closed forms
-in (a, sigma), each written once as a rule of the class that a grid kernel
-reads for many a at once, Blaschke products a slice sum to a certified
-degree, and the literal area weights slice degree k by W_k
-(``_degree_weights``).  The unit form is bounded by one on the polydisk of
-polyradius 1/n, every other family on the unit polydisk.
+the slice list and sigma.  A Moebius-type class writes each closed form
+once, as a column rule over a grid of a (``sup_grid``, ``majorant_tail_grid``,
+``area_grid``, ``literal_area_grid``) that its methods read at (a,); Blaschke
+products sum a slice to a certified degree; the literal area weights slice
+degree k by W_k (``_degree_weights``).  The unit form is bounded by one on
+the polydisk of polyradius 1/n, every other family on the unit polydisk.
 
 Every certified degree comes from one search, ``truncation``: given a tail
 rule K -> tail(K) it returns the smallest K whose tail is below
 ``TAIL_TARGET``, with that tail.  The majorant, the area, the literal area
-and the lemma square sums all pick their K there.  The search scans the
-first 16 degrees one by one and bisects above them; that finds the same K
+and the lemma square sums all pick their K there.  From a starting degree
+(a literal-area column passes the K of the previous a) the search walks
+down, or scans 16 degrees up and bisects above them; that finds the same K
 because every tail rule decreases in K.
 
 A multi-index series is a sparse map from multi-indices to complex
@@ -96,8 +97,11 @@ def _real(value, what: str):
 
 def _numbers(values, what: str, read: Callable = float) -> tuple:
     """tuple(map(read, values)); a value that read refuses, or values that
-    are not iterable, is a domain error that names the input."""
+    are not iterable or are a string (read character by character, "00"
+    would be two zeros), is a domain error that names the input."""
     try:
+        if isinstance(values, (str, bytes, bytearray)):
+            raise TypeError
         return tuple(map(read, values))
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be numbers, not {values!r}") from None
@@ -181,28 +185,37 @@ def coefficient_count(n: int, max_degree: int) -> int:
 _LINEAR_DEGREES = 16
 
 
-def truncation(tail: Callable[[int], float], first: int = 0) -> tuple[int, float]:
+def truncation(
+    tail: Callable[[int], float], first: int = 0, start: int | None = None
+) -> tuple[int, float]:
     """(K, tail(K)) for the smallest K in [first, MAX_TRUNCATION] with
-    tail(K) < TAIL_TARGET, else for K = MAX_TRUNCATION; first + 16 must not
-    exceed MAX_TRUNCATION (every caller starts at 0 or 1).
+    tail(K) < TAIL_TARGET, else for K = MAX_TRUNCATION.
 
-    Degrees first .. first + 15 are scanned one by one; above them the
-    first K is found by bisection, about 9 calls of tail instead of up to
-    185.  That is exact because every tail rule of the package decreases in
-    K, so tail(K) < TAIL_TARGET holds on a final run of degrees: the
-    Blaschke sigma^(K+1)/(1 - sigma) and t^(K+1)/(1 - t) have ratio sigma
-    (or t) < 1 from K to K + 1, the Moebius ``majorant_tail_at`` a sigma < 1,
-    ``sq_mass_tail`` a^2 t, the square-tail form y^K ((K+1) - K y) the ratio
-    y (K+2 - (K+1) y)/(K+1 - K y) < 1, since (K+1)(1 - y)^2 > 0, and a
-    constant's tail is 0.  Where a tail crosses TAIL_TARGET its ratio is far
-    from 1, so rounding cannot reorder the computed values there."""
-    for K in range(first, first + _LINEAR_DEGREES):
+    From degree ``start`` (default: first), say the K of a neighbouring
+    parameter, the search walks down while tail(K - 1) is below the target,
+    or else scans 16 degrees up and bisects above them (about 9 tail calls,
+    not up to 185).  That is exact because every tail rule of the package
+    decreases in K, so tail(K) < TAIL_TARGET holds on a final run of
+    degrees: the Blaschke sigma^(K+1)/(1 - sigma) and t^(K+1)/(1 - t) have
+    ratio sigma (or t) < 1 from K to K + 1, the Moebius majorant tail
+    a sigma < 1, ``sq_mass_tail`` a^2 t, the square-tail form
+    y^K ((K+1) - K y) the ratio y (K+2 - (K+1) y)/(K+1 - K y) < 1, since
+    (K+1)(1 - y)^2 > 0, and a constant's tail is 0.  Where a tail crosses
+    TAIL_TARGET its ratio is far from 1, so rounding cannot reorder the
+    computed values there."""
+    K = first if start is None else min(max(start, first), MAX_TRUNCATION)
+    value = tail(K)
+    if value < TAIL_TARGET:
+        while K > first and (below := tail(K - 1)) < TAIL_TARGET:
+            K, value = K - 1, below
+        return K, value
+    for K in range(K + 1, min(K + _LINEAR_DEGREES, MAX_TRUNCATION + 1)):
         value = tail(K)
         if value < TAIL_TARGET:
             return K, value
     # Along falling K the tail rises: bisect_left counts the degrees, from
-    # MAX_TRUNCATION down, whose tail is below the target.
-    degrees = range(MAX_TRUNCATION, K, -1)
+    # MAX_TRUNCATION down to the last one scanned, whose tail is below the target.
+    degrees = range(MAX_TRUNCATION, K - 1, -1)
     below = bisect.bisect_left(degrees, TAIL_TARGET, key=tail)
     K = degrees[max(below - 1, 0)]
     return K, tail(K)
@@ -224,14 +237,11 @@ class _Family:
     plus ``a0``, ``value``, ``boundary_sup`` and ``rational_form``.
     ``closed`` marks families whose majorant and area are exact closed forms;
     the slice sums below serve the one-variable families (n = q = 1).
-    ``grid_rules`` marks the classes whose terms are rules in (a, sigma)
-    that the grid kernel of ``functionals`` reads for a whole grid of a.
     """
 
     q = 1
     cap = 1.0
     closed = True
-    grid_rules = False
 
     def sigma(self, radii: tuple[float, ...]) -> float:
         """sum(radii)/q; a diagonal (or single) radius r gives (n/q) r exactly."""
@@ -260,15 +270,11 @@ class _Family:
 
 @dataclass(frozen=True)
 class _MoebiusType(_Family):
-    """(a - u)/(1 - a u) with u = s/q: every term is a closed form in (a, sigma).
-
-    Each closed form is written once, as a rule in (a, sigma) (``sup_at``,
-    ``majorant_tail_at``, ``area_at``, ``literal_area_grid``): the methods
-    read it at self.a, and the grid kernel of ``functionals`` reads it for
-    every a of a grid without building a family per a."""
+    """(a - u)/(1 - a u) with u = s/q: every term is a closed form in (a, sigma),
+    written once as a column rule over a grid of a, which the methods read at
+    (self.a,) and the column kernel of ``functionals`` at a whole grid."""
 
     a: float
-    grid_rules = True
 
     def __post_init__(self):
         try:
@@ -283,7 +289,7 @@ class _MoebiusType(_Family):
 
     @property
     def a0(self) -> complex:
-        return self.a0_at(self.a)
+        return complex(self.a)
 
     def value(self, z: tuple[complex, ...]) -> complex:
         u = sum(z) / self.q
@@ -296,7 +302,7 @@ class _MoebiusType(_Family):
         ]
 
     def majorant_tail(self, K: int, sigma: float) -> float:
-        return self.majorant_tail_at(self.a, K, sigma)
+        return self.majorant_tail_grid((self.a,), K, sigma)[0]
 
     def sq_tail(self, K: int, sigma: float) -> float:
         return _sq_tail_rule(self.a, sigma)(K)
@@ -306,45 +312,47 @@ class _MoebiusType(_Family):
         return (1.0 - a * a) ** 2 * a ** (2 * K) * t ** (K + 1) / (1.0 - a * a * t)
 
     def boundary_sup(self, sigma: float) -> tuple[float, bool]:
-        return self.sup_at(self.a, sigma), True
+        return self.sup_grid((self.a,), sigma)[0], True
 
     def majorant(self, sigma: float, K: int | None = None) -> float:
-        return self.majorant_tail_at(self.a, 0, sigma)
+        return self.majorant_tail_grid((self.a,), 0, sigma)[0]
 
     def area(self, sigma: float) -> float:
-        return self.area_at(self.a, sigma)
+        return self.area_grid((self.a,), sigma)[0]
 
     def literal_area(self, sigma: float, radii: tuple[float, ...]) -> float:
         return self.literal_area_grid((self.a,), sigma, radii, self.n)[0]
 
-    a0_at = staticmethod(complex)
+    @staticmethod
+    def sup_grid(avals, sigma: float) -> list[float]:
+        """sup |f| on the torus, for every a of avals."""
+        return [(a + sigma) / (1.0 + a * sigma) for a in avals]
 
     @staticmethod
-    def sup_at(a: float, sigma: float) -> float:
-        """sup |f| on the torus."""
-        return (a + sigma) / (1.0 + a * sigma)
-
-    @staticmethod
-    def majorant_tail_at(a: float, K: int, sigma: float) -> float:
-        """sum_{k>K} |c_k| sigma^k."""
+    def majorant_tail_grid(avals, K: int, sigma: float) -> list[float]:
+        """sum_{k>K} |c_k| sigma^k, for every a of avals."""
         # a**K with a = K = 0 correctly yields the full k >= 1 tail.
-        return (1.0 - a * a) * a**K * sigma ** (K + 1) / (1.0 - a * sigma)
+        power = sigma ** (K + 1)
+        return [(1.0 - a * a) * a**K * power / (1.0 - a * sigma) for a in avals]
 
     @staticmethod
-    def area_at(a: float, sigma: float) -> float:
-        """sum_{k>=1} k |c_k|^2 sigma^(2k)."""
-        one = 1.0 - a * a
-        return sigma * sigma * one * one / (1.0 - a * a * sigma * sigma) ** 2
+    def area_grid(avals, sigma: float) -> list[float]:
+        """sum_{k>=1} k |c_k|^2 sigma^(2k), for every a of avals."""
+        return [
+            sigma * sigma * (1.0 - a * a) * (1.0 - a * a) / (1.0 - a * a * sigma * sigma) ** 2
+            for a in avals
+        ]
 
     @staticmethod
     def literal_area_grid(avals, sigma: float, radii: tuple[float, ...], n: int) -> list[float]:
         """Literal multi-index area at polyradius radii for every a of avals:
         the slice terms k |c_k|^2 sigma^(2k) reweighted by the degree weights
         W_k, plus the slice tail, which stays a certificate because W_k <= 1.
-        Each a takes the degree ``truncation`` picks for its ``sq_tail``, from
-        one ``_sq_tail_rule``; sigma^(2k) and W_k are built once, up to the
-        largest degree the grid needs."""
-        degrees = [truncation(_sq_tail_rule(a, sigma), first=1) for a in avals]
+        Each a takes the degree ``truncation`` picks for its ``_sq_tail_rule``,
+        starting at the degree of the a before it (two or three tail reads on
+        a sorted grid); sigma^(2k) and W_k are built once, up to the largest degree."""
+        last = (None,)
+        degrees = [last := truncation(_sq_tail_rule(a, sigma), 1, last[0]) for a in avals]
         powers, weights = _literal_table(sigma, radii, n, max(degrees, default=(0,))[0])
         areas = []
         for a, (K, tail) in zip(avals, degrees):

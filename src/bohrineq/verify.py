@@ -12,9 +12,10 @@ order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and evaluate the a-grid with one call of the
-Moebius-type kernel of ``functionals`` per (spec, n, r): no family object
-is built per row, and scans read only each row's total.  Sweeps evaluate
-the grid as given and order their rows with one stable sort.
+column kernel of ``functionals`` per (spec, n, r): scans read its total
+column, and sweeps zip its columns into rows and order them with one stable
+sort.  A radius search checks its radius once, through ``evaluate``, and
+runs the evaluation core at each bisection midpoint.
 Lemma checks admit only families bounded by one on the unit polydisk,
 which is the hypothesis the lemmas carry, and an integer degree K >= 0;
 without an explicit K they take the one ``series.truncation`` picks for
@@ -40,8 +41,11 @@ TOL_TRUNCATED = 1e-9
 #: Slack for lemma inequality checks.
 LEMMA_SLACK = 1e-10
 
-#: The total of a row of the ``functionals`` core, read by position.
-_total_of = operator.itemgetter(fun.TermBreakdown._fields.index("total"))
+#: The total, and the total and certified flag, of a row of the
+#: ``functionals`` core; the first also reads the total column of its grid.
+_FIELDS = fun.TermBreakdown._fields
+_total_of = operator.itemgetter(_FIELDS.index("total"))
+_total_certified = operator.itemgetter(_FIELDS.index("total"), _FIELDS.index("certified"))
 
 #: Most points ``grid_values`` builds; the default scan grid has 10^4.
 MAX_GRID_POINTS = 1_000_000
@@ -182,20 +186,17 @@ def radius_search(
     majorant tail and both readings of the area are power series in bold_r
     with nonnegative coefficients.  Bisection therefore needs no presamples,
     and a certified total(lo) <= 1 certifies the whole interval [0, lo].
-    One evaluation near the cap decides whether the total reaches 1; if not,
-    the result is that radius with binding = False.  Bisection stops at
-    width ``tol``, or earlier when the midpoint no longer splits the
-    bracket: the bracket then holds two adjacent floats.
+    One checked ``evaluate`` at hi, near the cap, decides whether the total
+    reaches 1; if not, the result is hi with binding = False.  Each midpoint
+    lies in (0, hi), so it passes every check of hi, and a step runs the core
+    ``_terms`` alone.  Bisection stops at width ``tol``, or earlier when the
+    midpoint no longer splits the bracket: it then holds two adjacent floats.
     """
     if not 0 < ser._real(tol, "tolerance") < math.inf:
         raise DomainError("tolerance must be finite and positive")
-    cap = family.cap
+    n, cap = family.n, family.cap
     hi = cap * (1.0 - 1e-9)
-
-    def total(r: float) -> fun.TermBreakdown:
-        return fun.evaluate(spec, family, fun.RadiusSpec.diagonal(family.n, r))
-
-    top = total(hi)
+    top = fun.evaluate(spec, family, fun.RadiusSpec.diagonal(n, hi))
     certified = top.certified
     if top.total <= 1.0:
         return RadiusResult(hi, (hi, cap), 0, False, certified)
@@ -206,9 +207,11 @@ def radius_search(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        breakdown = total(mid)
-        certified = certified and breakdown.certified
-        if breakdown.total <= 1.0:
+        coords = (mid,) * n
+        row = fun._terms(spec, family, coords, family.sigma(coords))
+        total, row_certified = _total_certified(row)
+        certified = certified and row_certified
+        if total <= 1.0:
             lo = mid
         else:
             hi = mid
@@ -293,16 +296,16 @@ def _check_n(td: TheoremDef, n: int) -> int:
     return n
 
 
-def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[fun.RadiusSpec, float, type]:
-    """The diagonal radius r in dimension n, checked against the cap of the
+def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[tuple[float, ...], float, type]:
+    """The diagonal polyradius (r,) * n, checked against the cap of the
     theorem's family, its argument radius sigma, and the family's class.
     Cap and sigma depend on the class and n only, not on a, so scans and
-    sweeps call this once per (n, r) and evaluate their rows with the grid
+    sweeps call this once per (n, r) and evaluate their rows with the column
     kernel of that class."""
     family = theorem_family(theorem_id, 0.0, n)
     radius = fun.RadiusSpec.diagonal(n, r)
     fun._check_radius_for(family, radius, n)
-    return radius, family.sigma(radius.coords), type(family)
+    return radius.coords, family.sigma(radius.coords), type(family)
 
 
 def check_tolerance(tol: float | None) -> None:
@@ -375,11 +378,11 @@ def sharpness_scan(
     perturbed_spec = replace(
         spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
     )
-    radius, sigma, cls = _checked_radius(theorem_id, n, r)
+    coords, sigma, cls = _checked_radius(theorem_id, n, r)
 
     def totals(row_spec: fun.FunctionalSpec) -> list[float]:
-        # Only the total of each row; no TermBreakdown per row.
-        return list(map(_total_of, fun._grid_terms(row_spec, cls, n, grid, radius, sigma)))
+        # Only the total column; no row is built.
+        return _total_of(fun._grid_columns(row_spec, cls, n, grid, coords, sigma))
 
     base = totals(spec)
     pert = totals(perturbed_spec) if epsilon > 0 else base
@@ -460,9 +463,9 @@ def theorem_sweep(
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
         columns = []
         for r in r_floats if r_floats is not None else [td.threshold(n)]:
-            radius, sigma, cls = _checked_radius(theorem_id, n, r)
+            coords, sigma, cls = _checked_radius(theorem_id, n, r)
             for interp_spec in specs:
-                terms = fun._grid_terms(interp_spec, cls, n, grid, radius, sigma)
+                terms = zip(*fun._grid_columns(interp_spec, cls, n, grid, coords, sigma))
                 columns.append((r, list(map(fun.TermBreakdown._make, terms))))
         for i, a in enumerate(grid):
             for r, breakdowns in columns:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -612,8 +613,8 @@ def _tail_rules():
         yield f"blaschke.sq_mass_tail {s}", lambda k, s=s: blaschke.sq_mass_tail(k, s)
     for a in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999):
         for s in sigmas + (1.0,):
-            yield f"majorant_tail_at {a} {s}", lambda k, a=a, s=s: (
-                MoebiusDisk.majorant_tail_at(a, k, s)
+            yield f"moebius.majorant_tail {a} {s}", lambda k, a=a, s=s: (
+                MoebiusDisk(a).majorant_tail(k, s)
             )
             yield f"_sq_tail_rule {a} {s}", ser._sq_tail_rule(a, s)
             yield f"moebius.sq_mass_tail {a} {s}", lambda k, a=a, s=s: (
@@ -652,22 +653,99 @@ def test_blaschke_majorant_search_bisects_past_degree_16():
     assert calls[:16] == list(range(16))
 
 
-def test_literal_area_search_at_the_t21_threshold_stays_linear(monkeypatch):
-    # sigma = n r = 1/3 at r = 1/(3n): every search ends below degree
-    # 1 + 16 and reads exactly the tails a linear scan reads.
+def test_truncation_from_any_start_equals_a_linear_scan():
+    # A warm start walks down or up from start and must find the K of a
+    # linear scan from first, with the same tail, wherever it starts.
+    top = ser.MAX_TRUNCATION
+    for name, tail in _tail_rules():
+        for first in (0, 1):
+            expected = _linear_truncation(tail, first)
+            K = expected[0]
+            starts = {first, K - 2, K - 1, K, K + 1, K + 2, 16, 17, top - 1, top}
+            for start in sorted(x for x in starts if x >= first):
+                got = ser.truncation(tail, first, start)
+                assert repr(got) == repr(expected), (name, first, start)
+
+
+def test_literal_area_search_at_the_t21_threshold_is_warm_started(monkeypatch):
+    # sigma = n r = 1/3 at r = 1/(3n).  Each search after the first of a
+    # grid starts at the degree of the a before it, finds the degree of a
+    # linear scan, and on the sorted default grid reads at most 3 tails.
     searches = []
-    rule = ser._sq_tail_rule
+    search = ser.truncation
 
-    def counting_rule(a, sigma):
-        tail, calls = _counting(rule(a, sigma))
-        searches.append((_linear_truncation(rule(a, sigma), 1)[0], calls))
-        return tail
+    def recorded(tail, first=0, start=None):
+        counted, calls = _counting(tail)
+        result = search(counted, first, start)
+        searches.append((result, _linear_truncation(tail, first), start, calls))
+        return result
 
-    monkeypatch.setattr(ser, "_sq_tail_rule", counting_rule)
+    monkeypatch.setattr(ser, "truncation", recorded)
     theorem_sweep("T21")
     assert len(searches) == 200  # n = 2, 3 on the 100-point grid
-    for K, calls in searches:
-        assert K < 1 + 16 and calls == list(range(1, K + 1))
+    assert [start for _, _, start, _ in searches].count(None) == 2  # one cold search per grid
+    for result, expected, start, calls in searches:
+        assert repr(result) == repr(expected)
+        assert start is None or len(calls) <= 3
+
+
+_MOEBIUS_CLASSES = ((MoebiusDisk, 1), (ExtremalPolydiskUnit, 3), (ExtremalPolydiskScaled, 2))
+
+
+def _moebius(cls, a, n):
+    return cls(a) if cls is MoebiusDisk else cls(a, n)
+
+
+def _column_grid(size=2000):
+    """Seeded points of [0, 1) with 0.0 and values near 1, in no order."""
+    rng = random.Random(16)
+    near_one = [1.0 - 2.0**-k for k in (10, 20, 30, 40, 52)] + [math.nextafter(1.0, 0.0)]
+    grid = [0.0, *near_one] + [rng.random() for _ in range(size - 1 - len(near_one))]
+    rng.shuffle(grid)
+    return grid
+
+
+@pytest.mark.parametrize("cls, n", _MOEBIUS_CLASSES, ids=lambda v: getattr(v, "__name__", v))
+def test_moebius_column_rules_equal_the_family_methods(cls, n):
+    # Each column reads, for every a, the bits of the family method at a,
+    # and of the closed form in its fixed order of operations.
+    grid = _column_grid()
+    families = [_moebius(cls, a, n) for a in grid]
+    for sigma in (0.0, 1.0 / 3.0, math.sqrt(5.0) - 2.0, 0.9, 0.999):
+        sups = [f.boundary_sup(sigma) for f in families]
+        assert repr(cls.sup_grid(grid, sigma)) == repr([value for value, _ in sups])
+        assert all(certified for _, certified in sups)
+        assert repr(cls.sup_grid(grid, sigma)) == repr(
+            [(a + sigma) / (1.0 + a * sigma) for a in grid]
+        )
+        for K in (0, 7, 60):
+            assert repr(cls.majorant_tail_grid(grid, K, sigma)) == repr(
+                [f.majorant_tail(K, sigma) for f in families]
+            )
+            assert repr(cls.majorant_tail_grid(grid, K, sigma)) == repr(
+                [(1.0 - a * a) * a**K * sigma ** (K + 1) / (1.0 - a * sigma) for a in grid]
+            )
+        assert repr(cls.majorant_tail_grid(grid, 0, sigma)) == repr(
+            [f.majorant(sigma) for f in families]
+        )
+        assert repr(cls.area_grid(grid, sigma)) == repr([f.area(sigma) for f in families])
+        one = [1.0 - a * a for a in grid]
+        assert repr(cls.area_grid(grid, sigma)) == repr(
+            [sigma * sigma * o * o / (1.0 - a * a * sigma * sigma) ** 2 for a, o in zip(grid, one)]
+        )
+
+
+@pytest.mark.parametrize("cls, n", _MOEBIUS_CLASSES[1:], ids=lambda v: getattr(v, "__name__", v))
+def test_literal_area_column_equals_one_cold_search_per_a(cls, n):
+    # The warm-started column gives each a the area its own cold search
+    # gives, on an unsorted grid, at diagonal and vector radii.
+    grid = _column_grid(400)
+    for radii in ((0.1,) * n, (0.3 / n,) * n, tuple(0.9 * (i + 1) / n**2 for i in range(n))):
+        family = _moebius(cls, 0.5, n)
+        sigma = family.sigma(radii)
+        column = cls.literal_area_grid(grid, sigma, radii, n)
+        cold = [_moebius(cls, a, n).literal_area(sigma, radii) for a in grid]
+        assert repr(column) == repr(cold), radii
 
 
 # ---------------------------------------------------------------- torus

@@ -31,6 +31,7 @@ from bohrineq.series import (
 )
 from bohrineq.verify import (
     MAX_GRID_POINTS,
+    RadiusResult,
     SweepRow,
     THEOREMS,
     grid_values,
@@ -246,26 +247,85 @@ def test_radius_search_stable_under_tolerance_refinement():
 @pytest.mark.parametrize("tol", [1e-16, 1e-17, 1e-20, 5e-324])
 def test_radius_search_stops_at_adjacent_floats(monkeypatch, tol):
     # Below the float spacing of the bracket the midpoint rounds to one of
-    # its ends.  The search must stop there; a budget on evaluate calls
-    # stands in for a timeout.
+    # its ends.  The search must stop there; a budget on calls of the
+    # evaluation core, which the checked evaluation at hi and every
+    # bisection step run, stands in for a timeout.
     calls = []
-    evaluate_ = fun.evaluate
+    terms = fun._terms
 
     def budgeted(*args):
         calls.append(args)
         if len(calls) > 500:
             raise RuntimeError("radius search does not terminate")
-        return evaluate_(*args)
+        return terms(*args)
 
-    monkeypatch.setattr(fun, "evaluate", budgeted)
+    monkeypatch.setattr(fun, "_terms", budgeted)
     result = radius_search(preset("classic"), MoebiusDisk(0.5), tol=tol)
+    monkeypatch.undo()
     lo, hi = result.bracket
     assert hi == math.nextafter(lo, math.inf)
     assert result.binding and lo <= result.radius <= hi
     assert result.iterations == len(calls) - 1  # after the one evaluation at hi
     spec, family = preset("classic"), MoebiusDisk(0.5)
-    assert evaluate_(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
-    assert evaluate_(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
+    assert evaluate(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
+    assert evaluate(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
+
+
+def _reference_radius_search(spec, family, tol):
+    """The bisection of ``radius_search`` with a checked public evaluation
+    at every step."""
+    cap = family.cap
+    hi = cap * (1.0 - 1e-9)
+
+    def total(r):
+        return evaluate(spec, family, RadiusSpec.diagonal(family.n, r))
+
+    top = total(hi)
+    certified = top.certified
+    if top.total <= 1.0:
+        return RadiusResult(hi, (hi, cap), 0, False, certified)
+    lo, iterations = 0.0, 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        breakdown = total(mid)
+        certified = certified and breakdown.certified
+        if breakdown.total <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return RadiusResult(0.5 * (lo + hi), (lo, hi), iterations, True, certified)
+
+
+_SEARCH_CASES = [
+    ("classic", MoebiusDisk(0.5)),
+    ("thm_e", MoebiusDisk(0.9)),
+    ("thm_d", MoebiusDisk(0.0)),
+    ("thm_2_1", ExtremalPolydiskUnit(0.5, 3)),
+    ("thm_2_1-literal", ExtremalPolydiskUnit(0.7, 2)),
+    ("thm_2_3", ExtremalPolydiskScaled(0.4, 2)),
+    ("thm_b2", ExtremalPolydiskScaled(0.8, 3)),
+    ("thm_e", FiniteBlaschke((0.3, -0.5, 0.2j))),
+    ("classic", FiniteBlaschke((0.5,))),
+    ("classic", ConstantFn(0.3)),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-16, 5e-324])
+@pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=[
+    f"{name}-{type(family).__name__}" for name, family in _SEARCH_CASES
+])
+def test_radius_search_equals_a_bisection_on_public_evaluate(name, family, tol):
+    # The search checks its radius once and then runs the core at each
+    # midpoint; every field equals a search that checks every midpoint.
+    preset_name, _, interp = name.partition("-")
+    spec = preset(preset_name)
+    if interp:
+        spec = spec.with_interpretation(interp)
+    expected = _reference_radius_search(spec, family, tol)
+    assert repr(radius_search(spec, family, tol=tol)) == repr(expected)
 
 
 def test_radius_search_rejects_non_monotone_functional():
@@ -777,12 +837,16 @@ _MOEBIUS = MoebiusDisk(0.5)
         "point coordinates",
     ),
     (lambda: grid_values("a", 1, 0.1), "grid start, stop and step"),
+    # A string is one value, not a sequence of digits.
+    (lambda: RadiusSpec("00"), "radius coordinates"),
+    (lambda: theorem_sweep("C", a_grid="00"), "sweep grid"),
+    (lambda: FiniteBlaschke(b"\x00"), "Blaschke zeros"),
 ], ids=[
     "RadiusSpec", "RadiusSpec.diagonal", "FiniteBlaschke", "ConstantFn", "lemma1a",
     "lemma1b", "lemma1c", "radius_search", "torus_bound_check", "sharpness_scan",
     "theorem_sweep", "schwarz_pick", "lemma1c_bound", "majorant_tail_bound",
     "default_truncation", "family_value", "family_value-scalar", "evaluate-eval_point",
-    "grid_values",
+    "grid_values", "RadiusSpec-str", "theorem_sweep-str", "FiniteBlaschke-bytes",
 ])
 def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
