@@ -25,19 +25,19 @@ degree (``literal_area``).
 ``evaluate`` is its checks (dimension, domain cap) and one private core,
 ``_terms``, which takes the checked polyradius and its sigma, reads every
 family through the family's methods and returns the row in
-``TermBreakdown`` field order.  ``_grid_columns`` is the same functional for
-the Moebius-type family of one class and n over a whole grid of a: it reads
-the class's column rules, each closed form's one home, once per term and
-returns the ``TermBreakdown`` columns, so sweeps and scans in ``verify``
-build no family per row and scans read the total column alone.
+``TermBreakdown`` field order.  The grid kernel is the same functional for
+the Moebius-type family of one class and n over a grid of a, and builds no
+family: ``_grid_terms`` reads the head, tail and area columns from the
+class's column rules, each (a, sigma) column once per sweep or scan,
+``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import NamedTuple, Union
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Union
 
 from . import constants as sharp
 from . import series as ser
@@ -128,8 +128,8 @@ PRESET_NAMES = (
 )
 
 
-def preset(name: str) -> FunctionalSpec:
-    """Named functional with weights injected from the constants module."""
+@lru_cache(maxsize=1)
+def _preset_table() -> dict[str, FunctionalSpec]:
     c = sharp.sharp_constants()
     table = {
         "classic": FunctionalSpec(HEAD_CONSTANT),
@@ -147,8 +147,14 @@ def preset(name: str) -> FunctionalSpec:
     }
     table["thm_2_1"] = table["thm_c"]
     table["thm_2_2"] = table["thm_d"]
+    return table
+
+
+def preset(name: str) -> FunctionalSpec:
+    """Named functional with weights injected from the constants module; the
+    table is built once and its frozen specs are shared."""
     try:
-        return table[name]
+        return _preset_table()[name]
     except KeyError:
         raise DomainError(f"unknown preset {name!r}") from None
 
@@ -324,45 +330,59 @@ def _terms(
     )
 
 
-def _grid_columns(
-    spec: FunctionalSpec,
-    cls: type,
-    n: int,
-    avals,
-    coords: tuple[float, ...],
-    sigma: float,
-) -> tuple[list, ...]:
-    """``_terms`` of the Moebius-type family cls(a) in dimension n for every
-    a of avals (inside [0, 1)), at a polyradius coords checked for that
-    class and n whose argument radius is sigma, as the ten ``TermBreakdown``
-    columns in field order, which ``zip`` makes rows.  Each term is one call
-    of a column rule of the class, and the spec is read once."""
+def _grid_terms(
+    spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
+    shared: dict,
+) -> tuple[list, list, list]:
+    """The head, majorant-tail and area columns of ``_terms`` of the
+    Moebius-type family cls(a) in dimension n for every a of avals (inside
+    [0, 1)), at a polyradius coords checked for that class and n whose
+    argument radius is sigma.  Every column but a literal area is of (a,
+    sigma) alone: it is built once, by one column rule call, into shared, a
+    dict that lives for one sweep or scan over avals, keyed by sigma's repr,
+    since -0.0 == 0.0.  So are the literal-area degrees."""
+
+    def once(name: str, build: Callable[[], list]) -> list:
+        key = name, repr(sigma)
+        return shared[key] if key in shared else shared.setdefault(key, build())
+
     if spec.head == HEAD_CONSTANT:
-        heads = list(map(abs, avals))  # a_0 = a
+        heads = once(spec.head, lambda: list(map(abs, avals)))  # a_0 = a
     else:
-        heads = cls.sup_grid(avals, sigma)
-        if spec.head == HEAD_ABS_SQ:
-            heads = [head * head for head in heads]
-    tails = cls.majorant_tail_grid(avals, 0, sigma)
-    interp = spec.area_interpretation
+        sups = once(HEAD_ABS, lambda: cls.sup_grid(avals, sigma))
+        heads = sups if spec.head == HEAD_ABS else once(spec.head, lambda: [x * x for x in sups])
+    tails = once("tail", lambda: cls.majorant_tail_grid(avals, 0, sigma))
     if not spec.uses_area():
-        areas = [0.0] * len(heads)
-    elif interp == INTERP_SLICE or n == 1:
-        areas = cls.area_grid(avals, sigma)
-    else:
-        areas = cls.literal_area_grid(avals, sigma, coords, n)
+        return heads, tails, [0.0] * len(heads)
+    if spec.area_interpretation == INTERP_SLICE or n == 1:
+        return heads, tails, once("area", lambda: cls.area_grid(avals, sigma))
+    degrees = once("degrees", lambda: cls.degree_grid(avals, sigma))
+    return heads, tails, cls.literal_area_grid(avals, sigma, coords, n, degrees)
+
+
+def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) -> list[float]:
+    """The total column: ``_terms``'s sum, in its order of operations."""
     weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
-    area_sqs = [sq_weight * area * area for area in areas]
-    extras = [extra_weight * area for area in areas]
-    totals = [
-        head + tail + weight * area + area_sq + extra
-        for head, tail, area, area_sq, extra in zip(heads, tails, areas, area_sqs, extras)
+    return [
+        head + tail + weight * area + sq_weight * area * area + extra_weight * area
+        for head, tail, area in zip(heads, tails, areas)
     ]
+
+
+def _grid_columns(
+    spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
+    shared: dict,
+) -> tuple[list, ...]:
+    """The ten ``TermBreakdown`` columns, in field order, of ``_grid_terms``."""
+    heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
+    totals = _grid_totals(spec, heads, tails, areas)
+    sq_weight, extra_weight = spec.area_sq_weight, spec.extra_area_weight
     size = len(heads)
     # Moebius-type heads are exact closed forms: every row is certified.
     return (
-        heads, tails, areas, area_sqs, extras, totals, [1.0 - total for total in totals],
-        [True] * size, [_closed_form(spec, cls.closed, n)] * size, [interp] * size,
+        heads, tails, areas, [sq_weight * area * area for area in areas],
+        [extra_weight * area for area in areas], totals, [1.0 - total for total in totals],
+        [True] * size, [_closed_form(spec, cls.closed, n)] * size, [spec.area_interpretation] * size
     )
 
 

@@ -15,14 +15,16 @@ the slice list and sigma.  A Moebius-type class writes each closed form
 once, as a column rule over a grid of a (``sup_grid``, ``majorant_tail_grid``,
 ``area_grid``, ``literal_area_grid``) that its methods read at (a,); Blaschke
 products sum a slice to a certified degree; the literal area weights slice
-degree k by W_k (``_degree_weights``).  The unit form is bounded by one on
-the polydisk of polyradius 1/n, every other family on the unit polydisk.
+degree k by W_k (``_degree_weights``) up to degrees of (a, sigma) alone,
+which ``degree_grid`` searches once for every n.  The unit form is bounded
+by one on the polydisk of polyradius 1/n, every other family on the unit
+polydisk.
 
 Every certified degree comes from one search, ``truncation``: given a tail
 rule K -> tail(K) it returns the smallest K whose tail is below
 ``TAIL_TARGET``, with that tail.  The majorant, the area, the literal area
 and the lemma square sums all pick their K there.  From a starting degree
-(a literal-area column passes the K of the previous a) the search walks
+(``degree_grid`` passes the K of the previous a) the search walks
 down, or scans 16 degrees up and bisects above them; that finds the same K
 because every tail rule decreases in K.
 
@@ -321,7 +323,8 @@ class _MoebiusType(_Family):
         return self.area_grid((self.a,), sigma)[0]
 
     def literal_area(self, sigma: float, radii: tuple[float, ...]) -> float:
-        return self.literal_area_grid((self.a,), sigma, radii, self.n)[0]
+        degrees = self.degree_grid((self.a,), sigma)
+        return self.literal_area_grid((self.a,), sigma, radii, self.n, degrees)[0]
 
     @staticmethod
     def sup_grid(avals, sigma: float) -> list[float]:
@@ -338,21 +341,27 @@ class _MoebiusType(_Family):
     @staticmethod
     def area_grid(avals, sigma: float) -> list[float]:
         """sum_{k>=1} k |c_k|^2 sigma^(2k), for every a of avals."""
+        ss = sigma * sigma
         return [
-            sigma * sigma * (1.0 - a * a) * (1.0 - a * a) / (1.0 - a * a * sigma * sigma) ** 2
-            for a in avals
+            ss * (one := 1.0 - (aa := a * a)) * one / (1.0 - aa * sigma * sigma) ** 2 for a in avals
         ]
 
     @staticmethod
-    def literal_area_grid(avals, sigma: float, radii: tuple[float, ...], n: int) -> list[float]:
-        """Literal multi-index area at polyradius radii for every a of avals:
-        the slice terms k |c_k|^2 sigma^(2k) reweighted by the degree weights
-        W_k, plus the slice tail, which stays a certificate because W_k <= 1.
-        Each a takes the degree ``truncation`` picks for its ``_sq_tail_rule``,
-        starting at the degree of the a before it (two or three tail reads on
-        a sorted grid); sigma^(2k) and W_k are built once, up to the largest degree."""
+    def degree_grid(avals, sigma: float) -> list[tuple[int, float]]:
+        """(K, tail) of ``truncation`` on the ``_sq_tail_rule`` of every a of
+        avals, from the K of the a before it: the literal-area degrees, of
+        (a, sigma) alone.  A sorted grid takes two or three tail reads per a."""
         last = (None,)
-        degrees = [last := truncation(_sq_tail_rule(a, sigma), 1, last[0]) for a in avals]
+        return [last := truncation(_sq_tail_rule(a, sigma), 1, last[0]) for a in avals]
+
+    @staticmethod
+    def literal_area_grid(
+        avals, sigma: float, radii: tuple[float, ...], n: int, degrees: list[tuple[int, float]]
+    ) -> list[float]:
+        """Literal multi-index area at polyradius radii for every a of avals,
+        whose ``degree_grid`` at sigma is degrees: the slice terms up to K
+        reweighted by the degree weights W_k, plus the slice tail, a
+        certificate as W_k <= 1; sigma^(2k) and W_k are built once."""
         powers, weights = _literal_table(sigma, radii, n, max(degrees, default=(0,))[0])
         areas = []
         for a, (K, tail) in zip(avals, degrees):

@@ -11,9 +11,10 @@ report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
-since neither depends on a, and evaluate the a-grid with one call of the
-column kernel of ``functionals`` per (spec, n, r): scans read its total
-column, and sweeps zip its columns into rows and order them with one stable
+since neither depends on a, and read the a-grid from the column kernel of
+``functionals``, which builds each (a, sigma) column once per call: a scan
+sums one total column per spec from one read of the terms, and a sweep
+builds rows from the columns at C speed and orders them with one stable
 sort.  A radius search checks its radius once, through ``evaluate``, and
 runs the evaluation core at each bisection midpoint.
 Lemma checks admit only families bounded by one on the unit polydisk,
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import replace
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from . import constants as sharp
@@ -41,10 +44,8 @@ TOL_TRUNCATED = 1e-9
 #: Slack for lemma inequality checks.
 LEMMA_SLACK = 1e-10
 
-#: The total, and the total and certified flag, of a row of the
-#: ``functionals`` core; the first also reads the total column of its grid.
+#: The total and certified flag of a row of the ``functionals`` core.
 _FIELDS = fun.TermBreakdown._fields
-_total_of = operator.itemgetter(_FIELDS.index("total"))
 _total_certified = operator.itemgetter(_FIELDS.index("total"), _FIELDS.index("certified"))
 
 #: Most points ``grid_values`` builds; the default scan grid has 10^4.
@@ -379,22 +380,20 @@ def sharpness_scan(
         spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
     )
     coords, sigma, cls = _checked_radius(theorem_id, n, r)
-
-    def totals(row_spec: fun.FunctionalSpec) -> list[float]:
-        # Only the total column; no row is built.
-        return _total_of(fun._grid_columns(row_spec, cls, n, grid, coords, sigma))
-
-    base = totals(spec)
-    pert = totals(perturbed_spec) if epsilon > 0 else base
+    # The specs differ in one weight only: the terms are read once, with the
+    # areas whenever either spec weighs them, and each spec sums its totals.
+    terms = fun._grid_terms(perturbed_spec, cls, n, grid, coords, sigma, {})
+    base = fun._grid_totals(spec, *terms)
+    pert = fun._grid_totals(perturbed_spec, *terms) if epsilon > 0 else base
     # The largest (total, a): ties in the total go to the larger a.
     max_total, argmax_a = max(zip(base, grid))
-    perturbed_max, perturbed_argmax = max(zip(pert, grid))
+    perturbed_max, perturbed_argmax = max(zip(pert, grid)) if epsilon > 0 else (max_total, argmax_a)
     return ScanReport(
         theorem=theorem_id,
         n=n,
         bold_r=r,
         epsilon=epsilon,
-        rows=tuple(map(ScanRow._make, zip(grid, base, pert))),
+        rows=tuple(map(partial(tuple.__new__, ScanRow), zip(grid, base, pert))),
         max_total=max_total,
         argmax_a=argmax_a,
         perturbed_max=perturbed_max,
@@ -454,22 +453,27 @@ def theorem_sweep(
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
-    # given; the rows are built in input order (n, a, r, interpretation) and
-    # sorted once.  The sort is stable, so repeated keys (repeats, 0.0 and
-    # -0.0) keep their input order, and "literal" < "slice" puts each literal
-    # row before its slice row.  An attrgetter key runs at C speed.
+    # given, and sets of one sigma share their columns.  Rows are built at C
+    # speed, by tuple.__new__, interleaved per a in input order (n, a, r,
+    # interpretation) and sorted once.  The sort is stable, so repeated keys
+    # (repeats, 0.0 and -0.0) keep their input order, and "literal" <
+    # "slice" puts each literal row before its slice row.  An attrgetter key
+    # runs at C speed.
+    shared: dict = {}
+    breakdown = partial(tuple.__new__, fun.TermBreakdown)
+    sweep_row = partial(tuple.__new__, SweepRow)
     rows: list[SweepRow] = []
     for n in ns:
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
-        columns = []
+        sets = []
         for r in r_floats if r_floats is not None else [td.threshold(n)]:
             coords, sigma, cls = _checked_radius(theorem_id, n, r)
             for interp_spec in specs:
-                terms = zip(*fun._grid_columns(interp_spec, cls, n, grid, coords, sigma))
-                columns.append((r, list(map(fun.TermBreakdown._make, terms))))
-        for i, a in enumerate(grid):
-            for r, breakdowns in columns:
-                rows.append(SweepRow._make((theorem_id, n, a, r, breakdowns[i])))
+                columns = fun._grid_columns(interp_spec, cls, n, grid, coords, sigma, shared)
+                breakdowns = map(breakdown, zip(*columns))
+                keys = repeat(theorem_id), repeat(n), grid, repeat(r)
+                sets.append(map(sweep_row, zip(*keys, breakdowns)))
+        rows.extend(chain.from_iterable(zip(*sets)))
     rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
     violations = tuple(row for row in literal if violates(row.breakdown, tol))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from bohrineq.constants import big_f
+from bohrineq.constants import big_f, sharp_constants
 from bohrineq.errors import DomainError, UnsupportedInterpretationError
 from bohrineq.functionals import (
     INTERP_LITERAL,
@@ -449,6 +449,28 @@ def test_evaluate_domain_checks():
         evaluate(preset("classic"), MoebiusDisk(0.5), _diag(2, 0.1))
     with pytest.raises(DomainError):
         preset("no_such_preset")
+
+
+def test_presets_are_built_once_with_the_sharp_weights():
+    # Each name returns one shared frozen spec, whose weights are the sharp
+    # constants; an unknown name is still refused.
+    c = sharp_constants()
+    weights = {
+        "classic": (0.0, 0.0, 0.0), "thm_a": (16 / 9, 0.0, 0.0), "thm_b1": (0.0, 0.0, 0.0),
+        "thm_b2": (0.0, 0.0, 0.0), "thm_c": (16 / 9, c.lambda1, 0.0),
+        "thm_2_1": (16 / 9, c.lambda1, 0.0), "thm_d": (16 / 9, c.lambda2, 0.0),
+        "thm_2_2": (16 / 9, c.lambda2, 0.0), "thm_e": (c.p, 0.0, 0.0),
+        "thm_2_3": (0.0, 0.0, c.p),
+    }
+    assert set(weights) == set(PRESET_NAMES)
+    for name in PRESET_NAMES:
+        spec = preset(name)
+        assert preset(name) is spec
+        assert (spec.area_weight, spec.area_sq_weight, spec.extra_area_weight) == weights[name]
+        assert spec.area_interpretation == INTERP_SLICE
+    for bad in ("no_such_preset", "", "THM_C"):
+        with pytest.raises(DomainError, match="unknown preset"):
+            preset(bad)
 
 
 @pytest.mark.parametrize("weight", ["area_weight", "area_sq_weight", "extra_area_weight"])

@@ -3,12 +3,14 @@
 import math
 from collections.abc import Hashable
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from bohrineq import constants as sharp
 from bohrineq import functionals as fun
 from bohrineq import series as ser
+from bohrineq import verify as ver
 from bohrineq.errors import BudgetExceededError, DomainError
 from bohrineq.functionals import (
     INTERP_LITERAL,
@@ -563,6 +565,67 @@ def test_literal_rows_share_their_powers_and_weights(monkeypatch):
     assert {n for n, _ in weights} == {2, 3, 5}
 
 
+def _count_rules(monkeypatch):
+    """Calls of each column rule of the Moebius-type classes, and of the
+    literal-area degree search."""
+    rules = ("sup_grid", "majorant_tail_grid", "area_grid", "degree_grid")
+    calls = {name: _count_calls(monkeypatch, ser._MoebiusType, name) for name in rules}
+    calls["truncation"] = _count_calls(monkeypatch, ser, "truncation")
+    return calls
+
+
+@pytest.mark.parametrize("tid", ["T21", "T22", "T23"])
+def test_sweep_sets_of_one_sigma_share_their_columns(monkeypatch, tid):
+    # At the threshold sigma = n r has the same bits for n = 1, 2, 3 and 5:
+    # the seven sets of a sweep read one head, tail and slice-area column,
+    # and the literal rows one degree search per a.
+    calls = _count_rules(monkeypatch)
+    report = theorem_sweep(tid, [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
+    assert len(report.rows) == 700
+    constant_head = fun.preset(THEOREMS[tid].preset_name).head == fun.HEAD_CONSTANT
+    assert len(calls["sup_grid"]) == (0 if constant_head else 1)
+    assert len(calls["majorant_tail_grid"]) == len(calls["area_grid"]) == 1
+    assert len(calls["degree_grid"]) == 1
+    assert len(calls["truncation"]) == 100
+
+
+def test_sweep_reads_each_rule_once_per_distinct_sigma(monkeypatch):
+    # Three radii, two sigmas: the repeated radius reads the columns of the
+    # first.  No column outlives its sweep: a second sweep reads them anew.
+    calls = _count_rules(monkeypatch)
+    for _ in range(2):
+        report = theorem_sweep("T22", [2], grid_values(0.0, 0.9, 0.1), [0.1, 0.05, 0.1])
+        assert len(report.rows) == 10 * 3 * 2
+    for name in ("sup_grid", "majorant_tail_grid", "area_grid", "degree_grid"):
+        assert len(calls[name]) == 2 * 2, name
+    assert [sigma for _, sigma in calls["area_grid"]] == [0.2, 0.1] * 2
+
+
+@pytest.mark.parametrize("tid,n", [("classic", 1), ("B1", 1), ("C", 1), ("T22", 3), ("T23", 2)])
+def test_perturbed_scan_reads_each_rule_once(monkeypatch, tid, n):
+    # The perturbed spec differs from the base one in one weight only.
+    calls = _count_rules(monkeypatch)
+    report = sharpness_scan(tid, grid_values(0.0, 0.99, 0.01), n=n, epsilon=1e-3)
+    assert report.perturbed_max > report.max_total
+    head = fun.preset(THEOREMS[tid].preset_name).head
+    assert len(calls["sup_grid"]) == (head != fun.HEAD_CONSTANT)
+    assert len(calls["majorant_tail_grid"]) == len(calls["area_grid"]) == 1
+    assert not calls["degree_grid"]
+
+
+@pytest.mark.parametrize("tid", ["classic", "B2", "E", "T21", "T22", "T23"])
+def test_sweep_rows_equal_per_row_evaluation_with_both_zero_radii(tid):
+    # 0.0 and -0.0 give sigmas that compare equal but differ in bits: each
+    # keeps its own columns.
+    ns = [2, 1, 3] if THEOREMS[tid].multidimensional else [1]
+    grid, radii = [0.4, -0.0, 0.0, 0.9], [0.0, 0.1, -0.0, 0.0]
+    rows = theorem_sweep(tid, ns, grid, radii).rows
+    assert [repr(row) for row in rows] == [
+        repr(row) for row in _sweep_reference(tid, ns, grid, radii)
+    ]
+    assert {repr(row.r) for row in rows} == {"0.0", "-0.0", "0.1"}
+
+
 def test_lemma_default_degree_is_the_truncation_degree():
     # Without an explicit K, lemmas 1a and 1b take the degree ``truncation``
     # picks for their own tail.
@@ -587,18 +650,24 @@ def test_lemma_refuses_a_negative_degree(check, family):
     assert check(family, 0.5, K=0).certified
 
 
-def test_sweep_builds_one_tail_rule_per_literal_row(monkeypatch):
+def test_sweep_builds_one_tail_rule_per_a_and_sigma(monkeypatch):
+    # sigma = n r = 1/3 for every n: the literal rows of n = 2, 3 and 5 share
+    # one degree search, and with it one tail rule, per a.
     rules = _count_calls(monkeypatch, ser, "_sq_tail_rule")
     report = theorem_sweep("T21", [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
     literal = [
         row for row in report.rows if row.n > 1 and row.breakdown.interpretation == INTERP_LITERAL
     ]
-    assert len(rules) == len(literal) == 300
+    assert len(literal) == 300
+    assert len(rules) == 100
+    assert {sigma for _, sigma in rules} == {1.0 / 3.0}
 
 
 def _count_builds(monkeypatch, cls):
     """Count every construction of the named tuple cls: through its
-    constructor, and through ``_make``, which ``_replace`` also calls."""
+    constructor, through ``_make``, which ``_replace`` also calls, and
+    through ``partial(tuple.__new__, cls)`` in ``verify``, which builds
+    rows at C speed."""
     calls = []
     new, make = cls.__new__, cls._make.__func__
 
@@ -610,8 +679,20 @@ def _count_builds(monkeypatch, cls):
         calls.append(iterable)
         return make(owner, iterable)
 
+    def counted_partial(func, *args):
+        built = partial(func, *args)
+        if func is not tuple.__new__ or args[:1] != (cls,):
+            return built
+
+        def counted(iterable):
+            calls.append(iterable)
+            return built(iterable)
+
+        return counted
+
     monkeypatch.setattr(cls, "__new__", counted_new)
     monkeypatch.setattr(cls, "_make", classmethod(counted_make))
+    monkeypatch.setattr(ver, "partial", counted_partial)
     return calls
 
 
@@ -621,6 +702,9 @@ def test_build_counter_sees_every_way_to_build_a_breakdown(monkeypatch):
     TermBreakdown(*out)
     out._replace(total=0.0)
     assert len(breakdowns) == 3
+    breakdowns.clear()
+    assert len(theorem_sweep("T21", [1, 2], [0.1, 0.5]).rows) == 6
+    assert len(breakdowns) == 6
 
 
 def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
