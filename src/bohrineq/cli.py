@@ -196,16 +196,8 @@ def _breakdown_row(
 def cmd_constants(ns: argparse.Namespace) -> int:
     report = sharp.constants_report(tol_override=ns.tol)
     d = report.as_dict()
-    row = {
-        key: d[key]
-        for key in (
-            "a_star1", "a_star2", "lambda1", "lambda2", "p",
-            "radius_classic", "radius_abs_head",
-        )
-    }
-    for name, value in d["residuals"].items():
-        row[f"resid_{name}"] = value
-    row["ok"] = report.ok
+    # ``emit`` reads only CONSTANTS_COLUMNS from the row.
+    row = dict(d, **{f"resid_{k}": v for k, v in d["residuals"].items()})
     meta = {"command": "constants", "tolerances": report.tolerances}
     if ns.format == "json":
         emit([d], CONSTANTS_COLUMNS, "json", ns.out, meta)

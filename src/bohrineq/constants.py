@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, NonUniqueRootError, RootBracketError
-from .series import _integer
+from .series import _integer, _real
 
 RADIUS_CLASSIC = 1.0 / 3.0
 RADIUS_ABS_HEAD = math.sqrt(5.0) - 2.0
@@ -99,7 +99,7 @@ def solve_unique_root(poly: PolynomialR, lo: float, hi: float) -> float:
     root, falling back to plain bisection whenever an iterate leaves the
     bracket, until a step is below a quarter of 1e-12.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+    if not all(math.isfinite(_real(end, "bracket end")) for end in (lo, hi)) or lo > hi:
         raise DomainError("bracket ends must be finite with lo <= hi")
     f_lo, f_hi = poly(lo), poly(hi)
     if f_lo == 0.0:
@@ -201,7 +201,7 @@ _SINGULARITY_GUARD = 1e-9
 
 def lambda1_of(a: float) -> float:
     """Quadratic-area weight formula; pole at a = 3/5."""
-    if not 0.0 <= a < 1.0:
+    if not 0.0 <= _real(a, "parameter a") < 1.0:
         raise DomainError(f"a={a} outside [0, 1)")
     if abs(a - 0.6) < _SINGULARITY_GUARD:
         raise DomainError("lambda1 formula is singular at a = 3/5")
@@ -212,7 +212,7 @@ def lambda1_of(a: float) -> float:
 
 def lambda2_of(a: float) -> float:
     """Quadratic-area weight formula for the squared head; pole at a = 1/2."""
-    if not 0.0 <= a < 1.0:
+    if not 0.0 <= _real(a, "parameter a") < 1.0:
         raise DomainError(f"a={a} outside [0, 1)")
     if abs(a - 0.5) < _SINGULARITY_GUARD:
         raise DomainError("lambda2 formula is singular at a = 1/2")
@@ -234,19 +234,19 @@ _PHI2_LAMBDA = PolynomialR((-81.0, -162.0, 0.0, 162.0, 81.0))
 def phi1(t: float, lam: float) -> float:
     """Margin polynomial of the constant-head case split, with free weight."""
     _check_unit_interval(t)
-    return _PHI1_MAIN(t) + lam * _PHI1_LAMBDA(t)
+    return _PHI1_MAIN(t) + _real(lam, "weight") * _PHI1_LAMBDA(t)
 
 
 def phi2(t: float, lam: float) -> float:
     """Margin polynomial of the squared-head case split, with free weight."""
     _check_unit_interval(t)
-    return _PHI2_MAIN(t) + lam * _PHI2_LAMBDA(t)
+    return _PHI2_MAIN(t) + _real(lam, "weight") * _PHI2_LAMBDA(t)
 
 
 def phi1_factored(s: float) -> float:
     """phi1 at the stationary weight lambda1_of(s), in factored form:
     2 (s^2 - 9) / (3 - 5s) * psi_1(s).  Vanishes exactly at the psi_1 root."""
-    if abs(s - 0.6) < _SINGULARITY_GUARD:
+    if abs(_real(s, "argument") - 0.6) < _SINGULARITY_GUARD:
         raise DomainError("factored form is singular at s = 3/5")
     return 2.0 * (s * s - 9.0) / (3.0 - 5.0 * s) * PSI1(s)
 
@@ -254,7 +254,7 @@ def phi1_factored(s: float) -> float:
 def phi2_factored(s: float) -> float:
     """phi2 at the stationary weight lambda2_of(s), in factored form:
     (9 - s^2) / (2 (2s - 1)) * psi_2(s)."""
-    if abs(s - 0.5) < _SINGULARITY_GUARD:
+    if abs(_real(s, "argument") - 0.5) < _SINGULARITY_GUARD:
         raise DomainError("factored form is singular at s = 1/2")
     return (9.0 - s * s) / (2.0 * (2.0 * s - 1.0)) * PSI2(s)
 
@@ -287,7 +287,7 @@ def case2_bound_constant_head(a: float, lam1: float) -> float:
         a
         + math.sqrt(one) / math.sqrt(8.0)
         + 16.0 * one**2 / nine**2
-        + 81.0 * lam1 * one**4 / nine**4
+        + 81.0 * _real(lam1, "weight") * one**4 / nine**4
     )
 
 
@@ -300,12 +300,12 @@ def case2_bound_squared_head(a: float, lam2: float) -> float:
         ((1.0 + 3.0 * a) / (3.0 + a)) ** 2
         + math.sqrt(one) / math.sqrt(8.0)
         + 16.0 * one**2 / nine**2
-        + 81.0 * lam2 * one**4 / nine**4
+        + 81.0 * _real(lam2, "weight") * one**4 / nine**4
     )
 
 
 def _check_unit_interval(t: float) -> None:
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= _real(t, "argument") <= 1.0:
         raise DomainError(f"argument {t} outside [0, 1]")
 
 
@@ -354,13 +354,8 @@ class ConstantsReport(NamedTuple):
         return _breaches(self.residuals, self.tolerances)
 
     def as_dict(self) -> dict:
-        c = self.constants
         return {
-            "a_star1": c.a_star1,
-            "a_star2": c.a_star2,
-            "lambda1": c.lambda1,
-            "lambda2": c.lambda2,
-            "p": c.p,
+            **self.constants._asdict(),
             "radius_classic": self.radius_classic,
             "radius_abs_head": self.radius_abs_head,
             "residuals": dict(sorted(self.residuals.items())),
@@ -376,17 +371,11 @@ def constants_report(tol_override: float | None = None) -> ConstantsReport:
     infinite override would pass any residual and is refused; a NaN override
     fails every constant.
     """
-    if tol_override is not None and math.isinf(tol_override):
+    if tol_override is not None and math.isinf(_real(tol_override, "tolerance override")):
         raise DomainError("tolerance override must not be infinite")
     c = sharp_constants()
-    residuals = {
-        "a_star1": abs(c.a_star1 - REFERENCE["a_star1"]),
-        "a_star2": abs(c.a_star2 - REFERENCE["a_star2"]),
-        "lambda1": abs(c.lambda1 - REFERENCE["lambda1"]),
-        "lambda2": abs(c.lambda2 - REFERENCE["lambda2"]),
-        "p": abs(c.p - REFERENCE["p"]),
-        "radius_abs_head": abs(RADIUS_ABS_HEAD - REFERENCE["radius_abs_head"]),
-    }
+    values = {**c._asdict(), "radius_abs_head": RADIUS_ABS_HEAD}
+    residuals = {name: abs(values[name] - ref) for name, ref in REFERENCE.items()}
     if tol_override is None:
         tolerances = dict(RESIDUAL_TOL)
     else:

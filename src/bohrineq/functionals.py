@@ -212,7 +212,7 @@ def majorant(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:
     partial = math.fsum(
         series.homogeneous_abs_sum(k, radius.coords) for k in range(series.truncation + 1)
     )
-    tail = series.majorant_tail_bound(radius.bold_r)
+    tail = ser.majorant_tail_bound(series.source, series.truncation, radius.bold_r)
     return partial + tail if tail is not None else partial
 
 

@@ -251,12 +251,12 @@ class _Family:
             return self.n // self.q * radii[0]
         return math.fsum(radii) / self.q
 
-    def majorant(self, sigma: float, K: int | None = None) -> float:
+    def majorant(self, sigma: float) -> float:
         """sum_{k>=1} |c_k| sigma^k: slice partial sum plus certified tail."""
-        K = K if K is not None else truncation(lambda k: self.majorant_tail(k, sigma))[0]
+        K, tail = truncation(lambda k: self.majorant_tail(k, sigma))
         b = self.slice(K)
         partial = math.fsum(abs(b[k]) * sigma**k for k in range(1, K + 1))
-        return partial + self.majorant_tail(K, sigma)
+        return partial + tail
 
     def area(self, sigma: float) -> float:
         """sum_{k>=1} k |c_k|^2 sigma^(2k): slice partial sum plus certified tail."""
@@ -316,7 +316,7 @@ class _MoebiusType(_Family):
     def boundary_sup(self, sigma: float) -> tuple[float, bool]:
         return self.sup_grid((self.a,), sigma)[0], True
 
-    def majorant(self, sigma: float, K: int | None = None) -> float:
+    def majorant(self, sigma: float) -> float:
         return self.majorant_tail_grid((self.a,), 0, sigma)[0]
 
     def area(self, sigma: float) -> float:
@@ -774,11 +774,6 @@ class CoefficientSeries:
         b = self.slice
         return b[k] if 0 <= k < len(b) else 0j
 
-    def majorant_tail_bound(self, bold_r: float) -> float | None:
-        """Upper bound on sum_{|alpha| > K} |a_alpha| r^alpha at diagonal
-        radius bold_r, or None when the series carries no certificate."""
-        return majorant_tail_bound(self.source, self.truncation, bold_r)
-
     def _check_radii(self, radii: tuple[float, ...]) -> None:
         if len(radii) != self.n:
             raise DomainError(f"radius vector has length {len(radii)}, expected {self.n}")
@@ -1161,7 +1156,7 @@ def torus_bound_check(
     samples = _torus_samples(series, radius_cap, samples_per_axis)
     # The first largest modulus, as a scan in sample order finds it.
     sup, witness = max(samples, key=lambda sample: sample[0])
-    tail = series.majorant_tail_bound(radius_cap)
+    tail = majorant_tail_bound(series.source, series.truncation, radius_cap)
     certified = tail is not None
     ok = certified and sup + tail <= 1.0 + TORUS_SLACK
     return TorusBoundReport(

@@ -18,9 +18,8 @@ builds rows from the columns at C speed and orders them with one stable
 sort.  A radius search checks its radius once, through ``evaluate``, and
 runs the evaluation core at each bisection midpoint.
 Lemma checks admit only families bounded by one on the unit polydisk,
-which is the hypothesis the lemmas carry, and an integer degree K >= 0;
-without an explicit K they take the one ``series.truncation`` picks for
-their tail.
+which is the hypothesis the lemmas carry, and sum each family to the degree
+``series.truncation`` picks for the tail of the lemma.
 """
 
 from __future__ import annotations
@@ -79,56 +78,47 @@ class LemmaCheck(NamedTuple):
     certified: bool
 
 
-def _check_lemma_input(family: ser.FamilySpec, K: int | None) -> int | None:
+def _check_lemma_input(family: ser.FamilySpec) -> None:
     """Admit only families bounded on the unit polydisk, for which q = n so
-    the argument radius sigma equals the diagonal radius, and only an
-    integer K >= 0, which is returned as an int."""
+    the argument radius sigma equals the diagonal radius."""
     if family.cap < 1.0:
         raise DomainError(
             "family is bounded only on the polydisk of radius 1/n; "
             "the lemma hypothesis needs boundedness on the unit polydisk"
         )
-    return K if K is None else ser._integer(K, "truncation degree", 0)
 
 
-def lemma1a_check(
-    family: ser.FamilySpec, bold_r: float, K: int | None = None
+def _lemma(
+    family: ser.FamilySpec, bold_r: float, tail: Callable[[int, float], float], p: int, rhs: float
 ) -> LemmaCheck:
+    """lhs = sum_{k>=1} k^(p-1) m2(k) r^(p k), summed to the degree
+    ``series.truncation`` picks for ``tail`` at r, plus that tail."""
+    K, tail_K = ser.truncation(lambda k: tail(k, bold_r), first=1)
+    m2 = family.sq_masses(K)
+    lhs = math.fsum(k ** (p - 1) * m2[k] * bold_r ** (p * k) for k in range(1, K + 1)) + tail_K
+    return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
+
+
+def lemma1a_check(family: ser.FamilySpec, bold_r: float) -> LemmaCheck:
     """sum_k k sum_{|alpha|=k} |a_alpha|^2 r^(2|alpha|)
        <= r^2 (1-a0^2)^2 / (1-a0^2 r^2)^2   for 0 < r <= 1/sqrt2."""
-    K = _check_lemma_input(family, K)
+    _check_lemma_input(family)
     if not 0.0 < ser._real(bold_r, "bold_r") <= 1.0 / math.sqrt(2.0):
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
-
-    if K is None:
-        K, tail = ser.truncation(lambda k: family.sq_tail(k, bold_r), first=1)
-    else:
-        tail = family.sq_tail(K, bold_r)
-    m2 = family.sq_masses(K)
-    lhs = math.fsum(k * m2[k] * bold_r ** (2 * k) for k in range(1, K + 1)) + tail
     a0 = abs(family.a0)
     rhs = bold_r**2 * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r * bold_r) ** 2
-    return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
+    return _lemma(family, bold_r, family.sq_tail, 2, rhs)
 
 
-def lemma1b_check(
-    family: ser.FamilySpec, bold_r: float, K: int | None = None
-) -> LemmaCheck:
+def lemma1b_check(family: ser.FamilySpec, bold_r: float) -> LemmaCheck:
     """sum_k sum_{|alpha|=k} |a_alpha|^2 r^|alpha|
        <= r (1-a0^2)^2 / (1-a0^2 r)   for 0 < r < 1."""
-    K = _check_lemma_input(family, K)
+    _check_lemma_input(family)
     if not 0.0 < ser._real(bold_r, "bold_r") < 1.0:
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
-
-    if K is None:
-        K, tail = ser.truncation(lambda k: family.sq_mass_tail(k, bold_r), first=1)
-    else:
-        tail = family.sq_mass_tail(K, bold_r)
-    m2 = family.sq_masses(K)
-    lhs = math.fsum(m2[k] * bold_r**k for k in range(1, K + 1)) + tail
     a0 = abs(family.a0)
     rhs = bold_r * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r)
-    return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
+    return _lemma(family, bold_r, family.sq_mass_tail, 1, rhs)
 
 
 def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
@@ -151,14 +141,12 @@ def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
     return math.sqrt(n) * bold_r * math.sqrt(1.0 - a0 * a0) / math.sqrt(1.0 - n * bold_r**2)
 
 
-def lemma1c_check(
-    family: ser.FamilySpec, bold_r: float, K: int | None = None
-) -> LemmaCheck:
+def lemma1c_check(family: ser.FamilySpec, bold_r: float) -> LemmaCheck:
     """Majorant tail of the family at diagonal radius bold_r against the
     two-branch bound."""
-    K = _check_lemma_input(family, K)
+    _check_lemma_input(family)
     rhs = lemma1c_bound(abs(family.a0), bold_r, family.n)
-    lhs = family.majorant(bold_r, K)
+    lhs = family.majorant(bold_r)
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
 
 

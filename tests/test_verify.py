@@ -627,13 +627,22 @@ def test_sweep_rows_equal_per_row_evaluation_with_both_zero_radii(tid):
 
 
 def test_lemma_default_degree_is_the_truncation_degree():
-    # Without an explicit K, lemmas 1a and 1b take the degree ``truncation``
-    # picks for their own tail.
-    for family in (ExtremalPolydiskScaled(0.6, 3), MoebiusDisk(0.5), FiniteBlaschke((0.5, -0.3))):
-        K = ser.truncation(lambda k: family.sq_tail(k, 0.5), first=1)[0]
-        assert lemma1a_check(family, 0.5) == lemma1a_check(family, 0.5, K=K)
-        K_b = ser.truncation(lambda k: family.sq_mass_tail(k, 0.5), first=1)[0]
-        assert lemma1b_check(family, 0.5) == lemma1b_check(family, 0.5, K=K_b)
+    # Lemmas 1a and 1b sum the square masses to the degree ``truncation``
+    # picks for their own tail and add that tail: rebuilt here bit for bit.
+    families = (
+        ExtremalPolydiskScaled(0.6, 3), MoebiusDisk(0.5), FiniteBlaschke((0.5, -0.3)),
+        ConstantFn(0.4),
+    )
+    for family in families:
+        for r in (0.3, 0.5, 0.7):
+            K, tail = ser.truncation(lambda k: family.sq_tail(k, r), first=1)
+            m2 = family.sq_masses(K)
+            lhs = math.fsum(k * m2[k] * r ** (2 * k) for k in range(1, K + 1)) + tail
+            assert repr(lemma1a_check(family, r).lhs) == repr(lhs)
+            K, tail = ser.truncation(lambda k: family.sq_mass_tail(k, r), first=1)
+            m2 = family.sq_masses(K)
+            lhs = math.fsum(m2[k] * r**k for k in range(1, K + 1)) + tail
+            assert repr(lemma1b_check(family, r).lhs) == repr(lhs)
 
 
 @pytest.mark.parametrize("check", [lemma1a_check, lemma1b_check, lemma1c_check])
@@ -641,13 +650,25 @@ def test_lemma_default_degree_is_the_truncation_degree():
     "family", [MoebiusDisk(0.5), FiniteBlaschke((0.5,)), ExtremalPolydiskScaled(0.6, 2)]
 )
 def test_lemma_refuses_a_negative_degree(check, family):
-    # K = -1 would sum no terms and add the tail of a degree below zero,
-    # which reported false violations; a non-integer K is no degree either.
-    # K = 0 stays valid.
-    for K in (-1, 2.5, 3.0, math.nan, math.inf, "3"):
-        with pytest.raises(DomainError, match="degree"):
+    # A lemma takes no degree at all, negative or not: each sums to the
+    # degree its own tail picks, so no degree can sum too few terms, or take
+    # a loose tail, and report a false violation.
+    for K in (-1, 0, 3):
+        with pytest.raises(TypeError):
             check(family, 0.5, K=K)
-    assert check(family, 0.5, K=0).certified
+        with pytest.raises(TypeError):
+            check(family, 0.5, K)
+    assert check(family, 0.5).ok
+
+
+def test_lemma1c_holds_with_equality_on_a_one_zero_blaschke_product():
+    # B(z) = (0.5 - z)/(1 - 0.5 z) is psi_0.5: its majorant tail at r = 0.4,
+    # 0.75 * 0.4 / (1 - 0.5 * 0.4) = 0.375, is the first branch of the bound.
+    # At degree 0 the geometric Blaschke tail, 0.4 / 0.6, exceeds the bound.
+    check = lemma1c_check(FiniteBlaschke((0.5,)), 0.4)
+    assert check.ok and check.certified
+    assert check.rhs == pytest.approx(0.375, abs=1e-15)
+    assert abs(check.lhs - check.rhs) <= 1e-12
 
 
 def test_sweep_builds_one_tail_rule_per_a_and_sigma(monkeypatch):
@@ -925,12 +946,24 @@ _MOEBIUS = MoebiusDisk(0.5)
     (lambda: RadiusSpec("00"), "radius coordinates"),
     (lambda: theorem_sweep("C", a_grid="00"), "sweep grid"),
     (lambda: FiniteBlaschke(b"\x00"), "Blaschke zeros"),
+    (lambda: sharp.constants_report("x"), "tolerance override"),
+    (lambda: sharp.solve_unique_root(sharp.PSI1, "a", 1.0), "bracket end"),
+    (lambda: sharp.lambda1_of("x"), "parameter a"),
+    (lambda: sharp.lambda2_of("x"), "parameter a"),
+    (lambda: sharp.phi1("x", 1.0), "argument"),
+    (lambda: sharp.phi2(0.5, "x"), "weight"),
+    (lambda: sharp.phi1_factored("x"), "argument"),
+    (lambda: sharp.big_f("x"), "argument"),
+    (lambda: sharp.case2_bound_constant_head("x", 1.0), "argument"),
+    (lambda: sharp.case2_bound_squared_head(0.5, "x"), "weight"),
 ], ids=[
     "RadiusSpec", "RadiusSpec.diagonal", "FiniteBlaschke", "ConstantFn", "lemma1a",
     "lemma1b", "lemma1c", "radius_search", "torus_bound_check", "sharpness_scan",
     "theorem_sweep", "schwarz_pick", "lemma1c_bound", "majorant_tail_bound",
     "default_truncation", "family_value", "family_value-scalar", "evaluate-eval_point",
     "grid_values", "RadiusSpec-str", "theorem_sweep-str", "FiniteBlaschke-bytes",
+    "constants_report", "solve_unique_root", "lambda1_of", "lambda2_of", "phi1", "phi2-weight",
+    "phi1_factored", "big_f", "case2_bound_constant_head", "case2_bound_squared_head-weight",
 ])
 def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
