@@ -29,7 +29,8 @@ family through the family's methods and returns the row in
 the Moebius-type family of one class and n over a grid of a, and builds no
 family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,
-``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns.
+``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
+each set of equal columns built once.
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def _grid_terms(
     argument radius is sigma.  Every column but a literal area is of (a,
     sigma) alone: it is built once, by one column rule call, into shared, a
     dict that lives for one sweep or scan over avals, keyed by sigma's repr,
-    since -0.0 == 0.0.  So are the literal-area degrees."""
+    since -0.0 == 0.0.  So are the literal-area degrees and slice terms."""
 
     def once(name: str, build: Callable[[], list]) -> list:
         key = name, repr(sigma)
@@ -357,7 +358,8 @@ def _grid_terms(
     if spec.area_interpretation == INTERP_SLICE or n == 1:
         return heads, tails, once("area", lambda: cls.area_grid(avals, sigma))
     degrees = once("degrees", lambda: cls.degree_grid(avals, sigma))
-    return heads, tails, cls.literal_area_grid(avals, sigma, coords, n, degrees)
+    terms = once("slice terms", lambda: cls.slice_term_grid(avals, sigma, degrees))
+    return heads, tails, cls.literal_area_grid(avals, sigma, coords, n, degrees, terms)
 
 
 def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) -> list[float]:
@@ -373,17 +375,27 @@ def _grid_columns(
     spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
     shared: dict,
 ) -> tuple[list, ...]:
-    """The ten ``TermBreakdown`` columns, in field order, of ``_grid_terms``."""
-    heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
-    totals = _grid_totals(spec, heads, tails, areas)
-    sq_weight, extra_weight = spec.area_sq_weight, spec.extra_area_weight
-    size = len(heads)
-    # Moebius-type heads are exact closed forms: every row is certified.
-    return (
-        heads, tails, areas, [sq_weight * area * area for area in areas],
-        [extra_weight * area for area in areas], totals, [1.0 - total for total in totals],
-        [True] * size, [_closed_form(spec, cls.closed, n)] * size, [spec.area_interpretation] * size
+    """The ten ``TermBreakdown`` columns, in field order, of ``_grid_terms``.
+    All but the interpretation depend on the head, weights and sigma alone,
+    and on coords for a literal area at n > 1: sets that agree there (the
+    n = 1 literal set, the slice sets of one sigma) share them in shared."""
+    literal = spec.area_interpretation == INTERP_LITERAL and n > 1
+    key = (
+        spec.head, spec.area_weight, spec.area_sq_weight, spec.extra_area_weight,
+        coords if literal else 1, repr(sigma),
     )
+    if key not in shared:
+        heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
+        totals = _grid_totals(spec, heads, tails, areas)
+        sq_weight, extra_weight = spec.area_sq_weight, spec.extra_area_weight
+        size = len(heads)
+        # Moebius-type heads are exact closed forms: every row is certified.
+        shared[key] = (
+            heads, tails, areas, [sq_weight * area * area for area in areas],
+            [extra_weight * area for area in areas], totals, [1.0 - total for total in totals],
+            [True] * size, [_closed_form(spec, cls.closed, n)] * size,
+        )
+    return (*shared[key], [spec.area_interpretation] * len(avals))
 
 
 def _head(

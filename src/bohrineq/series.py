@@ -15,10 +15,10 @@ the slice list and sigma.  A Moebius-type class writes each closed form
 once, as a column rule over a grid of a (``sup_grid``, ``majorant_tail_grid``,
 ``area_grid``, ``literal_area_grid``) that its methods read at (a,); Blaschke
 products sum a slice to a certified degree; the literal area weights slice
-degree k by W_k (``_degree_weights``) up to degrees of (a, sigma) alone,
-which ``degree_grid`` searches once for every n.  The unit form is bounded
-by one on the polydisk of polyradius 1/n, every other family on the unit
-polydisk.
+terms (``slice_term_grid``) by W_k (``_degree_weights``) up to degrees of
+(a, sigma) alone, which ``degree_grid`` searches once for every n.  The
+unit form is bounded by one on the polydisk of polyradius 1/n, every other
+family on the unit polydisk.
 
 Every certified degree comes from one search, ``truncation``: given a tail
 rule K -> tail(K) it returns the smallest K whose tail is below
@@ -55,7 +55,7 @@ import bisect
 import cmath
 import math
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import product, repeat
@@ -334,8 +334,10 @@ class _MoebiusType(_Family):
     @staticmethod
     def majorant_tail_grid(avals, K: int, sigma: float) -> list[float]:
         """sum_{k>K} |c_k| sigma^k, for every a of avals."""
-        # a**K with a = K = 0 correctly yields the full k >= 1 tail.
+        # At K = 0 (the majorant) a**K is 1.0, skipped as x * 1.0 == x.
         power = sigma ** (K + 1)
+        if K == 0:
+            return [(1.0 - a * a) * power / (1.0 - a * sigma) for a in avals]
         return [(1.0 - a * a) * a**K * power / (1.0 - a * sigma) for a in avals]
 
     @staticmethod
@@ -355,22 +357,34 @@ class _MoebiusType(_Family):
         return [last := truncation(_sq_tail_rule(a, sigma), 1, last[0]) for a in avals]
 
     @staticmethod
+    def slice_term_grid(avals, sigma: float, degrees: list[tuple[int, float]]) -> list[list[float]]:
+        """k |c_k|^2 sigma^(2k) for k <= K, for every a of avals whose
+        ``degree_grid`` at sigma is degrees: the same for every n."""
+        powers = list(map(pow, repeat(sigma), range(0, 2 * max(degrees, default=(0,))[0] + 1, 2)))
+        return [
+            [k * one_sq * a ** (2 * k - 2) * powers[k] for k in range(1, K + 1)]
+            for a, one_sq, (K, _) in zip(avals, [(1.0 - a * a) ** 2 for a in avals], degrees)
+        ]
+
+    @staticmethod
     def literal_area_grid(
-        avals, sigma: float, radii: tuple[float, ...], n: int, degrees: list[tuple[int, float]]
+        avals, sigma: float, radii: tuple[float, ...], n: int, degrees: list[tuple[int, float]],
+        terms: list[list[float]] | None = None,
     ) -> list[float]:
         """Literal multi-index area at polyradius radii for every a of avals,
-        whose ``degree_grid`` at sigma is degrees: the slice terms up to K
-        reweighted by the degree weights W_k, plus the slice tail, a
-        certificate as W_k <= 1; sigma^(2k) and W_k are built once."""
-        powers, weights = _literal_table(sigma, radii, n, max(degrees, default=(0,))[0])
-        areas = []
-        for a, (K, tail) in zip(avals, degrees):
-            one_sq = (1.0 - a * a) ** 2
-            terms = [
-                k * one_sq * a ** (2 * k - 2) * powers[k] * weights[k] for k in range(1, K + 1)
-            ]
-            areas.append(math.fsum(terms) + tail)
-        return areas
+        whose ``degree_grid`` at sigma is degrees: the slice terms (built
+        unless given) times the degree weights W_k, plus the slice tail, a
+        certificate as W_k <= 1."""
+        if terms is None:
+            terms = _MoebiusType.slice_term_grid(avals, sigma, degrees)
+        K = max(degrees, default=(0,))[0]
+        if _is_diagonal(radii):
+            W = list(map(multinomial_sq_ratio, repeat(n), range(1, K + 1)))
+        else:
+            W = _degree_weights(radii, K)[1:]
+        return [
+            math.fsum(map(operator.mul, row, W)) + tail for row, (_, tail) in zip(terms, degrees)
+        ]
 
     def sq_masses(self, K: int) -> list[float]:
         # Degree-k masses of u-coefficients; equal to m2(k) when q = n.
@@ -586,17 +600,6 @@ def _sq_multinomial_sum(n: int, k: int) -> int:
 
 def _is_diagonal(radii: tuple[float, ...]) -> bool:
     return radii.count(radii[0]) == len(radii)
-
-
-def _literal_table(
-    sigma: float, radii: tuple[float, ...], n: int, K: int
-) -> tuple[list[float], Sequence[float]]:
-    """sigma^(2k) and the degree weights W_k at polyradius radii for k <= K:
-    what every a of a literal area shares."""
-    powers = list(map(pow, repeat(sigma), range(0, 2 * K + 1, 2)))
-    if _is_diagonal(radii):
-        return powers, list(map(multinomial_sq_ratio, repeat(n), range(K + 1)))
-    return powers, _degree_weights(radii, K)
 
 
 @lru_cache(maxsize=32)

@@ -94,8 +94,10 @@ def _lemma(
     """lhs = sum_{k>=1} k^(p-1) m2(k) r^(p k), summed to the degree
     ``series.truncation`` picks for ``tail`` at r, plus that tail."""
     K, tail_K = ser.truncation(lambda k: tail(k, bold_r), first=1)
-    m2 = family.sq_masses(K)
-    lhs = math.fsum(k ** (p - 1) * m2[k] * bold_r ** (p * k) for k in range(1, K + 1)) + tail_K
+    m2 = family.sq_masses(K)[1:]
+    weighted = map(operator.mul, range(1, K + 1), m2) if p == 2 else m2  # k^0 m == m
+    powers = map(pow, repeat(bold_r), range(p, p * K + 1, p))
+    lhs = math.fsum(map(operator.mul, weighted, powers)) + tail_K
     return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK, rhs - lhs, True)
 
 
@@ -304,12 +306,23 @@ def check_tolerance(tol: float | None) -> None:
         raise DomainError("tolerance must not be infinite")
 
 
+def _limit(tol: float | None, closed_form: bool) -> float:
+    """1 + tol, where tol defaults to the tolerance of the evaluation path."""
+    if tol is None:
+        tol = TOL_CLOSED if closed_form else TOL_TRUNCATED
+    return 1.0 + tol
+
+
 def violates(breakdown: fun.TermBreakdown, tol: float | None = None) -> bool:
     """True unless the total is within 1 + tol (default: the tolerance of
     its evaluation path).  A NaN total or tolerance counts as a violation."""
-    if tol is None:
-        tol = TOL_CLOSED if breakdown.closed_form else TOL_TRUNCATED
-    return not breakdown.total <= 1.0 + tol
+    return not breakdown.total <= _limit(tol, breakdown.closed_form)
+
+
+def _check_grid(grid: Sequence[float], what: str) -> None:
+    """Refuse a point outside [0, 1); the sum catches NaN and +-inf."""
+    if grid and not (math.isfinite(sum(grid)) and min(grid) >= 0.0 and max(grid) < 1.0):
+        raise DomainError(f"{what} must lie inside [0, 1)")
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +348,15 @@ class ScanReport(NamedTuple):
     a_star: float | None
 
 
+def _largest(totals: list[float], grid: list[float]) -> tuple[float, float]:
+    """max(zip(totals, grid)) at C speed, for a sorted grid and totals that
+    are never NaN and equal at equal a (repeats, 0.0 and -0.0)."""
+    top = max(totals)
+    a = grid[len(totals) - 1 - totals[::-1].index(top)]
+    first = grid.index(a)
+    return totals[first], grid[first]
+
+
 def sharpness_scan(
     theorem_id: str,
     a_grid: Sequence[float],
@@ -354,8 +376,7 @@ def sharpness_scan(
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
     grid = list(ser._numbers(a_grid, "scan grid"))
-    if any(not 0.0 <= a < 1.0 for a in grid):
-        raise DomainError("scan grid must lie inside [0, 1)")
+    _check_grid(grid, "scan grid")
     a_star = td.a_star(sharp.sharp_constants()) if td.a_star is not None else None
     if a_star is not None and a_star not in grid:
         grid.append(a_star)
@@ -373,9 +394,8 @@ def sharpness_scan(
     terms = fun._grid_terms(perturbed_spec, cls, n, grid, coords, sigma, {})
     base = fun._grid_totals(spec, *terms)
     pert = fun._grid_totals(perturbed_spec, *terms) if epsilon > 0 else base
-    # The largest (total, a): ties in the total go to the larger a.
-    max_total, argmax_a = max(zip(base, grid))
-    perturbed_max, perturbed_argmax = max(zip(pert, grid)) if epsilon > 0 else (max_total, argmax_a)
+    max_total, argmax_a = _largest(base, grid)
+    perturbed_max, perturbed_argmax = _largest(pert, grid) if epsilon > 0 else (max_total, argmax_a)
     return ScanReport(
         theorem=theorem_id,
         n=n,
@@ -434,8 +454,7 @@ def theorem_sweep(
     ns = [_check_n(td, n) for n in ns]
     grid = grid_values(0.0, 0.99, 0.01) if a_grid is None else ser._numbers(a_grid, "sweep grid")
     r_floats = ser._numbers(r_values, "sweep radii") if r_values is not None else None
-    if any(not 0.0 <= a < 1.0 for a in grid):
-        raise DomainError("sweep grid must lie inside [0, 1)")
+    _check_grid(grid, "sweep grid")
     spec = fun.preset(td.preset_name)
     literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
@@ -447,10 +466,15 @@ def theorem_sweep(
     # (repeats, 0.0 and -0.0) keep their input order, and "literal" <
     # "slice" puts each literal row before its slice row.  An attrgetter key
     # runs at C speed.
+    #
+    # If no literal total can violate, no margin is NaN or -0.0, and the
+    # least one is the worst in any order; else the sorted rows decide.
     shared: dict = {}
     breakdown = partial(tuple.__new__, fun.TermBreakdown)
     sweep_row = partial(tuple.__new__, SweepRow)
     rows: list[SweepRow] = []
+    margins = []
+    flagged = False
     for n in ns:
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
         sets = []
@@ -458,11 +482,19 @@ def theorem_sweep(
             coords, sigma, cls = _checked_radius(theorem_id, n, r)
             for interp_spec in specs:
                 columns = fun._grid_columns(interp_spec, cls, n, grid, coords, sigma, shared)
+                if interp_spec is literal_spec:
+                    totals, margin = columns[5:7]  # TermBreakdown field order
+                    limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
+                    flagged = flagged or not all(map(operator.le, totals, repeat(limit)))
+                    margins.append(margin)
                 breakdowns = map(breakdown, zip(*columns))
                 keys = repeat(theorem_id), repeat(n), grid, repeat(r)
                 sets.append(map(sweep_row, zip(*keys, breakdowns)))
         rows.extend(chain.from_iterable(zip(*sets)))
     rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
+    if not flagged:
+        worst = min(chain.from_iterable(margins), default=math.inf)
+        return SweepReport(theorem_id, tuple(rows), worst, ())
     literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
     violations = tuple(row for row in literal if violates(row.breakdown, tol))
     worst = min(row.breakdown.margin for row in literal) if literal else math.inf

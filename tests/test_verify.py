@@ -1,6 +1,7 @@
 """Lemma checks, radius search, sharpness scans, and theorem sweeps."""
 
 import math
+import random
 from collections.abc import Hashable
 from dataclasses import replace
 from functools import partial
@@ -554,13 +555,14 @@ def test_scan_and_sweep_build_no_family_per_row(monkeypatch):
 
 
 def test_literal_rows_share_their_powers_and_weights(monkeypatch):
-    # Literal diagonal rows of one (n, r) read sigma^(2k) and W_k from one
-    # table: no (n, k) weight is asked for twice in a sweep.
+    # sigma = n r has the same bits for n = 2, 3 and 5: the literal rows of
+    # all three read one column of slice terms, and no (n, k) weight is
+    # asked for twice in a sweep.
     weights = _count_calls(monkeypatch, ser, "multinomial_sq_ratio")
-    tables = _count_calls(monkeypatch, ser, "_literal_table")
+    terms = _count_calls(monkeypatch, ser._MoebiusType, "slice_term_grid")
     report = theorem_sweep("T21", [2, 3, 5], grid_values(0.0, 0.99, 0.01))
     assert len(report.rows) == 600
-    assert len(tables) == 3  # one per literal (n, r)
+    assert len(terms) == 1
     assert len(weights) == len(set(weights))
     assert {n for n, _ in weights} == {2, 3, 5}
 
@@ -599,6 +601,121 @@ def test_sweep_reads_each_rule_once_per_distinct_sigma(monkeypatch):
     for name in ("sup_grid", "majorant_tail_grid", "area_grid", "degree_grid"):
         assert len(calls[name]) == 2 * 2, name
     assert [sigma for _, sigma in calls["area_grid"]] == [0.2, 0.1] * 2
+
+
+def test_sweep_builds_each_set_of_equal_columns_once(monkeypatch):
+    # The literal set of n = 1 and the slice sets of n = 2, 3 and 5 have one
+    # sigma, head and weights: they read one copy of their columns.
+    totals = _count_calls(monkeypatch, fun, "_grid_totals")
+    report = theorem_sweep("T21", [1, 2, 3, 5])
+    assert len(report.rows) == 100 * (1 + 2 * 3)
+    assert len(totals) == 4
+
+
+def test_one_shared_dict_keeps_the_columns_of_each_head_and_weights_apart():
+    # Specs of one head that differ in a weight, at one sigma and n, read
+    # their own columns from a dict they share, and the columns of a fresh one.
+    cls, grid, shared = ser.ExtremalPolydiskUnit, [0.2, -0.0, 0.6], {}
+    for names in (("classic", "thm_a", "thm_c"), ("thm_b1", "thm_e", "thm_2_3")):
+        for name in names:
+            for n, interp in ((1, INTERP_LITERAL), (2, INTERP_LITERAL), (2, INTERP_SLICE)):
+                spec, coords = preset(name).with_interpretation(interp), (0.2 / n,) * n
+                columns = fun._grid_columns(spec, cls, n, grid, coords, 0.2, shared)
+                assert repr(columns) == repr(fun._grid_columns(spec, cls, n, grid, coords, 0.2, {}))
+
+
+def _row_verdicts(report, tol):
+    """Violations and worst margin read from the rows: the reference for
+    the column decisions of a sweep."""
+    literal = [row for row in report.rows if row.breakdown.interpretation == INTERP_LITERAL]
+    violations = tuple(row for row in literal if violates(row.breakdown, tol))
+    worst = min(row.breakdown.margin for row in literal) if literal else math.inf
+    return violations, worst
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, -1e-3, math.nan])
+@pytest.mark.parametrize(
+    "tid, ns, grid, radii",
+    [
+        ("T21", [3, 1, 2, 3], [0.5, -0.0, 0.2, 0.5, 0.0, 0.95], None),
+        ("T22", [5, 2], [0.9, 0.3, 0.9, -0.0, 0.0], [0.1, 0.02, -0.0, 0.0, 0.1, 0.19]),
+        ("classic", [1], [0.9, 0.5, 0.7, 0.0, -0.0, 0.7, 0.6, 0.8], [0.4, 0.3, 0.4]),
+        ("C", [1], [], None),
+    ],
+)
+def test_sweep_verdicts_equal_the_row_level_reference(tid, ns, grid, radii, tol):
+    report = theorem_sweep(tid, ns, grid, radii, tol)
+    violations, worst = _row_verdicts(report, tol)
+    assert repr(report.violations) == repr(violations)
+    assert repr(report.worst_margin) == repr(worst)
+
+
+def test_sweep_verdict_reference_covers_both_paths():
+    # Without a violation the verdict is read off the columns alone; with
+    # one, or a NaN tolerance, off the rows.
+    assert not theorem_sweep("T21", [1, 2, 3, 5]).violations
+    assert len(theorem_sweep("T21", [2], [0.5, 0.2], tol=math.nan).violations) == 2
+    flagged = theorem_sweep("T22", [5], [0.9, 0.3], [0.19])
+    assert [row.a for row in flagged.violations] == [0.3, 0.9]
+    assert flagged.worst_margin == min(row.breakdown.margin for row in flagged.violations)
+
+
+@pytest.mark.parametrize(
+    "tid, n, grid, r",
+    [
+        ("C", 1, [0.5, 0.5, -0.0, 0.0, 0.3, 0.0, -0.0], None),
+        ("classic", 1, [0.0, -0.0, 0.0], 0.0),
+        ("B1", 1, [-0.0, 0.0, -0.0], -0.0),
+        ("classic", 1, [0.2, 0.7, -0.0, 0.7, 0.4, 0.7], 0.0),
+        ("T22", 3, [0.9, 0.2, 0.9, 0.9, 0.0, -0.0], None),
+        # Near a*, the total is 1.0 or 1.0000000000000002 at every point: the
+        # maximum is reached at several distinct a.
+        ("C", 1, [sharp.sharp_constants().a_star1 + k * 1e-9 for k in range(6, -7, -1)], None),
+    ],
+)
+def test_scan_maximum_equals_the_tuple_maximum(tid, n, grid, r):
+    report = sharpness_scan(tid, grid, n=n, bold_r=r, epsilon=1e-3)
+    a = [row.a for row in report.rows]
+    assert repr((report.max_total, report.argmax_a)) == repr(
+        max(zip([row.total for row in report.rows], a))
+    )
+    assert repr((report.perturbed_max, report.perturbed_argmax)) == repr(
+        max(zip([row.perturbed_total for row in report.rows], a))
+    )
+
+
+def test_largest_equals_the_tuple_maximum_on_sorted_grids_with_ties():
+    # Totals are a function of the value of a, so equal a (repeats, 0.0 and
+    # -0.0) have equal totals, and a step function reaches its maximum at
+    # several distinct a.
+    rng = random.Random(19)
+    for _ in range(300):
+        points = [-0.0, 0.0, 0.1, 0.25, 0.5, 0.7, 0.9]
+        grid = sorted(rng.choice(points) for _ in range(rng.randint(1, 12)))
+        cut = rng.choice([0.0, 0.3, 0.6, 1.0])
+        totals = [min(a, cut) * 2.0 for a in grid]
+        assert repr(ver._largest(totals, grid)) == repr(max(zip(totals, grid)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -1e-300])
+@pytest.mark.parametrize("where", [0, 1234, 1999])
+def test_scans_and_sweeps_refuse_one_point_outside_the_unit_interval(bad, where):
+    grid = grid_values(0.0, 0.9995, 0.0005)
+    assert len(grid) == 2000
+    grid[where] = bad
+    with pytest.raises(DomainError, match="scan grid must lie inside"):
+        sharpness_scan("C", grid)
+    with pytest.raises(DomainError, match="sweep grid must lie inside"):
+        theorem_sweep("C", a_grid=grid)
+
+
+def test_scans_and_sweeps_accept_negative_zero_and_sweeps_an_empty_grid():
+    grid = grid_values(0.0, 0.9995, 0.0005)
+    grid[1234] = -0.0
+    assert len(sharpness_scan("B1", grid).rows) == 2000
+    assert len(theorem_sweep("B1", a_grid=grid).rows) == 2000
+    empty = theorem_sweep("T21", [1, 2], [])
+    assert (empty.rows, empty.violations, empty.worst_margin) == ((), (), math.inf)
 
 
 @pytest.mark.parametrize("tid,n", [("classic", 1), ("B1", 1), ("C", 1), ("T22", 3), ("T23", 2)])
