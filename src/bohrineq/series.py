@@ -32,8 +32,11 @@ A multi-index series is a sparse map from multi-indices to complex
 coefficients, truncated at a total degree K.  Two independent expansion
 routes are provided: ``expand`` uses the multinomial closed form of the
 coefficients, ``oracle_expand`` performs formal power-series division from
-the numerator/denominator polynomials and never touches the closed form.
-Their coefficientwise agreement is a standing test obligation.
+the numerator/denominator polynomials and never touches the closed form:
+two passes, the series inverse of the denominator level by level, then its
+product with the numerator, with keys added and real and imaginary parts
+summed by ``map`` at C speed.  Their coefficientwise agreement is a
+standing test obligation.
 
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
 demand (lookups and ``len`` read the slice, ``degree_slice`` builds one
@@ -58,7 +61,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import BudgetExceededError, DomainError
@@ -125,11 +128,14 @@ class MultiIndex:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if len(exps) == 0:
-            raise DomainError("multi-index needs at least one exponent")
-        if any(e < 0 for e in exps):
-            raise DomainError(f"negative exponent in multi-index {exps}")
+        # operator.index refuses floats and strings, which int() would
+        # truncate or parse; bools and numpy integers pass.
+        try:
+            exps = tuple(map(operator.index, self.exponents))
+        except TypeError:
+            exps = ()
+        if not exps or min(exps) < 0:
+            raise DomainError(f"multi-index needs integer exponents >= 0, not {self.exponents!r}")
         object.__setattr__(self, "exponents", exps)
 
     @property
@@ -142,10 +148,7 @@ class MultiIndex:
 
     def factorial(self) -> int:
         """alpha! = product of the factorials of the exponents."""
-        out = 1
-        for e in self.exponents:
-            out *= math.factorial(e)
-        return out
+        return math.prod(map(math.factorial, self.exponents))
 
     def multinomial(self) -> int:
         """|alpha|! / alpha!, the number of monomial orderings."""
@@ -717,10 +720,13 @@ class CoefficientSeries:
         if self.slice is not None:
             return  # keys are generated from (n, b_0..b_K)
         for idx in self.coeffs:
-            if idx.dimension != self.n:
-                raise DomainError(f"key {idx.exponents} has wrong dimension")
-            if idx.degree > self.truncation:
-                raise DomainError(f"key {idx.exponents} exceeds truncation degree")
+            if not isinstance(idx, MultiIndex):
+                raise DomainError(f"key {idx!r} is not a MultiIndex")
+            exps = idx.exponents
+            if len(exps) != self.n:
+                raise DomainError(f"key {exps} has wrong dimension")
+            if sum(exps) > self.truncation:
+                raise DomainError(f"key {exps} exceeds truncation degree")
 
     @property
     def slice(self) -> tuple[complex, ...] | None:
@@ -1046,21 +1052,18 @@ def _check_budget(count: int) -> None:
 def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     """Coefficients of degree <= K via N * (1/D) computed by formal division.
 
-    Independent of the multinomial closed form in :func:`expand`; both the
-    series inverse and the products run on exponent-tuple dictionaries with
-    deterministic fsum accumulation; the coefficient budget is checked first.
+    Independent of the multinomial closed form in :func:`expand`: two passes
+    on exponent-tuple dictionaries, the series inverse of D level by level,
+    then its product with N.  Keys are summed by ``tuple(map(add, e, f))``,
+    each coefficient is the fsum of its products, and the keys come out
+    sorted; the coefficient budget is checked first.
     """
     K = _integer(K, "truncation degree", 0)
     n = family.n
     _check_budget(coefficient_count(n, K))
     numerator, denominator = family.rational_form()
-    inverse = _series_inverse(denominator, n, K)
-    product = _poly_mul(numerator, inverse, K)
-    coeffs = {
-        MultiIndex(exps): value
-        for exps, value in product.items()
-        if value != 0
-    }
+    product = _poly_mul(numerator, _series_inverse(denominator, n, K), K)
+    coeffs = {MultiIndex(exps): value for exps, value in product.items() if value != 0}
     return CoefficientSeries(n, K, coeffs, source=family)
 
 
@@ -1069,20 +1072,23 @@ def _poly_mul(
     q: dict[tuple[int, ...], complex],
     K: int,
 ) -> dict[tuple[int, ...], complex]:
+    """The terms of p * q of degree <= K, with sorted keys; the degree of
+    each term of q is read once, not once per term of p."""
+    terms = [(eq, sum(eq), cq) for eq, cq in q.items()]
     buckets: dict[tuple[int, ...], list[complex]] = {}
     for ep, cp in p.items():
-        dp = sum(ep)
-        for eq, cq in q.items():
-            if dp + sum(eq) > K:
-                continue
-            key = tuple(x + y for x, y in zip(ep, eq))
-            buckets.setdefault(key, []).append(cp * cq)
+        room = K - sum(ep)
+        for eq, dq, cq in terms:
+            if dq <= room:
+                buckets.setdefault(tuple(map(operator.add, ep, eq)), []).append(cp * cq)
     return {key: _fsum_complex(vals) for key, vals in sorted(buckets.items())}
 
 
 def _series_inverse(
     d: dict[tuple[int, ...], complex], n: int, K: int
 ) -> dict[tuple[int, ...], complex]:
+    """1/d to degree K: level k is minus the sum of d_j * level k - j over
+    j >= 1, divided by d_0, with sorted keys."""
     zero = (0,) * n
     d0 = d.get(zero, 0j)
     if d0 == 0:
@@ -1090,30 +1096,23 @@ def _series_inverse(
     by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
     for exps, c in d.items():
         by_degree.setdefault(sum(exps), {})[exps] = c
-    inv: dict[tuple[int, ...], complex] = {zero: 1.0 / d0}
-    inv_by_degree: dict[int, dict[tuple[int, ...], complex]] = {0: {zero: 1.0 / d0}}
+    levels = [{zero: 1.0 / d0}]
     for k in range(1, K + 1):
         buckets: dict[tuple[int, ...], list[complex]] = {}
         for j, dj in by_degree.items():
-            if j == 0 or j > k:
-                continue
-            lower = inv_by_degree.get(k - j, {})
-            for ed, cd in dj.items():
-                for eu, cu in lower.items():
-                    key = tuple(x + y for x, y in zip(ed, eu))
-                    buckets.setdefault(key, []).append(cd * cu)
-        level = {
-            key: -_fsum_complex(vals) / d0 for key, vals in sorted(buckets.items())
-        }
-        inv_by_degree[k] = level
-        inv.update(level)
-    return inv
+            if 0 < j <= k:
+                for ed, cd in dj.items():
+                    for eu, cu in levels[k - j].items():
+                        buckets.setdefault(tuple(map(operator.add, ed, eu)), []).append(cd * cu)
+        levels.append({key: -_fsum_complex(vals) / d0 for key, vals in sorted(buckets.items())})
+    return dict(chain.from_iterable(map(dict.items, levels)))
+
+
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 def _fsum_complex(values: list[complex]) -> complex:
-    return complex(
-        math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
-    )
+    return complex(math.fsum(map(_REAL, values)), math.fsum(map(_IMAG, values)))
 
 
 # --------------------------------------------------------------------------

@@ -299,11 +299,24 @@ def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[tuple[float, ...
     return radius.coords, family.sigma(radius.coords), type(family)
 
 
-def check_tolerance(tol: float | None) -> None:
-    """Refuse an infinite pass tolerance, which would pass any total.  A NaN
-    tolerance is let through: every verdict test fails on it."""
-    if tol is not None and math.isinf(ser._real(tol, "tolerance")):
+def check_tolerance(tol: float | None) -> float | None:
+    """The pass tolerance read once as a float (None stays None), so a
+    Decimal or a Fraction counts like the float it rounds to.  An infinite
+    tolerance would pass any total and is refused; a NaN tolerance is let
+    through: every verdict test fails on it."""
+    if tol is None:
+        return None
+    try:
+        if isinstance(tol, (str, bytes, bytearray)):
+            raise TypeError  # float() would parse it
+        value = float(tol)
+    except OverflowError:
+        value = math.inf  # a Fraction or an int beyond the float range
+    except (TypeError, ValueError):
+        raise DomainError(f"tolerance must be a real number, not {tol!r}") from None
+    if math.isinf(value):
         raise DomainError("tolerance must not be infinite")
+    return value
 
 
 def _limit(tol: float | None, closed_form: bool) -> float:
@@ -445,7 +458,7 @@ def theorem_sweep(
     ``tol`` makes every row a violation.  Radii are read as floats, like the
     grid, and default to the theorem threshold for each n.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     td = _theorem(theorem_id)
     try:
         ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])

@@ -49,6 +49,25 @@ def test_multi_index_degree_and_factorial():
 def test_multi_index_rejects_negative_exponents():
     with pytest.raises(DomainError):
         MultiIndex((1, -1))
+    # int() would truncate 1.7 and parse "1"; every exponent must be an
+    # integer, so floats (2.0 too), strings and None name the exponents.
+    for bad in [(1.7, 2), ("1", 2), (2.0,), (None,), (), 5]:
+        with pytest.raises(DomainError, match="multi-index") as err:
+            MultiIndex(bad)
+        assert repr(bad) in str(err.value)
+    assert MultiIndex((True, 0)).exponents == (1, 0)
+    assert type(MultiIndex((True,)).exponents[0]) is int
+
+
+def test_coefficient_series_names_a_key_that_is_not_a_multi_index():
+    for bad in [(1,), 1, "x"]:
+        with pytest.raises(DomainError, match="MultiIndex") as err:
+            CoefficientSeries(1, 1, {MultiIndex((0,)): 1.0 + 0j, bad: 0.5 + 0j})
+        assert repr(bad) in str(err.value)
+    with pytest.raises(DomainError, match="dimension"):
+        CoefficientSeries(1, 1, {MultiIndex((1, 0)): 0.5 + 0j})
+    with pytest.raises(DomainError, match="truncation"):
+        CoefficientSeries(1, 1, {MultiIndex((2,)): 0.5 + 0j})
 
 
 def test_graded_lex_order():
@@ -219,6 +238,108 @@ def test_oracle_equivalence(family):
         assert closed.coefficient(idx) == pytest.approx(
             oracle.coefficient(idx), abs=1e-12
         )
+
+
+# Reference bodies of the oracle, with keys and sums built by generators:
+# the bit-for-bit test below holds the oracle to them.
+def _reference_poly_mul(p, q, K):
+    buckets = {}
+    for ep, cp in p.items():
+        dp = sum(ep)
+        for eq, cq in q.items():
+            if dp + sum(eq) > K:
+                continue
+            key = tuple(x + y for x, y in zip(ep, eq))
+            buckets.setdefault(key, []).append(cp * cq)
+    return {key: _reference_fsum_complex(vals) for key, vals in sorted(buckets.items())}
+
+
+def _reference_series_inverse(d, n, K):
+    zero = (0,) * n
+    d0 = d.get(zero, 0j)
+    by_degree = {}
+    for exps, c in d.items():
+        by_degree.setdefault(sum(exps), {})[exps] = c
+    inv = {zero: 1.0 / d0}
+    inv_by_degree = {0: {zero: 1.0 / d0}}
+    for k in range(1, K + 1):
+        buckets = {}
+        for j, dj in by_degree.items():
+            if j == 0 or j > k:
+                continue
+            lower = inv_by_degree.get(k - j, {})
+            for ed, cd in dj.items():
+                for eu, cu in lower.items():
+                    key = tuple(x + y for x, y in zip(ed, eu))
+                    buckets.setdefault(key, []).append(cd * cu)
+        level = {key: -_reference_fsum_complex(vals) / d0 for key, vals in sorted(buckets.items())}
+        inv_by_degree[k] = level
+        inv.update(level)
+    return inv
+
+
+def _reference_fsum_complex(values):
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
+def _reference_rational_form(family):
+    if not isinstance(family, FiniteBlaschke):
+        return family.rational_form()
+    num = den = {(0,): 1.0 + 0j}
+    for w in family.zeros:
+        num = _reference_poly_mul(num, {(0,): w, (1,): -1.0 + 0j}, len(family.zeros))
+        den = _reference_poly_mul(den, {(0,): 1.0 + 0j, (1,): -w.conjugate()}, len(family.zeros))
+    return num, den
+
+
+def _bits(terms):
+    return [(key, repr(value)) for key, value in terms.items()]
+
+
+@pytest.mark.parametrize(
+    "family,K",
+    [
+        (MoebiusDisk(0.5), 20),
+        (ExtremalPolydiskUnit(0.47, 2), 30),
+        (ExtremalPolydiskScaled(0.47, 3), 14),
+        (FiniteBlaschke((complex(-0.0, 0.0), 0.3, -0.5j)), 25),
+        (ConstantFn(0.0), 6),
+        (ConstantFn(0.4), 6),
+    ],
+)
+def test_oracle_keeps_its_coefficients_bit_for_bit(family, K):
+    # Same keys in the same order, and the same repr of every value
+    # (signed zeros included), as the reference bodies above.
+    num, den = _reference_rational_form(family)
+    assert [_bits(part) for part in family.rational_form()] == [_bits(num), _bits(den)]
+    inverse = _reference_series_inverse(den, family.n, K)
+    assert _bits(ser._series_inverse(den, family.n, K)) == _bits(inverse)
+    product = _reference_poly_mul(num, inverse, K)
+    assert _bits(ser._poly_mul(num, inverse, K)) == _bits(product)
+    expected = [(key, value) for key, value in _bits(product) if product[key] != 0]
+    got = oracle_expand(family, K).coeffs
+    assert [(idx.exponents, repr(value)) for idx, value in got.items()] == expected
+
+
+def test_series_inverse_refuses_a_denominator_that_vanishes_at_the_origin():
+    for d in ({(1,): 1.0 + 0j}, {(0,): 0j, (1,): 1.0 + 0j}, {(0, 0): complex(-0.0, 0.0)}):
+        with pytest.raises(DomainError, match="vanishes"):
+            ser._series_inverse(d, len(next(iter(d))), 4)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [complex(-0.0, -0.0)],
+        [complex(-0.0, 0.0), complex(0.0, -0.0)],
+        [complex(1.0, -0.0), complex(-1.0, -0.0)],
+        [complex(-0.0, 0.1), complex(0.2, -0.0), complex(-0.0, -0.0)],
+        [complex(0.1, 1e-17), complex(0.2, -1e-17), complex(-0.3, 0.0)],
+    ],
+)
+def test_fsum_complex_keeps_its_bits(values):
+    assert repr(ser._fsum_complex(values)) == repr(_reference_fsum_complex(values))
 
 
 def test_oracle_on_small_unit_instance():

@@ -2,6 +2,8 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 from collections.abc import Hashable
 from dataclasses import replace
 from functools import partial
@@ -37,6 +39,7 @@ from bohrineq.verify import (
     RadiusResult,
     SweepRow,
     THEOREMS,
+    check_tolerance,
     grid_values,
     lemma1a_check,
     lemma1b_check,
@@ -502,6 +505,22 @@ def test_sweep_tolerance_decides_violations():
     assert [row.a for row in flagged.violations] == [0.8, 0.9]
     assert not theorem_sweep("classic", a_grid=grid, r_values=[0.4], tol=1.0).violations
     assert len(theorem_sweep("classic", a_grid=grid, r_values=[0.4], tol=math.nan).violations) == 5
+
+
+@pytest.mark.parametrize("a_grid", [[0.5], [], grid_values(0.5, 0.9, 0.1)])
+def test_sweep_reads_a_decimal_or_fraction_tolerance_as_a_float(a_grid):
+    # A Decimal orders against floats but does not add to one; the sweep
+    # reads every tolerance once as a float.
+    expected = theorem_sweep("C", a_grid=a_grid, tol=0.0)
+    for tol in (Decimal("0"), Decimal("-0"), Fraction(0)):
+        assert theorem_sweep("C", a_grid=a_grid, tol=tol) == expected
+    tight = theorem_sweep("C", a_grid=a_grid, tol=1e-12)
+    assert theorem_sweep("C", a_grid=a_grid, tol=Decimal("1e-12")) == tight
+    for bad in (Decimal("Infinity"), Decimal("-Infinity"), Fraction(10**400), Decimal("sNaN")):
+        with pytest.raises(DomainError, match="tolerance"):
+            theorem_sweep("C", a_grid=a_grid, tol=bad)
+    assert check_tolerance(Decimal("1e-12")) == 1e-12 and check_tolerance(None) is None
+    assert math.isnan(check_tolerance(Decimal("NaN")))
 
 
 def _count_calls(monkeypatch, owner, name):
