@@ -14,8 +14,10 @@ and the attached weights are
 
 evaluated at the respective root.  The linear-area weight is p = 2(sqrt5 - 1)
 and the radius thresholds are 1/3, sqrt5 - 2, and their 1/n divisions.
-Everything is computed here by bracketed root-finding plus closed formulas;
-the printed six-figure reference values are used only for residual checks.
+Each root is bisected in rational arithmetic until its bracket, and the
+weight at both of its ends, round to one float, so every constant is the
+correctly rounded float of its exact value; the printed six-figure reference
+values are used only for residual checks.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonUniqueRootError, RootBracketError
 from .series import _integer, _real
 
 RADIUS_CLASSIC = 1.0 / 3.0
-RADIUS_ABS_HEAD = math.sqrt(5.0) - 2.0
+#: sqrt5 - 2 rounded once: the float of s / 2^120 - 2 for s = isqrt(5 * 4^120),
+#: so s <= 2^120 sqrt5 < s + 1, and both ends of that bracket round alike.  It
+#: lies below sqrt5 - 2.
+RADIUS_ABS_HEAD = float(Fraction(math.isqrt(5 << 240) - (2 << 120), 1 << 120))
 
 #: Six-figure reference decimals used for residual reporting.
 REFERENCE = {
@@ -50,10 +55,6 @@ RESIDUAL_TOL = {
     "p": 1e-9,
     "radius_abs_head": 1e-6,
 }
-
-_POLISH_BRACKET = 1e-6
-#: Newton polishing stops once a step is below a quarter of this.
-_ROOT_TOL = 1e-12
 
 
 def radius_multi(n: int) -> float:
@@ -81,69 +82,53 @@ class PolynomialR(NamedTuple):
             out = out * t + c
         return out
 
-    def derivative(self) -> "PolynomialR":
-        coeffs = tuple(k * c for k, c in enumerate(self.coefficients))[1:]
-        return PolynomialR(coeffs if coeffs else (0.0,))
-
 
 PSI1 = PolynomialR((-405.0, 473.0, 402.0, 38.0, 3.0, 1.0))
 PSI2 = PolynomialR((-513.0, 910.0, 80.0, 2.0, 1.0))
 
 
 def solve_unique_root(poly: PolynomialR, lo: float, hi: float) -> float:
-    """The unique root of poly in [lo, hi].
+    """The unique root of poly in [lo, hi], correctly rounded to a float.
 
     Uniqueness is proved by counting the distinct roots in [lo, hi] exactly,
     with a Sturm sequence in rational arithmetic; any count but one raises.
-    Bisection narrows the bracket to width 1e-6, then Newton steps polish the
-    root, falling back to plain bisection whenever an iterate leaves the
-    bracket, until a step is below a quarter of 1e-12.
+    The root is then bisected in rational arithmetic until both ends of its
+    bracket round to the same float, which is the float of the root.
     """
-    if not all(math.isfinite(_real(end, "bracket end")) for end in (lo, hi)) or lo > hi:
+    return _rounded_root(poly, lo, hi, lambda t: t)[0]
+
+
+def _rounded_root(poly: PolynomialR, lo: float, hi: float, weight: Callable) -> tuple[float, float]:
+    """(t, weight(t)), each correctly rounded, for the unique root t of poly
+    in [lo, hi]: the bracket of t is halved until its ends round alike and
+    weight, which must be monotone near t, rounds alike at both ends.
+
+    Coefficients and ends convert to ``Fraction`` without rounding: a float
+    coefficient would turn every evaluation back into float arithmetic.
+    """
+    lo, hi = _real(lo, "bracket end"), _real(hi, "bracket end")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise DomainError("bracket ends must be finite with lo <= hi")
-    f_lo, f_hi = poly(lo), poly(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
+    exact = PolynomialR(tuple(map(Fraction, poly.coefficients)))
+    a, b = Fraction(lo), Fraction(hi)
+    f_a, f_b = exact(a), exact(b)
+    if f_a * f_b > 0:
         raise RootBracketError(f"no sign change on [{lo}, {hi}]")
-    roots = _sturm_root_count(poly, lo, hi)
+    roots = _sturm_root_count(exact, lo, hi)
     if roots != 1:
         raise NonUniqueRootError(f"{roots} distinct roots on [{lo}, {hi}], expected 1")
-
-    a, b, f_a = lo, hi, f_lo
-    while b - a > _POLISH_BRACKET:
-        mid = 0.5 * (a + b)
-        f_mid = poly(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_a * f_mid < 0:
-            b = mid
-        else:
+    if f_a == 0 or f_b == 0:
+        a = b = a if f_a == 0 else b
+    while float(a) != float(b) or float(weight(a)) != float(weight(b)):
+        mid = (a + b) / 2
+        f_mid = exact(mid)
+        if f_mid == 0:
+            a = b = mid
+        elif (f_mid > 0) == (f_a > 0):
             a, f_a = mid, f_mid
-
-    deriv = poly.derivative()
-    x = 0.5 * (a + b)
-    for _ in range(80):
-        fx = poly(x)
-        if fx == 0.0:
-            return x
-        if f_a * fx < 0:
-            b = x
         else:
-            a, f_a = x, fx
-        dfx = deriv(x)
-        if dfx != 0.0:
-            nxt = x - fx / dfx
-            if not a < nxt < b:
-                nxt = 0.5 * (a + b)
-        else:
-            nxt = 0.5 * (a + b)
-        if abs(nxt - x) <= 0.25 * _ROOT_TOL:
-            return nxt
-        x = nxt
-    return x
+            b = mid
+    return float(a), float(weight(a))
 
 
 def _sturm_root_count(poly: PolynomialR, lo: float, hi: float) -> int:
@@ -200,24 +185,28 @@ _SINGULARITY_GUARD = 1e-9
 
 
 def lambda1_of(a: float) -> float:
-    """Quadratic-area weight formula; pole at a = 3/5."""
-    if not 0.0 <= _real(a, "parameter a") < 1.0:
+    """Quadratic-area weight formula; pole at a = 3/5.  Its integer literals
+    keep a Fraction a exact; a float a is computed in floats."""
+    a = _real(a, "parameter a")
+    if not 0.0 <= a < 1.0:
         raise DomainError(f"a={a} outside [0, 1)")
     if abs(a - 0.6) < _SINGULARITY_GUARD:
         raise DomainError("lambda1 formula is singular at a = 3/5")
-    num = 4.0 * (486.0 - 261.0 * a - 324.0 * a**2 + 2.0 * a**3 + 30.0 * a**4 + 3.0 * a**5)
-    den = 81.0 * (1.0 + a) ** 3 * (3.0 - 5.0 * a)
+    num = 4 * (486 - 261 * a - 324 * a**2 + 2 * a**3 + 30 * a**4 + 3 * a**5)
+    den = 81 * (1 + a) ** 3 * (3 - 5 * a)
     return num / den
 
 
 def lambda2_of(a: float) -> float:
-    """Quadratic-area weight formula for the squared head; pole at a = 1/2."""
-    if not 0.0 <= _real(a, "parameter a") < 1.0:
+    """Quadratic-area weight formula for the squared head; pole at a = 1/2.
+    Exact for a Fraction a, as ``lambda1_of``."""
+    a = _real(a, "parameter a")
+    if not 0.0 <= a < 1.0:
         raise DomainError(f"a={a} outside [0, 1)")
     if abs(a - 0.5) < _SINGULARITY_GUARD:
         raise DomainError("lambda2 formula is singular at a = 1/2")
-    num = -81.0 + 1044.0 * a + 54.0 * a**2 - 116.0 * a**3 - 5.0 * a**4
-    den = 162.0 * (a + 1.0) ** 2 * (2.0 * a - 1.0)
+    num = -81 + 1044 * a + 54 * a**2 - 116 * a**3 - 5 * a**4
+    den = 162 * (a + 1) ** 2 * (2 * a - 1)
     return num / den
 
 
@@ -233,20 +222,20 @@ _PHI2_LAMBDA = PolynomialR((-81.0, -162.0, 0.0, 162.0, 81.0))
 
 def phi1(t: float, lam: float) -> float:
     """Margin polynomial of the constant-head case split, with free weight."""
-    _check_unit_interval(t)
+    t = _unit_interval(t)
     return _PHI1_MAIN(t) + _real(lam, "weight") * _PHI1_LAMBDA(t)
 
 
 def phi2(t: float, lam: float) -> float:
     """Margin polynomial of the squared-head case split, with free weight."""
-    _check_unit_interval(t)
+    t = _unit_interval(t)
     return _PHI2_MAIN(t) + _real(lam, "weight") * _PHI2_LAMBDA(t)
 
 
 def phi1_factored(s: float) -> float:
     """phi1 at the stationary weight lambda1_of(s), in factored form:
     2 (s^2 - 9) / (3 - 5s) * psi_1(s).  Vanishes exactly at the psi_1 root."""
-    if abs(_real(s, "argument") - 0.6) < _SINGULARITY_GUARD:
+    if abs((s := _real(s, "argument")) - 0.6) < _SINGULARITY_GUARD:
         raise DomainError("factored form is singular at s = 3/5")
     return 2.0 * (s * s - 9.0) / (3.0 - 5.0 * s) * PSI1(s)
 
@@ -254,7 +243,7 @@ def phi1_factored(s: float) -> float:
 def phi2_factored(s: float) -> float:
     """phi2 at the stationary weight lambda2_of(s), in factored form:
     (9 - s^2) / (2 (2s - 1)) * psi_2(s)."""
-    if abs(_real(s, "argument") - 0.5) < _SINGULARITY_GUARD:
+    if abs((s := _real(s, "argument")) - 0.5) < _SINGULARITY_GUARD:
         raise DomainError("factored form is singular at s = 1/2")
     return (9.0 - s * s) / (2.0 * (2.0 * s - 1.0)) * PSI2(s)
 
@@ -267,7 +256,7 @@ def big_f(a: float) -> float:
 
     Nonpositive on [0, 1], cubically small as a -> 1.
     """
-    _check_unit_interval(a)
+    a = _unit_interval(a)
     s5 = math.sqrt(5.0)
     bracket = (
         7.0 * (-9.0 + 4.0 * s5)
@@ -280,7 +269,7 @@ def big_f(a: float) -> float:
 def case2_bound_constant_head(a: float, lam1: float) -> float:
     """Small-|a_0| bound of the constant-head case split:
     a + sqrt(1-a^2)/sqrt8 + 16 (1-a^2)^2/(9-a^2)^2 + 81 lam (1-a^2)^4/(9-a^2)^4."""
-    _check_unit_interval(a)
+    a = _unit_interval(a)
     one = 1.0 - a * a
     nine = 9.0 - a * a
     return (
@@ -293,7 +282,7 @@ def case2_bound_constant_head(a: float, lam1: float) -> float:
 
 def case2_bound_squared_head(a: float, lam2: float) -> float:
     """Small-|a_0| bound of the squared-head case split; head ((1+3a)/(3+a))^2."""
-    _check_unit_interval(a)
+    a = _unit_interval(a)
     one = 1.0 - a * a
     nine = 9.0 - a * a
     return (
@@ -304,9 +293,11 @@ def case2_bound_squared_head(a: float, lam2: float) -> float:
     )
 
 
-def _check_unit_interval(t: float) -> None:
-    if not 0.0 <= _real(t, "argument") <= 1.0:
+def _unit_interval(t: float) -> float:
+    """t read by ``_real``; outside [0, 1] it is a domain error."""
+    if not 0.0 <= (t := _real(t, "argument")) <= 1.0:
         raise DomainError(f"argument {t} outside [0, 1]")
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -324,15 +315,11 @@ class SharpConstants(NamedTuple):
 
     @classmethod
     def compute(cls) -> "SharpConstants":
-        a1 = solve_unique_root(PSI1, 0.0, 1.0)
-        a2 = solve_unique_root(PSI2, 0.0, 1.0)
-        return cls(
-            a_star1=a1,
-            a_star2=a2,
-            lambda1=lambda1_of(a1),
-            lambda2=lambda2_of(a2),
-            p=2.0 * (math.sqrt(5.0) - 1.0),
-        )
+        # Each weight is evaluated exactly on the root's bracket, where it is
+        # monotone (slope about 486 and -422), and rounded once.
+        a1, lambda1 = _rounded_root(PSI1, 0.0, 1.0, lambda1_of)
+        a2, lambda2 = _rounded_root(PSI2, 0.0, 1.0, lambda2_of)
+        return cls(a1, a2, lambda1, lambda2, p=2.0 * (math.sqrt(5.0) - 1.0))
 
 
 @lru_cache(maxsize=1)
@@ -371,15 +358,15 @@ def constants_report(tol_override: float | None = None) -> ConstantsReport:
     infinite override would pass any residual and is refused; a NaN override
     fails every constant.
     """
-    if tol_override is not None and math.isinf(_real(tol_override, "tolerance override")):
+    if tol_override is None:
+        tolerances = dict(RESIDUAL_TOL)
+    elif math.isinf(tol_override := _real(tol_override, "tolerance override")):
         raise DomainError("tolerance override must not be infinite")
+    else:
+        tolerances = dict.fromkeys(REFERENCE, tol_override)
     c = sharp_constants()
     values = {**c._asdict(), "radius_abs_head": RADIUS_ABS_HEAD}
     residuals = {name: abs(values[name] - ref) for name, ref in REFERENCE.items()}
-    if tol_override is None:
-        tolerances = dict(RESIDUAL_TOL)
-    else:
-        tolerances = {k: tol_override for k in residuals}
     ok = not _breaches(residuals, tolerances)
     return ConstantsReport(
         constants=c,

@@ -105,8 +105,9 @@ class FunctionalSpec:
         # Nonnegative weights keep every total nondecreasing in the radius,
         # which is all a radius search assumes.
         for name in ("area_weight", "area_sq_weight", "extra_area_weight"):
-            if not 0.0 <= ser._real(getattr(self, name), name) < math.inf:
+            if not 0.0 <= (weight := ser._real(getattr(self, name), name)) < math.inf:
                 raise DomainError(f"{name} must be a finite, nonnegative real number")
+            object.__setattr__(self, name, weight)
 
     def uses_area(self) -> bool:
         return any((self.area_weight, self.area_sq_weight, self.extra_area_weight))
@@ -195,9 +196,9 @@ _Row = tuple[float, float, float, float, float, float, float, bool, bool, str]
 
 def schwarz_pick(a0: float, bold_r: float) -> float:
     """(a0 + r)/(1 + a0 r): boundary bound on |f| from |f(0)| = a0."""
-    if not 0.0 <= ser._real(a0, "a0") <= 1.0:
+    if not 0.0 <= (a0 := ser._real(a0, "a0")) <= 1.0:
         raise DomainError(f"a0={a0} outside [0, 1]")
-    if not 0.0 <= ser._real(bold_r, "bold_r") < 1.0:
+    if not 0.0 <= (bold_r := ser._real(bold_r, "bold_r")) < 1.0:
         raise DomainError(f"bold_r={bold_r} outside [0, 1)")
     return (a0 + bold_r) / (1.0 + a0 * bold_r)
 

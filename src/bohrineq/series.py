@@ -62,6 +62,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import chain, product, repeat
+from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import BudgetExceededError, DomainError
@@ -91,13 +92,15 @@ def _integer(value, what: str, least: int) -> int:
 
 
 def _real(value, what: str):
-    """value itself when it orders against floats; anything else (a string,
-    None, a complex number) is a domain error that names the input."""
+    """A float or a rational (int, Fraction) as it is, another real (a Decimal) as a float."""
     try:
-        value < 0.0
-    except TypeError:
+        if isinstance(value, (float, Rational)):
+            return value
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError  # float() would parse it
+        return float(value)
+    except (TypeError, ValueError):
         raise DomainError(f"{what} must be a real number, not {value!r}") from None
-    return value
 
 
 def _numbers(values, what: str, read: Callable = float) -> tuple:
@@ -283,11 +286,12 @@ class _MoebiusType(_Family):
 
     def __post_init__(self):
         try:
-            inside = 0.0 <= self.a < 1.0
-        except TypeError:  # not a real number
-            inside = False
-        if not inside:
+            a = _real(self.a, "a")
+        except DomainError:  # not a real number
+            a = math.nan
+        if not 0.0 <= a < 1.0:
             raise DomainError(f"family parameter a={self.a!r} outside [0, 1)")
+        object.__setattr__(self, "a", a)
         n = _integer(self.n, "dimension n", 1)
         if n is not self.n:  # an integer of another type, stored as int
             object.__setattr__(self, "n", n)
@@ -791,11 +795,7 @@ class CoefficientSeries:
 
 
 def _monomial(radii: tuple[float, ...], exps: tuple[int, ...]) -> float:
-    out = 1.0
-    for r, e in zip(radii, exps):
-        if e:
-            out *= r**e
-    return out
+    return math.prod((r**e for r, e in zip(radii, exps) if e), start=1.0)
 
 
 def majorant_tail_bound(family: FamilySpec | None, K: int, bold_r: float) -> float | None:
@@ -813,7 +813,7 @@ def default_truncation(family: FamilySpec, bold_r: float) -> int:
 
 
 def _diagonal_sigma(family: FamilySpec, bold_r: float) -> float:
-    if not 0.0 <= _real(bold_r, "radius") <= family.cap:
+    if not 0.0 <= (bold_r := _real(bold_r, "radius")) <= family.cap:
         raise DomainError(f"radius {bold_r} outside the closed domain of the family")
     return family.sigma((bold_r,))
 
@@ -1151,7 +1151,7 @@ def torus_bound_check(
     or a sample count that is not an integer >= 8, is refused.
     """
     _integer(samples_per_axis, "samples per axis", 8)
-    if not 0 <= _real(radius_cap, "radius") < math.inf:
+    if not 0 <= (radius_cap := _real(radius_cap, "radius")) < math.inf:
         raise DomainError("radius must be finite and nonnegative")
     if series.source is not None and radius_cap > domain_radius_cap(series.source):
         raise DomainError("radius exceeds the domain cap of the generating family")

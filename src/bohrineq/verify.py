@@ -105,7 +105,7 @@ def lemma1a_check(family: ser.FamilySpec, bold_r: float) -> LemmaCheck:
     """sum_k k sum_{|alpha|=k} |a_alpha|^2 r^(2|alpha|)
        <= r^2 (1-a0^2)^2 / (1-a0^2 r^2)^2   for 0 < r <= 1/sqrt2."""
     _check_lemma_input(family)
-    if not 0.0 < ser._real(bold_r, "bold_r") <= 1.0 / math.sqrt(2.0):
+    if not 0.0 < (bold_r := ser._real(bold_r, "bold_r")) <= 1.0 / math.sqrt(2.0):
         raise DomainError(f"bold_r={bold_r} outside (0, 1/sqrt2]")
     a0 = abs(family.a0)
     rhs = bold_r**2 * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r * bold_r) ** 2
@@ -116,7 +116,7 @@ def lemma1b_check(family: ser.FamilySpec, bold_r: float) -> LemmaCheck:
     """sum_k sum_{|alpha|=k} |a_alpha|^2 r^|alpha|
        <= r (1-a0^2)^2 / (1-a0^2 r)   for 0 < r < 1."""
     _check_lemma_input(family)
-    if not 0.0 < ser._real(bold_r, "bold_r") < 1.0:
+    if not 0.0 < (bold_r := ser._real(bold_r, "bold_r")) < 1.0:
         raise DomainError(f"bold_r={bold_r} outside (0, 1)")
     a0 = abs(family.a0)
     rhs = bold_r * (1.0 - a0 * a0) ** 2 / (1.0 - a0 * a0 * bold_r)
@@ -129,9 +129,9 @@ def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
         sqrt(n) r (1 - a0^2) / (1 - n a0 r)          for a0 >= r
         sqrt(n) r sqrt(1 - a0^2) / sqrt(1 - n r^2)   for a0 < r
     """
-    if not 0.0 <= ser._real(a0, "a0") <= 1.0:
+    if not 0.0 <= (a0 := ser._real(a0, "a0")) <= 1.0:
         raise DomainError(f"a0={a0} outside [0, 1]")
-    if not ser._real(bold_r, "bold_r") >= 0:
+    if not (bold_r := ser._real(bold_r, "bold_r")) >= 0:
         raise DomainError("bold_r must be nonnegative")
     n = ser._integer(n, "dimension n", 1)
     if a0 >= bold_r:
@@ -183,7 +183,7 @@ def radius_search(
     ``_terms`` alone.  Bisection stops at width ``tol``, or earlier when the
     midpoint no longer splits the bracket: it then holds two adjacent floats.
     """
-    if not 0 < ser._real(tol, "tolerance") < math.inf:
+    if not 0 < (tol := ser._real(tol, "tolerance")) < math.inf:
         raise DomainError("tolerance must be finite and positive")
     n, cap = family.n, family.cap
     hi = cap * (1.0 - 1e-9)
@@ -385,7 +385,7 @@ def sharpness_scan(
     """
     td = _theorem(theorem_id)
     n = _check_n(td, n)
-    if not 0 <= ser._real(epsilon, "epsilon") < math.inf:
+    if not 0 <= (epsilon := ser._real(epsilon, "epsilon")) < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
     grid = list(ser._numbers(a_grid, "scan grid"))

@@ -7,6 +7,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -52,7 +53,7 @@ from bohrineq.verify import (
     radius_search,
     theorem_sweep,
 )
-from grids import linspace
+from grids import linspace, rounding_interval
 
 SQRT5 = math.sqrt(5.0)
 
@@ -79,11 +80,17 @@ def test_criterion_1_constants_reproduction():
         assert abs(c.p - 2.0 * (SQRT5 - 1.0)) <= 1e-9
         assert abs(RADIUS_ABS_HEAD - 0.236068) <= 1e-6
         # Computed, not hard-coded: the roots satisfy their polynomials and
-        # the weights satisfy their closed formulas.
+        # each weight is its closed formula at its root, rounded once: within
+        # half an ulp of the formula's exact values over the root's rounding
+        # interval.
         assert abs(PSI1(c.a_star1)) < 1e-9
         assert abs(PSI2(c.a_star2)) < 1e-9
-        assert c.lambda1 == lambda1_of(c.a_star1)
-        assert c.lambda2 == lambda2_of(c.a_star2)
+        for a, lam, lam_of in (
+            (c.a_star1, c.lambda1, lambda1_of), (c.a_star2, c.lambda2, lambda2_of)
+        ):
+            ends = [lam_of(end) for end in rounding_interval(a)]
+            half_ulp = Fraction(math.ulp(lam)) / 2
+            assert min(ends) - half_ulp <= lam <= max(ends) + half_ulp
         assert report.ok
         assert time.perf_counter() - start < 1.0
 

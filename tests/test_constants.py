@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,7 @@ from bohrineq.constants import (
     _sturm_root_count,
 )
 from bohrineq.errors import DomainError, NonUniqueRootError, RootBracketError
-from grids import linspace
+from grids import linspace, rounding_interval
 
 # 101 points of (0, 1), asymmetric so the grid avoids the poles 1/2 and 3/5.
 FACTOR_GRID = linspace(0.01, 0.998, 101)
@@ -41,10 +42,70 @@ def test_psi_endpoint_values():
     assert PSI2(1.0) == 480.0
 
 
-def test_polynomial_derivative():
-    poly = PolynomialR((1.0, 2.0, 3.0))
-    assert poly.derivative().coefficients == (2.0, 6.0)
-    assert poly(2.0) == 1 + 4 + 12
+# The constants' exact definitions, written out again here so that the
+# checks below share no code with the package.
+def _psi1(t):
+    return -405 + 473 * t + 402 * t**2 + 38 * t**3 + 3 * t**4 + t**5
+
+
+def _psi2(t):
+    return -513 + 910 * t + 80 * t**2 + 2 * t**3 + t**4
+
+
+def _lambda1(a):
+    return 4 * (486 - 261 * a - 324 * a**2 + 2 * a**3 + 30 * a**4 + 3 * a**5) / (
+        81 * (1 + a) ** 3 * (3 - 5 * a)
+    )
+
+
+def _lambda2(a):
+    return (-81 + 1044 * a + 54 * a**2 - 116 * a**3 - 5 * a**4) / (
+        162 * (a + 1) ** 2 * (2 * a - 1)
+    )
+
+
+def test_each_constant_is_the_float_of_its_exact_value(constants):
+    c = constants
+    for a, lam, psi, lam_of in ((c.a_star1, c.lambda1, _psi1, _lambda1),
+                                (c.a_star2, c.lambda2, _psi2, _lambda2)):
+        # psi increases on [0, 1], so its root lies strictly inside the
+        # rounding interval of a: a is the float of the root.
+        lo, hi = rounding_interval(a)
+        assert psi(lo) < 0 < psi(hi)
+        # lambda is monotone near the root (slope about 486 and -422), so
+        # lambda at the root lies between its values at a 2^-120 bracket.
+        while hi - lo > Fraction(1, 2**120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if psi(mid) < 0 else (lo, mid)
+        assert float(lam_of(lo)) == float(lam_of(hi)) == lam
+    # s <= 2^120 sqrt(m) < s + 1, for sqrt5 - 2 and for p = 2 sqrt5 - 2 = sqrt20 - 2.
+    for value, m in ((RADIUS_ABS_HEAD, 5), (c.p, 20)):
+        s = math.isqrt(m << 240)
+        assert float(Fraction(s, 2**120) - 2) == float(Fraction(s + 1, 2**120) - 2) == value
+    assert (Fraction(RADIUS_ABS_HEAD) + 2) ** 2 < 5  # below the theorem's radius
+
+
+def test_lambda_formulas_are_exact_on_fractions():
+    assert lambda1_of(Fraction(1, 2)) == _lambda1(Fraction(1, 2))
+    assert lambda2_of(Fraction(1, 3)) == _lambda2(Fraction(1, 3))
+    assert isinstance(lambda1_of(Fraction(1, 2)), Fraction)
+    # A float argument keeps its float arithmetic, bit for bit.
+    for a in FACTOR_GRID:
+        assert lambda1_of(a) == 4.0 * (
+            486.0 - 261.0 * a - 324.0 * a**2 + 2.0 * a**3 + 30.0 * a**4 + 3.0 * a**5
+        ) / (81.0 * (1.0 + a) ** 3 * (3.0 - 5.0 * a))
+        assert lambda2_of(a) == (-81.0 + 1044.0 * a + 54.0 * a**2 - 116.0 * a**3 - 5.0 * a**4) / (
+            162.0 * (a + 1.0) ** 2 * (2.0 * a - 1.0)
+        )
+
+
+def test_unique_roots_are_correctly_rounded():
+    # Roots of t^2 - 2 and 3t - 1: the floats of sqrt2 and 1/3.
+    assert solve_unique_root(PolynomialR((-2.0, 0.0, 1.0)), 1.0, 2.0) == math.sqrt(2.0)
+    assert solve_unique_root(PolynomialR((-1, 3)), 0.0, 1.0) == 1 / 3
+    # A root at a bracket end, or a dyadic root met exactly, is returned as is.
+    assert solve_unique_root(PolynomialR((-1, 2)), 0.5, 1.0) == 0.5
+    assert solve_unique_root(PolynomialR((-3, 8)), 0.0, 1.0) == 0.375
 
 
 def test_unique_roots_match_references():

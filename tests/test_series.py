@@ -652,6 +652,72 @@ def test_sq_multinomial_sum_at_large_dimension():
     assert ser._sq_multinomial_sum(3000, 2) == 3000 + 4 * math.comb(3000, 2)
 
 
+def test_sq_multinomial_sums_follow_their_recurrences():
+    # S_n(k) = n^(2k) W_k, the even moments of a walk of n unit steps, obey
+    #   k^2 S_3(k) = (10k^2 - 10k + 3) S_3(k-1) - 9 (k-1)^2 S_3(k-2),
+    #   k^3 S_4(k) = 2 (2k-1)(5k^2 - 5k + 2) S_4(k-1) - 64 (k-1)^3 S_4(k-2).
+    s3, s4 = [1, 3], [1, 4]
+    for k in range(2, ser.MAX_TRUNCATION + 1):
+        num3 = (10 * k * k - 10 * k + 3) * s3[-1] - 9 * (k - 1) ** 2 * s3[-2]
+        num4 = 2 * (2 * k - 1) * (5 * k * k - 5 * k + 2) * s4[-1] - 64 * (k - 1) ** 3 * s4[-2]
+        assert num3 % (k * k) == 0 and num4 % k**3 == 0
+        s3.append(num3 // (k * k))
+        s4.append(num4 // k**3)
+    assert s3 == [ser._sq_multinomial_sum(3, k) for k in range(ser.MAX_TRUNCATION + 1)]
+    assert s4 == [ser._sq_multinomial_sum(4, k) for k in range(ser.MAX_TRUNCATION + 1)]
+
+
+@pytest.mark.parametrize("cls", [ExtremalPolydiskUnit, ExtremalPolydiskScaled])
+@pytest.mark.parametrize("a, radii", [
+    (0.5, (0.2, 0.2)), (0.7, (0.1, 0.3)), (0.9, (0.05, 0.4)), (0.3, (0.45, 0.01)),
+])
+def test_literal_area_in_two_variables_matches_its_closed_form(cls, a, radii):
+    # For n = 2, sum_k W_k c^k = G(c) = ((1 - c)(1 - c d))^(-1/2) with
+    # c = a^2 sigma^2 and d = ((r_1 - r_2)/(r_1 + r_2))^2, so the literal area
+    # is (1 - a^2)^2 sigma^2 G'(c).  The series sums W_k to K and adds the
+    # slice tail (W_k <= 1): it lies above the closed form, by less than that tail.
+    family = cls(a, 2)
+    sigma = family.sigma(radii)
+    c, d = (a * sigma) ** 2, ((radii[0] - radii[1]) / (radii[0] + radii[1])) ** 2
+    g_prime = 0.5 * ((1 - c) * (1 - c * d)) ** -0.5 * (1 / (1 - c) + d / (1 - c * d))
+    closed = (1 - a * a) ** 2 * sigma**2 * g_prime
+    degrees = cls.degree_grid((a,), sigma)
+    series = family.literal_area(sigma, radii)
+    assert series == cls.literal_area_grid((a,), sigma, radii, 2, degrees)[0]
+    assert 0 < series - closed <= degrees[0][1]
+
+
+def _exact_degree_weights(radii, K):
+    p = [Fraction(r) / sum(map(Fraction, radii)) for r in radii]
+    weights = [Fraction(0)] * (K + 1)
+    for alpha in itertools.product(range(K + 1), repeat=len(radii)):
+        k = sum(alpha)
+        if k <= K:
+            coeff = math.factorial(k) // math.prod(map(math.factorial, alpha))
+            weights[k] += coeff**2 * math.prod(pj ** (2 * aj) for pj, aj in zip(p, alpha))
+    return weights
+
+
+@pytest.mark.parametrize("radii", [
+    (0.3,), (0.1, 0.2), (0.3, 0.05), (0.1, 0.2, 0.3), (0.7, 0.175, 0.0778), (0.3, 0.05, 0.05, 0.05),
+    (0.1, 0.2, 0.3, 0.4),
+])
+def test_degree_weights_match_an_exact_enumeration(radii):
+    K = 12
+    for got, exact in zip(ser._degree_weights(radii, K), _exact_degree_weights(radii, K)):
+        assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+
+
+@pytest.mark.parametrize("radii", [(0.1, 0.2), (0.3, 0.05, 0.05), (0.1, 0.2, 0.3, 0.4)])
+def test_degree_weights_do_not_increase(radii):
+    # W_k = E|sum_j p_j e^(i theta_j)|^(2k) with |sum_j p_j e^(i theta_j)| <= 1.
+    weights = ser._degree_weights(radii, ser.MAX_TRUNCATION)
+    assert weights[0] == 1.0 and all(x >= y for x, y in zip(weights, weights[1:]))
+    for n in (2, 3, 4, 5):
+        diagonal = [multinomial_sq_ratio(n, k) for k in range(ser.MAX_TRUNCATION + 1)]
+        assert diagonal[0] == 1.0 and all(x >= y for x, y in zip(diagonal, diagonal[1:]))
+
+
 # ---------------------------------------------------------------- slices
 
 def test_slice_coefficients_moebius():

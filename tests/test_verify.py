@@ -411,6 +411,30 @@ def test_scan_t21_perturbation_in_higher_dimensions(n, constants):
     assert report.perturbed_max > 1.0
 
 
+@pytest.mark.parametrize("theorem_id,n", [("C", 1), ("D", 1), ("T21", 2), ("T22", 3)])
+def test_scan_maximum_at_the_sharp_constants_is_at_most_one(theorem_id, n):
+    # The equality row at a* sums to 1 within rounding; with correctly
+    # rounded constants it stays <= 1 with no tolerance.
+    report = sharpness_scan(theorem_id, grid_values(0.0, 0.99, 0.01), n=n)
+    assert report.max_total <= 1.0
+
+
+def test_e_threshold_near_tie_has_nonnegative_exact_margin():
+    # E on moebius:0.99999999 at the threshold radius is tight as a -> 1.
+    # Read the row's float inputs as rationals and sum its closed forms
+    # exactly: the margin is about 7.4e-25, and negative at a radius float
+    # above sqrt5 - 2.
+    a = 0.99999999
+    r, p = THEOREMS["E"].threshold(1), preset("thm_e").area_weight
+    row = evaluate(preset("thm_e"), MoebiusDisk(a), RadiusSpec.diagonal(1, r))
+    assert row.total == 1.0 and row.certified
+    a, r, p = map(Fraction, (a, r, p))
+    sup = (a + r) / (1 + a * r)
+    tail = (1 - a * a) * r / (1 - a * r)
+    area = r * r * (1 - a * a) ** 2 / (1 - a * a * r * r) ** 2
+    assert 1 - (sup + tail + p * area) >= 0
+
+
 def test_scan_t23_supremum_approached_near_one():
     report = sharpness_scan("T23", grid_values(0.0, 0.9999, 0.0001), n=2)
     assert report.max_total <= 1.0 + 1e-12
@@ -521,6 +545,47 @@ def test_sweep_reads_a_decimal_or_fraction_tolerance_as_a_float(a_grid):
             theorem_sweep("C", a_grid=a_grid, tol=bad)
     assert check_tolerance(Decimal("1e-12")) == 1e-12 and check_tolerance(None) is None
     assert math.isnan(check_tolerance(Decimal("NaN")))
+
+
+_DECIMAL_TWINS = [
+    (lambda x: sharpness_scan("C", [0.5], epsilon=x), "0.1"),
+    (lambda x: radius_search(preset("classic"), MoebiusDisk(0.5), tol=x), "1e-6"),
+    (lambda x: evaluate(preset("thm_c"), MoebiusDisk(x), RadiusSpec.diagonal(1, 0.3)), "0.5"),
+    (lambda x: lemma1a_check(MoebiusDisk(0.5), x), "0.3"),
+    (lambda x: lemma1b_check(MoebiusDisk(0.5), x), "0.3"),
+    (lambda x: fun.schwarz_pick(x, x), "0.3"),
+    (lambda x: lemma1c_bound(x, x, 2), "0.3"),
+    (lambda x: ser.majorant_tail_bound(MoebiusDisk(0.5), 3, x), "0.3"),
+    (lambda x: ser.torus_bound_check(ser.expand(MoebiusDisk(0.5), 4), x), "0.3"),
+    (lambda x: FunctionalSpec("abs_f", area_weight=x), "0.5"),
+    (lambda x: sharp.lambda1_of(x), "0.5"),
+    (lambda x: sharp.phi2(x, x), "0.5"),
+]
+
+
+@pytest.mark.parametrize("call,text", _DECIMAL_TWINS, ids=[
+    "sharpness_scan-epsilon", "radius_search-tol", "evaluate-MoebiusDisk", "lemma1a_check",
+    "lemma1b_check", "schwarz_pick", "lemma1c_bound", "majorant_tail_bound", "torus_bound_check",
+    "FunctionalSpec", "lambda1_of", "phi2",
+])
+def test_a_decimal_input_counts_like_its_float(call, text):
+    # A real that is not rational is read once as a float, so a Decimal
+    # gives what its float gives; a Decimal NaN is refused like a float NaN.
+    assert call(Decimal(text)) == call(float(text))
+
+    def outcome(x):
+        try:
+            return repr(call(x))
+        except DomainError:
+            return "DomainError"
+
+    assert outcome(Decimal("NaN")) == outcome(math.nan)
+
+
+def test_a_fraction_input_stays_exact():
+    assert MoebiusDisk(Fraction(1, 2)).a == Fraction(1, 2)
+    assert FunctionalSpec("abs_f", area_weight=Fraction(1, 3)).area_weight == Fraction(1, 3)
+    assert type(MoebiusDisk(Decimal("0.5")).a) is float
 
 
 def _count_calls(monkeypatch, owner, name):
