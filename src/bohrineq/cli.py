@@ -1,7 +1,9 @@
 """Command-line front end: constants | verify | radius | scan | lemma.
 
 Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
-to stdout or --out, byte-stable across runs for identical arguments.
+to stdout or --out, byte-stable across runs for identical arguments.  Each
+row is built by zipping its command's ``*_COLUMNS`` list with the record it
+prints, so every column is named once.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
 64 usage, 65 domain error, 67 expansion budget, 73 --out file that cannot
@@ -172,21 +174,8 @@ def emit(
 def _breakdown_row(
     theorem: str, n: int, a: float, r: float, breakdown: fun.TermBreakdown
 ) -> dict:
-    return {
-        "theorem": theorem,
-        "n": n,
-        "a": a,
-        "r": r,
-        "interpretation": breakdown.interpretation,
-        "head": breakdown.head_value,
-        "tail": breakdown.majorant_tail,
-        "area": breakdown.area_term,
-        "area_sq": breakdown.area_sq_contribution,
-        "extra": breakdown.extra_area_contribution,
-        "total": breakdown.total,
-        "margin": breakdown.margin,
-        "certified": breakdown.certified,
-    }
+    # head_value..margin and then certified open the record.
+    return dict(zip(VERIFY_COLUMNS, (theorem, n, a, r, breakdown.interpretation, *breakdown[:8])))
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +187,7 @@ def cmd_constants(ns: argparse.Namespace) -> int:
     d = report.as_dict()
     # ``emit`` reads only CONSTANTS_COLUMNS from the row.
     row = dict(d, **{f"resid_{k}": v for k, v in d["residuals"].items()})
-    meta = {"command": "constants", "tolerances": report.tolerances}
+    meta = dict(command="constants", tolerances=report.tolerances)
     if ns.format == "json":
         emit([d], CONSTANTS_COLUMNS, "json", ns.out, meta)
     else:
@@ -235,10 +224,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         a_grid = parse_grid(ns.a) if ns.a else None
         r_values = None if ns.r == "threshold" else [_resolve_r(ns.r, theorem_id, 1)]
         report = ver.theorem_sweep(theorem_id, n_list, a_grid, r_values, tol=ns.tol)
-        for row in report.rows:
-            rows.append(_breakdown_row(row.theorem, row.n, row.a, row.r, row.breakdown))
+        rows.extend(_breakdown_row(*row) for row in report.rows)
         violations = len(report.violations)
-    meta = {"command": "verify", "theorem": theorem_id, "violations": violations}
+    meta = dict(command="verify", theorem=theorem_id, violations=violations)
     emit(rows, VERIFY_COLUMNS, ns.format, ns.out, meta)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
@@ -248,19 +236,9 @@ def cmd_radius(ns: argparse.Namespace) -> int:
     preset_name = ver.THEOREMS[name].preset_name if name in ver.THEOREMS else name
     family = parse_family(ns.family)
     result = ver.radius_search(fun.preset(preset_name), family, tol=ns.tol)
-    row = {
-        "functional": name,
-        "family": ns.family,
-        "n": ser.dimension(family),
-        "radius": result.radius,
-        "lo": result.bracket[0],
-        "hi": result.bracket[1],
-        "iterations": result.iterations,
-        "binding": result.binding,
-        "certified": result.certified,
-    }
-    meta = {"command": "radius", "functional": name, "family": ns.family, "tol": ns.tol}
-    emit([row], RADIUS_COLUMNS, ns.format, ns.out, meta)
+    values = (name, ns.family, ser.dimension(family), result.radius, *result.bracket, *result[2:])
+    meta = dict(command="radius", functional=name, family=ns.family, tol=ns.tol)
+    emit([dict(zip(RADIUS_COLUMNS, values))], RADIUS_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK
 
 
@@ -275,29 +253,13 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     bold_r = None if ns.r == "threshold" else _resolve_r(ns.r, theorem_id, n)
     report = ver.sharpness_scan(theorem_id, a_grid, n=n, bold_r=bold_r, epsilon=ns.epsilon)
     rows = [
-        {
-            "theorem": theorem_id,
-            "n": n,
-            "a": row.a,
-            "r": report.bold_r,
-            "epsilon": report.epsilon,
-            "total": row.total,
-            "perturbed_total": row.perturbed_total,
-        }
-        for row in report.rows
+        dict(zip(SCAN_COLUMNS, (theorem_id, n, a, report.bold_r, report.epsilon, *totals)))
+        for a, *totals in report.rows
     ]
-    meta = {
-        "command": "scan",
-        "theorem": theorem_id,
-        "max_total": report.max_total,
-        "argmax_a": report.argmax_a,
-        "perturbed_max": report.perturbed_max,
-        "perturbed_argmax": report.perturbed_argmax,
-        "a_star": report.a_star,
-    }
+    # The maxima and a_star close the record.
+    meta = dict(zip(report._fields[5:], report[5:]), command="scan", theorem=theorem_id)
     emit(rows, SCAN_COLUMNS, ns.format, ns.out, meta)
-    tol = ns.tol if ns.tol is not None else ver.TOL_CLOSED
-    return EXIT_OK if report.max_total <= 1.0 + tol else EXIT_VIOLATIONS
+    return EXIT_OK if report.max_total <= ver._limit(ns.tol, True) else EXIT_VIOLATIONS
 
 
 def cmd_lemma(ns: argparse.Namespace) -> int:
@@ -308,19 +270,10 @@ def cmd_lemma(ns: argparse.Namespace) -> int:
     check = checks[ns.part](family, r)
     if ns.tol is not None:
         check = check._replace(ok=check.lhs <= check.rhs + ns.tol)
-    row = {
-        "part": ns.part,
-        "family": ns.family,
-        "n": ser.dimension(family),
-        "a0": abs(ser.constant_term(family)),
-        "r": r,
-        "lhs": check.lhs,
-        "rhs": check.rhs,
-        "gap": check.gap,
-        "ok": check.ok,
-    }
-    meta = {"command": "lemma", "part": ns.part, "family": ns.family, "r": r}
-    emit([row], LEMMA_COLUMNS, ns.format, ns.out, meta)
+    n, a0 = ser.dimension(family), abs(ser.constant_term(family))
+    values = (ns.part, ns.family, n, a0, r, check.lhs, check.rhs, check.gap, check.ok)
+    meta = dict(command="lemma", part=ns.part, family=ns.family, r=r)
+    emit([dict(zip(LEMMA_COLUMNS, values))], LEMMA_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK if check.ok else EXIT_VIOLATIONS
 
 

@@ -182,8 +182,9 @@ def radius_search(
     lies in (0, hi), so it passes every check of hi, and a step runs the core
     ``_terms`` alone.  Bisection stops at width ``tol``, or earlier when the
     midpoint no longer splits the bracket: it then holds two adjacent floats.
+    ``tol`` is read like a sweep's (``check_tolerance``) and must be positive.
     """
-    if not 0 < (tol := ser._real(tol, "tolerance")) < math.inf:
+    if tol is None or not (tol := check_tolerance(tol)) > 0:
         raise DomainError("tolerance must be finite and positive")
     n, cap = family.n, family.cap
     hi = cap * (1.0 - 1e-9)
@@ -300,20 +301,17 @@ def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[tuple[float, ...
 
 
 def check_tolerance(tol: float | None) -> float | None:
-    """The pass tolerance read once as a float (None stays None), so a
-    Decimal or a Fraction counts like the float it rounds to.  An infinite
-    tolerance would pass any total and is refused; a NaN tolerance is let
-    through: every verdict test fails on it."""
+    """The pass tolerance read once as a float (None stays None), through
+    ``series._real``, so a Decimal or a Fraction counts like the float it
+    rounds to.  An infinite tolerance would pass any total and is refused,
+    as is one beyond the float range; a NaN tolerance is let through: every
+    verdict test fails on it."""
     if tol is None:
         return None
     try:
-        if isinstance(tol, (str, bytes, bytearray)):
-            raise TypeError  # float() would parse it
-        value = float(tol)
+        value = float(ser._real(tol, "tolerance"))
     except OverflowError:
         value = math.inf  # a Fraction or an int beyond the float range
-    except (TypeError, ValueError):
-        raise DomainError(f"tolerance must be a real number, not {tol!r}") from None
     if math.isinf(value):
         raise DomainError("tolerance must not be infinite")
     return value

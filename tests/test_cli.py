@@ -21,6 +21,7 @@ from bohrineq.errors import (
     RootBracketError,
     UnsupportedInterpretationError,
 )
+from bohrineq.verify import grid_values, sharpness_scan
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +176,20 @@ def test_radius_closed_form_threshold(capsys):
     assert row["binding"] == "true"
 
 
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_radius_that_does_not_bind(capsys, out_format):
+    # A constant of modulus 0.4 keeps the classic total at 0.4 up to the cap:
+    # no bisection runs, and the verdict at the cap is certified.
+    code, out, _ = run_cli(
+        capsys, "radius", "--functional", "classic", "--family", "const:0.4",
+        "--format", out_format,
+    )
+    assert code == 0
+    (row,) = parse_csv(out) if out_format == "csv" else json.loads(out)["rows"]
+    expected = ("false", "true", "0") if out_format == "csv" else (False, True, 0)
+    assert (row["binding"], row["certified"], row["iterations"]) == expected
+
+
 # ---------------------------------------------------------------- scan
 
 def test_scan_thm_c_locates_root(capsys):
@@ -186,6 +201,39 @@ def test_scan_thm_c_locates_root(capsys):
     meta = json.loads(out)["meta"]
     assert abs(meta["argmax_a"] - 0.567284) < 1e-3
     assert meta["max_total"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_scan_rows_keep_each_total_in_its_column(capsys, out_format):
+    # With epsilon > 0 the perturbed total differs from the total in every
+    # row, so a row that swapped them would show.
+    code, out, _ = run_cli(
+        capsys, "scan", "--theorem", "C", "--a", "0:0.9:0.1", "--epsilon", "0.5",
+        "--format", out_format,
+    )
+    assert code == 0
+    report = sharpness_scan("C", grid_values(0.0, 0.9, 0.1), epsilon=0.5)
+    if out_format == "csv":
+        rows = parse_csv(out)
+        expected = [(cli._fmt(row.total), cli._fmt(row.perturbed_total)) for row in report.rows]
+    else:
+        rows = json.loads(out)["rows"]
+        expected = [(row.total, row.perturbed_total) for row in report.rows]
+    assert [(row["total"], row["perturbed_total"]) for row in rows] == expected
+    assert all(total != perturbed for total, perturbed in expected)
+
+
+@pytest.mark.parametrize("r, tol, expected", [
+    ("0.33333333334", None, 1),
+    ("0.33333333334", "1e-10", 0),
+    ("0.3333333333334", None, 0),
+])
+def test_scan_exit_reads_the_closed_form_tolerance(capsys, r, tol, expected):
+    # Just above r = 1/3 the C maximum exceeds 1 by 1.6e-11 (or 1.6e-13):
+    # beyond the closed-form default 1e-12 (or within it), within 1e-10.
+    argv = ["scan", "--theorem", "C", "--a", "0.5", "--r", r]
+    code, _, _ = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+    assert code == expected
 
 
 # ---------------------------------------------------------------- lemma

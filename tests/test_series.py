@@ -963,6 +963,15 @@ def test_torus_unit_family_at_its_cap():
     assert report.sup_modulus <= 1.0 + 1e-9
 
 
+def test_torus_sup_above_one_fails_with_a_certificate():
+    # 0.9 + 0.5 z claims the tail certificate of psi_0.5 at degree 1 but
+    # reaches modulus 1.15 on |z| = 0.5.
+    coeffs = {MultiIndex((0,)): 0.9 + 0j, MultiIndex((1,)): 0.5 + 0j}
+    report = torus_bound_check(CoefficientSeries(1, 1, coeffs, MoebiusDisk(0.5)), 0.5)
+    assert report.certified and report.sup_modulus == pytest.approx(1.15)
+    assert not report.ok
+
+
 def test_torus_uncertified_series_is_flagged():
     series = CoefficientSeries(1, 1, {MultiIndex((1,)): 0.5 + 0j})
     report = torus_bound_check(series, 0.5)

@@ -132,6 +132,26 @@ def test_lemma1b_range_error():
         lemma1b_check(MoebiusDisk(0.5), 1.0)
 
 
+class _Inflated(MoebiusDisk):
+    """psi_a with its coefficient moduli scaled by 1 + 1e-8: no longer
+    bounded by one, so each lemma fails at its equality case by a few 1e-9."""
+
+    def sq_masses(self, K):
+        return [m * (1 + 2e-8) for m in super().sq_masses(K)]
+
+    def majorant(self, sigma):
+        return super().majorant(sigma) * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("check", [lemma1a_check, lemma1b_check, lemma1c_check])
+def test_lemma_verdict_fails_beyond_its_slack(check):
+    # Every family the lemmas admit satisfies them, so only a family that is
+    # not bounded by one can show a verdict fail.
+    held, failed = check(MoebiusDisk(0.6), 0.4), check(_Inflated(0.6), 0.4)
+    assert held.ok and abs(held.gap) < ver.LEMMA_SLACK
+    assert not failed.ok and -1e-7 < failed.gap < -ver.LEMMA_SLACK
+
+
 def test_lemma1_blaschke_holds():
     fam = FiniteBlaschke((0.5, -0.3))
     assert lemma1a_check(fam, 0.5).ok
@@ -545,6 +565,22 @@ def test_sweep_reads_a_decimal_or_fraction_tolerance_as_a_float(a_grid):
             theorem_sweep("C", a_grid=a_grid, tol=bad)
     assert check_tolerance(Decimal("1e-12")) == 1e-12 and check_tolerance(None) is None
     assert math.isnan(check_tolerance(Decimal("NaN")))
+
+
+def test_radius_search_reads_its_tolerance_like_a_sweep():
+    # One reader: a tolerance beyond the float range is infinite and refused
+    # by both, and a rational or a Decimal just below a bracket width stops
+    # where the float it rounds to stops, not one step later.
+    spec, family = preset("classic"), MoebiusDisk(0.5)
+    for call in (partial(radius_search, spec, family), partial(theorem_sweep, "C", a_grid=[0.5])):
+        with pytest.raises(DomainError, match="infinite"):
+            call(tol=10**400)
+    lo, hi = radius_search(spec, family, tol=1e-6).bracket
+    width = hi - lo
+    expected = radius_search(spec, family, tol=width)
+    for tol in (Fraction(width) - Fraction(1, 10**40), Decimal(width).next_minus()):
+        assert tol < width and float(tol) == width
+        assert radius_search(spec, family, tol=tol) == expected
 
 
 _DECIMAL_TWINS = [
