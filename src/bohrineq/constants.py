@@ -235,7 +235,7 @@ def phi2(t: float, lam: float) -> float:
 def phi1_factored(s: float) -> float:
     """phi1 at the stationary weight lambda1_of(s), in factored form:
     2 (s^2 - 9) / (3 - 5s) * psi_1(s).  Vanishes exactly at the psi_1 root."""
-    if abs((s := _real(s, "argument")) - 0.6) < _SINGULARITY_GUARD:
+    if abs((s := _unit_interval(s)) - 0.6) < _SINGULARITY_GUARD:
         raise DomainError("factored form is singular at s = 3/5")
     return 2.0 * (s * s - 9.0) / (3.0 - 5.0 * s) * PSI1(s)
 
@@ -243,7 +243,7 @@ def phi1_factored(s: float) -> float:
 def phi2_factored(s: float) -> float:
     """phi2 at the stationary weight lambda2_of(s), in factored form:
     (9 - s^2) / (2 (2s - 1)) * psi_2(s)."""
-    if abs((s := _real(s, "argument")) - 0.5) < _SINGULARITY_GUARD:
+    if abs((s := _unit_interval(s)) - 0.5) < _SINGULARITY_GUARD:
         raise DomainError("factored form is singular at s = 1/2")
     return (9.0 - s * s) / (2.0 * (2.0 * s - 1.0)) * PSI2(s)
 

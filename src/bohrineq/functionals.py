@@ -24,20 +24,21 @@ degree (``literal_area``).
 
 ``evaluate`` is its checks (dimension, domain cap) and one private core,
 ``_terms``, which takes the checked polyradius and its sigma, reads every
-family through the family's methods and returns the row in
-``TermBreakdown`` field order.  The grid kernel is the same functional for
-the Moebius-type family of one class and n over a grid of a, and builds no
+term through the family's methods and returns the ``TermBreakdown`` record,
+built by ``_breakdown``.  The grid kernel is the same functional for the
+Moebius-type family of one class and n over a grid of a, and builds no
 family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,
 ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
-each set of equal columns built once.
+each set of equal columns built once, from which the sweep builds its rows
+with ``_breakdown`` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Union
 
 from . import constants as sharp
@@ -171,7 +172,9 @@ class TermBreakdown(NamedTuple):
     total = head_value + majorant_tail + area_weight * area_term
             + area_sq_contribution + extra_area_contribution
     margin = 1 - total.  ``certified`` means every truncated term carried a
-    tail certificate; ``closed_form`` means no truncation happened at all.
+    tail certificate: ``_terms`` and ``_grid_columns`` set it, true on every
+    row until verdicts are decided on proved bounds.  ``closed_form`` means
+    no truncation happened at all.
     """
 
     head_value: float
@@ -186,8 +189,8 @@ class TermBreakdown(NamedTuple):
     interpretation: str
 
 
-#: One row of the core: the ``TermBreakdown`` fields, in order.
-_Row = tuple[float, float, float, float, float, float, float, bool, bool, str]
+#: A ``TermBreakdown`` from one iterable of its fields, at C speed.
+_breakdown = partial(tuple.__new__, TermBreakdown)
 
 
 # --------------------------------------------------------------------------
@@ -260,9 +263,14 @@ def _family_area(
     family: ser.FamilySpec, coords: tuple[float, ...], sigma: float, interp: str
 ) -> float:
     """Area of a family at a checked polyradius whose argument radius is sigma."""
-    if interp == INTERP_SLICE or family.n == 1:
-        return family.area(sigma)
-    return family.literal_area(sigma, coords)
+    if _literal(interp, family.n):
+        return family.literal_area(sigma, coords)
+    return family.area(sigma)
+
+
+def _literal(interpretation: str, n: int) -> bool:
+    """True when the area is the literal multi-index sum, not the slice one."""
+    return interpretation == INTERP_LITERAL and n > 1
 
 
 def _literal_area_from_series(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:
@@ -298,14 +306,12 @@ def evaluate(
     """
     _check_radius_for(family, radius, family.n)
     sigma = family.sigma(radius.coords)
-    return TermBreakdown._make(_terms(spec, family, radius.coords, sigma, eval_point))
+    return _terms(spec, family, radius.coords, sigma, eval_point)
 
 
 def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
     """True when no term of the evaluation was truncated."""
-    return closed and (
-        not spec.uses_area() or spec.area_interpretation == INTERP_SLICE or n == 1
-    )
+    return closed and not (spec.uses_area() and _literal(spec.area_interpretation, n))
 
 
 def _terms(
@@ -314,11 +320,18 @@ def _terms(
     coords: tuple[float, ...],
     sigma: float,
     eval_point: tuple[complex, ...] | None = None,
-) -> _Row:
-    """The row (head, majorant tail, area, area^2 term, extra term, total,
-    margin, certified, closed_form, interpretation) at a checked polyradius
-    coords whose argument radius is sigma, read from the family's methods."""
-    head_value, certified = _head(spec, family, sigma, eval_point)
+) -> TermBreakdown:
+    """The breakdown at a checked polyradius coords whose argument radius is
+    sigma, read from the family's methods; an |f| head is |f(eval_point)| or
+    else the family's ``boundary_sup``."""
+    if spec.head == HEAD_CONSTANT:
+        head_value = abs(family.a0)
+    else:
+        value = (
+            family.boundary_sup(sigma) if eval_point is None
+            else abs(ser.family_value(family, eval_point))
+        )
+        head_value = value * value if spec.head == HEAD_ABS_SQ else value
     tail_value = family.majorant(sigma)
     area = (
         _family_area(family, coords, sigma, spec.area_interpretation) if spec.uses_area() else 0.0
@@ -326,10 +339,11 @@ def _terms(
     area_sq = spec.area_sq_weight * area * area
     extra = spec.extra_area_weight * area
     total = head_value + tail_value + spec.area_weight * area + area_sq + extra
-    return (
+    # Every head is a closed form or a certified enclosure, every tail a certified bound.
+    return _breakdown((
         head_value, tail_value, area, area_sq, extra, total, 1.0 - total,
-        certified, _closed_form(spec, family.closed, family.n), spec.area_interpretation,
-    )
+        True, _closed_form(spec, family.closed, family.n), spec.area_interpretation,
+    ))
 
 
 def _grid_terms(
@@ -356,11 +370,11 @@ def _grid_terms(
     tails = once("tail", lambda: cls.majorant_tail_grid(avals, 0, sigma))
     if not spec.uses_area():
         return heads, tails, [0.0] * len(heads)
-    if spec.area_interpretation == INTERP_SLICE or n == 1:
+    if not _literal(spec.area_interpretation, n):
         return heads, tails, once("area", lambda: cls.area_grid(avals, sigma))
     degrees = once("degrees", lambda: cls.degree_grid(avals, sigma))
     terms = once("slice terms", lambda: cls.slice_term_grid(avals, sigma, degrees))
-    return heads, tails, cls.literal_area_grid(avals, sigma, coords, n, degrees, terms)
+    return heads, tails, cls.literal_area_grid(terms, degrees, coords, n)
 
 
 def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) -> list[float]:
@@ -380,17 +394,16 @@ def _grid_columns(
     All but the interpretation depend on the head, weights and sigma alone,
     and on coords for a literal area at n > 1: sets that agree there (the
     n = 1 literal set, the slice sets of one sigma) share them in shared."""
-    literal = spec.area_interpretation == INTERP_LITERAL and n > 1
     key = (
         spec.head, spec.area_weight, spec.area_sq_weight, spec.extra_area_weight,
-        coords if literal else 1, repr(sigma),
+        coords if _literal(spec.area_interpretation, n) else 1, repr(sigma),
     )
     if key not in shared:
         heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
         totals = _grid_totals(spec, heads, tails, areas)
         sq_weight, extra_weight = spec.area_sq_weight, spec.extra_area_weight
         size = len(heads)
-        # Moebius-type heads are exact closed forms: every row is certified.
+        # Moebius-type heads and tails are exact closed forms: every row is certified.
         shared[key] = (
             heads, tails, areas, [sq_weight * area * area for area in areas],
             [extra_weight * area for area in areas], totals, [1.0 - total for total in totals],
@@ -398,21 +411,3 @@ def _grid_columns(
         )
     return (*shared[key], [spec.area_interpretation] * len(avals))
 
-
-def _head(
-    spec: FunctionalSpec,
-    family: ser.FamilySpec,
-    sigma: float,
-    eval_point: tuple[complex, ...] | None,
-) -> tuple[float, bool]:
-    """(head value, certified).  The boundary sup of |f| is a closed form
-    for Moebius-type families and constants, and for a Blaschke product the
-    upper end of a certified enclosure of max |B| on |z| = sigma, so every
-    head is certified."""
-    if spec.head == HEAD_CONSTANT:
-        return abs(family.a0), True
-    if eval_point is not None:
-        value, certified = abs(ser.family_value(family, eval_point)), True
-    else:
-        value, certified = family.boundary_sup(sigma)
-    return (value * value if spec.head == HEAD_ABS_SQ else value), certified

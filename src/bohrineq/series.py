@@ -242,7 +242,8 @@ class _Family:
         sq_tail(K, sigma)       >= sum_{k>K} k |c_k|^2 sigma^(2k)
         sq_mass_tail(K, t)      >= sum_{k>K} |c_k|^2 t^k
 
-    plus ``a0``, ``value``, ``boundary_sup`` and ``rational_form``.
+    plus ``a0``, ``value``, ``rational_form`` and ``boundary_sup``, the bound
+    on sup |f| on the torus: a closed form, or a certified enclosure's upper end.
     ``closed`` marks families whose majorant and area are exact closed forms;
     the slice sums below serve the one-variable families (n = q = 1).
     """
@@ -320,8 +321,8 @@ class _MoebiusType(_Family):
         a = self.a
         return (1.0 - a * a) ** 2 * a ** (2 * K) * t ** (K + 1) / (1.0 - a * a * t)
 
-    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
-        return self.sup_grid((self.a,), sigma)[0], True
+    def boundary_sup(self, sigma: float) -> float:
+        return self.sup_grid((self.a,), sigma)[0]
 
     def majorant(self, sigma: float) -> float:
         return self.majorant_tail_grid((self.a,), 0, sigma)[0]
@@ -331,7 +332,8 @@ class _MoebiusType(_Family):
 
     def literal_area(self, sigma: float, radii: tuple[float, ...]) -> float:
         degrees = self.degree_grid((self.a,), sigma)
-        return self.literal_area_grid((self.a,), sigma, radii, self.n, degrees)[0]
+        terms = self.slice_term_grid((self.a,), sigma, degrees)
+        return self.literal_area_grid(terms, degrees, radii, self.n)[0]
 
     @staticmethod
     def sup_grid(avals, sigma: float) -> list[float]:
@@ -374,16 +376,10 @@ class _MoebiusType(_Family):
         ]
 
     @staticmethod
-    def literal_area_grid(
-        avals, sigma: float, radii: tuple[float, ...], n: int, degrees: list[tuple[int, float]],
-        terms: list[list[float]] | None = None,
-    ) -> list[float]:
-        """Literal multi-index area at polyradius radii for every a of avals,
-        whose ``degree_grid`` at sigma is degrees: the slice terms (built
-        unless given) times the degree weights W_k, plus the slice tail, a
-        certificate as W_k <= 1."""
-        if terms is None:
-            terms = _MoebiusType.slice_term_grid(avals, sigma, degrees)
+    def literal_area_grid(terms, degrees, radii: tuple[float, ...], n: int) -> list[float]:
+        """Literal area at polyradius radii in dimension n: each row of
+        ``slice_term_grid`` terms times the degree weights W_k, plus its slice
+        tail from the ``degree_grid`` degrees, a certificate as W_k <= 1."""
         K = max(degrees, default=(0,))[0]
         if _is_diagonal(radii):
             W = list(map(multinomial_sq_ratio, repeat(n), range(1, K + 1)))
@@ -504,11 +500,11 @@ class FiniteBlaschke(_Family):
     def sq_mass_tail(self, K: int, t: float) -> float:
         return t ** (K + 1) / (1.0 - t)
 
-    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
+    def boundary_sup(self, sigma: float) -> float:
         # A certified upper end of max |B| on |z| = sigma, cached like the slice.
         if not 0.0 <= sigma < 1.0:
             raise DomainError("Blaschke supremum needs a radius in [0, 1)")
-        return _blaschke_sup(self.zeros, repr(self.zeros), sigma), True
+        return _blaschke_sup(self.zeros, repr(self.zeros), sigma)
 
     def rational_form(self) -> tuple[dict, dict]:
         num: dict[tuple[int, ...], complex] = {(0,): 1.0 + 0j}
@@ -547,8 +543,8 @@ class ConstantFn(_Family):
 
     sq_tail = sq_mass_tail = majorant_tail
 
-    def boundary_sup(self, sigma: float) -> tuple[float, bool]:
-        return abs(self.c), True
+    def boundary_sup(self, sigma: float) -> float:
+        return abs(self.c)
 
     def rational_form(self) -> tuple[dict, dict]:
         return ({(0,): self.c} if self.c != 0 else {}), {(0,): 1.0 + 0j}

@@ -43,10 +43,6 @@ TOL_TRUNCATED = 1e-9
 #: Slack for lemma inequality checks.
 LEMMA_SLACK = 1e-10
 
-#: The total and certified flag of a row of the ``functionals`` core.
-_FIELDS = fun.TermBreakdown._fields
-_total_certified = operator.itemgetter(_FIELDS.index("total"), _FIELDS.index("certified"))
-
 #: Most points ``grid_values`` builds; the default scan grid has 10^4.
 MAX_GRID_POINTS = 1_000_000
 
@@ -201,9 +197,8 @@ def radius_search(
             break
         coords = (mid,) * n
         row = fun._terms(spec, family, coords, family.sigma(coords))
-        total, row_certified = _total_certified(row)
-        certified = certified and row_certified
-        if total <= 1.0:
+        certified = certified and row.certified
+        if row.total <= 1.0:
             lo = mid
         else:
             hi = mid
@@ -472,16 +467,15 @@ def theorem_sweep(
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
     # given, and sets of one sigma share their columns.  Rows are built at C
-    # speed, by tuple.__new__, interleaved per a in input order (n, a, r,
-    # interpretation) and sorted once.  The sort is stable, so repeated keys
-    # (repeats, 0.0 and -0.0) keep their input order, and "literal" <
-    # "slice" puts each literal row before its slice row.  An attrgetter key
-    # runs at C speed.
+    # speed, by tuple.__new__ (as ``functionals._breakdown`` builds each
+    # breakdown), interleaved per a in input order (n, a, r, interpretation)
+    # and sorted once.  The sort is stable, so repeated keys (repeats, 0.0
+    # and -0.0) keep their input order, and "literal" < "slice" puts each
+    # literal row before its slice row.  An attrgetter key runs at C speed.
     #
     # If no literal total can violate, no margin is NaN or -0.0, and the
     # least one is the worst in any order; else the sorted rows decide.
     shared: dict = {}
-    breakdown = partial(tuple.__new__, fun.TermBreakdown)
     sweep_row = partial(tuple.__new__, SweepRow)
     rows: list[SweepRow] = []
     margins = []
@@ -498,7 +492,7 @@ def theorem_sweep(
                     limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
                     flagged = flagged or not all(map(operator.le, totals, repeat(limit)))
                     margins.append(margin)
-                breakdowns = map(breakdown, zip(*columns))
+                breakdowns = map(fun._breakdown, zip(*columns))
                 keys = repeat(theorem_id), repeat(n), grid, repeat(r)
                 sets.append(map(sweep_row, zip(*keys, breakdowns)))
         rows.extend(chain.from_iterable(zip(*sets)))

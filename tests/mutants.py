@@ -117,8 +117,8 @@ MUTANTS = [
     ),
     Mutant(
         "radius-predicate", "verify.py",
-        "if total <= 1.0:\n            lo = mid",
-        "if total <= 1.0 + 1e-6:\n            lo = mid",
+        "if row.total <= 1.0:\n            lo = mid",
+        "if row.total <= 1.0 + 1e-6:\n            lo = mid",
         "radius_search: a midpoint is kept only when its total is <= 1",
     ),
     Mutant(
@@ -132,6 +132,128 @@ MUTANTS = [
         "if grid and not (math.isfinite(sum(grid)) and min(grid)",
         "if grid and not (min(grid)",
         "_check_grid: a NaN grid point is refused",
+    ),
+    # certified is set where a row is built, and nowhere else.
+    Mutant(
+        "certified-terms", "functionals.py",
+        "True, _closed_form(spec, family.closed, family.n)",
+        "False, _closed_form(spec, family.closed, family.n)",
+        "_terms: the row of evaluate and radius searches is certified",
+    ),
+    Mutant(
+        "certified-grid", "functionals.py",
+        "[True] * size",
+        "[False] * size",
+        "_grid_columns: the sweep rows are certified",
+    ),
+    # Rounding widenings of the certified Blaschke circle maximum.
+    Mutant(
+        "blaschke-widen", "series.py",
+        "widen = 1.0 + (6 * m + 4) * _ULP",
+        "widen = 1.0",
+        "_blaschke_sup: each F value is widened for the rounding of its product",
+    ),
+    Mutant(
+        "blaschke-slack", "series.py",
+        "slack = (16 + 2 * m) * _ULP",
+        "slack = 0.0",
+        "_blaschke_sup: the G and G' enclosures are widened for their rounding",
+        "no input is known that it changes: it moves an enclosure end by (16 + 2m) ulp"
+        " of its size, and a decision flips only when that end lies so near 0 while the"
+        " enclosure is O(h) wide; every bound is bit-identical with and without it on the"
+        " 204 zero sets of test_blaschke_sup.py and on 4,200 random and symmetric ones",
+    ),
+    Mutant(
+        "blaschke-amp", "series.py",
+        "amp = 2.0 * sigma * math.sqrt(mod2) * (1.0 + 4.0 * _ULP)",
+        "amp = 2.0 * sigma * math.sqrt(mod2)",
+        "_blaschke_sup: the amplitude bound of x_j and x_j' is rounded up",
+    ),
+    Mutant(
+        "blaschke-newton", "series.py",
+        "bound = ft * math.exp(growth) * (1.0 + 4.0 * _ULP)",
+        "bound = ft * math.exp(growth)",
+        "_blaschke_sup: the log-concave arc bound is rounded up",
+    ),
+    Mutant(
+        "blaschke-root", "series.py",
+        "math.nextafter(root, math.inf) if root else 0.0",
+        "root",
+        "_blaschke_sup: the square root is rounded up",
+    ),
+    # Every certified tail added to a total.
+    Mutant(
+        "family-majorant-tail", "series.py",
+        "        return partial + tail\n",
+        "        return partial\n",
+        "_Family.majorant: the certified tail is added to the slice sum",
+    ),
+    Mutant(
+        "family-area-tail", "series.py",
+        "return partial + self.sq_tail(K, sigma)",
+        "return partial",
+        "_Family.area: the certified tail is added to the slice sum",
+    ),
+    Mutant(
+        "literal-area-tail", "series.py",
+        "math.fsum(map(operator.mul, row, W)) + tail for row",
+        "math.fsum(map(operator.mul, row, W)) for row",
+        "literal_area_grid: the slice tail is added to the weighted sum",
+    ),
+    Mutant(
+        "series-area-tail", "functionals.py",
+        "return partial + family.sq_tail(series.truncation, family.sigma(radius.coords))",
+        "return partial",
+        "_literal_area_from_series: the family's tail is added to the partial sum",
+    ),
+    Mutant(
+        "series-majorant-tail", "functionals.py",
+        "return partial + tail if tail is not None else partial",
+        "return partial",
+        "functionals.majorant: the series tail is added to the partial sum",
+    ),
+    # Input guards of the exit-65 paths.
+    Mutant(
+        "radius-finite", "functionals.py",
+        "if not all(0.0 <= r < math.inf for r in cs):",
+        "if not all(0.0 <= r for r in cs):",
+        "RadiusSpec: an infinite radius is refused",
+    ),
+    Mutant(
+        "radius-cap", "functionals.py",
+        "radius.bold_r >= family.cap:",
+        "radius.bold_r > family.cap:",
+        "_check_radius_for: a radius at the domain cap is refused",
+    ),
+    Mutant(
+        "weight-finite", "functionals.py",
+        "(weight := ser._real(getattr(self, name), name)) < math.inf:",
+        "(weight := ser._real(getattr(self, name), name)):",
+        "FunctionalSpec: an infinite weight is refused",
+    ),
+    Mutant(
+        "weight-nonnegative", "functionals.py",
+        "if not 0.0 <= (weight := ser._real(getattr(self, name), name))",
+        "if not -math.inf < (weight := ser._real(getattr(self, name), name))",
+        "FunctionalSpec: a negative weight is refused",
+    ),
+    Mutant(
+        "blaschke-modulus", "series.py",
+        "if not all(abs(w) < 1.0 for w in zs):",
+        "if any(abs(w) >= 1.0 for w in zs):",
+        "FiniteBlaschke: a zero of modulus >= 1 or NaN is refused",
+    ),
+    Mutant(
+        "constant-modulus", "series.py",
+        "if not abs(cc) <= 1.0:",
+        "if abs(cc) > 1.0:",
+        "ConstantFn: a modulus above 1 or NaN is refused",
+    ),
+    Mutant(
+        "diagonal-sigma-cap", "series.py",
+        'if not 0.0 <= (bold_r := _real(bold_r, "radius")) <= family.cap:',
+        'if (bold_r := _real(bold_r, "radius")) < 0.0 or bold_r > family.cap:',
+        "_diagonal_sigma: a NaN radius is refused",
     ),
 ]
 

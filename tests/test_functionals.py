@@ -197,6 +197,25 @@ def test_area_slice_needs_family():
         area_term(bare, _diag(1, 0.3), INTERP_SLICE)
 
 
+@pytest.mark.parametrize("m, sigma", [(6, 1e-3), (8, 0.01), (2, 0.5), (1, 0.9)])
+def test_power_of_z_terms_are_upper_bounds(m, sigma):
+    # B = z^m has majorant sigma^m and area m sigma^(2m).  At the first two
+    # radii the truncation degree (4, 6) lies below m: the partial sums are
+    # 0 and the certified tails alone carry both values.
+    out = evaluate(
+        FunctionalSpec("constant_term", area_weight=1.0), FiniteBlaschke((0.0,) * m),
+        RadiusSpec((sigma,)),
+    )
+    assert out.majorant_tail >= sigma**m * (1.0 - 1e-12)
+    assert out.area_term >= m * sigma ** (2 * m) * (1.0 - 1e-12)
+
+
+def test_literal_area_of_a_series_without_family_is_its_partial_sum():
+    # No generating family, so no tail: 1 * 0.5^2 * 0.5^2 + 2 * 0.25^2 * 0.5^4.
+    bare = CoefficientSeries(1, 2, {ser.MultiIndex((1,)): 0.5, ser.MultiIndex((2,)): 0.25})
+    assert area_term(bare, RadiusSpec((0.5,))) == 0.0703125
+
+
 @pytest.mark.parametrize(
     "family,coords",
     [

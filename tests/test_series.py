@@ -683,7 +683,8 @@ def test_literal_area_in_two_variables_matches_its_closed_form(cls, a, radii):
     closed = (1 - a * a) ** 2 * sigma**2 * g_prime
     degrees = cls.degree_grid((a,), sigma)
     series = family.literal_area(sigma, radii)
-    assert series == cls.literal_area_grid((a,), sigma, radii, 2, degrees)[0]
+    terms = cls.slice_term_grid((a,), sigma, degrees)
+    assert series == cls.literal_area_grid(terms, degrees, radii, 2)[0]
     assert 0 < series - closed <= degrees[0][1]
 
 
@@ -901,9 +902,7 @@ def test_moebius_column_rules_equal_the_family_methods(cls, n):
     grid = _column_grid()
     families = [_moebius(cls, a, n) for a in grid]
     for sigma in (0.0, 1.0 / 3.0, math.sqrt(5.0) - 2.0, 0.9, 0.999):
-        sups = [f.boundary_sup(sigma) for f in families]
-        assert repr(cls.sup_grid(grid, sigma)) == repr([value for value, _ in sups])
-        assert all(certified for _, certified in sups)
+        assert repr(cls.sup_grid(grid, sigma)) == repr([f.boundary_sup(sigma) for f in families])
         assert repr(cls.sup_grid(grid, sigma)) == repr(
             [(a + sigma) / (1.0 + a * sigma) for a in grid]
         )
@@ -932,7 +931,9 @@ def test_literal_area_column_equals_one_cold_search_per_a(cls, n):
     for radii in ((0.1,) * n, (0.3 / n,) * n, tuple(0.9 * (i + 1) / n**2 for i in range(n))):
         family = _moebius(cls, 0.5, n)
         sigma = family.sigma(radii)
-        column = cls.literal_area_grid(grid, sigma, radii, n, cls.degree_grid(grid, sigma))
+        degrees = cls.degree_grid(grid, sigma)
+        terms = cls.slice_term_grid(grid, sigma, degrees)
+        column = cls.literal_area_grid(terms, degrees, radii, n)
         cold = [_moebius(cls, a, n).literal_area(sigma, radii) for a in grid]
         assert repr(column) == repr(cold), radii
 

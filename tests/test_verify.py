@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from collections.abc import Hashable
@@ -14,7 +15,7 @@ from bohrineq import constants as sharp
 from bohrineq import functionals as fun
 from bohrineq import series as ser
 from bohrineq import verify as ver
-from bohrineq.errors import BudgetExceededError, DomainError
+from bohrineq.errors import BudgetExceededError, DomainError, UnsupportedInterpretationError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
@@ -921,13 +922,13 @@ def test_sweep_builds_one_tail_rule_per_a_and_sigma(monkeypatch):
     assert {sigma for _, sigma in rules} == {1.0 / 3.0}
 
 
-def _count_builds(monkeypatch, cls):
-    """Count every construction of the named tuple cls: through its
+def _count_builds(monkeypatch):
+    """Count every construction of a ``TermBreakdown``: through its
     constructor, through ``_make``, which ``_replace`` also calls, and
-    through ``partial(tuple.__new__, cls)`` in ``verify``, which builds
-    rows at C speed."""
+    through ``functionals._breakdown``, which builds the rows of
+    ``evaluate``, radius searches and sweeps at C speed."""
     calls = []
-    new, make = cls.__new__, cls._make.__func__
+    new, make, breakdown = TermBreakdown.__new__, TermBreakdown._make.__func__, fun._breakdown
 
     def counted_new(*args, **kwargs):
         calls.append(args)
@@ -937,25 +938,18 @@ def _count_builds(monkeypatch, cls):
         calls.append(iterable)
         return make(owner, iterable)
 
-    def counted_partial(func, *args):
-        built = partial(func, *args)
-        if func is not tuple.__new__ or args[:1] != (cls,):
-            return built
+    def counted_breakdown(iterable):
+        calls.append(iterable)
+        return breakdown(iterable)
 
-        def counted(iterable):
-            calls.append(iterable)
-            return built(iterable)
-
-        return counted
-
-    monkeypatch.setattr(cls, "__new__", counted_new)
-    monkeypatch.setattr(cls, "_make", classmethod(counted_make))
-    monkeypatch.setattr(ver, "partial", counted_partial)
+    monkeypatch.setattr(TermBreakdown, "__new__", counted_new)
+    monkeypatch.setattr(TermBreakdown, "_make", classmethod(counted_make))
+    monkeypatch.setattr(fun, "_breakdown", counted_breakdown)
     return calls
 
 
 def test_build_counter_sees_every_way_to_build_a_breakdown(monkeypatch):
-    breakdowns = _count_builds(monkeypatch, TermBreakdown)
+    breakdowns = _count_builds(monkeypatch)
     out = evaluate(preset("classic"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 0.3))
     TermBreakdown(*out)
     out._replace(total=0.0)
@@ -969,7 +963,7 @@ def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
     grid = [(k + 0.5) / 2000 for k in range(2000)]
     checks = _count_calls(monkeypatch, fun, "_check_radius_for")
     sigmas = _count_calls(monkeypatch, ExtremalPolydiskUnit, "sigma")
-    breakdowns = _count_builds(monkeypatch, TermBreakdown)
+    breakdowns = _count_builds(monkeypatch)
     report = sharpness_scan("T21", grid, n=2, epsilon=1e-3)
     assert len(report.rows) == 2001
     assert (len(checks), len(sigmas), len(breakdowns)) == (1, 1, 0)
@@ -1205,6 +1199,53 @@ _MOEBIUS = MoebiusDisk(0.5)
 def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RadiusSpec(()), DomainError, "radius needs at least one coordinate"),
+    (lambda: fun.FunctionalSpec("bogus"), DomainError, "unknown head 'bogus'"),
+    (
+        lambda: fun.FunctionalSpec("abs_f", area_interpretation="x"), DomainError,
+        "unknown interpretation 'x'",
+    ),
+    (
+        lambda: fun.area_term(MoebiusDisk(0.5), RadiusSpec((0.3,)), "x"),
+        UnsupportedInterpretationError, "unknown interpretation 'x'",
+    ),
+    (lambda: FiniteBlaschke(()), DomainError, "Blaschke product needs at least one zero"),
+    (
+        lambda: ser.default_truncation(FiniteBlaschke((0.5,)), 1.0), DomainError,
+        "Blaschke tail bound needs radius < 1",
+    ),
+    (
+        lambda: ser.family_value(ExtremalPolydiskUnit(0.5, 2), (0.1,)), DomainError,
+        "point has 1 coordinates, family has dimension 2",
+    ),
+    (lambda: grid_values(0.5, 0.1, 0.1), DomainError, "grid stop must be >= start"),
+    (
+        lambda: ser.default_truncation(MoebiusDisk(0.5), math.nan), DomainError,
+        "radius nan outside the closed domain of the family",
+    ),
+    (
+        lambda: ser.majorant_tail_bound(MoebiusDisk(0.5), 3, math.nan), DomainError,
+        "radius nan outside the closed domain of the family",
+    ),
+    (lambda: sharp.lambda2_of(0.5), DomainError, "lambda2 formula is singular at a = 1/2"),
+    (lambda: sharp.phi1_factored(0.6), DomainError, "factored form is singular at s = 3/5"),
+    (lambda: sharp.phi2_factored(0.5), DomainError, "factored form is singular at s = 1/2"),
+    (lambda: sharp.phi1_factored(2.0), DomainError, "argument 2.0 outside"),
+    (lambda: sharp.phi2_factored(-3.0), DomainError, "argument -3.0 outside"),
+], ids=[
+    "RadiusSpec-empty", "FunctionalSpec-head", "FunctionalSpec-interpretation",
+    "area_term-interpretation", "FiniteBlaschke-empty", "default_truncation-Blaschke-radius",
+    "family_value-dimension", "grid_values-order", "default_truncation-nan",
+    "majorant_tail_bound-nan", "lambda2_of-pole", "phi1_factored-pole",
+    "phi2_factored-pole", "phi1_factored-range", "phi2_factored-range",
+])
+def test_input_guards_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        call()
+    assert type(caught.value) is error
 
 
 def test_inputs_read_by_float_or_complex_still_take_numeric_strings():
