@@ -45,9 +45,11 @@ sum_k b_k s^k on the circle |s| = n r only, which holds the torus supremum
 by the maximum principle.  The coefficient budget is checked where a whole
 map is built: by ``oracle_expand`` up front, and by a slice-backed map when
 it is first iterated.  Blaschke slices take one ascending O(K) pass per
-zero and are cached per (zeros, K): a radius search reads the same product at
-every bisection step.  The supremum of |B| on a circle is a certified
-enclosure (``_blaschke_sup``), cached per (zeros, sigma).
+zero, and the last 4 are cached per (zeros, K): within one operation,
+callers re-read only the slice an evaluation's majorant just built, for its
+area, and the slice of the previous radius-search step at the same degree.
+The supremum of |B| on a circle is a certified enclosure (``_blaschke_sup``),
+cached per (zeros, sigma).
 
 The module is pure Python: it needs nothing beyond the standard library.
 """
@@ -455,8 +457,9 @@ class FiniteBlaschke(_Family):
     """Product of disk automorphism factors (w_j - z)/(1 - conj(w_j) z), n = 1.
 
     ``slice(K)`` costs O(mK) for m zeros, one ascending pass per zero that
-    divides by 1 - conj(w) z and multiplies by w - z, and is cached per
-    (zeros, K), since a radius search re-reads it at every step.  Its tails
+    divides by 1 - conj(w) z and multiplies by w - z; the last 4 slices are
+    cached per (zeros, K), enough for the area to re-read the majorant's
+    slice and for bisection steps at one degree to share it.  Its tails
     are geometric, so ``truncation`` finds their degree (K = 141 at
     sigma = 0.8) by bisection past degree 16, in 25 tail calls, not 142.
     ``boundary_sup`` is the certified enclosure ``_blaschke_sup``, cached
@@ -829,14 +832,18 @@ def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     )
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=4)
 def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[complex, ...]:
-    """Taylor coefficients b_0..b_K of a Blaschke product, built once per
-    (zeros, K); ``key`` is repr(zeros).  Per zero w, with c = conj(w),
-    dividing by 1 - c z is y_k = x_k + c y_(k-1) (the root 1/c lies outside
-    the disk, so rounding errors are damped) and multiplying by w - z is
-    w y_k - y_(k-1); one ascending pass does both, as y_(k-1) is the last
-    y built.  b_k reads b_0..b_k only: slices are prefix-stable."""
+    """Taylor coefficients b_0..b_K of a Blaschke product; ``key`` is
+    repr(zeros).  The cache holds the last 4 (zeros, K), enough for the
+    re-reads within one operation: an evaluation's area reads the slice its
+    majorant built, and consecutive radius-search steps often share a degree
+    (8-10 builds and 21-53 re-reads per search on 3 zeros).  Per zero w,
+    with c = conj(w), dividing by 1 - c z is y_k = x_k + c y_(k-1) (the root
+    1/c lies outside the disk, so rounding errors are damped) and
+    multiplying by w - z is w y_k - y_(k-1); one ascending pass does both,
+    as y_(k-1) is the last y built.  b_k reads b_0..b_k only: slices are
+    prefix-stable."""
     b = [complex(1.0)] + [0j] * K
     for w in zeros:
         c = w.conjugate()

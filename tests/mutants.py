@@ -181,6 +181,52 @@ MUTANTS = [
         "root",
         "_blaschke_sup: the square root is rounded up",
     ),
+    Mutant(
+        "blaschke-dx", "series.py",
+        "dx = 8.0 * _ULP * sigma * (abs(u) + abs(v))",
+        "dx = 0.0",
+        "_blaschke_sup: x_j is widened for its rounding",
+    ),
+    Mutant(
+        "blaschke-na", "series.py",
+        "dx + 2.0 * _ULP * A, dx + 2.0 * _ULP * B))",
+        "dx, dx + 2.0 * _ULP * B))",
+        "_blaschke_sup: the numerator row bound nA covers the rounding of A_j - x_j",
+    ),
+    Mutant(
+        "blaschke-nb", "series.py",
+        "dx + 2.0 * _ULP * A, dx + 2.0 * _ULP * B))",
+        "dx + 2.0 * _ULP * A, dx))",
+        "_blaschke_sup: the denominator row bound nB covers the rounding of B_j - x_j",
+    ),
+    Mutant(
+        "blaschke-curvature", "series.py",
+        "curvature = (second + first * first) * (1.0 + 1e-10)",
+        "curvature = second + first * first",
+        "_blaschke_sup: the curvature bound K2 >= max abs(F'') is widened for its rounding",
+        "K2 only decides whether an arc is split or settled below the largest F seen,"
+        " except at depth 30, where the bound top + K2 w^2/8 (w < 7.4e-10) moves by 1e-10"
+        " of its excess; every bound is bit-identical with and without it on the 204 zero"
+        " sets of test_blaschke_sup.py and on 2,963 random, polygonal, conjugate-pair and"
+        " repeated ones (those that finish within 0.5 s)",
+    ),
+    Mutant(
+        "blaschke-chord-width", "series.py",
+        "w = (b - a) * (1.0 + 2.0 * _ULP)",
+        "w = b - a",
+        "_blaschke_sup: the chord bound's arc width is rounded up",
+        "b - a is exact: every arc starts at 0 or at a float at least half its end"
+        " (Sterbenz), so the widening multiplies an exact width; bit-identical on the"
+        " same 3,167 zero sets",
+    ),
+    Mutant(
+        "blaschke-arc-width", "series.py",
+        "(b - mid if b - mid >= mid - a else mid - a) * (1.0 + 2.0 * _ULP))",
+        "(b - mid if b - mid >= mid - a else mid - a))",
+        "_blaschke_sup: the enclosure's half-width is rounded up",
+        "b - mid and mid - a are exact by the same Sterbenz argument as the chord width;"
+        " bit-identical on the same 3,167 zero sets",
+    ),
     # Every certified tail added to a total.
     Mutant(
         "family-majorant-tail", "series.py",

@@ -30,7 +30,7 @@ from bohrineq.series import (
     slice_coefficients,
     torus_bound_check,
 )
-from bohrineq.verify import theorem_sweep
+from bohrineq.verify import lemma1c_check, radius_search, theorem_sweep
 
 
 def _coeff(series, *exps):
@@ -526,6 +526,24 @@ def test_blaschke_evaluate_builds_the_product_once():
     misses = ser._blaschke_slice.cache_info().misses
     evaluate(preset("thm_e"), FiniteBlaschke(zeros), RadiusSpec.diagonal(1, 0.8))
     assert ser._blaschke_slice.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("name", ["classic", "thm_b1", "thm_e"])
+def test_blaschke_radius_search_rereads_slices_from_a_small_cache(name):
+    # Consecutive bisection steps share a degree, and the area re-reads the
+    # slice the majorant just built: 9-10 builds and 21-53 hits here.
+    ser._blaschke_slice.cache_clear()
+    radius_search(preset(name), FiniteBlaschke((0.3, -0.5, 0.2j)))
+    info = ser._blaschke_slice.cache_info()
+    assert info.misses <= 10 and info.hits >= 20, info
+
+
+def test_blaschke_slice_cache_holds_a_few_slices():
+    rng = random.Random(7)
+    for _ in range(200):
+        zeros = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3))
+        lemma1c_check(FiniteBlaschke(zeros), 0.8)
+    assert ser._blaschke_slice.cache_info().currsize <= 4
 
 
 def test_blaschke_slice_cache_returns_fresh_exact_lists():
