@@ -46,7 +46,6 @@ from .series import (
     FamilySpec,
     FiniteBlaschke,
     MoebiusDisk,
-    MultiIndex,
     expand,
     oracle_expand,
     slice_coefficients,

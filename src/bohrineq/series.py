@@ -28,7 +28,7 @@ and the lemma square sums all pick their K there.  From a starting degree
 down, or scans 16 degrees up and bisects above them; that finds the same K
 because every tail rule decreases in K.
 
-A multi-index series is a sparse map from multi-indices to complex
+A multi-index series is a sparse map from exponent tuples to complex
 coefficients, truncated at a total degree K.  Two independent expansion
 routes are provided: ``expand`` uses the multinomial closed form of the
 coefficients, ``oracle_expand`` performs formal power-series division from
@@ -62,7 +62,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from itertools import chain, product, repeat
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Union
@@ -118,56 +118,24 @@ def _numbers(values, what: str, read: Callable = float) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Multi-indices
+# Multi-indices: exponent tuples
 # --------------------------------------------------------------------------
 
-@total_ordering
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of one power-series monomial.
-
-    Ordering is graded lexicographic (by total degree, then by the exponent
-    tuple), which fixes a canonical iteration order for coefficient maps.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        # operator.index refuses floats and strings, which int() would
-        # truncate or parse; bools and numpy integers pass.
-        try:
-            exps = tuple(map(operator.index, self.exponents))
-        except TypeError:
-            exps = ()
-        if not exps or min(exps) < 0:
-            raise DomainError(f"multi-index needs integer exponents >= 0, not {self.exponents!r}")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def factorial(self) -> int:
-        """alpha! = product of the factorials of the exponents."""
-        return math.prod(map(math.factorial, self.exponents))
-
-    def multinomial(self) -> int:
-        """|alpha|! / alpha!, the number of monomial orderings."""
-        return math.factorial(self.degree) // self.factorial()
-
-    def __lt__(self, other: "MultiIndex") -> bool:
-        return (self.degree, self.exponents) < (other.degree, other.exponents)
+def _exponents(key, n: int) -> tuple[int, ...]:
+    """A coefficient key as n int exponents >= 0, else a domain error; bools
+    and numpy integers pass, floats and strings do not (operator.index)."""
+    try:
+        exps = tuple(map(operator.index, key)) if isinstance(key, tuple) else ()
+    except TypeError:
+        exps = ()
+    if not exps or len(exps) != n or min(exps) < 0:
+        raise DomainError(f"key {key!r} is not a tuple of {n} integer exponents >= 0")
+    return exps
 
 
-def multi_indices(n: int, degree: int) -> Iterator[MultiIndex]:
-    """All multi-indices of the given dimension and exact total degree,
-    in graded-lexicographic order."""
-    for exps in _compositions(n, degree):
-        yield MultiIndex(exps)
+def _multinomial(exps: tuple[int, ...]) -> int:
+    """|alpha|!/alpha!, the number of orderings of the monomial z^alpha."""
+    return math.factorial(sum(exps)) // math.prod(map(math.factorial, exps))
 
 
 def _compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -654,38 +622,44 @@ def slice_coefficients(family: FamilySpec, K: int) -> list[complex]:
 # --------------------------------------------------------------------------
 
 class _SliceCoefficients(Mapping):
-    """Read-only multi-index map of g(z_1 + ... + z_n) = sum_k b_k s^k.
+    """Read-only exponent-tuple map of g(z_1 + ... + z_n) = sum_k b_k s^k.
 
     The coefficient at alpha is b_|alpha| |alpha|!/alpha! (multinomial
     theorem); degrees with b_k = 0 hold no keys.  Lookups, ``len`` and
-    ``degree`` read the slice b_0..b_K; only full iteration (``iter``,
-    ``items``, ``repr``) builds the map, once, in graded-lexicographic order,
-    and refuses a map over the coefficient budget.
+    ``degree`` read the slice b_0..b_K; a key ``_exponents`` refuses is
+    missing, as in a dict.  Only full iteration (``iter``, ``items``,
+    ``repr``) builds the map, once, in graded-lexicographic order, and
+    refuses a map over the coefficient budget.
     """
 
     def __init__(self, n: int, b: list[complex]):
         self.n = n
         self.b = tuple(b)
-        self._built: dict[MultiIndex, complex] | None = None
+        self._built: dict[tuple[int, ...], complex] | None = None
 
-    def degree(self, k: int) -> dict[MultiIndex, complex]:
+    def b_at(self, k: int) -> complex:
+        """b_k, and 0 at a degree outside 0..K."""
+        return self.b[k] if 0 <= k < len(self.b) else 0j
+
+    def degree(self, k: int) -> dict[tuple[int, ...], complex]:
         """The coefficients of total degree k, built for that degree only."""
-        bk = self.b[k] if 0 <= k < len(self.b) else 0
-        if bk == 0:
+        if (bk := self.b_at(k)) == 0:
             return {}
-        return {idx: bk * idx.multinomial() for idx in multi_indices(self.n, k)}
+        return {exps: bk * _multinomial(exps) for exps in _compositions(self.n, k)}
 
-    def __getitem__(self, idx: MultiIndex) -> complex:
-        if isinstance(idx, MultiIndex) and idx.dimension == self.n and idx.degree < len(self.b):
-            bk = self.b[idx.degree]
-            if bk != 0:
-                return bk * idx.multinomial()
-        raise KeyError(idx)
+    def __getitem__(self, key) -> complex:
+        try:
+            exps = _exponents(key, self.n)
+        except DomainError:
+            raise KeyError(key) from None
+        if (bk := self.b_at(sum(exps))) != 0:
+            return bk * _multinomial(exps)
+        raise KeyError(key)
 
     def __len__(self) -> int:
         return sum(math.comb(k + self.n - 1, self.n - 1) for k, bk in enumerate(self.b) if bk != 0)
 
-    def __iter__(self) -> Iterator[MultiIndex]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self._map())
 
     def items(self):
@@ -694,7 +668,7 @@ class _SliceCoefficients(Mapping):
     def __repr__(self) -> str:
         return repr(self._map())
 
-    def _map(self) -> dict[MultiIndex, complex]:
+    def _map(self) -> dict[tuple[int, ...], complex]:
         if self._built is None:
             _check_budget(len(self))
             self._built = {}
@@ -705,7 +679,9 @@ class _SliceCoefficients(Mapping):
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Sparse truncated power series: coefficients of degree <= truncation.
+    """Sparse truncated power series: coefficients of degree <= truncation,
+    keyed by exponent tuples that ``_exponents`` reads where a map is built
+    and where ``coefficient`` looks one up.
 
     Instances are immutable after construction; the coefficient map must be
     treated as read-only.  ``source`` records the generating family when the
@@ -716,40 +692,35 @@ class CoefficientSeries:
 
     n: int
     truncation: int
-    coeffs: Mapping[MultiIndex, complex]
+    coeffs: Mapping[tuple[int, ...], complex]
     source: FamilySpec | None = None
 
     def __post_init__(self):
         if self.slice is not None:
             return  # keys are generated from (n, b_0..b_K)
-        for idx in self.coeffs:
-            if not isinstance(idx, MultiIndex):
-                raise DomainError(f"key {idx!r} is not a MultiIndex")
-            exps = idx.exponents
-            if len(exps) != self.n:
-                raise DomainError(f"key {exps} has wrong dimension")
-            if sum(exps) > self.truncation:
-                raise DomainError(f"key {exps} exceeds truncation degree")
+        for key in self.coeffs:
+            if sum(_exponents(key, self.n)) > self.truncation:
+                raise DomainError(f"key {key!r} exceeds truncation degree")
 
     @property
     def slice(self) -> tuple[complex, ...] | None:
         """b_0..b_K when the series is sum_k b_k (z_1 + ... + z_n)^k, else None."""
         return self.coeffs.b if isinstance(self.coeffs, _SliceCoefficients) else None
 
-    def coefficient(self, idx: MultiIndex) -> complex:
-        return self.coeffs.get(idx, 0j)
+    def coefficient(self, key: tuple[int, ...]) -> complex:
+        return self.coeffs.get(_exponents(key, self.n), 0j)
 
     def constant_term(self) -> complex:
-        return self.coeffs.get(MultiIndex((0,) * self.n), 0j)
+        return self.coeffs.get((0,) * self.n, 0j)
 
-    def sorted_items(self) -> list[tuple[MultiIndex, complex]]:
-        """Canonical (graded-lexicographic) iteration order."""
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0])
+    def sorted_items(self) -> list[tuple[tuple[int, ...], complex]]:
+        """Canonical (graded-lexicographic) order: by degree, then by key."""
+        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def degree_slice(self, k: int) -> dict[MultiIndex, complex]:
+    def degree_slice(self, k: int) -> dict[tuple[int, ...], complex]:
         if self.slice is not None:
             return self.coeffs.degree(k)
-        return {idx: c for idx, c in self.coeffs.items() if idx.degree == k}
+        return {exps: c for exps, c in self.coeffs.items() if sum(exps) == k}
 
     def homogeneous_abs_sum(self, k: int, radii: tuple[float, ...]) -> float:
         """sum over |alpha| = k of |a_alpha| * r^alpha; for a slice-backed
@@ -758,9 +729,9 @@ class CoefficientSeries:
         if self.slice is None:
             # fsum is exactly rounded, so the term order does not matter.
             return math.fsum(
-                abs(c) * _monomial(radii, idx.exponents) for idx, c in self.degree_slice(k).items()
+                abs(c) * _monomial(radii, exps) for exps, c in self.degree_slice(k).items()
             )
-        bk = self._slice_coefficient(k)
+        bk = self.coeffs.b_at(k)
         return abs(bk) * math.fsum(radii) ** k if bk else 0.0
 
     def homogeneous_sq_sum(self, k: int, radii: tuple[float, ...]) -> float:
@@ -769,10 +740,10 @@ class CoefficientSeries:
         self._check_radii(radii)
         if self.slice is None:
             return math.fsum(
-                abs(c) ** 2 * _monomial(radii, idx.exponents) ** 2
-                for idx, c in self.degree_slice(k).items()
+                abs(c) ** 2 * _monomial(radii, exps) ** 2
+                for exps, c in self.degree_slice(k).items()
             )
-        bk = self._slice_coefficient(k)
+        bk = self.coeffs.b_at(k)
         if not bk:
             return 0.0
         # A diagonal radius needs no p = radii/sum(radii), so sum(radii) = 0 is safe.
@@ -781,10 +752,6 @@ class CoefficientSeries:
         else:
             weight = _degree_weights(tuple(radii), self.truncation)[k]
         return abs(bk) ** 2 * weight * math.fsum(radii) ** (2 * k)
-
-    def _slice_coefficient(self, k: int) -> complex:
-        b = self.slice
-        return b[k] if 0 <= k < len(b) else 0j
 
     def _check_radii(self, radii: tuple[float, ...]) -> None:
         if len(radii) != self.n:
@@ -825,7 +792,7 @@ def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     """All coefficients of degree <= K from the multinomial closed form:
     the coefficient at alpha is b_|alpha| * |alpha|!/alpha! with b_k the
     slice coefficient; zeros are not stored.  The series keeps b_0..b_K and
-    builds multi-index coefficients only when they are read."""
+    builds coefficients, keyed by exponent tuples, only when they are read."""
     K = _integer(K, "truncation degree", 0)
     return CoefficientSeries(
         family.n, K, _SliceCoefficients(family.n, family.slice(K)), source=family
@@ -1058,16 +1025,15 @@ def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     Independent of the multinomial closed form in :func:`expand`: two passes
     on exponent-tuple dictionaries, the series inverse of D level by level,
     then its product with N.  Keys are summed by ``tuple(map(add, e, f))``,
-    each coefficient is the fsum of its products, and the keys come out
-    sorted; the coefficient budget is checked first.
+    each coefficient is the fsum of its products, and the series keeps the
+    sorted tuples as its keys; the coefficient budget is checked first.
     """
     K = _integer(K, "truncation degree", 0)
     n = family.n
     _check_budget(coefficient_count(n, K))
     numerator, denominator = family.rational_form()
     product = _poly_mul(numerator, _series_inverse(denominator, n, K), K)
-    coeffs = {MultiIndex(exps): value for exps, value in product.items() if value != 0}
-    return CoefficientSeries(n, K, coeffs, source=family)
+    return CoefficientSeries(n, K, {e: v for e, v in product.items() if v != 0}, source=family)
 
 
 def _poly_mul(
@@ -1204,7 +1170,7 @@ def _grid_sum(series: CoefficientSeries, axis: list[complex]) -> list[complex]:
     powers = [[1 + 0j] * m]
     for _ in range(series.truncation):
         powers.append([p * z for p, z in zip(powers[-1], axis)])
-    level = {idx.exponents: [c] for idx, c in series.sorted_items()}
+    level = {exps: [c] for exps, c in series.sorted_items()}
     for _ in range(series.n):
         folded: dict[tuple[int, ...], list[complex]] = {}
         for exps, block in level.items():

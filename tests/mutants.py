@@ -301,6 +301,19 @@ MUTANTS = [
         'if (bold_r := _real(bold_r, "radius")) < 0.0 or bold_r > family.cap:',
         "_diagonal_sigma: a NaN radius is refused",
     ),
+    # The key reader of coefficient maps.
+    Mutant(
+        "key-nonnegative", "series.py",
+        "if not exps or len(exps) != n or min(exps) < 0:",
+        "if not exps or len(exps) != n:",
+        "_exponents: a negative exponent is refused",
+    ),
+    Mutant(
+        "key-length", "series.py",
+        "if not exps or len(exps) != n or min(exps) < 0:",
+        "if not exps or min(exps) < 0:",
+        "_exponents: a key of another length than n is refused",
+    ),
 ]
 
 

@@ -190,7 +190,7 @@ def test_criterion_7_lemma_suite():
         a, bold_r = 0.6, 0.5
         series = oracle_expand(ExtremalPolydiskScaled(a, 2), 6)
         m2 = math.fsum(
-            abs(c) ** 2 for idx, c in series.sorted_items() if idx.degree == 2
+            abs(c) ** 2 for key, c in series.sorted_items() if sum(key) == 2
         )
         literal_k2 = 2 * m2 * bold_r**4
         slice_k2 = 2 * ((1 - a * a) * a) ** 2 * bold_r**4

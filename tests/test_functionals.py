@@ -212,7 +212,7 @@ def test_power_of_z_terms_are_upper_bounds(m, sigma):
 
 def test_literal_area_of_a_series_without_family_is_its_partial_sum():
     # No generating family, so no tail: 1 * 0.5^2 * 0.5^2 + 2 * 0.25^2 * 0.5^4.
-    bare = CoefficientSeries(1, 2, {ser.MultiIndex((1,)): 0.5, ser.MultiIndex((2,)): 0.25})
+    bare = CoefficientSeries(1, 2, {(1,): 0.5, (2,): 0.25})
     assert area_term(bare, RadiusSpec((0.5,))) == 0.0703125
 
 
@@ -279,8 +279,7 @@ def test_family_functionals_build_no_multi_index(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("multi-index work")
 
-    monkeypatch.setattr(ser, "multi_indices", refuse)
-    monkeypatch.setattr(ser, "MultiIndex", refuse)
+    monkeypatch.setattr(ser, "_compositions", refuse)
     lemmas = (verify.lemma1a_check, verify.lemma1b_check, verify.lemma1c_check)
     for family, coords in _GUARD_FAMILIES:
         scale = family.cap * (1.0 if family.cap < 1.0 else 0.99)
@@ -308,8 +307,7 @@ def test_slice_backed_series_sums_build_no_multi_index(monkeypatch, rad):
     def refuse(*args, **kwargs):
         raise AssertionError("multi-index work")
 
-    monkeypatch.setattr(ser, "multi_indices", refuse)
-    monkeypatch.setattr(ser, "MultiIndex", refuse)
+    monkeypatch.setattr(ser, "_compositions", refuse)
     sigma = family.sigma(rad.coords)
     assert majorant(series, rad) == pytest.approx(0.75 + family.majorant(sigma), rel=1e-13)
     # The family stops at its own degree, where the tail is below TAIL_TARGET;

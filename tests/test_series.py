@@ -17,14 +17,12 @@ from bohrineq.series import (
     ExtremalPolydiskUnit,
     FiniteBlaschke,
     MoebiusDisk,
-    MultiIndex,
     coefficient_count,
     default_truncation,
     domain_radius_cap,
     expand,
     family_value,
     majorant_tail_bound,
-    multi_indices,
     multinomial_sq_ratio,
     oracle_expand,
     slice_coefficients,
@@ -34,51 +32,59 @@ from bohrineq.verify import lemma1c_check, radius_search, theorem_sweep
 
 
 def _coeff(series, *exps):
-    return series.coefficient(MultiIndex(tuple(exps)))
+    return series.coefficient(exps)
 
 
 # ---------------------------------------------------------------- multi-index
 
 def test_multi_index_degree_and_factorial():
-    idx = MultiIndex((2, 0, 3))
-    assert idx.degree == 5
-    assert idx.factorial() == 12
-    assert idx.multinomial() == math.factorial(5) // 12
+    # alpha = (2, 0, 3): |alpha|! / alpha! = 5! / (2! 0! 3!) = 10.
+    assert ser._multinomial((2, 0, 3)) == math.factorial(5) // 12 == 10
+    assert ser._multinomial((0, 0)) == ser._multinomial((4,)) == 1
+    assert ser._multinomial((1, 1, 1)) == 6
 
 
-def test_multi_index_rejects_negative_exponents():
-    with pytest.raises(DomainError):
-        MultiIndex((1, -1))
-    # int() would truncate 1.7 and parse "1"; every exponent must be an
-    # integer, so floats (2.0 too), strings and None name the exponents.
-    for bad in [(1.7, 2), ("1", 2), (2.0,), (None,), (), 5]:
-        with pytest.raises(DomainError, match="multi-index") as err:
-            MultiIndex(bad)
-        assert repr(bad) in str(err.value)
-    assert MultiIndex((True, 0)).exponents == (1, 0)
-    assert type(MultiIndex((True,)).exponents[0]) is int
-
-
-def test_coefficient_series_names_a_key_that_is_not_a_multi_index():
-    for bad in [(1,), 1, "x"]:
-        with pytest.raises(DomainError, match="MultiIndex") as err:
-            CoefficientSeries(1, 1, {MultiIndex((0,)): 1.0 + 0j, bad: 0.5 + 0j})
-        assert repr(bad) in str(err.value)
-    with pytest.raises(DomainError, match="dimension"):
-        CoefficientSeries(1, 1, {MultiIndex((1, 0)): 0.5 + 0j})
+def test_coefficient_series_refuses_a_key_that_is_not_n_exponents():
+    # A key is a tuple of n exponents, each an integer >= 0: int() would
+    # truncate 1.7 and parse "1", so floats (2.0 too), strings and None are
+    # refused, as are lists, sets, bare numbers and tuples of another length.
+    # Each is refused by name where a series is built and where a
+    # coefficient is read, from a dictionary and from a slice-backed series.
+    bads = [
+        (1, -1), (1.7, 2), ("1", 2), (2.0,), (None,), (), 5, [1, 0], frozenset({0, 1}), (1, 0, 0),
+    ]
+    dict_backed = CoefficientSeries(2, 1, {(0, 0): 1.0 + 0j})
+    slice_backed = expand(ExtremalPolydiskUnit(0.5, 2), 4)
+    for bad in bads:
+        if not isinstance(bad, list):  # a list cannot be a dict key
+            with pytest.raises(DomainError, match="exponents") as err:
+                CoefficientSeries(2, 1, {(0, 0): 1.0 + 0j, bad: 0.5 + 0j})
+            assert repr(bad) in str(err.value)
+        for series in (dict_backed, slice_backed):
+            with pytest.raises(DomainError, match="exponents") as err:
+                series.coefficient(bad)
+            assert repr(bad) in str(err.value)
+        # The slice-backed map reads it as a missing key, as a dict would.
+        assert slice_backed.coeffs.get(bad) is None and bad not in slice_backed.coeffs
     with pytest.raises(DomainError, match="truncation"):
-        CoefficientSeries(1, 1, {MultiIndex((2,)): 0.5 + 0j})
+        CoefficientSeries(1, 1, {(2,): 0.5 + 0j})
+    # Bools and other integer types are exponents.
+    series = CoefficientSeries(2, 1, {(True, 0): 0.5 + 0j})
+    assert series.coefficient((1, 0)) == series.coefficient((True, False)) == 0.5
+    assert slice_backed.coefficient((True, 0)) == slice_backed.coefficient((1, 0)) == -0.75
+    assert slice_backed.coefficient((_Three(), 1)) == slice_backed.coefficient((3, 1)) != 0
 
 
 def test_graded_lex_order():
-    got = sorted(MultiIndex(e) for e in [(2, 0), (0, 1), (0, 2), (1, 1), (0, 0), (1, 0)])
-    assert [m.exponents for m in got] == [
+    keys = [(2, 0), (0, 1), (0, 2), (1, 1), (0, 0), (1, 0)]
+    series = CoefficientSeries(2, 2, {key: complex(i) for i, key in enumerate(keys)})
+    assert [key for key, _ in series.sorted_items()] == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
     ]
 
 
 def test_multi_indices_enumeration_count():
-    assert sum(1 for _ in multi_indices(3, 4)) == math.comb(4 + 2, 2)
+    assert sum(1 for _ in ser._compositions(3, 4)) == math.comb(4 + 2, 2)
     assert coefficient_count(3, 10) == math.comb(13, 3)
 
 
@@ -183,7 +189,7 @@ def test_moebius_expand_first_coefficients():
 def test_constant_expansion():
     series = expand(ConstantFn(0.3), 5)
     assert series.constant_term() == 0.3
-    assert all(idx.degree == 0 for idx in series.coeffs)
+    assert all(sum(key) == 0 for key in series.coeffs)
 
 
 def test_unit_family_mixed_coefficient():
@@ -197,7 +203,7 @@ def test_unit_family_mixed_coefficient():
 def test_degree_slice_has_pure_degrees():
     series = expand(ExtremalPolydiskUnit(0.5, 3), 5)
     for k in range(6):
-        assert all(idx.degree == k for idx in series.degree_slice(k))
+        assert all(sum(key) == k for key in series.degree_slice(k))
 
 
 def test_multinomial_identity_on_diagonal():
@@ -318,7 +324,7 @@ def test_oracle_keeps_its_coefficients_bit_for_bit(family, K):
     assert _bits(ser._poly_mul(num, inverse, K)) == _bits(product)
     expected = [(key, value) for key, value in _bits(product) if product[key] != 0]
     got = oracle_expand(family, K).coeffs
-    assert [(idx.exponents, repr(value)) for idx, value in got.items()] == expected
+    assert [(key, repr(value)) for key, value in got.items()] == expected
 
 
 def test_series_inverse_refuses_a_denominator_that_vanishes_at_the_origin():
@@ -343,11 +349,13 @@ def test_fsum_complex_keeps_its_bits(values):
 
 
 def test_oracle_on_small_unit_instance():
-    fam = ExtremalPolydiskUnit(0.6, 3)
-    closed, oracle = expand(fam, 6), oracle_expand(fam, 6)
-    assert len(oracle.coeffs) == coefficient_count(3, 6)
-    for idx, value in closed.sorted_items():
-        assert oracle.coefficient(idx) == pytest.approx(value, abs=1e-12)
+    for fam, K in ((ExtremalPolydiskUnit(0.6, 3), 6), (ExtremalPolydiskUnit(0.5, 2), 4)):
+        closed, oracle = expand(fam, K), oracle_expand(fam, K)
+        assert len(oracle.coeffs) == coefficient_count(fam.n, K)
+        for key, value in closed.sorted_items():
+            assert oracle.coefficient(key) == pytest.approx(value, abs=1e-12)
+    # A plain tuple is the key: the coefficient of z_1 is -(1 - a^2) at a = 0.5.
+    assert closed.coefficient((1, 0)) == oracle.coefficient((1, 0)) == -0.75
 
 
 def test_budget_exhaustion_is_distinct_from_domain_error():
@@ -356,7 +364,7 @@ def test_budget_exhaustion_is_distinct_from_domain_error():
     # A slice-backed series refuses only when its whole map is built.
     series = expand(ExtremalPolydiskUnit(0.5, 3), 300)
     assert len(series.coeffs) == coefficient_count(3, 300)
-    assert series.coefficient(MultiIndex((100, 100, 100))) != 0
+    assert series.coefficient((100, 100, 100)) != 0
     for build in (list, lambda coeffs: coeffs.items(), repr):
         with pytest.raises(BudgetExceededError):
             build(series.coeffs)
@@ -381,12 +389,15 @@ SLICE_BACKED_CASES = [
 
 
 def _eager_expand(family, K):
-    """The multi-index map built key by key, as a dictionary series holds it."""
+    """The multi-index map built key by key, as a dictionary series holds it,
+    from an enumeration of its own: every exponent tuple of degree k in
+    lexicographic order, times k!/alpha!."""
     coeffs = {}
     for k, bk in enumerate(family.slice(K)):
         if bk != 0:
-            for idx in multi_indices(family.n, k):
-                coeffs[idx] = bk * idx.multinomial()
+            for exps in itertools.product(range(k + 1), repeat=family.n):
+                if sum(exps) == k:
+                    coeffs[exps] = bk * (math.factorial(k) // math.prod(map(math.factorial, exps)))
     return CoefficientSeries(family.n, K, coeffs, source=family)
 
 
@@ -406,13 +417,12 @@ def test_slice_backed_reads_equal_dictionary_reads(family, K):
     series, eager = expand(family, K), _eager_expand(family, K)
     n = family.n
     radii = tuple(0.9 * family.cap * (i + 1) / n for i in range(n))
-    # Plus a key above the truncation and one of the wrong dimension.
-    probes = list(eager.coeffs) + [
-        MultiIndex((K + 1,) + (0,) * (n - 1)),
-        MultiIndex((1,) * (n + 1)),
-    ]
-    for idx in probes:
-        assert repr(series.coefficient(idx)) == repr(eager.coefficient(idx))
+    # Plus a key above the truncation; one of the wrong dimension is refused.
+    for key in list(eager.coeffs) + [(K + 1,) + (0,) * (n - 1)]:
+        assert repr(series.coefficient(key)) == repr(eager.coefficient(key))
+    for either in (series, eager):
+        with pytest.raises(DomainError, match="exponents"):
+            either.coefficient((1,) * (n + 1))
     assert repr(series.constant_term()) == repr(eager.constant_term())
     for k in range(K + 2):
         assert repr(series.degree_slice(k)) == repr(eager.degree_slice(k))
@@ -492,7 +502,7 @@ def test_slice_torus_matches_dictionary_torus(family):
 
 def test_dictionary_torus_sums_the_grid_in_product_order():
     coeffs = {(0, 0, 0): 0.25, (1, 0, 0): 0.5j, (0, 2, 1): -0.125, (1, 1, 2): 0.3 - 0.1j}
-    series = CoefficientSeries(3, 4, {MultiIndex(e): complex(c) for e, c in coeffs.items()})
+    series = CoefficientSeries(3, 4, {e: complex(c) for e, c in coeffs.items()})
     axis = ser._circle(0.7, 8)
     values = ser._grid_sum(series, axis)
     points = list(itertools.product(axis, repeat=3))
@@ -501,7 +511,7 @@ def test_dictionary_torus_sums_the_grid_in_product_order():
         direct = sum(c * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2] for e, c in coeffs.items())
         assert abs(value - direct) <= 1e-15
     # |z_1 - z_2| peaks first at z_1 = 0.5, z_2 = -0.5: the witness is that point.
-    pair = CoefficientSeries(2, 1, {MultiIndex((1, 0)): 1 + 0j, MultiIndex((0, 1)): -1 + 0j})
+    pair = CoefficientSeries(2, 1, {(1, 0): 1 + 0j, (0, 1): -1 + 0j})
     report = torus_bound_check(pair, 0.5, samples_per_axis=8)
     assert report.witness == (ser._circle(0.5, 8)[0], ser._circle(0.5, 8)[4])
     assert report.sup_modulus == pytest.approx(1.0, abs=1e-15)
@@ -509,10 +519,10 @@ def test_dictionary_torus_sums_the_grid_in_product_order():
 
 
 def test_expanded_torus_at_cap_builds_no_multi_index(monkeypatch):
-    def refuse(n, degree):
+    def refuse(n, total):
         raise AssertionError("multi-index map built")
 
-    monkeypatch.setattr(ser, "multi_indices", refuse)
+    monkeypatch.setattr(ser, "_compositions", refuse)
     family = ExtremalPolydiskUnit(0.75, 3)
     cap = domain_radius_cap(family)
     series = expand(family, default_truncation(family, cap))
@@ -760,7 +770,7 @@ def test_slice_coefficients_blaschke_match_taylor():
     b = slice_coefficients(fam, 6)
     series = expand(fam, 6)
     for k in range(7):
-        assert b[k] == series.coefficient(MultiIndex((k,)))
+        assert b[k] == series.coefficient((k,))
 
 
 # ---------------------------------------------------------------- tails
@@ -985,14 +995,14 @@ def test_torus_unit_family_at_its_cap():
 def test_torus_sup_above_one_fails_with_a_certificate():
     # 0.9 + 0.5 z claims the tail certificate of psi_0.5 at degree 1 but
     # reaches modulus 1.15 on |z| = 0.5.
-    coeffs = {MultiIndex((0,)): 0.9 + 0j, MultiIndex((1,)): 0.5 + 0j}
+    coeffs = {(0,): 0.9 + 0j, (1,): 0.5 + 0j}
     report = torus_bound_check(CoefficientSeries(1, 1, coeffs, MoebiusDisk(0.5)), 0.5)
     assert report.certified and report.sup_modulus == pytest.approx(1.15)
     assert not report.ok
 
 
 def test_torus_uncertified_series_is_flagged():
-    series = CoefficientSeries(1, 1, {MultiIndex((1,)): 0.5 + 0j})
+    series = CoefficientSeries(1, 1, {(1,): 0.5 + 0j})
     report = torus_bound_check(series, 0.5)
     assert not report.certified
     assert not report.ok
@@ -1010,7 +1020,7 @@ def test_torus_argument_validation():
 
 @pytest.mark.parametrize("radius_cap", [math.nan, math.inf])
 def test_torus_refuses_a_non_finite_radius(radius_cap):
-    bare = CoefficientSeries(1, 1, {MultiIndex((1,)): 0.5 + 0j})
+    bare = CoefficientSeries(1, 1, {(1,): 0.5 + 0j})
     with pytest.raises(DomainError, match="finite"):
         torus_bound_check(bare, radius_cap)
 
