@@ -44,15 +44,10 @@ def test_multi_index_degree_and_factorial():
     assert ser._multinomial((1, 1, 1)) == 6
 
 
-def test_coefficient_series_refuses_a_key_that_is_not_n_exponents():
-    # A key is a tuple of n exponents, each an integer >= 0: int() would
-    # truncate 1.7 and parse "1", so floats (2.0 too), strings and None are
-    # refused, as are lists, sets, bare numbers and tuples of another length.
-    # Each is refused by name where a series is built and where a
-    # coefficient is read, from a dictionary and from a slice-backed series.
-    bads = [
-        (1, -1), (1.7, 2), ("1", 2), (2.0,), (None,), (), 5, [1, 0], frozenset({0, 1}), (1, 0, 0),
-    ]
+def _assert_keys_refused(bads):
+    # Each key is refused by name where a series is built and where a
+    # coefficient is read, from a dictionary and from a slice-backed series;
+    # the slice-backed map reads it as a missing key, as a dict would.
     dict_backed = CoefficientSeries(2, 1, {(0, 0): 1.0 + 0j})
     slice_backed = expand(ExtremalPolydiskUnit(0.5, 2), 4)
     for bad in bads:
@@ -64,15 +59,28 @@ def test_coefficient_series_refuses_a_key_that_is_not_n_exponents():
             with pytest.raises(DomainError, match="exponents") as err:
                 series.coefficient(bad)
             assert repr(bad) in str(err.value)
-        # The slice-backed map reads it as a missing key, as a dict would.
         assert slice_backed.coeffs.get(bad) is None and bad not in slice_backed.coeffs
-    with pytest.raises(DomainError, match="truncation"):
-        CoefficientSeries(1, 1, {(2,): 0.5 + 0j})
+    return slice_backed
+
+
+def test_multi_index_rejects_negative_exponents():
+    # A key is a tuple of exponents, each an integer >= 0: int() would
+    # truncate 1.7 and parse "1", so floats (2.0 too), strings and None are
+    # refused, as are the empty tuple and a bare number.
+    slice_backed = _assert_keys_refused([(1, -1), (1.7, 2), ("1", 2), (2.0,), (None,), (), 5])
     # Bools and other integer types are exponents.
     series = CoefficientSeries(2, 1, {(True, 0): 0.5 + 0j})
     assert series.coefficient((1, 0)) == series.coefficient((True, False)) == 0.5
     assert slice_backed.coefficient((True, 0)) == slice_backed.coefficient((1, 0)) == -0.75
     assert slice_backed.coefficient((_Three(), 1)) == slice_backed.coefficient((3, 1)) != 0
+
+
+def test_coefficient_series_names_a_key_that_is_not_a_multi_index():
+    # A key is a tuple of exactly n exponents: lists, sets, strings and
+    # tuples of another length are refused by name.
+    _assert_keys_refused([[1, 0], frozenset({0, 1}), "x", (1,), (1, 0, 0)])
+    with pytest.raises(DomainError, match="truncation"):
+        CoefficientSeries(1, 1, {(2,): 0.5 + 0j})
 
 
 def test_graded_lex_order():
