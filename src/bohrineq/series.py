@@ -679,9 +679,10 @@ class _SliceCoefficients(Mapping):
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Sparse truncated power series: coefficients of degree <= truncation,
-    keyed by exponent tuples that ``_exponents`` reads where a map is built
-    and where ``coefficient`` looks one up.
+    """Sparse truncated power series in n >= 1 variables: coefficients of
+    degree <= truncation (an integer >= 0; both are stored as ints), keyed
+    by exponent tuples that ``_exponents`` reads where a map is built and
+    where ``coefficient`` looks one up.
 
     Instances are immutable after construction; the coefficient map must be
     treated as read-only.  ``source`` records the generating family when the
@@ -696,6 +697,8 @@ class CoefficientSeries:
     source: FamilySpec | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "dimension n", 1))
+        object.__setattr__(self, "truncation", _integer(self.truncation, "truncation", 0))
         if self.slice is not None:
             return  # keys are generated from (n, b_0..b_K)
         for key in self.coeffs:

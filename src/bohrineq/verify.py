@@ -1,10 +1,13 @@
 """Lemma-level bound checks, radius searches, theorem sweeps, sharpness scans.
 
-The theorem registry maps an identifier to its functional preset, its
-extremal family template, and its threshold radius:
+The theorem registry maps an identifier to what the theorem states: its
+functional preset, whether its extremal family is the polydisk one, and
+its threshold radius for dimension n:
 
     classic, A, B1, B2, C, D, E   single-variable, Moebius family psi_a
     T21, T22, T23                 polydisk, family (a - s)/(1 - a s)
+
+A scan reads from the preset which weight it perturbs and its a*.
 
 Sweeps evaluate the literal interpretation as the pass/fail authority and
 report slice values alongside for n >= 2, in (n, a, r, interpretation)
@@ -211,55 +214,22 @@ def radius_search(
 # --------------------------------------------------------------------------
 
 class TheoremDef(NamedTuple):
-    theorem_id: str
     preset_name: str
     multidimensional: bool
     threshold: Callable[[int], float]
-    perturb_field: str
-    a_star: Callable[[sharp.SharpConstants], float] | None
 
 
 THEOREMS: dict[str, TheoremDef] = {
-    "classic": TheoremDef(
-        "classic", "classic", False, lambda n: sharp.RADIUS_CLASSIC,
-        "extra_area_weight", None,
-    ),
-    "A": TheoremDef(
-        "A", "thm_a", False, lambda n: sharp.RADIUS_CLASSIC,
-        "extra_area_weight", None,
-    ),
-    "B1": TheoremDef(
-        "B1", "thm_b1", False, lambda n: sharp.RADIUS_ABS_HEAD,
-        "extra_area_weight", None,
-    ),
-    "B2": TheoremDef(
-        "B2", "thm_b2", False, lambda n: sharp.RADIUS_CLASSIC,
-        "extra_area_weight", None,
-    ),
-    "C": TheoremDef(
-        "C", "thm_c", False, lambda n: sharp.RADIUS_CLASSIC,
-        "area_sq_weight", lambda c: c.a_star1,
-    ),
-    "D": TheoremDef(
-        "D", "thm_d", False, lambda n: sharp.RADIUS_CLASSIC,
-        "area_sq_weight", lambda c: c.a_star2,
-    ),
-    "E": TheoremDef(
-        "E", "thm_e", False, lambda n: sharp.RADIUS_ABS_HEAD,
-        "extra_area_weight", None,
-    ),
-    "T21": TheoremDef(
-        "T21", "thm_2_1", True, sharp.radius_multi,
-        "area_sq_weight", lambda c: c.a_star1,
-    ),
-    "T22": TheoremDef(
-        "T22", "thm_2_2", True, sharp.radius_multi,
-        "area_sq_weight", lambda c: c.a_star2,
-    ),
-    "T23": TheoremDef(
-        "T23", "thm_2_3", True, sharp.radius_multi_abs,
-        "extra_area_weight", None,
-    ),
+    "classic": TheoremDef("classic", False, lambda n: sharp.RADIUS_CLASSIC),
+    "A": TheoremDef("thm_a", False, lambda n: sharp.RADIUS_CLASSIC),
+    "B1": TheoremDef("thm_b1", False, lambda n: sharp.RADIUS_ABS_HEAD),
+    "B2": TheoremDef("thm_b2", False, lambda n: sharp.RADIUS_CLASSIC),
+    "C": TheoremDef("thm_c", False, lambda n: sharp.RADIUS_CLASSIC),
+    "D": TheoremDef("thm_d", False, lambda n: sharp.RADIUS_CLASSIC),
+    "E": TheoremDef("thm_e", False, lambda n: sharp.RADIUS_ABS_HEAD),
+    "T21": TheoremDef("thm_2_1", True, sharp.radius_multi),
+    "T22": TheoremDef("thm_2_2", True, sharp.radius_multi),
+    "T23": TheoremDef("thm_2_3", True, sharp.radius_multi_abs),
 }
 
 
@@ -276,10 +246,10 @@ def _theorem(theorem_id: str) -> TheoremDef:
         raise DomainError(f"unknown theorem id {theorem_id!r}") from None
 
 
-def _check_n(td: TheoremDef, n: int) -> int:
+def _check_n(theorem_id: str, n: int) -> int:
     n = ser._integer(n, "dimension n", 1)
-    if not td.multidimensional and n != 1:
-        raise DomainError(f"theorem {td.theorem_id} is single-variable; n must be 1")
+    if not _theorem(theorem_id).multidimensional and n != 1:
+        raise DomainError(f"theorem {theorem_id} is single-variable; n must be 1")
     return n
 
 
@@ -371,29 +341,33 @@ def sharpness_scan(
     epsilon: float = 0.0,
 ) -> ScanReport:
     """Slice-interpretation totals over the parameter grid at the theorem
-    threshold, with an optional perturbation of the sharp weight.
+    threshold, with ``epsilon`` added to the sharp weight: the weight of A^2
+    when the preset has one (C, D, T21, T22), else the extra area weight.
 
-    When the theorem has an interior extremal parameter it is appended to
-    the grid, so the reported maximum exhibits the equality case exactly.
+    A preset that weighs A^2 has an interior extremal parameter, a*_1 with
+    the constant head (C, T21) and a*_2 with the squared head (D, T22); it
+    is appended to the grid, so the reported maximum exhibits the equality
+    case exactly, and reported as ``a_star`` (None for other theorems).
     """
     td = _theorem(theorem_id)
-    n = _check_n(td, n)
+    n = _check_n(theorem_id, n)
     if not 0 <= (epsilon := ser._real(epsilon, "epsilon")) < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
     grid = list(ser._numbers(a_grid, "scan grid"))
     _check_grid(grid, "scan grid")
-    a_star = td.a_star(sharp.sharp_constants()) if td.a_star is not None else None
+    spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
+    field, a_star = "extra_area_weight", None
+    if spec.area_sq_weight:  # lambda_1 or lambda_2, sharp at a*_1 or a*_2 of the head
+        field, c = "area_sq_weight", sharp.sharp_constants()
+        a_star = c.a_star1 if spec.head == fun.HEAD_CONSTANT else c.a_star2
     if a_star is not None and a_star not in grid:
         grid.append(a_star)
     if not grid:
         raise DomainError("scan grid is empty")
     grid.sort()
 
-    spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
-    perturbed_spec = replace(
-        spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon}
-    )
+    perturbed_spec = replace(spec, **{field: getattr(spec, field) + epsilon})
     coords, sigma, cls = _checked_radius(theorem_id, n, r)
     # The specs differ in one weight only: the terms are read once, with the
     # areas whenever either spec weighs them, and each spec sums its totals.
@@ -457,7 +431,7 @@ def theorem_sweep(
         ns = list(n_list) if n_list is not None else ([1, 2, 3] if td.multidimensional else [1])
     except TypeError:
         raise DomainError(f"n_list must be a sequence of dimensions, not {n_list!r}") from None
-    ns = [_check_n(td, n) for n in ns]
+    ns = [_check_n(theorem_id, n) for n in ns]
     grid = grid_values(0.0, 0.99, 0.01) if a_grid is None else ser._numbers(a_grid, "sweep grid")
     r_floats = ser._numbers(r_values, "sweep radii") if r_values is not None else None
     _check_grid(grid, "sweep grid")

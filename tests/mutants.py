@@ -133,6 +133,19 @@ MUTANTS = [
         "if grid and not (min(grid)",
         "_check_grid: a NaN grid point is refused",
     ),
+    # What a scan reads from the theorem's preset.
+    Mutant(
+        "scan-perturb-field", "verify.py",
+        'field, c = "area_sq_weight", sharp.sharp_constants()',
+        'field, c = "extra_area_weight", sharp.sharp_constants()',
+        "sharpness_scan: epsilon perturbs the weight of A^2 when the preset has one",
+    ),
+    Mutant(
+        "scan-a-star", "verify.py",
+        "a_star = c.a_star1 if spec.head == fun.HEAD_CONSTANT else c.a_star2",
+        "a_star = c.a_star2 if spec.head == fun.HEAD_CONSTANT else c.a_star1",
+        "sharpness_scan: a*_1 with the constant head, a*_2 with the squared head",
+    ),
     # certified is set where a row is built, and nowhere else.
     Mutant(
         "certified-terms", "functionals.py",

@@ -6,16 +6,21 @@ are written here from the definition alone: a plain second-order
 branch-and-bound (chord bound max(F(a), F(b)) + K2 w^2/8 on F = |B|^2, with
 K2 from the factor derivatives) brackets the maximum, and the same chord
 bound proves that every one of 65,536 equally spaced samples lies below
-the reported value, evaluating each sample it cannot bound.
+the reported value, evaluating each sample it cannot bound.  For real zeros
+and conjugate pairs an exact check decides soundness to the last bit:
+|B(sigma e^(i theta))|^2 is then a rational function of cos(theta) with
+rational coefficients, and a Sturm count proves it below the bound squared.
 """
 
 import heapq
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from bohrineq import series as ser
+from bohrineq.constants import PolynomialR, _sturm_root_count
 from bohrineq.errors import DomainError
 from bohrineq.functionals import PRESET_NAMES, RadiusSpec, evaluate, preset
 from bohrineq.series import FiniteBlaschke
@@ -132,6 +137,76 @@ def test_enclosure_bounds_every_sample_and_matches_the_oracle(sigma_index):
         assert lo <= upper <= 1.0, (zeros, sigma)
         assert upper <= hi * (1.0 + 1e-13), (zeros, sigma, upper, hi)
         assert _samples_below(zeros, sigma, upper), (zeros, sigma)
+
+
+EXACT_SETS = 200
+
+
+def _mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_square(zeros, sigma):
+    """(num, den), ascending coefficients in c = cos(theta), with
+    |B(s e^(i theta))|^2 = num(c) / den(c) exactly, s = sigma: a real zero x gives
+    |x - z|^2 = x^2 + s^2 - 2 x s c over |1 - x z|^2 = 1 + x^2 s^2 - 2 x s c,
+    and a pair u +- iv, with m = u^2 + v^2, gives (R - 2 s u c)^2 - 4 s^2
+    v^2 (1 - c^2) with R = m + s^2 over the same with Q = 1 + m s^2."""
+    s = Fraction(sigma)
+    num, den = [Fraction(1)], [Fraction(1)]
+    for w in zeros:
+        u, v = Fraction(w.real), Fraction(w.imag)
+        if v == 0:
+            num = _mul(num, [u * u + s * s, -2 * u * s])
+            den = _mul(den, [1 + u * u * s * s, -2 * u * s])
+        elif v > 0:  # the pair's conjugate is skipped
+            m = u * u + v * v
+            r, q = m + s * s, 1 + m * s * s
+            num = _mul(num, [r * r - 4 * s * s * v * v, -4 * s * u * r, 4 * s * s * m])
+            den = _mul(den, [q * q - 4 * s * s * v * v, -4 * s * u * q, 4 * s * s * m])
+    return num, den
+
+
+def _exact_sets():
+    """Seeded sets of 1-3 real zeros or conjugate pairs, moduli below 0.95,
+    each with a radius sigma uniform in (0, 1)."""
+    rng = random.Random(2026)
+    for _ in range(EXACT_SETS):
+        zeros = []
+        for _ in range(rng.randint(1, 3)):
+            modulus = 0.95 * rng.random()
+            if rng.random() < 0.5:
+                zeros.append(complex(rng.choice((-1.0, 1.0)) * modulus, 0.0))
+            else:
+                angle = rng.uniform(0.0, math.pi)
+                w = complex(modulus * math.cos(angle), modulus * math.sin(angle))
+                zeros += [w, w.conjugate()]
+        yield tuple(zeros), rng.random()
+
+
+def test_enclosure_is_at_least_the_exact_maximum():
+    # U bounds |B| on the whole circle exactly when U^2 den - num, a
+    # polynomial in c = cos(theta), is positive on [-1, 1] (den > 0 there):
+    # no root there, and positive at c = 0.  Every set is checked, however
+    # long its enclosure takes.  num / den is first checked against |B|^2
+    # in floats at theta = 1.
+    checked = 0
+    for zeros, sigma in _exact_sets():
+        upper = Fraction(FiniteBlaschke(zeros).boundary_sup(sigma))
+        num, den = _exact_square(zeros, sigma)
+        c = Fraction(math.cos(1.0))
+        square = PolynomialR(tuple(num))(c) / PolynomialR(tuple(den))(c)
+        value = abs(_value(zeros, sigma * complex(math.cos(1.0), math.sin(1.0)))) ** 2
+        assert float(square) == pytest.approx(value, rel=1e-12, abs=1e-15), (zeros, sigma)
+        gap = PolynomialR(tuple(upper * upper * d - x for d, x in zip(den, num)))
+        assert _sturm_root_count(gap, -1, 1) == 0, (zeros, sigma)
+        assert gap(0) > 0, (zeros, sigma)
+        checked += 1
+    assert checked == EXACT_SETS
 
 
 def test_enclosure_of_the_reference_product():

@@ -81,6 +81,20 @@ def test_coefficient_series_names_a_key_that_is_not_a_multi_index():
     _assert_keys_refused([[1, 0], frozenset({0, 1}), "x", (1,), (1, 0, 0)])
     with pytest.raises(DomainError, match="truncation"):
         CoefficientSeries(1, 1, {(2,): 0.5 + 0j})
+    # The dimension is an integer >= 1 and the truncation one >= 0, stored
+    # as ints, for a dict-backed and a slice-backed series alike.
+    slice_backed = expand(MoebiusDisk(0.5), 3).coeffs
+    for n, truncation, coeffs, field in [
+        (1, 2.5, {(1,): 0.5 + 0j}, "truncation"),
+        (1, -1, {}, "truncation"),
+        (0, 1, {}, "dimension n"),
+        (1, 3.0, slice_backed, "truncation"),
+        (1.0, 3, slice_backed, "dimension n"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            CoefficientSeries(n, truncation, coeffs)
+    series = CoefficientSeries(True, _Three(), slice_backed)
+    assert (type(series.n), type(series.truncation)) == (int, int)
 
 
 def test_graded_lex_order():

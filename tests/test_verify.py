@@ -990,6 +990,17 @@ def _theorem_cases():
             yield tid, n
 
 
+# The weight a scan perturbs and the extremal parameter it appends: the
+# sharp lambda_1 and lambda_2 weigh A^2, and are attained at a*_1 (C, T21)
+# and a*_2 (D, T22); every other theorem perturbs its extra area weight.
+_SCAN_SHARP = {
+    "C": ("area_sq_weight", "a_star1"),
+    "D": ("area_sq_weight", "a_star2"),
+    "T21": ("area_sq_weight", "a_star1"),
+    "T22": ("area_sq_weight", "a_star2"),
+}
+
+
 @pytest.mark.parametrize("tid,n", list(_theorem_cases()))
 def test_scan_and_sweep_rows_equal_evaluate(tid, n):
     # Scans and sweeps evaluate their rows with the grid kernel; every row
@@ -1000,9 +1011,12 @@ def test_scan_and_sweep_rows_equal_evaluate(tid, n):
     r = td.threshold(n)
     radius = RadiusSpec.diagonal(n, r)
     spec = preset(td.preset_name).with_interpretation(INTERP_SLICE)
+    field, star = _SCAN_SHARP.get(tid, ("extra_area_weight", None))
+    a_star = getattr(sharp.sharp_constants(), star) if star else None
     for epsilon in (0.0, 1e-3, 0.5):
-        pert = replace(spec, **{td.perturb_field: getattr(spec, td.perturb_field) + epsilon})
+        pert = replace(spec, **{field: getattr(spec, field) + epsilon})
         report = sharpness_scan(tid, grid, n=n, epsilon=epsilon)
+        assert report.a_star == a_star
         for row in report.rows:
             family = theorem_family(tid, row.a, n)
             assert row.total == evaluate(spec, family, radius).total
@@ -1056,10 +1070,7 @@ def test_row_records_are_immutable_hashable_tuples():
         (lemma1a_check(MoebiusDisk(0.5), 0.5), ("lhs", "rhs", "ok", "gap", "certified")),
         (radius_search(preset("classic"), MoebiusDisk(0.5)),
          ("radius", "bracket", "iterations", "binding", "certified")),
-        (THEOREMS["C"], (
-            "theorem_id", "preset_name", "multidimensional", "threshold", "perturb_field",
-            "a_star",
-        )),
+        (THEOREMS["C"], ("preset_name", "multidimensional", "threshold")),
         (scan, (
             "theorem", "n", "bold_r", "epsilon", "rows", "max_total", "argmax_a",
             "perturbed_max", "perturbed_argmax", "a_star",
