@@ -30,8 +30,7 @@ Moebius-type family of one class and n over a grid of a, and builds no
 family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,
 ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
-each set of equal columns built once, from which the sweep builds its rows
-with ``_breakdown`` too.
+each set of equal columns built once, from which the sweep builds its rows.
 """
 
 from __future__ import annotations
@@ -114,7 +113,16 @@ class FunctionalSpec:
         return any((self.area_weight, self.area_sq_weight, self.extra_area_weight))
 
     def with_interpretation(self, interpretation: str) -> "FunctionalSpec":
-        return replace(self, area_interpretation=interpretation)
+        """This spec under the given area interpretation: itself for its own,
+        else its twin, built on the first call and kept on the instance, as
+        ``RadiusSpec.bold_r`` is; equality would mix -0.0 and +0.0 weights."""
+        if interpretation == self.area_interpretation:
+            return self
+        twin = self.__dict__.get("_twin")
+        if twin is None or twin.area_interpretation != interpretation:
+            twin = replace(self, area_interpretation=interpretation)  # refuses an unknown one
+            object.__setattr__(self, "_twin", twin)
+        return twin
 
 
 PRESET_NAMES = (

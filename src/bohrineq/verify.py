@@ -17,9 +17,9 @@ against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the column kernel of
 ``functionals``, which builds each (a, sigma) column once per call: a scan
 sums one total column per spec from one read of the terms, and a sweep
-builds rows from the columns at C speed and orders them with one stable
-sort.  A radius search checks its radius once, through ``evaluate``, and
-runs the evaluation core at each bisection midpoint.
+builds rows from the columns at C speed and sorts them, stably, unless n,
+the radii and the grid strictly increase.  A radius search checks its
+radius once, through ``evaluate``, and runs the core at each midpoint.
 Lemma checks admit only families bounded by one on the unit polydisk,
 which is the hypothesis the lemmas carry, and sum each family to the degree
 ``series.truncation`` picks for the tail of the lemma.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import replace
-from functools import partial
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -295,6 +294,11 @@ def violates(breakdown: fun.TermBreakdown, tol: float | None = None) -> bool:
     return not breakdown.total <= _limit(tol, breakdown.closed_form)
 
 
+def _rows(cls: type, columns) -> map:
+    """Named tuples cls from columns in field order, at C speed."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
+
+
 def _check_grid(grid: Sequence[float], what: str) -> None:
     """Refuse a point outside [0, 1); the sum catches NaN and +-inf."""
     if grid and not (math.isfinite(sum(grid)) and min(grid) >= 0.0 and max(grid) < 1.0):
@@ -367,13 +371,13 @@ def sharpness_scan(
         raise DomainError("scan grid is empty")
     grid.sort()
 
-    perturbed_spec = replace(spec, **{field: getattr(spec, field) + epsilon})
+    perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else spec
     coords, sigma, cls = _checked_radius(theorem_id, n, r)
     # The specs differ in one weight only: the terms are read once, with the
     # areas whenever either spec weighs them, and each spec sums its totals.
-    terms = fun._grid_terms(perturbed_spec, cls, n, grid, coords, sigma, {})
+    terms = fun._grid_terms(perturbed, cls, n, grid, coords, sigma, {})
     base = fun._grid_totals(spec, *terms)
-    pert = fun._grid_totals(perturbed_spec, *terms) if epsilon > 0 else base
+    pert = fun._grid_totals(perturbed, *terms) if epsilon > 0 else base
     max_total, argmax_a = _largest(base, grid)
     perturbed_max, perturbed_argmax = _largest(pert, grid) if epsilon > 0 else (max_total, argmax_a)
     return ScanReport(
@@ -381,7 +385,7 @@ def sharpness_scan(
         n=n,
         bold_r=r,
         epsilon=epsilon,
-        rows=tuple(map(partial(tuple.__new__, ScanRow), zip(grid, base, pert))),
+        rows=tuple(_rows(ScanRow, (grid, base, pert))),
         max_total=max_total,
         argmax_a=argmax_a,
         perturbed_max=perturbed_max,
@@ -441,16 +445,16 @@ def theorem_sweep(
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
     # given, and sets of one sigma share their columns.  Rows are built at C
-    # speed, by tuple.__new__ (as ``functionals._breakdown`` builds each
-    # breakdown), interleaved per a in input order (n, a, r, interpretation)
-    # and sorted once.  The sort is stable, so repeated keys (repeats, 0.0
-    # and -0.0) keep their input order, and "literal" < "slice" puts each
-    # literal row before its slice row.  An attrgetter key runs at C speed.
+    # speed, by ``_rows``, interleaved per a in input order (n, a, r,
+    # interpretation), and sorted once unless that order is already sorted:
+    # it is when n, the radii and the grid strictly increase, since
+    # "literal" < "slice" puts each literal row before its slice row.  The
+    # sort is stable, so repeated keys (repeats, 0.0 and -0.0) keep their
+    # input order.  An attrgetter key runs at C speed.
     #
     # If no literal total can violate, no margin is NaN or -0.0, and the
     # least one is the worst in any order; else the sorted rows decide.
     shared: dict = {}
-    sweep_row = partial(tuple.__new__, SweepRow)
     rows: list[SweepRow] = []
     margins = []
     flagged = False
@@ -466,11 +470,12 @@ def theorem_sweep(
                     limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
                     flagged = flagged or not all(map(operator.le, totals, repeat(limit)))
                     margins.append(margin)
-                breakdowns = map(fun._breakdown, zip(*columns))
+                breakdowns = _rows(fun.TermBreakdown, columns)
                 keys = repeat(theorem_id), repeat(n), grid, repeat(r)
-                sets.append(map(sweep_row, zip(*keys, breakdowns)))
+                sets.append(_rows(SweepRow, (*keys, breakdowns)))
         rows.extend(chain.from_iterable(zip(*sets)))
-    rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
+    if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
+        rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
     if not flagged:
         worst = min(chain.from_iterable(margins), default=math.inf)
         return SweepReport(theorem_id, tuple(rows), worst, ())

@@ -92,6 +92,12 @@ MUTANTS = [
         "theorem_sweep: the column flag sends a violating sweep to the row path",
     ),
     Mutant(
+        "sweep-sort-skip", "verify.py",
+        "if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):",
+        "if False:",
+        "theorem_sweep: rows are sorted unless n, the radii and the grid strictly increase",
+    ),
+    Mutant(
         "lemma-ok-slack", "verify.py",
         "+ tail_K\n    return LemmaCheck(lhs, rhs, lhs <= rhs + LEMMA_SLACK,",
         "+ tail_K\n    return LemmaCheck(lhs, rhs, lhs <= rhs + 1e-6,",

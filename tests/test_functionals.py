@@ -525,3 +525,43 @@ def test_total_monotone_in_bold_r():
         for spec in specs:
             totals = [evaluate(spec, family, radius).total for radius in radii]
             assert all(x <= y for x, y in zip(totals, totals[1:])), (family, spec)
+
+
+def test_spec_twin_is_built_once_and_kept():
+    for name in PRESET_NAMES:
+        spec = preset(name)
+        literal = spec.with_interpretation(INTERP_LITERAL)
+        assert spec.with_interpretation(INTERP_SLICE) is spec
+        assert preset(name).with_interpretation(INTERP_LITERAL) is literal
+        assert literal == replace(spec, area_interpretation=INTERP_LITERAL)
+        assert literal.with_interpretation(INTERP_LITERAL) is literal
+        assert literal.with_interpretation(INTERP_SLICE) == spec
+
+
+@pytest.mark.parametrize("head", ["constant_term", "abs_f", "abs_f_squared"])
+def test_spec_twin_keeps_the_sign_of_a_negative_zero_weight(head):
+    # -0.0 equals and hashes like 0.0, yet a -0.0 weight of A^2 or of the
+    # extra area reports a -0.0 contribution: each spec needs its own twin.
+    family, radius = ExtremalPolydiskUnit(0.4, 2), _diag(2, 0.1)
+    for weight in ("area_sq_weight", "extra_area_weight"):
+        plus = FunctionalSpec(head, **{weight: 0.0})
+        minus = FunctionalSpec(head, **{weight: -0.0})
+        assert plus == minus and hash(plus) == hash(minus)
+        for interp in (INTERP_LITERAL, INTERP_SLICE):
+            for spec in (plus, minus):  # the +0.0 twin is built first
+                fresh = replace(spec, area_interpretation=interp)
+                got = evaluate(spec.with_interpretation(interp), family, radius)
+                assert repr(got) == repr(evaluate(fresh, family, radius))
+            got_minus = evaluate(minus.with_interpretation(interp), family, radius)
+            got_plus = evaluate(plus.with_interpretation(interp), family, radius)
+            assert repr(got_minus) != repr(got_plus)
+
+
+def test_spec_twin_refuses_an_unknown_interpretation():
+    spec = preset("thm_c")
+    for bad in ("diagonal", "", "LITERAL", None):
+        with pytest.raises(DomainError, match="unknown interpretation"):
+            spec.with_interpretation(bad)
+        with pytest.raises(DomainError, match="unknown interpretation"):
+            spec.with_interpretation(INTERP_LITERAL).with_interpretation(bad)
+    assert spec.with_interpretation(INTERP_LITERAL).area_interpretation == INTERP_LITERAL

@@ -1,6 +1,7 @@
 """Lemma checks, radius search, sharpness scans, and theorem sweeps."""
 
 import math
+import operator
 import random
 import re
 from decimal import Decimal
@@ -543,6 +544,35 @@ def test_sweep_rows_come_out_stably_sorted_with_repeats_and_signed_zeros():
     assert len(rows) == 5 * 5 * (1 + 2 * 3)
 
 
+@pytest.mark.parametrize(
+    "ns, grid, radii",
+    [
+        ([1, 2, 3], [0.1, 0.2, 0.3], [0.05, 0.1]),  # in order: the sort is skipped
+        ([3, 1, 2], [0.1, 0.2, 0.3], [0.05, 0.1]),
+        ([2, 2], [0.1, 0.2, 0.3], [0.05, 0.1]),
+        ([1, 2], [0.1, 0.2, 0.3], [0.1, 0.1]),
+        ([1, 2], [0.1, 0.2, 0.3], [0.1, 0.05]),
+        ([1, 2], [0.0, -0.0, 0.3, 0.3, 0.2, 0.1], [0.05, 0.1]),
+        ([1, 2], [-0.0, 0.0, 0.1, 0.1, 0.2], [0.05]),
+    ],
+)
+@pytest.mark.parametrize("tol", [None, -1.0])
+def test_sweep_rows_are_in_order_whether_or_not_they_are_sorted(ns, grid, radii, tol):
+    # The sweep sorts only when its input order is not already sorted; with
+    # tol = -1 every literal row violates and the sorted rows decide.
+    key = operator.attrgetter("n", "a", "r", "breakdown.interpretation")
+    report = theorem_sweep("T21", ns, grid, radii, tol=tol)
+    rows = list(report.rows)
+    assert [repr(row) for row in rows] == [repr(row) for row in sorted(rows, key=key)]
+    assert [repr(row) for row in rows] == [
+        repr(row) for row in _sweep_reference("T21", ns, grid, radii)
+    ]
+    literal = [row for row in rows if row.breakdown.interpretation == INTERP_LITERAL]
+    assert report.worst_margin == min(row.breakdown.margin for row in literal)
+    assert report.violations == tuple(row for row in literal if violates(row.breakdown, tol))
+    assert len(report.violations) == (len(literal) if tol else 0)
+
+
 def test_sweep_tolerance_decides_violations():
     grid = grid_values(0.5, 0.9, 0.1)
     flagged = theorem_sweep("classic", a_grid=grid, r_values=[0.4])
@@ -923,11 +953,14 @@ def test_sweep_builds_one_tail_rule_per_a_and_sigma(monkeypatch):
 
 def _count_builds(monkeypatch):
     """Count every construction of a ``TermBreakdown``: through its
-    constructor, through ``_make``, which ``_replace`` also calls, and
-    through ``functionals._breakdown``, which builds the rows of
-    ``evaluate``, radius searches and sweeps at C speed."""
+    constructor, through ``_make``, which ``_replace`` also calls, through
+    ``functionals._breakdown``, which builds the rows of ``evaluate`` and
+    radius searches at C speed, and through ``verify._rows``, which builds
+    the breakdowns of sweeps from their columns, each counted as it is
+    built."""
     calls = []
     new, make, breakdown = TermBreakdown.__new__, TermBreakdown._make.__func__, fun._breakdown
+    rows = ver._rows
 
     def counted_new(*args, **kwargs):
         calls.append(args)
@@ -941,9 +974,16 @@ def _count_builds(monkeypatch):
         calls.append(iterable)
         return breakdown(iterable)
 
+    def counted_rows(cls, columns):
+        for row in rows(cls, columns):
+            if cls is TermBreakdown:
+                calls.append(row)
+            yield row
+
     monkeypatch.setattr(TermBreakdown, "__new__", counted_new)
     monkeypatch.setattr(TermBreakdown, "_make", classmethod(counted_make))
     monkeypatch.setattr(fun, "_breakdown", counted_breakdown)
+    monkeypatch.setattr(ver, "_rows", counted_rows)
     return calls
 
 
@@ -966,6 +1006,20 @@ def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
     report = sharpness_scan("T21", grid, n=2, epsilon=1e-3)
     assert len(report.rows) == 2001
     assert (len(checks), len(sigmas), len(breakdowns)) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("theorem_id, n", [("C", 1), ("E", 1), ("T21", 2), ("T23", 3)])
+def test_scan_base_column_does_not_depend_on_epsilon(monkeypatch, theorem_id, n):
+    # An unperturbed scan builds no spec at all: its spec is the preset.
+    grid = grid_values(0.0, 0.99, 0.01)
+    preset("classic")  # the preset table is built once per process
+    built = _count_calls(monkeypatch, FunctionalSpec, "__post_init__")
+    reports = [sharpness_scan(theorem_id, grid, n=n, epsilon=eps) for eps in (0.0, -0.0, 1e-3)]
+    assert len(built) == 1  # the perturbed spec of epsilon = 1e-3
+    bases = [[repr(row.total) for row in report.rows] for report in reports]
+    assert bases[0] == bases[1] == bases[2]
+    assert [repr(row.perturbed_total) for row in reports[1].rows] == bases[0]
+    assert reports[2].perturbed_max > reports[2].max_total == reports[0].max_total
 
 
 def test_sweep_checks_the_radius_once_per_dimension_and_radius(monkeypatch):
