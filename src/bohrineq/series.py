@@ -34,8 +34,8 @@ routes are provided: ``expand`` uses the multinomial closed form of the
 coefficients, ``oracle_expand`` performs formal power-series division from
 the numerator/denominator polynomials and never touches the closed form:
 two passes, the series inverse of the denominator level by level, then its
-product with the numerator, with keys added and real and imaginary parts
-summed by ``map`` at C speed.  Their coefficientwise agreement is a
+product with the numerator, on exponent tuples coded as integers (they
+add and sort as the tuples do).  Their coefficientwise agreement is a
 standing test obligation.
 
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
@@ -45,9 +45,8 @@ sum_k b_k s^k on the circle |s| = n r only, which holds the torus supremum
 by the maximum principle.  The coefficient budget is checked where a whole
 map is built: by ``oracle_expand`` up front, and by a slice-backed map when
 it is first iterated.  Blaschke slices take one ascending O(K) pass per
-zero, and the last 4 are cached per (zeros, K): within one operation,
-callers re-read only the slice an evaluation's majorant just built, for its
-area, and the slice of the previous radius-search step at the same degree.
+zero and are prefix-stable: the longest slice built of each of the last 4
+products serves every shorter one, so one operation builds one slice.
 The supremum of |B| on a circle is a certified enclosure (``_blaschke_sup``),
 cached per (zeros, sigma).
 
@@ -62,7 +61,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, product, repeat
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Union
@@ -425,13 +424,13 @@ class FiniteBlaschke(_Family):
     """Product of disk automorphism factors (w_j - z)/(1 - conj(w_j) z), n = 1.
 
     ``slice(K)`` costs O(mK) for m zeros, one ascending pass per zero that
-    divides by 1 - conj(w) z and multiplies by w - z; the last 4 slices are
-    cached per (zeros, K), enough for the area to re-read the majorant's
-    slice and for bisection steps at one degree to share it.  Its tails
-    are geometric, so ``truncation`` finds their degree (K = 141 at
-    sigma = 0.8) by bisection past degree 16, in 25 tail calls, not 142.
-    ``boundary_sup`` is the certified enclosure ``_blaschke_sup``, cached
-    per (zeros, sigma), which every |f| head of one radius shares."""
+    divides by 1 - conj(w) z and multiplies by w - z; the longest slice
+    built of each of the last 4 products serves every shorter one, so a
+    radius search builds one slice.  Its tails are geometric, so
+    ``truncation`` finds their degree (K = 141 at sigma = 0.8) by bisection
+    past degree 16, in 25 tail calls, not 142.  ``boundary_sup`` is the
+    certified enclosure ``_blaschke_sup``, cached per (zeros, sigma), which
+    every |f| head of one radius shares."""
 
     zeros: tuple[complex, ...]
     n = 1
@@ -453,10 +452,15 @@ class FiniteBlaschke(_Family):
         factors = ((w - z[0]) / (1.0 - w.conjugate() * z[0]) for w in self.zeros)
         return math.prod(factors, start=complex(1.0))
 
+    @cached_property
+    def _key(self) -> str:
+        # The key of both caches, read once per family.  repr tells signed
+        # zeros apart: they compare equal as zeros but can give slices whose
+        # zero parts differ in sign.
+        return repr(self.zeros)
+
     def slice(self, K: int) -> list[complex]:
-        # repr tells signed zeros apart: they compare equal as zeros but
-        # can give slices whose zero parts differ in sign.
-        return list(_blaschke_slice(self.zeros, K, repr(self.zeros)))
+        return _blaschke_slice(self.zeros, K, self._key)
 
     def majorant_tail(self, K: int, sigma: float) -> float:
         # Coefficients of a unit-bounded disk function have modulus <= 1.
@@ -475,15 +479,15 @@ class FiniteBlaschke(_Family):
         # A certified upper end of max |B| on |z| = sigma, cached like the slice.
         if not 0.0 <= sigma < 1.0:
             raise DomainError("Blaschke supremum needs a radius in [0, 1)")
-        return _blaschke_sup(self.zeros, repr(self.zeros), sigma)
+        return _blaschke_sup(self.zeros, self._key, sigma)
 
     def rational_form(self) -> tuple[dict, dict]:
-        num: dict[tuple[int, ...], complex] = {(0,): 1.0 + 0j}
-        den: dict[tuple[int, ...], complex] = {(0,): 1.0 + 0j}
+        radix = len(self.zeros) + 1
+        num = den = {0: 1.0 + 0j}  # code-keyed, see ``oracle_expand``
         for w in self.zeros:
-            num = _poly_mul(num, {(0,): w, (1,): -1.0 + 0j}, len(self.zeros))
-            den = _poly_mul(den, {(0,): 1.0 + 0j, (1,): -w.conjugate()}, len(self.zeros))
-        return num, den
+            num = _poly_mul(num, _encoded({(0,): w, (1,): -1.0 + 0j}, radix), radix)
+            den = _poly_mul(den, _encoded({(0,): 1.0 + 0j, (1,): -w.conjugate()}, radix), radix)
+        return dict(_decoded(num, 1, radix)), dict(_decoded(den, 1, radix))
 
 
 @dataclass(frozen=True)
@@ -802,18 +806,31 @@ def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     )
 
 
-@lru_cache(maxsize=4)
-def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[complex, ...]:
-    """Taylor coefficients b_0..b_K of a Blaschke product; ``key`` is
-    repr(zeros).  The cache holds the last 4 (zeros, K), enough for the
-    re-reads within one operation: an evaluation's area reads the slice its
-    majorant built, and consecutive radius-search steps often share a degree
-    (8-10 builds and 21-53 re-reads per search on 3 zeros).  Per zero w,
-    with c = conj(w), dividing by 1 - c z is y_k = x_k + c y_(k-1) (the root
-    1/c lies outside the disk, so rounding errors are damped) and
-    multiplying by w - z is w y_k - y_(k-1); one ascending pass does both,
-    as y_(k-1) is the last y built.  b_k reads b_0..b_k only: slices are
-    prefix-stable."""
+#: The longest slice built of each of the last 4 Blaschke products, by
+#: repr(zeros), least recently read first.
+_SLICES: dict[str, list[complex]] = {}
+
+
+def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> list[complex]:
+    """b_0..b_K of a Blaschke product, a fresh list; ``key`` is repr(zeros).
+    A prefix of the longest slice held of the product, else a longer build."""
+    # An evaluation's area re-reads the slice its majorant built, and a
+    # radius search's first evaluation, at the top of its bracket, builds
+    # the longest slice of its steps: one build per operation.
+    b = _SLICES.pop(key, ())
+    if len(b) <= K:
+        b = _blaschke_pass(zeros, K)
+    _SLICES[key] = b
+    for stale in list(_SLICES)[:-4]:  # single dict operations: safe in threads
+        _SLICES.pop(stale, None)
+    return b[:K + 1]
+
+
+def _blaschke_pass(zeros: tuple[complex, ...], K: int) -> list[complex]:
+    """b_0..b_K built anew.  Per zero w, with c = conj(w), dividing by 1 - c z
+    is y_k = x_k + c y_(k-1) (its root 1/c lies outside the disk: rounding
+    errors are damped), multiplying by w - z is w y_k - y_(k-1), and one
+    ascending pass does both.  b_k reads b_0..b_k only: slices are prefix-stable."""
     b = [complex(1.0)] + [0j] * K
     for w in zeros:
         c = w.conjugate()
@@ -823,7 +840,7 @@ def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> tuple[compl
             y = b[k] + c * prev
             b[k] = w * y - prev
             prev = y
-    return tuple(b)
+    return b
 
 
 # --------------------------------------------------------------------------
@@ -1025,57 +1042,68 @@ def _check_budget(count: int) -> None:
 def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     """Coefficients of degree <= K via N * (1/D) computed by formal division.
 
-    Independent of the multinomial closed form in :func:`expand`: two passes
-    on exponent-tuple dictionaries, the series inverse of D level by level,
-    then its product with N.  Keys are summed by ``tuple(map(add, e, f))``,
-    each coefficient is the fsum of its products, and the series keeps the
-    sorted tuples as its keys; the coefficient budget is checked first.
+    Independent of the multinomial closed form in :func:`expand`: the series
+    inverse of D level by level, then its product with N, each coefficient
+    the fsum of its products, after a check of the coefficient budget.  An
+    exponent tuple e is keyed by its code, the base-(K + 1) number with the
+    digits e_1, ..., e_n, |e|: no digit exceeds K, so codes sort as the
+    tuples do, and the code of a sum of degree <= K is the sum of the codes.
+    The keys are decoded to tuples once, for the series.
     """
     K = _integer(K, "truncation degree", 0)
-    n = family.n
-    _check_budget(coefficient_count(n, K))
-    numerator, denominator = family.rational_form()
-    product = _poly_mul(numerator, _series_inverse(denominator, n, K), K)
-    return CoefficientSeries(n, K, {e: v for e, v in product.items() if v != 0}, source=family)
+    _check_budget(coefficient_count(family.n, K))
+    radix = K + 1
+    numerator, denominator = (_encoded(part, radix) for part in family.rational_form())
+    product = _poly_mul(numerator, _series_inverse(denominator, radix), radix)
+    coeffs = {e: v for e, v in _decoded(product, family.n, radix) if v != 0}
+    return CoefficientSeries(family.n, K, coeffs, source=family)
 
 
-def _poly_mul(
-    p: dict[tuple[int, ...], complex],
-    q: dict[tuple[int, ...], complex],
-    K: int,
-) -> dict[tuple[int, ...], complex]:
-    """The terms of p * q of degree <= K, with sorted keys; the degree of
-    each term of q is read once, not once per term of p."""
-    terms = [(eq, sum(eq), cq) for eq, cq in q.items()]
-    buckets: dict[tuple[int, ...], list[complex]] = {}
+def _encoded(poly: dict[tuple[int, ...], complex], radix: int) -> dict[int, complex]:
+    """The terms of poly of degree < radix, keyed by their codes in base radix."""
+    return {
+        reduce(lambda code, e: code * radix + e, (*exps, sum(exps))): c
+        for exps, c in poly.items() if sum(exps) < radix
+    }
+
+
+def _decoded(poly: dict[int, complex], n: int, radix: int) -> Iterator[tuple[tuple, complex]]:
+    """(exponent tuple, coefficient) for every term of a code-keyed poly, in its order."""
+    places = [radix**i for i in range(n, 0, -1)]  # of e_1, ..., e_n
+    digits = [[code // place % radix for code in poly] for place in places]
+    return zip(zip(*digits), poly.values())
+
+
+def _poly_mul(p: dict[int, complex], q: dict[int, complex], radix: int) -> dict[int, complex]:
+    """The terms of p * q of degree < radix, code-keyed and sorted; the
+    degree of each term of q, the last digit of its code, is read once."""
+    terms = [(eq, eq % radix, cq) for eq, cq in q.items()]
+    buckets: dict[int, list[complex]] = {}
     for ep, cp in p.items():
-        room = K - sum(ep)
+        room = radix - 1 - ep % radix
         for eq, dq, cq in terms:
             if dq <= room:
-                buckets.setdefault(tuple(map(operator.add, ep, eq)), []).append(cp * cq)
+                buckets.setdefault(ep + eq, []).append(cp * cq)
     return {key: _fsum_complex(vals) for key, vals in sorted(buckets.items())}
 
 
-def _series_inverse(
-    d: dict[tuple[int, ...], complex], n: int, K: int
-) -> dict[tuple[int, ...], complex]:
-    """1/d to degree K: level k is minus the sum of d_j * level k - j over
-    j >= 1, divided by d_0, with sorted keys."""
-    zero = (0,) * n
-    d0 = d.get(zero, 0j)
+def _series_inverse(d: dict[int, complex], radix: int) -> dict[int, complex]:
+    """1/d to degree radix - 1, code-keyed: level k is minus the sum of
+    d_j * level k - j over j >= 1, divided by d_0, with sorted keys."""
+    d0 = d.get(0, 0j)
     if d0 == 0:
         raise DomainError("denominator vanishes at the origin; series inverse undefined")
-    by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
-    for exps, c in d.items():
-        by_degree.setdefault(sum(exps), {})[exps] = c
-    levels = [{zero: 1.0 / d0}]
-    for k in range(1, K + 1):
-        buckets: dict[tuple[int, ...], list[complex]] = {}
+    by_degree: dict[int, dict[int, complex]] = {}
+    for code, c in d.items():
+        by_degree.setdefault(code % radix, {})[code] = c
+    levels = [{0: 1.0 / d0}]
+    for k in range(1, radix):
+        buckets: dict[int, list[complex]] = {}
         for j, dj in by_degree.items():
             if 0 < j <= k:
                 for ed, cd in dj.items():
                     for eu, cu in levels[k - j].items():
-                        buckets.setdefault(tuple(map(operator.add, ed, eu)), []).append(cd * cu)
+                        buckets.setdefault(ed + eu, []).append(cd * cu)
         levels.append({key: -_fsum_complex(vals) / d0 for key, vals in sorted(buckets.items())})
     return dict(chain.from_iterable(map(dict.items, levels)))
 
@@ -1084,6 +1112,9 @@ _REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 def _fsum_complex(values: list[complex]) -> complex:
+    if len(values) == 1:
+        # fsum of one float is that float, but turns -0.0 into 0.0, as + 0.0 does.
+        return values[0] + 0j
     return complex(math.fsum(map(_REAL, values)), math.fsum(map(_IMAG, values)))
 
 

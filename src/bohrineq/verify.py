@@ -17,12 +17,12 @@ against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the column kernel of
 ``functionals``, which builds each (a, sigma) column once per call: a scan
 sums one total column per spec from one read of the terms, and a sweep
-builds rows from the columns at C speed and sorts them, stably, unless n,
-the radii and the grid strictly increase.  A radius search checks its
-radius once, through ``evaluate``, and runs the core at each midpoint.
-Lemma checks admit only families bounded by one on the unit polydisk,
-which is the hypothesis the lemmas carry, and sum each family to the degree
-``series.truncation`` picks for the tail of the lemma.
+builds rows at C speed, the slice breakdowns once per sigma, and sorts
+them, stably, unless n, the radii and the grid strictly increase.  A radius
+search checks its radius once, through ``evaluate``, and runs the core at
+each midpoint.  Lemma checks admit only families bounded by one on the
+unit polydisk, which is the hypothesis the lemmas carry, and sum each
+family to the degree ``series.truncation`` picks for the tail of the lemma.
 """
 
 from __future__ import annotations
@@ -444,17 +444,20 @@ def theorem_sweep(
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
-    # given, and sets of one sigma share their columns.  Rows are built at C
-    # speed, by ``_rows``, interleaved per a in input order (n, a, r,
-    # interpretation), and sorted once unless that order is already sorted:
-    # it is when n, the radii and the grid strictly increase, since
-    # "literal" < "slice" puts each literal row before its slice row.  The
-    # sort is stable, so repeated keys (repeats, 0.0 and -0.0) keep their
-    # input order.  An attrgetter key runs at C speed.
+    # given, and sets of one sigma share their columns.  The slice sets of
+    # one sigma share all ten, so they share their breakdowns too, built
+    # for the first of them.  Rows are built at C speed, by ``_rows``,
+    # interleaved per a in input order (n, a, r, interpretation), and
+    # sorted once unless that order is already sorted: it is when n, the
+    # radii and the grid strictly increase, since "literal" < "slice" puts
+    # each literal row before its slice row.  The sort is stable, so
+    # repeated keys (repeats, 0.0 and -0.0) keep their input order.  An
+    # attrgetter key runs at C speed.
     #
     # If no literal total can violate, no margin is NaN or -0.0, and the
     # least one is the worst in any order; else the sorted rows decide.
     shared: dict = {}
+    built: dict[str, list[fun.TermBreakdown]] = {}  # slice breakdowns by repr(sigma)
     rows: list[SweepRow] = []
     margins = []
     flagged = False
@@ -470,7 +473,9 @@ def theorem_sweep(
                     limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
                     flagged = flagged or not all(map(operator.le, totals, repeat(limit)))
                     margins.append(margin)
-                breakdowns = _rows(fun.TermBreakdown, columns)
+                    breakdowns = _rows(fun.TermBreakdown, columns)
+                elif (breakdowns := built.get(repr(sigma))) is None:
+                    breakdowns = built[repr(sigma)] = list(_rows(fun.TermBreakdown, columns))
                 keys = repeat(theorem_id), repeat(n), grid, repeat(r)
                 sets.append(_rows(SweepRow, (*keys, breakdowns)))
         rows.extend(chain.from_iterable(zip(*sets)))

@@ -246,6 +246,25 @@ MUTANTS = [
         "b - mid and mid - a are exact by the same Sterbenz argument as the chord width;"
         " bit-identical on the same 3,167 zero sets",
     ),
+    # The Blaschke slice cache and the oracle's integer keys.
+    Mutant(
+        "slice-prefix-short", "series.py",
+        "if len(b) <= K:",
+        "if len(b) < K:",
+        "_blaschke_slice: a held slice serves degree K only when it reaches b_K",
+    ),
+    Mutant(
+        "slice-key-zeros", "series.py",
+        "return _blaschke_slice(self.zeros, K, self._key)",
+        "return _blaschke_slice(self.zeros, K, self.zeros)",
+        "FiniteBlaschke.slice: the cache key is repr(zeros), which tells signed zeros apart",
+    ),
+    Mutant(
+        "oracle-radix", "series.py",
+        "radix = K + 1\n",
+        "radix = K\n",
+        "oracle_expand: codes are in base K + 1, above every exponent and degree",
+    ),
     # Every certified tail added to a total.
     Mutant(
         "family-majorant-tail", "series.py",

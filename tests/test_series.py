@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -324,6 +326,29 @@ def _bits(terms):
     return [(key, repr(value)) for key, value in terms.items()]
 
 
+def _oracle_families():
+    """44 seeded families, each at a K where some exponent reaches K: the
+    unit and scaled forms for n = 1..4, Blaschke products of 1..4 zeros
+    (signed zeros among them, and K below the number of zeros), constants.
+    The key (K, 0, ..., 0) is in every inverse, and only the zero key, whose
+    exponents reach K = 0, in a constant's."""
+    rng = random.Random(2901)
+    signed = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.3))
+    cases = []
+    for n, K in ((1, 30), (2, 16), (3, 9), (4, 6)):
+        for form in (ExtremalPolydiskUnit, ExtremalPolydiskScaled):
+            cases += [(form(rng.uniform(0.0, 0.95), n), K), (form(0.0, n), K), (form(0.9, n), 1)]
+    for m in range(1, 5):
+        for K in (m - 1, m, 3 * m + 5):
+            zeros = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(m)]
+            zeros[rng.randrange(m)] = rng.choice(signed)
+            cases.append((FiniteBlaschke(tuple(zeros)), K))
+    random_c = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+    for c in (0.0, -0.0, complex(-0.0, 0.5), random_c):
+        cases += [(ConstantFn(c), 0), (ConstantFn(c), 5)]
+    return cases
+
+
 @pytest.mark.parametrize(
     "family,K",
     [
@@ -333,17 +358,25 @@ def _bits(terms):
         (FiniteBlaschke((complex(-0.0, 0.0), 0.3, -0.5j)), 25),
         (ConstantFn(0.0), 6),
         (ConstantFn(0.4), 6),
-    ],
+    ]
+    + _oracle_families(),
 )
 def test_oracle_keeps_its_coefficients_bit_for_bit(family, K):
     # Same keys in the same order, and the same repr of every value
     # (signed zeros included), as the reference bodies above.
     num, den = _reference_rational_form(family)
     assert [_bits(part) for part in family.rational_form()] == [_bits(num), _bits(den)]
+    radix = K + 1
+
+    def tuple_keyed(poly):
+        return dict(ser._decoded(poly, family.n, radix))
+
     inverse = _reference_series_inverse(den, family.n, K)
-    assert _bits(ser._series_inverse(den, family.n, K)) == _bits(inverse)
+    got = ser._series_inverse(ser._encoded(den, radix), radix)
+    assert _bits(tuple_keyed(got)) == _bits(inverse)
     product = _reference_poly_mul(num, inverse, K)
-    assert _bits(ser._poly_mul(num, inverse, K)) == _bits(product)
+    got = ser._poly_mul(ser._encoded(num, radix), ser._encoded(inverse, radix), radix)
+    assert _bits(tuple_keyed(got)) == _bits(product)
     expected = [(key, value) for key, value in _bits(product) if product[key] != 0]
     got = oracle_expand(family, K).coeffs
     assert [(key, repr(value)) for key, value in got.items()] == expected
@@ -352,7 +385,7 @@ def test_oracle_keeps_its_coefficients_bit_for_bit(family, K):
 def test_series_inverse_refuses_a_denominator_that_vanishes_at_the_origin():
     for d in ({(1,): 1.0 + 0j}, {(0,): 0j, (1,): 1.0 + 0j}, {(0, 0): complex(-0.0, 0.0)}):
         with pytest.raises(DomainError, match="vanishes"):
-            ser._series_inverse(d, len(next(iter(d))), 4)
+            ser._series_inverse(ser._encoded(d, 5), 5)
 
 
 @pytest.mark.parametrize(
@@ -553,46 +586,95 @@ def test_expanded_torus_at_cap_builds_no_multi_index(monkeypatch):
     assert report.ok and report.certified
 
 
-def test_blaschke_evaluate_builds_the_product_once():
+def _count_slice_builds(monkeypatch):
+    """The degree of every Blaschke slice built from here on, cold: the
+    slice cache starts empty."""
+    builds = []
+    build = ser._blaschke_pass
+
+    def counted(zeros, K):
+        builds.append(K)
+        return build(zeros, K)
+
+    monkeypatch.setattr(ser, "_blaschke_pass", counted)
+    monkeypatch.setattr(ser, "_SLICES", {})
+    return builds
+
+
+def test_blaschke_evaluate_builds_the_product_once(monkeypatch):
+    builds = _count_slice_builds(monkeypatch)
     zeros = (0.413 - 0.171j, -0.237 + 0.529j, 0.083 + 0.661j)
-    misses = ser._blaschke_slice.cache_info().misses
     evaluate(preset("thm_e"), FiniteBlaschke(zeros), RadiusSpec.diagonal(1, 0.8))
-    assert ser._blaschke_slice.cache_info().misses == misses + 1
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("name", ["classic", "thm_b1", "thm_e"])
-def test_blaschke_radius_search_rereads_slices_from_a_small_cache(name):
-    # Consecutive bisection steps share a degree, and the area re-reads the
-    # slice the majorant just built: 9-10 builds and 21-53 hits here.
-    ser._blaschke_slice.cache_clear()
+def test_blaschke_radius_search_rereads_slices_from_a_small_cache(monkeypatch, name):
+    # The first step builds the longest slice of the search, and every
+    # later majorant and area reads a prefix of it.
+    builds = _count_slice_builds(monkeypatch)
     radius_search(preset(name), FiniteBlaschke((0.3, -0.5, 0.2j)))
-    info = ser._blaschke_slice.cache_info()
-    assert info.misses <= 10 and info.hits >= 20, info
+    assert len(builds) == 1, builds
 
 
-def test_blaschke_slice_cache_holds_a_few_slices():
+def test_blaschke_slice_cache_holds_a_few_slices(monkeypatch):
+    _count_slice_builds(monkeypatch)
     rng = random.Random(7)
+    families = []
     for _ in range(200):
         zeros = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3))
-        lemma1c_check(FiniteBlaschke(zeros), 0.8)
-    assert ser._blaschke_slice.cache_info().currsize <= 4
+        families.append(FiniteBlaschke(zeros))
+        lemma1c_check(families[-1], 0.8)
+    assert list(ser._SLICES) == [repr(family.zeros) for family in families[-4:]]
 
 
-def test_blaschke_slice_cache_returns_fresh_exact_lists():
+def test_blaschke_slice_cache_returns_fresh_exact_lists(monkeypatch):
+    builds = _count_slice_builds(monkeypatch)
     family = FiniteBlaschke((0.37, -0.29 + 0.44j))
     first = family.slice(20)
     first[3] = 99.0
     assert family.slice(20)[3] != 99.0
     assert repr(family.slice(141)[:11]) == repr(family.slice(10))
+    assert builds == [20, 141]
     # Signed zeros compare equal, so the cache key carries repr(zeros): each
-    # variant gets the bits of its own build, never the other's.
+    # variant gets the bits of its own build, never the other's.  Each
+    # prefix, and a slice one degree longer than the one held, is what a
+    # fresh build gives.
     plus = FiniteBlaschke((-0.5, 0.2j))
     minus = FiniteBlaschke((complex(-0.5, -0.0), complex(-0.0, 0.2)))
     assert plus == minus
+    assert repr(ser._blaschke_pass(plus.zeros, 150)) != repr(ser._blaschke_pass(minus.zeros, 150))
     for family in (minus, plus, minus):
-        uncached = ser._blaschke_slice.__wrapped__(family.zeros, 150, repr(family.zeros))
-        assert repr(family.slice(150)) == repr(list(uncached))
+        for K in (150, 149, 0, 151, 160, 3):
+            assert repr(family.slice(K)) == repr(ser._blaschke_pass(family.zeros, K))
         assert repr(_one_pass_slice(family.zeros)) == repr(_two_pass_blaschke_slice(family.zeros))
+
+
+def test_blaschke_slice_cache_keeps_its_bits_under_threads():
+    # Six products share a cache of four, so threads evict and replace each
+    # other's slices; every slice read must still be that of its own product.
+    families = [FiniteBlaschke((0.1 * k, -0.3j, complex(-0.0, 0.2 - 0.05 * k))) for k in range(6)]
+    expected = [ser._blaschke_pass(family.zeros, 60) for family in families]
+    errors = []
+
+    def read(offset):
+        for i in range(300):
+            j, K = (i + offset) % 6, (7 * i + offset) % 61
+            if repr(families[j].slice(K)) != repr(expected[j][: K + 1]):
+                errors.append((j, K))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(ser._SLICES) <= 4
 
 
 def _two_pass_blaschke_slice(zeros, K=200):
@@ -610,7 +692,7 @@ def _two_pass_blaschke_slice(zeros, K=200):
 
 
 def _one_pass_slice(zeros, K=200):
-    return ser._blaschke_slice.__wrapped__(zeros, K, repr(zeros))
+    return tuple(ser._blaschke_pass(zeros, K))
 
 
 def _conv_blaschke_slice(zeros, K):

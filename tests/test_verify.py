@@ -998,6 +998,20 @@ def test_build_counter_sees_every_way_to_build_a_breakdown(monkeypatch):
     assert len(breakdowns) == 6
 
 
+def test_sweep_builds_the_slice_breakdowns_of_one_sigma_once(monkeypatch):
+    # The T21 thresholds give every n the same sigma, so the slice sets of
+    # n = 2, 3, 5 share one set of breakdowns: 100 + 3 * 100 literal + 100.
+    breakdowns = _count_builds(monkeypatch)
+    report = theorem_sweep("T21", [1, 2, 3, 5])
+    assert (len(report.rows), len(breakdowns)) == (700, 500)
+    grid = grid_values(0.0, 0.99, 0.01)
+    expected = [
+        row for n in (1, 2, 3, 5)
+        for row in _sweep_reference("T21", [n], grid, [THEOREMS["T21"].threshold(n)])
+    ]
+    assert [repr(row) for row in report.rows] == [repr(row) for row in expected]
+
+
 def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
     grid = [(k + 0.5) / 2000 for k in range(2000)]
     checks = _count_calls(monkeypatch, fun, "_check_radius_for")
