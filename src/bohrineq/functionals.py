@@ -23,9 +23,15 @@ expands a multi-index series: the literal area reweights the slice sum per
 degree (``literal_area``).
 
 ``evaluate`` is its checks (dimension, domain cap) and one private core,
-``_terms``, which takes the checked polyradius and its sigma, reads every
-term through the family's methods and returns the ``TermBreakdown`` record,
-built by ``_breakdown``.  The grid kernel is the same functional for the
+prepared by ``_prepare`` once per (spec, family): it reads once what the
+pair fixes (the head rule, and for the constant head |a_0| itself; whether
+the spec weighs an area, and which; the three weights; ``closed_form``) and
+returns the per-radius evaluation, which takes the checked polyradius and
+its sigma, reads the sigma-dependent terms through the family's methods and
+returns the ten ``TermBreakdown`` fields as a plain tuple.  ``evaluate``
+builds the record from them with ``_breakdown``; a radius search prepares
+the core once and reads the total and certification of each step from the
+tuple, with no record.  The grid kernel is the same functional for the
 Moebius-type family of one class and n over a grid of a, and builds no
 family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,
@@ -180,7 +186,7 @@ class TermBreakdown(NamedTuple):
     total = head_value + majorant_tail + area_weight * area_term
             + area_sq_contribution + extra_area_contribution
     margin = 1 - total.  ``certified`` means every truncated term carried a
-    tail certificate: ``_terms`` and ``_grid_columns`` set it, true on every
+    tail certificate: ``_prepare`` and ``_grid_columns`` set it, true on every
     row until verdicts are decided on proved bounds.  ``closed_form`` means
     no truncation happened at all.
     """
@@ -264,15 +270,9 @@ def area_term(
         target = target.source
     family = target
     _check_radius_for(family, radius, family.n)
-    return _family_area(family, radius.coords, family.sigma(radius.coords), interpretation)
-
-
-def _family_area(
-    family: ser.FamilySpec, coords: tuple[float, ...], sigma: float, interp: str
-) -> float:
-    """Area of a family at a checked polyradius whose argument radius is sigma."""
-    if _literal(interp, family.n):
-        return family.literal_area(sigma, coords)
+    sigma = family.sigma(radius.coords)
+    if _literal(interpretation, family.n):
+        return family.literal_area(sigma, radius.coords)
     return family.area(sigma)
 
 
@@ -314,7 +314,7 @@ def evaluate(
     """
     _check_radius_for(family, radius, family.n)
     sigma = family.sigma(radius.coords)
-    return _terms(spec, family, radius.coords, sigma, eval_point)
+    return _breakdown(_prepare(spec, family)(radius.coords, sigma, eval_point))
 
 
 def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
@@ -322,52 +322,64 @@ def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
     return closed and not (spec.uses_area() and _literal(spec.area_interpretation, n))
 
 
-def _terms(
-    spec: FunctionalSpec,
-    family: ser.FamilySpec,
-    coords: tuple[float, ...],
-    sigma: float,
-    eval_point: tuple[complex, ...] | None = None,
-) -> TermBreakdown:
-    """The breakdown at a checked polyradius coords whose argument radius is
-    sigma, read from the family's methods; an |f| head is |f(eval_point)| or
-    else the family's ``boundary_sup``."""
-    if spec.head == HEAD_CONSTANT:
-        head_value = abs(family.a0)
-    else:
-        value = (
-            family.boundary_sup(sigma) if eval_point is None
-            else abs(ser.family_value(family, eval_point))
+def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tuple]:
+    """The evaluation core of spec on family: what the pair fixes (the
+    head rule, and for the constant head |a_0| itself; whether the spec
+    weighs an area, and which; the three weights; ``closed_form``) is read
+    once, and the returned terms(coords, sigma, eval_point=None) gives the
+    ten ``TermBreakdown`` fields, as a plain tuple, at a checked polyradius
+    coords whose argument radius is sigma.  Every other term is read from
+    the family's methods; an |f| head is |f(eval_point)| or else the
+    family's ``boundary_sup``."""
+    constant = abs(family.a0) if spec.head == HEAD_CONSTANT else None
+    squared = spec.head == HEAD_ABS_SQ
+    weighs_area, literal = spec.uses_area(), _literal(spec.area_interpretation, family.n)
+    weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    closed, interpretation = _closed_form(spec, family.closed, family.n), spec.area_interpretation
+    sup, majorant, slice_area = family.boundary_sup, family.majorant, family.area
+    literal_area = family.literal_area if literal else None  # a rule of n > 1 families
+
+    def terms(coords: tuple[float, ...], sigma: float, eval_point=None) -> tuple:
+        if constant is not None:
+            head_value = constant
+        else:
+            value = sup(sigma) if eval_point is None else abs(ser.family_value(family, eval_point))
+            head_value = value * value if squared else value
+        tail_value = majorant(sigma)
+        if not weighs_area:
+            area = 0.0
+        elif literal:
+            area = literal_area(sigma, coords)
+        else:
+            area = slice_area(sigma)
+        area_sq = sq_weight * area * area
+        extra = extra_weight * area
+        total = head_value + tail_value + weight * area + area_sq + extra
+        # Every head is a closed form or a certified enclosure, every tail a certified bound.
+        return (
+            head_value, tail_value, area, area_sq, extra, total, 1.0 - total,
+            True, closed, interpretation,
         )
-        head_value = value * value if spec.head == HEAD_ABS_SQ else value
-    tail_value = family.majorant(sigma)
-    area = (
-        _family_area(family, coords, sigma, spec.area_interpretation) if spec.uses_area() else 0.0
-    )
-    area_sq = spec.area_sq_weight * area * area
-    extra = spec.extra_area_weight * area
-    total = head_value + tail_value + spec.area_weight * area + area_sq + extra
-    # Every head is a closed form or a certified enclosure, every tail a certified bound.
-    return _breakdown((
-        head_value, tail_value, area, area_sq, extra, total, 1.0 - total,
-        True, _closed_form(spec, family.closed, family.n), spec.area_interpretation,
-    ))
+
+    return terms
 
 
 def _grid_terms(
     spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
     shared: dict,
 ) -> tuple[list, list, list]:
-    """The head, majorant-tail and area columns of ``_terms`` of the
-    Moebius-type family cls(a) in dimension n for every a of avals (inside
-    [0, 1)), at a polyradius coords checked for that class and n whose
-    argument radius is sigma.  Every column but a literal area is of (a,
-    sigma) alone: it is built once, by one column rule call, into shared, a
-    dict that lives for one sweep or scan over avals, keyed by sigma's repr,
-    since -0.0 == 0.0.  So are the literal-area degrees and slice terms."""
+    """The head, majorant-tail and area columns of the evaluation core of
+    the Moebius-type family cls(a) in dimension n for every a of avals
+    (inside [0, 1)), at a polyradius coords checked for that class and n
+    whose argument radius is sigma.  Every column but a literal area is of
+    (a, sigma) alone: it is built once, by one column rule call, into
+    shared, a dict that lives for one sweep or scan over avals, keyed by
+    sigma's repr, since -0.0 == 0.0.  So are the literal-area degrees and
+    slice terms."""
+    at = repr(sigma)
 
     def once(name: str, build: Callable[[], list]) -> list:
-        key = name, repr(sigma)
+        key = name, at
         return shared[key] if key in shared else shared.setdefault(key, build())
 
     if spec.head == HEAD_CONSTANT:
@@ -386,7 +398,7 @@ def _grid_terms(
 
 
 def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) -> list[float]:
-    """The total column: ``_terms``'s sum, in its order of operations."""
+    """The total column: the sum of ``_prepare``'s core, in its order of operations."""
     weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
     return [
         head + tail + weight * area + sq_weight * area * area + extra_weight * area
@@ -411,11 +423,14 @@ def _grid_columns(
         totals = _grid_totals(spec, heads, tails, areas)
         sq_weight, extra_weight = spec.area_sq_weight, spec.extra_area_weight
         size = len(heads)
+        if spec.uses_area():
+            area_sq = [sq_weight * area * area for area in areas]
+            extra = [extra_weight * area for area in areas]
+        else:  # areas is [0.0] * size; the products keep the sign of a -0.0 weight
+            area_sq, extra = [sq_weight * 0.0 * 0.0] * size, [extra_weight * 0.0] * size
         # Moebius-type heads and tails are exact closed forms: every row is certified.
         shared[key] = (
-            heads, tails, areas, [sq_weight * area * area for area in areas],
-            [extra_weight * area for area in areas], totals, [1.0 - total for total in totals],
+            heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],
             [True] * size, [_closed_form(spec, cls.closed, n)] * size,
         )
     return (*shared[key], [spec.area_interpretation] * len(avals))
-

@@ -322,6 +322,7 @@ class _MoebiusType(_Family):
     def area_grid(avals, sigma: float) -> list[float]:
         """sum_{k>=1} k |c_k|^2 sigma^(2k), for every a of avals."""
         ss = sigma * sigma
+        # ``** 2`` calls the libm pow, one ulp off d * d at near-ties: the golden bits rest on it.
         return [
             ss * (one := 1.0 - (aa := a * a)) * one / (1.0 - aa * sigma * sigma) ** 2 for a in avals
         ]
@@ -1048,7 +1049,8 @@ def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     exponent tuple e is keyed by its code, the base-(K + 1) number with the
     digits e_1, ..., e_n, |e|: no digit exceeds K, so codes sort as the
     tuples do, and the code of a sum of degree <= K is the sum of the codes.
-    The keys are decoded to tuples once, for the series.
+    The keys are decoded to tuples once, for the series, which takes them
+    without a second reading.
     """
     K = _integer(K, "truncation degree", 0)
     _check_budget(coefficient_count(family.n, K))
@@ -1056,7 +1058,11 @@ def oracle_expand(family: FamilySpec, K: int) -> CoefficientSeries:
     numerator, denominator = (_encoded(part, radix) for part in family.rational_form())
     product = _poly_mul(numerator, _series_inverse(denominator, radix), radix)
     coeffs = {e: v for e, v in _decoded(product, family.n, radix) if v != 0}
-    return CoefficientSeries(family.n, K, coeffs, source=family)
+    series = CoefficientSeries(family.n, K, {}, source=family)
+    # Decoded keys are n-tuples of ints >= 0 of degree <= K by construction,
+    # so the map is set after the checks, not re-read key by key.
+    object.__setattr__(series, "coeffs", coeffs)
+    return series
 
 
 def _encoded(poly: dict[tuple[int, ...], complex], radix: int) -> dict[int, complex]:

@@ -19,10 +19,12 @@ since neither depends on a, and read the a-grid from the column kernel of
 sums one total column per spec from one read of the terms, and a sweep
 builds rows at C speed, the slice breakdowns once per sigma, and sorts
 them, stably, unless n, the radii and the grid strictly increase.  A radius
-search checks its radius once, through ``evaluate``, and runs the core at
-each midpoint.  Lemma checks admit only families bounded by one on the
-unit polydisk, which is the hypothesis the lemmas carry, and sum each
-family to the degree ``series.truncation`` picks for the tail of the lemma.
+search checks its radius once, through ``evaluate``, prepares the
+evaluation core of ``functionals`` once, and runs it at each midpoint,
+reading the total and certification without building a record.  Lemma
+checks admit only families bounded by one on the unit polydisk, which is
+the hypothesis the lemmas carry, and sum each family to the degree
+``series.truncation`` picks for the tail of the lemma.
 """
 
 from __future__ import annotations
@@ -177,10 +179,13 @@ def radius_search(
     and a certified total(lo) <= 1 certifies the whole interval [0, lo].
     One checked ``evaluate`` at hi, near the cap, decides whether the total
     reaches 1; if not, the result is hi with binding = False.  Each midpoint
-    lies in (0, hi), so it passes every check of hi, and a step runs the core
-    ``_terms`` alone.  Bisection stops at width ``tol``, or earlier when the
-    midpoint no longer splits the bracket: it then holds two adjacent floats.
-    ``tol`` is read like a sweep's (``check_tolerance``) and must be positive.
+    lies in (0, hi), so it passes every check of hi, and a step runs alone
+    the core of ``functionals._prepare``, prepared once per search: it reads
+    the total and certification from the core's fields, and ``certified``
+    holds only when it holds at hi and at every step.  Bisection stops at
+    width ``tol``, or earlier when the midpoint no longer splits the
+    bracket: it then holds two adjacent floats.  ``tol`` is read like a
+    sweep's (``check_tolerance``) and must be positive.
     """
     if tol is None or not (tol := check_tolerance(tol)) > 0:
         raise DomainError("tolerance must be finite and positive")
@@ -191,6 +196,7 @@ def radius_search(
     if top.total <= 1.0:
         return RadiusResult(hi, (hi, cap), 0, False, certified)
 
+    terms = fun._prepare(spec, family)
     lo = 0.0
     iterations = 0
     while hi - lo > tol:
@@ -198,9 +204,9 @@ def radius_search(
         if not lo < mid < hi:
             break
         coords = (mid,) * n
-        row = fun._terms(spec, family, coords, family.sigma(coords))
-        certified = certified and row.certified
-        if row.total <= 1.0:
+        total, _, step_certified = terms(coords, family.sigma(coords))[5:8]  # TermBreakdown order
+        certified = certified and step_certified
+        if total <= 1.0:
             lo = mid
         else:
             hi = mid
@@ -478,7 +484,7 @@ def theorem_sweep(
                     breakdowns = built[repr(sigma)] = list(_rows(fun.TermBreakdown, columns))
                 keys = repeat(theorem_id), repeat(n), grid, repeat(r)
                 sets.append(_rows(SweepRow, (*keys, breakdowns)))
-        rows.extend(chain.from_iterable(zip(*sets)))
+        rows.extend(sets[0] if len(sets) == 1 else chain.from_iterable(zip(*sets)))
     if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
         rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
     if not flagged:

@@ -123,8 +123,8 @@ MUTANTS = [
     ),
     Mutant(
         "radius-predicate", "verify.py",
-        "if row.total <= 1.0:\n            lo = mid",
-        "if row.total <= 1.0 + 1e-6:\n            lo = mid",
+        "if total <= 1.0:\n            lo = mid",
+        "if total <= 1.0 + 1e-6:\n            lo = mid",
         "radius_search: a midpoint is kept only when its total is <= 1",
     ),
     Mutant(
@@ -155,15 +155,21 @@ MUTANTS = [
     # certified is set where a row is built, and nowhere else.
     Mutant(
         "certified-terms", "functionals.py",
-        "True, _closed_form(spec, family.closed, family.n)",
-        "False, _closed_form(spec, family.closed, family.n)",
-        "_terms: the row of evaluate and radius searches is certified",
+        "            True, closed, interpretation,",
+        "            False, closed, interpretation,",
+        "_prepare: the rows of evaluate and the steps of radius searches are certified",
     ),
     Mutant(
         "certified-grid", "functionals.py",
         "[True] * size",
         "[False] * size",
         "_grid_columns: the sweep rows are certified",
+    ),
+    Mutant(
+        "zero-weight-extra", "functionals.py",
+        "[extra_weight * 0.0] * size",
+        "[0.0] * size",
+        "_grid_columns: a sweep that weighs no area keeps the sign of a -0.0 weight",
     ),
     # Rounding widenings of the certified Blaschke circle maximum.
     Mutant(
@@ -264,6 +270,12 @@ MUTANTS = [
         "radix = K + 1\n",
         "radix = K\n",
         "oracle_expand: codes are in base K + 1, above every exponent and degree",
+    ),
+    Mutant(
+        "area-square-pow", "series.py",
+        "/ (1.0 - aa * sigma * sigma) ** 2 for a in avals",
+        "/ ((d := 1.0 - aa * sigma * sigma) * d) for a in avals",
+        "area_grid: the denominator is squared by the libm pow the golden bits rest on",
     ),
     # Every certified tail added to a total.
     Mutant(

@@ -382,6 +382,23 @@ def test_oracle_keeps_its_coefficients_bit_for_bit(family, K):
     assert [(key, repr(value)) for key, value in got.items()] == expected
 
 
+@pytest.mark.parametrize("family,K", _oracle_families())
+def test_oracle_series_takes_its_keys_unread(monkeypatch, family, K):
+    # The oracle's keys are exponent tuples of degree <= K by construction,
+    # so its series does not read them again; each is what the key reader
+    # returns for it, and a series built from a copy of the map is equal.
+    reads = []
+    exponents = ser._exponents
+    monkeypatch.setattr(ser, "_exponents", lambda key, n: reads.append(key) or exponents(key, n))
+    series = oracle_expand(family, K)
+    monkeypatch.undo()
+    assert reads == []
+    for key in series.coeffs:
+        assert type(key) is tuple and set(map(type, key)) == {int}
+        assert ser._exponents(key, family.n) == key and sum(key) <= K
+    assert CoefficientSeries(family.n, K, dict(series.coeffs), source=family) == series
+
+
 def test_series_inverse_refuses_a_denominator_that_vanishes_at_the_origin():
     for d in ({(1,): 1.0 + 0j}, {(0,): 0j, (1,): 1.0 + 0j}, {(0, 0): complex(-0.0, 0.0)}):
         with pytest.raises(DomainError, match="vanishes"):
@@ -1053,6 +1070,25 @@ def test_moebius_column_rules_equal_the_family_methods(cls, n):
         assert repr(cls.area_grid(grid, sigma)) == repr(
             [sigma * sigma * o * o / (1.0 - a * a * sigma * sigma) ** 2 for a, o in zip(grid, one)]
         )
+
+
+#: (a, sigma) where the libm pow squares the area denominator
+#: d = 1 - a^2 sigma^2 one ulp away from d * d, and the area moves with it.
+_POW_NEAR_TIES = ((0.60525, 0.236), (0.96825, 0.9), (0.64275, 0.1))
+
+
+@pytest.mark.parametrize("cls, n", _MOEBIUS_CLASSES, ids=lambda v: getattr(v, "__name__", v))
+def test_area_grid_squares_its_denominator_with_pow(cls, n):
+    # The golden areas rest on ``d ** 2``, which calls the libm pow: at these
+    # near-ties a rewrite to d * d moves the area, and fails here.
+    for a, sigma in _POW_NEAR_TIES:
+        aa = a * a
+        one, d = 1.0 - aa, 1.0 - aa * sigma * sigma
+        assert d**2 != d * d, "this libm squares d as d * d does: golden areas may move"
+        area = sigma * sigma * one * one / d**2
+        assert area != sigma * sigma * one * one / (d * d)
+        assert repr(cls.area_grid([a], sigma)) == repr([area])
+        assert repr(_moebius(cls, a, n).area(sigma)) == repr(area)
 
 
 @pytest.mark.parametrize("cls, n", _MOEBIUS_CLASSES[1:], ids=lambda v: getattr(v, "__name__", v))

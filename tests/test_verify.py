@@ -275,24 +275,31 @@ def test_radius_search_stable_under_tolerance_refinement():
 def test_radius_search_stops_at_adjacent_floats(monkeypatch, tol):
     # Below the float spacing of the bracket the midpoint rounds to one of
     # its ends.  The search must stop there; a budget on calls of the
-    # evaluation core, which the checked evaluation at hi and every
-    # bisection step run, stands in for a timeout.
-    calls = []
-    terms = fun._terms
+    # prepared evaluation cores, the one of the checked evaluation at hi and
+    # the one every bisection step runs, stands in for a timeout.
+    cores = []
+    prepare = fun._prepare
 
-    def budgeted(*args):
-        calls.append(args)
-        if len(calls) > 500:
-            raise RuntimeError("radius search does not terminate")
-        return terms(*args)
+    def budgeted(spec, family):
+        terms, calls = prepare(spec, family), []
+        cores.append(calls)
 
-    monkeypatch.setattr(fun, "_terms", budgeted)
+        def counted(*args):
+            calls.append(args)
+            if sum(map(len, cores)) > 500:
+                raise RuntimeError("radius search does not terminate")
+            return terms(*args)
+
+        return counted
+
+    monkeypatch.setattr(fun, "_prepare", budgeted)
     result = radius_search(preset("classic"), MoebiusDisk(0.5), tol=tol)
     monkeypatch.undo()
     lo, hi = result.bracket
     assert hi == math.nextafter(lo, math.inf)
     assert result.binding and lo <= result.radius <= hi
-    assert result.iterations == len(calls) - 1  # after the one evaluation at hi
+    # One evaluation at hi, then one core prepared for every step.
+    assert [len(calls) for calls in cores] == [1, result.iterations]
     spec, family = preset("classic"), MoebiusDisk(0.5)
     assert evaluate(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
     assert evaluate(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
@@ -337,22 +344,47 @@ _SEARCH_CASES = [
     ("thm_e", FiniteBlaschke((0.3, -0.5, 0.2j))),
     ("classic", FiniteBlaschke((0.5,))),
     ("classic", ConstantFn(0.3)),
+    ("thm_a", MoebiusDisk(0.3)),
+    ("thm_b1", MoebiusDisk(-0.0)),
+    ("thm_c", MoebiusDisk(0.6)),
+    ("thm_2_2", ExtremalPolydiskUnit(0.5, 5)),
+    ("thm_2_2-literal", ExtremalPolydiskScaled(-0.0, 5)),
+    ("thm_a-literal", ExtremalPolydiskUnit(0.2, 5)),
+    ("thm_c-literal", ExtremalPolydiskScaled(0.7, 2)),
 ]
 
 
+_SEARCH_IDS = [f"{name}-{type(family).__name__}" for name, family in _SEARCH_CASES]
+
+
+def _search_spec(name):
+    """The preset of a case name, under the interpretation after a dash."""
+    preset_name, _, interp = name.partition("-")
+    spec = preset(preset_name)
+    return spec.with_interpretation(interp) if interp else spec
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-16, 5e-324])
-@pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=[
-    f"{name}-{type(family).__name__}" for name, family in _SEARCH_CASES
-])
+@pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=_SEARCH_IDS)
 def test_radius_search_equals_a_bisection_on_public_evaluate(name, family, tol):
     # The search checks its radius once and then runs the core at each
     # midpoint; every field equals a search that checks every midpoint.
-    preset_name, _, interp = name.partition("-")
-    spec = preset(preset_name)
-    if interp:
-        spec = spec.with_interpretation(interp)
+    spec = _search_spec(name)
     expected = _reference_radius_search(spec, family, tol)
     assert repr(radius_search(spec, family, tol=tol)) == repr(expected)
+
+
+@pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=_SEARCH_IDS)
+def test_radius_search_builds_one_breakdown(monkeypatch, name, family):
+    # Whatever its iterations, a search builds one record, the one of its
+    # checked evaluation at hi: its steps read the total and certification
+    # from the core.
+    spec = _search_spec(name)
+    breakdowns = _count_builds(monkeypatch)
+    for tol in (1e-3, 1e-9, 5e-324):
+        breakdowns.clear()
+        radius_search(spec, family, tol=tol)
+        assert len(breakdowns) == 1
 
 
 def test_radius_search_rejects_non_monotone_functional():
@@ -891,6 +923,34 @@ def test_sweep_rows_equal_per_row_evaluation_with_both_zero_radii(tid):
         repr(row) for row in _sweep_reference(tid, ns, grid, radii)
     ]
     assert {repr(row.r) for row in rows} == {"0.0", "-0.0", "0.1"}
+
+
+@pytest.mark.parametrize("tid", ["classic", "B1", "B2", "T21"])
+def test_sweep_keeps_the_sign_of_negative_zero_weights(monkeypatch, tid):
+    # A spec whose weights are all -0.0 weighs no area: its A^2 and extra
+    # contributions are -0.0 on every row, as evaluate reports them.
+    spec = FunctionalSpec(preset(THEOREMS[tid].preset_name).head, -0.0, -0.0, -0.0)
+    monkeypatch.setattr(fun, "preset", lambda name: spec)
+    ns, grid = [1, 2, 5] if THEOREMS[tid].multidimensional else [1], [0.4, -0.0, 0.0, 0.9]
+    for radii in ([-0.0], [0.1, -0.0]):  # one set or two per n = 1
+        rows = theorem_sweep(tid, ns, grid, radii).rows
+        expected = sorted(
+            (
+                SweepRow(tid, n, a, r, evaluate(
+                    spec.with_interpretation(interp), theorem_family(tid, a, n),
+                    RadiusSpec.diagonal(n, r),
+                ))
+                for n in ns for a in grid for r in radii
+                for interp in ([INTERP_LITERAL] if n == 1 else [INTERP_LITERAL, INTERP_SLICE])
+            ),
+            key=_sweep_key,
+        )
+        assert [repr(row) for row in rows] == [repr(row) for row in expected]
+        contributions = {
+            repr(value) for row in rows
+            for value in (row.breakdown.area_sq_contribution, row.breakdown.extra_area_contribution)
+        }
+        assert contributions == {"-0.0"}
 
 
 def test_lemma_default_degree_is_the_truncation_degree():
