@@ -30,8 +30,8 @@ returns the per-radius evaluation, which takes the checked polyradius and
 its sigma, reads the sigma-dependent terms through the family's methods and
 returns the ten ``TermBreakdown`` fields as a plain tuple.  ``evaluate``
 builds the record from them with ``_breakdown``; a radius search prepares
-the core once and reads the total and certification of each step from the
-tuple, with no record.  The grid kernel is the same functional for the
+the core once and reads the total and certification of each radius it tries
+from the tuple.  The grid kernel is the same functional for the
 Moebius-type family of one class and n over a grid of a, and builds no
 family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,

@@ -307,24 +307,28 @@ class _MoebiusType(_Family):
     @staticmethod
     def sup_grid(avals, sigma: float) -> list[float]:
         """sup |f| on the torus, for every a of avals."""
-        return [(a + sigma) / (1.0 + a * sigma) for a in avals]
+        # The column rules hold no float literal, so exact inputs give exact
+        # columns.  The rules a scan runs over its grid take their 1 in
+        # sigma's type: float-only arithmetic runs faster than int-float.
+        unit = type(sigma)(1)
+        return [(a + sigma) / (unit + a * sigma) for a in avals]
 
     @staticmethod
     def majorant_tail_grid(avals, K: int, sigma: float) -> list[float]:
         """sum_{k>K} |c_k| sigma^k, for every a of avals."""
         # At K = 0 (the majorant) a**K is 1.0, skipped as x * 1.0 == x.
-        power = sigma ** (K + 1)
+        power, unit = sigma ** (K + 1), type(sigma)(1)
         if K == 0:
-            return [(1.0 - a * a) * power / (1.0 - a * sigma) for a in avals]
-        return [(1.0 - a * a) * a**K * power / (1.0 - a * sigma) for a in avals]
+            return [(unit - a * a) * power / (unit - a * sigma) for a in avals]
+        return [(unit - a * a) * a**K * power / (unit - a * sigma) for a in avals]
 
     @staticmethod
     def area_grid(avals, sigma: float) -> list[float]:
         """sum_{k>=1} k |c_k|^2 sigma^(2k), for every a of avals."""
-        ss = sigma * sigma
+        ss, unit = sigma * sigma, type(sigma)(1)
         # ``** 2`` calls the libm pow, one ulp off d * d at near-ties: the golden bits rest on it.
         return [
-            ss * (one := 1.0 - (aa := a * a)) * one / (1.0 - aa * sigma * sigma) ** 2 for a in avals
+            ss * (c1 := unit - (aa := a * a)) * c1 / (unit - aa * sigma * sigma) ** 2 for a in avals
         ]
 
     @staticmethod
@@ -342,7 +346,7 @@ class _MoebiusType(_Family):
         powers = list(map(pow, repeat(sigma), range(0, 2 * max(degrees, default=(0,))[0] + 1, 2)))
         return [
             [k * one_sq * a ** (2 * k - 2) * powers[k] for k in range(1, K + 1)]
-            for a, one_sq, (K, _) in zip(avals, [(1.0 - a * a) ** 2 for a in avals], degrees)
+            for a, one_sq, (K, _) in zip(avals, [(1 - a * a) ** 2 for a in avals], degrees)
         ]
 
     @staticmethod
@@ -362,7 +366,7 @@ class _MoebiusType(_Family):
     def sq_masses(self, K: int) -> list[float]:
         # Degree-k masses of u-coefficients; equal to m2(k) when q = n.
         a = self.a
-        one_sq = (1.0 - a * a) ** 2
+        one_sq = (1 - a * a) ** 2
         return [a * a] + [
             one_sq * a ** (2 * k - 2) * multinomial_sq_ratio(self.n, k) for k in range(1, K + 1)
         ]
@@ -383,8 +387,8 @@ def _sq_tail_rule(a: float, sigma: float) -> Callable[[int], float]:
     """K -> sum_{k>K} k |c_k|^2 sigma^(2k) of a Moebius-type family, with
     the K-free factors computed once for a whole degree search."""
     y = (a * sigma) ** 2
-    one = 1.0 - a * a
-    lead, den = one * one * sigma * sigma, (1.0 - y) ** 2
+    one = 1 - a * a
+    lead, den = one * one * sigma * sigma, (1 - y) ** 2
     return lambda K: lead * y**K * ((K + 1) - K * y) / den
 
 

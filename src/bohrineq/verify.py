@@ -19,9 +19,9 @@ since neither depends on a, and read the a-grid from the column kernel of
 sums one total column per spec from one read of the terms, and a sweep
 builds rows at C speed, the slice breakdowns once per sigma, and sorts
 them, stably, unless n, the radii and the grid strictly increase.  A radius
-search checks its radius once, through ``evaluate``, prepares the
-evaluation core of ``functionals`` once, and runs it at each midpoint,
-reading the total and certification without building a record.  Lemma
+search checks its top radius once, prepares the evaluation core of
+``functionals`` once, and runs it at the top and at each midpoint, reading
+the total and certification without building a record.  Lemma
 checks admit only families bounded by one on the unit polydisk, which is
 the hypothesis the lemmas carry, and sum each family to the degree
 ``series.truncation`` picks for the tail of the lemma.
@@ -177,34 +177,33 @@ def radius_search(
     majorant tail and both readings of the area are power series in bold_r
     with nonnegative coefficients.  Bisection therefore needs no presamples,
     and a certified total(lo) <= 1 certifies the whole interval [0, lo].
-    One checked ``evaluate`` at hi, near the cap, decides whether the total
-    reaches 1; if not, the result is hi with binding = False.  Each midpoint
-    lies in (0, hi), so it passes every check of hi, and a step runs alone
-    the core of ``functionals._prepare``, prepared once per search: it reads
-    the total and certification from the core's fields, and ``certified``
-    holds only when it holds at hi and at every step.  Bisection stops at
-    width ``tol``, or earlier when the midpoint no longer splits the
-    bracket: it then holds two adjacent floats.  ``tol`` is read like a
-    sweep's (``check_tolerance``) and must be positive.
+    hi, near the cap, is checked once; each midpoint lies in (0, hi), so it
+    passes every check of hi.  One core of ``functionals._prepare`` decides
+    hi and each midpoint from its total and certification, building no
+    record.  A total of at most 1 at hi gives hi with binding = False;
+    ``certified`` holds only when it holds at hi and at every step.
+    Bisection stops at width ``tol``, or earlier when the midpoint no longer
+    splits the bracket: it then holds two adjacent floats.  ``tol`` is read
+    like a sweep's (``check_tolerance``) and must be positive.
     """
     if tol is None or not (tol := check_tolerance(tol)) > 0:
         raise DomainError("tolerance must be finite and positive")
     n, cap = family.n, family.cap
     hi = cap * (1.0 - 1e-9)
-    top = fun.evaluate(spec, family, fun.RadiusSpec.diagonal(n, hi))
-    certified = top.certified
-    if top.total <= 1.0:
+    fun._check_radius_for(family, fun.RadiusSpec.diagonal(n, hi), n)
+    terms = fun._prepare(spec, family)
+    coords = (hi,) * n
+    total, _, certified = terms(coords, family.sigma(coords))[5:8]  # TermBreakdown order
+    if total <= 1.0:
         return RadiusResult(hi, (hi, cap), 0, False, certified)
 
-    terms = fun._prepare(spec, family)
-    lo = 0.0
-    iterations = 0
+    lo, iterations = 0.0, 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         coords = (mid,) * n
-        total, _, step_certified = terms(coords, family.sigma(coords))[5:8]  # TermBreakdown order
+        total, _, step_certified = terms(coords, family.sigma(coords))[5:8]
         certified = certified and step_certified
         if total <= 1.0:
             lo = mid

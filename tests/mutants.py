@@ -128,6 +128,12 @@ MUTANTS = [
         "radius_search: a midpoint is kept only when its total is <= 1",
     ),
     Mutant(
+        "radius-top", "verify.py",
+        "if total <= 1.0:\n        return RadiusResult(hi, (hi, cap), 0, False, certified)",
+        "if False:\n        return RadiusResult(hi, (hi, cap), 0, False, certified)",
+        "radius_search: a total of at most 1 at hi is the non-binding result",
+    ),
+    Mutant(
         "infinite-tolerance", "verify.py",
         "if math.isinf(value):",
         "if False:",
@@ -273,8 +279,8 @@ MUTANTS = [
     ),
     Mutant(
         "area-square-pow", "series.py",
-        "/ (1.0 - aa * sigma * sigma) ** 2 for a in avals",
-        "/ ((d := 1.0 - aa * sigma * sigma) * d) for a in avals",
+        "/ (unit - aa * sigma * sigma) ** 2 for a in avals",
+        "/ ((d := unit - aa * sigma * sigma) * d) for a in avals",
         "area_grid: the denominator is squared by the libm pow the golden bits rest on",
     ),
     # Every certified tail added to a total.

@@ -5,7 +5,9 @@ import math
 import random
 import sys
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -819,22 +821,30 @@ def test_sq_multinomial_sums_follow_their_recurrences():
 @pytest.mark.parametrize("cls", [ExtremalPolydiskUnit, ExtremalPolydiskScaled])
 @pytest.mark.parametrize("a, radii", [
     (0.5, (0.2, 0.2)), (0.7, (0.1, 0.3)), (0.9, (0.05, 0.4)), (0.3, (0.45, 0.01)),
+    *((a, (r, r)) for a in (0.0, 0.3, 0.5, 0.9, 0.99) for r in (0.05, 0.2, 0.45)),
 ])
 def test_literal_area_in_two_variables_matches_its_closed_form(cls, a, radii):
     # For n = 2, sum_k W_k c^k = G(c) = ((1 - c)(1 - c d))^(-1/2) with
     # c = a^2 sigma^2 and d = ((r_1 - r_2)/(r_1 + r_2))^2, so the literal area
-    # is (1 - a^2)^2 sigma^2 G'(c).  The series sums W_k to K and adds the
-    # slice tail (W_k <= 1): it lies above the closed form, by less than that tail.
+    # is (1 - a^2)^2 sigma^2 G'(c); on the diagonal, d = 0 and it is
+    # (1 - a^2)^2 sigma^2 / (2 (1 - c)^(3/2)).  The series sums W_k to K and
+    # adds the slice tail (W_k <= 1): it lies above the closed form,
+    # evaluated to 40 digits at the float a, sigma and radii, by at most that
+    # tail plus one ulp, the rounding of the reported sum (at a = 0 the tail
+    # is 0 and the area is sigma^2 / 2 rounded).
     family = cls(a, 2)
     sigma = family.sigma(radii)
-    c, d = (a * sigma) ** 2, ((radii[0] - radii[1]) / (radii[0] + radii[1])) ** 2
-    g_prime = 0.5 * ((1 - c) * (1 - c * d)) ** -0.5 * (1 / (1 - c) + d / (1 - c * d))
-    closed = (1 - a * a) ** 2 * sigma**2 * g_prime
     degrees = cls.degree_grid((a,), sigma)
     series = family.literal_area(sigma, radii)
     terms = cls.slice_term_grid((a,), sigma, degrees)
     assert series == cls.literal_area_grid(terms, degrees, radii, 2)[0]
-    assert 0 < series - closed <= degrees[0][1]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        (r1, r2), s = map(Decimal, radii), Decimal(sigma)
+        c, d = (Decimal(a) * s) ** 2, ((r1 - r2) / (r1 + r2)) ** 2
+        g_prime = (1 / (1 - c) + d / (1 - c * d)) / (2 * ((1 - c) * (1 - c * d)).sqrt())
+        excess = Decimal(series) - (1 - Decimal(a) ** 2) ** 2 * s * s * g_prime
+    assert 0 < excess <= Decimal(degrees[0][1]) + Decimal(math.ulp(series))
 
 
 def _exact_degree_weights(radii, K):
@@ -1089,6 +1099,44 @@ def test_area_grid_squares_its_denominator_with_pow(cls, n):
         assert area != sigma * sigma * one * one / (d * d)
         assert repr(cls.area_grid([a], sigma)) == repr([area])
         assert repr(_moebius(cls, a, n).area(sigma)) == repr(area)
+
+
+def test_moebius_column_rules_are_exact_on_fractions(monkeypatch):
+    # The rules hold no float literal, so on Fraction inputs each one
+    # computes its closed form exactly: here against formulas written out
+    # from c_k = -(1 - a^2) a^(k-1), and against each other, as the slice
+    # terms to K plus the square tail at K give the area for every K.
+    rule, K = ser._MoebiusType, 6
+    avals = [Fraction(0), Fraction(1, 2), Fraction(9, 10)]
+
+    def exact_ratio(n, k):  # the diagonal W_k, exactly
+        return Fraction(ser._sq_multinomial_sum(n, k), n ** (2 * k))
+
+    monkeypatch.setattr(ser, "multinomial_sq_ratio", exact_ratio)
+    for sigma in (Fraction(1, 5), Fraction(1, 3)):
+        sups, areas = rule.sup_grid(avals, sigma), rule.area_grid(avals, sigma)
+        tails = [rule.majorant_tail_grid(avals, k, sigma) for k in range(K + 1)]
+        terms = rule.slice_term_grid(avals, sigma, [(K, 0)] * len(avals))
+        for i, a in enumerate(avals):
+            c = [-(1 - a * a) * a ** (k - 1) for k in range(1, K + 1)]  # c_1..c_K
+            sq_tails = [ser._sq_tail_rule(a, sigma)(k) for k in range(K + 1)]
+            masses = {n: rule.sq_masses(SimpleNamespace(a=a, n=n), K) for n in (1, 2)}
+            values = [sups[i], areas[i], *terms[i], *(t[i] for t in tails), *sq_tails]
+            assert all(type(v) is Fraction for v in values + masses[1] + masses[2])
+            assert sups[i] == abs(a + sigma) / (1 + a * sigma)  # |psi_a(-sigma)|
+            for k in range(K + 1):
+                assert tails[k][i] == (1 - a * a) * a**k * sigma ** (k + 1) / (1 - a * sigma)
+            for k in range(K):  # consecutive tails differ by |c_(k+1)| sigma^(k+1)
+                assert tails[k][i] - tails[k + 1][i] == abs(c[k]) * sigma ** (k + 1)
+            assert areas[i] == sigma**2 * (1 - a * a) ** 2 / (1 - a * a * sigma**2) ** 2
+            assert terms[i] == [k * c[k - 1] ** 2 * sigma ** (2 * k) for k in range(1, K + 1)]
+            assert all(sum(terms[i][:k]) + sq_tails[k] == areas[i] for k in range(K + 1))
+            for n, m in masses.items():
+                assert m == [a * a] + [c[k - 1] ** 2 * exact_ratio(n, k) for k in range(1, K + 1)]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert rule.sup_grid([half], third) == [Fraction(5, 7)]
+    assert rule.majorant_tail_grid([half], 0, third) == [Fraction(3, 10)]
+    assert rule.area_grid([half], third) == [Fraction(81, 1225)]
 
 
 @pytest.mark.parametrize("cls, n", _MOEBIUS_CLASSES[1:], ids=lambda v: getattr(v, "__name__", v))

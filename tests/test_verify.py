@@ -243,13 +243,34 @@ def test_classic_radius_law():
         assert abs(result.radius - 1.0 / (1.0 + 2.0 * a)) <= 1e-9
 
 
+def _count_cores(monkeypatch, budget=math.inf):
+    """Record, for each evaluation core ``functionals._prepare`` prepares,
+    the calls of that core; more than budget calls in all raise, which
+    stands in for a timeout."""
+    cores = []
+    prepare = fun._prepare
+
+    def counted_prepare(spec, family):
+        terms, calls = prepare(spec, family), []
+        cores.append(calls)
+
+        def counted(*args):
+            calls.append(args)
+            if sum(map(len, cores)) > budget:
+                raise RuntimeError("radius search does not terminate")
+            return terms(*args)
+
+        return counted
+
+    monkeypatch.setattr(fun, "_prepare", counted_prepare)
+    return cores
+
+
 def test_radius_search_non_binding_constant(monkeypatch):
-    calls = []
-    evaluate_ = fun.evaluate
-    monkeypatch.setattr(fun, "evaluate", lambda *args: calls.append(args) or evaluate_(*args))
+    cores = _count_cores(monkeypatch)
     result = radius_search(preset("classic"), ConstantFn(0.3))
     assert not result.binding
-    assert len(calls) == 1  # the total at hi decides; nothing is sampled
+    assert [len(calls) for calls in cores] == [1]  # the total at hi decides; nothing is sampled
     assert result.radius == pytest.approx(1.0, abs=1e-8)
 
 
@@ -275,31 +296,15 @@ def test_radius_search_stable_under_tolerance_refinement():
 def test_radius_search_stops_at_adjacent_floats(monkeypatch, tol):
     # Below the float spacing of the bracket the midpoint rounds to one of
     # its ends.  The search must stop there; a budget on calls of the
-    # prepared evaluation cores, the one of the checked evaluation at hi and
-    # the one every bisection step runs, stands in for a timeout.
-    cores = []
-    prepare = fun._prepare
-
-    def budgeted(spec, family):
-        terms, calls = prepare(spec, family), []
-        cores.append(calls)
-
-        def counted(*args):
-            calls.append(args)
-            if sum(map(len, cores)) > 500:
-                raise RuntimeError("radius search does not terminate")
-            return terms(*args)
-
-        return counted
-
-    monkeypatch.setattr(fun, "_prepare", budgeted)
+    # prepared evaluation core stands in for a timeout.
+    cores = _count_cores(monkeypatch, budget=500)
     result = radius_search(preset("classic"), MoebiusDisk(0.5), tol=tol)
     monkeypatch.undo()
     lo, hi = result.bracket
     assert hi == math.nextafter(lo, math.inf)
     assert result.binding and lo <= result.radius <= hi
-    # One evaluation at hi, then one core prepared for every step.
-    assert [len(calls) for calls in cores] == [1, result.iterations]
+    # One core, run at hi and then at every step.
+    assert [len(calls) for calls in cores] == [1 + result.iterations]
     spec, family = preset("classic"), MoebiusDisk(0.5)
     assert evaluate(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
     assert evaluate(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
@@ -367,8 +372,8 @@ def _search_spec(name):
 @pytest.mark.parametrize("tol", [1e-9, 1e-16, 5e-324])
 @pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=_SEARCH_IDS)
 def test_radius_search_equals_a_bisection_on_public_evaluate(name, family, tol):
-    # The search checks its radius once and then runs the core at each
-    # midpoint; every field equals a search that checks every midpoint.
+    # The search checks hi once and then runs one core at hi and at each
+    # midpoint; every field equals a search that checks every radius.
     spec = _search_spec(name)
     expected = _reference_radius_search(spec, family, tol)
     assert repr(radius_search(spec, family, tol=tol)) == repr(expected)
@@ -376,15 +381,18 @@ def test_radius_search_equals_a_bisection_on_public_evaluate(name, family, tol):
 
 @pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=_SEARCH_IDS)
 def test_radius_search_builds_one_breakdown(monkeypatch, name, family):
-    # Whatever its iterations, a search builds one record, the one of its
-    # checked evaluation at hi: its steps read the total and certification
-    # from the core.
+    # Whatever its iterations, a search prepares one core, calls no
+    # ``evaluate`` and builds no record: the core decides hi and every
+    # midpoint, read from its total and certification.
     spec = _search_spec(name)
     breakdowns = _count_builds(monkeypatch)
+    evaluations = _count_calls(monkeypatch, fun, "evaluate")
+    cores = _count_cores(monkeypatch)
     for tol in (1e-3, 1e-9, 5e-324):
-        breakdowns.clear()
+        for calls in (breakdowns, evaluations, cores):
+            calls.clear()
         radius_search(spec, family, tol=tol)
-        assert len(breakdowns) == 1
+        assert (len(cores), len(evaluations), len(breakdowns)) == (1, 0, 0)
 
 
 def test_radius_search_rejects_non_monotone_functional():
@@ -1014,10 +1022,9 @@ def test_sweep_builds_one_tail_rule_per_a_and_sigma(monkeypatch):
 def _count_builds(monkeypatch):
     """Count every construction of a ``TermBreakdown``: through its
     constructor, through ``_make``, which ``_replace`` also calls, through
-    ``functionals._breakdown``, which builds the rows of ``evaluate`` and
-    radius searches at C speed, and through ``verify._rows``, which builds
-    the breakdowns of sweeps from their columns, each counted as it is
-    built."""
+    ``functionals._breakdown``, which builds the rows of ``evaluate`` at C
+    speed, and through ``verify._rows``, which builds the breakdowns of
+    sweeps from their columns, each counted as it is built."""
     calls = []
     new, make, breakdown = TermBreakdown.__new__, TermBreakdown._make.__func__, fun._breakdown
     rows = ver._rows
