@@ -2,8 +2,11 @@
 
 Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
 to stdout or --out, byte-stable across runs for identical arguments.  Each
-row is built by zipping its command's ``*_COLUMNS`` list with the record it
-prints, so every column is named once.
+command hands ``emit`` its rows as tuples in the order of its ``*_COLUMNS``
+list, so every column is named once.  CSV is formatted one column at a
+time: a column of one repeated value (the theorem, n, r, epsilon of a scan)
+is formatted once, and a float column by one ``format`` map.  JSON rows are
+dicts keyed by the column names, built for JSON only.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
 64 usage, 65 domain error, 67 expansion budget, 73 --out file that cannot
@@ -16,8 +19,10 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -143,23 +148,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_column(column: tuple) -> Iterable[str]:
+    """``_fmt`` of every value of one report column: once for a column of
+    one repeated object, by one ``format`` map for a column of floats."""
+    first = column[0]
+    if all(map(operator.is_, column, repeat(first))):
+        return repeat(_fmt(first), len(column))
+    if set(map(type, column)) == {float}:
+        return map(format, column, repeat(".12g"))
+    return map(_fmt, column)
+
+
 def emit(
-    rows: list[dict],
+    rows: list[tuple],
     columns: list[str],
     out_format: str,
     out_path: str | None,
     meta: dict,
 ) -> None:
+    """Write rows, tuples in the order of columns, as CSV or JSON."""
     if out_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerows(zip(*map(_fmt_column, zip(*rows))))
         text = buffer.getvalue()
     else:
         text = json.dumps(
-            {"meta": meta, "rows": rows}, indent=2, sort_keys=True
+            {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]},
+            indent=2, sort_keys=True,
         ) + "\n"
     if out_path:
         try:
@@ -173,9 +190,9 @@ def emit(
 
 def _breakdown_row(
     theorem: str, n: int, a: float, r: float, breakdown: fun.TermBreakdown
-) -> dict:
+) -> tuple:
     # head_value..margin and then certified open the record.
-    return dict(zip(VERIFY_COLUMNS, (theorem, n, a, r, breakdown.interpretation, *breakdown[:8])))
+    return (theorem, n, a, r, breakdown.interpretation, *breakdown[:8])
 
 
 # --------------------------------------------------------------------------
@@ -185,13 +202,11 @@ def _breakdown_row(
 def cmd_constants(ns: argparse.Namespace) -> int:
     report = sharp.constants_report(tol_override=ns.tol)
     d = report.as_dict()
-    # ``emit`` reads only CONSTANTS_COLUMNS from the row.
-    row = dict(d, **{f"resid_{k}": v for k, v in d["residuals"].items()})
+    values = dict(d, **{f"resid_{k}": v for k, v in d["residuals"].items()})
+    # A JSON row is the report's dict, with the residuals nested.
+    columns = list(d) if ns.format == "json" else CONSTANTS_COLUMNS
     meta = dict(command="constants", tolerances=report.tolerances)
-    if ns.format == "json":
-        emit([d], CONSTANTS_COLUMNS, "json", ns.out, meta)
-    else:
-        emit([row], CONSTANTS_COLUMNS, "csv", ns.out, meta)
+    emit([tuple(map(values.get, columns))], columns, ns.format, ns.out, meta)
     if not report.ok:
         print(
             "constants residual breach: " + ", ".join(report.failed()),
@@ -205,7 +220,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     theorem_id = ns.theorem
     ver.check_tolerance(ns.tol)
     spec = fun.preset(ver.THEOREMS[theorem_id].preset_name)
-    rows: list[dict] = []
+    rows: list[tuple] = []
     violations = 0
     if ns.family is not None:
         family = parse_family(ns.family)
@@ -238,7 +253,7 @@ def cmd_radius(ns: argparse.Namespace) -> int:
     result = ver.radius_search(fun.preset(preset_name), family, tol=ns.tol)
     values = (name, ns.family, ser.dimension(family), result.radius, *result.bracket, *result[2:])
     meta = dict(command="radius", functional=name, family=ns.family, tol=ns.tol)
-    emit([dict(zip(RADIUS_COLUMNS, values))], RADIUS_COLUMNS, ns.format, ns.out, meta)
+    emit([values], RADIUS_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK
 
 
@@ -252,10 +267,8 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     a_grid = parse_grid(ns.a) if ns.a else ver.grid_values(0.0, 0.9999, 0.0001)
     bold_r = None if ns.r == "threshold" else _resolve_r(ns.r, theorem_id, n)
     report = ver.sharpness_scan(theorem_id, a_grid, n=n, bold_r=bold_r, epsilon=ns.epsilon)
-    rows = [
-        dict(zip(SCAN_COLUMNS, (theorem_id, n, a, report.bold_r, report.epsilon, *totals)))
-        for a, *totals in report.rows
-    ]
+    r, epsilon = report.bold_r, report.epsilon
+    rows = [(theorem_id, n, a, r, epsilon, total, perturbed) for a, total, perturbed in report.rows]
     # The maxima and a_star close the record.
     meta = dict(zip(report._fields[5:], report[5:]), command="scan", theorem=theorem_id)
     emit(rows, SCAN_COLUMNS, ns.format, ns.out, meta)
@@ -273,7 +286,7 @@ def cmd_lemma(ns: argparse.Namespace) -> int:
     n, a0 = ser.dimension(family), abs(ser.constant_term(family))
     values = (ns.part, ns.family, n, a0, r, check.lhs, check.rhs, check.gap, check.ok)
     meta = dict(command="lemma", part=ns.part, family=ns.family, r=r)
-    emit([dict(zip(LEMMA_COLUMNS, values))], LEMMA_COLUMNS, ns.format, ns.out, meta)
+    emit([values], LEMMA_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK if check.ok else EXIT_VIOLATIONS
 
 

@@ -37,6 +37,13 @@ family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,
 ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
 each set of equal columns built once, from which the sweep builds its rows.
+``_prepare``'s core is the reference order of operations; ``_grid_totals``
+keeps its bits but sums only the weighted terms.  A zero weight adds +-0.0,
+which changes only a -0.0 partial sum, and a positive-weight term maps -0.0
+and +0.0 to one value, as no area is -0.0: so a zero-weight term is dropped
+when some weight is positive, and with none the three fold into one signed
+zero, -0.0 only when all three weights are.  A zero weight's contribution
+column is that signed zero, repeated.
 """
 
 from __future__ import annotations
@@ -398,12 +405,45 @@ def _grid_terms(
 
 
 def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) -> list[float]:
-    """The total column: the sum of ``_prepare``'s core, in its order of operations."""
-    weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
-    return [
-        head + tail + weight * area + sq_weight * area * area + extra_weight * area
-        for head, tail, area in zip(heads, tails, areas)
-    ]
+    """The total column: the sum of ``_prepare``'s core,
+
+        head + tail + w * area + w_q * area * area + w_x * area,
+
+    with the bits of its order of operations, summed over the weighted
+    terms only.  A term whose weight is zero is dropped when some weight is
+    positive; when none is, the three terms fold into one signed zero,
+    w + w_q + w_x.  Both keep every bit, since every area column is finite
+    and +0.0 or above, never -0.0 (a sum of squares times sigma^2 >= +0.0):
+
+    - a zero weight gives a term of +-0.0, of the weight's sign;
+    - adding +-0.0 changes a partial sum only when that sum is -0.0, and
+      then only +0.0 changes it, to +0.0;
+    - a positive-weight term is +0.0 or above, and maps a -0.0 and a +0.0
+      partial sum to the same value, so the zero terms dropped before it do
+      not show, and the partial sums after it are never -0.0;
+    - with no positive weight, head + tail gains the three zeros in turn,
+      which is adding -0.0 when all three are -0.0 and +0.0 otherwise: the
+      sign of their sum.
+    """
+    w, w_q, w_x = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    rows = zip(heads, tails, areas)
+    match bool(w), bool(w_q), bool(w_x):
+        case False, False, False:
+            zero = w + w_q + w_x
+            return [head + tail + zero for head, tail in zip(heads, tails)]
+        case True, False, False:
+            return [head + tail + w * area for head, tail, area in rows]
+        case False, True, False:
+            return [head + tail + w_q * area * area for head, tail, area in rows]
+        case False, False, True:
+            return [head + tail + w_x * area for head, tail, area in rows]
+        case True, True, False:
+            return [head + tail + w * area + w_q * area * area for head, tail, area in rows]
+        case True, False, True:
+            return [head + tail + w * area + w_x * area for head, tail, area in rows]
+        case False, True, True:
+            return [head + tail + w_q * area * area + w_x * area for head, tail, area in rows]
+    return [head + tail + w * area + w_q * area * area + w_x * area for head, tail, area in rows]
 
 
 def _grid_columns(
@@ -421,13 +461,11 @@ def _grid_columns(
     if key not in shared:
         heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
         totals = _grid_totals(spec, heads, tails, areas)
-        sq_weight, extra_weight = spec.area_sq_weight, spec.extra_area_weight
-        size = len(heads)
-        if spec.uses_area():
-            area_sq = [sq_weight * area * area for area in areas]
-            extra = [extra_weight * area for area in areas]
-        else:  # areas is [0.0] * size; the products keep the sign of a -0.0 weight
-            area_sq, extra = [sq_weight * 0.0 * 0.0] * size, [extra_weight * 0.0] * size
+        w_q, w_x, size = spec.area_sq_weight, spec.extra_area_weight, len(heads)
+        # A zero weight gives one signed zero, of its own sign, on every row
+        # (``_grid_totals``): the column is that product, repeated.
+        area_sq = [w_q * area * area for area in areas] if w_q else [w_q * 0.0 * 0.0] * size
+        extra = [w_x * area for area in areas] if w_x else [w_x * 0.0] * size
         # Moebius-type heads and tails are exact closed forms: every row is certified.
         shared[key] = (
             heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],

@@ -16,21 +16,23 @@ interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the column kernel of
 ``functionals``, which builds each (a, sigma) column once per call: a scan
-sums one total column per spec from one read of the terms, and a sweep
-builds rows at C speed, the slice breakdowns once per sigma, and sorts
-them, stably, unless n, the radii and the grid strictly increase.  A radius
-search checks its top radius once, prepares the evaluation core of
-``functionals`` once, and runs it at the top and at each midpoint, reading
-the total and certification without building a record.  Lemma
-checks admit only families bounded by one on the unit polydisk, which is
-the hypothesis the lemmas carry, and sum each family to the degree
-``series.truncation`` picks for the tail of the lemma.
+reads its grid once into a sorted list, checks it at its ends and by one
+sum, inserts a* in order by bisection, and sums one total column per spec
+from one read of the terms; a sweep builds rows at C speed, the slice
+breakdowns once per sigma, and sorts them, stably, unless n, the radii and
+the grid strictly increase.  A radius search checks its top radius once,
+prepares the evaluation core of ``functionals`` once, and runs it at the
+top and at each midpoint, reading the total and certification without
+building a record.  Lemma checks admit only families bounded by one on
+the unit polydisk, which is the hypothesis the lemmas carry, and sum each
+family to the degree ``series.truncation`` picks for the tail of the lemma.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import replace
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
@@ -335,10 +337,11 @@ class ScanReport(NamedTuple):
 
 def _largest(totals: list[float], grid: list[float]) -> tuple[float, float]:
     """max(zip(totals, grid)) at C speed, for a sorted grid and totals that
-    are never NaN and equal at equal a (repeats, 0.0 and -0.0)."""
+    are never NaN and equal at equal a (repeats, 0.0 and -0.0): the largest
+    total, the a of its last index, and the first index of that a, found
+    by bisection, as equal points are adjacent."""
     top = max(totals)
-    a = grid[len(totals) - 1 - totals[::-1].index(top)]
-    first = grid.index(a)
+    first = bisect_left(grid, grid[len(totals) - 1 - totals[::-1].index(top)])
     return totals[first], grid[first]
 
 
@@ -355,26 +358,33 @@ def sharpness_scan(
 
     A preset that weighs A^2 has an interior extremal parameter, a*_1 with
     the constant head (C, T21) and a*_2 with the squared head (D, T22); it
-    is appended to the grid, so the reported maximum exhibits the equality
-    case exactly, and reported as ``a_star`` (None for other theorems).
+    is inserted in order into the grid unless the grid holds it, so the
+    reported maximum exhibits the equality case exactly, and reported as
+    ``a_star`` (None for other theorems).
+
+    The grid is read once, as floats, into a sorted list, whose ends are
+    its least and greatest points; a finite sum rules out NaN and +-inf.
+    Sorting is stable, so equal points (repeats, 0.0 and -0.0) keep their
+    input order.
     """
     td = _theorem(theorem_id)
     n = _check_n(theorem_id, n)
     if not 0 <= (epsilon := ser._real(epsilon, "epsilon")) < math.inf:
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
-    grid = list(ser._numbers(a_grid, "scan grid"))
-    _check_grid(grid, "scan grid")
+    grid = sorted(ser._numbers(a_grid, "scan grid"))
+    if grid and not (math.isfinite(sum(grid)) and grid[0] >= 0.0 and grid[-1] < 1.0):
+        raise DomainError("scan grid must lie inside [0, 1)")
     spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
     field, a_star = "extra_area_weight", None
     if spec.area_sq_weight:  # lambda_1 or lambda_2, sharp at a*_1 or a*_2 of the head
         field, c = "area_sq_weight", sharp.sharp_constants()
         a_star = c.a_star1 if spec.head == fun.HEAD_CONSTANT else c.a_star2
-    if a_star is not None and a_star not in grid:
-        grid.append(a_star)
+        at = bisect_left(grid, a_star)
+        if at == len(grid) or grid[at] != a_star:
+            grid.insert(at, a_star)
     if not grid:
         raise DomainError("scan grid is empty")
-    grid.sort()
 
     perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else spec
     coords, sigma, cls = _checked_radius(theorem_id, n, r)

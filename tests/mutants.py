@@ -45,8 +45,8 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "scan-row-swap", "cli.py",
-        "report.epsilon, *totals)))",
-        "report.epsilon, *totals[::-1])))",
+        "epsilon, total, perturbed)",
+        "epsilon, perturbed, total)",
         "scan rows: total and perturbed_total in their own columns",
     ),
     Mutant(
@@ -145,6 +145,12 @@ MUTANTS = [
         "if grid and not (min(grid)",
         "_check_grid: a NaN grid point is refused",
     ),
+    Mutant(
+        "scan-grid-no-sum", "verify.py",
+        "math.isfinite(sum(grid)) and grid[0]",
+        "grid[0]",
+        "sharpness_scan: a NaN point inside the sorted grid is refused",
+    ),
     # What a scan reads from the theorem's preset.
     Mutant(
         "scan-perturb-field", "verify.py",
@@ -172,10 +178,16 @@ MUTANTS = [
         "_grid_columns: the sweep rows are certified",
     ),
     Mutant(
+        "zero-fold-unguarded", "functionals.py",
+        "head + tail + zero for head, tail",
+        "head + tail for head, tail",
+        "_grid_totals: with no positive weight the zero terms fold into one signed zero",
+    ),
+    Mutant(
         "zero-weight-extra", "functionals.py",
-        "[extra_weight * 0.0] * size",
+        "[w_x * 0.0] * size",
         "[0.0] * size",
-        "_grid_columns: a sweep that weighs no area keeps the sign of a -0.0 weight",
+        "_grid_columns: the constant column of a zero extra weight keeps the sign of a -0.0 weight",
     ),
     # Rounding widenings of the certified Blaschke circle maximum.
     Mutant(

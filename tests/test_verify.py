@@ -1,5 +1,6 @@
 """Lemma checks, radius search, sharpness scans, and theorem sweeps."""
 
+import itertools
 import math
 import operator
 import random
@@ -814,6 +815,57 @@ def test_one_shared_dict_keeps_the_columns_of_each_head_and_weights_apart():
                 assert repr(columns) == repr(fun._grid_columns(spec, cls, n, grid, coords, 0.2, {}))
 
 
+def _five_term_totals(spec, heads, tails, areas):
+    """The total of ``functionals._prepare``'s core, term by term, zero
+    weights included: the reference for the grid totals."""
+    w, w_q, w_x = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    return [
+        head + tail + w * area + w_q * area * area + w_x * area
+        for head, tail, area in zip(heads, tails, areas)
+    ]
+
+
+_SIGNED_WEIGHTS = (0.0, -0.0, 0.5)
+
+
+def _fold_specs():
+    yield from (preset(name) for name in fun.PRESET_NAMES)
+    for head in (fun.HEAD_CONSTANT, fun.HEAD_ABS, fun.HEAD_ABS_SQ):
+        for weights in itertools.product(_SIGNED_WEIGHTS, repeat=3):
+            yield FunctionalSpec(head, *weights)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0, 1 / 3], ids=repr)
+@pytest.mark.parametrize("tid, n", [("C", 1), ("T21", 2)])
+def test_grid_totals_drop_zero_weights_bit_for_bit(tid, n, sigma):
+    # Every preset, and every spec with weights in {+0.0, -0.0, 0.5}, on
+    # the slice and literal areas and on the constant column [0.0] * size
+    # of a spec that weighs none, as a scan sums a base spec on the areas
+    # its perturbed spec reads.
+    grid = [0.3, -0.0, 0.0, 0.3, 0.9, -0.0, 0.0]
+    coords, sig, cls = ver._checked_radius(tid, n, sigma / n)
+    assert repr(sig) == repr(sigma)
+    for spec in _fold_specs():
+        for interp in (INTERP_SLICE, INTERP_LITERAL):
+            reader = replace(spec, area_interpretation=interp, extra_area_weight=0.5)
+            weighed = fun._grid_terms(reader, cls, n, grid, coords, sigma, {})
+            own = fun._grid_terms(spec, cls, n, grid, coords, sigma, {})
+            for terms in (weighed, own):
+                assert repr(fun._grid_totals(spec, *terms)) == repr(_five_term_totals(spec, *terms))
+
+
+def test_grid_totals_keep_the_negative_zero_of_an_all_negative_zero_spec():
+    # At sigma = -0.0 and a = -0.0 the |f| head and the tail are -0.0; the
+    # total of a spec whose three weights are -0.0 stays -0.0, and any +0.0
+    # weight makes it +0.0.
+    coords, sigma, cls = ver._checked_radius("B1", 1, -0.0)
+    for weights, total in (((-0.0, -0.0, -0.0), "-0.0"), ((-0.0, 0.0, -0.0), "0.0")):
+        spec = FunctionalSpec(fun.HEAD_ABS, *weights)
+        terms = fun._grid_terms(spec, cls, 1, [-0.0], coords, sigma, {})
+        assert repr(terms[:2]) == "([-0.0], [-0.0])"
+        assert repr(fun._grid_totals(spec, *terms)) == f"[{total}]"
+
+
 def _row_verdicts(report, tol):
     """Violations and worst margin read from the rows: the reference for
     the column decisions of a sweep."""
@@ -897,6 +949,27 @@ def test_scans_and_sweeps_refuse_one_point_outside_the_unit_interval(bad, where)
         sharpness_scan("C", grid)
     with pytest.raises(DomainError, match="sweep grid must lie inside"):
         theorem_sweep("C", a_grid=grid)
+
+
+@pytest.mark.parametrize("tid, n", [("C", 1), ("D", 1), ("T21", 2), ("T22", 3), ("B1", 1)])
+def test_scan_places_a_star_in_its_sorted_grid(tid, n):
+    # The scan's grid is the sorted input with a* added when it is absent:
+    # equal points (repeats, 0.0 and -0.0) keep their input order.
+    rng = random.Random(32)
+    c = sharp.sharp_constants()
+    a_star = {"C": c.a_star1, "T21": c.a_star1, "D": c.a_star2, "T22": c.a_star2}.get(tid)
+    near = a_star if a_star is not None else 0.5
+    points = [-0.0, 0.0, 0.2, near, math.nextafter(near, 0.0), math.nextafter(near, 1.0), 0.9]
+    seen = set()
+    for _ in range(60):
+        # An empty grid holds only a*; without one it is refused.
+        grid = [rng.choice(points) for _ in range(rng.randint(a_star is None, 9))]
+        report = sharpness_scan(tid, grid, n=n)
+        present = a_star is None or a_star in grid
+        seen.add(present)
+        expected = sorted(grid) if present else sorted(list(grid) + [a_star])
+        assert list(map(repr, (row.a for row in report.rows))) == list(map(repr, expected))
+    assert seen == ({True} if a_star is None else {True, False})
 
 
 def test_scans_and_sweeps_accept_negative_zero_and_sweeps_an_empty_grid():
