@@ -3,10 +3,8 @@
 Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
 to stdout or --out, byte-stable across runs for identical arguments.  Each
 command hands ``emit`` its rows as tuples in the order of its ``*_COLUMNS``
-list, so every column is named once.  CSV is formatted one column at a
-time: a column of one repeated value (the theorem, n, r, epsilon of a scan)
-is formatted once, and a float column by one ``format`` map.  JSON rows are
-dicts keyed by the column names, built for JSON only.
+list, so every column is named once.  JSON rows are dicts keyed by the
+column names, built for JSON only.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
 64 usage, 65 domain error, 67 expansion budget, 73 --out file that cannot
@@ -19,10 +17,8 @@ import argparse
 import csv
 import io
 import json
-import operator
 import sys
-from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -148,17 +144,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_column(column: tuple) -> Iterable[str]:
-    """``_fmt`` of every value of one report column: once for a column of
-    one repeated object, by one ``format`` map for a column of floats."""
-    first = column[0]
-    if all(map(operator.is_, column, repeat(first))):
-        return repeat(_fmt(first), len(column))
-    if set(map(type, column)) == {float}:
-        return map(format, column, repeat(".12g"))
-    return map(_fmt, column)
-
-
 def emit(
     rows: list[tuple],
     columns: list[str],
@@ -171,7 +156,7 @@ def emit(
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(zip(*map(_fmt_column, zip(*rows))))
+        writer.writerows(map(_fmt, row) for row in rows)
         text = buffer.getvalue()
     else:
         text = json.dumps(

@@ -38,12 +38,12 @@ class's column rules, each (a, sigma) column once per sweep or scan,
 ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
 each set of equal columns built once, from which the sweep builds its rows.
 ``_prepare``'s core is the reference order of operations; ``_grid_totals``
-keeps its bits but sums only the weighted terms.  A zero weight adds +-0.0,
-which changes only a -0.0 partial sum, and a positive-weight term maps -0.0
-and +0.0 to one value, as no area is -0.0: so a zero-weight term is dropped
-when some weight is positive, and with none the three fold into one signed
-zero, -0.0 only when all three weights are.  A zero weight's contribution
-column is that signed zero, repeated.
+keeps its bits and skips the zero terms it can.  A zero weight adds +-0.0,
+which changes only a -0.0 partial sum, and no partial sum after a
+positive-weight term is -0.0, as no area is -0.0: so a zero extra-area term
+is dropped when some weight is positive, and with none the three terms fold
+into one signed zero, -0.0 only when all three weights are.  A zero
+weight's contribution column is that signed zero, repeated.
 """
 
 from __future__ import annotations
@@ -409,40 +409,28 @@ def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) ->
 
         head + tail + w * area + w_q * area * area + w_x * area,
 
-    with the bits of its order of operations, summed over the weighted
-    terms only.  A term whose weight is zero is dropped when some weight is
-    positive; when none is, the three terms fold into one signed zero,
-    w + w_q + w_x.  Both keep every bit, since every area column is finite
-    and +0.0 or above, never -0.0 (a sum of squares times sigma^2 >= +0.0):
+    with the bits of its order of operations.  When no weight is positive,
+    the three terms fold into one signed zero, w + w_q + w_x; when some
+    weight is positive and w_x is zero, the last term is dropped.  Both keep
+    every bit, since every area column is finite and +0.0 or above, never
+    -0.0 (a sum of squares times sigma^2 >= +0.0):
 
     - a zero weight gives a term of +-0.0, of the weight's sign;
     - adding +-0.0 changes a partial sum only when that sum is -0.0, and
       then only +0.0 changes it, to +0.0;
-    - a positive-weight term is +0.0 or above, and maps a -0.0 and a +0.0
-      partial sum to the same value, so the zero terms dropped before it do
-      not show, and the partial sums after it are never -0.0;
+    - a positive-weight term is +0.0 or above, so the partial sums after
+      it are never -0.0, and a zero term after it changes nothing;
     - with no positive weight, head + tail gains the three zeros in turn,
       which is adding -0.0 when all three are -0.0 and +0.0 otherwise: the
       sign of their sum.
     """
     w, w_q, w_x = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    if not (w or w_q or w_x):
+        zero = w + w_q + w_x
+        return [head + tail + zero for head, tail in zip(heads, tails)]
     rows = zip(heads, tails, areas)
-    match bool(w), bool(w_q), bool(w_x):
-        case False, False, False:
-            zero = w + w_q + w_x
-            return [head + tail + zero for head, tail in zip(heads, tails)]
-        case True, False, False:
-            return [head + tail + w * area for head, tail, area in rows]
-        case False, True, False:
-            return [head + tail + w_q * area * area for head, tail, area in rows]
-        case False, False, True:
-            return [head + tail + w_x * area for head, tail, area in rows]
-        case True, True, False:
-            return [head + tail + w * area + w_q * area * area for head, tail, area in rows]
-        case True, False, True:
-            return [head + tail + w * area + w_x * area for head, tail, area in rows]
-        case False, True, True:
-            return [head + tail + w_q * area * area + w_x * area for head, tail, area in rows]
+    if not w_x:  # every preset but T23's weighs no extra area
+        return [head + tail + w * area + w_q * area * area for head, tail, area in rows]
     return [head + tail + w * area + w_q * area * area + w_x * area for head, tail, area in rows]
 
 

@@ -16,9 +16,9 @@ interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the column kernel of
 ``functionals``, which builds each (a, sigma) column once per call: a scan
-reads its grid once into a sorted list, checks it at its ends and by one
-sum, inserts a* in order by bisection, and sums one total column per spec
-from one read of the terms; a sweep builds rows at C speed, the slice
+reads its grid once into a sorted list, checks it inside [0, 1), inserts
+a* in order by bisection, and sums one total column per spec from one
+read of the terms; a sweep builds rows at C speed, the slice
 breakdowns once per sigma, and sorts them, stably, unless n, the radii and
 the grid strictly increase.  A radius search checks its top radius once,
 prepares the evaluation core of ``functionals`` once, and runs it at the
@@ -362,10 +362,9 @@ def sharpness_scan(
     reported maximum exhibits the equality case exactly, and reported as
     ``a_star`` (None for other theorems).
 
-    The grid is read once, as floats, into a sorted list, whose ends are
-    its least and greatest points; a finite sum rules out NaN and +-inf.
-    Sorting is stable, so equal points (repeats, 0.0 and -0.0) keep their
-    input order.
+    The grid is read once, as floats, into a sorted list, which is checked
+    inside [0, 1).  Sorting is stable, so equal points (repeats, 0.0 and
+    -0.0) keep their input order.
     """
     td = _theorem(theorem_id)
     n = _check_n(theorem_id, n)
@@ -373,8 +372,7 @@ def sharpness_scan(
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
     grid = sorted(ser._numbers(a_grid, "scan grid"))
-    if grid and not (math.isfinite(sum(grid)) and grid[0] >= 0.0 and grid[-1] < 1.0):
-        raise DomainError("scan grid must lie inside [0, 1)")
+    _check_grid(grid, "scan grid")
     spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
     field, a_star = "extra_area_weight", None
     if spec.area_sq_weight:  # lambda_1 or lambda_2, sharp at a*_1 or a*_2 of the head

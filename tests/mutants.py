@@ -145,12 +145,6 @@ MUTANTS = [
         "if grid and not (min(grid)",
         "_check_grid: a NaN grid point is refused",
     ),
-    Mutant(
-        "scan-grid-no-sum", "verify.py",
-        "math.isfinite(sum(grid)) and grid[0]",
-        "grid[0]",
-        "sharpness_scan: a NaN point inside the sorted grid is refused",
-    ),
     # What a scan reads from the theorem's preset.
     Mutant(
         "scan-perturb-field", "verify.py",
