@@ -4,7 +4,8 @@ Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
 to stdout or --out, byte-stable across runs for identical arguments.  Each
 command hands ``emit`` its rows as tuples in the order of its ``*_COLUMNS``
 list, so every column is named once.  JSON rows are dicts keyed by the
-column names, built for JSON only.
+column names, built for JSON only.  CSV cells are formatted by type, and a
+column that holds one object in every row is formatted once.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
 64 usage, 65 domain error, 67 expansion budget, 73 --out file that cannot
@@ -17,8 +18,10 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -136,12 +139,37 @@ def _resolve_r(text: str, theorem_id: str | None, n: int) -> float:
 # Report emission
 # --------------------------------------------------------------------------
 
+_SPECIAL = frozenset(',"\r\n')
+
+
+def _text(value: str) -> str:
+    """A text cell as ``csv.writer`` quotes it with minimal quoting: as is
+    unless it holds a comma, a double quote or a line break, and then as
+    this Python's csv module writes it, which decides a lone carriage return
+    and doubles each double quote."""
+    if _SPECIAL.isdisjoint(value):
+        return value
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((value,))
+    return buffer.getvalue()[:-1]
+
+
+#: Cell text by exact type; another type is written by ``str``.
+_FORMATS = {float: "{:.12g}".format, bool: ("false", "true").__getitem__, int: str, str: _text}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return _FORMATS.get(type(value), str)(value)
+
+
+def _cells(column: tuple) -> Iterable[str]:
+    """The CSV text of one column: one object in every row is formatted
+    once, one type in every row by one formatter, else cell by cell."""
+    first = column[0]
+    if all(map(operator.is_, column, repeat(first))):
+        return repeat(_fmt(first), len(column))
+    kinds = set(map(type, column))
+    return map(_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _fmt, column)
 
 
 def emit(
@@ -153,11 +181,11 @@ def emit(
 ) -> None:
     """Write rows, tuples in the order of columns, as CSV or JSON."""
     if out_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(map(_fmt, row) for row in rows)
-        text = buffer.getvalue()
+        cells = zip(*map(_cells, zip(*rows)))
+        lines = [",".join(map(_text, columns)), *map(",".join, cells)]
+        if len(columns) == 1:  # csv writes a line of one empty cell as ""
+            lines = [line or '""' for line in lines]
+        text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(
             {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]},

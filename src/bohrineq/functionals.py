@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Union
 
 from . import constants as sharp
@@ -71,7 +71,7 @@ INTERP_SLICE = "slice"
 
 @dataclass(frozen=True)
 class RadiusSpec:
-    """Evaluation polyradius; bold_r (the max coordinate) is cached."""
+    """Evaluation polyradius; bold_r is its largest coordinate."""
 
     coords: tuple[float, ...]
 
@@ -91,7 +91,7 @@ class RadiusSpec:
     def n(self) -> int:
         return len(self.coords)
 
-    @cached_property
+    @property
     def bold_r(self) -> float:
         return max(self.coords)
 
@@ -127,8 +127,9 @@ class FunctionalSpec:
 
     def with_interpretation(self, interpretation: str) -> "FunctionalSpec":
         """This spec under the given area interpretation: itself for its own,
-        else its twin, built on the first call and kept on the instance, as
-        ``RadiusSpec.bold_r`` is; equality would mix -0.0 and +0.0 weights."""
+        else its twin, built on the first call and kept on the instance (not
+        in a cache keyed by the spec: equality would mix -0.0 and +0.0
+        weights)."""
         if interpretation == self.area_interpretation:
             return self
         twin = self.__dict__.get("_twin")

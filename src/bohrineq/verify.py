@@ -16,16 +16,17 @@ interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the column kernel of
 ``functionals``, which builds each (a, sigma) column once per call: a scan
-reads its grid once into a sorted list, checks it inside [0, 1), inserts
-a* in order by bisection, and sums one total column per spec from one
-read of the terms; a sweep builds rows at C speed, the slice
-breakdowns once per sigma, and sorts them, stably, unless n, the radii and
-the grid strictly increase.  A radius search checks its top radius once,
-prepares the evaluation core of ``functionals`` once, and runs it at the
-top and at each midpoint, reading the total and certification without
-building a record.  Lemma checks admit only families bounded by one on
-the unit polydisk, which is the hypothesis the lemmas carry, and sum each
-family to the degree ``series.truncation`` picks for the tail of the lemma.
+reads its grid once into a sorted list, inserts a* in order by
+bisection, checks the list inside [0, 1) by its sum and its two ends, and
+sums one total column per spec from one read of the terms; a sweep builds
+rows at C speed, the slice breakdowns once per sigma, and sorts them,
+stably, unless n, the radii and the grid strictly increase.  A radius
+search checks its top radius once, prepares the evaluation core of
+``functionals`` once, and runs it at the top and at each midpoint, reading
+the total and certification without building a record.  Lemma checks
+admit only families bounded by one on the unit polydisk, which is the
+hypothesis the lemmas carry, and sum each family to the degree
+``series.truncation`` picks for the tail of the lemma.
 """
 
 from __future__ import annotations
@@ -306,9 +307,11 @@ def _rows(cls: type, columns) -> map:
     return map(tuple.__new__, repeat(cls), zip(*columns))
 
 
-def _check_grid(grid: Sequence[float], what: str) -> None:
-    """Refuse a point outside [0, 1); the sum catches NaN and +-inf."""
-    if grid and not (math.isfinite(sum(grid)) and min(grid) >= 0.0 and max(grid) < 1.0):
+def _check_grid(grid: Sequence[float], least: float, most: float, what: str) -> None:
+    """Refuse a grid with a point outside [0, 1), given its least and its
+    largest point: the ends of a sorted grid, else its min and max.  The sum
+    catches NaN, which no comparison does and sorting may leave anywhere."""
+    if not (math.isfinite(sum(grid)) and least >= 0.0 and most < 1.0):
         raise DomainError(f"{what} must lie inside [0, 1)")
 
 
@@ -363,8 +366,8 @@ def sharpness_scan(
     ``a_star`` (None for other theorems).
 
     The grid is read once, as floats, into a sorted list, which is checked
-    inside [0, 1).  Sorting is stable, so equal points (repeats, 0.0 and
-    -0.0) keep their input order.
+    inside [0, 1) by its sum and its two ends.  Sorting is stable, so equal
+    points (repeats, 0.0 and -0.0) keep their input order.
     """
     td = _theorem(theorem_id)
     n = _check_n(theorem_id, n)
@@ -372,7 +375,6 @@ def sharpness_scan(
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
     grid = sorted(ser._numbers(a_grid, "scan grid"))
-    _check_grid(grid, "scan grid")
     spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
     field, a_star = "extra_area_weight", None
     if spec.area_sq_weight:  # lambda_1 or lambda_2, sharp at a*_1 or a*_2 of the head
@@ -383,6 +385,8 @@ def sharpness_scan(
             grid.insert(at, a_star)
     if not grid:
         raise DomainError("scan grid is empty")
+    # a* lies inside [0, 1), so the grid is checked as well with it.
+    _check_grid(grid, grid[0], grid[-1], "scan grid")
 
     perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else spec
     coords, sigma, cls = _checked_radius(theorem_id, n, r)
@@ -451,7 +455,7 @@ def theorem_sweep(
     ns = [_check_n(theorem_id, n) for n in ns]
     grid = grid_values(0.0, 0.99, 0.01) if a_grid is None else ser._numbers(a_grid, "sweep grid")
     r_floats = ser._numbers(r_values, "sweep radii") if r_values is not None else None
-    _check_grid(grid, "sweep grid")
+    _check_grid(grid, min(grid, default=0.0), max(grid, default=0.0), "sweep grid")
     spec = fun.preset(td.preset_name)
     literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)

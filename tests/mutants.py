@@ -141,9 +141,33 @@ MUTANTS = [
     ),
     Mutant(
         "grid-finite", "verify.py",
-        "if grid and not (math.isfinite(sum(grid)) and min(grid)",
-        "if grid and not (min(grid)",
+        "if not (math.isfinite(sum(grid)) and least",
+        "if not (least",
         "_check_grid: a NaN grid point is refused",
+    ),
+    Mutant(
+        "scan-grid-no-sum", "verify.py",
+        '_check_grid(grid, grid[0], grid[-1], "scan grid")',
+        '_check_grid((grid[0], grid[-1]), grid[0], grid[-1], "scan grid")',
+        "sharpness_scan: the whole sorted grid is summed, as sorting may leave a NaN inside it",
+    ),
+    Mutant(
+        "scan-grid-ends", "verify.py",
+        '_check_grid(grid, grid[0], grid[-1], "scan grid")',
+        '_check_grid(grid, grid[-1], grid[0], "scan grid")',
+        "sharpness_scan: the first point of the sorted grid is its least, the last its largest",
+    ),
+    Mutant(
+        "root-seed-unwidened", "constants.py",
+        "return _widened(exact, x, a, -1.0, rising), _widened(exact, y, b, 1.0, not rising)",
+        "return Fraction(x), Fraction(y)",
+        "_float_seed: the float bracket is widened until its exact end signs differ",
+    ),
+    Mutant(
+        "csv-constant-equal", "cli.py",
+        "all(map(operator.is_, column, repeat(first)))",
+        "all(map(operator.eq, column, repeat(first)))",
+        "emit: only a column of one object is formatted once (0.0 and -0.0 are equal)",
     ),
     # What a scan reads from the theorem's preset.
     Mutant(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -444,3 +445,82 @@ def test_out_file_and_json_stability(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text())
     assert payload["meta"]["command"] == "scan"
+
+
+# ---------------------------------------------------------------- CSV writer
+
+def _writer_csv(rows, columns):
+    """The reference bytes: ``csv.writer`` with minimal quoting, as this
+    Python's csv module writes, over the per-cell formatter emit used with it."""
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".12g")
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(fmt, row) for row in rows)
+    return buffer.getvalue()
+
+
+def _emitted(capsys, rows, columns):
+    cli.emit(rows, columns, "csv", None, {})
+    return capsys.readouterr().out
+
+
+TEXTS = ["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "x\r\ny", "\r\n", " lead", "plain"]
+FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e300, 1 / 3, 18.609549031341185]
+INTS = [0, -7, 10**20]
+BOOLS = [True, False]
+
+
+@pytest.mark.parametrize("value", TEXTS + FLOATS + INTS + BOOLS)
+def test_emit_writes_each_cell_as_the_csv_writer(capsys, value):
+    # One cell in a one-row report, and beside other cells in two rows.
+    for rows, columns in (([(value,)], ["x"]), ([(value, 1, "t"), (value, 2.5, "")], ["x", "n", "s"])):
+        assert _emitted(capsys, rows, columns) == _writer_csv(rows, columns)
+
+
+def test_emit_matches_the_csv_writer_on_mixed_and_repeated_columns(capsys):
+    rng = random.Random(33)
+    pool = TEXTS + FLOATS + INTS + BOOLS
+    # Equal but distinct objects in one column: each keeps its own text.
+    rows = [(-0.0, 1, "t", 0.5), (0.0, True, "t", 0.5), (0.0, 1.0, "t", 0.5)]
+    columns = ["zero", "one", "text", "half"]
+    assert _emitted(capsys, rows, columns) == _writer_csv(rows, columns)
+    for _ in range(50):
+        width = rng.randint(1, 6)
+        same = [rng.choice(pool) for _ in range(width)]
+        rows = [
+            tuple(same[k] if rng.random() < 0.5 else rng.choice(pool) for k in range(width))
+            for _ in range(rng.randint(1, 8))
+        ]
+        columns = [f"c{k}" for k in range(width)]
+        assert _emitted(capsys, rows, columns) == _writer_csv(rows, columns)
+    assert _emitted(capsys, [], ["a", "b"]) == _writer_csv([], ["a", "b"]) == "a,b\n"
+
+
+def test_emit_matches_the_csv_writer_on_the_default_c_scan(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--theorem", "C")
+    assert code == 0
+    report = sharpness_scan("C", grid_values(0.0, 0.9999, 0.0001))
+    rows = [("C", 1, a, report.bold_r, 0.0, total, perturbed) for a, total, perturbed in report.rows]
+    assert len(rows) == 10_001
+    assert out == _writer_csv(rows, cli.SCAN_COLUMNS)
+
+
+@pytest.mark.parametrize("name", [
+    p.name for p in sorted((Path(__file__).parent / "golden").glob("*.csv"))
+    if p.name.startswith(("radius_", "lemma_"))
+])
+def test_emit_keeps_the_quoted_family_cells_of_the_golden_files(capsys, name):
+    # Read back as text cells, the golden rows are written to their own bytes
+    # by emit and by this Python's csv module alike.
+    golden = (Path(__file__).parent / "golden" / name).read_text()
+    columns, *rows = map(tuple, csv.reader(io.StringIO(golden)))
+    family = rows[0][columns.index("family")]
+    assert (f'"{family}"' in golden) == ("," in family)
+    assert _emitted(capsys, rows, list(columns)) == _writer_csv(rows, columns) == golden

@@ -981,6 +981,37 @@ def test_scans_and_sweeps_accept_negative_zero_and_sweeps_an_empty_grid():
     assert (empty.rows, empty.violations, empty.worst_margin) == ((), (), math.inf)
 
 
+@pytest.mark.parametrize("tid, n", [("C", 1), ("B1", 1), ("T22", 3)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25, -1e-300, 1.0])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_scan_checks_an_unsorted_grid_by_its_sum_and_ends(tid, n, bad, where):
+    # A scan checks its sorted grid by its sum and its two ends.  Sorting
+    # may leave a NaN anywhere: here a NaN in the middle of the input stays
+    # between valid points, and only the sum refuses it.
+    grid = [0.5, 0.2, 0.7, 0.1, 0.9, 0.3]
+    grid.insert({"first": 0, "middle": 3, "last": len(grid)}[where], bad)
+    if bad != bad and where == "middle":
+        ends = sorted(grid)[0], sorted(grid)[-1]
+        assert 0.0 <= ends[0] and ends[1] < 1.0
+    with pytest.raises(DomainError, match=r"^scan grid must lie inside \[0, 1\)$"):
+        sharpness_scan(tid, grid, n=n)
+
+
+@pytest.mark.parametrize("tid, n", [("C", 1), ("B1", 1), ("T22", 3)])
+def test_scan_grid_check_admits_negative_zero_and_keeps_the_empty_grid(tid, n):
+    c = sharp.sharp_constants()
+    a_star = {"C": c.a_star1, "T22": c.a_star2}.get(tid)
+    for grid in ([-0.0], [0.5, -0.0, 0.2], [-0.0, 0.0, -0.0], [0.99, -0.0]):
+        report = sharpness_scan(tid, grid, n=n)
+        expected = sorted(grid + ([a_star] if a_star is not None else []))
+        assert list(map(repr, (row.a for row in report.rows))) == list(map(repr, expected))
+    if a_star is None:
+        with pytest.raises(DomainError, match="^scan grid is empty$"):
+            sharpness_scan(tid, [], n=n)
+    else:
+        assert [row.a for row in sharpness_scan(tid, [], n=n).rows] == [a_star]
+
+
 @pytest.mark.parametrize("tid,n", [("classic", 1), ("B1", 1), ("C", 1), ("T22", 3), ("T23", 2)])
 def test_perturbed_scan_reads_each_rule_once(monkeypatch, tid, n):
     # The perturbed spec differs from the base one in one weight only.
