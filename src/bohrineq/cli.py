@@ -164,12 +164,11 @@ def _fmt(value) -> str:
 
 def _cells(column: tuple) -> Iterable[str]:
     """The CSV text of one column: one object in every row is formatted
-    once, one type in every row by one formatter, else cell by cell."""
+    once, else cell by cell."""
     first = column[0]
     if all(map(operator.is_, column, repeat(first))):
         return repeat(_fmt(first), len(column))
-    kinds = set(map(type, column))
-    return map(_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _fmt, column)
+    return map(_fmt, column)
 
 
 def emit(

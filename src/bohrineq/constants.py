@@ -104,11 +104,7 @@ def _rounded_root(poly: PolynomialR, lo: float, hi: float, weight: Callable) -> 
     weight, which must be monotone near t, rounds alike at both ends.
 
     Coefficients and ends convert to ``Fraction`` without rounding: a float
-    coefficient would turn every evaluation back into float arithmetic.  The
-    exact halving starts from the few-ulp bracket of ``_float_seed``.  Any
-    bracket of t gives the same result: rounding is monotone, so once both
-    ends round to one float, so does t, and weight(t) rounds as weight does
-    at both ends.
+    coefficient would turn every evaluation back into float arithmetic.
     """
     lo, hi = _real(lo, "bracket end"), _real(hi, "bracket end")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -123,8 +119,6 @@ def _rounded_root(poly: PolynomialR, lo: float, hi: float, weight: Callable) -> 
         raise NonUniqueRootError(f"{roots} distinct roots on [{lo}, {hi}], expected 1")
     if f_a == 0 or f_b == 0:
         a = b = a if f_a == 0 else b
-    else:
-        a, b = _float_seed(exact, a, b, f_a < 0)
     while float(a) != float(b) or float(weight(a)) != float(weight(b)):
         mid = (a + b) / 2
         f_mid = exact(mid)
@@ -135,41 +129,6 @@ def _rounded_root(poly: PolynomialR, lo: float, hi: float, weight: Callable) -> 
         else:
             b = mid
     return float(a), float(weight(a))
-
-
-def _float_seed(
-    exact: PolynomialR, a: Fraction, b: Fraction, rising: bool
-) -> tuple[Fraction, Fraction]:
-    """A bracket of the root in [a, b], where exact changes sign once
-    (negative at a when rising, else positive): bisected in floats, then
-    each end moved out by 1, 2, 4, ... ulps, up to a or b, until the exact
-    sign there is on its side of the root.  [a, b] itself when a
-    coefficient or an end does not convert to a float."""
-    try:
-        approx = PolynomialR(tuple(map(float, exact.coefficients)))
-        x, y = float(a), float(b)
-    except OverflowError:
-        return a, b
-    while x < (mid := 0.5 * (x + y)) < y:
-        if (approx(mid) < 0) == rising:  # a NaN or rounded sign is mended below
-            x = mid
-        else:
-            y = mid
-    return _widened(exact, x, a, -1.0, rising), _widened(exact, y, b, 1.0, not rising)
-
-
-def _widened(exact: PolynomialR, x: float, end: Fraction, toward: float, wrong: bool) -> Fraction:
-    """x moved toward end (down for toward = -1, up for +1) by 1, 2, 4, ...
-    ulps while exact is nonzero there with the sign of the other side
-    (positive when wrong); end once x reaches or passes it."""
-    step = math.ulp(x)
-    while toward * x < toward * end:
-        value = exact(Fraction(x))
-        if not value or (value > 0) != wrong:
-            return Fraction(x)
-        x += toward * step
-        step *= 2
-    return end
 
 
 def _sturm_root_count(poly: PolynomialR, lo: float, hi: float) -> int:

@@ -158,12 +158,6 @@ MUTANTS = [
         "sharpness_scan: the first point of the sorted grid is its least, the last its largest",
     ),
     Mutant(
-        "root-seed-unwidened", "constants.py",
-        "return _widened(exact, x, a, -1.0, rising), _widened(exact, y, b, 1.0, not rising)",
-        "return Fraction(x), Fraction(y)",
-        "_float_seed: the float bracket is widened until its exact end signs differ",
-    ),
-    Mutant(
         "csv-constant-equal", "cli.py",
         "all(map(operator.is_, column, repeat(first)))",
         "all(map(operator.eq, column, repeat(first)))",

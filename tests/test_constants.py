@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from bohrineq import constants as sharp
 from bohrineq.constants import (
     PSI1,
     PSI2,
@@ -107,44 +106,6 @@ def test_unique_roots_are_correctly_rounded():
     # A root at a bracket end, or a dyadic root met exactly, is returned as is.
     assert solve_unique_root(PolynomialR((-1, 2)), 0.5, 1.0) == 0.5
     assert solve_unique_root(PolynomialR((-3, 8)), 0.0, 1.0) == 0.375
-
-
-def _unseeded_root(poly, lo, hi, weight):
-    """The exact bisection of the whole bracket, with no float seed: halve
-    [lo, hi] until both ends, and weight at both ends, round alike."""
-    coefficients = [Fraction(c) for c in poly.coefficients]
-
-    def f(t):
-        return sum(c * t**k for k, c in enumerate(coefficients))
-
-    a, b = Fraction(lo), Fraction(hi)
-    negative_at_a = f(a) < 0
-    while float(a) != float(b) or float(weight(a)) != float(weight(b)):
-        mid = (a + b) / 2
-        if f(mid) == 0:
-            a = b = mid
-        elif (f(mid) < 0) == negative_at_a:
-            a = mid
-        else:
-            b = mid
-    return float(a), float(weight(a))
-
-
-@pytest.mark.parametrize("poly, lo, hi, weight", [
-    (PSI1, 0.0, 1.0, lambda1_of),
-    (PSI2, 0.0, 1.0, lambda2_of),
-    # Falling, with a weight that falls too.
-    (PolynomialR((2, 0, -1)), 0.0, 2.0, lambda t: 1 / (1 + t)),
-    # A triple root: the float Horner sign is noise near it, so the float
-    # bracket must be widened before the exact halving.
-    (PolynomialR((Fraction(-1, 27), Fraction(1, 3), -1, 1)), 0.0, 1.0, lambda t: t * t),
-    # Coefficients beyond the float range: no float seed, the whole bracket.
-    (PolynomialR((-(10**400), 3 * 10**400)), 0.0, 1.0, lambda t: t),
-    # An end that is no float, a hair from the root.
-    (PolynomialR((-Fraction(1, 3) - Fraction(1, 10**30), 1)), Fraction(1, 3), 1, lambda t: t),
-])
-def test_float_seeded_roots_equal_the_unseeded_bisection(poly, lo, hi, weight):
-    assert sharp._rounded_root(poly, lo, hi, weight) == _unseeded_root(poly, lo, hi, weight)
 
 
 def test_unique_roots_match_references():

@@ -60,7 +60,7 @@ def test_radius_spec_basics():
 )
 def test_radius_spec_cached_properties_equal_fresh_values(coords):
     rad = RadiusSpec(coords)
-    for _ in range(2):  # first read computes, second reads the cache
+    for _ in range(2):  # each read computes the largest coordinate afresh
         assert repr(rad.bold_r) == repr(max(rad.coords))
     twin = RadiusSpec(coords)
     assert rad == twin and hash(rad) == hash(twin)
