@@ -34,7 +34,6 @@ from .functionals import (
     TermBreakdown,
     area_term,
     evaluate,
-    majorant,
     preset,
     schwarz_pick,
 )

@@ -229,6 +229,10 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    # A family fixes n and a, so the grid flags would be dropped unread.
+    grid_flags = [flag for flag, value in (("--n", ns.n), ("--a", ns.a)) if value is not None]
+    if ns.family is not None and grid_flags:
+        raise UsageError(f"--family cannot be combined with {' and '.join(grid_flags)}")
     theorem_id = ns.theorem
     ver.check_tolerance(ns.tol)
     spec = fun.preset(ver.THEOREMS[theorem_id].preset_name)

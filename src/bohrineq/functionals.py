@@ -16,11 +16,11 @@ The two agree for n = 1 and differ by the multinomial deficit
 sum_{|alpha|=k} (k!/alpha!)^2 < n^(2k) otherwise; both are exposed and the
 deficit is measured, never hidden.
 
-Evaluation is slice-first: every term is read from the family's own rules
-(series.py) at sigma = (r_1 + ... + r_n)/q, the radius reached by the
-Moebius argument, which is exact at any polyradius.  No family functional
-expands a multi-index series: the literal area reweights the slice sum per
-degree (``literal_area``).
+Functionals are evaluated on families only, slice-first: every term is
+read from the family's own rules (series.py) at sigma = (r_1 + ... + r_n)/q,
+the radius reached by the Moebius argument, which is exact at any
+polyradius.  No functional expands a multi-index series or reads one: the
+literal area reweights the slice sum per degree (``literal_area``).
 
 ``evaluate`` is its checks (dimension, domain cap) and one private core,
 prepared by ``_prepare`` once per (spec, family): it reads once what the
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from . import constants as sharp
 from . import series as ser
@@ -228,27 +228,10 @@ def schwarz_pick(a0: float, bold_r: float) -> float:
     return (a0 + bold_r) / (1.0 + a0 * bold_r)
 
 
-# --------------------------------------------------------------------------
-# Majorant
-# --------------------------------------------------------------------------
-
-def majorant(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:
-    """sum_{|alpha| <= K} |a_alpha| r^alpha, plus the tail certificate when
-    the series carries one (making the value a certified upper bound)."""
-    _check_radius_for(series.source, radius, series.n)
-    partial = math.fsum(
-        series.homogeneous_abs_sum(k, radius.coords) for k in range(series.truncation + 1)
-    )
-    tail = ser.majorant_tail_bound(series.source, series.truncation, radius.bold_r)
-    return partial + tail if tail is not None else partial
-
-
-def _check_radius_for(
-    family: ser.FamilySpec | None, radius: RadiusSpec, n: int
-) -> None:
-    if radius.n != n:
-        raise DomainError(f"radius has dimension {radius.n}, expected {n}")
-    if family is not None and radius.bold_r >= family.cap:
+def _check_radius_for(family: ser.FamilySpec, radius: RadiusSpec) -> None:
+    if radius.n != family.n:
+        raise DomainError(f"radius has dimension {radius.n}, expected {family.n}")
+    if radius.bold_r >= family.cap:
         raise DomainError(f"radius {radius.bold_r} not below the domain cap {family.cap}")
 
 
@@ -257,27 +240,14 @@ def _check_radius_for(
 # --------------------------------------------------------------------------
 
 def area_term(
-    target: Union[ser.FamilySpec, ser.CoefficientSeries],
-    radius: RadiusSpec,
-    interpretation: str = INTERP_LITERAL,
+    family: ser.FamilySpec, radius: RadiusSpec, interpretation: str = INTERP_LITERAL
 ) -> float:
-    """The degree-weighted square sum under the requested interpretation.
-
-    Slice evaluation needs diagonal slice coefficients, so it accepts a
-    family (or a series that remembers its generating family); a bare series
-    only supports the literal interpretation.
-    """
+    """The degree-weighted square sum of the family under the requested
+    interpretation: the literal multi-index sum (``literal_area``) or the
+    slice sum (``area``), which agree for n = 1."""
     if interpretation not in (INTERP_LITERAL, INTERP_SLICE):
         raise UnsupportedInterpretationError(f"unknown interpretation {interpretation!r}")
-    if isinstance(target, ser.CoefficientSeries):
-        if interpretation == INTERP_LITERAL:
-            _check_radius_for(target.source, radius, target.n)
-            return _literal_area_from_series(target, radius)
-        if target.source is None:
-            raise UnsupportedInterpretationError("slice interpretation needs a generating family")
-        target = target.source
-    family = target
-    _check_radius_for(family, radius, family.n)
+    _check_radius_for(family, radius)
     sigma = family.sigma(radius.coords)
     if _literal(interpretation, family.n):
         return family.literal_area(sigma, radius.coords)
@@ -287,19 +257,6 @@ def area_term(
 def _literal(interpretation: str, n: int) -> bool:
     """True when the area is the literal multi-index sum, not the slice one."""
     return interpretation == INTERP_LITERAL and n > 1
-
-
-def _literal_area_from_series(series: ser.CoefficientSeries, radius: RadiusSpec) -> float:
-    """Literal multi-index sum, plus the slice tail bound of the generating
-    family (literal degree masses never exceed the slice ones)."""
-    partial = math.fsum(
-        k * series.homogeneous_sq_sum(k, radius.coords)
-        for k in range(1, series.truncation + 1)
-    )
-    family = series.source
-    if family is None:
-        return partial
-    return partial + family.sq_tail(series.truncation, family.sigma(radius.coords))
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +277,7 @@ def evaluate(
     sharpness computations close and the worst case the inequality must
     survive.  An explicit point evaluates |f(point)| exactly instead.
     """
-    _check_radius_for(family, radius, family.n)
+    _check_radius_for(family, radius)
     sigma = family.sigma(radius.coords)
     return _breakdown(_prepare(spec, family)(radius.coords, sigma, eval_point))
 

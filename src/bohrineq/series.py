@@ -39,10 +39,9 @@ add and sort as the tuples do).  Their coefficientwise agreement is a
 standing test obligation.
 
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
-demand (lookups and ``len`` read the slice, ``degree_slice`` builds one
-degree, full iteration builds the map once), and its torus check samples
-sum_k b_k s^k on the circle |s| = n r only, which holds the torus supremum
-by the maximum principle.  The coefficient budget is checked where a whole
+demand (lookups and ``len`` read the slice, full iteration builds the map
+once), and its torus check samples sum_k b_k s^k on the circle |s| = n r
+only, which holds the torus supremum by the maximum principle.  The coefficient budget is checked where a whole
 map is built: by ``oracle_expand`` up front, and by a slice-backed map when
 it is first iterated.  Blaschke slices take one ascending O(K) pass per
 zero and are prefix-stable: the longest slice built of each of the last 4
@@ -728,52 +727,6 @@ class CoefficientSeries:
     def sorted_items(self) -> list[tuple[tuple[int, ...], complex]]:
         """Canonical (graded-lexicographic) order: by degree, then by key."""
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def degree_slice(self, k: int) -> dict[tuple[int, ...], complex]:
-        if self.slice is not None:
-            return self.coeffs.degree(k)
-        return {exps: c for exps, c in self.coeffs.items() if sum(exps) == k}
-
-    def homogeneous_abs_sum(self, k: int, radii: tuple[float, ...]) -> float:
-        """sum over |alpha| = k of |a_alpha| * r^alpha; for a slice-backed
-        series |b_k| (sum r)^k by the multinomial theorem, in O(1)."""
-        self._check_radii(radii)
-        if self.slice is None:
-            # fsum is exactly rounded, so the term order does not matter.
-            return math.fsum(
-                abs(c) * _monomial(radii, exps) for exps, c in self.degree_slice(k).items()
-            )
-        bk = self.coeffs.b_at(k)
-        return abs(bk) * math.fsum(radii) ** k if bk else 0.0
-
-    def homogeneous_sq_sum(self, k: int, radii: tuple[float, ...]) -> float:
-        """sum over |alpha| = k of |a_alpha|^2 * r^(2 alpha); for a
-        slice-backed series |b_k|^2 W_k (sum r)^(2k), W_k the degree weight."""
-        self._check_radii(radii)
-        if self.slice is None:
-            return math.fsum(
-                abs(c) ** 2 * _monomial(radii, exps) ** 2
-                for exps, c in self.degree_slice(k).items()
-            )
-        bk = self.coeffs.b_at(k)
-        if not bk:
-            return 0.0
-        # A diagonal radius needs no p = radii/sum(radii), so sum(radii) = 0 is safe.
-        if _is_diagonal(radii):
-            weight = multinomial_sq_ratio(self.n, k)
-        else:
-            weight = _degree_weights(tuple(radii), self.truncation)[k]
-        return abs(bk) ** 2 * weight * math.fsum(radii) ** (2 * k)
-
-    def _check_radii(self, radii: tuple[float, ...]) -> None:
-        if len(radii) != self.n:
-            raise DomainError(f"radius vector has length {len(radii)}, expected {self.n}")
-        if not all(0.0 <= r < math.inf for r in radii):
-            raise DomainError("radii must be finite and nonnegative")
-
-
-def _monomial(radii: tuple[float, ...], exps: tuple[int, ...]) -> float:
-    return math.prod((r**e for r, e in zip(radii, exps) if e), start=1.0)
 
 
 def majorant_tail_bound(family: FamilySpec | None, K: int, bold_r: float) -> float | None:

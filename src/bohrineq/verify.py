@@ -193,7 +193,7 @@ def radius_search(
         raise DomainError("tolerance must be finite and positive")
     n, cap = family.n, family.cap
     hi = cap * (1.0 - 1e-9)
-    fun._check_radius_for(family, fun.RadiusSpec.diagonal(n, hi), n)
+    fun._check_radius_for(family, fun.RadiusSpec.diagonal(n, hi))
     terms = fun._prepare(spec, family)
     coords = (hi,) * n
     total, _, certified = terms(coords, family.sigma(coords))[5:8]  # TermBreakdown order
@@ -268,7 +268,7 @@ def _checked_radius(theorem_id: str, n: int, r: float) -> tuple[tuple[float, ...
     kernel of that class."""
     family = theorem_family(theorem_id, 0.0, n)
     radius = fun.RadiusSpec.diagonal(n, r)
-    fun._check_radius_for(family, radius, n)
+    fun._check_radius_for(family, radius)
     return radius.coords, family.sigma(radius.coords), type(family)
 
 

@@ -326,18 +326,6 @@ MUTANTS = [
         "math.fsum(map(operator.mul, row, W)) for row",
         "literal_area_grid: the slice tail is added to the weighted sum",
     ),
-    Mutant(
-        "series-area-tail", "functionals.py",
-        "return partial + family.sq_tail(series.truncation, family.sigma(radius.coords))",
-        "return partial",
-        "_literal_area_from_series: the family's tail is added to the partial sum",
-    ),
-    Mutant(
-        "series-majorant-tail", "functionals.py",
-        "return partial + tail if tail is not None else partial",
-        "return partial",
-        "functionals.majorant: the series tail is added to the partial sum",
-    ),
     # Input guards of the exit-65 paths.
     Mutant(
         "radius-finite", "functionals.py",

@@ -277,6 +277,25 @@ def test_malformed_family_is_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--n", "3"], "--n"),
+        (["--a", "0.1:0.2:0.1"], "--a"),
+        (["--n", "3", "--a", "0.1:0.2:0.1"], "--n and --a"),
+    ],
+    ids=["n", "a", "n-and-a"],
+)
+def test_verify_family_with_grid_flags_is_usage_error(capsys, flags, named):
+    # A family fixes n and a: the grid flags are refused, not dropped.
+    code, out, err = run_cli(
+        capsys, "verify", "--theorem", "T21", "--family", "unit:0.5,2", *flags
+    )
+    assert code == 64
+    assert out == ""
+    assert f"--family cannot be combined with {named}" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--theorem", "classic", "--family", "moebius:1.5",

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+import crosscheck
 from bohrineq.constants import big_f, sharp_constants
-from bohrineq.errors import DomainError, UnsupportedInterpretationError
+from bohrineq.errors import DomainError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
@@ -16,7 +17,6 @@ from bohrineq.functionals import (
     RadiusSpec,
     area_term,
     evaluate,
-    majorant,
     preset,
     schwarz_pick,
 )
@@ -108,38 +108,41 @@ def test_diagonal_radius_refuses_a_dimension_that_is_not_a_positive_integer(n):
 
 
 # ---------------------------------------------------------------- majorant
+# The family majorant, and the reference sum over its expanded series
+# (tests/crosscheck.py), which adds a_0.
 
 def test_majorant_threshold_value():
     # M at the radius 1/(1 + 2a) equals exactly 1 for the Moebius family.
-    assert majorant(_moebius_series(0.5, 0.5), _diag(1, 0.5)) == pytest.approx(
+    assert 0.5 + MoebiusDisk(0.5).majorant(0.5) == pytest.approx(1.0, abs=1e-12)
+    assert crosscheck.majorant(_moebius_series(0.5, 0.5), _diag(1, 0.5)) == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_majorant_constant():
+    assert ConstantFn(0.3).majorant(0.77) == 0.0
     series = expand(ConstantFn(0.3), 0)
-    assert majorant(series, _diag(1, 0.77)) == pytest.approx(0.3, abs=1e-15)
+    assert crosscheck.majorant(series, _diag(1, 0.77)) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_majorant_unit_family_spot_value(constants):
     a = constants.a_star1
     fam = ExtremalPolydiskUnit(a, 2)
+    expected = a + (1 - a * a) / (3 - a)
+    assert a + fam.majorant(fam.sigma((1.0 / 6.0,) * 2)) == pytest.approx(expected, rel=1e-12)
     series = expand(fam, default_truncation(fam, 1.0 / 6.0))
-    got = majorant(series, _diag(2, 1.0 / 6.0))
-    assert got == pytest.approx(a + (1 - a * a) / (3 - a), rel=1e-12)
+    assert crosscheck.majorant(series, _diag(2, 1.0 / 6.0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_majorant_monotone_in_radius():
+    fam = MoebiusDisk(0.7)
     series = _moebius_series(0.7, 0.9)
-    values = [majorant(series, _diag(1, r)) for r in [0.1, 0.3, 0.5, 0.7, 0.9]]
-    assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
-
-
-def test_majorant_domain_error_at_cap():
-    fam = ExtremalPolydiskUnit(0.5, 2)
-    series = expand(fam, 10)
-    with pytest.raises(DomainError):
-        majorant(series, _diag(2, 0.5))
+    radii = [0.1, 0.3, 0.5, 0.7, 0.9]
+    for values in (
+        [fam.majorant(r) for r in radii],
+        [crosscheck.majorant(series, _diag(1, r)) for r in radii],
+    ):
+        assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------- area term
@@ -175,10 +178,7 @@ def test_area_literal_vs_oracle_n2():
     fam = ExtremalPolydiskUnit(0.6, 2)
     rad = _diag(2, 1.0 / 6.0)
     lit = area_term(fam, rad, INTERP_LITERAL)
-    series = oracle_expand(fam, 40)
-    brute = math.fsum(
-        k * series.homogeneous_sq_sum(k, rad.coords) for k in range(1, 41)
-    )
+    brute = crosscheck.literal_area(oracle_expand(fam, 40), rad)
     assert lit == pytest.approx(brute, abs=1e-12)
     assert lit < area_term(fam, rad, INTERP_SLICE)
 
@@ -188,13 +188,6 @@ def test_multinomial_sq_ratio_values():
     assert multinomial_sq_ratio(2, 2) == 6 / 16
     assert multinomial_sq_ratio(1, 7) == 1.0
     assert multinomial_sq_ratio(3, 1) == 3 / 9
-
-
-def test_area_slice_needs_family():
-    series = oracle_expand(MoebiusDisk(0.5), 8)
-    bare = type(series)(series.n, series.truncation, dict(series.coeffs))
-    with pytest.raises(UnsupportedInterpretationError):
-        area_term(bare, _diag(1, 0.3), INTERP_SLICE)
 
 
 @pytest.mark.parametrize("m, sigma", [(6, 1e-3), (8, 0.01), (2, 0.5), (1, 0.9)])
@@ -208,12 +201,6 @@ def test_power_of_z_terms_are_upper_bounds(m, sigma):
     )
     assert out.majorant_tail >= sigma**m * (1.0 - 1e-12)
     assert out.area_term >= m * sigma ** (2 * m) * (1.0 - 1e-12)
-
-
-def test_literal_area_of_a_series_without_family_is_its_partial_sum():
-    # No generating family, so no tail: 1 * 0.5^2 * 0.5^2 + 2 * 0.25^2 * 0.5^4.
-    bare = CoefficientSeries(1, 2, {(1,): 0.5, (2,): 0.25})
-    assert area_term(bare, RadiusSpec((0.5,))) == 0.0703125
 
 
 @pytest.mark.parametrize(
@@ -233,7 +220,7 @@ def test_vector_radius_is_exact_at_sum_of_radii(family, coords):
     assert out.head_value == pytest.approx(0.75, abs=1e-15)
     assert out.majorant_tail == pytest.approx(0.375, abs=1e-15)
     assert out.closed_form
-    partial = majorant(expand(family, 80), rad) - 0.5
+    partial = crosscheck.majorant(expand(family, 80), rad) - 0.5
     assert out.majorant_tail == pytest.approx(partial, abs=1e-12)
 
 
@@ -254,7 +241,7 @@ def test_vector_radius_literal_area_matches_dictionary_series():
         K = ser.truncation(lambda k: family.sq_tail(k, sigma), first=1)[0]
         series = expand(family, K)
         copy = CoefficientSeries(family.n, K, dict(series.coeffs), source=family)
-        expected = area_term(copy, rad)
+        expected = crosscheck.literal_area(copy, rad)
         got = evaluate(preset("thm_2_1").with_interpretation(INTERP_LITERAL), family, rad)
         assert got.area_term == pytest.approx(expected, rel=1e-14, abs=0.0), (family, coords)
 
@@ -309,11 +296,15 @@ def test_slice_backed_series_sums_build_no_multi_index(monkeypatch, rad):
 
     monkeypatch.setattr(ser, "_compositions", refuse)
     sigma = family.sigma(rad.coords)
-    assert majorant(series, rad) == pytest.approx(0.75 + family.majorant(sigma), rel=1e-13)
+    assert crosscheck.majorant(series, rad) == pytest.approx(
+        0.75 + family.majorant(sigma), rel=1e-13
+    )
     # The family stops at its own degree, where the tail is below TAIL_TARGET;
     # both values bound the same sum from above.
     literal = area_term(family, rad, INTERP_LITERAL)
-    assert area_term(series, rad) == pytest.approx(literal, rel=0.0, abs=ser.TAIL_TARGET)
+    assert crosscheck.literal_area(series, rad) == pytest.approx(
+        literal, rel=0.0, abs=ser.TAIL_TARGET
+    )
 
 
 def test_area_vector_radius_below_diagonal():

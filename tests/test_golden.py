@@ -5,7 +5,8 @@
 one ``label = repr`` line per library result on a path the CLI never takes
 (vector radii, evaluation points, constants under every preset, lemmas on
 every family class, sweeps and scans with repeats, radius searches, Blaschke
-products under every preset, functionals of expanded series).  The package
+products under every preset, and the reference sums of ``crosscheck.py``
+over expanded series, beside the slice area of their family).  The package
 is pure Python and its summation orders are fixed, so every line, the
 certified Blaschke suprema included, is deterministic.  A
 refactor that keeps the reports passes unchanged; a change that alters a
@@ -27,6 +28,7 @@ import sys
 
 import pytest
 
+import crosscheck
 from bohrineq import cli
 from bohrineq import functionals as fun
 from bohrineq import series as ser
@@ -210,9 +212,9 @@ def _library() -> str:
             ser.oracle_expand(family, 8),
         ):
             label = f"{family!r} K={series.truncation} {coords!r}"
-            add(f"majorant {label}", fun.majorant(series, radius))
-            for interp in interps:
-                add(f"area_term {interp} {label}", fun.area_term(series, radius, interp))
+            add(f"majorant {label}", crosscheck.majorant(series, radius))
+            add(f"area_term literal {label}", crosscheck.literal_area(series, radius))
+            add(f"area_term slice {label}", fun.area_term(family, radius, fun.INTERP_SLICE))
     return "\n".join(lines) + "\n"
 
 
