@@ -5,18 +5,21 @@ s = z_1 + ... + z_n.  These references read a ``CoefficientSeries`` instead:
 a dictionary series (``oracle_expand``, or one built by hand) monomial by
 monomial, and a slice-backed one (``expand``) degree by degree, by the
 multinomial theorem.  Each series needs its generating family (``source``),
-whose certified tails the sums add.  The tests hold the family functionals
-to them, and ``test_golden.py`` pins their values in ``library.txt``.
+whose certified tails the sums add, and refuses the radii the family path
+refuses.  The tests hold the family functionals to them, and
+``test_golden.py`` pins their values in ``library.txt``.
 """
 
 import math
 
 from bohrineq import series as ser
+from bohrineq.functionals import _check_radius_for
 
 
 def majorant(series, radius) -> float:
     """sum_{|alpha| <= K} |a_alpha| r^alpha, plus the certified majorant tail
     of the generating family."""
+    _check_radius_for(series.source, radius)
     if series.slice is None:
         sums = _degree_sums(series, lambda c, exps: abs(c) * _monomial(radius.coords, exps))
     else:
@@ -31,6 +34,7 @@ def literal_area(series, radius) -> float:
     """sum_{k=1}^{K} k sum_{|alpha| = k} |a_alpha|^2 r^(2 alpha), plus the
     slice square tail of the generating family (the literal degree masses
     never exceed the slice ones)."""
+    _check_radius_for(series.source, radius)
     coords, K = radius.coords, series.truncation
     if series.slice is None:
         sums = _degree_sums(series, lambda c, exps: abs(c) ** 2 * _monomial(coords, exps) ** 2)

@@ -145,6 +145,16 @@ def test_majorant_monotone_in_radius():
         assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
 
+def test_majorant_domain_error_at_cap():
+    # The family path and the reference sum over its series both refuse it.
+    fam = ExtremalPolydiskUnit(0.5, 2)
+    series = expand(fam, 10)
+    with pytest.raises(DomainError):
+        evaluate(FunctionalSpec("abs_f"), fam, _diag(2, 0.5))
+    with pytest.raises(DomainError):
+        crosscheck.majorant(series, _diag(2, 0.5))
+
+
 # ---------------------------------------------------------------- area term
 
 def test_area_single_variable_trivial_case():

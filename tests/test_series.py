@@ -227,6 +227,12 @@ def test_unit_family_mixed_coefficient():
         assert _coeff(series, 1, 1) == pytest.approx(expected, abs=1e-15)
 
 
+def test_degree_slice_has_pure_degrees():
+    series = expand(ExtremalPolydiskUnit(0.5, 3), 5)
+    for k in range(6):
+        assert all(sum(key) == k for key in series.coeffs.degree(k))
+
+
 def test_multinomial_identity_on_diagonal():
     # sum_{|alpha|=k} |a_alpha| r^alpha = (1-a^2) a^(k-1) (n r)^k
     a, n, r = 0.6, 3, 0.1
@@ -501,6 +507,19 @@ def test_slice_backed_reads_equal_dictionary_reads(family, K):
     for total in (crosscheck.majorant, crosscheck.literal_area):
         fast, slow = total(series, RadiusSpec(radii)), total(eager, RadiusSpec(radii))
         assert fast == pytest.approx(slow, rel=1e-14, abs=0.0), total
+
+
+@pytest.mark.parametrize("radii", [(math.nan, 0.1), (math.inf, 0.1), (-0.1, 0.1), (0.1,)])
+def test_homogeneous_sums_reject_bad_radii(radii):
+    # The reference degree sums over a series refuse what the family path
+    # refuses: a bad coordinate, or a radius of the wrong dimension.
+    family = ExtremalPolydiskUnit(0.5, 2)
+    with pytest.raises(DomainError):
+        evaluate(preset("thm_c"), family, RadiusSpec(radii))
+    for series in (expand(family, 5), _eager_expand(family, 5)):
+        for total in (crosscheck.majorant, crosscheck.literal_area):
+            with pytest.raises(DomainError):
+                total(series, RadiusSpec(radii))
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 0.95])
