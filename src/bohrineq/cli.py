@@ -5,7 +5,10 @@ to stdout or --out, byte-stable across runs for identical arguments.  Each
 command hands ``emit`` its rows as tuples in the order of its ``*_COLUMNS``
 list, so every column is named once.  JSON rows are dicts keyed by the
 column names, built for JSON only.  CSV cells are formatted by type, and a
-column that holds one object in every row is formatted once.
+column that holds one object in every row is formatted once.  Every
+theorem rule (its preset, its dimensions, its threshold) is read from
+``verify.THEOREMS``: ``radius --functional`` takes a theorem id, and
+``verify --family`` admits the family's dimension as a sweep admits n.
 
 Exit codes: 0 success, 1 inequality violations, 2 constants residual breach,
 64 usage, 65 domain error, 67 expansion budget, 73 --out file that cannot
@@ -240,9 +243,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     violations = 0
     if ns.family is not None:
         family = parse_family(ns.family)
-        n = ser.dimension(family)
+        n = ver._check_n(theorem_id, family.n)
         r = _resolve_r(ns.r, theorem_id, n)
-        a0 = abs(ser.constant_term(family))
+        a0 = abs(family.a0)
         radius = fun.RadiusSpec.diagonal(n, r)
         interps = [fun.INTERP_LITERAL] if n == 1 else [fun.INTERP_LITERAL, fun.INTERP_SLICE]
         for interp in interps:
@@ -264,10 +267,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_radius(ns: argparse.Namespace) -> int:
     name = ns.functional
-    preset_name = ver.THEOREMS[name].preset_name if name in ver.THEOREMS else name
     family = parse_family(ns.family)
-    result = ver.radius_search(fun.preset(preset_name), family, tol=ns.tol)
-    values = (name, ns.family, ser.dimension(family), result.radius, *result.bracket, *result[2:])
+    result = ver.radius_search(fun.preset(ver.THEOREMS[name].preset_name), family, tol=ns.tol)
+    values = (name, ns.family, family.n, result.radius, *result.bracket, *result[2:])
     meta = dict(command="radius", functional=name, family=ns.family, tol=ns.tol)
     emit([values], RADIUS_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK
@@ -294,12 +296,12 @@ def cmd_scan(ns: argparse.Namespace) -> int:
 def cmd_lemma(ns: argparse.Namespace) -> int:
     ver.check_tolerance(ns.tol)
     family = parse_family(ns.family)
-    r = _resolve_r(ns.r, None, ser.dimension(family))
+    r = _resolve_r(ns.r, None, family.n)
     checks = {"a": ver.lemma1a_check, "b": ver.lemma1b_check, "c": ver.lemma1c_check}
     check = checks[ns.part](family, r)
     if ns.tol is not None:
         check = check._replace(ok=check.lhs <= check.rhs + ns.tol)
-    n, a0 = ser.dimension(family), abs(ser.constant_term(family))
+    n, a0 = family.n, abs(family.a0)
     values = (ns.part, ns.family, n, a0, r, check.lhs, check.rhs, check.gap, check.ok)
     meta = dict(command="lemma", part=ns.part, family=ns.family, r=r)
     emit([values], LEMMA_COLUMNS, ns.format, ns.out, meta)
@@ -343,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="largest radius keeping the functional <= 1")
     common(p)
-    p.add_argument(
-        "--functional", choices=sorted({*theorems, *fun.PRESET_NAMES}), required=True
-    )
+    p.add_argument("--functional", choices=theorems, required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=cmd_radius)

@@ -36,24 +36,15 @@ RADIUS_CLASSIC = 1.0 / 3.0
 #: lies below sqrt5 - 2.
 RADIUS_ABS_HEAD = float(Fraction(math.isqrt(5 << 240) - (2 << 120), 1 << 120))
 
-#: Six-figure reference decimals used for residual reporting.
+#: Printed reference decimals for residual reporting, each with a residual
+#: tolerance matched to its printed precision.
 REFERENCE = {
-    "a_star1": 0.567284,
-    "a_star2": 0.537869,
-    "lambda1": 18.6095,
-    "lambda2": 16.4618,
-    "p": 2.4721359550,
-    "radius_abs_head": 0.236068,
-}
-
-#: Residual tolerances matched to the printed precision of each value.
-RESIDUAL_TOL = {
-    "a_star1": 1e-6,
-    "a_star2": 1e-6,
-    "lambda1": 1e-3,
-    "lambda2": 1e-3,
-    "p": 1e-9,
-    "radius_abs_head": 1e-6,
+    "a_star1": (0.567284, 1e-6),
+    "a_star2": (0.537869, 1e-6),
+    "lambda1": (18.6095, 1e-3),
+    "lambda2": (16.4618, 1e-3),
+    "p": (2.4721359550, 1e-9),
+    "radius_abs_head": (0.236068, 1e-6),
 }
 
 
@@ -359,14 +350,14 @@ def constants_report(tol_override: float | None = None) -> ConstantsReport:
     fails every constant.
     """
     if tol_override is None:
-        tolerances = dict(RESIDUAL_TOL)
+        tolerances = {name: tol for name, (_, tol) in REFERENCE.items()}
     elif math.isinf(tol_override := _real(tol_override, "tolerance override")):
         raise DomainError("tolerance override must not be infinite")
     else:
         tolerances = dict.fromkeys(REFERENCE, tol_override)
     c = sharp_constants()
     values = {**c._asdict(), "radius_abs_head": RADIUS_ABS_HEAD}
-    residuals = {name: abs(values[name] - ref) for name, ref in REFERENCE.items()}
+    residuals = {name: abs(values[name] - ref) for name, (ref, _) in REFERENCE.items()}
     ok = not _breaches(residuals, tolerances)
     return ConstantsReport(
         constants=c,

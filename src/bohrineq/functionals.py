@@ -139,40 +139,25 @@ class FunctionalSpec:
         return twin
 
 
-PRESET_NAMES = (
-    "classic",
-    "thm_a",
-    "thm_b1",
-    "thm_b2",
-    "thm_c",
-    "thm_2_1",
-    "thm_d",
-    "thm_2_2",
-    "thm_e",
-    "thm_2_3",
-)
-
-
 @lru_cache(maxsize=1)
 def _preset_table() -> dict[str, FunctionalSpec]:
+    """The ten presets, keyed by the ``preset_name`` of each theorem in
+    ``verify.THEOREMS``; T21 and T22 share the specs of C and D."""
     c = sharp.sharp_constants()
-    table = {
+    thm_c = FunctionalSpec(HEAD_CONSTANT, area_weight=16.0 / 9.0, area_sq_weight=c.lambda1)
+    thm_d = FunctionalSpec(HEAD_ABS_SQ, area_weight=16.0 / 9.0, area_sq_weight=c.lambda2)
+    return {
         "classic": FunctionalSpec(HEAD_CONSTANT),
         "thm_a": FunctionalSpec(HEAD_CONSTANT, area_weight=16.0 / 9.0),
         "thm_b1": FunctionalSpec(HEAD_ABS),
         "thm_b2": FunctionalSpec(HEAD_ABS_SQ),
-        "thm_c": FunctionalSpec(
-            HEAD_CONSTANT, area_weight=16.0 / 9.0, area_sq_weight=c.lambda1
-        ),
-        "thm_d": FunctionalSpec(
-            HEAD_ABS_SQ, area_weight=16.0 / 9.0, area_sq_weight=c.lambda2
-        ),
+        "thm_c": thm_c,
+        "thm_2_1": thm_c,
+        "thm_d": thm_d,
+        "thm_2_2": thm_d,
         "thm_e": FunctionalSpec(HEAD_ABS, area_weight=c.p),
         "thm_2_3": FunctionalSpec(HEAD_ABS, extra_area_weight=c.p),
     }
-    table["thm_2_1"] = table["thm_c"]
-    table["thm_2_2"] = table["thm_d"]
-    return table
 
 
 def preset(name: str) -> FunctionalSpec:

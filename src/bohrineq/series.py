@@ -543,11 +543,6 @@ def domain_radius_cap(family: FamilySpec) -> float:
     return family.cap
 
 
-def constant_term(family: FamilySpec) -> complex:
-    """Value at the origin, the a_0 of the expansion."""
-    return family.a0
-
-
 def family_value(family: FamilySpec, z: tuple[complex, ...]) -> complex:
     """Exact rational evaluation at a point of the open domain."""
     # Read once, so that an iterator is not empty when family.value reads it;

@@ -471,8 +471,11 @@ def theorem_sweep(
     # repeated keys (repeats, 0.0 and -0.0) keep their input order.  An
     # attrgetter key runs at C speed.
     #
-    # If no literal total can violate, no margin is NaN or -0.0, and the
-    # least one is the worst in any order; else the sorted rows decide.
+    # Every literal total is finite (the grid lies inside [0, 1), the radius
+    # below the cap, and the preset weights are finite), and 1.0 - total is
+    # never -0.0, so the least margin of the columns is the row-level worst
+    # in any order.  Only a flagged sweep reads its sorted rows, to list its
+    # violations in row order.
     shared: dict = {}
     built: dict[str, list[fun.TermBreakdown]] = {}  # slice breakdowns by repr(sigma)
     rows: list[SweepRow] = []
@@ -498,10 +501,11 @@ def theorem_sweep(
         rows.extend(sets[0] if len(sets) == 1 else chain.from_iterable(zip(*sets)))
     if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
         rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
-    if not flagged:
-        worst = min(chain.from_iterable(margins), default=math.inf)
-        return SweepReport(theorem_id, tuple(rows), worst, ())
-    literal = [row for row in rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
-    violations = tuple(row for row in literal if violates(row.breakdown, tol))
-    worst = min(row.breakdown.margin for row in literal) if literal else math.inf
+    worst = min(chain.from_iterable(margins), default=math.inf)
+    violations = ()
+    if flagged:
+        violations = tuple(
+            row for row in rows
+            if row.breakdown.interpretation == fun.INTERP_LITERAL and violates(row.breakdown, tol)
+        )
     return SweepReport(theorem_id, tuple(rows), worst, violations)

@@ -68,6 +68,12 @@ MUTANTS = [
         "lemma rows: lhs and rhs in their own columns",
     ),
     Mutant(
+        "verify-family-dimension", "cli.py",
+        "n = ver._check_n(theorem_id, family.n)",
+        "n = family.n",
+        "verify --family: a single-variable theorem refuses an n >= 2 family",
+    ),
+    Mutant(
         "scan-exit", "cli.py",
         "report.max_total <= ver._limit(ns.tol, True)",
         "report.max_total <= ver._limit(ns.tol, False)",
@@ -89,7 +95,7 @@ MUTANTS = [
         "sweep-flag", "verify.py",
         "flagged = flagged or not all(",
         "flagged = flagged and not all(",
-        "theorem_sweep: the column flag sends a violating sweep to the row path",
+        "theorem_sweep: the column flag makes a violating sweep list its violations",
     ),
     Mutant(
         "sweep-sort-skip", "verify.py",

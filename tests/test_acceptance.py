@@ -204,11 +204,8 @@ def test_criterion_7_lemma_suite():
             FiniteBlaschke((0.5, -0.3)),
             ConstantFn(0.4),
         ]
-        from bohrineq.series import constant_term, dimension
-
         for fam in bounded:
-            n = dimension(fam)
-            a0 = abs(constant_term(fam))
+            n, a0 = fam.n, abs(fam.a0)
             for r in (0.1, 0.2, 0.3):
                 sup = evaluate(head, fam, RadiusSpec.diagonal(n, r)).head_value
                 first = (r + a0) / (1 + a0 * r)

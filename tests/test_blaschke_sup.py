@@ -22,7 +22,7 @@ import pytest
 from bohrineq import series as ser
 from bohrineq.constants import PolynomialR, _sturm_root_count
 from bohrineq.errors import DomainError
-from bohrineq.functionals import PRESET_NAMES, RadiusSpec, evaluate, preset
+from bohrineq.functionals import RadiusSpec, _preset_table, evaluate, preset
 from bohrineq.series import FiniteBlaschke
 
 SIGMAS = (0.0, 0.05, 0.3, 0.8, 0.99, 0.999)
@@ -243,7 +243,7 @@ def test_boundary_sup_is_cached_per_zeros_and_radius():
     family = FiniteBlaschke((0.413 - 0.171j, -0.237 + 0.529j, 0.083 + 0.661j))
     misses = ser._blaschke_sup.cache_info().misses
     radius = RadiusSpec.diagonal(1, 0.8)
-    for name in PRESET_NAMES:
+    for name in _preset_table():
         evaluate(preset(name), family, radius)
     assert ser._blaschke_sup.cache_info().misses == misses + 1
     family.boundary_sup(0.7)

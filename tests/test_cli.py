@@ -265,6 +265,9 @@ def test_unknown_theorem_is_usage_error(capsys):
         ["verify", "--theorem", "Z9"],
         ["scan", "--theorem", "Z9"],
         ["radius", "--functional", "thm_0.15", "--family", "moebius:0.5"],
+        # --functional names a theorem; its preset's name is no choice.
+        ["radius", "--functional", "thm_c", "--family", "moebius:0.5"],
+        ["radius", "--functional", "thm_2_1", "--family", "unit:0.5,2"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 64
@@ -294,6 +297,50 @@ def test_verify_family_with_grid_flags_is_usage_error(capsys, flags, named):
     assert code == 64
     assert out == ""
     assert f"--family cannot be combined with {named}" in err
+
+
+@pytest.mark.parametrize("theorem, family, numbers", [
+    # The rows that --functional thm_c and thm_2_1 printed, under the theorem id.
+    ("C", "moebius:0.5", "0.333712537905,0.333712537439,0.333712538371,30,true,true"),
+    ("T21", "moebius:0.5", "0.333712537905,0.333712537439,0.333712538371,30,true,true"),
+])
+def test_radius_theorem_id_prints_the_numbers_of_its_preset(capsys, theorem, family, numbers):
+    code, out, _ = run_cli(capsys, "radius", "--functional", theorem, "--family", family)
+    assert code == 0
+    assert out.splitlines()[1].endswith("," + numbers)
+
+
+@pytest.mark.parametrize("theorem, family, n", [
+    ("C", "unit:0.5,2", 2), ("B1", "scaled:0.5,3", 3), ("classic", "unit:0.2,5", 5),
+])
+def test_verify_family_of_wrong_dimension_is_the_sweep_domain_error(capsys, theorem, family, n):
+    # A single-variable theorem refuses an n >= 2 family as its sweep refuses --n.
+    code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--family", family)
+    assert code == 65
+    assert out == ""
+    assert err == f"domain error: theorem {theorem} is single-variable; n must be 1\n"
+    assert run_cli(capsys, "verify", "--theorem", theorem, "--n", str(n))[2] == err
+
+
+@pytest.mark.parametrize("theorem, family, expected", [
+    ("T23", "unit:0.4,3", [
+        "T23,3,0.4,0.0786893258333,literal,0.581188024869,0.218974221762,0.01323831051,0,"
+        "0.0327269033951,0.832889150026,0.167110849974,true",
+        "T23,3,0.4,0.0786893258333,slice,0.581188024869,0.218974221762,0.0400324559072,0,"
+        "0.098965673615,0.899127920246,0.100872079754,true",
+    ]),
+    ("T21", "unit:0.3,3", [
+        "T21,3,0.3,0.111111111111,literal,0.3,0.337037037037,0.0310147098877,"
+        "0.0179007527972,0,0.710075051857,0.289924948143,true",
+        "T21,3,0.3,0.111111111111,slice,0.3,0.337037037037,0.0938793093675,"
+        "0.164011998642,0,0.967945585666,0.032054414334,true",
+    ]),
+])
+def test_verify_family_multidimensional_rows_are_kept(capsys, theorem, family, expected):
+    # Polydisk theorems keep every n >= 2 family, beside the golden T21 and T22 cases.
+    code, out, _ = run_cli(capsys, "verify", "--theorem", theorem, "--family", family)
+    assert code == 0
+    assert out.splitlines()[1:] == expected
 
 
 def test_domain_error_exit_code(capsys):

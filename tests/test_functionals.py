@@ -12,12 +12,12 @@ from bohrineq.errors import DomainError
 from bohrineq.functionals import (
     INTERP_LITERAL,
     INTERP_SLICE,
-    PRESET_NAMES,
     FunctionalSpec,
     RadiusSpec,
     area_term,
     evaluate,
     preset,
+    _preset_table,
     schwarz_pick,
 )
 from bohrineq import series as ser
@@ -33,6 +33,7 @@ from bohrineq.series import (
     multinomial_sq_ratio,
     oracle_expand,
 )
+from bohrineq.verify import THEOREMS
 
 SQRT5 = math.sqrt(5.0)
 
@@ -281,7 +282,7 @@ def test_family_functionals_build_no_multi_index(monkeypatch):
     for family, coords in _GUARD_FAMILIES:
         scale = family.cap * (1.0 if family.cap < 1.0 else 0.99)
         rad = RadiusSpec(tuple(scale * r for r in coords))
-        for name in PRESET_NAMES:
+        for name in _preset_table():
             for interp in (INTERP_LITERAL, INTERP_SLICE):
                 out = evaluate(preset(name).with_interpretation(interp), family, rad)
                 assert math.isfinite(out.total)
@@ -345,13 +346,10 @@ def test_schwarz_pick_values():
 )
 def test_abs_head_within_schwarz_pick(family):
     # Families bounded on the unit polydisk obey the boundary bound.
-    from bohrineq.series import constant_term, dimension
-
     spec = FunctionalSpec("abs_f")
-    n = dimension(family)
     for r in (0.1, 0.3, 0.6):
-        head = evaluate(spec, family, _diag(n, r)).head_value
-        assert head <= schwarz_pick(abs(constant_term(family)), r) + 1e-12
+        head = evaluate(spec, family, _diag(family.n, r)).head_value
+        assert head <= schwarz_pick(abs(family.a0), r) + 1e-12
 
 
 # ---------------------------------------------------------------- evaluate
@@ -480,8 +478,10 @@ def test_presets_are_built_once_with_the_sharp_weights():
         "thm_2_2": (16 / 9, c.lambda2, 0.0), "thm_e": (c.p, 0.0, 0.0),
         "thm_2_3": (0.0, 0.0, c.p),
     }
-    assert set(weights) == set(PRESET_NAMES)
-    for name in PRESET_NAMES:
+    assert set(weights) == set(_preset_table())
+    # Every preset is the functional of a theorem, under its preset_name.
+    assert set(_preset_table()) == {td.preset_name for td in THEOREMS.values()}
+    for name in _preset_table():
         spec = preset(name)
         assert preset(name) is spec
         assert (spec.area_weight, spec.area_sq_weight, spec.extra_area_weight) == weights[name]
@@ -520,7 +520,7 @@ def test_total_monotone_in_bold_r():
     ]
     for family in families:
         interps = (INTERP_LITERAL, INTERP_SLICE) if family.n > 1 else (INTERP_SLICE,)
-        specs = {preset(name).with_interpretation(i) for name in PRESET_NAMES for i in interps}
+        specs = {preset(name).with_interpretation(i) for name in _preset_table() for i in interps}
         hi = family.cap * (1.0 - 1e-9)
         radii = [_diag(family.n, hi * i / 255) for i in range(256)]
         for spec in specs:
@@ -529,7 +529,7 @@ def test_total_monotone_in_bold_r():
 
 
 def test_spec_twin_is_built_once_and_kept():
-    for name in PRESET_NAMES:
+    for name in _preset_table():
         spec = preset(name)
         literal = spec.with_interpretation(INTERP_LITERAL)
         assert spec.with_interpretation(INTERP_SLICE) is spec

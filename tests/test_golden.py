@@ -105,7 +105,7 @@ def _library() -> str:
     ]
     for family, radii in vector_cases:
         for coords in radii:
-            for name in fun.PRESET_NAMES:
+            for name in fun._preset_table():
                 for interp in interps:
                     spec = fun.preset(name).with_interpretation(interp)
                     out = fun.evaluate(spec, family, fun.RadiusSpec(coords))
@@ -120,13 +120,13 @@ def _library() -> str:
     ]
     for family, point in point_cases:
         radius = fun.RadiusSpec.diagonal(family.n, 0.25)
-        for name in fun.PRESET_NAMES:
+        for name in fun._preset_table():
             out = fun.evaluate(fun.preset(name), family, radius, point)
             add(f"evaluate {name} {family!r} 0.25 at {point!r}", out)
 
     for c in (0.0, 0.4j, -1.0):
         for r in (0.0, 0.3):
-            for name in fun.PRESET_NAMES:
+            for name in fun._preset_table():
                 for interp in interps:
                     spec = fun.preset(name).with_interpretation(interp)
                     out = fun.evaluate(spec, ser.ConstantFn(c), fun.RadiusSpec.diagonal(1, r))
@@ -190,7 +190,7 @@ def _library() -> str:
     ]
     for family in blaschke_families:
         for r in (0.0, 0.2, 0.5, 0.8):
-            for name in fun.PRESET_NAMES:
+            for name in fun._preset_table():
                 out = fun.evaluate(fun.preset(name), family, fun.RadiusSpec.diagonal(1, r))
                 add(f"evaluate {name} {family!r} {r!r}", out)
     for family in blaschke_families[:2]:

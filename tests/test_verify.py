@@ -417,10 +417,7 @@ def test_thm_e_radius_exceeds_threshold_for_all_a():
 def test_schwarz_pick_chain_on_grids():
     head = FunctionalSpec("abs_f")
     for fam in (MoebiusDisk(0.5), ExtremalPolydiskScaled(0.5, 2), FiniteBlaschke((0.4,))):
-        from bohrineq.series import constant_term, dimension
-
-        n = dimension(fam)
-        a0 = abs(constant_term(fam))
+        n, a0 = fam.n, abs(fam.a0)
         for r in (0.1, 0.25, 0.4):
             sup = evaluate(head, fam, RadiusSpec.diagonal(n, r)).head_value
             first = (r + a0) / (1 + a0 * r)
@@ -829,7 +826,7 @@ _SIGNED_WEIGHTS = (0.0, -0.0, 0.5)
 
 
 def _fold_specs():
-    yield from (preset(name) for name in fun.PRESET_NAMES)
+    yield from (preset(name) for name in fun._preset_table())
     for head in (fun.HEAD_CONSTANT, fun.HEAD_ABS, fun.HEAD_ABS_SQ):
         for weights in itertools.product(_SIGNED_WEIGHTS, repeat=3):
             yield FunctionalSpec(head, *weights)
@@ -892,9 +889,31 @@ def test_sweep_verdicts_equal_the_row_level_reference(tid, ns, grid, radii, tol)
     assert repr(report.worst_margin) == repr(worst)
 
 
+@pytest.mark.parametrize(
+    "tid, ns, grid, radii, tol",
+    [
+        ("T21", [2, 3], [0.5, -0.0, 0.2, 0.5, 0.0], None, math.nan),
+        ("C", [1], [0.9, 0.0, -0.0, 0.3, 0.9, 0.3], [0.3, 0.25], -1.0),
+        ("classic", [1], [0.9, -0.0, 0.5, 0.0, 0.9], [0.4, 0.2], None),  # 0.4 > 1/3
+        ("T23", [3, 2], [0.9, 0.1, 0.9, -0.0, 0.0], [0.2, 0.05], None),  # 0.2 > (sqrt5 - 2)/2
+    ],
+)
+def test_violating_sweep_takes_its_worst_margin_from_the_columns(tid, ns, grid, radii, tol):
+    # Every literal total is finite and no margin is -0.0, so the least
+    # margin of the columns is the row-level minimum, bit for bit, on a
+    # sweep that violates as on one that does not.
+    report = theorem_sweep(tid, ns, grid, radii, tol)
+    literal = [row for row in report.rows if row.breakdown.interpretation == INTERP_LITERAL]
+    assert report.violations
+    margins = [row.breakdown.margin for row in literal]
+    assert all(math.isfinite(m) and repr(m) != "-0.0" for m in margins)
+    assert repr(report.worst_margin) == repr(min(margins))
+
+
 def test_sweep_verdict_reference_covers_both_paths():
-    # Without a violation the verdict is read off the columns alone; with
-    # one, or a NaN tolerance, off the rows.
+    # The worst margin is read off the columns; a sweep that no column
+    # flags lists no violation, and one that is flagged (a violation, or a
+    # NaN tolerance) lists them from its sorted rows.
     assert not theorem_sweep("T21", [1, 2, 3, 5]).violations
     assert len(theorem_sweep("T21", [2], [0.5, 0.2], tol=math.nan).violations) == 2
     flagged = theorem_sweep("T22", [5], [0.9, 0.3], [0.19])
