@@ -2,11 +2,11 @@
 
 Reports are emitted as CSV (12 significant digits, mandatory header) or JSON
 to stdout or --out, byte-stable across runs for identical arguments.  Each
-command hands ``emit`` its rows as tuples in the order of its ``*_COLUMNS``
-list, so every column is named once.  JSON rows are dicts keyed by the
-column names, built for JSON only.  CSV cells are formatted by type, and a
-column that holds one object in every row is formatted once.  Every
-theorem rule (its preset, its dimensions, its threshold) is read from
+command hands ``emit`` its columns, never a report's rows, in the order of
+its ``*_COLUMNS`` list, so every column is named once.  JSON rows are dicts
+keyed by the column names, built for JSON only.  Each CSV line comes from
+one ``%`` template, into which a column of one object is formatted once.
+Every theorem rule (its preset, its dimensions, its threshold) is read from
 ``verify.THEOREMS``: ``radius --functional`` takes a theorem id, and
 ``verify --family`` admits the family's dimension as a sweep admits n.
 
@@ -24,7 +24,7 @@ import json
 import operator
 import sys
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -165,32 +165,38 @@ def _fmt(value) -> str:
     return _FORMATS.get(type(value), str)(value)
 
 
-def _cells(column: tuple) -> Iterable[str]:
-    """The CSV text of one column: one object in every row is formatted
-    once, else cell by cell."""
+def _template(column: Sequence) -> tuple[str, Sequence | None]:
+    """A column's part of the line template and the cells that fill it: one
+    object is formatted once into it, with % escaped, and fills nothing; a
+    float column fills %.12g (``_fmt``'s text), any other %s with ``_fmt``."""
     first = column[0]
     if all(map(operator.is_, column, repeat(first))):
-        return repeat(_fmt(first), len(column))
-    return map(_fmt, column)
+        return _fmt(first).replace("%", "%%"), None
+    if set(map(type, column)) == {float}:
+        return "%.12g", column
+    return "%s", list(map(_fmt, column))
 
 
 def emit(
-    rows: list[tuple],
-    columns: list[str],
+    columns: list[Sequence],
+    names: list[str],
     out_format: str,
     out_path: str | None,
     meta: dict,
 ) -> None:
-    """Write rows, tuples in the order of columns, as CSV or JSON."""
+    """Write columns of equal length, in the order of names, as CSV or JSON."""
     if out_format == "csv":
-        cells = zip(*map(_cells, zip(*rows)))
-        lines = [",".join(map(_text, columns)), *map(",".join, cells)]
-        if len(columns) == 1:  # csv writes a line of one empty cell as ""
+        lines = [",".join(map(_text, names))]
+        if size := len(columns[0]):
+            parts, filled = zip(*map(_template, columns))
+            template, cells = ",".join(parts), [column for column in filled if column is not None]
+            lines.extend(map(template.__mod__, zip(*cells) if cells else repeat((), size)))
+        if len(names) == 1:  # csv writes a line of one empty cell as ""
             lines = [line or '""' for line in lines]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(
-            {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]},
+            {"meta": meta, "rows": [dict(zip(names, row)) for row in zip(*columns)]},
             indent=2, sort_keys=True,
         ) + "\n"
     if out_path:
@@ -201,13 +207,6 @@ def emit(
             raise OutputError(exc) from exc
     else:
         sys.stdout.write(text)
-
-
-def _breakdown_row(
-    theorem: str, n: int, a: float, r: float, breakdown: fun.TermBreakdown
-) -> tuple:
-    # head_value..margin and then certified open the record.
-    return (theorem, n, a, r, breakdown.interpretation, *breakdown[:8])
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +220,7 @@ def cmd_constants(ns: argparse.Namespace) -> int:
     # A JSON row is the report's dict, with the residuals nested.
     columns = list(d) if ns.format == "json" else CONSTANTS_COLUMNS
     meta = dict(command="constants", tolerances=report.tolerances)
-    emit([tuple(map(values.get, columns))], columns, ns.format, ns.out, meta)
+    emit([[values[name]] for name in columns], columns, ns.format, ns.out, meta)
     if not report.ok:
         print(
             "constants residual breach: " + ", ".join(report.failed()),
@@ -239,29 +238,28 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     theorem_id = ns.theorem
     ver.check_tolerance(ns.tol)
     spec = fun.preset(ver.THEOREMS[theorem_id].preset_name)
-    rows: list[tuple] = []
-    violations = 0
     if ns.family is not None:
         family = parse_family(ns.family)
         n = ver._check_n(theorem_id, family.n)
         r = _resolve_r(ns.r, theorem_id, n)
-        a0 = abs(family.a0)
         radius = fun.RadiusSpec.diagonal(n, r)
         interps = [fun.INTERP_LITERAL] if n == 1 else [fun.INTERP_LITERAL, fun.INTERP_SLICE]
-        for interp in interps:
-            breakdown = fun.evaluate(spec.with_interpretation(interp), family, radius)
-            rows.append(_breakdown_row(theorem_id, n, a0, r, breakdown))
-            if interp == fun.INTERP_LITERAL and ver.violates(breakdown, ns.tol):
-                violations += 1
+        breakdowns = [fun.evaluate(spec.with_interpretation(i), family, radius) for i in interps]
+        violations = int(ver.violates(breakdowns[0], ns.tol))  # the literal row decides
+        # n, a, r and the ten TermBreakdown columns, as a sweep hands them out.
+        columns = [[key] * len(interps) for key in (n, abs(family.a0), r)] + list(zip(*breakdowns))
     else:
         n_list = parse_n_list(ns.n) if ns.n else None
         a_grid = parse_grid(ns.a) if ns.a else None
         r_values = None if ns.r == "threshold" else [_resolve_r(ns.r, theorem_id, 1)]
         report = ver.theorem_sweep(theorem_id, n_list, a_grid, r_values, tol=ns.tol)
-        rows.extend(_breakdown_row(*row) for row in report.rows)
+        columns = report.columns()
         violations = len(report.violations)
+    n_col, a_col, r_col, *terms = columns
+    # head_value..margin and then certified open the record; interpretation closes it.
+    columns = [[theorem_id] * len(a_col), n_col, a_col, r_col, terms[-1], *terms[:8]]
     meta = dict(command="verify", theorem=theorem_id, violations=violations)
-    emit(rows, VERIFY_COLUMNS, ns.format, ns.out, meta)
+    emit(columns, VERIFY_COLUMNS, ns.format, ns.out, meta)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
@@ -271,7 +269,7 @@ def cmd_radius(ns: argparse.Namespace) -> int:
     result = ver.radius_search(fun.preset(ver.THEOREMS[name].preset_name), family, tol=ns.tol)
     values = (name, ns.family, family.n, result.radius, *result.bracket, *result[2:])
     meta = dict(command="radius", functional=name, family=ns.family, tol=ns.tol)
-    emit([values], RADIUS_COLUMNS, ns.format, ns.out, meta)
+    emit([[value] for value in values], RADIUS_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK
 
 
@@ -285,11 +283,11 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     a_grid = parse_grid(ns.a) if ns.a else ver.grid_values(0.0, 0.9999, 0.0001)
     bold_r = None if ns.r == "threshold" else _resolve_r(ns.r, theorem_id, n)
     report = ver.sharpness_scan(theorem_id, a_grid, n=n, bold_r=bold_r, epsilon=ns.epsilon)
-    r, epsilon = report.bold_r, report.epsilon
-    rows = [(theorem_id, n, a, r, epsilon, total, perturbed) for a, total, perturbed in report.rows]
+    keys = [[key] * len(report.a) for key in (theorem_id, n, report.bold_r, report.epsilon)]
+    columns = [*keys[:2], report.a, *keys[2:], report.total, report.perturbed_total]
     # The maxima and a_star close the record.
-    meta = dict(zip(report._fields[5:], report[5:]), command="scan", theorem=theorem_id)
-    emit(rows, SCAN_COLUMNS, ns.format, ns.out, meta)
+    meta = dict(zip(report._fields[7:], report[7:]), command="scan", theorem=theorem_id)
+    emit(columns, SCAN_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK if report.max_total <= ver._limit(ns.tol, True) else EXIT_VIOLATIONS
 
 
@@ -304,7 +302,7 @@ def cmd_lemma(ns: argparse.Namespace) -> int:
     n, a0 = family.n, abs(family.a0)
     values = (ns.part, ns.family, n, a0, r, check.lhs, check.rhs, check.gap, check.ok)
     meta = dict(command="lemma", part=ns.part, family=ns.family, r=r)
-    emit([values], LEMMA_COLUMNS, ns.format, ns.out, meta)
+    emit([[value] for value in values], LEMMA_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK if check.ok else EXIT_VIOLATIONS
 
 

@@ -36,7 +36,7 @@ Moebius-type family of one class and n over a grid of a, and builds no
 family: ``_grid_terms`` reads the head, tail and area columns from the
 class's column rules, each (a, sigma) column once per sweep or scan,
 ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
-each set of equal columns built once, from which the sweep builds its rows.
+each set of equal columns built once, as a sweep's report hands them out.
 ``_prepare``'s core is the reference order of operations; ``_grid_totals``
 keeps its bits and skips the zero terms it can.  A zero weight adds +-0.0,
 which changes only a -0.0 partial sum, and no partial sum after a
@@ -384,7 +384,8 @@ def _grid_columns(
     """The ten ``TermBreakdown`` columns, in field order, of ``_grid_terms``.
     All but the interpretation depend on the head, weights and sigma alone,
     and on coords for a literal area at n > 1: sets that agree there (the
-    n = 1 literal set, the slice sets of one sigma) share them in shared."""
+    n = 1 literal set, the slice sets of one sigma) share them, and with the
+    interpretation one tuple of all ten, in shared."""
     key = (
         spec.head, spec.area_weight, spec.area_sq_weight, spec.extra_area_weight,
         coords if _literal(spec.area_interpretation, n) else 1, repr(sigma),
@@ -402,4 +403,5 @@ def _grid_columns(
             heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],
             [True] * size, [_closed_form(spec, cls.closed, n)] * size,
         )
-    return (*shared[key], [spec.area_interpretation] * len(avals))
+    interpretation = [spec.area_interpretation] * len(avals)
+    return shared.setdefault((key, spec.area_interpretation), (*shared[key], interpretation))

@@ -18,10 +18,10 @@ since neither depends on a, and read the a-grid from the column kernel of
 ``functionals``, which builds each (a, sigma) column once per call: a scan
 reads its grid once into a sorted list, inserts a* in order by
 bisection, checks the list inside [0, 1) by its sum and its two ends, and
-sums one total column per spec from one read of the terms; a sweep builds
-rows at C speed, the slice breakdowns once per sigma, and sorts them,
-stably, unless n, the radii and the grid strictly increase.  A radius
-search checks its top radius once, prepares the evaluation core of
+sums one total column per spec from one read of the terms; a sweep keeps
+the columns of each (n, r, interpretation), and a stable sort's order unless
+n, the radii and the grid strictly increase.  ``rows`` builds rows on read.
+A radius search checks its top radius once, prepares the evaluation core of
 ``functionals`` once, and runs it at the top and at each midpoint, reading
 the total and certification without building a record.  Lemma checks
 admit only families bounded by one on the unit polydisk, which is the
@@ -36,7 +36,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import replace
 from itertools import chain, repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import constants as sharp
 from . import functionals as fun
@@ -330,12 +330,19 @@ class ScanReport(NamedTuple):
     n: int
     bold_r: float
     epsilon: float
-    rows: tuple[ScanRow, ...]
+    a: list[float]
+    total: list[float]
+    perturbed_total: list[float]
     max_total: float
     argmax_a: float
     perturbed_max: float
     perturbed_argmax: float
     a_star: float | None
+
+    @property
+    def rows(self) -> tuple[ScanRow, ...]:
+        """The rows, built from the three columns on each read."""
+        return tuple(_rows(ScanRow, (self.a, self.total, self.perturbed_total)))
 
 
 def _largest(totals: list[float], grid: list[float]) -> tuple[float, float]:
@@ -402,7 +409,7 @@ def sharpness_scan(
         n=n,
         bold_r=r,
         epsilon=epsilon,
-        rows=tuple(_rows(ScanRow, (grid, base, pert))),
+        a=grid, total=base, perturbed_total=pert,
         max_total=max_total,
         argmax_a=argmax_a,
         perturbed_max=perturbed_max,
@@ -424,10 +431,43 @@ class SweepRow(NamedTuple):
 
 
 class SweepReport(NamedTuple):
+    """``sets`` holds per n of the input an (n, r, columns) set per (r,
+    interpretation): the ten ``TermBreakdown`` columns over ``grid``.  Rows
+    interleave the sets of each n per a; ``order``, unless None, sorts them."""
+
     theorem: str
-    rows: tuple[SweepRow, ...]
+    grid: Sequence[float]
+    sets: tuple[tuple[tuple[int, float, tuple[list, ...]], ...], ...]
+    order: list[int] | None
     worst_margin: float
     violations: tuple[SweepRow, ...]
+
+    def _in_order(self, per_set: Callable[[int, float, tuple], Iterable]) -> list:
+        """What per_set(n, r, columns) gives for each set, in row order."""
+        values = []
+        for block in self.sets:
+            values.extend(chain.from_iterable(zip(*[per_set(*s) for s in block])))
+        return values if self.order is None else list(map(values.__getitem__, self.order))
+
+    def columns(self) -> list[list]:
+        """n, a, r and the ten ``TermBreakdown`` columns, in row order."""
+        size = len(self.grid)
+        keys = [lambda n, r, c: repeat(n, size), lambda n, r, c: self.grid]
+        keys.append(lambda n, r, c: repeat(r, size))
+        return list(map(self._in_order, keys + [lambda n, r, c, k=k: c[k] for k in range(10)]))
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """The rows, built from the columns on each read."""
+        built: dict[int, list] = {}  # breakdowns by id(columns): sets of one tuple share them
+
+        def set_rows(n: int, r: float, columns: tuple) -> map:
+            if (breakdowns := built.get(id(columns))) is None:
+                breakdowns = built[id(columns)] = list(_rows(fun.TermBreakdown, columns))
+            keys = repeat(self.theorem), repeat(n), self.grid, repeat(r)
+            return _rows(SweepRow, (*keys, breakdowns))
+
+        return tuple(self._in_order(set_rows))
 
 
 def theorem_sweep(
@@ -461,29 +501,24 @@ def theorem_sweep(
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
-    # given, and sets of one sigma share their columns.  The slice sets of
-    # one sigma share all ten, so they share their breakdowns too, built
-    # for the first of them.  Rows are built at C speed, by ``_rows``,
-    # interleaved per a in input order (n, a, r, interpretation), and
-    # sorted once unless that order is already sorted: it is when n, the
-    # radii and the grid strictly increase, since "literal" < "slice" puts
-    # each literal row before its slice row.  The sort is stable, so
-    # repeated keys (repeats, 0.0 and -0.0) keep their input order.  An
-    # attrgetter key runs at C speed.
+    # given; sets of one sigma share their columns, and the slice sets one
+    # tuple of all ten.  Rows interleaved per a are in (n, a, r,
+    # interpretation) order when n, the radii and the grid strictly increase,
+    # as "literal" < "slice"; else a stable sort of their keys gives their
+    # order, so repeated keys (repeats, 0.0 and -0.0) keep their input order.
     #
     # Every literal total is finite (the grid lies inside [0, 1), the radius
     # below the cap, and the preset weights are finite), and 1.0 - total is
     # never -0.0, so the least margin of the columns is the row-level worst
-    # in any order.  Only a flagged sweep reads its sorted rows, to list its
+    # in any order.  Only a flagged sweep reads its rows, to list its
     # violations in row order.
     shared: dict = {}
-    built: dict[str, list[fun.TermBreakdown]] = {}  # slice breakdowns by repr(sigma)
-    rows: list[SweepRow] = []
+    sets = []
     margins = []
     flagged = False
     for n in ns:
         specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
-        sets = []
+        block = []
         for r in r_floats if r_floats is not None else [td.threshold(n)]:
             coords, sigma, cls = _checked_radius(theorem_id, n, r)
             for interp_spec in specs:
@@ -493,19 +528,15 @@ def theorem_sweep(
                     limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
                     flagged = flagged or not all(map(operator.le, totals, repeat(limit)))
                     margins.append(margin)
-                    breakdowns = _rows(fun.TermBreakdown, columns)
-                elif (breakdowns := built.get(repr(sigma))) is None:
-                    breakdowns = built[repr(sigma)] = list(_rows(fun.TermBreakdown, columns))
-                keys = repeat(theorem_id), repeat(n), grid, repeat(r)
-                sets.append(_rows(SweepRow, (*keys, breakdowns)))
-        rows.extend(sets[0] if len(sets) == 1 else chain.from_iterable(zip(*sets)))
-    if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
-        rows.sort(key=operator.attrgetter("n", "a", "r", "breakdown.interpretation"))
+                block.append((n, r, columns))
+        sets.append(tuple(block))
     worst = min(chain.from_iterable(margins), default=math.inf)
-    violations = ()
+    report = SweepReport(theorem_id, grid, tuple(sets), None, worst, ())
+    if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
+        keys = list(zip(*operator.itemgetter(0, 1, 2, -1)(report.columns())))  # n, a, r, interp
+        report = report._replace(order=sorted(range(len(keys)), key=keys.__getitem__))
     if flagged:
-        violations = tuple(
-            row for row in rows
-            if row.breakdown.interpretation == fun.INTERP_LITERAL and violates(row.breakdown, tol)
-        )
-    return SweepReport(theorem_id, tuple(rows), worst, violations)
+        literal = (row for row in report.rows if row.breakdown.interpretation == fun.INTERP_LITERAL)
+        violations = tuple(row for row in literal if violates(row.breakdown, tol))
+        report = report._replace(violations=violations)
+    return report

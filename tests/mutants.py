@@ -45,8 +45,8 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "scan-row-swap", "cli.py",
-        "epsilon, total, perturbed)",
-        "epsilon, perturbed, total)",
+        "report.total, report.perturbed_total]",
+        "report.perturbed_total, report.total]",
         "scan rows: total and perturbed_total in their own columns",
     ),
     Mutant(
@@ -57,8 +57,8 @@ MUTANTS = [
     ),
     Mutant(
         "verify-row-swap", "cli.py",
-        "(theorem, n, a, r, breakdown.interpretation",
-        "(theorem, n, r, a, breakdown.interpretation",
+        "n_col, a_col, r_col, terms[-1]",
+        "n_col, r_col, a_col, terms[-1]",
         "verify rows: a and r in their own columns",
     ),
     Mutant(
@@ -168,6 +168,37 @@ MUTANTS = [
         "all(map(operator.is_, column, repeat(first)))",
         "all(map(operator.eq, column, repeat(first)))",
         "emit: only a column of one object is formatted once (0.0 and -0.0 are equal)",
+    ),
+    Mutant(
+        "csv-template-percent", "cli.py",
+        '_fmt(first).replace("%", "%%")',
+        "_fmt(first)",
+        "emit: a column of one object is formatted into the line template with % escaped",
+    ),
+    Mutant(
+        "csv-template-float", "cli.py",
+        'return "%.12g", column',
+        'return "%.17g", column',
+        "emit: a float column fills %.12g, the text of the cell formatter",
+    ),
+    # Rows are built from the columns when read.
+    Mutant(
+        "scan-rows-columns", "verify.py",
+        "(self.a, self.total, self.perturbed_total)",
+        "(self.a, self.perturbed_total, self.total)",
+        "ScanReport.rows: each row takes its a, total and perturbed total from their columns",
+    ),
+    Mutant(
+        "sweep-rows-keys", "verify.py",
+        "keys = repeat(self.theorem), repeat(n), self.grid, repeat(r)",
+        "keys = repeat(self.theorem), repeat(n), repeat(r), self.grid",
+        "SweepReport.rows: each row takes its a from the grid and its r from its set",
+    ),
+    Mutant(
+        "sweep-order-unread", "verify.py",
+        "return values if self.order is None else list(map(values.__getitem__, self.order))",
+        "return values",
+        "SweepReport: rows and CLI columns follow the sorted order of unsorted inputs",
     ),
     # What a scan reads from the theorem's preset.
     Mutant(

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from bohrineq import cli
+from bohrineq import verify as ver
 from bohrineq.errors import (
     BohrIneqError,
     BudgetExceededError,
@@ -23,6 +25,9 @@ from bohrineq.errors import (
     UnsupportedInterpretationError,
 )
 from bohrineq.verify import grid_values, sharpness_scan
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -533,12 +538,20 @@ def _writer_csv(rows, columns):
 
 
 def _emitted(capsys, rows, columns):
-    cli.emit(rows, columns, "csv", None, {})
+    """What emit writes for rows, handed to it as columns."""
+    by_column = [list(column) for column in zip(*rows)] or [[] for _ in columns]
+    cli.emit(by_column, columns, "csv", None, {})
     return capsys.readouterr().out
 
 
-TEXTS = ["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "x\r\ny", "\r\n", " lead", "plain"]
-FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e300, 1 / 3, 18.609549031341185]
+TEXTS = [
+    "", ",", '"', "\r", "\n", "a,b", 'say "hi"', "x\r\ny", "\r\n", " lead", "plain",
+    "%", "50%", "%s", "%%", "%(a)s",
+]
+FLOATS = [
+    math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, -1e16, 1e300, 1 / 3,
+    18.609549031341185,
+]
 INTS = [0, -7, 10**20]
 BOOLS = [True, False]
 
@@ -576,6 +589,86 @@ def test_emit_matches_the_csv_writer_on_the_default_c_scan(capsys):
     rows = [("C", 1, a, report.bold_r, 0.0, total, perturbed) for a, total, perturbed in report.rows]
     assert len(rows) == 10_001
     assert out == _writer_csv(rows, cli.SCAN_COLUMNS)
+
+
+def test_emit_fills_its_template_from_float_text_and_mixed_columns(capsys):
+    # Columns that vary: floats fill %.12g, text and mixed columns their
+    # cells' text; beside them a column of one object, alone or not.
+    rng = random.Random(36)
+    for _ in range(40):
+        size = rng.randint(1, 6)
+        floats = [rng.choice(FLOATS) for _ in range(size)]
+        texts = [rng.choice(TEXTS) for _ in range(size)]
+        mixed = [rng.choice(TEXTS + FLOATS + INTS + BOOLS) for _ in range(size)]
+        for value in ("%", 0.5, True, 7):
+            rows = list(zip(floats, texts, [value] * size, mixed))
+            names = ["f", "t", "one", "m"]
+            assert _emitted(capsys, rows, names) == _writer_csv(rows, names)
+        for column in (floats, texts, mixed, [rng.choice(BOOLS) for _ in range(size)]):
+            rows = [(value,) for value in column]
+            assert _emitted(capsys, rows, ["x"]) == _writer_csv(rows, ["x"])
+
+
+def test_float_template_writes_the_text_of_the_cell_formatter():
+    rng = random.Random(3602)
+    values = [
+        struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(10_000)
+    ]
+    values += [math.ldexp(rng.random(), rng.randint(-1080, 1024)) for _ in range(10_000)]
+    values += [rng.uniform(-2.0, 2.0) for _ in range(10_000)]
+    values += FLOATS + [float(k) for k in range(-5, 6)]
+    assert len(values) > 30_000
+    assert ["%.12g" % x for x in values] == ["{:.12g}".format(x) for x in values]
+
+
+def _golden_csv_cases():
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    return [(name, case["argv"]) for name, case in sorted(manifest.items()) if ".csv" in name]
+
+
+def _row_path(report, columns):
+    """The rows the CLI wrote before it read columns: from a scan's or a
+    sweep's rows, else the one row of the command's values."""
+    if isinstance(report, ver.ScanReport):
+        r, epsilon = report.bold_r, report.epsilon
+        return [
+            (report.theorem, report.n, a, r, epsilon, total, perturbed)
+            for a, total, perturbed in report.rows
+        ]
+    if isinstance(report, ver.SweepReport):
+        return [
+            (row.theorem, row.n, row.a, row.r, row.breakdown.interpretation, *row.breakdown[:8])
+            for row in report.rows
+        ]
+    return list(zip(*columns))
+
+
+def _recorded(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends (args, result) to calls."""
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+@pytest.mark.parametrize("name, argv", _golden_csv_cases())
+def test_columnar_csv_equals_the_csv_writer_on_the_rows_of_every_golden_case(
+    monkeypatch, capsys, name, argv
+):
+    emitted, reports = [], []
+    _recorded(monkeypatch, cli, "emit", emitted)
+    _recorded(monkeypatch, ver, "sharpness_scan", reports)
+    _recorded(monkeypatch, ver, "theorem_sweep", reports)
+    cli.main(argv)
+    out = capsys.readouterr().out
+    (((columns, names, *_), _),) = emitted
+    rows = _row_path(reports[0][1] if reports else None, columns)
+    assert len(rows) == len(columns[0])
+    assert out == _writer_csv(rows, names) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", [

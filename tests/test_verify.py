@@ -39,6 +39,7 @@ from bohrineq.series import (
 from bohrineq.verify import (
     MAX_GRID_POINTS,
     RadiusResult,
+    ScanRow,
     SweepRow,
     THEOREMS,
     check_tolerance,
@@ -1177,6 +1178,105 @@ def _count_builds(monkeypatch):
     return calls
 
 
+def _count_rows(monkeypatch):
+    """Wrap ``verify._rows``, the single row builder, and record the class of
+    each call and every ``ScanRow`` and ``SweepRow`` built through it."""
+    calls, rows = [], []
+    build = ver._rows
+
+    def counted_rows(cls, columns):
+        calls.append(cls)
+        for row in build(cls, columns):
+            if cls in (ScanRow, SweepRow):
+                rows.append(row)
+            yield row
+
+    monkeypatch.setattr(ver, "_rows", counted_rows)
+    return calls, rows
+
+
+def _scan_reference(tid, grid, n, epsilon):
+    """The rows as an evaluation per point of the sorted grid, a* added."""
+    td = THEOREMS[tid]
+    spec = preset(td.preset_name).with_interpretation(INTERP_SLICE)
+    field, star = _SCAN_SHARP.get(tid, ("extra_area_weight", None))
+    points = sorted(map(float, grid))
+    if star and getattr(sharp.sharp_constants(), star) not in points:
+        points = sorted(points + [getattr(sharp.sharp_constants(), star)])
+    pert = replace(spec, **{field: getattr(spec, field) + epsilon})
+    radius = RadiusSpec.diagonal(n, td.threshold(n))
+    families = [theorem_family(tid, a, n) for a in points]
+    return [
+        ScanRow(a, evaluate(spec, family, radius).total, evaluate(pert, family, radius).total)
+        for a, family in zip(points, families)
+    ]
+
+
+@pytest.mark.parametrize(
+    "tid, grid, n, epsilon",
+    [
+        ("C", [0.1, 0.5, 0.9], 1, 1e-3),  # a* is inserted
+        ("T21", [0.5, -0.0, 0.2, 0.5, 0.0], 2, 0.0),  # repeats, unsorted, both zeros
+        ("E", [0.9, 0.0, -0.0, 0.9, 0.3], 1, 0.5),
+        ("T22", [0.7, 0.2], 3, 1e-3),
+    ],
+)
+def test_scan_builds_its_rows_only_when_they_are_read(monkeypatch, tid, grid, n, epsilon):
+    calls, built = _count_rows(monkeypatch)
+    report = sharpness_scan(tid, grid, n=n, epsilon=epsilon)
+    assert (calls, built) == ([], [])
+    rows = report.rows
+    assert (calls, len(built)) == ([ScanRow], len(rows))
+    expected = _scan_reference(tid, grid, n, epsilon)
+    assert [repr(row) for row in rows] == [repr(row) for row in expected]
+    # Rows are not kept: each read builds them anew, from the same columns.
+    assert report.rows == rows and len(built) == 2 * len(rows)
+
+
+@pytest.mark.parametrize(
+    "tid, ns, grid, radii, tol",
+    [
+        ("T21", [1, 2, 3], [0.1, 0.2, 0.3], [0.05, 0.1], None),  # in order, two radii
+        ("T21", [3, 1, 2, 3], [0.5, -0.0, 0.2, 0.5, 0.0], [0.1, 0.02, -0.0, 0.0, 0.1], None),
+        ("T22", [2, 5], [0.9, 0.3, 0.9], [0.19, 0.1], None),  # flagged: 0.19 is beyond n = 5
+        ("classic", [1], [0.9, 0.5, -0.0, 0.7, 0.0], [0.4, 0.3, 0.4], None),  # flagged at 0.4
+        ("C", [1], [0.2, 0.6], [0.3, 0.2], math.nan),  # a NaN tolerance flags every row
+    ],
+)
+def test_sweep_builds_its_rows_only_when_they_are_read(monkeypatch, tid, ns, grid, radii, tol):
+    calls, built = _count_rows(monkeypatch)
+    report = theorem_sweep(tid, ns, grid, radii, tol)
+    in_call = len(built)
+    rows = report.rows
+    assert len(built) - in_call == len(rows)
+    # Only a flagged sweep reads its rows in the call, once, for its violations.
+    assert in_call == (len(rows) if report.violations else 0)
+    expected = _sweep_reference(tid, ns, grid, radii)
+    assert [repr(row) for row in rows] == [repr(row) for row in expected]
+    literal = [row for row in expected if row.breakdown.interpretation == INTERP_LITERAL]
+    violations = [row for row in literal if violates(row.breakdown, tol)]
+    assert [repr(row) for row in report.violations] == [repr(row) for row in violations]
+    calls.clear()
+    empty = theorem_sweep(tid, ns, [], radii, tol)
+    assert calls == []
+    assert (empty.rows, empty.violations) == ((), ())
+
+
+def test_cli_scans_and_sweeps_build_no_row(monkeypatch, capsys):
+    from bohrineq import cli
+
+    calls, built = _count_rows(monkeypatch)
+    assert cli.main(["scan", "--theorem", "C"]) == 0
+    assert cli.main(["scan", "--theorem", "T21", "--n", "2", "--epsilon", "0.1"]) == 0
+    assert cli.main(["verify", "--theorem", "T21", "--n", "3,1,2,3", "--a", "0:0.9:0.3"]) == 0
+    assert (calls, built) == ([], [])
+    # A sweep that violates lists its violations, which are rows: it builds
+    # its 200 rows once.
+    assert cli.main(["verify", "--theorem", "T22", "--n", "5", "--r", "0.19"]) == 1
+    assert len(built) == 200
+    capsys.readouterr()
+
+
 def test_build_counter_sees_every_way_to_build_a_breakdown(monkeypatch):
     breakdowns = _count_builds(monkeypatch)
     out = evaluate(preset("classic"), MoebiusDisk(0.5), RadiusSpec.diagonal(1, 0.3))
@@ -1330,10 +1430,10 @@ def test_row_records_are_immutable_hashable_tuples():
          ("radius", "bracket", "iterations", "binding", "certified")),
         (THEOREMS["C"], ("preset_name", "multidimensional", "threshold")),
         (scan, (
-            "theorem", "n", "bold_r", "epsilon", "rows", "max_total", "argmax_a",
-            "perturbed_max", "perturbed_argmax", "a_star",
+            "theorem", "n", "bold_r", "epsilon", "a", "total", "perturbed_total", "max_total",
+            "argmax_a", "perturbed_max", "perturbed_argmax", "a_star",
         )),
-        (sweep, ("theorem", "rows", "worst_margin", "violations")),
+        (sweep, ("theorem", "grid", "sets", "order", "worst_margin", "violations")),
         (sharp.PSI1, ("coefficients",)),
         (sharp.sharp_constants(), ("a_star1", "a_star2", "lambda1", "lambda2", "p")),
         (sharp.constants_report(), (
@@ -1346,8 +1446,9 @@ def test_row_records_are_immutable_hashable_tuples():
             with pytest.raises(AttributeError):
                 setattr(row, name, None)
         assert row == tuple(row)
-        # A report holding dicts (the constants residuals) is not hashable.
-        if all(isinstance(value, Hashable) for value in row):
+        # A report holding dicts (the constants residuals) or columns (a scan,
+        # a sweep) is not hashable.
+        if row is not scan and row is not sweep and all(isinstance(v, Hashable) for v in row):
             assert hash(row) == hash(tuple(row))
 
 
