@@ -380,12 +380,11 @@ def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) ->
 def _grid_columns(
     spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
     shared: dict,
-) -> tuple[list, ...]:
+) -> tuple[tuple, ...]:
     """The ten ``TermBreakdown`` columns, in field order, of ``_grid_terms``.
     All but the interpretation depend on the head, weights and sigma alone,
     and on coords for a literal area at n > 1: sets that agree there (the
-    n = 1 literal set, the slice sets of one sigma) share them, and with the
-    interpretation one tuple of all ten, in shared."""
+    n = 1 literal set, the slice sets of one sigma) share them, as tuples, in shared."""
     key = (
         spec.head, spec.area_weight, spec.area_sq_weight, spec.extra_area_weight,
         coords if _literal(spec.area_interpretation, n) else 1, repr(sigma),
@@ -399,9 +398,8 @@ def _grid_columns(
         area_sq = [w_q * area * area for area in areas] if w_q else [w_q * 0.0 * 0.0] * size
         extra = [w_x * area for area in areas] if w_x else [w_x * 0.0] * size
         # Moebius-type heads and tails are exact closed forms: every row is certified.
-        shared[key] = (
+        shared[key] = tuple(map(tuple, (
             heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],
             [True] * size, [_closed_form(spec, cls.closed, n)] * size,
-        )
-    interpretation = [spec.area_interpretation] * len(avals)
-    return shared.setdefault((key, spec.area_interpretation), (*shared[key], interpretation))
+        )))
+    return (*shared[key], (spec.area_interpretation,) * len(avals))

@@ -35,7 +35,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import constants as sharp
@@ -330,9 +330,9 @@ class ScanReport(NamedTuple):
     n: int
     bold_r: float
     epsilon: float
-    a: list[float]
-    total: list[float]
-    perturbed_total: list[float]
+    a: tuple[float, ...]
+    total: tuple[float, ...]
+    perturbed_total: tuple[float, ...]
     max_total: float
     argmax_a: float
     perturbed_max: float
@@ -345,7 +345,7 @@ class ScanReport(NamedTuple):
         return tuple(_rows(ScanRow, (self.a, self.total, self.perturbed_total)))
 
 
-def _largest(totals: list[float], grid: list[float]) -> tuple[float, float]:
+def _largest(totals: Sequence[float], grid: Sequence[float]) -> tuple[float, float]:
     """max(zip(totals, grid)) at C speed, for a sorted grid and totals that
     are never NaN and equal at equal a (repeats, 0.0 and -0.0): the largest
     total, the a of its last index, and the first index of that a, found
@@ -400,8 +400,8 @@ def sharpness_scan(
     # The specs differ in one weight only: the terms are read once, with the
     # areas whenever either spec weighs them, and each spec sums its totals.
     terms = fun._grid_terms(perturbed, cls, n, grid, coords, sigma, {})
-    base = fun._grid_totals(spec, *terms)
-    pert = fun._grid_totals(perturbed, *terms) if epsilon > 0 else base
+    base = tuple(fun._grid_totals(spec, *terms))
+    pert = tuple(fun._grid_totals(perturbed, *terms)) if epsilon > 0 else base
     max_total, argmax_a = _largest(base, grid)
     perturbed_max, perturbed_argmax = _largest(pert, grid) if epsilon > 0 else (max_total, argmax_a)
     return ScanReport(
@@ -409,7 +409,7 @@ def sharpness_scan(
         n=n,
         bold_r=r,
         epsilon=epsilon,
-        a=grid, total=base, perturbed_total=pert,
+        a=tuple(grid), total=base, perturbed_total=pert,
         max_total=max_total,
         argmax_a=argmax_a,
         perturbed_max=perturbed_max,
@@ -431,39 +431,40 @@ class SweepRow(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """``sets`` holds per n of the input an (n, r, columns) set per (r,
-    interpretation): the ten ``TermBreakdown`` columns over ``grid``.  Rows
-    interleave the sets of each n per a; ``order``, unless None, sorts them."""
+    """``sets`` holds per n of the input an (n, r, columns) set per (r, interpretation), the ten
+    ``TermBreakdown`` columns over ``grid``; rows interleave the sets of each n per a, in
+    ``order`` unless it is None."""
 
     theorem: str
-    grid: Sequence[float]
-    sets: tuple[tuple[tuple[int, float, tuple[list, ...]], ...], ...]
-    order: list[int] | None
+    grid: tuple[float, ...]
+    sets: tuple[tuple[tuple[int, float, tuple[tuple, ...]], ...], ...]
+    order: tuple[int, ...] | None
     worst_margin: float
     violations: tuple[SweepRow, ...]
 
     def _in_order(self, per_set: Callable[[int, float, tuple], Iterable]) -> list:
         """What per_set(n, r, columns) gives for each set, in row order."""
-        values = []
-        for block in self.sets:
-            values.extend(chain.from_iterable(zip(*[per_set(*s) for s in block])))
+        interleaved = (zip(*[per_set(*s) for s in block]) for block in self.sets)
+        values = list(chain.from_iterable(chain.from_iterable(interleaved)))
         return values if self.order is None else list(map(values.__getitem__, self.order))
 
     def columns(self) -> list[list]:
         """n, a, r and the ten ``TermBreakdown`` columns, in row order."""
         size = len(self.grid)
-        keys = [lambda n, r, c: repeat(n, size), lambda n, r, c: self.grid]
-        keys.append(lambda n, r, c: repeat(r, size))
-        return list(map(self._in_order, keys + [lambda n, r, c, k=k: c[k] for k in range(10)]))
+        getters = [lambda n, r, c: repeat(n, size), lambda n, r, c: self.grid,
+                   lambda n, r, c: repeat(r, size), *(lambda n, r, c, k=k: c[k] for k in range(10))]
+        return list(map(self._in_order, getters))
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
         """The rows, built from the columns on each read."""
-        built: dict[int, list] = {}  # breakdowns by id(columns): sets of one tuple share them
+        # Sets that share their totals and interpretation (the slice sets of
+        # one sigma) share all ten columns, and so their breakdowns.
+        built: dict[tuple, list] = {}
 
         def set_rows(n: int, r: float, columns: tuple) -> map:
-            if (breakdowns := built.get(id(columns))) is None:
-                breakdowns = built[id(columns)] = list(_rows(fun.TermBreakdown, columns))
+            if (breakdowns := built.get(key := (id(columns[5]), columns[9][:1]))) is None:
+                breakdowns = built[key] = list(_rows(fun.TermBreakdown, columns))
             keys = repeat(self.theorem), repeat(n), self.grid, repeat(r)
             return _rows(SweepRow, (*keys, breakdowns))
 
@@ -510,8 +511,8 @@ def theorem_sweep(
     # Every literal total is finite (the grid lies inside [0, 1), the radius
     # below the cap, and the preset weights are finite), and 1.0 - total is
     # never -0.0, so the least margin of the columns is the row-level worst
-    # in any order.  Only a flagged sweep reads its rows, to list its
-    # violations in row order.
+    # in any order.  Only a flagged sweep builds rows in the call: the
+    # literal rows that violate, picked from its row-order columns.
     shared: dict = {}
     sets = []
     margins = []
@@ -531,12 +532,15 @@ def theorem_sweep(
                 block.append((n, r, columns))
         sets.append(tuple(block))
     worst = min(chain.from_iterable(margins), default=math.inf)
-    report = SweepReport(theorem_id, grid, tuple(sets), None, worst, ())
+    report = SweepReport(theorem_id, tuple(grid), tuple(sets), None, worst, ())
     if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
-        keys = list(zip(*operator.itemgetter(0, 1, 2, -1)(report.columns())))  # n, a, r, interp
-        report = report._replace(order=sorted(range(len(keys)), key=keys.__getitem__))
-    if flagged:
-        literal = (row for row in report.rows if row.breakdown.interpretation == fun.INTERP_LITERAL)
-        violations = tuple(row for row in literal if violates(row.breakdown, tol))
-        report = report._replace(violations=violations)
-    return report
+        keys = report._in_order(lambda n, r, c: zip(repeat(n), grid, repeat(r), c[9]))
+        report = report._replace(order=tuple(sorted(range(len(keys)), key=keys.__getitem__)))
+    if not flagged:
+        return report
+    columns = report.columns()  # n, a, r and the ten TermBreakdown columns
+    bad = [interp == fun.INTERP_LITERAL and not total <= _limit(tol, closed)
+           for total, closed, interp in zip(columns[8], *columns[11:])]
+    n, a, r, *terms = (list(compress(column, bad)) for column in columns)
+    violations = _rows(SweepRow, (repeat(theorem_id), n, a, r, _rows(fun.TermBreakdown, terms)))
+    return report._replace(violations=tuple(violations))

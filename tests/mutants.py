@@ -200,6 +200,12 @@ MUTANTS = [
         "return values",
         "SweepReport: rows and CLI columns follow the sorted order of unsorted inputs",
     ),
+    Mutant(
+        "sweep-violations-literal", "verify.py",
+        "bad = [interp == fun.INTERP_LITERAL and not total",
+        "bad = [not total",
+        "theorem_sweep: only literal rows violate; slice rows are reported alongside",
+    ),
     # What a scan reads from the theorem's preset.
     Mutant(
         "scan-perturb-field", "verify.py",

@@ -1241,6 +1241,8 @@ def test_scan_builds_its_rows_only_when_they_are_read(monkeypatch, tid, grid, n,
         ("T22", [2, 5], [0.9, 0.3, 0.9], [0.19, 0.1], None),  # flagged: 0.19 is beyond n = 5
         ("classic", [1], [0.9, 0.5, -0.0, 0.7, 0.0], [0.4, 0.3, 0.4], None),  # flagged at 0.4
         ("C", [1], [0.2, 0.6], [0.3, 0.2], math.nan),  # a NaN tolerance flags every row
+        ("C", [1], [0.2, 0.6], [0.2, 0.3], math.nan),  # flagged, and in order
+        ("T22", [2, 5], [0.3, 0.6, 0.9], [0.1, 0.19], None),  # flagged at n = 5, in order
     ],
 )
 def test_sweep_builds_its_rows_only_when_they_are_read(monkeypatch, tid, ns, grid, radii, tol):
@@ -1249,8 +1251,8 @@ def test_sweep_builds_its_rows_only_when_they_are_read(monkeypatch, tid, ns, gri
     in_call = len(built)
     rows = report.rows
     assert len(built) - in_call == len(rows)
-    # Only a flagged sweep reads its rows in the call, once, for its violations.
-    assert in_call == (len(rows) if report.violations else 0)
+    # Only a flagged sweep builds rows in the call: its violations, and no other.
+    assert in_call == len(report.violations)
     expected = _sweep_reference(tid, ns, grid, radii)
     assert [repr(row) for row in rows] == [repr(row) for row in expected]
     literal = [row for row in expected if row.breakdown.interpretation == INTERP_LITERAL]
@@ -1271,9 +1273,12 @@ def test_cli_scans_and_sweeps_build_no_row(monkeypatch, capsys):
     assert cli.main(["verify", "--theorem", "T21", "--n", "3,1,2,3", "--a", "0:0.9:0.3"]) == 0
     assert (calls, built) == ([], [])
     # A sweep that violates lists its violations, which are rows: it builds
-    # its 200 rows once.
+    # its 100 literal rows, which all violate, and none of its 100 slice rows.
+    assert len(theorem_sweep("T22", [5], r_values=[0.19]).violations) == 100
+    built.clear()
     assert cli.main(["verify", "--theorem", "T22", "--n", "5", "--r", "0.19"]) == 1
-    assert len(built) == 200
+    assert len(built) == 100
+    assert {row.breakdown.interpretation for row in built} == {INTERP_LITERAL}
     capsys.readouterr()
 
 
@@ -1446,9 +1451,8 @@ def test_row_records_are_immutable_hashable_tuples():
             with pytest.raises(AttributeError):
                 setattr(row, name, None)
         assert row == tuple(row)
-        # A report holding dicts (the constants residuals) or columns (a scan,
-        # a sweep) is not hashable.
-        if row is not scan and row is not sweep and all(isinstance(v, Hashable) for v in row):
+        # A report holding dicts (the constants residuals) is not hashable.
+        if all(isinstance(value, Hashable) for value in row):
             assert hash(row) == hash(tuple(row))
 
 
