@@ -35,7 +35,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import constants as sharp
@@ -431,9 +431,8 @@ class SweepRow(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """``sets`` holds per n of the input an (n, r, columns) set per (r, interpretation), the ten
-    ``TermBreakdown`` columns over ``grid``; rows interleave the sets of each n per a, in
-    ``order`` unless it is None."""
+    """Per n of the input, ``sets`` holds an (n, r, columns) set per (r, interpretation), with the
+    ten ``TermBreakdown`` columns over ``grid``; rows interleave them per a, in ``order`` if set."""
 
     theorem: str
     grid: tuple[float, ...]
@@ -512,7 +511,8 @@ def theorem_sweep(
     # below the cap, and the preset weights are finite), and 1.0 - total is
     # never -0.0, so the least margin of the columns is the row-level worst
     # in any order.  Only a flagged sweep builds rows in the call: the
-    # literal rows that violate, picked from its row-order columns.
+    # literal rows that violate, each from its set's columns at its index,
+    # placed in row order by the same rule as ``rows``.
     shared: dict = {}
     sets = []
     margins = []
@@ -538,9 +538,15 @@ def theorem_sweep(
         report = report._replace(order=tuple(sorted(range(len(keys)), key=keys.__getitem__)))
     if not flagged:
         return report
-    columns = report.columns()  # n, a, r and the ten TermBreakdown columns
-    bad = [interp == fun.INTERP_LITERAL and not total <= _limit(tol, closed)
-           for total, closed, interp in zip(columns[8], *columns[11:])]
-    n, a, r, *terms = (list(compress(column, bad)) for column in columns)
-    violations = _rows(SweepRow, (repeat(theorem_id), n, a, r, _rows(fun.TermBreakdown, terms)))
-    return report._replace(violations=tuple(violations))
+
+    def set_violations(n: int, r: float, columns: tuple) -> Iterable[SweepRow | None]:
+        if columns[9][:1] != (fun.INTERP_LITERAL,):
+            return repeat(None, len(grid))
+        limit = _limit(tol, columns[8][0])
+        bad = [i for i, total in enumerate(columns[5]) if not total <= limit]
+        picked = [[column[i] for i in bad] for column in (grid, *columns)]
+        keys = repeat(theorem_id), repeat(n), picked[0], repeat(r)
+        rows = _rows(SweepRow, (*keys, _rows(fun.TermBreakdown, picked[1:])))
+        return map(dict(zip(bad, rows)).get, range(len(grid)))
+
+    return report._replace(violations=tuple(filter(None, report._in_order(set_violations))))

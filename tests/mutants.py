@@ -202,8 +202,8 @@ MUTANTS = [
     ),
     Mutant(
         "sweep-violations-literal", "verify.py",
-        "bad = [interp == fun.INTERP_LITERAL and not total",
-        "bad = [not total",
+        "if columns[9][:1] != (fun.INTERP_LITERAL,):",
+        "if False:",
         "theorem_sweep: only literal rows violate; slice rows are reported alongside",
     ),
     # What a scan reads from the theorem's preset.
