@@ -1454,6 +1454,11 @@ def test_row_records_are_immutable_hashable_tuples():
         # A report holding dicts (the constants residuals) is not hashable.
         if all(isinstance(value, Hashable) for value in row):
             assert hash(row) == hash(tuple(row))
+    # Scans and sweeps hold their columns, and a sorted sweep its order, as tuples.
+    unsorted = theorem_sweep("T21", [2, 1], [0.5, 0.1])
+    assert unsorted.order is not None
+    for report in (scan, sweep, unsorted):
+        assert hash(report) == hash(tuple(report))
 
 
 def test_sweep_b2_margin_shrinks_toward_one():
