@@ -31,12 +31,14 @@ its sigma, reads the sigma-dependent terms through the family's methods and
 returns the ten ``TermBreakdown`` fields as a plain tuple.  ``evaluate``
 builds the record from them with ``_breakdown``; a radius search prepares
 the core once and reads the total and certification of each radius it tries
-from the tuple.  The grid kernel is the same functional for the
-Moebius-type family of one class and n over a grid of a, and builds no
-family: ``_grid_terms`` reads the head, tail and area columns from the
-class's column rules, each (a, sigma) column once per sweep or scan,
-``_grid_totals`` sums them, and ``_grid_columns`` returns all ten columns,
-each set of equal columns built once, as a sweep's report hands them out.
+from the tuple with ``_total_certified``.  The grid kernel is the same
+functional for the Moebius-type family of one class and n over a grid of a,
+and builds no family: ``_grid_terms`` reads the head, tail and area columns
+from the class's column rules, each (a, sigma) column once per sweep or
+scan, ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten
+columns as the fields of one ``TermBreakdown``, each set of equal columns
+built once, as a sweep's report hands them out.  So only this module knows
+the order of an evaluation's fields.
 ``_prepare``'s core is the reference order of operations; ``_grid_totals``
 keeps its bits and skips the zero terms it can.  A zero weight adds +-0.0,
 which changes only a -0.0 partial sum, and no partial sum after a
@@ -49,6 +51,7 @@ weight's contribution column is that signed zero, repeated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -198,6 +201,9 @@ class TermBreakdown(NamedTuple):
 
 #: A ``TermBreakdown`` from one iterable of its fields, at C speed.
 _breakdown = partial(tuple.__new__, TermBreakdown)
+
+#: (total, certified) of ``_prepare``'s core tuple, or of a ``TermBreakdown``.
+_total_certified = operator.itemgetter(*map(TermBreakdown._fields.index, ("total", "certified")))
 
 
 # --------------------------------------------------------------------------
@@ -380,8 +386,8 @@ def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) ->
 def _grid_columns(
     spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
     shared: dict,
-) -> tuple[tuple, ...]:
-    """The ten ``TermBreakdown`` columns, in field order, of ``_grid_terms``.
+) -> TermBreakdown:
+    """The ``TermBreakdown`` whose fields are the columns of ``_grid_terms``.
     All but the interpretation depend on the head, weights and sigma alone,
     and on coords for a literal area at n > 1: sets that agree there (the
     n = 1 literal set, the slice sets of one sigma) share them, as tuples, in shared."""
@@ -402,4 +408,4 @@ def _grid_columns(
             heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],
             [True] * size, [_closed_form(spec, cls.closed, n)] * size,
         )))
-    return (*shared[key], (spec.area_interpretation,) * len(avals))
+    return _breakdown((*shared[key], (spec.area_interpretation,) * len(avals)))

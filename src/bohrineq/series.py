@@ -44,8 +44,8 @@ once), and its torus check samples sum_k b_k s^k on the circle |s| = n r
 only, which holds the torus supremum by the maximum principle.  The coefficient budget is checked where a whole
 map is built: by ``oracle_expand`` up front, and by a slice-backed map when
 it is first iterated.  Blaschke slices take one ascending O(K) pass per
-zero and are prefix-stable: the longest slice built of each of the last 4
-products serves every shorter one, so one operation builds one slice.
+zero and are prefix-stable: the longest slice built of the product read
+last serves every shorter one, so one operation builds one slice.
 The supremum of |B| on a circle is a certified enclosure (``_blaschke_sup``),
 cached per (zeros, sigma).
 
@@ -429,8 +429,8 @@ class FiniteBlaschke(_Family):
 
     ``slice(K)`` costs O(mK) for m zeros, one ascending pass per zero that
     divides by 1 - conj(w) z and multiplies by w - z; the longest slice
-    built of each of the last 4 products serves every shorter one, so a
-    radius search builds one slice.  Its tails are geometric, so
+    built of the product read last serves every shorter one, so a radius
+    search builds one slice.  Its tails are geometric, so
     ``truncation`` finds their degree (K = 141 at sigma = 0.8) by bisection
     past degree 16, in 25 tail calls, not 142.  ``boundary_sup`` is the
     certified enclosure ``_blaschke_sup``, cached per (zeros, sigma), which
@@ -759,23 +759,22 @@ def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     )
 
 
-#: The longest slice built of each of the last 4 Blaschke products, by
-#: repr(zeros), least recently read first.
-_SLICES: dict[str, list[complex]] = {}
+#: The (repr(zeros), slice) pair of the Blaschke product read last, with
+#: the longest slice built of it since another product was read.
+_SLICE: tuple[str, list[complex]] = ("", [])
 
 
 def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> list[complex]:
     """b_0..b_K of a Blaschke product, a fresh list; ``key`` is repr(zeros).
-    A prefix of the longest slice held of the product, else a longer build."""
+    A prefix of the slice held of the product, else a build that replaces it."""
     # An evaluation's area re-reads the slice its majorant built, and a
     # radius search's first evaluation, at the top of its bracket, builds
     # the longest slice of its steps: one build per operation.
-    b = _SLICES.pop(key, ())
-    if len(b) <= K:
+    global _SLICE
+    held, b = _SLICE
+    if held != key or len(b) <= K:
         b = _blaschke_pass(zeros, K)
-    _SLICES[key] = b
-    for stale in list(_SLICES)[:-4]:  # single dict operations: safe in threads
-        _SLICES.pop(stale, None)
+        _SLICE = key, b  # one assignment: a thread reads a whole pair
     return b[:K + 1]
 
 

@@ -134,8 +134,8 @@ def lemma1c_bound(a0: float, bold_r: float, n: int) -> float:
     """
     if not 0.0 <= (a0 := ser._real(a0, "a0")) <= 1.0:
         raise DomainError(f"a0={a0} outside [0, 1]")
-    if not (bold_r := ser._real(bold_r, "bold_r")) >= 0:
-        raise DomainError("bold_r must be nonnegative")
+    if not 0.0 <= (bold_r := ser._real(bold_r, "bold_r")) < math.inf:
+        raise DomainError(f"bold_r={bold_r} must be finite and nonnegative")
     n = ser._integer(n, "dimension n", 1)
     if a0 >= bold_r:
         if n * a0 * bold_r >= 1.0:
@@ -196,7 +196,7 @@ def radius_search(
     fun._check_radius_for(family, fun.RadiusSpec.diagonal(n, hi))
     terms = fun._prepare(spec, family)
     coords = (hi,) * n
-    total, _, certified = terms(coords, family.sigma(coords))[5:8]  # TermBreakdown order
+    total, certified = fun._total_certified(terms(coords, family.sigma(coords)))
     if total <= 1.0:
         return RadiusResult(hi, (hi, cap), 0, False, certified)
 
@@ -206,7 +206,7 @@ def radius_search(
         if not lo < mid < hi:
             break
         coords = (mid,) * n
-        total, _, step_certified = terms(coords, family.sigma(coords))[5:8]
+        total, step_certified = fun._total_certified(terms(coords, family.sigma(coords)))
         certified = certified and step_certified
         if total <= 1.0:
             lo = mid
@@ -431,28 +431,26 @@ class SweepRow(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """Per n of the input, ``sets`` holds an (n, r, columns) set per (r, interpretation), with the
-    ten ``TermBreakdown`` columns over ``grid``; rows interleave them per a, in ``order`` if set."""
+    """Per n of the input, ``sets`` holds an (n, r, columns) set per (r, interpretation), columns
+    a ``TermBreakdown`` of columns over ``grid``; rows interleave per a, in ``order`` if set."""
 
     theorem: str
     grid: tuple[float, ...]
-    sets: tuple[tuple[tuple[int, float, tuple[tuple, ...]], ...], ...]
+    sets: tuple[tuple[tuple[int, float, fun.TermBreakdown], ...], ...]
     order: tuple[int, ...] | None
     worst_margin: float
     violations: tuple[SweepRow, ...]
 
-    def _in_order(self, per_set: Callable[[int, float, tuple], Iterable]) -> list:
+    def _in_order(self, per_set: Callable[[int, float, fun.TermBreakdown], Iterable]) -> list:
         """What per_set(n, r, columns) gives for each set, in row order."""
         interleaved = (zip(*[per_set(*s) for s in block]) for block in self.sets)
         values = list(chain.from_iterable(chain.from_iterable(interleaved)))
         return values if self.order is None else list(map(values.__getitem__, self.order))
 
-    def columns(self) -> list[list]:
-        """n, a, r and the ten ``TermBreakdown`` columns, in row order."""
-        size = len(self.grid)
-        getters = [lambda n, r, c: repeat(n, size), lambda n, r, c: self.grid,
-                   lambda n, r, c: repeat(r, size), *(lambda n, r, c, k=k: c[k] for k in range(10))]
-        return list(map(self._in_order, getters))
+    def columns(self) -> list[tuple]:
+        """n, a, r and the ten ``TermBreakdown`` columns, in row order, of the sets' objects."""
+        rows = self._in_order(lambda n, r, c: zip(repeat(n), self.grid, repeat(r), *c))
+        return list(zip(*rows)) or [()] * (3 + len(fun.TermBreakdown._fields))
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
@@ -461,9 +459,9 @@ class SweepReport(NamedTuple):
         # one sigma) share all ten columns, and so their breakdowns.
         built: dict[tuple, list] = {}
 
-        def set_rows(n: int, r: float, columns: tuple) -> map:
-            if (breakdowns := built.get(key := (id(columns[5]), columns[9][:1]))) is None:
-                breakdowns = built[key] = list(_rows(fun.TermBreakdown, columns))
+        def set_rows(n: int, r: float, c: fun.TermBreakdown) -> map:
+            if (breakdowns := built.get(key := (id(c.total), c.interpretation[:1]))) is None:
+                breakdowns = built[key] = list(_rows(fun.TermBreakdown, c))
             keys = repeat(self.theorem), repeat(n), self.grid, repeat(r)
             return _rows(SweepRow, (*keys, breakdowns))
 
@@ -525,25 +523,24 @@ def theorem_sweep(
             for interp_spec in specs:
                 columns = fun._grid_columns(interp_spec, cls, n, grid, coords, sigma, shared)
                 if interp_spec is literal_spec:
-                    totals, margin = columns[5:7]  # TermBreakdown field order
                     limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
-                    flagged = flagged or not all(map(operator.le, totals, repeat(limit)))
-                    margins.append(margin)
+                    flagged = flagged or not all(map(operator.le, columns.total, repeat(limit)))
+                    margins.append(columns.margin)
                 block.append((n, r, columns))
         sets.append(tuple(block))
     worst = min(chain.from_iterable(margins), default=math.inf)
     report = SweepReport(theorem_id, tuple(grid), tuple(sets), None, worst, ())
     if not all(all(map(operator.lt, v, v[1:])) for v in (ns, r_floats or (), grid)):
-        keys = report._in_order(lambda n, r, c: zip(repeat(n), grid, repeat(r), c[9]))
+        keys = report._in_order(lambda n, r, c: zip(repeat(n), grid, repeat(r), c.interpretation))
         report = report._replace(order=tuple(sorted(range(len(keys)), key=keys.__getitem__)))
     if not flagged:
         return report
 
-    def set_violations(n: int, r: float, columns: tuple) -> Iterable[SweepRow | None]:
-        if columns[9][:1] != (fun.INTERP_LITERAL,):
+    def set_violations(n: int, r: float, columns: fun.TermBreakdown) -> Iterable[SweepRow | None]:
+        if columns.interpretation[0] != fun.INTERP_LITERAL:
             return repeat(None, len(grid))
-        limit = _limit(tol, columns[8][0])
-        bad = [i for i, total in enumerate(columns[5]) if not total <= limit]
+        limit = _limit(tol, columns.closed_form[0])
+        bad = [i for i, total in enumerate(columns.total) if not total <= limit]
         picked = [[column[i] for i in bad] for column in (grid, *columns)]
         keys = repeat(theorem_id), repeat(n), picked[0], repeat(r)
         rows = _rows(SweepRow, (*keys, _rows(fun.TermBreakdown, picked[1:])))

@@ -202,7 +202,7 @@ MUTANTS = [
     ),
     Mutant(
         "sweep-violations-literal", "verify.py",
-        "if columns[9][:1] != (fun.INTERP_LITERAL,):",
+        "if columns.interpretation[0] != fun.INTERP_LITERAL:",
         "if False:",
         "theorem_sweep: only literal rows violate; slice rows are reported alongside",
     ),
@@ -328,15 +328,15 @@ MUTANTS = [
     # The Blaschke slice cache and the oracle's integer keys.
     Mutant(
         "slice-prefix-short", "series.py",
-        "if len(b) <= K:",
-        "if len(b) < K:",
-        "_blaschke_slice: a held slice serves degree K only when it reaches b_K",
+        "if held != key or len(b) <= K:",
+        "if held != key or len(b) < K:",
+        "_blaschke_slice: the held slice serves degree K only when it reaches b_K",
     ),
     Mutant(
         "slice-key-zeros", "series.py",
         "return _blaschke_slice(self.zeros, K, self._key)",
         "return _blaschke_slice(self.zeros, K, self.zeros)",
-        "FiniteBlaschke.slice: the cache key is repr(zeros), which tells signed zeros apart",
+        "FiniteBlaschke.slice: the held key is repr(zeros), which tells signed zeros apart",
     ),
     Mutant(
         "oracle-radix", "series.py",

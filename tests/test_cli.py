@@ -1,6 +1,7 @@
 """CLI surface: report formats, determinism, and every exit code path."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -148,6 +149,31 @@ def test_package_and_cli_need_no_numpy(blocked):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split("\n")[-2] == f"0 [] {blocked}"
     assert parse_csv(proc.stdout)[0]["certified"] == "true"
+
+
+def test_cli_needs_nothing_from_site_packages():
+    # No runtime dependency: with site-packages off, the package alone
+    # writes the golden constants report.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = "import sys\nfrom bohrineq.cli import main\nsys.exit(main(['constants']))\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "constants.csv").read_text(encoding="utf-8")
+
+
+def test_console_script_is_the_cli_main(monkeypatch, capsys):
+    # Python 3.10 has no TOML parser: the [project.scripts] table is read by regex.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    (target,) = re.findall(r'^bohrineq\s*=\s*"([\w.]+):(\w+)"\s*$', table, re.M)
+    assert target == ("bohrineq.cli", "main")
+    entry = getattr(importlib.import_module(target[0]), target[1])
+    monkeypatch.setattr(sys, "argv", ["bohrineq", "constants"])
+    assert entry() == 0
+    assert capsys.readouterr().out == (GOLDEN / "constants.csv").read_text(encoding="utf-8")
 
 
 def test_verify_output_byte_stable(tmp_path, capsys):
@@ -385,6 +411,43 @@ def test_non_finite_input_is_domain_error(capsys, argv):
     assert code == 65
     assert out == ""
     assert "domain error" in err
+
+
+_LEMMA_C = ["lemma", "--part", "c", "--family"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (_LEMMA_C + ["disk:0.5", "--r", "0.5"], 64, "unknown family 'disk'"),
+        (_LEMMA_C + ["blaschke:", "--r", "0.5"], 64, "cannot parse family 'blaschke:': no zeros"),
+        (
+            ["verify", "--theorem", "C", "--a", "0:0.5"], 64,
+            "cannot parse grid '0:0.5'; expected start:stop:step",
+        ),
+        (["verify", "--theorem", "T21", "--n", "1,x"], 64, "cannot parse dimension list '1,x'"),
+        (["verify", "--theorem", "T21", "--n", ","], 64, "empty dimension list"),
+        (_LEMMA_C + ["moebius:0.5", "--r", "threshold"], 64, "threshold radius needs a theorem id"),
+        (["verify", "--theorem", "C", "--r", "x"], 64, "cannot parse radius 'x'"),
+        (_LEMMA_C + ["moebius:0.5", "--r", "x"], 64, "cannot parse radius 'x'"),
+        (["scan", "--theorem", "C", "--n", "x"], 64, "cannot parse dimension 'x'"),
+        (_LEMMA_C + ["moebius:0.5", "--r", "inf"], 65, "bold_r=inf must be finite and nonnegative"),
+        (_LEMMA_C + ["moebius:0.5", "--r", "nan"], 65, "bold_r=nan must be finite and nonnegative"),
+        # A finite --tol recomputes ok: it passes the fail-closed Blaschke
+        # tail at r = 0.99, and a negative or NaN one fails an exact pass.
+        (_LEMMA_C + ["blaschke:0.5", "--r", "0.99", "--tol", "10"], 0, None),
+        (_LEMMA_C + ["moebius:0.5", "--r", "0.5", "--tol", "-1"], 1, None),
+        (_LEMMA_C + ["moebius:0.5", "--r", "0.5", "--tol", "nan"], 1, None),
+    ],
+)
+def test_cli_paths_other_tests_leave_unrun(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if message is None:
+        assert err == "" and parse_csv(out)[0]["ok"] == ("true" if code == 0 else "false")
+    else:
+        kind = "usage" if code == 64 else "domain"
+        assert (out, err) == ("", f"{kind} error: {message}\n")
 
 
 @pytest.mark.parametrize("target", [["--family", "moebius:0.5"], ["--a", "0.5"]])

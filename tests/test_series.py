@@ -622,7 +622,7 @@ def _count_slice_builds(monkeypatch):
         return build(zeros, K)
 
     monkeypatch.setattr(ser, "_blaschke_pass", counted)
-    monkeypatch.setattr(ser, "_SLICES", {})
+    monkeypatch.setattr(ser, "_SLICE", ("", []))
     return builds
 
 
@@ -642,15 +642,26 @@ def test_blaschke_radius_search_rereads_slices_from_a_small_cache(monkeypatch, n
     assert len(builds) == 1, builds
 
 
-def test_blaschke_slice_cache_holds_a_few_slices(monkeypatch):
-    _count_slice_builds(monkeypatch)
+def test_blaschke_slice_cache_holds_one_slice(monkeypatch):
+    # The slot holds the product read last: another product, or a longer
+    # degree of the same one, replaces it; a shorter degree reads a prefix.
+    builds = _count_slice_builds(monkeypatch)
     rng = random.Random(7)
     families = []
     for _ in range(200):
         zeros = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3))
         families.append(FiniteBlaschke(zeros))
         lemma1c_check(families[-1], 0.8)
-    assert list(ser._SLICES) == [repr(family.zeros) for family in families[-4:]]
+        assert ser._SLICE[0] == repr(families[-1].zeros)
+    assert len(builds) == 200
+    last, previous = families[-1], families[-2]
+    held = len(ser._SLICE[1]) - 1
+    for family, K in ((last, held), (last, 3), (previous, 3), (previous, 2), (last, 3)):
+        family.slice(K)
+    assert builds[200:] == [3, 3]
+    assert ser._SLICE[0] == repr(last.zeros) and len(ser._SLICE[1]) == 4
+    last.slice(60)
+    assert builds[202:] == [60] and len(ser._SLICE[1]) == 61
 
 
 def test_blaschke_slice_cache_returns_fresh_exact_lists(monkeypatch):
@@ -676,8 +687,9 @@ def test_blaschke_slice_cache_returns_fresh_exact_lists(monkeypatch):
 
 
 def test_blaschke_slice_cache_keeps_its_bits_under_threads():
-    # Six products share a cache of four, so threads evict and replace each
-    # other's slices; every slice read must still be that of its own product.
+    # Six products share one slot, so threads replace each other's slices;
+    # every slice read must still be that of its own product, and the slot
+    # holds a whole pair.
     families = [FiniteBlaschke((0.1 * k, -0.3j, complex(-0.0, 0.2 - 0.05 * k))) for k in range(6)]
     expected = [ser._blaschke_pass(family.zeros, 60) for family in families]
     errors = []
@@ -699,7 +711,10 @@ def test_blaschke_slice_cache_keeps_its_bits_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert not errors and len(ser._SLICES) <= 4
+    assert not errors
+    key, held = ser._SLICE
+    (family,) = [family for family in families if repr(family.zeros) == key]
+    assert repr(held) == repr(ser._blaschke_pass(family.zeros, len(held) - 1))
 
 
 def _two_pass_blaschke_slice(zeros, K=200):

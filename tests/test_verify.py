@@ -179,6 +179,14 @@ def test_lemma1c_zero_radius():
     assert lemma1c_bound(1.0, 0.0, 3) == 0.0
 
 
+@pytest.mark.parametrize("bold_r", [math.nan, math.inf, -math.inf, -0.1])
+def test_lemma1c_bound_refuses_a_radius_outside_zero_to_infinity(bold_r):
+    # NaN read "nonnegative" and inf fell through to the second branch.
+    for a0 in (0.0, 0.5):
+        with pytest.raises(DomainError, match=f"^bold_r={bold_r} must be finite and nonnegative$"):
+            lemma1c_bound(a0, bold_r, 1)
+
+
 def test_lemma1c_branch_preconditions():
     with pytest.raises(DomainError):
         lemma1c_bound(0.9, 0.5, 3)  # n a0 r >= 1
@@ -1148,7 +1156,9 @@ def _count_builds(monkeypatch):
     constructor, through ``_make``, which ``_replace`` also calls, through
     ``functionals._breakdown``, which builds the rows of ``evaluate`` at C
     speed, and through ``verify._rows``, which builds the breakdowns of
-    sweeps from their columns, each counted as it is built."""
+    sweeps from their columns, each counted as it is built.  The record of
+    a sweep set's columns, which ``_breakdown`` also builds, is no row and
+    is not counted."""
     calls = []
     new, make, breakdown = TermBreakdown.__new__, TermBreakdown._make.__func__, fun._breakdown
     rows = ver._rows
@@ -1162,8 +1172,10 @@ def _count_builds(monkeypatch):
         return make(owner, iterable)
 
     def counted_breakdown(iterable):
-        calls.append(iterable)
-        return breakdown(iterable)
+        record = breakdown(iterable)
+        if type(record.total) is not tuple:
+            calls.append(record)
+        return record
 
     def counted_rows(cls, columns):
         for row in rows(cls, columns):
@@ -1609,6 +1621,7 @@ def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
         "radius nan outside the closed domain of the family",
     ),
     (lambda: sharp.lambda2_of(0.5), DomainError, "lambda2 formula is singular at a = 1/2"),
+    (lambda: sharp.lambda2_of(1.0), DomainError, "a=1.0 outside [0, 1)"),
     (lambda: sharp.phi1_factored(0.6), DomainError, "factored form is singular at s = 3/5"),
     (lambda: sharp.phi2_factored(0.5), DomainError, "factored form is singular at s = 1/2"),
     (lambda: sharp.phi1_factored(2.0), DomainError, "argument 2.0 outside"),
@@ -1617,7 +1630,7 @@ def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
     "RadiusSpec-empty", "FunctionalSpec-head", "FunctionalSpec-interpretation",
     "area_term-interpretation", "FiniteBlaschke-empty", "default_truncation-Blaschke-radius",
     "family_value-dimension", "grid_values-order", "default_truncation-nan",
-    "majorant_tail_bound-nan", "lambda2_of-pole", "phi1_factored-pole",
+    "majorant_tail_bound-nan", "lambda2_of-pole", "lambda2_of-range", "phi1_factored-pole",
     "phi2_factored-pole", "phi1_factored-range", "phi2_factored-range",
 ])
 def test_input_guards_raise_their_class_and_message(call, error, message):
