@@ -202,7 +202,7 @@ class TermBreakdown(NamedTuple):
 #: A ``TermBreakdown`` from one iterable of its fields, at C speed.
 _breakdown = partial(tuple.__new__, TermBreakdown)
 
-#: (total, certified) of ``_prepare``'s core tuple, or of a ``TermBreakdown``.
+#: (total, certified) of ``_prepare``'s core tuple, in ``TermBreakdown`` field order.
 _total_certified = operator.itemgetter(*map(TermBreakdown._fields.index, ("total", "certified")))
 
 

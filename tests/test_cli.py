@@ -394,6 +394,7 @@ def test_domain_error_exit_code(capsys):
         ["verify", "--theorem", "classic", "--r", "nan"],
         ["verify", "--theorem", "classic", "--r", "inf"],
         ["lemma", "--part", "c", "--family", "moebius:0.5", "--r", "nan"],
+        ["lemma", "--part", "c", "--family", "moebius:0.5", "--r", "inf"],
         ["radius", "--functional", "classic", "--family", "moebius:0.5", "--tol", "nan"],
         ["scan", "--theorem", "C", "--a", "0:0.5:0.1", "--epsilon", "nan"],
         ["scan", "--theorem", "C", "--epsilon", "inf"],
@@ -431,8 +432,6 @@ _LEMMA_C = ["lemma", "--part", "c", "--family"]
         (["verify", "--theorem", "C", "--r", "x"], 64, "cannot parse radius 'x'"),
         (_LEMMA_C + ["moebius:0.5", "--r", "x"], 64, "cannot parse radius 'x'"),
         (["scan", "--theorem", "C", "--n", "x"], 64, "cannot parse dimension 'x'"),
-        (_LEMMA_C + ["moebius:0.5", "--r", "inf"], 65, "bold_r=inf must be finite and nonnegative"),
-        (_LEMMA_C + ["moebius:0.5", "--r", "nan"], 65, "bold_r=nan must be finite and nonnegative"),
         # A finite --tol recomputes ok: it passes the fail-closed Blaschke
         # tail at r = 0.99, and a negative or NaN one fails an exact pass.
         (_LEMMA_C + ["blaschke:0.5", "--r", "0.99", "--tol", "10"], 0, None),
@@ -440,14 +439,13 @@ _LEMMA_C = ["lemma", "--part", "c", "--family"]
         (_LEMMA_C + ["moebius:0.5", "--r", "0.5", "--tol", "nan"], 1, None),
     ],
 )
-def test_cli_paths_other_tests_leave_unrun(capsys, argv, code, message):
+def test_cli_parse_errors_and_lemma_tolerance_exit_codes(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     if message is None:
         assert err == "" and parse_csv(out)[0]["ok"] == ("true" if code == 0 else "false")
     else:
-        kind = "usage" if code == 64 else "domain"
-        assert (out, err) == ("", f"{kind} error: {message}\n")
+        assert (out, err) == ("", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize("target", [["--family", "moebius:0.5"], ["--a", "0.5"]])

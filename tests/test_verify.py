@@ -181,7 +181,6 @@ def test_lemma1c_zero_radius():
 
 @pytest.mark.parametrize("bold_r", [math.nan, math.inf, -math.inf, -0.1])
 def test_lemma1c_bound_refuses_a_radius_outside_zero_to_infinity(bold_r):
-    # NaN read "nonnegative" and inf fell through to the second branch.
     for a0 in (0.0, 0.5):
         with pytest.raises(DomainError, match=f"^bold_r={bold_r} must be finite and nonnegative$"):
             lemma1c_bound(a0, bold_r, 1)
