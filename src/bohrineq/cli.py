@@ -44,7 +44,12 @@ VERIFY_COLUMNS = [
     "theorem", "n", "a", "r", "interpretation",
     "head", "tail", "area", "area_sq", "extra", "total", "margin", "certified",
 ]
+#: The ``TermBreakdown`` fields of the verify columns after theorem, n, a and r.
+_TERMS = operator.attrgetter("interpretation", "head_value", "majorant_tail", "area_term",
+    "area_sq_contribution", "extra_area_contribution", "total", "margin", "certified")
 SCAN_COLUMNS = ["theorem", "n", "a", "r", "epsilon", "total", "perturbed_total"]
+#: The ``ScanReport`` fields that a scan's meta holds beside its command and theorem.
+_SCAN_META = ("max_total", "argmax_a", "perturbed_max", "perturbed_argmax", "a_star")
 RADIUS_COLUMNS = [
     "functional", "family", "n", "radius", "lo", "hi", "iterations", "binding", "certified",
 ]
@@ -256,8 +261,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         columns = report.columns()
         violations = len(report.violations)
     n_col, a_col, r_col, *terms = columns
-    # head_value..margin and then certified open the record; interpretation closes it.
-    columns = [[theorem_id] * len(a_col), n_col, a_col, r_col, terms[-1], *terms[:8]]
+    # The ten columns are the fields of one record, read by name.
+    columns = [[theorem_id] * len(a_col), n_col, a_col, r_col, *_TERMS(fun._breakdown(terms))]
     meta = dict(command="verify", theorem=theorem_id, violations=violations)
     emit(columns, VERIFY_COLUMNS, ns.format, ns.out, meta)
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -267,7 +272,8 @@ def cmd_radius(ns: argparse.Namespace) -> int:
     name = ns.functional
     family = parse_family(ns.family)
     result = ver.radius_search(fun.preset(ver.THEOREMS[name].preset_name), family, tol=ns.tol)
-    values = (name, ns.family, family.n, result.radius, *result.bracket, *result[2:])
+    values = (name, ns.family, family.n, result.radius, *result.bracket, result.iterations,
+              result.binding, result.certified)
     meta = dict(command="radius", functional=name, family=ns.family, tol=ns.tol)
     emit([[value] for value in values], RADIUS_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK
@@ -285,8 +291,7 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     report = ver.sharpness_scan(theorem_id, a_grid, n=n, bold_r=bold_r, epsilon=ns.epsilon)
     keys = [[key] * len(report.a) for key in (theorem_id, n, report.bold_r, report.epsilon)]
     columns = [*keys[:2], report.a, *keys[2:], report.total, report.perturbed_total]
-    # The maxima and a_star close the record.
-    meta = dict(zip(report._fields[7:], report[7:]), command="scan", theorem=theorem_id)
+    meta = dict(command="scan", theorem=theorem_id, **{k: getattr(report, k) for k in _SCAN_META})
     emit(columns, SCAN_COLUMNS, ns.format, ns.out, meta)
     return EXIT_OK if report.max_total <= ver._limit(ns.tol, True) else EXIT_VIOLATIONS
 

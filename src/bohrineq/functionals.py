@@ -33,19 +33,19 @@ builds the record from them with ``_breakdown``; a radius search prepares
 the core once and reads the total and certification of each radius it tries
 from the tuple with ``_total_certified``.  The grid kernel is the same
 functional for the Moebius-type family of one class and n over a grid of a,
-and builds no family: ``_grid_terms`` reads the head, tail and area columns
-from the class's column rules, each (a, sigma) column once per sweep or
-scan, ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten
-columns as the fields of one ``TermBreakdown``, each set of equal columns
-built once, as a sweep's report hands them out.  So only this module knows
-the order of an evaluation's fields.
-``_prepare``'s core is the reference order of operations; ``_grid_totals``
-keeps its bits and skips the zero terms it can.  A zero weight adds +-0.0,
-which changes only a -0.0 partial sum, and no partial sum after a
-positive-weight term is -0.0, as no area is -0.0: so a zero extra-area term
-is dropped when some weight is positive, and with none the three terms fold
-into one signed zero, -0.0 only when all three weights are.  A zero
-weight's contribution column is that signed zero, repeated.
+and builds no family: ``_grid_terms`` reads a sweep's head, tail and area
+columns from the class's column rules, each (a, sigma) column once per sweep,
+``_grid_totals`` sums them, and ``_grid_columns`` returns all ten as the
+fields of one ``TermBreakdown``, each set of equal columns built once; a
+scan sums its totals in one pass of ``total_grid``, from ``HEADS`` and
+``_weights``.  So only this module knows the order of an evaluation's fields.
+``_prepare``'s core is the reference order of operations; both column sums
+keep its bits.  A zero weight adds +-0.0, which changes only a -0.0 partial
+sum, and no partial sum after a positive-weight term is -0.0, as no area is
+-0.0: so ``_grid_totals`` drops a zero extra-area term when some weight is
+positive, and with none both fold the three terms into one signed zero,
+-0.0 only when all three weights are.  A zero weight's contribution column
+is that signed zero, repeated.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ from .errors import DomainError, UnsupportedInterpretationError
 HEAD_CONSTANT = "constant_term"
 HEAD_ABS = "abs_f"
 HEAD_ABS_SQ = "abs_f_squared"
+#: The heads in the order of the ``head`` kinds of ``series._MoebiusType.total_grid``.
+HEADS = (HEAD_CONSTANT, HEAD_ABS, HEAD_ABS_SQ)
 
 INTERP_LITERAL = "literal"
 INTERP_SLICE = "slice"
@@ -114,7 +116,7 @@ class FunctionalSpec:
     area_interpretation: str = INTERP_SLICE
 
     def __post_init__(self):
-        if self.head not in (HEAD_CONSTANT, HEAD_ABS, HEAD_ABS_SQ):
+        if self.head not in HEADS:
             raise DomainError(f"unknown head {self.head!r}")
         if self.area_interpretation not in (INTERP_LITERAL, INTERP_SLICE):
             raise DomainError(f"unknown interpretation {self.area_interpretation!r}")
@@ -201,6 +203,9 @@ class TermBreakdown(NamedTuple):
 
 #: A ``TermBreakdown`` from one iterable of its fields, at C speed.
 _breakdown = partial(tuple.__new__, TermBreakdown)
+
+#: The three area weights (w, w_q, w_x) of a spec.
+_weights = operator.attrgetter("area_weight", "area_sq_weight", "extra_area_weight")
 
 #: (total, certified) of ``_prepare``'s core tuple, in ``TermBreakdown`` field order.
 _total_certified = operator.itemgetter(*map(TermBreakdown._fields.index, ("total", "certified")))
@@ -290,7 +295,7 @@ def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tupl
     constant = abs(family.a0) if spec.head == HEAD_CONSTANT else None
     squared = spec.head == HEAD_ABS_SQ
     weighs_area, literal = spec.uses_area(), _literal(spec.area_interpretation, family.n)
-    weight, sq_weight, extra_weight = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    weight, sq_weight, extra_weight = _weights(spec)
     closed, interpretation = _closed_form(spec, family.closed, family.n), spec.area_interpretation
     sup, majorant, slice_area = family.boundary_sup, family.majorant, family.area
     literal_area = family.literal_area if literal else None  # a rule of n > 1 families
@@ -329,7 +334,7 @@ def _grid_terms(
     (inside [0, 1)), at a polyradius coords checked for that class and n
     whose argument radius is sigma.  Every column but a literal area is of
     (a, sigma) alone: it is built once, by one column rule call, into
-    shared, a dict that lives for one sweep or scan over avals, keyed by
+    shared, a dict that lives for one sweep over avals, keyed by
     sigma's repr, since -0.0 == 0.0.  So are the literal-area degrees and
     slice terms."""
     at = repr(sigma)
@@ -373,7 +378,7 @@ def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) ->
       which is adding -0.0 when all three are -0.0 and +0.0 otherwise: the
       sign of their sum.
     """
-    w, w_q, w_x = spec.area_weight, spec.area_sq_weight, spec.extra_area_weight
+    w, w_q, w_x = _weights(spec)
     if not (w or w_q or w_x):
         zero = w + w_q + w_x
         return [head + tail + zero for head, tail in zip(heads, tails)]
@@ -391,10 +396,8 @@ def _grid_columns(
     All but the interpretation depend on the head, weights and sigma alone,
     and on coords for a literal area at n > 1: sets that agree there (the
     n = 1 literal set, the slice sets of one sigma) share them, as tuples, in shared."""
-    key = (
-        spec.head, spec.area_weight, spec.area_sq_weight, spec.extra_area_weight,
-        coords if _literal(spec.area_interpretation, n) else 1, repr(sigma),
-    )
+    literal = _literal(spec.area_interpretation, n)
+    key = spec.head, *_weights(spec), coords if literal else 1, repr(sigma)
     if key not in shared:
         heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
         totals = _grid_totals(spec, heads, tails, areas)

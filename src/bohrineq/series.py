@@ -13,12 +13,13 @@ the torus of polyradius r (q = n for the scaled form, else 1), certified
 tails, the boundary supremum of |f| and the rational form.  Functionals read
 the slice list and sigma.  A Moebius-type class writes each closed form
 once, as a column rule over a grid of a (``sup_grid``, ``majorant_tail_grid``,
-``area_grid``, ``literal_area_grid``) that its methods read at (a,); Blaschke
-products sum a slice to a certified degree; the literal area weights slice
-terms (``slice_term_grid``) by W_k (``_degree_weights``) up to degrees of
-(a, sigma) alone, which ``degree_grid`` searches once for every n.  The
-unit form is bounded by one on the polydisk of polyradius 1/n, every other
-family on the unit polydisk.
+``area_grid``, ``literal_area_grid``) that its methods read at (a,), except
+``total_grid``: it writes the first three again, inline, to sum a scan's
+slice total in one pass.  Blaschke products sum a slice to a certified
+degree; the literal area weights slice terms (``slice_term_grid``) by W_k
+(``_degree_weights``) up to degrees of (a, sigma) alone, which
+``degree_grid`` searches once for every n.  The unit form is bounded by one
+on the polydisk of polyradius 1/n, every other family on the unit polydisk.
 
 Every certified degree comes from one search, ``truncation``: given a tail
 rule K -> tail(K) it returns the smallest K whose tail is below
@@ -248,8 +249,8 @@ class _Family:
 @dataclass(frozen=True)
 class _MoebiusType(_Family):
     """(a - u)/(1 - a u) with u = s/q: every term is a closed form in (a, sigma),
-    written once as a column rule over a grid of a, which the methods read at
-    (self.a,) and the column kernel of ``functionals`` at a whole grid."""
+    a column rule over a grid of a that the methods read at (self.a,), the
+    kernel of ``functionals`` at a grid, and ``total_grid`` sums in one pass."""
 
     a: float
 
@@ -329,6 +330,33 @@ class _MoebiusType(_Family):
         return [
             ss * (c1 := unit - (aa := a * a)) * c1 / (unit - aa * sigma * sigma) ** 2 for a in avals
         ]
+
+    @staticmethod
+    def total_grid(avals, sigma: float, head: int, weights, bumped=None) -> tuple:
+        """The total head + tail + w A + w_q A^2 + w_x A of ``functionals``'
+        slice core for every a of avals, summed left to right in one pass, with
+        the head |a_0| = |a| (head 0), sup |f| (1) or its square (2); and the
+        total of bumped weights (w, w_q', w_x') from the same prefix head +
+        tail + w A, or None.  With no weight and no bump no area is read: the
+        terms fold into one signed zero, which keeps every bit (``functionals._grid_totals``)."""
+        (w, w_q, w_x), one, ss = weights, type(sigma)(1), sigma * sigma
+        a0, sq, zero = head == 0, head == 2, w + w_q + w_x
+        if not (w or w_q or w_x or bumped):
+            return [(abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one))
+                    + (one - a * a) * sigma / (one - a * sigma) + zero for a in avals], None
+        if not bumped:
+            return [(abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one))
+                    + (c1 := one - (aa := a * a)) * sigma / (one - a * sigma)
+                    + w * (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2) + w_q * A * A
+                    + w_x * A for a in avals], None
+        (v_q, v_x), totals, more = bumped[1:], [], []
+        for a in avals:
+            t = abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one)
+            t = t + (c1 := one - (aa := a * a)) * sigma / (one - a * sigma)
+            t = t + w * (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2)
+            totals.append(t + w_q * A * A + w_x * A)
+            more.append(t + v_q * A * A + v_x * A)
+        return totals, more
 
     @staticmethod
     def degree_grid(avals, sigma: float) -> list[tuple[int, float]]:

@@ -14,13 +14,13 @@ report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
-since neither depends on a, and read the a-grid from the column kernel of
-``functionals``, which builds each (a, sigma) column once per call: a scan
-reads its grid once into a sorted list, inserts a* in order by
-bisection, checks the list inside [0, 1) by its sum and its two ends, and
-sums one total column per spec from one read of the terms; a sweep keeps
-the columns of each (n, r, interpretation), and a stable sort's order unless
-n, the radii and the grid strictly increase.  ``rows`` builds rows on read.
+since neither depends on a, and read the a-grid from the column rules of
+the family's class, each (a, sigma) column built once per call: a scan
+reads its grid once into a sorted list, inserts a* in order by bisection,
+checks it inside [0, 1) by its sum and its two ends, and sums both totals
+in one ``total_grid`` pass; a sweep keeps the columns of each (n, r,
+interpretation), and a stable sort's order unless n, the radii and the
+grid strictly increase.  ``rows`` builds rows on read.
 A radius search checks its top radius once, prepares the evaluation core of
 ``functionals`` once, and runs it at the top and at each midpoint, reading
 the total and certification without building a record.  Lemma checks
@@ -395,26 +395,19 @@ def sharpness_scan(
     # a* lies inside [0, 1), so the grid is checked as well with it.
     _check_grid(grid, grid[0], grid[-1], "scan grid")
 
-    perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else spec
-    coords, sigma, cls = _checked_radius(theorem_id, n, r)
-    # The specs differ in one weight only: the terms are read once, with the
-    # areas whenever either spec weighs them, and each spec sums its totals.
-    terms = fun._grid_terms(perturbed, cls, n, grid, coords, sigma, {})
-    base = tuple(fun._grid_totals(spec, *terms))
-    pert = tuple(fun._grid_totals(perturbed, *terms)) if epsilon > 0 else base
+    perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else None
+    sigma, cls = _checked_radius(theorem_id, n, r)[1:]
+    # The specs differ in one weight only: one pass sums both total columns.
+    bumped = perturbed and fun._weights(perturbed)
+    base, pert = cls.total_grid(grid, sigma, fun.HEADS.index(spec.head), fun._weights(spec), bumped)
+    base = tuple(base)
+    pert = base if pert is None else tuple(pert)
     max_total, argmax_a = _largest(base, grid)
     perturbed_max, perturbed_argmax = _largest(pert, grid) if epsilon > 0 else (max_total, argmax_a)
     return ScanReport(
-        theorem=theorem_id,
-        n=n,
-        bold_r=r,
-        epsilon=epsilon,
-        a=tuple(grid), total=base, perturbed_total=pert,
-        max_total=max_total,
-        argmax_a=argmax_a,
-        perturbed_max=perturbed_max,
-        perturbed_argmax=perturbed_argmax,
-        a_star=a_star,
+        theorem=theorem_id, n=n, bold_r=r, epsilon=epsilon, a=tuple(grid), total=base,
+        perturbed_total=pert, max_total=max_total, argmax_a=argmax_a, perturbed_max=perturbed_max,
+        perturbed_argmax=perturbed_argmax, a_star=a_star,
     )
 
 

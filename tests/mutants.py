@@ -51,14 +51,14 @@ MUTANTS = [
     ),
     Mutant(
         "radius-row-swap", "cli.py",
-        "*result.bracket, *result[2:])",
-        "*result.bracket, result.iterations, result.certified, result.binding)",
+        "result.binding, result.certified)",
+        "result.certified, result.binding)",
         "radius rows: binding and certified in their own columns",
     ),
     Mutant(
         "verify-row-swap", "cli.py",
-        "n_col, a_col, r_col, terms[-1]",
-        "n_col, r_col, a_col, terms[-1]",
+        "n_col, a_col, r_col, *_TERMS",
+        "n_col, r_col, a_col, *_TERMS",
         "verify rows: a and r in their own columns",
     ),
     Mutant(
@@ -349,6 +349,25 @@ MUTANTS = [
         "/ (unit - aa * sigma * sigma) ** 2 for a in avals",
         "/ ((d := unit - aa * sigma * sigma) * d) for a in avals",
         "area_grid: the denominator is squared by the libm pow the golden bits rest on",
+    ),
+    # The one-pass total of a scan.
+    Mutant(
+        "total-square-pow", "series.py",
+        "(A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2) + w_q",
+        "(A := ss * c1 * c1 / ((d := one - aa * sigma * sigma) * d)) + w_q",
+        "total_grid: the area denominator is squared by the libm pow, as in area_grid",
+    ),
+    Mutant(
+        "total-bumped-weight", "series.py",
+        "more.append(t + v_q * A * A + v_x * A)",
+        "more.append(t + w_q * A * A + v_x * A)",
+        "total_grid: the bumped total reads the bumped weight of A^2",
+    ),
+    Mutant(
+        "total-fold-sign", "series.py",
+        "(one - a * a) * sigma / (one - a * sigma) + zero for a in avals",
+        "(one - a * a) * sigma / (one - a * sigma) for a in avals",
+        "total_grid: with no weight the area terms fold into their signed zero",
     ),
     # Every certified tail added to a total.
     Mutant(

@@ -1120,6 +1120,15 @@ def test_area_grid_squares_its_denominator_with_pow(cls, n):
         assert area != sigma * sigma * one * one / (d * d)
         assert repr(cls.area_grid([a], sigma)) == repr([area])
         assert repr(_moebius(cls, a, n).area(sigma)) == repr(area)
+        # The one-pass total squares d the same way: a weight of 2^60 lifts
+        # the area's last bit above the head and the tail.
+        head_tail = a + one * sigma / (1.0 - a * sigma)
+        weight = 2.0**60
+        total = head_tail + weight * area
+        assert total != head_tail + weight * (sigma * sigma * one * one / (d * d))
+        for bumped in (None, (weight, 0.0, 0.0)):
+            base, more = cls.total_grid([a], sigma, 0, (weight, 0.0, 0.0), bumped)
+            assert repr((base, more)) == repr(([total], bumped and [total]))
 
 
 def test_moebius_column_rules_are_exact_on_fractions(monkeypatch):
@@ -1154,10 +1163,30 @@ def test_moebius_column_rules_are_exact_on_fractions(monkeypatch):
             assert all(sum(terms[i][:k]) + sq_tails[k] == areas[i] for k in range(K + 1))
             for n, m in masses.items():
                 assert m == [a * a] + [c[k - 1] ** 2 * exact_ratio(n, k) for k in range(1, K + 1)]
+        # The one-pass total of each head kind sums these terms exactly,
+        # with and without bumped weights, and with no weight at all.
+        weights = (Fraction(16, 9), Fraction(1, 2), Fraction(1, 7))
+        bumped = (Fraction(16, 9), Fraction(1, 2), Fraction(3, 7))
+        for head, column in enumerate(([abs(a) for a in avals], sups, [x * x for x in sups])):
+            pairs = list(zip(column, tails[0]))
+            base, more = rule.total_grid(avals, sigma, head, weights, bumped)
+            assert all(type(v) is Fraction for v in base + more)
+            assert base == [h + t + sum(w * A ** k for w, k in zip(weights, (1, 2, 1)))
+                            for (h, t), A in zip(pairs, areas)]
+            assert more == [h + t + sum(w * A ** k for w, k in zip(bumped, (1, 2, 1)))
+                            for (h, t), A in zip(pairs, areas)]
+            assert rule.total_grid(avals, sigma, head, weights) == (base, None)
+            assert rule.total_grid(avals, sigma, head, (0, 0, 0)) == ([h + t for h, t in pairs], None)
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert rule.sup_grid([half], third) == [Fraction(5, 7)]
     assert rule.majorant_tail_grid([half], 0, third) == [Fraction(3, 10)]
     assert rule.area_grid([half], third) == [Fraction(81, 1225)]
+    # C at a = 1/2, sigma = 1/3: |a_0| + tail + (16/9) A = 4/5 + 144/1225,
+    # plus lambda_1 (its float, exactly) times A^2 = 6561/1500625.
+    lambda1 = Fraction(preset("thm_c").area_sq_weight)
+    assert rule.total_grid([half], third, 0, (Fraction(16, 9), lambda1, 0)) == (
+        [Fraction(1124, 1225) + lambda1 * Fraction(6561, 1500625)], None
+    )
 
 
 @pytest.mark.parametrize("cls, n", _MOEBIUS_CLASSES[1:], ids=lambda v: getattr(v, "__name__", v))

@@ -764,9 +764,9 @@ def test_literal_rows_share_their_powers_and_weights(monkeypatch):
 
 
 def _count_rules(monkeypatch):
-    """Calls of each column rule of the Moebius-type classes, and of the
-    literal-area degree search."""
-    rules = ("sup_grid", "majorant_tail_grid", "area_grid", "degree_grid")
+    """Calls of each column rule of the Moebius-type classes, of their
+    one-pass total rule, and of the literal-area degree search."""
+    rules = ("sup_grid", "majorant_tail_grid", "area_grid", "degree_grid", "total_grid")
     calls = {name: _count_calls(monkeypatch, ser._MoebiusType, name) for name in rules}
     calls["truncation"] = _count_calls(monkeypatch, ser, "truncation")
     return calls
@@ -857,6 +857,76 @@ def test_grid_totals_drop_zero_weights_bit_for_bit(tid, n, sigma):
             own = fun._grid_terms(spec, cls, n, grid, coords, sigma, {})
             for terms in (weighed, own):
                 assert repr(fun._grid_totals(spec, *terms)) == repr(_five_term_totals(spec, *terms))
+
+
+def _bumped(spec, epsilon):
+    """The spec a scan perturbs by epsilon: its A^2 weight if it has one,
+    else its extra-area weight; None for epsilon = 0."""
+    field = "area_sq_weight" if spec.area_sq_weight else "extra_area_weight"
+    return replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon else None
+
+
+def _total_grid_reference(spec, perturbed, cls, n, grid, sigma):
+    """What ``total_grid`` must return: the grid totals of both specs on
+    the slice terms that the perturbed spec reads, or None for the second."""
+    reader = (perturbed or spec).with_interpretation(INTERP_SLICE)
+    terms = fun._grid_terms(reader, cls, n, grid, (sigma,) * n, sigma, {})
+    return fun._grid_totals(spec, *terms), perturbed and fun._grid_totals(perturbed, *terms)
+
+
+def _total_grid(spec, perturbed, cls, grid, sigma):
+    weights = perturbed and fun._weights(perturbed)
+    return cls.total_grid(grid, sigma, fun.HEADS.index(spec.head), fun._weights(spec), weights)
+
+
+_RULE_CLASSES = [(MoebiusDisk, 1)] + [
+    (cls, n) for cls in (ExtremalPolydiskUnit, ExtremalPolydiskScaled) for n in (1, 2, 3, 5)
+]
+_SEEDED_GRIDS = [[random.Random(seed).random() for _ in range(16)] for seed in range(20)]
+_EDGE_GRID = [0.5, 0.0, -0.0, 0.5, 5e-324, 0.0, 0.99, -0.0, 0.25, 0.25]
+
+
+def _threshold_sigmas(cls, n):
+    """The argument radius of cls at n for every theorem threshold at n."""
+    family = cls(0.0) if cls is MoebiusDisk else cls(0.0, n)
+    radii = {td.threshold(n) for td in THEOREMS.values() if n == 1 or td.multidimensional}
+    return [family.sigma((r,) * n) for r in sorted(radii)]
+
+
+@pytest.mark.parametrize("name", list(fun._preset_table()))
+def test_total_grid_equals_the_grid_totals_of_the_terms(name):
+    # The one-pass rule keeps the bits of the terms' totals, for both specs
+    # of a scan, on every class and n, at every threshold sigma and at 0.0,
+    # -0.0 and 0.1, on seeded grids and on 0.0, -0.0, repeats and a
+    # subnormal.  The default scan grid runs where the CLI scans it: at the
+    # threshold of each theorem of the preset, on its family's class.
+    spec, default = preset(name), grid_values(0.0, 0.9999, 0.0001)
+    scanned = {
+        (ver._checked_radius(tid, n, td.threshold(n))[1:], n)
+        for tid, td in THEOREMS.items() if td.preset_name == name
+        for n in ((1, 2, 3, 5) if td.multidimensional else (1,))
+    }
+    for cls, n in _RULE_CLASSES:
+        for sigma in _threshold_sigmas(cls, n) + [0.0, -0.0, 0.1]:
+            grids = _SEEDED_GRIDS + [_EDGE_GRID] + [default] * (((sigma, cls), n) in scanned)
+            for epsilon in (0.0, 1e-3):
+                perturbed = _bumped(spec, epsilon)
+                for grid in grids:
+                    assert repr(_total_grid(spec, perturbed, cls, grid, sigma)) == repr(
+                        _total_grid_reference(spec, perturbed, cls, n, grid, sigma)
+                    ), (cls.__name__, n, sigma, epsilon, grid[:3])
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0, 1 / 3], ids=repr)
+def test_total_grid_keeps_the_signed_zeros_of_any_weights(sigma):
+    # Specs with weights in {+0.0, -0.0, 0.5} beyond the presets: a zero
+    # weight is dropped or folded, never summed into a sign the terms lack.
+    for spec in _fold_specs():
+        for epsilon in (0.0, 1e-3):
+            perturbed = _bumped(spec, epsilon)
+            assert repr(_total_grid(spec, perturbed, MoebiusDisk, _EDGE_GRID, sigma)) == repr(
+                _total_grid_reference(spec, perturbed, MoebiusDisk, 1, _EDGE_GRID, sigma)
+            )
 
 
 def test_grid_totals_keep_the_negative_zero_of_an_all_negative_zero_spec():
@@ -1041,14 +1111,18 @@ def test_scan_grid_check_admits_negative_zero_and_keeps_the_empty_grid(tid, n):
 
 @pytest.mark.parametrize("tid,n", [("classic", 1), ("B1", 1), ("C", 1), ("T22", 3), ("T23", 2)])
 def test_perturbed_scan_reads_each_rule_once(monkeypatch, tid, n):
-    # The perturbed spec differs from the base one in one weight only.
+    # A scan hands out totals only: with or without a perturbed spec, which
+    # differs from the base one in one weight only, it sums both total
+    # columns in one pass of ``total_grid`` and calls no column rule.
     calls = _count_rules(monkeypatch)
-    report = sharpness_scan(tid, grid_values(0.0, 0.99, 0.01), n=n, epsilon=1e-3)
-    assert report.perturbed_max > report.max_total
+    for epsilon in (0.0, 1e-3):
+        report = sharpness_scan(tid, grid_values(0.0, 0.99, 0.01), n=n, epsilon=epsilon)
+        assert (report.perturbed_max > report.max_total) == (epsilon > 0)
+    assert not any(calls[name] for name in calls if name != "total_grid")
     head = fun.preset(THEOREMS[tid].preset_name).head
-    assert len(calls["sup_grid"]) == (head != fun.HEAD_CONSTANT)
-    assert len(calls["majorant_tail_grid"]) == len(calls["area_grid"]) == 1
-    assert not calls["degree_grid"]
+    assert [(args[2], args[4] is None) for args in calls["total_grid"]] == [
+        (fun.HEADS.index(head), True), (fun.HEADS.index(head), False)
+    ]
 
 
 @pytest.mark.parametrize("tid", ["classic", "B2", "E", "T21", "T22", "T23"])
