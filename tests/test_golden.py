@@ -64,6 +64,10 @@ CASES = [
      ["lemma", "--part", "b", "--family", "blaschke:0.5,-0.3", "--r", "0.8"]),
     ("lemma_c_blaschke",
      ["lemma", "--part", "c", "--family", "blaschke:0.5,-0.3", "--r", "0.2"]),
+    ("scan_c_epsilon", ["scan", "--theorem", "C", "--epsilon", "0.001", "--a", _SCAN_GRID]),
+    ("scan_b1", ["scan", "--theorem", "B1", "--a", _SCAN_GRID]),
+    ("scan_t23_epsilon",
+     ["scan", "--theorem", "T23", "--n", "2", "--epsilon", "0.001", "--a", _SCAN_GRID]),
 ]
 
 
@@ -87,6 +91,15 @@ def test_golden_report(name, argv):
     code, text = _run(argv)
     assert code == manifest[name]["exit"]
     assert text.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_golden_directory_holds_the_cases_and_nothing_else():
+    # A case dropped from CASES leaves a stale manifest key and an orphaned
+    # file behind; both are caught here, as is a case with no file.
+    runs = {name for name, _ in _runs()}
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == runs
+    assert {path.name for path in GOLDEN.iterdir()} == runs | {"library.txt", "manifest.json"}
 
 
 def _library() -> str:
