@@ -37,15 +37,15 @@ and builds no family: ``_grid_terms`` reads a sweep's head, tail and area
 columns from the class's column rules, each (a, sigma) column once per sweep,
 ``_grid_totals`` sums them, and ``_grid_columns`` returns all ten as the
 fields of one ``TermBreakdown``, each set of equal columns built once; a
-scan sums its totals in one pass of ``total_grid``, from ``HEADS`` and
-``_weights``.  So only this module knows the order of an evaluation's fields.
+scan sums each total column in one pass of ``total_grid``, from ``HEADS``
+and ``_weights``.  So only this module knows the order of an evaluation's fields.
 ``_prepare``'s core is the reference order of operations; both column sums
 keep its bits.  A zero weight adds +-0.0, which changes only a -0.0 partial
 sum, and no partial sum after a positive-weight term is -0.0, as no area is
 -0.0: so ``_grid_totals`` drops a zero extra-area term when some weight is
-positive, and with none both fold the three terms into one signed zero,
--0.0 only when all three weights are.  A zero weight's contribution column
-is that signed zero, repeated.
+positive, and with none folds the three terms into one signed zero, -0.0
+only when all three weights are, which ``total_grid`` adds term by term.
+A zero weight's contribution column is that signed zero, repeated.
 """
 
 from __future__ import annotations

@@ -332,31 +332,16 @@ class _MoebiusType(_Family):
         ]
 
     @staticmethod
-    def total_grid(avals, sigma: float, head: int, weights, bumped=None) -> tuple:
+    def total_grid(avals, sigma: float, head: int, weights) -> list[float]:
         """The total head + tail + w A + w_q A^2 + w_x A of ``functionals``'
         slice core for every a of avals, summed left to right in one pass, with
-        the head |a_0| = |a| (head 0), sup |f| (1) or its square (2); and the
-        total of bumped weights (w, w_q', w_x') from the same prefix head +
-        tail + w A, or None.  With no weight and no bump no area is read: the
-        terms fold into one signed zero, which keeps every bit (``functionals._grid_totals``)."""
+        the head |a_0| = |a| (head 0), sup |f| (1) or its square (2)."""
         (w, w_q, w_x), one, ss = weights, type(sigma)(1), sigma * sigma
-        a0, sq, zero = head == 0, head == 2, w + w_q + w_x
-        if not (w or w_q or w_x or bumped):
-            return [(abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one))
-                    + (one - a * a) * sigma / (one - a * sigma) + zero for a in avals], None
-        if not bumped:
-            return [(abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one))
-                    + (c1 := one - (aa := a * a)) * sigma / (one - a * sigma)
-                    + w * (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2) + w_q * A * A
-                    + w_x * A for a in avals], None
-        (v_q, v_x), totals, more = bumped[1:], [], []
-        for a in avals:
-            t = abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one)
-            t = t + (c1 := one - (aa := a * a)) * sigma / (one - a * sigma)
-            t = t + w * (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2)
-            totals.append(t + w_q * A * A + w_x * A)
-            more.append(t + v_q * A * A + v_x * A)
-        return totals, more
+        a0, sq = head == 0, head == 2
+        return [(abs(a) if a0 else (x := (a + sigma) / (one + a * sigma)) * (x if sq else one))
+                + (c1 := one - (aa := a * a)) * sigma / (one - a * sigma)
+                + w * (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2) + w_q * A * A
+                + w_x * A for a in avals]
 
     @staticmethod
     def degree_grid(avals, sigma: float) -> list[tuple[int, float]]:

@@ -14,13 +14,13 @@ report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
 interpretation, where the equality cases close.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
-since neither depends on a, and read the a-grid from the column rules of
-the family's class, each (a, sigma) column built once per call: a scan
-reads its grid once into a sorted list, inserts a* in order by bisection,
-checks it inside [0, 1) by its sum and its two ends, and sums both totals
-in one ``total_grid`` pass; a sweep keeps the columns of each (n, r,
-interpretation), and a stable sort's order unless n, the radii and the
-grid strictly increase.  ``rows`` builds rows on read.
+since neither depends on a, and read the a-grid from the rules of the
+family's class.  A scan reads its grid once into a sorted list, inserts a*
+in order by bisection, checks it inside [0, 1) by its sum and its two ends,
+and sums each total column in one ``total_grid`` pass.  A sweep builds each
+(a, sigma) column of the column rules once per call, keeps the columns of
+each (n, r, interpretation), and a stable sort's order unless n, the radii
+and the grid strictly increase.  ``rows`` builds rows on read.
 A radius search checks its top radius once, prepares the evaluation core of
 ``functionals`` once, and runs it at the top and at each midpoint, reading
 the total and certification without building a record.  Lemma checks
@@ -374,7 +374,8 @@ def sharpness_scan(
 
     The grid is read once, as floats, into a sorted list, which is checked
     inside [0, 1) by its sum and its two ends.  Sorting is stable, so equal
-    points (repeats, 0.0 and -0.0) keep their input order.
+    points (repeats, 0.0 and -0.0) keep their input order.  One ``total_grid``
+    pass sums each total column; at epsilon = 0 the two columns are one.
     """
     td = _theorem(theorem_id)
     n = _check_n(theorem_id, n)
@@ -397,13 +398,11 @@ def sharpness_scan(
 
     perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else None
     sigma, cls = _checked_radius(theorem_id, n, r)[1:]
-    # The specs differ in one weight only: one pass sums both total columns.
-    bumped = perturbed and fun._weights(perturbed)
-    base, pert = cls.total_grid(grid, sigma, fun.HEADS.index(spec.head), fun._weights(spec), bumped)
-    base = tuple(base)
-    pert = base if pert is None else tuple(pert)
+    head = fun.HEADS.index(spec.head)
+    base = tuple(cls.total_grid(grid, sigma, head, fun._weights(spec)))
+    pert = tuple(cls.total_grid(grid, sigma, head, fun._weights(perturbed))) if perturbed else base
     max_total, argmax_a = _largest(base, grid)
-    perturbed_max, perturbed_argmax = _largest(pert, grid) if epsilon > 0 else (max_total, argmax_a)
+    perturbed_max, perturbed_argmax = _largest(pert, grid) if perturbed else (max_total, argmax_a)
     return ScanReport(
         theorem=theorem_id, n=n, bold_r=r, epsilon=epsilon, a=tuple(grid), total=base,
         perturbed_total=pert, max_total=max_total, argmax_a=argmax_a, perturbed_max=perturbed_max,

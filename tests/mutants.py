@@ -350,7 +350,7 @@ MUTANTS = [
         "/ ((d := unit - aa * sigma * sigma) * d) for a in avals",
         "area_grid: the denominator is squared by the libm pow the golden bits rest on",
     ),
-    # The one-pass total of a scan.
+    # The total columns of a scan.
     Mutant(
         "total-square-pow", "series.py",
         "(A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2) + w_q",
@@ -358,16 +358,16 @@ MUTANTS = [
         "total_grid: the area denominator is squared by the libm pow, as in area_grid",
     ),
     Mutant(
-        "total-bumped-weight", "series.py",
-        "more.append(t + v_q * A * A + v_x * A)",
-        "more.append(t + w_q * A * A + v_x * A)",
-        "total_grid: the bumped total reads the bumped weight of A^2",
+        "total-zero-weight-sign", "series.py",
+        "+ w * (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2) + w_q",
+        "+ (w * A if (A := ss * c1 * c1 / (one - aa * sigma * sigma) ** 2, w)[1] else -0.0) + w_q",
+        "total_grid: a zero weight's term is summed, with its sign",
     ),
     Mutant(
-        "total-fold-sign", "series.py",
-        "(one - a * a) * sigma / (one - a * sigma) + zero for a in avals",
-        "(one - a * a) * sigma / (one - a * sigma) for a in avals",
-        "total_grid: with no weight the area terms fold into their signed zero",
+        "scan-perturbed-weights", "verify.py",
+        "fun._weights(perturbed)",
+        "fun._weights(spec)",
+        "sharpness_scan: the perturbed total column reads the perturbed spec's weights",
     ),
     # Every certified tail added to a total.
     Mutant(

@@ -875,8 +875,13 @@ def _total_grid_reference(spec, perturbed, cls, n, grid, sigma):
 
 
 def _total_grid(spec, perturbed, cls, grid, sigma):
-    weights = perturbed and fun._weights(perturbed)
-    return cls.total_grid(grid, sigma, fun.HEADS.index(spec.head), fun._weights(spec), weights)
+    """The two total columns of a scan, one ``total_grid`` pass per spec,
+    or None for the second when there is no perturbed spec."""
+
+    def column(s):
+        return cls.total_grid(grid, sigma, fun.HEADS.index(s.head), fun._weights(s))
+
+    return column(spec), perturbed and column(perturbed)
 
 
 _RULE_CLASSES = [(MoebiusDisk, 1)] + [
@@ -920,7 +925,8 @@ def test_total_grid_equals_the_grid_totals_of_the_terms(name):
 @pytest.mark.parametrize("sigma", [0.0, -0.0, 1 / 3], ids=repr)
 def test_total_grid_keeps_the_signed_zeros_of_any_weights(sigma):
     # Specs with weights in {+0.0, -0.0, 0.5} beyond the presets: a zero
-    # weight is dropped or folded, never summed into a sign the terms lack.
+    # weight's term, summed here and dropped or folded by the reference,
+    # never gives the total a sign the terms lack.
     for spec in _fold_specs():
         for epsilon in (0.0, 1e-3):
             perturbed = _bumped(spec, epsilon)
@@ -1111,18 +1117,18 @@ def test_scan_grid_check_admits_negative_zero_and_keeps_the_empty_grid(tid, n):
 
 @pytest.mark.parametrize("tid,n", [("classic", 1), ("B1", 1), ("C", 1), ("T22", 3), ("T23", 2)])
 def test_perturbed_scan_reads_each_rule_once(monkeypatch, tid, n):
-    # A scan hands out totals only: with or without a perturbed spec, which
-    # differs from the base one in one weight only, it sums both total
-    # columns in one pass of ``total_grid`` and calls no column rule.
+    # A scan hands out totals only: it sums each total column in one pass
+    # of ``total_grid``, with the weights of its spec, and calls no column
+    # rule: one pass at epsilon = 0, then the base and the perturbed pass.
     calls = _count_rules(monkeypatch)
-    for epsilon in (0.0, 1e-3):
+    spec = fun.preset(THEOREMS[tid].preset_name)
+    head, base = fun.HEADS.index(spec.head), fun._weights(spec)
+    for epsilon, weights in ((0.0, [base]), (1e-3, [base, fun._weights(_bumped(spec, 1e-3))])):
+        calls["total_grid"].clear()
         report = sharpness_scan(tid, grid_values(0.0, 0.99, 0.01), n=n, epsilon=epsilon)
         assert (report.perturbed_max > report.max_total) == (epsilon > 0)
+        assert [args[2:] for args in calls["total_grid"]] == [(head, w) for w in weights]
     assert not any(calls[name] for name in calls if name != "total_grid")
-    head = fun.preset(THEOREMS[tid].preset_name).head
-    assert [(args[2], args[4] is None) for args in calls["total_grid"]] == [
-        (fun.HEADS.index(head), True), (fun.HEADS.index(head), False)
-    ]
 
 
 @pytest.mark.parametrize("tid", ["classic", "B2", "E", "T21", "T22", "T23"])
