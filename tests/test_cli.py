@@ -683,8 +683,13 @@ def test_float_template_writes_the_text_of_the_cell_formatter():
 
 
 def _golden_csv_cases():
+    """One case per CSV golden file, with the file name as its test id, so
+    that adding a golden case renames no other case's id."""
     manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
-    return [(name, case["argv"]) for name, case in sorted(manifest.items()) if ".csv" in name]
+    return [
+        pytest.param(name, case["argv"], id=name)
+        for name, case in sorted(manifest.items()) if ".csv" in name
+    ]
 
 
 def _row_path(report, columns):

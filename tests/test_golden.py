@@ -23,6 +23,7 @@ the script prints this usage and exits 2 without writing anything.
 import contextlib
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -68,6 +69,8 @@ CASES = [
     ("scan_b1", ["scan", "--theorem", "B1", "--a", _SCAN_GRID]),
     ("scan_t23_epsilon",
      ["scan", "--theorem", "T23", "--n", "2", "--epsilon", "0.001", "--a", _SCAN_GRID]),
+    ("verify_t22_violation",
+     ["verify", "--theorem", "T22", "--n", "5,2", "--a", "0:0.9:0.3", "--r", "0.19"]),
 ]
 
 
@@ -161,17 +164,25 @@ def _library() -> str:
             add(f"default_truncation {family!r} {r!r}", ser.default_truncation(family, r))
 
     sweep_cases = [
-        ("T21", [3, 2, 3], [0.5, -0.0, 0.2, 0.5, 0.0], [0.1, 0.05, 0.1]),
-        ("T23", [2, 2], [0.9, 0.1, 0.9], None),
-        ("C", [1, 1], [0.9, -0.0, 0.3, 0.9], [0.3, 0.3, 0.25]),
+        ("T21", [3, 2, 3], [0.5, -0.0, 0.2, 0.5, 0.0], [0.1, 0.05, 0.1], None),
+        ("T23", [2, 2], [0.9, 0.1, 0.9], None, None),
+        ("C", [1, 1], [0.9, -0.0, 0.3, 0.9], [0.3, 0.3, 0.25], None),
+        # Flagged: 0.19 is beyond the T22 threshold at n = 5, 0.4 beyond the
+        # classic one, and a NaN tolerance flags every literal row.
+        ("T22", [2, 5], [0.9, 0.3, 0.9], [0.19, 0.1], None),
+        ("classic", [1], [0.9, 0.5, -0.0, 0.7, 0.0], [0.4, 0.3, 0.4], None),
+        ("C", [1], [0.2, 0.6], [0.3, 0.2], math.nan),
     ]
-    for tid, ns, grid, radii in sweep_cases:
-        report = ver.theorem_sweep(tid, ns, grid, radii)
+    for tid, ns, grid, radii, tol in sweep_cases:
+        report = ver.theorem_sweep(tid, ns, grid, radii, tol)
         label = f"theorem_sweep {tid} {ns!r} {grid!r} {radii!r}"
+        label += "" if tol is None else f" tol={tol!r}"
         for row in report.rows:
             add(label, row)
         add(f"{label} worst_margin", report.worst_margin)
         add(f"{label} violations", len(report.violations))
+        for row in report.violations:
+            add(f"{label} violation", row)
 
     scan_grid = [0.9, -0.0, 0.3, 0.55, 0.3, 0.0, 0.75]
     for tid, n in (("C", 1), ("D", 1), ("T21", 2), ("T22", 3)):
