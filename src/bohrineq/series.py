@@ -592,7 +592,6 @@ def _is_diagonal(radii: tuple[float, ...]) -> bool:
     return radii.count(radii[0]) == len(radii)
 
 
-@lru_cache(maxsize=32)
 def _degree_weights(radii: tuple[float, ...], K: int) -> tuple[float, ...]:
     """W_k = sum_{|alpha|=k} (k!/alpha!)^2 p^(2 alpha), p = radii/sum(radii), k <= K,
     built one variable at a time by W'_k = sum_j C(k, j)^2 W_(k-j) p_m^(2j) in

@@ -20,7 +20,8 @@ in order by bisection, checks it inside [0, 1) by its sum and its two ends,
 and sums each total column in one ``total_grid`` pass.  A sweep builds each
 (a, sigma) column of the column rules once per call, keeps the columns of
 each (n, r, interpretation), and a stable sort's order unless n, the radii
-and the grid strictly increase.  ``rows`` builds rows on read.
+and the grid strictly increase.  ``rows`` builds rows on read; only a
+flagged sweep reads them in its call, to list its violating literal rows.
 A radius search checks its top radius once, prepares the evaluation core of
 ``functionals`` once, and runs it at the top and at each midpoint, reading
 the total and certification without building a record.  Lemma checks
@@ -447,17 +448,9 @@ class SweepReport(NamedTuple):
     @property
     def rows(self) -> tuple[SweepRow, ...]:
         """The rows, built from the columns on each read."""
-        # Sets that share their totals and interpretation (the slice sets of
-        # one sigma) share all ten columns, and so their breakdowns.
-        built: dict[tuple, list] = {}
-
-        def set_rows(n: int, r: float, c: fun.TermBreakdown) -> map:
-            if (breakdowns := built.get(key := (id(c.total), c.interpretation[:1]))) is None:
-                breakdowns = built[key] = list(_rows(fun.TermBreakdown, c))
-            keys = repeat(self.theorem), repeat(n), self.grid, repeat(r)
-            return _rows(SweepRow, (*keys, breakdowns))
-
-        return tuple(self._in_order(set_rows))
+        return tuple(self._in_order(lambda n, r, c: _rows(SweepRow, (
+            repeat(self.theorem), repeat(n), self.grid, repeat(r), _rows(fun.TermBreakdown, c)
+        ))))
 
 
 def theorem_sweep(
@@ -500,9 +493,8 @@ def theorem_sweep(
     # Every literal total is finite (the grid lies inside [0, 1), the radius
     # below the cap, and the preset weights are finite), and 1.0 - total is
     # never -0.0, so the least margin of the columns is the row-level worst
-    # in any order.  Only a flagged sweep builds rows in the call: the
-    # literal rows that violate, each from its set's columns at its index,
-    # placed in row order by the same rule as ``rows``.
+    # in any order.  Only a flagged sweep builds rows in the call: it reads
+    # ``rows`` and keeps the literal rows that ``violates`` flags.
     shared: dict = {}
     sets = []
     margins = []
@@ -527,15 +519,5 @@ def theorem_sweep(
         report = report._replace(order=tuple(sorted(range(len(keys)), key=keys.__getitem__)))
     if not flagged:
         return report
-
-    def set_violations(n: int, r: float, columns: fun.TermBreakdown) -> Iterable[SweepRow | None]:
-        if columns.interpretation[0] != fun.INTERP_LITERAL:
-            return repeat(None, len(grid))
-        limit = _limit(tol, columns.closed_form[0])
-        bad = [i for i, total in enumerate(columns.total) if not total <= limit]
-        picked = [[column[i] for i in bad] for column in (grid, *columns)]
-        keys = repeat(theorem_id), repeat(n), picked[0], repeat(r)
-        rows = _rows(SweepRow, (*keys, _rows(fun.TermBreakdown, picked[1:])))
-        return map(dict(zip(bad, rows)).get, range(len(grid)))
-
-    return report._replace(violations=tuple(filter(None, report._in_order(set_violations))))
+    literal = [row for row in report.rows if row.breakdown.interpretation == fun.INTERP_LITERAL]
+    return report._replace(violations=tuple(row for row in literal if violates(row.breakdown, tol)))

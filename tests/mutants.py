@@ -190,8 +190,8 @@ MUTANTS = [
     ),
     Mutant(
         "sweep-rows-keys", "verify.py",
-        "keys = repeat(self.theorem), repeat(n), self.grid, repeat(r)",
-        "keys = repeat(self.theorem), repeat(n), repeat(r), self.grid",
+        "repeat(self.theorem), repeat(n), self.grid, repeat(r), _rows(",
+        "repeat(self.theorem), repeat(n), repeat(r), self.grid, _rows(",
         "SweepReport.rows: each row takes its a from the grid and its r from its set",
     ),
     Mutant(
@@ -201,9 +201,9 @@ MUTANTS = [
         "SweepReport: rows and CLI columns follow the sorted order of unsorted inputs",
     ),
     Mutant(
-        "sweep-violations-literal", "verify.py",
-        "if columns.interpretation[0] != fun.INTERP_LITERAL:",
-        "if False:",
+        "sweep-violations-slice", "verify.py",
+        "[row for row in report.rows if row.breakdown.interpretation == fun.INTERP_LITERAL]",
+        "list(report.rows)",
         "theorem_sweep: only literal rows violate; slice rows are reported alongside",
     ),
     # What a scan reads from the theorem's preset.

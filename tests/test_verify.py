@@ -1342,8 +1342,8 @@ def test_sweep_builds_its_rows_only_when_they_are_read(monkeypatch, tid, ns, gri
     in_call = len(built)
     rows = report.rows
     assert len(built) - in_call == len(rows)
-    # Only a flagged sweep builds rows in the call: its violations, and no other.
-    assert in_call == len(report.violations)
+    # Only a flagged sweep builds rows in the call: all of them, to list its violations.
+    assert in_call == (len(rows) if report.violations else 0)
     expected = _sweep_reference(tid, ns, grid, radii)
     assert [repr(row) for row in rows] == [repr(row) for row in expected]
     literal = [row for row in expected if row.breakdown.interpretation == INTERP_LITERAL]
@@ -1364,12 +1364,14 @@ def test_cli_scans_and_sweeps_build_no_row(monkeypatch, capsys):
     assert cli.main(["verify", "--theorem", "T21", "--n", "3,1,2,3", "--a", "0:0.9:0.3"]) == 0
     assert (calls, built) == ([], [])
     # A sweep that violates lists its violations, which are rows: it builds
-    # its 100 literal rows, which all violate, and none of its 100 slice rows.
+    # all 200 of its rows, literal and slice, and keeps its 100 literal rows,
+    # which all violate.
     assert len(theorem_sweep("T22", [5], r_values=[0.19]).violations) == 100
     built.clear()
     assert cli.main(["verify", "--theorem", "T22", "--n", "5", "--r", "0.19"]) == 1
-    assert len(built) == 100
-    assert {row.breakdown.interpretation for row in built} == {INTERP_LITERAL}
+    interpretations = [row.breakdown.interpretation for row in built]
+    assert len(built) == 200
+    assert interpretations.count(INTERP_LITERAL) == interpretations.count(INTERP_SLICE) == 100
     capsys.readouterr()
 
 
@@ -1384,12 +1386,12 @@ def test_build_counter_sees_every_way_to_build_a_breakdown(monkeypatch):
     assert len(breakdowns) == 6
 
 
-def test_sweep_builds_the_slice_breakdowns_of_one_sigma_once(monkeypatch):
+def test_sweep_rows_build_one_breakdown_per_row(monkeypatch):
     # The T21 thresholds give every n the same sigma, so the slice sets of
-    # n = 2, 3, 5 share one set of breakdowns: 100 + 3 * 100 literal + 100.
+    # n = 2, 3, 5 share their columns, and ``rows`` builds one breakdown per row.
     breakdowns = _count_builds(monkeypatch)
     report = theorem_sweep("T21", [1, 2, 3, 5])
-    assert (len(report.rows), len(breakdowns)) == (700, 500)
+    assert (len(report.rows), len(breakdowns)) == (700, 700)
     grid = grid_values(0.0, 0.99, 0.01)
     expected = [
         row for n in (1, 2, 3, 5)
