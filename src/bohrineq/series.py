@@ -41,12 +41,14 @@ standing test obligation.
 
 ``expand`` is slice-backed: its series keeps b_0..b_K and builds the map on
 demand (lookups and ``len`` read the slice, full iteration builds the map
-once), and its torus check samples sum_k b_k s^k on the circle |s| = n r
-only, which holds the torus supremum by the maximum principle.  The coefficient budget is checked where a whole
-map is built: by ``oracle_expand`` up front, and by a slice-backed map when
-it is first iterated.  Blaschke slices take one ascending O(K) pass per
-zero and are prefix-stable: the longest slice built of the product read
-last serves every shorter one, so one operation builds one slice.
+once).  The torus check has one sampler: it sums sum_k b_k s^k on the
+circle |s| = n r, which holds the torus supremum by the maximum principle,
+and it refuses a dictionary series.  The coefficient budget is checked
+where a whole map is built: by ``oracle_expand`` up front, and by a
+slice-backed map when it is first iterated.  Blaschke slices take one
+ascending O(K) pass per zero and are prefix-stable: the longest slice
+built of the product read last serves every shorter one, so one operation
+builds one slice.
 The supremum of |B| on a circle is a certified enclosure (``_blaschke_sup``),
 cached per (zeros, sigma).
 
@@ -62,7 +64,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -173,11 +175,12 @@ def truncation(
     or else scans 16 degrees up and bisects above them (about 9 tail calls,
     not up to 185).  That is exact because every tail rule of the package
     decreases in K, so tail(K) < TAIL_TARGET holds on a final run of
-    degrees: the Blaschke sigma^(K+1)/(1 - sigma) and t^(K+1)/(1 - t) have
-    ratio sigma (or t) < 1 from K to K + 1, the Moebius majorant tail
-    a sigma < 1, ``sq_mass_tail`` a^2 t, the square-tail form
-    y^K ((K+1) - K y) the ratio y (K+2 - (K+1) y)/(K+1 - K y) < 1, since
-    (K+1)(1 - y)^2 > 0, and a constant's tail is 0.  Where a tail crosses
+    degrees: the Blaschke sigma^(K+1)/(1 - sigma), both its majorant tail
+    and its ``sq_mass_tail``, has ratio sigma < 1 from K to K + 1, the
+    Moebius majorant tail a sigma < 1, the Moebius ``sq_mass_tail`` a^2 t,
+    the square-tail form y^K ((K+1) - K y) the ratio
+    y (K+2 - (K+1) y)/(K+1 - K y) < 1, since (K+1)(1 - y)^2 > 0, and a
+    constant's tail is 0.  Where a tail crosses
     TAIL_TARGET its ratio is far from 1, so rounding cannot reorder the
     computed values there."""
     K = first if start is None else min(max(start, first), MAX_TRUNCATION)
@@ -480,17 +483,17 @@ class FiniteBlaschke(_Family):
         return _blaschke_slice(self.zeros, K, self._key)
 
     def majorant_tail(self, K: int, sigma: float) -> float:
-        # Coefficients of a unit-bounded disk function have modulus <= 1.
+        # Coefficients of a unit-bounded disk function have modulus <= 1,
+        # and so have their squares: one bound serves both tails.
         if sigma >= 1.0:
             raise DomainError("Blaschke tail bound needs radius < 1")
         return sigma ** (K + 1) / (1.0 - sigma)
 
+    sq_mass_tail = majorant_tail
+
     def sq_tail(self, K: int, sigma: float) -> float:
         y = sigma * sigma
         return y ** (K + 1) * ((K + 1) - K * y) / (1.0 - y) ** 2
-
-    def sq_mass_tail(self, K: int, t: float) -> float:
-        return t ** (K + 1) / (1.0 - t)
 
     def boundary_sup(self, sigma: float) -> float:
         # A certified upper end of max |B| on |z| = sigma, cached like the slice.
@@ -1112,22 +1115,31 @@ def torus_bound_check(
     """Largest sampled modulus of the truncated series on the torus
     {|z_i| = radius_cap}, plus the tail certificate when one exists.
 
-    A slice-backed series is g(s) with s = z_1 + ... + z_n, and s fills the
-    disk |s| <= n r on the torus, so by the maximum principle the torus
-    supremum lies on the circle |s| = n r: that circle is sampled at
-    n * samples_per_axis aligned points z_1 = ... = z_n, by Horner in s,
-    O(n m K).  A dictionary series is sampled on the grid of
-    samples_per_axis^n points, summed one axis at a time.  ``ok`` is set
-    only on certified reports with sup + tail <= 1 + 1e-9; a series without
-    a tail certificate is never silently certified.  A non-finite radius,
-    or a sample count that is not an integer >= 8, is refused.
+    The series must be slice-backed, as ``expand`` builds it: g(s) with
+    s = z_1 + ... + z_n.  s fills the disk |s| <= n r on the torus, so by
+    the maximum principle the torus supremum lies on the circle |s| = n r:
+    that circle is sampled at n * samples_per_axis aligned points
+    z_1 = ... = z_n, by Horner in s, O(n m K).  A dictionary series, built
+    by hand or by ``oracle_expand``, is refused.  ``ok`` is set only on
+    certified reports with sup + tail <= 1 + 1e-9; a series without a tail
+    certificate is never silently certified.  A non-finite radius, or a
+    sample count that is not an integer >= 8, is refused.
     """
     _integer(samples_per_axis, "samples per axis", 8)
     if not 0 <= (radius_cap := _real(radius_cap, "radius")) < math.inf:
         raise DomainError("radius must be finite and nonnegative")
+    if (b := series.slice) is None:
+        raise DomainError("the torus check needs a slice-backed series from expand")
     if series.source is not None and radius_cap > domain_radius_cap(series.source):
         raise DomainError("radius exceeds the domain cap of the generating family")
-    samples = _torus_samples(series, radius_cap, samples_per_axis)
+    n = series.n
+    samples = []
+    for z in _circle(radius_cap, n * samples_per_axis):
+        # Horner in s = z_1 + ... + z_n = n z: O(K), no multi-index.
+        s, total = n * z, b[-1]
+        for bk in reversed(b[:-1]):
+            total = total * s + bk
+        samples.append((abs(total), (z,) * n))
     # The first largest modulus, as a scan in sample order finds it.
     sup, witness = max(samples, key=lambda sample: sample[0])
     tail = majorant_tail_bound(series.source, series.truncation, radius_cap)
@@ -1138,50 +1150,5 @@ def torus_bound_check(
     )
 
 
-def _torus_samples(
-    series: CoefficientSeries, radius: float, m: int
-) -> list[tuple[float, tuple[complex, ...]]]:
-    """(|value|, point) at each sample point of ``torus_bound_check``."""
-    n = series.n
-    b = series.slice
-    if b is not None:
-        circle = _circle(radius, n * m)
-        points = [(z,) * n for z in circle]
-        values = []
-        for z in circle:
-            # Horner in s = z_1 + ... + z_n = n z: O(K), no multi-index.
-            s, total = n * z, b[-1]
-            for bk in reversed(b[:-1]):
-                total = total * s + bk
-            values.append(total)
-    else:
-        axis = _circle(radius, m)
-        points = list(product(axis, repeat=n))
-        values = _grid_sum(series, axis)
-    return [(abs(v), point) for v, point in zip(values, points)]
-
-
 def _circle(radius: float, count: int) -> list[complex]:
     return [radius * cmath.exp(2j * math.pi * k / count) for k in range(count)]
-
-
-def _grid_sum(series: CoefficientSeries, axis: list[complex]) -> list[complex]:
-    """sum_alpha c_alpha z^alpha at every point of axis^n, in the order of
-    itertools.product.  Each pass folds the last exponent of every key into
-    a block of values over one more axis, O(len(coeffs) * m) per pass."""
-    m = len(axis)
-    powers = [[1 + 0j] * m]
-    for _ in range(series.truncation):
-        powers.append([p * z for p, z in zip(powers[-1], axis)])
-    level = {exps: [c] for exps, c in series.sorted_items()}
-    for _ in range(series.n):
-        folded: dict[tuple[int, ...], list[complex]] = {}
-        for exps, block in level.items():
-            size = len(block)
-            acc = folded.setdefault(exps[:-1], [0j] * (m * size))
-            for i, p in enumerate(powers[exps[-1]]):
-                acc[i * size:(i + 1) * size] = [
-                    a + v * p for a, v in zip(acc[i * size:(i + 1) * size], block)
-                ]
-        level = folded
-    return level.get((), [0j] * m**series.n)

@@ -8,8 +8,14 @@ multinomial theorem.  Each series needs its generating family (``source``),
 whose certified tails the sums add, and refuses the radii the family path
 refuses.  The tests hold the family functionals to them, and
 ``test_golden.py`` pins their values in ``library.txt``.
+
+``grid_torus`` is the torus check of a dictionary series, which the package
+refuses: it samples every point of the m^n grid of the torus, summed by
+``grid_sum`` one axis at a time, where ``series.torus_bound_check`` samples
+the aligned circle |s| = n r of a slice-backed series only.
 """
 
+import itertools
 import math
 
 from bohrineq import series as ser
@@ -65,3 +71,39 @@ def _degree_sums(series, term) -> list[float]:
 
 def _monomial(radii: tuple[float, ...], exps: tuple[int, ...]) -> float:
     return math.prod((r**e for r, e in zip(radii, exps) if e), start=1.0)
+
+
+def grid_torus(series, radius, m) -> ser.TorusBoundReport:
+    """The torus report of ``series.torus_bound_check``, sampled on the grid
+    of m^n points of {|z_i| = radius}: the first largest modulus, in the
+    order of itertools.product, its point, and the same certificate and
+    verdict rule."""
+    axis = ser._circle(radius, m)
+    samples = zip(map(abs, grid_sum(series, axis)), itertools.product(axis, repeat=series.n))
+    sup, witness = max(samples, key=lambda sample: sample[0])
+    tail = ser.majorant_tail_bound(series.source, series.truncation, radius)
+    certified = tail is not None
+    ok = certified and sup + tail <= 1.0 + ser.TORUS_SLACK
+    return ser.TorusBoundReport(sup, witness, tail, certified, ok)
+
+
+def grid_sum(series: ser.CoefficientSeries, axis: list[complex]) -> list[complex]:
+    """sum_alpha c_alpha z^alpha at every point of axis^n, in the order of
+    itertools.product.  Each pass folds the last exponent of every key into
+    a block of values over one more axis, O(len(coeffs) * m) per pass."""
+    m = len(axis)
+    powers = [[1 + 0j] * m]
+    for _ in range(series.truncation):
+        powers.append([p * z for p, z in zip(powers[-1], axis)])
+    level = {exps: [c] for exps, c in series.sorted_items()}
+    for _ in range(series.n):
+        folded: dict[tuple[int, ...], list[complex]] = {}
+        for exps, block in level.items():
+            size = len(block)
+            acc = folded.setdefault(exps[:-1], [0j] * (m * size))
+            for i, p in enumerate(powers[exps[-1]]):
+                acc[i * size:(i + 1) * size] = [
+                    a + v * p for a, v in zip(acc[i * size:(i + 1) * size], block)
+                ]
+        level = folded
+    return level.get((), [0j] * m**series.n)

@@ -128,6 +128,13 @@ MUTANTS = [
         "torus_bound_check: ok needs sup + tail <= 1 + slack",
     ),
     Mutant(
+        "torus-slice-only", "series.py",
+        "    if (b := series.slice) is None:\n"
+        '        raise DomainError("the torus check needs a slice-backed series from expand")\n',
+        "    b = series.slice\n",
+        "torus_bound_check: a dictionary series is refused",
+    ),
+    Mutant(
         "radius-predicate", "verify.py",
         "if total <= 1.0:\n            lo = mid",
         "if total <= 1.0 + 1e-6:\n            lo = mid",

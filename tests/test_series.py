@@ -565,10 +565,10 @@ def test_slice_torus_matches_dictionary_torus(family):
     eager = _eager_expand(family, series.truncation)
     m = 16 if family.n < 3 else 8
     # The slice series samples the circle |s| = n r at n m aligned points,
-    # the dictionary series the m^n grid, whose aligned points are among
+    # the grid reference the m^n grid, whose aligned points are among
     # them; every family here peaks at such a point (s = -n r, or any point
     # when |g| is constant on the circle), so the two maxima agree.
-    fast, slow = torus_bound_check(series, cap, m), torus_bound_check(eager, cap, m)
+    fast, slow = torus_bound_check(series, cap, m), crosscheck.grid_torus(eager, cap, m)
     assert fast.sup_modulus == pytest.approx(slow.sup_modulus, abs=1e-12)
     assert (fast.tail_bound, fast.certified, fast.ok) == (slow.tail_bound, slow.certified, slow.ok)
     for report in (fast, slow):
@@ -584,7 +584,7 @@ def test_dictionary_torus_sums_the_grid_in_product_order():
     coeffs = {(0, 0, 0): 0.25, (1, 0, 0): 0.5j, (0, 2, 1): -0.125, (1, 1, 2): 0.3 - 0.1j}
     series = CoefficientSeries(3, 4, {e: complex(c) for e, c in coeffs.items()})
     axis = ser._circle(0.7, 8)
-    values = ser._grid_sum(series, axis)
+    values = crosscheck.grid_sum(series, axis)
     points = list(itertools.product(axis, repeat=3))
     assert len(values) == len(points) == 512
     for value, z in zip(values, points):
@@ -592,7 +592,7 @@ def test_dictionary_torus_sums_the_grid_in_product_order():
         assert abs(value - direct) <= 1e-15
     # |z_1 - z_2| peaks first at z_1 = 0.5, z_2 = -0.5: the witness is that point.
     pair = CoefficientSeries(2, 1, {(1, 0): 1 + 0j, (0, 1): -1 + 0j})
-    report = torus_bound_check(pair, 0.5, samples_per_axis=8)
+    report = crosscheck.grid_torus(pair, 0.5, 8)
     assert report.witness == (ser._circle(0.5, 8)[0], ser._circle(0.5, 8)[4])
     assert report.sup_modulus == pytest.approx(1.0, abs=1e-15)
     assert not report.certified and not report.ok
@@ -1231,14 +1231,14 @@ def test_torus_unit_family_at_its_cap():
 def test_torus_sup_above_one_fails_with_a_certificate():
     # 0.9 + 0.5 z claims the tail certificate of psi_0.5 at degree 1 but
     # reaches modulus 1.15 on |z| = 0.5.
-    coeffs = {(0,): 0.9 + 0j, (1,): 0.5 + 0j}
+    coeffs = ser._SliceCoefficients(1, [0.9 + 0j, 0.5 + 0j])
     report = torus_bound_check(CoefficientSeries(1, 1, coeffs, MoebiusDisk(0.5)), 0.5)
     assert report.certified and report.sup_modulus == pytest.approx(1.15)
     assert not report.ok
 
 
 def test_torus_uncertified_series_is_flagged():
-    series = CoefficientSeries(1, 1, {(1,): 0.5 + 0j})
+    series = CoefficientSeries(1, 1, ser._SliceCoefficients(1, [0j, 0.5 + 0j]))
     report = torus_bound_check(series, 0.5)
     assert not report.certified
     assert not report.ok
@@ -1256,9 +1256,21 @@ def test_torus_argument_validation():
 
 @pytest.mark.parametrize("radius_cap", [math.nan, math.inf])
 def test_torus_refuses_a_non_finite_radius(radius_cap):
-    bare = CoefficientSeries(1, 1, {(1,): 0.5 + 0j})
+    bare = CoefficientSeries(1, 1, ser._SliceCoefficients(1, [0j, 0.5 + 0j]))
     with pytest.raises(DomainError, match="finite"):
         torus_bound_check(bare, radius_cap)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [CoefficientSeries(1, 1, {(1,): 0.5 + 0j}), oracle_expand(MoebiusDisk(0.5), 4)],
+    ids=["by-hand", "oracle"],
+)
+def test_torus_refuses_a_dictionary_series(series):
+    # Only a slice-backed series is sampled; the grid of a dictionary series
+    # is the reference crosscheck.grid_torus.
+    with pytest.raises(DomainError, match="slice-backed series from expand"):
+        torus_bound_check(series, 0.5)
 
 
 @pytest.mark.parametrize("samples", [8.5, math.inf, 8.0, True])

@@ -107,6 +107,21 @@ def test_lemma1a_scaled_family_strict_gap():
     assert check.gap > 1e-3
 
 
+def test_lemma1a_truncated_equality_case_passes_within_the_slack():
+    # B = z^2 has the one mass m2(2) = 1, so at r = 1/sqrt2 lemma 1a reads
+    # 2 r^4 = r^2: an equality case, summed as a truncated family.  The
+    # partial sum stays at or below rhs; the certified tail at K = 49 is
+    # the whole excess, and only LEMMA_SLACK lets it pass.
+    family = FiniteBlaschke((0j, 0j))
+    check = lemma1a_check(family, INV_SQRT2)
+    assert check.ok
+    assert check.lhs - check.rhs == pytest.approx(9.05e-14, rel=1e-3)
+    assert 0.0 < check.lhs - check.rhs < ver.LEMMA_SLACK
+    K, tail = ser.truncation(lambda k: family.sq_tail(k, INV_SQRT2), first=1)
+    assert K == 49 and tail == pytest.approx(9.06e-14, rel=1e-3)
+    assert check.lhs - tail <= check.rhs
+
+
 def test_lemma1a_range_and_hypothesis_errors():
     with pytest.raises(DomainError):
         lemma1a_check(MoebiusDisk(0.5), 0.8)
