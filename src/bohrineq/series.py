@@ -25,7 +25,8 @@ Every certified degree comes from one search, ``truncation``: given a tail
 rule K -> tail(K) it returns the smallest K whose tail is below
 ``TAIL_TARGET``, with that tail.  The majorant, the area, the literal area
 and the lemma square sums all pick their K there.  From a starting degree
-(``degree_grid`` passes the K of the previous a) the search walks
+(``degree_grid`` passes the K of the previous a, a Blaschke product the
+closed-form degree of its tail) the search walks
 down, or scans 16 degrees up and bisects above them; that finds the same K
 because every tail rule decreases in K.
 
@@ -175,11 +176,11 @@ def truncation(
     or else scans 16 degrees up and bisects above them (about 9 tail calls,
     not up to 185).  That is exact because every tail rule of the package
     decreases in K, so tail(K) < TAIL_TARGET holds on a final run of
-    degrees: the Blaschke sigma^(K+1)/(1 - sigma), both its majorant tail
-    and its ``sq_mass_tail``, has ratio sigma < 1 from K to K + 1, the
-    Moebius majorant tail a sigma < 1, the Moebius ``sq_mass_tail`` a^2 t,
-    the square-tail form y^K ((K+1) - K y) the ratio
-    y (K+2 - (K+1) y)/(K+1 - K y) < 1, since (K+1)(1 - y)^2 > 0, and a
+    degrees: a geometric tail c x^(K+1)/(1 - x) has ratio x < 1 from K to
+    K + 1 (the Moebius majorant tail x = a sigma, the Moebius
+    ``sq_mass_tail`` a^2 t), the square-tail form y^K ((K+1) - K y) the
+    ratio y (K+2 - (K+1) y)/(K+1 - K y) < 1, since (K+1)(1 - y)^2 > 0,
+    each Blaschke tail is the smaller of two such tails, and a
     constant's tail is 0.  Where a tail crosses
     TAIL_TARGET its ratio is far from 1, so rounding cannot reorder the
     computed values there."""
@@ -230,16 +231,21 @@ class _Family:
             return self.n // self.q * radii[0]
         return math.fsum(radii) / self.q
 
+    def _degree(self, sigma: float) -> tuple[int, float]:
+        """(K, majorant_tail(K, sigma)) of ``truncation``: the degree that the
+        majorant and the area share, and so one slice build."""
+        return truncation(lambda k: self.majorant_tail(k, sigma))
+
     def majorant(self, sigma: float) -> float:
         """sum_{k>=1} |c_k| sigma^k: slice partial sum plus certified tail."""
-        K, tail = truncation(lambda k: self.majorant_tail(k, sigma))
+        K, tail = self._degree(sigma)
         b = self.slice(K)
         partial = math.fsum(abs(b[k]) * sigma**k for k in range(1, K + 1))
         return partial + tail
 
     def area(self, sigma: float) -> float:
         """sum_{k>=1} k |c_k|^2 sigma^(2k): slice partial sum plus certified tail."""
-        K = truncation(lambda k: self.majorant_tail(k, sigma))[0]
+        K = self._degree(sigma)[0]
         b = self.slice(K)
         partial = math.fsum(k * (abs(b[k]) ** 2 * (sigma**k) ** 2) for k in range(1, K + 1))
         return partial + self.sq_tail(K, sigma)
@@ -398,6 +404,11 @@ class _MoebiusType(_Family):
         return num, den
 
 
+def _weighted_geometric(K: int, y: float) -> float:
+    """sum_{k>K} k y^k for 0 <= y < 1."""
+    return y ** (K + 1) * ((K + 1) - K * y) / (1.0 - y) ** 2
+
+
 def _sq_tail_rule(a: float, sigma: float) -> Callable[[int], float]:
     """K -> sum_{k>K} k |c_k|^2 sigma^(2k) of a Moebius-type family, with
     the K-free factors computed once for a whole degree search."""
@@ -446,11 +457,13 @@ class FiniteBlaschke(_Family):
     ``slice(K)`` costs O(mK) for m zeros, one ascending pass per zero that
     divides by 1 - conj(w) z and multiplies by w - z; the longest slice
     built of the product read last serves every shorter one, so a radius
-    search builds one slice.  Its tails are geometric, so
-    ``truncation`` finds their degree (K = 141 at sigma = 0.8) by bisection
-    past degree 16, in 25 tail calls, not 142.  ``boundary_sup`` is the
-    certified enclosure ``_blaschke_sup``, cached per (zeros, sigma), which
-    every |f| head of one radius shares."""
+    search builds one slice.  Its tails rest on Cauchy's estimate
+    |b_k| <= M(R)/R^k, with M(R) the maximum of |B| on |z| = R: each is the
+    smaller of two geometric tails, one at R = 1, M = 1, the other at the
+    R > 1 of ``_cauchy``.  ``_degree`` starts ``truncation`` at the
+    closed-form degree of the smaller one, so a search reads two or three
+    tails.  ``boundary_sup`` is the certified enclosure ``_blaschke_sup``,
+    cached per (zeros, sigma), which every |f| head of one radius shares."""
 
     zeros: tuple[complex, ...]
     n = 1
@@ -479,21 +492,65 @@ class FiniteBlaschke(_Family):
         # zero parts differ in sign.
         return repr(self.zeros)
 
+    @cached_property
+    def _cauchy(self) -> tuple[float, float]:
+        """(R, M) with 1 < R < 1/rho, rho the largest zero modulus, and
+        M >= prod_j (R + |w_j|)/(1 - |w_j| R) >= max |B| on |z| = R.
+
+        R = rho^-0.95 sits near 1/rho: on random zero sets its Cauchy tail
+        needs a degree within one or two of that of the best R.  The product
+        is rounded up.  With |w_j| from abs, within an ulp, each factor errs
+        by at most 5u/d_j + u (u = 2^-53, d_j = 1 - |w_j| R), since the
+        cancellation in d_j scales the rounding of |w_j| R by 1/d_j; the
+        widening by 16u sum_j 1/d_j also covers its own rounding and that
+        of M * M.  When every zero is 0 (B = c z^m), when some d_j is within
+        2^-30 of 0 or when M overflows, it is (1, 1): the bound |b_k| <= 1,
+        so the tails keep their sigma^(K+1)/(1 - sigma) form."""
+        moduli = [abs(w) for w in self.zeros]
+        if not (rho := max(moduli)):
+            return 1.0, 1.0
+        R = rho**-0.95
+        M, condition = 1.0, 0.0
+        for x in moduli:
+            if not (d := 1.0 - x * R) > 2.0**-30:
+                return 1.0, 1.0
+            M *= (R + x) / d
+            condition += 1.0 / d
+        M *= 1.0 + 8.0 * _ULP * condition
+        return (R, M) if M < math.inf else (1.0, 1.0)
+
+    def _degree(self, sigma: float) -> tuple[int, float]:
+        # The smallest K of a geometric tail c x^(K+1)/(1 - x) below the
+        # target, in closed form, for the smaller of the two tails.
+        start = None
+        if 0.0 < sigma < 1.0:
+            R, M = self._cauchy
+            start = int(min(math.log(TAIL_TARGET * (1.0 - x) / c) / math.log(x)
+                            for c, x in ((1.0, sigma), (M, sigma / R))))
+        return truncation(lambda k: self.majorant_tail(k, sigma), 0, start)
+
     def slice(self, K: int) -> list[complex]:
         return _blaschke_slice(self.zeros, K, self._key)
 
     def majorant_tail(self, K: int, sigma: float) -> float:
-        # Coefficients of a unit-bounded disk function have modulus <= 1,
-        # and so have their squares: one bound serves both tails.
         if sigma >= 1.0:
             raise DomainError("Blaschke tail bound needs radius < 1")
-        return sigma ** (K + 1) / (1.0 - sigma)
-
-    sq_mass_tail = majorant_tail
+        R, M = self._cauchy
+        t = sigma / R
+        return min(sigma ** (K + 1) / (1.0 - sigma), M * t ** (K + 1) / (1.0 - t))
 
     def sq_tail(self, K: int, sigma: float) -> float:
-        y = sigma * sigma
-        return y ** (K + 1) * ((K + 1) - K * y) / (1.0 - y) ** 2
+        # |b_k|^2 <= M^2 / R^(2k): the form sum_{k>K} k y^k at y = (sigma/R)^2.
+        R, M = self._cauchy
+        t = sigma / R
+        return min(_weighted_geometric(K, sigma * sigma), M * M * _weighted_geometric(K, t * t))
+
+    def sq_mass_tail(self, K: int, t: float) -> float:
+        if t >= 1.0:
+            raise DomainError("Blaschke tail bound needs radius < 1")
+        R, M = self._cauchy
+        u = t / (R * R)
+        return min(t ** (K + 1) / (1.0 - t), M * M * u ** (K + 1) / (1.0 - u))
 
     def boundary_sup(self, sigma: float) -> float:
         # A certified upper end of max |B| on |z| = sigma, cached like the slice.
@@ -749,8 +806,7 @@ def majorant_tail_bound(family: FamilySpec | None, K: int, bold_r: float) -> flo
 
 def default_truncation(family: FamilySpec, bold_r: float) -> int:
     """Smallest K whose certified majorant tail at bold_r is < TAIL_TARGET."""
-    sigma = _diagonal_sigma(family, bold_r)
-    return truncation(lambda K: family.majorant_tail(K, sigma))[0]
+    return family._degree(_diagonal_sigma(family, bold_r))[0]
 
 
 def _diagonal_sigma(family: FamilySpec, bold_r: float) -> float:

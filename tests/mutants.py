@@ -376,6 +376,19 @@ MUTANTS = [
         "fun._weights(spec)",
         "sharpness_scan: the perturbed total column reads the perturbed spec's weights",
     ),
+    # The Cauchy circle of the Blaschke tails.
+    Mutant(
+        "cauchy-round-up", "series.py",
+        "        M *= 1.0 + 8.0 * _ULP * condition\n",
+        "",
+        "FiniteBlaschke._cauchy: M(R) is rounded up",
+    ),
+    Mutant(
+        "cauchy-radius", "series.py",
+        "R = rho**-0.95",
+        "R = rho**-1.0",
+        "FiniteBlaschke._cauchy: R lies below 1/rho",
+    ),
     # Every certified tail added to a total.
     Mutant(
         "family-majorant-tail", "series.py",

@@ -289,6 +289,33 @@ def test_lemma_part_c_moebius(capsys):
     assert float(row["lhs"]) == pytest.approx(float(row["rhs"]), abs=1e-10)
 
 
+def test_lemma_part_c_blaschke_reads_the_moebius_value_near_the_circle(capsys):
+    # blaschke:0.5 is psi_0.5, so both families read the same majorant tail
+    # at r = 0.99.  With |b_k| <= 1 the sum failed closed there (lhs 14.73,
+    # exit 1); the Cauchy tail ends it at a degree below the cap.
+    rows = {}
+    for family in ("blaschke:0.5", "moebius:0.5"):
+        code, out, _ = run_cli(capsys, "lemma", "--part", "c", "--family", family, "--r", "0.99")
+        assert code == 0
+        (rows[family],) = parse_csv(out)
+    assert rows["blaschke:0.5"]["lhs"] == rows["moebius:0.5"]["lhs"] == "1.4702970297"
+    assert rows["blaschke:0.5"]["ok"] == "true"
+
+
+def test_verify_blaschke_total_is_the_moebius_total_near_the_circle(capsys):
+    # At r = 0.9 the |b_k| <= 1 tail stopped at K = 200 and printed
+    # 1.72727273362; the Cauchy tail prints the total of the same map.
+    totals = {}
+    for family in ("blaschke:0.5", "moebius:0.5"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--theorem", "classic", "--family", family, "--r", "0.9"
+        )
+        assert code == cli.EXIT_VIOLATIONS  # classic fails at r = 0.9 > 1/3
+        (row,) = parse_csv(out)
+        totals[family] = row["total"]
+    assert totals["blaschke:0.5"] == totals["moebius:0.5"] == "1.72727272727"
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_theorem_is_usage_error(capsys):

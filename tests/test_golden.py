@@ -30,6 +30,7 @@ import sys
 import pytest
 
 import crosscheck
+import golden_drift
 from bohrineq import cli
 from bohrineq import functionals as fun
 from bohrineq import series as ser
@@ -270,6 +271,19 @@ def test_regenerate_lists_the_files_it_changed(monkeypatch, tmp_path, capsys):
     ]
     for path in GOLDEN.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def test_golden_drift_pairs_the_number_cells_of_a_moved_file():
+    old = 'c,"blaschke:0.5,-0.3",T21,0.0847672955975,18,(0.5+0.2j),true\n'
+    new = 'c,"blaschke:0.5,-0.3",T21,0.0847672955976,15,(0.5+0.2j),true\n'
+    moved = golden_drift.drift(old, new)
+    assert moved.keys() == {"real", "integer"}
+    assert moved["real"][0] == 1 and moved["real"][1] == pytest.approx(1e-13, rel=1e-3)
+    assert moved["integer"] == (1, 3.0)
+    assert golden_drift.drift(old, old) == {}
+    # A verdict or any other text that moves leaves no cells to pair.
+    assert golden_drift.drift(old, old.replace("true", "false")) is None
+    assert golden_drift.drift(old, old.replace("T21", "T22")) is None
 
 
 def regenerate() -> list[str]:

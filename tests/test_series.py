@@ -1016,8 +1016,8 @@ def _counting(tail):
 def test_blaschke_majorant_search_bisects_past_degree_16():
     family = FiniteBlaschke((0.41 - 0.17j, -0.23 + 0.52j, 0.08 + 0.66j))
     tail, calls = _counting(lambda k: family.majorant_tail(k, 0.8))
-    assert ser.truncation(tail)[0] == 141
-    assert len(calls) <= 26  # a linear scan reads 142 tails
+    assert ser.truncation(tail)[0] == 64
+    assert len(calls) <= 25  # a linear scan reads 65 tails
     assert calls[:16] == list(range(16))
 
 
