@@ -51,7 +51,7 @@ ascending O(K) pass per zero and are prefix-stable: the longest slice
 built of the product read last serves every shorter one, so one operation
 builds one slice.
 The supremum of |B| on a circle is a certified enclosure (``_blaschke_sup``),
-cached per (zeros, sigma).
+cached per (zeros, sigma); ``FiniteBlaschke`` says what keys both caches.
 
 The module is pure Python: it needs nothing beyond the standard library.
 """
@@ -463,7 +463,18 @@ class FiniteBlaschke(_Family):
     R > 1 of ``_cauchy``.  ``_degree`` starts ``truncation`` at the
     closed-form degree of the smaller one, so a search reads two or three
     tails.  ``boundary_sup`` is the certified enclosure ``_blaschke_sup``,
-    cached per (zeros, sigma), which every |f| head of one radius shares."""
+    which every |f| head of one radius shares.
+
+    Both caches key on ``zeros``.  The one-slot slice cache ``_SLICE`` holds
+    the zeros tuple of the product read last and is read with ``is``:
+    ``__post_init__`` builds that tuple fresh for every product and the slot
+    keeps it alive, so no id is reused.  Products whose zeros differ only in
+    the sign of a zero part compare equal, yet their slices can differ in
+    the signs of zero parts; each keeps its own.  ``_blaschke_sup`` is cached
+    on (zeros, sigma) by value, so those products share an entry: a zero
+    u + iv reaches it only through u*u + v*v, |u| + |v|, 2 sigma u and
+    2 sigma v, where a +-0 part adds a +-0 term that changes no nonzero sum
+    and passes every >= 0.0 or <= 0.0 test the same way."""
 
     zeros: tuple[complex, ...]
     n = 1
@@ -484,13 +495,6 @@ class FiniteBlaschke(_Family):
     def value(self, z: tuple[complex, ...]) -> complex:
         factors = ((w - z[0]) / (1.0 - w.conjugate() * z[0]) for w in self.zeros)
         return math.prod(factors, start=complex(1.0))
-
-    @cached_property
-    def _key(self) -> str:
-        # The key of both caches, read once per family.  repr tells signed
-        # zeros apart: they compare equal as zeros but can give slices whose
-        # zero parts differ in sign.
-        return repr(self.zeros)
 
     @cached_property
     def _cauchy(self) -> tuple[float, float]:
@@ -530,7 +534,17 @@ class FiniteBlaschke(_Family):
         return truncation(lambda k: self.majorant_tail(k, sigma), 0, start)
 
     def slice(self, K: int) -> list[complex]:
-        return _blaschke_slice(self.zeros, K, self._key)
+        # A prefix of the slice held of the product, else a build that
+        # replaces it.  An evaluation's area re-reads the slice its majorant
+        # built, and a radius search's first evaluation, at the top of its
+        # bracket, builds the longest slice of its steps: one build per
+        # operation.
+        global _SLICE
+        held, b = _SLICE
+        if held is not self.zeros or len(b) <= K:
+            b = _blaschke_pass(self.zeros, K)
+            _SLICE = self.zeros, b  # one assignment: a thread reads a whole pair
+        return b[:K + 1]
 
     def majorant_tail(self, K: int, sigma: float) -> float:
         if sigma >= 1.0:
@@ -553,10 +567,10 @@ class FiniteBlaschke(_Family):
         return min(t ** (K + 1) / (1.0 - t), M * M * u ** (K + 1) / (1.0 - u))
 
     def boundary_sup(self, sigma: float) -> float:
-        # A certified upper end of max |B| on |z| = sigma, cached like the slice.
+        # A certified upper end of max |B| on |z| = sigma.
         if not 0.0 <= sigma < 1.0:
             raise DomainError("Blaschke supremum needs a radius in [0, 1)")
-        return _blaschke_sup(self.zeros, self._key, sigma)
+        return _blaschke_sup(self.zeros, sigma)
 
     def rational_form(self) -> tuple[dict, dict]:
         radix = len(self.zeros) + 1
@@ -830,23 +844,10 @@ def expand(family: FamilySpec, K: int) -> CoefficientSeries:
     )
 
 
-#: The (repr(zeros), slice) pair of the Blaschke product read last, with
-#: the longest slice built of it since another product was read.
-_SLICE: tuple[str, list[complex]] = ("", [])
-
-
-def _blaschke_slice(zeros: tuple[complex, ...], K: int, key: str) -> list[complex]:
-    """b_0..b_K of a Blaschke product, a fresh list; ``key`` is repr(zeros).
-    A prefix of the slice held of the product, else a build that replaces it."""
-    # An evaluation's area re-reads the slice its majorant built, and a
-    # radius search's first evaluation, at the top of its bracket, builds
-    # the longest slice of its steps: one build per operation.
-    global _SLICE
-    held, b = _SLICE
-    if held != key or len(b) <= K:
-        b = _blaschke_pass(zeros, K)
-        _SLICE = key, b  # one assignment: a thread reads a whole pair
-    return b[:K + 1]
+#: The (zeros, slice) pair of the Blaschke product read last, with the
+#: longest slice built of it since another product was read; the zeros are
+#: the product's own tuple (see ``FiniteBlaschke``).
+_SLICE: tuple[tuple[complex, ...], list[complex]] = ((), [])
 
 
 def _blaschke_pass(zeros: tuple[complex, ...], K: int) -> list[complex]:
@@ -881,9 +882,10 @@ _SUP_DEPTH = 30
 
 
 @lru_cache(maxsize=256)
-def _blaschke_sup(zeros: tuple[complex, ...], key: str, sigma: float) -> float:
+def _blaschke_sup(zeros: tuple[complex, ...], sigma: float) -> float:
     """Certified upper end of max_theta |B(sigma e^(i theta))|, at most 1,
-    cached per (zeros, sigma); ``key`` is repr(zeros), as for the slice.
+    cached per (zeros, sigma) by value; ``FiniteBlaschke`` says why the
+    signs of zero parts need no key.
 
     On the circle F = |B|^2 = prod_j (A_j - x_j)/(B_j - x_j), with
     x_j = 2 sigma Re(conj(w_j) e^(i theta)), A_j = |w_j|^2 + sigma^2 and

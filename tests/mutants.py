@@ -335,15 +335,15 @@ MUTANTS = [
     # The Blaschke slice cache and the oracle's integer keys.
     Mutant(
         "slice-prefix-short", "series.py",
-        "if held != key or len(b) <= K:",
-        "if held != key or len(b) < K:",
-        "_blaschke_slice: the held slice serves degree K only when it reaches b_K",
+        "if held is not self.zeros or len(b) <= K:",
+        "if held is not self.zeros or len(b) < K:",
+        "FiniteBlaschke.slice: the held slice serves degree K only when it reaches b_K",
     ),
     Mutant(
-        "slice-key-zeros", "series.py",
-        "return _blaschke_slice(self.zeros, K, self._key)",
-        "return _blaschke_slice(self.zeros, K, self.zeros)",
-        "FiniteBlaschke.slice: the held key is repr(zeros), which tells signed zeros apart",
+        "slice-key-equal", "series.py",
+        "held is not self.zeros",
+        "held != self.zeros",
+        "FiniteBlaschke.slice: the slot is read with is, which tells signed-zero variants apart",
     ),
     Mutant(
         "oracle-radix", "series.py",

@@ -13,6 +13,7 @@ rational coefficients, and a Sturm count proves it below the bound squared.
 """
 
 import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -248,9 +249,40 @@ def test_boundary_sup_is_cached_per_zeros_and_radius():
     assert ser._blaschke_sup.cache_info().misses == misses + 1
     family.boundary_sup(0.7)
     assert ser._blaschke_sup.cache_info().misses == misses + 2
-    # Signed zeros compare equal, so the key carries repr(zeros), as for the slice.
+    # Signed zeros compare equal and give the same bits (see the next test),
+    # so the pair shares one entry.
     plus = FiniteBlaschke((-0.5, 0.2j))
     minus = FiniteBlaschke((complex(-0.5, -0.0), complex(-0.0, 0.2)))
-    plus.boundary_sup(0.6)
-    minus.boundary_sup(0.6)
-    assert ser._blaschke_sup.cache_info().misses == misses + 4
+    assert plus.boundary_sup(0.6).hex() == minus.boundary_sup(0.6).hex()
+    assert ser._blaschke_sup.cache_info().misses == misses + 3
+
+
+def _signed_zero_variants(rng):
+    """Every variant, by the signs of its zero parts, of 1-4 zeros whose
+    parts are 0.0 with probability 1/3 and else uniform in (-0.7, 0.7): real,
+    imaginary and zero zeros, with 1-4 zero parts, so at most 16 variants."""
+    while True:
+        parts = [0.0 if rng.random() < 1 / 3 else rng.uniform(-0.7, 0.7)
+                 for _ in range(2 * rng.randint(1, 4))]
+        held = [i for i, x in enumerate(parts) if x == 0.0]
+        if 1 <= len(held) <= 4:
+            break
+    variants = []
+    for signs in itertools.product((0.0, -0.0), repeat=len(held)):
+        for i, x in zip(held, signs):
+            parts[i] = x
+        variants.append(tuple(complex(parts[k], parts[k + 1]) for k in range(0, len(parts), 2)))
+    return variants
+
+
+def test_boundary_sup_ignores_zero_signs():
+    # The cache keys on zeros by value, so products that differ only in the
+    # signs of zero parts share an entry; the enclosure must give each the
+    # same bits.
+    rng = random.Random(45)
+    sets = [_signed_zero_variants(rng) for _ in range(150)]
+    assert {len(variants) for variants in sets} == {2, 4, 8, 16}
+    for sigma in (0.05, 0.3, 0.8, 0.97):
+        for variants in sets:
+            bits = {ser._blaschke_sup.__wrapped__(zeros, sigma).hex() for zeros in variants}
+            assert len(bits) == 1, (variants[0], sigma, bits)

@@ -622,7 +622,7 @@ def _count_slice_builds(monkeypatch):
         return build(zeros, K)
 
     monkeypatch.setattr(ser, "_blaschke_pass", counted)
-    monkeypatch.setattr(ser, "_SLICE", ("", []))
+    monkeypatch.setattr(ser, "_SLICE", ((), []))
     return builds
 
 
@@ -652,14 +652,14 @@ def test_blaschke_slice_cache_holds_one_slice(monkeypatch):
         zeros = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3))
         families.append(FiniteBlaschke(zeros))
         lemma1c_check(families[-1], 0.8)
-        assert ser._SLICE[0] == repr(families[-1].zeros)
+        assert ser._SLICE[0] is families[-1].zeros
     assert len(builds) == 200
     last, previous = families[-1], families[-2]
     held = len(ser._SLICE[1]) - 1
     for family, K in ((last, held), (last, 3), (previous, 3), (previous, 2), (last, 3)):
         family.slice(K)
     assert builds[200:] == [3, 3]
-    assert ser._SLICE[0] == repr(last.zeros) and len(ser._SLICE[1]) == 4
+    assert ser._SLICE[0] is last.zeros and len(ser._SLICE[1]) == 4
     last.slice(60)
     assert builds[202:] == [60] and len(ser._SLICE[1]) == 61
 
@@ -672,7 +672,7 @@ def test_blaschke_slice_cache_returns_fresh_exact_lists(monkeypatch):
     assert family.slice(20)[3] != 99.0
     assert repr(family.slice(141)[:11]) == repr(family.slice(10))
     assert builds == [20, 141]
-    # Signed zeros compare equal, so the cache key carries repr(zeros): each
+    # Signed zeros compare equal, so the slot is read with ``is``: each
     # variant gets the bits of its own build, never the other's.  Each
     # prefix, and a slice one degree longer than the one held, is what a
     # fresh build gives.
@@ -713,7 +713,7 @@ def test_blaschke_slice_cache_keeps_its_bits_under_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
     key, held = ser._SLICE
-    (family,) = [family for family in families if repr(family.zeros) == key]
+    (family,) = [family for family in families if family.zeros is key]
     assert repr(held) == repr(ser._blaschke_pass(family.zeros, len(held) - 1))
 
 
