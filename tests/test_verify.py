@@ -529,6 +529,37 @@ def test_scan_t23_perturbed_above_one():
     assert report.perturbed_max > 1.0
 
 
+@pytest.mark.parametrize("head, sq_weight, a, total", [
+    ("constant_term", 126.4, 0.372, 1.000146),
+    ("abs_f_squared", 113.7, 0.331, 1.000240),
+], ids=["T21", "T22"])
+def test_literal_diagonal_weights_at_n2_are_sampled_upper_bounds(head, sq_weight, a, total):
+    # At n = 2 and the diagonal threshold 1/6, the extremal family on the
+    # literal reading admits an A^2 weight up to about 126.3 (T21) or 113.6
+    # (T22), near 6.8 and 6.9 times lambda_1 and lambda_2.  A witness a shows
+    # that 126.4 and 113.7 are too large: its total exceeds 1 by more than
+    # the area's certified tail and the rounding of the sum.
+    spec = FunctionalSpec(head, area_weight=16 / 9, area_sq_weight=sq_weight,
+                          area_interpretation=INTERP_LITERAL)
+    family = ExtremalPolydiskUnit(a, 2)
+    row = evaluate(spec, family, RadiusSpec.diagonal(2, 1 / 6))
+    assert row.total == pytest.approx(total, abs=5e-7)
+    (_, tail), = family.degree_grid((a,), family.sigma((1 / 6, 1 / 6)))
+    slack = (16 / 9 + 2 * sq_weight * row.area_term) * tail + 8 * math.ulp(1.0)
+    assert row.total - 1.0 > slack
+
+
+def test_t21_preset_at_n2_closes_on_the_slice_reading_only(constants):
+    family = ExtremalPolydiskUnit(constants.a_star1, 2)
+    radius = RadiusSpec.diagonal(2, 1 / 6)
+    literal, slice_ = (
+        evaluate(preset("thm_2_1").with_interpretation(reading), family, radius).total
+        for reading in (INTERP_LITERAL, INTERP_SLICE)
+    )
+    assert literal == pytest.approx(0.9076, abs=5e-5)
+    assert slice_ == pytest.approx(1.0, abs=1e-12)
+
+
 def test_scan_grid_validation():
     with pytest.raises(DomainError):
         sharpness_scan("C", [0.5, 1.0])
