@@ -23,10 +23,11 @@ copy.  The sections, in order:
   docstrings (found with ``ast``, so that a trimmed docstring does not read
   as a drop in code) and lines with ``isinstance``; beside them the
   non-blank, non-comment lines of ``tests/*.py``, so that code moved into
-  test support shows, and the lines and words of ``README.md``;
-- per module of ``bohrineq``, the median cumulative import time over 5
-  cold imports of ``bohrineq.cli``, the two checkouts taking turns, with no
-  bytecode written, as in the benchmark.
+  test support shows, and the lines and words of ``README.md``.
+
+It reports no import time: a few cold imports per side read byte-identical
+modules 15-23 % apart.  Cold CLI start-up is measured by interleaved medians
+(ROADMAP item 18).
 
 Each count is given here, at BASE and as the delta.  Exit status 0, or 2 on
 a usage error.
@@ -39,7 +40,6 @@ from __future__ import annotations
 import ast
 import os
 import re
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -47,7 +47,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FENCE = "```"
-IMPORT_RUNS = 5
 
 #: A number cell: a CSV or JSON number, or one part of a complex repr, not
 #: a digit run inside a name such as T21 or thm_b1.
@@ -185,34 +184,6 @@ def lines_section(base: str, old: Path, new: Path) -> list[str]:
     ]
 
 
-def import_section(base: str, old: Path, new: Path) -> list[str]:
-    times = ({}, {})  # {module: [cumulative us, ...]}, here and at BASE
-    for run in range(IMPORT_RUNS):
-        for side in (0, 1) if run % 2 == 0 else (1, 0):
-            src = str((new, old)[side] / "src")
-            err = subprocess.run(
-                [sys.executable, "-X", "importtime", "-c", "import bohrineq.cli"],
-                env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
-                capture_output=True, text=True, check=True,
-            ).stderr
-            for line in err.splitlines():
-                _, cumulative, name = line.split("|") if line.count("|") == 2 else ("", "", "")
-                name = name.strip()
-                if cumulative.strip().isdigit() and name.split(".")[0] == "bohrineq":
-                    times[side].setdefault(name, []).append(int(cumulative))
-    medians = [{name: round(statistics.median(us)) for name, us in side.items()} for side in times]
-    rows = []
-    for name in sorted(medians[0].keys() | medians[1].keys()):
-        now, before = (side.get(name, "") for side in medians)
-        delta = now - before if "" not in (now, before) else ""
-        rows.append(f"| `{name}` | {now} | {before} | {delta} |")
-    return [
-        f"Package import time: median cumulative us over {IMPORT_RUNS} cold imports of"
-        f" bohrineq.cli, here and at merge base {base[:12]}:",
-        "", "| module | us | at base | delta |", "|---|---:|---:|---:|", *rows,
-    ]
-
-
 def main(argv: list[str]) -> int:
     if len(argv) > 1 or argv[:1] and argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
@@ -223,7 +194,7 @@ def main(argv: list[str]) -> int:
             ["git", "archive", base], cwd=ROOT, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        for section in (golden_section, bench_section, ids_section, lines_section, import_section):
+        for section in (golden_section, bench_section, ids_section, lines_section):
             print("\n".join(section(base, Path(tmp), ROOT)), flush=True)
     return 0
 
