@@ -31,21 +31,17 @@ its sigma, reads the sigma-dependent terms through the family's methods and
 returns the ten ``TermBreakdown`` fields as a plain tuple.  ``evaluate``
 builds the record from them with ``_breakdown``; a radius search prepares
 the core once and reads the total and certification of each radius it tries
-from the tuple with ``_total_certified``.  The grid kernel is the same
-functional for the Moebius-type family of one class and n over a grid of a,
-and builds no family: ``_grid_terms`` reads a sweep's head, tail and area
-columns from the class's column rules, each (a, sigma) column once per sweep,
-``_grid_totals`` sums them, and ``_grid_columns`` returns all ten as the
-fields of one ``TermBreakdown``, each set of equal columns built once; a
-scan sums each total column in one pass of ``total_grid``, from ``HEADS``
-and ``_weights``.  So only this module knows the order of an evaluation's fields.
-``_prepare``'s core is the reference order of operations; both column sums
-keep its bits.  A zero weight adds +-0.0, which changes only a -0.0 partial
-sum, and no partial sum after a positive-weight term is -0.0, as no area is
--0.0: so ``_grid_totals`` drops a zero extra-area term when some weight is
-positive, and with none folds the three terms into one signed zero, -0.0
-only when all three weights are, which ``total_grid`` adds term by term.
-A zero weight's contribution column is that signed zero, repeated.
+from the tuple with ``_total_certified``.  The grid kernel ``_grid_columns``
+is the same core for the Moebius-type family of one class and n over a grid
+of a, and builds no family: it reads its columns from the class's column
+rules, once per sigma in a sweep, and returns the ten fields of one
+``TermBreakdown`` as columns; a scan sums each total column in one pass of
+``total_grid``, from ``HEADS`` and ``_weights``.  So only this module knows
+the order of an evaluation's fields.  Both sum ``_prepare``'s five terms in
+its order and keep its bits, but a sweep's spec that weighs no area folds its
+three zero terms into one signed zero, w + w_q + w_x: adding +-0.0 changes
+only a -0.0 sum, so head + tail gains the sign the three terms in turn give
+it, -0.0 only when all three weights are.
 """
 
 from __future__ import annotations
@@ -118,8 +114,8 @@ class FunctionalSpec:
     def __post_init__(self):
         if self.head not in HEADS:
             raise DomainError(f"unknown head {self.head!r}")
-        if self.area_interpretation not in (INTERP_LITERAL, INTERP_SLICE):
-            raise DomainError(f"unknown interpretation {self.area_interpretation!r}")
+        if (interpretation := self.area_interpretation) not in (INTERP_LITERAL, INTERP_SLICE):
+            raise UnsupportedInterpretationError(f"unknown interpretation {interpretation!r}")
         # Nonnegative weights keep every total nondecreasing in the radius,
         # which is all a radius search assumes.
         for name in ("area_weight", "area_sq_weight", "extra_area_weight"):
@@ -325,87 +321,47 @@ def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tupl
     return terms
 
 
-def _grid_terms(
-    spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
-    shared: dict,
-) -> tuple[list, list, list]:
-    """The head, majorant-tail and area columns of the evaluation core of
-    the Moebius-type family cls(a) in dimension n for every a of avals
-    (inside [0, 1)), at a polyradius coords checked for that class and n
-    whose argument radius is sigma.  Every column but a literal area is of
-    (a, sigma) alone: it is built once, by one column rule call, into
-    shared, a dict that lives for one sweep over avals, keyed by
-    sigma's repr, since -0.0 == 0.0.  So are the literal-area degrees and
-    slice terms."""
-    at = repr(sigma)
-
-    def once(name: str, build: Callable[[], list]) -> list:
-        key = name, at
-        return shared[key] if key in shared else shared.setdefault(key, build())
-
-    if spec.head == HEAD_CONSTANT:
-        heads = once(spec.head, lambda: list(map(abs, avals)))  # a_0 = a
-    else:
-        sups = once(HEAD_ABS, lambda: cls.sup_grid(avals, sigma))
-        heads = sups if spec.head == HEAD_ABS else once(spec.head, lambda: [x * x for x in sups])
-    tails = once("tail", lambda: cls.majorant_tail_grid(avals, 0, sigma))
-    if not spec.uses_area():
-        return heads, tails, [0.0] * len(heads)
-    if not _literal(spec.area_interpretation, n):
-        return heads, tails, once("area", lambda: cls.area_grid(avals, sigma))
-    degrees = once("degrees", lambda: cls.degree_grid(avals, sigma))
-    terms = once("slice terms", lambda: cls.slice_term_grid(avals, sigma, degrees))
-    return heads, tails, cls.literal_area_grid(terms, degrees, coords, n)
-
-
-def _grid_totals(spec: FunctionalSpec, heads: list, tails: list, areas: list) -> list[float]:
-    """The total column: the sum of ``_prepare``'s core,
-
-        head + tail + w * area + w_q * area * area + w_x * area,
-
-    with the bits of its order of operations.  When no weight is positive,
-    the three terms fold into one signed zero, w + w_q + w_x; when some
-    weight is positive and w_x is zero, the last term is dropped.  Both keep
-    every bit, since every area column is finite and +0.0 or above, never
-    -0.0 (a sum of squares times sigma^2 >= +0.0):
-
-    - a zero weight gives a term of +-0.0, of the weight's sign;
-    - adding +-0.0 changes a partial sum only when that sum is -0.0, and
-      then only +0.0 changes it, to +0.0;
-    - a positive-weight term is +0.0 or above, so the partial sums after
-      it are never -0.0, and a zero term after it changes nothing;
-    - with no positive weight, head + tail gains the three zeros in turn,
-      which is adding -0.0 when all three are -0.0 and +0.0 otherwise: the
-      sign of their sum.
-    """
-    w, w_q, w_x = _weights(spec)
-    if not (w or w_q or w_x):
-        zero = w + w_q + w_x
-        return [head + tail + zero for head, tail in zip(heads, tails)]
-    rows = zip(heads, tails, areas)
-    if not w_x:  # every preset but T23's weighs no extra area
-        return [head + tail + w * area + w_q * area * area for head, tail, area in rows]
-    return [head + tail + w * area + w_q * area * area + w_x * area for head, tail, area in rows]
-
-
 def _grid_columns(
     spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
     shared: dict,
 ) -> TermBreakdown:
-    """The ``TermBreakdown`` whose fields are the columns of ``_grid_terms``.
-    All but the interpretation depend on the head, weights and sigma alone,
-    and on coords for a literal area at n > 1: sets that agree there (the
-    n = 1 literal set, the slice sets of one sigma) share them, as tuples, in shared."""
-    literal = _literal(spec.area_interpretation, n)
-    key = spec.head, *_weights(spec), coords if literal else 1, repr(sigma)
+    """``_prepare``'s core on the Moebius-type family cls(a) in dimension n
+    over the a of avals (inside [0, 1)), as one ``TermBreakdown`` of columns,
+    at a polyradius coords of argument radius sigma checked for that class
+    and n.  shared serves one sweep of one head and weights, keyed by sigma's
+    repr (-0.0 == 0.0): per sigma, the head and tail rule columns and, once
+    read, the literal-area degrees and slice terms; per sigma and, for a
+    literal area at n > 1, coords, a set's nine columns, shared by equal sets."""
+    at, literal = repr(sigma), _literal(spec.area_interpretation, n)
+    key = at, coords if literal else None
     if key not in shared:
-        heads, tails, areas = _grid_terms(spec, cls, n, avals, coords, sigma, shared)
-        totals = _grid_totals(spec, heads, tails, areas)
-        w_q, w_x, size = spec.area_sq_weight, spec.extra_area_weight, len(heads)
-        # A zero weight gives one signed zero, of its own sign, on every row
-        # (``_grid_totals``): the column is that product, repeated.
+        rules = shared.setdefault(at, [])
+        if not rules:
+            constant = spec.head == HEAD_CONSTANT  # a_0 = a
+            heads = list(map(abs, avals)) if constant else cls.sup_grid(avals, sigma)
+            if spec.head == HEAD_ABS_SQ:
+                heads = [x * x for x in heads]
+            rules += heads, cls.majorant_tail_grid(avals, 0, sigma)
+        heads, tails = rules[:2]
+        (w, w_q, w_x), size = _weights(spec), len(avals)
+        # Nonnegative weights sum to zero only when each is zero.
+        if not (zero := w + w_q + w_x):
+            areas = [0.0] * size
+        elif not literal:
+            areas = cls.area_grid(avals, sigma)
+        else:
+            if len(rules) == 2:
+                degrees = cls.degree_grid(avals, sigma)
+                rules += degrees, cls.slice_term_grid(avals, sigma, degrees)
+            areas = cls.literal_area_grid(rules[3], rules[2], coords, n)
+        # A zero weight's column is its signed zero, repeated (no area is -0.0).
         area_sq = [w_q * area * area for area in areas] if w_q else [w_q * 0.0 * 0.0] * size
         extra = [w_x * area for area in areas] if w_x else [w_x * 0.0] * size
+        if zero:
+            rows = zip(heads, tails, areas, area_sq, extra)
+            totals = [head + tail + w * area + sq + x for head, tail, area, sq, x in rows]
+        else:  # no area: the three zero terms fold into one signed zero
+            totals = [head + tail + zero for head, tail in zip(heads, tails)]
         # Moebius-type heads and tails are exact closed forms: every row is certified.
         shared[key] = tuple(map(tuple, (
             heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],

@@ -17,9 +17,10 @@ against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the rules of the
 family's class.  A scan reads its grid once into a sorted list, inserts a*
 in order by bisection, checks it inside [0, 1) by its sum and its two ends,
-and sums each total column in one ``total_grid`` pass.  A sweep builds each
-(a, sigma) column of the column rules once per call, keeps the columns of
-each (n, r, interpretation), and a stable sort's order unless n, the radii
+and sums each total column in one ``total_grid`` pass.  A sweep reads each
+set of columns from ``functionals._grid_columns`` through one dict for the
+call, which reads each column rule once per sigma and builds each set of
+equal columns once, and keeps a stable sort's order unless n, the radii
 and the grid strictly increase.  ``rows`` builds rows on read; only a
 flagged sweep reads them in its call, to list its violating literal rows.
 A radius search checks its top radius once, prepares the evaluation core of
@@ -484,11 +485,12 @@ def theorem_sweep(
     slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
-    # given; sets of one sigma share their columns, and the slice sets one
-    # tuple of all ten.  Rows interleaved per a are in (n, a, r,
-    # interpretation) order when n, the radii and the grid strictly increase,
-    # as "literal" < "slice"; else a stable sort of their keys gives their
-    # order, so repeated keys (repeats, 0.0 and -0.0) keep their input order.
+    # given; sets of one sigma share their rule columns, and the n = 1 set
+    # and the slice sets one tuple of nine columns.  Rows interleaved per a
+    # are in (n, a, r, interpretation) order when n, the radii and the grid
+    # strictly increase, as "literal" < "slice"; else a stable sort of their
+    # keys gives their order, so repeated keys (repeats, 0.0 and -0.0) keep
+    # their input order.
     #
     # Every literal total is finite (the grid lies inside [0, 1), the radius
     # below the cap, and the preset weights are finite), and 1.0 - total is

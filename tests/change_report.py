@@ -8,11 +8,12 @@ BASE defaults to HEAD.  It is checked out once, with ``git archive``, into a
 temporary directory, and each section compares the working tree with that
 copy.  The sections, in order:
 
-- the golden files under ``tests/golden`` that differ (``git diff --stat``),
-  and for each moved file how many of its number cells moved and by how
-  much, real cells and integer cells (degrees and counts) apart; when the
-  text around the numbers changed too, the cells no longer pair up and the
-  line says so;
+- the golden files under ``tests/golden`` that are new, removed or moved,
+  found by comparing the two trees (so a new file shows before it is added
+  to git), and for each moved file how many of its number cells moved and by
+  how much, real cells and integer cells (degrees and counts) apart; when
+  the text around the numbers changed too, the cells no longer pair up and
+  the line says so;
 - the files under ``bench`` and ``BENCHMARK.json`` that differ, which a
   change that leaves the benchmark as it is shows as an empty block;
 - how many test ids were added and removed, and every removed id, so that
@@ -78,13 +79,20 @@ def _read(path: Path) -> str:
     return path.read_text(encoding="utf-8") if path.exists() else ""
 
 
+def _files(root: Path, folder: str) -> set[str]:
+    """The paths, relative to root, of the files under root / folder."""
+    return {p.relative_to(root).as_posix() for p in (root / folder).rglob("*") if p.is_file()}
+
+
 def golden_section(base: str, old: Path, new: Path) -> list[str]:
     moved = []
-    for name in _git(new, "diff", "--name-only", base, "--", "tests/golden").split():
+    for name in sorted(_files(old, "tests/golden") | _files(new, "tests/golden")):
         if not (new / name).exists():
             moved.append(f"{name}: removed")
         elif not (old / name).exists():
             moved.append(f"{name}: new")
+        elif (old / name).read_bytes() == (new / name).read_bytes():
+            continue
         elif (cells := drift(_read(old / name), _read(new / name))) is None:
             moved.append(f"{name}: text other than numbers changed")
         else:
@@ -93,9 +101,8 @@ def golden_section(base: str, old: Path, new: Path) -> list[str]:
                 for kind, (count, largest) in cells.items()
             ))
     return [
-        f"Golden files changed since merge base {base[:12]}:",
-        FENCE, *_git(new, "diff", "--stat", base, "--", "tests/golden").splitlines(), FENCE,
-        "Largest change of a numeric cell in each moved golden file:",
+        f"Golden files changed since merge base {base[:12]}, with the largest change of a"
+        " numeric cell in each moved file:",
         FENCE, *(moved or ["no golden file moved"]), FENCE,
     ]
 

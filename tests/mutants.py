@@ -302,7 +302,7 @@ MUTANTS = [
         "zero-fold-unguarded", "functionals.py",
         "head + tail + zero for head, tail",
         "head + tail for head, tail",
-        "_grid_totals: with no positive weight the zero terms fold into one signed zero",
+        "_grid_columns: with no positive weight the zero terms fold into one signed zero",
         "tests/test_verify.py::test_grid_totals_drop_zero_weights_bit_for_bit[C-1--0.0]",
     ),
     Mutant(
@@ -311,6 +311,20 @@ MUTANTS = [
         "[0.0] * size",
         "_grid_columns: the constant column of a zero extra weight keeps the sign of a -0.0 weight",
         "tests/test_verify.py::test_sweep_keeps_the_sign_of_negative_zero_weights[classic]",
+    ),
+    Mutant(
+        "literal-set-key", "functionals.py",
+        "key = at, coords if literal else None",
+        "key = at, literal or None",
+        "_grid_columns: a literal set at n > 1 is keyed by its polyradius, not shared over n",
+        "tests/test_verify.py::test_one_sweeps_dict_gives_each_set_the_columns_of_a_fresh_dict",
+    ),
+    Mutant(
+        "rule-columns-key", "functionals.py",
+        "rules = shared.setdefault(at, [])",
+        'rules = shared.setdefault("rules", [])',
+        "_grid_columns: the head and tail columns are kept per sigma, not shared over sigmas",
+        "tests/test_verify.py::test_one_sweeps_dict_gives_each_set_the_columns_of_a_fresh_dict",
     ),
     # Rounding widenings of the certified Blaschke circle maximum.
     Mutant(

@@ -1,6 +1,6 @@
 """The change report of ``tests/change_report.py``: its line counters, its
-lines section, and its usage error.  The golden drift is tested in
-``test_golden.py``."""
+lines and golden sections, and its usage error.  The golden drift is tested
+in ``test_golden.py``."""
 
 import subprocess
 import sys
@@ -78,6 +78,33 @@ def test_lines_section_reads_a_module_on_one_side_as_empty_on_the_other(tmp_path
         "| `src/bohrineq/thing.py` | 13 | 13 | 7 | 0 | 7 | 1 | 0 | 1 |",
     ]
     assert rows[-1].endswith(": 7; at merge base: 1; delta: 6")
+
+
+def test_golden_section_compares_two_trees_without_git(tmp_path):
+    # Neither tree is a git checkout: a file on one side only shows as new or
+    # removed, a moved file with its drift, a file whose text around the
+    # numbers changed says so, and an equal file not at all.
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "same.csv": ("a,1.5\n", "a,1.5\n"), "moved.csv": ("r,0.25,3\n", "r,0.5,4\n"),
+        "text.csv": ("x,1\n", "y,1\n"), "gone.json": ("{}\n", None), "added.json": (None, "{}\n"),
+    }
+    for name, texts in files.items():
+        for root, text in zip((old, new), texts):
+            (root / "tests" / "golden").mkdir(parents=True, exist_ok=True)
+            if text is not None:
+                (root / "tests" / "golden" / name).write_text(text, encoding="utf-8")
+    assert change_report.golden_section("0123456789abcdef", old, new) == [
+        "Golden files changed since merge base 0123456789ab, with the largest change of a"
+        " numeric cell in each moved file:",
+        change_report.FENCE,
+        "tests/golden/added.json: new",
+        "tests/golden/gone.json: removed",
+        "tests/golden/moved.csv: 1 real cells moved, largest change 0.25;"
+        " 1 integer cells moved, largest change 1",
+        "tests/golden/text.csv: text other than numbers changed",
+        change_report.FENCE,
+    ]
 
 
 @pytest.mark.parametrize("argv", [["--section", "lines"], ["-h"], ["HEAD", "HEAD"]])

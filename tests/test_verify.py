@@ -847,23 +847,52 @@ def test_sweep_reads_each_rule_once_per_distinct_sigma(monkeypatch):
 
 def test_sweep_builds_each_set_of_equal_columns_once(monkeypatch):
     # The literal set of n = 1 and the slice sets of n = 2, 3 and 5 have one
-    # sigma, head and weights: they read one copy of their columns.
-    totals = _count_calls(monkeypatch, fun, "_grid_totals")
+    # sigma, head and weights: they read one copy of their columns, and one
+    # area column, beside the literal area of each n >= 2.
+    areas = [_count_calls(monkeypatch, ser._MoebiusType, rule)
+             for rule in ("area_grid", "literal_area_grid")]
     report = theorem_sweep("T21", [1, 2, 3, 5])
     assert len(report.rows) == 100 * (1 + 2 * 3)
-    assert len(totals) == 4
+    assert list(map(len, areas)) == [1, 3]
 
 
-def test_one_shared_dict_keeps_the_columns_of_each_head_and_weights_apart():
-    # Specs of one head that differ in a weight, at one sigma and n, read
-    # their own columns from a dict they share, and the columns of a fresh one.
-    cls, grid, shared = ser.ExtremalPolydiskUnit, [0.2, -0.0, 0.6], {}
-    for names in (("classic", "thm_a", "thm_c"), ("thm_b1", "thm_e", "thm_2_3")):
-        for name in names:
-            for n, interp in ((1, INTERP_LITERAL), (2, INTERP_LITERAL), (2, INTERP_SLICE)):
-                spec, coords = preset(name).with_interpretation(interp), (0.2 / n,) * n
-                columns = fun._grid_columns(spec, cls, n, grid, coords, 0.2, shared)
-                assert repr(columns) == repr(fun._grid_columns(spec, cls, n, grid, coords, 0.2, {}))
+def test_one_sweeps_dict_gives_each_set_the_columns_of_a_fresh_dict():
+    # The literal and slice specs of one preset share one dict, as the sets
+    # of one sweep do, over n = 1, 2, 3, 5, two polyradii of one sigma (the
+    # diagonal and a corner) and sigma 1/3, 0.0 and -0.0: each set reads the
+    # columns of a fresh dict.
+    cls, grid = ExtremalPolydiskUnit, [0.2, -0.0, 0.0, 0.6]
+    for name in fun._preset_table():
+        shared = {}
+        for r in (1 / 3, 0.0, -0.0):
+            for n in (1, 2, 3, 5):
+                diagonal = (r / n,) * n
+                sigma = cls(0.0, n).sigma(diagonal)
+                corner = (2 * diagonal[0], 0.0, *diagonal[2:])
+                for coords in [diagonal] + [corner] * (n > 1 and r > 0):
+                    assert repr(cls(0.0, n).sigma(coords)) == repr(sigma)
+                    for interp in (INTERP_LITERAL, INTERP_SLICE):
+                        spec = preset(name).with_interpretation(interp)
+                        columns = fun._grid_columns(spec, cls, n, grid, coords, sigma, shared)
+                        fresh = fun._grid_columns(spec, cls, n, grid, coords, sigma, {})
+                        assert repr(columns) == repr(fresh), (name, r, coords, interp)
+
+
+def _rule_columns(spec, cls, n, grid, coords, sigma):
+    """The head, majorant-tail and area columns of spec's core on cls at a
+    polyradius coords of argument radius sigma, read from the column rules,
+    the area whatever the weights."""
+    sups = cls.sup_grid(grid, sigma)
+    heads = {
+        fun.HEAD_CONSTANT: [abs(a) for a in grid], fun.HEAD_ABS: sups,
+        fun.HEAD_ABS_SQ: [x * x for x in sups],
+    }[spec.head]
+    if fun._literal(spec.area_interpretation, n):
+        degrees = cls.degree_grid(grid, sigma)
+        areas = cls.literal_area_grid(cls.slice_term_grid(grid, sigma, degrees), degrees, coords, n)
+    else:
+        areas = cls.area_grid(grid, sigma)
+    return heads, cls.majorant_tail_grid(grid, 0, sigma), areas
 
 
 def _five_term_totals(spec, heads, tails, areas):
@@ -890,19 +919,23 @@ def _fold_specs():
 @pytest.mark.parametrize("tid, n", [("C", 1), ("T21", 2)])
 def test_grid_totals_drop_zero_weights_bit_for_bit(tid, n, sigma):
     # Every preset, and every spec with weights in {+0.0, -0.0, 0.5}, on
-    # the slice and literal areas and on the constant column [0.0] * size
-    # of a spec that weighs none, as a scan sums a base spec on the areas
-    # its perturbed spec reads.
+    # the slice and literal areas: the kernel's total column is the sum of
+    # the five terms of the column rules, on the rules' area and on its own
+    # area column, which is [0.0] * size for a spec that weighs none and
+    # folds its zero terms.
     grid = [0.3, -0.0, 0.0, 0.3, 0.9, -0.0, 0.0]
     coords, sig, cls = ver._checked_radius(tid, n, sigma / n)
     assert repr(sig) == repr(sigma)
-    for spec in _fold_specs():
+    for base in _fold_specs():
         for interp in (INTERP_SLICE, INTERP_LITERAL):
-            reader = replace(spec, area_interpretation=interp, extra_area_weight=0.5)
-            weighed = fun._grid_terms(reader, cls, n, grid, coords, sigma, {})
-            own = fun._grid_terms(spec, cls, n, grid, coords, sigma, {})
-            for terms in (weighed, own):
-                assert repr(fun._grid_totals(spec, *terms)) == repr(_five_term_totals(spec, *terms))
+            spec = base.with_interpretation(interp)
+            columns = fun._grid_columns(spec, cls, n, grid, coords, sigma, {})
+            heads, tails, areas = _rule_columns(spec, cls, n, grid, coords, sigma)
+            own = areas if spec.uses_area() else [0.0] * len(grid)
+            assert repr(columns[:3]) == repr((tuple(heads), tuple(tails), tuple(own)))
+            for area in (areas, own):
+                totals = _five_term_totals(spec, heads, tails, area)
+                assert repr(list(columns.total)) == repr(totals)
 
 
 def _bumped(spec, epsilon):
@@ -913,11 +946,14 @@ def _bumped(spec, epsilon):
 
 
 def _total_grid_reference(spec, perturbed, cls, n, grid, sigma):
-    """What ``total_grid`` must return: the grid totals of both specs on
-    the slice terms that the perturbed spec reads, or None for the second."""
-    reader = (perturbed or spec).with_interpretation(INTERP_SLICE)
-    terms = fun._grid_terms(reader, cls, n, grid, (sigma,) * n, sigma, {})
-    return fun._grid_totals(spec, *terms), perturbed and fun._grid_totals(perturbed, *terms)
+    """What ``total_grid`` must return: the five-term totals of both specs
+    on the slice columns of the column rules, or None for the second."""
+
+    def totals(s):
+        s = s.with_interpretation(INTERP_SLICE)
+        return _five_term_totals(s, *_rule_columns(s, cls, n, grid, (sigma,) * n, sigma))
+
+    return totals(spec), perturbed and totals(perturbed)
 
 
 def _total_grid(spec, perturbed, cls, grid, sigma):
@@ -970,9 +1006,9 @@ def test_total_grid_equals_the_grid_totals_of_the_terms(name):
 
 @pytest.mark.parametrize("sigma", [0.0, -0.0, 1 / 3], ids=repr)
 def test_total_grid_keeps_the_signed_zeros_of_any_weights(sigma):
-    # Specs with weights in {+0.0, -0.0, 0.5} beyond the presets: a zero
-    # weight's term, summed here and dropped or folded by the reference,
-    # never gives the total a sign the terms lack.
+    # Specs with weights in {+0.0, -0.0, 0.5} beyond the presets: the
+    # one-pass rule sums a zero weight's term with the sign that the
+    # column rules' five terms give it.
     for spec in _fold_specs():
         for epsilon in (0.0, 1e-3):
             perturbed = _bumped(spec, epsilon)
@@ -988,9 +1024,9 @@ def test_grid_totals_keep_the_negative_zero_of_an_all_negative_zero_spec():
     coords, sigma, cls = ver._checked_radius("B1", 1, -0.0)
     for weights, total in (((-0.0, -0.0, -0.0), "-0.0"), ((-0.0, 0.0, -0.0), "0.0")):
         spec = FunctionalSpec(fun.HEAD_ABS, *weights)
-        terms = fun._grid_terms(spec, cls, 1, [-0.0], coords, sigma, {})
-        assert repr(terms[:2]) == "([-0.0], [-0.0])"
-        assert repr(fun._grid_totals(spec, *terms)) == f"[{total}]"
+        columns = fun._grid_columns(spec, cls, 1, [-0.0], coords, sigma, {})
+        assert repr(columns[:2]) == "((-0.0,), (-0.0,))"
+        assert repr(columns.total) == f"({total},)"
 
 
 def _row_verdicts(report, tol):
@@ -1722,8 +1758,8 @@ def test_non_numeric_inputs_are_domain_errors_that_name_the_input(call, name):
     (lambda: RadiusSpec(()), DomainError, "radius needs at least one coordinate"),
     (lambda: fun.FunctionalSpec("bogus"), DomainError, "unknown head 'bogus'"),
     (
-        lambda: fun.FunctionalSpec("abs_f", area_interpretation="x"), DomainError,
-        "unknown interpretation 'x'",
+        lambda: fun.FunctionalSpec("abs_f", area_interpretation="x"),
+        UnsupportedInterpretationError, "unknown interpretation 'x'",
     ),
     (
         lambda: fun.area_term(MoebiusDisk(0.5), RadiusSpec((0.3,)), "x"),
