@@ -23,25 +23,25 @@ polyradius.  No functional expands a multi-index series or reads one: the
 literal area reweights the slice sum per degree (``literal_area``).
 
 ``evaluate`` is its checks (dimension, domain cap) and one private core,
-prepared by ``_prepare`` once per (spec, family): it reads once what the
-pair fixes (the head rule, and for the constant head |a_0| itself; whether
-the spec weighs an area, and which; the three weights; ``closed_form``) and
-returns the per-radius evaluation, which takes the checked polyradius and
-its sigma, reads the sigma-dependent terms through the family's methods and
+prepared by ``_prepare`` once per (spec, family): it reads once what the pair
+fixes (the head rule, and for the constant head |a_0| itself; whether the
+spec weighs an area, and which; the three weights; ``closed_form``) and
+returns the per-radius evaluation, which takes the checked polyradius and its
+sigma, reads the sigma-dependent terms through the family's methods and
 returns the ten ``TermBreakdown`` fields as a plain tuple.  ``evaluate``
-builds the record from them with ``_breakdown``; a radius search prepares
-the core once and reads the total and certification of each radius it tries
-from the tuple with ``_total_certified``.  The grid kernel ``_grid_columns``
-is the same core for the Moebius-type family of one class and n over a grid
-of a, and builds no family: it reads its columns from the class's column
-rules, once per sigma in a sweep, and returns the ten fields of one
-``TermBreakdown`` as columns; a scan sums each total column in one pass of
-``total_grid``, from ``HEADS`` and ``_weights``.  So only this module knows
-the order of an evaluation's fields.  Both sum ``_prepare``'s five terms in
-its order and keep its bits, but a sweep's spec that weighs no area folds its
-three zero terms into one signed zero, w + w_q + w_x: adding +-0.0 changes
-only a -0.0 sum, so head + tail gains the sign the three terms in turn give
-it, -0.0 only when all three weights are.
+builds the record from them with ``_breakdown``; a radius search prepares the
+core once and reads the total and certification of each radius it tries from
+the tuple with ``_total_certified``.  The grid kernel ``_grid_columns`` is the
+same core under a given interpretation, for the Moebius-type family of one
+class and n over a grid of a, and builds no family: it reads its columns from
+the class's column rules, once per sigma in a sweep, and returns the ten
+fields of one ``TermBreakdown`` as columns; a scan sums each total column in
+one pass of ``total_grid``, from ``HEADS`` and ``_weights``.  So only this
+module knows the order of an evaluation's fields.  Both sum ``_prepare``'s
+five terms in its order and keep its bits, but a sweep's spec that weighs no
+area folds its three zero terms into one signed zero, w + w_q + w_x: adding
++-0.0 changes only a -0.0 sum, so head + tail gains the sign the three terms
+in turn give it, -0.0 only when all three weights are.
 """
 
 from __future__ import annotations
@@ -127,17 +127,10 @@ class FunctionalSpec:
         return any((self.area_weight, self.area_sq_weight, self.extra_area_weight))
 
     def with_interpretation(self, interpretation: str) -> "FunctionalSpec":
-        """This spec under the given area interpretation: itself for its own,
-        else its twin, built on the first call and kept on the instance (not
-        in a cache keyed by the spec: equality would mix -0.0 and +0.0
-        weights)."""
+        """Itself under its own area interpretation, else a copy under the given one."""
         if interpretation == self.area_interpretation:
             return self
-        twin = self.__dict__.get("_twin")
-        if twin is None or twin.area_interpretation != interpretation:
-            twin = replace(self, area_interpretation=interpretation)  # refuses an unknown one
-            object.__setattr__(self, "_twin", twin)
-        return twin
+        return replace(self, area_interpretation=interpretation)  # refuses an unknown one
 
 
 @lru_cache(maxsize=1)
@@ -274,9 +267,9 @@ def evaluate(
     return _breakdown(_prepare(spec, family)(radius.coords, sigma, eval_point))
 
 
-def _closed_form(spec: FunctionalSpec, closed: bool, n: int) -> bool:
+def _closed_form(spec: FunctionalSpec, closed: bool, literal: bool) -> bool:
     """True when no term of the evaluation was truncated."""
-    return closed and not (spec.uses_area() and _literal(spec.area_interpretation, n))
+    return closed and not (spec.uses_area() and literal)
 
 
 def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tuple]:
@@ -292,7 +285,7 @@ def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tupl
     squared = spec.head == HEAD_ABS_SQ
     weighs_area, literal = spec.uses_area(), _literal(spec.area_interpretation, family.n)
     weight, sq_weight, extra_weight = _weights(spec)
-    closed, interpretation = _closed_form(spec, family.closed, family.n), spec.area_interpretation
+    closed, interpretation = _closed_form(spec, family.closed, literal), spec.area_interpretation
     sup, majorant, slice_area = family.boundary_sup, family.majorant, family.area
     literal_area = family.literal_area if literal else None  # a rule of n > 1 families
 
@@ -322,17 +315,17 @@ def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tupl
 
 
 def _grid_columns(
-    spec: FunctionalSpec, cls: type, n: int, avals, coords: tuple[float, ...], sigma: float,
-    shared: dict,
+    spec: FunctionalSpec, interpretation: str, cls: type, n: int, avals,
+    coords: tuple[float, ...], sigma: float, shared: dict,
 ) -> TermBreakdown:
-    """``_prepare``'s core on the Moebius-type family cls(a) in dimension n
-    over the a of avals (inside [0, 1)), as one ``TermBreakdown`` of columns,
-    at a polyradius coords of argument radius sigma checked for that class
-    and n.  shared serves one sweep of one head and weights, keyed by sigma's
-    repr (-0.0 == 0.0): per sigma, the head and tail rule columns and, once
-    read, the literal-area degrees and slice terms; per sigma and, for a
-    literal area at n > 1, coords, a set's nine columns, shared by equal sets."""
-    at, literal = repr(sigma), _literal(spec.area_interpretation, n)
+    """``_prepare``'s core of spec, under interpretation, on the Moebius-type
+    family cls(a) in dimension n over the a of avals (inside [0, 1)), as one
+    ``TermBreakdown`` of columns, at a polyradius coords of argument radius
+    sigma checked for that class and n.  shared serves one sweep of one spec,
+    keyed by sigma's repr (-0.0 == 0.0): per sigma, the head and tail rule
+    columns and, once read, the literal-area degrees and slice terms; per
+    sigma and, for a literal area at n > 1, coords, a set's nine columns."""
+    at, literal = repr(sigma), _literal(interpretation, n)
     key = at, coords if literal else None
     if key not in shared:
         rules = shared.setdefault(at, [])
@@ -365,6 +358,6 @@ def _grid_columns(
         # Moebius-type heads and tails are exact closed forms: every row is certified.
         shared[key] = tuple(map(tuple, (
             heads, tails, areas, area_sq, extra, totals, [1.0 - total for total in totals],
-            [True] * size, [_closed_form(spec, cls.closed, n)] * size,
+            [True] * size, [_closed_form(spec, cls.closed, literal)] * size,
         )))
-    return _breakdown((*shared[key], (spec.area_interpretation,) * len(avals)))
+    return _breakdown((*shared[key], (interpretation,) * len(avals)))

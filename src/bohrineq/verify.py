@@ -7,28 +7,29 @@ its threshold radius for dimension n:
     classic, A, B1, B2, C, D, E   single-variable, Moebius family psi_a
     T21, T22, T23                 polydisk, family (a - s)/(1 - a s)
 
-A scan reads from the preset which weight it perturbs and its a*.
-
 Sweeps evaluate the literal interpretation as the pass/fail authority and
 report slice values alongside for n >= 2, in (n, a, r, interpretation)
 order with repeated keys in input order.  Scans run on the slice
-interpretation, where the equality cases close.  Both check the radius
+interpretation, where the equality cases close.  Both use the theorem's
+preset as it is: a sweep passes each reading to the kernel, and a scan
+reads from it its a* and the weight it perturbs.  Both check the radius
 against the cap of the theorem's family and compute sigma once per (n, r),
 since neither depends on a, and read the a-grid from the rules of the
 family's class.  A scan reads its grid once into a sorted list, inserts a*
 in order by bisection, checks it inside [0, 1) by its sum and its two ends,
-and sums each total column in one ``total_grid`` pass.  A sweep reads each
-set of columns from ``functionals._grid_columns`` through one dict for the
-call, which reads each column rule once per sigma and builds each set of
-equal columns once, and keeps a stable sort's order unless n, the radii
-and the grid strictly increase.  ``rows`` builds rows on read; only a
-flagged sweep reads them in its call, to list its violating literal rows.
-A radius search checks its top radius once, prepares the evaluation core of
-``functionals`` once, and runs it at the top and at each midpoint, reading
-the total and certification without building a record.  Lemma checks
-admit only families bounded by one on the unit polydisk, which is the
-hypothesis the lemmas carry, and sum each family to the degree
-``series.truncation`` picks for the tail of the lemma.
+and sums each total column in one ``total_grid`` pass on a tuple of
+weights.  A sweep reads each set of columns from
+``functionals._grid_columns`` through one dict for the call, which reads
+each column rule once per sigma and builds each set of equal columns once,
+and keeps a stable sort's order unless n, the radii and the grid strictly
+increase.  ``rows`` builds rows on read; only a flagged sweep reads them in
+its call, to list its violating literal rows.  A radius search checks its
+top radius once, prepares the evaluation core of ``functionals`` once, and
+runs it at the top and at each midpoint, reading the total and
+certification without building a record.  Lemma checks admit only families
+bounded by one on the unit polydisk, which is the hypothesis the lemmas
+carry, and sum each family to the degree ``series.truncation`` picks for
+the tail of the lemma.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import replace
 from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -385,10 +385,10 @@ def sharpness_scan(
         raise DomainError("epsilon must be finite and >= 0")
     r = ser._numbers((bold_r,), "bold_r")[0] if bold_r is not None else td.threshold(n)
     grid = sorted(ser._numbers(a_grid, "scan grid"))
-    spec = fun.preset(td.preset_name).with_interpretation(fun.INTERP_SLICE)
-    field, a_star = "extra_area_weight", None
-    if spec.area_sq_weight:  # lambda_1 or lambda_2, sharp at a*_1 or a*_2 of the head
-        field, c = "area_sq_weight", sharp.sharp_constants()
+    spec = fun.preset(td.preset_name)
+    (w, w_q, w_x), a_star = fun._weights(spec), None
+    if w_q:  # lambda_1 or lambda_2, sharp at a*_1 or a*_2 of the head
+        c = sharp.sharp_constants()
         a_star = c.a_star1 if spec.head == fun.HEAD_CONSTANT else c.a_star2
         at = bisect_left(grid, a_star)
         if at == len(grid) or grid[at] != a_star:
@@ -398,13 +398,13 @@ def sharpness_scan(
     # a* lies inside [0, 1), so the grid is checked as well with it.
     _check_grid(grid, grid[0], grid[-1], "scan grid")
 
-    perturbed = replace(spec, **{field: getattr(spec, field) + epsilon}) if epsilon > 0 else None
+    perturbed = (w, w_q + epsilon, w_x) if w_q else (w, w_q, w_x + epsilon)
     sigma, cls = _checked_radius(theorem_id, n, r)[1:]
     head = fun.HEADS.index(spec.head)
-    base = tuple(cls.total_grid(grid, sigma, head, fun._weights(spec)))
-    pert = tuple(cls.total_grid(grid, sigma, head, fun._weights(perturbed))) if perturbed else base
+    base = tuple(cls.total_grid(grid, sigma, head, (w, w_q, w_x)))
+    pert = tuple(cls.total_grid(grid, sigma, head, perturbed)) if epsilon > 0 else base
     max_total, argmax_a = _largest(base, grid)
-    perturbed_max, perturbed_argmax = _largest(pert, grid) if perturbed else (max_total, argmax_a)
+    perturbed_max, perturbed_argmax = _largest(pert, grid) if epsilon > 0 else (max_total, argmax_a)
     return ScanReport(
         theorem=theorem_id, n=n, bold_r=r, epsilon=epsilon, a=tuple(grid), total=base,
         perturbed_total=pert, max_total=max_total, argmax_a=argmax_a, perturbed_max=perturbed_max,
@@ -481,8 +481,6 @@ def theorem_sweep(
     r_floats = ser._numbers(r_values, "sweep radii") if r_values is not None else None
     _check_grid(grid, min(grid, default=0.0), max(grid, default=0.0), "sweep grid")
     spec = fun.preset(td.preset_name)
-    literal_spec = spec.with_interpretation(fun.INTERP_LITERAL)
-    slice_spec = spec.with_interpretation(fun.INTERP_SLICE)
 
     # One kernel call per input (n, r, interpretation) evaluates the grid as
     # given; sets of one sigma share their rule columns, and the n = 1 set
@@ -502,14 +500,14 @@ def theorem_sweep(
     margins = []
     flagged = False
     for n in ns:
-        specs = [literal_spec] if n == 1 else [literal_spec, slice_spec]
+        readings = [fun.INTERP_LITERAL] if n == 1 else [fun.INTERP_LITERAL, fun.INTERP_SLICE]
         block = []
         for r in r_floats if r_floats is not None else [td.threshold(n)]:
             coords, sigma, cls = _checked_radius(theorem_id, n, r)
-            for interp_spec in specs:
-                columns = fun._grid_columns(interp_spec, cls, n, grid, coords, sigma, shared)
-                if interp_spec is literal_spec:
-                    limit = _limit(tol, fun._closed_form(literal_spec, cls.closed, n))
+            for reading in readings:
+                columns = fun._grid_columns(spec, reading, cls, n, grid, coords, sigma, shared)
+                if reading == fun.INTERP_LITERAL:
+                    limit = _limit(tol, all(columns.closed_form))
                     flagged = flagged or not all(map(operator.le, columns.total, repeat(limit)))
                     margins.append(columns.margin)
                 block.append((n, r, columns))

@@ -14,8 +14,9 @@ copy.  The sections, in order:
   how much, real cells and integer cells (degrees and counts) apart; when
   the text around the numbers changed too, the cells no longer pair up and
   the line says so;
-- the files under ``bench`` and ``BENCHMARK.json`` that differ, which a
-  change that leaves the benchmark as it is shows as an empty block;
+- the files under ``bench`` and ``BENCHMARK.json`` that are new, removed
+  or changed, found by comparing the two trees in the same way (bytecode
+  caches aside), or "no benchmark file changed";
 - how many test ids were added and removed, and every removed id, so that
   each removed or renamed test can be matched with its line in
   ``CHANGES.md``;
@@ -68,31 +69,40 @@ def drift(old: str, new: str) -> dict[str, tuple[int, float]] | None:
     return {kind: (len(changes), max(changes)) for kind, changes in moves.items() if changes}
 
 
-def _git(root: Path, *args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=root, check=True, capture_output=True, text=True
-    ).stdout
-
-
 def _read(path: Path) -> str:
     """The text of path, or "" when the file does not exist."""
     return path.read_text(encoding="utf-8") if path.exists() else ""
 
 
-def _files(root: Path, folder: str) -> set[str]:
-    """The paths, relative to root, of the files under root / folder."""
-    return {p.relative_to(root).as_posix() for p in (root / folder).rglob("*") if p.is_file()}
+def _files(root: Path, paths: tuple[str, ...]) -> set[str]:
+    """The paths, relative to root, of the files at or under root / path for
+    each of paths, outside ``__pycache__`` (which git ignores)."""
+    found = (
+        p.relative_to(root) for path in paths for p in [root / path, *(root / path).rglob("*")]
+        if p.is_file()
+    )
+    return {p.as_posix() for p in found if "__pycache__" not in p.parts}
+
+
+def _differing(old: Path, new: Path, *paths: str) -> list[tuple[str, str]]:
+    """(name, "new", "removed" or "changed") for each file at or under paths
+    in either tree whose bytes differ between the two, sorted by name."""
+    differing = []
+    for name in sorted(_files(old, paths) | _files(new, paths)):
+        if not (new / name).exists():
+            differing.append((name, "removed"))
+        elif not (old / name).exists():
+            differing.append((name, "new"))
+        elif (old / name).read_bytes() != (new / name).read_bytes():
+            differing.append((name, "changed"))
+    return differing
 
 
 def golden_section(base: str, old: Path, new: Path) -> list[str]:
     moved = []
-    for name in sorted(_files(old, "tests/golden") | _files(new, "tests/golden")):
-        if not (new / name).exists():
-            moved.append(f"{name}: removed")
-        elif not (old / name).exists():
-            moved.append(f"{name}: new")
-        elif (old / name).read_bytes() == (new / name).read_bytes():
-            continue
+    for name, status in _differing(old, new, "tests/golden"):
+        if status != "changed":
+            moved.append(f"{name}: {status}")
         elif (cells := drift(_read(old / name), _read(new / name))) is None:
             moved.append(f"{name}: text other than numbers changed")
         else:
@@ -108,9 +118,11 @@ def golden_section(base: str, old: Path, new: Path) -> list[str]:
 
 
 def bench_section(base: str, old: Path, new: Path) -> list[str]:
-    stat = _git(new, "diff", "--stat", base, "--", "bench", "BENCHMARK.json")
+    differing = _differing(old, new, "bench", "BENCHMARK.json")
+    changed = [f"{name}: {status}" for name, status in differing]
     return [
-        f"Benchmark files changed since merge base {base[:12]}:", FENCE, *stat.splitlines(), FENCE
+        f"Benchmark files changed since merge base {base[:12]}:", FENCE,
+        *(changed or ["no benchmark file changed"]), FENCE,
     ]
 
 

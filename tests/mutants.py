@@ -262,6 +262,13 @@ MUTANTS = [
         "tests/test_cli.py::test_columnar_csv_equals_the_csv_writer_on_the_rows_of_every_golden_case[verify_t22_violation.csv]",
     ),
     Mutant(
+        "sweep-literal-reading", "verify.py",
+        "_grid_columns(spec, reading,",
+        "_grid_columns(spec, fun.INTERP_SLICE,",
+        "theorem_sweep: the literal set is evaluated under the literal reading",
+        "tests/test_verify.py::test_sweep_t21_no_violations_and_both_interpretations",
+    ),
+    Mutant(
         "sweep-violations-slice", "verify.py",
         "[row for row in report.rows if row.breakdown.interpretation == fun.INTERP_LITERAL]",
         "list(report.rows)",
@@ -271,8 +278,8 @@ MUTANTS = [
     # What a scan reads from the theorem's preset.
     Mutant(
         "scan-perturb-field", "verify.py",
-        'field, c = "area_sq_weight", sharp.sharp_constants()',
-        'field, c = "extra_area_weight", sharp.sharp_constants()',
+        "perturbed = (w, w_q + epsilon, w_x) if w_q else (w, w_q, w_x + epsilon)",
+        "perturbed = (w, w_q, w_x + epsilon)",
         "sharpness_scan: epsilon perturbs the weight of A^2 when the preset has one",
         "tests/test_cli.py::test_columnar_csv_equals_the_csv_writer_on_the_rows_of_every_golden_case[scan_c_epsilon.csv]",
     ),
@@ -460,9 +467,9 @@ MUTANTS = [
     ),
     Mutant(
         "scan-perturbed-weights", "verify.py",
-        "fun._weights(perturbed)",
-        "fun._weights(spec)",
-        "sharpness_scan: the perturbed total column reads the perturbed spec's weights",
+        "cls.total_grid(grid, sigma, head, perturbed))",
+        "cls.total_grid(grid, sigma, head, (w, w_q, w_x)))",
+        "sharpness_scan: the perturbed total column reads the perturbed weights",
         "tests/test_cli.py::test_scan_rows_keep_each_total_in_its_column[csv]",
     ),
     # The Cauchy circle of the Blaschke tails.

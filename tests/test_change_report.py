@@ -1,5 +1,5 @@
 """The change report of ``tests/change_report.py``: its line counters, its
-lines and golden sections, and its usage error.  The golden drift is tested
+lines, golden and benchmark sections, and its usage error.  The golden drift is tested
 in ``test_golden.py``."""
 
 import subprocess
@@ -104,6 +104,40 @@ def test_golden_section_compares_two_trees_without_git(tmp_path):
         " 1 integer cells moved, largest change 1",
         "tests/golden/text.csv: text other than numbers changed",
         change_report.FENCE,
+    ]
+
+
+def test_bench_section_compares_two_trees_without_git(tmp_path):
+    # A file on the new side only, as an untracked file would be, shows as
+    # new; a removed and a changed file show too, and neither an equal file
+    # nor a bytecode cache does.
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "bench/added.py": (None, "x = 1\n"), "bench/gone.py": ("x = 1\n", None),
+        "bench/run.py": ("x = 1\n", "x = 2\n"), "bench/same.py": ("x = 1\n", "x = 1\n"),
+        "bench/__pycache__/run.pyc": (None, "bytes"), "BENCHMARK.json": ("{}\n", "{}\n"),
+        "README.md": ("a\n", "b\n"),
+    }
+    for name, texts in files.items():
+        for root, text in zip((old, new), texts):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text, encoding="utf-8")
+    assert change_report.bench_section("0123456789abcdef", old, new) == [
+        "Benchmark files changed since merge base 0123456789ab:",
+        change_report.FENCE,
+        "bench/added.py: new",
+        "bench/gone.py: removed",
+        "bench/run.py: changed",
+        change_report.FENCE,
+    ]
+    (new / "BENCHMARK.json").write_text("{}", encoding="utf-8")
+    assert change_report.bench_section("HEAD", old, new)[2:-1] == [
+        "BENCHMARK.json: changed", "bench/added.py: new", "bench/gone.py: removed",
+        "bench/run.py: changed",
+    ]
+    assert change_report.bench_section("HEAD", old, old)[2:] == [
+        "no benchmark file changed", change_report.FENCE,
     ]
 
 

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from bohrineq import cli
+from bohrineq import functionals as fun
+from bohrineq import series as ser
 from bohrineq import verify as ver
 from bohrineq.errors import (
     BohrIneqError,
@@ -220,6 +222,27 @@ def test_radius_that_does_not_bind(capsys, out_format):
     (row,) = parse_csv(out) if out_format == "csv" else json.loads(out)["rows"]
     expected = ("false", "true", "0") if out_format == "csv" else (False, True, 0)
     assert (row["binding"], row["certified"], row["iterations"]) == expected
+
+
+def test_radius_searches_the_preset_on_the_slice_reading(capsys):
+    # radius --functional searches the theorem's preset as it is, on the
+    # slice reading: at n = 2 its radius is not the one of the literal
+    # reading, which decides verify.  The single-variable n rule of verify
+    # and scan does not apply to it.
+    code, out, _ = run_cli(capsys, "radius", "--functional", "T21", "--family", "unit:0.5,2")
+    assert code == 0
+    (row,) = parse_csv(out)
+    family = ser.ExtremalPolydiskUnit(0.5, 2)
+    radii = {
+        reading: ver.radius_search(fun.preset("thm_2_1").with_interpretation(reading), family)
+        for reading in (fun.INTERP_SLICE, fun.INTERP_LITERAL)
+    }
+    assert row["radius"] == "0.16685626872"
+    assert float(row["radius"]) == float(f"{radii[fun.INTERP_SLICE].radius:.12g}")
+    assert round(radii[fun.INTERP_LITERAL].radius, 5) == 0.19936
+    code, out, _ = run_cli(capsys, "radius", "--functional", "C", "--family", "unit:0.5,2")
+    assert code == 0
+    assert parse_csv(out)[0]["radius"] == row["radius"]
 
 
 # ---------------------------------------------------------------- scan

@@ -767,16 +767,38 @@ def test_scan_builds_one_radius(monkeypatch):
     assert len(report.rows) == 2001  # the extremal parameter is appended
 
 
-def test_sweep_builds_one_radius_per_dimension_and_two_specs(monkeypatch):
+def test_sweep_builds_one_radius_per_dimension_and_no_spec(monkeypatch):
+    # A sweep hands the kernel its preset as it is, with each reading.
+    preset("classic")  # the preset table is built once per process
     built = _count_calls(monkeypatch, RadiusSpec, "__post_init__")
     specs = _count_calls(monkeypatch, FunctionalSpec, "with_interpretation")
     report = theorem_sweep("T21", [1, 2, 3, 5], grid_values(0.0, 0.99, 0.01))
     assert len(built) == 4
-    assert len(specs) <= 2
+    assert len(specs) == 0
     assert len(report.rows) == 100 * (1 + 2 * 3)
     built.clear()
     theorem_sweep("T22", [2, 3], grid_values(0.0, 0.9, 0.1), [0.05, 0.1, 0.2])
     assert len(built) == 2 * 3
+    assert len(specs) == 0
+
+
+_SPEC_FIELDS = ["head", "area_weight", "area_sq_weight", "extra_area_weight", "area_interpretation"]
+
+
+def test_sweeps_scans_and_evaluations_leave_a_spec_its_five_fields():
+    # A spec holds its fields and nothing else: no sweep, scan, evaluation
+    # or reading of it under either interpretation stores a copy on it.
+    for tid, td in THEOREMS.items():
+        spec, n = preset(td.preset_name), 2 if td.multidimensional else 1
+        theorem_sweep(tid, [n], [0.0, 0.5])
+        sharpness_scan(tid, [0.0, 0.5], n=n, epsilon=1e-3)
+        radius, family = RadiusSpec.diagonal(n, td.threshold(n)), theorem_family(tid, 0.5, n)
+        for interp in (INTERP_LITERAL, INTERP_SLICE):
+            other = spec.with_interpretation(interp)
+            for reading in (INTERP_LITERAL, INTERP_SLICE):
+                evaluate(other.with_interpretation(reading), family, radius)
+            assert list(vars(other)) == _SPEC_FIELDS, (tid, interp)
+        assert list(vars(spec)) == _SPEC_FIELDS, tid
 
 
 def test_scan_and_sweep_build_no_family_per_row(monkeypatch):
@@ -857,13 +879,13 @@ def test_sweep_builds_each_set_of_equal_columns_once(monkeypatch):
 
 
 def test_one_sweeps_dict_gives_each_set_the_columns_of_a_fresh_dict():
-    # The literal and slice specs of one preset share one dict, as the sets
-    # of one sweep do, over n = 1, 2, 3, 5, two polyradii of one sigma (the
-    # diagonal and a corner) and sigma 1/3, 0.0 and -0.0: each set reads the
-    # columns of a fresh dict.
+    # The literal and slice readings of one preset share one dict, as the
+    # sets of one sweep do, over n = 1, 2, 3, 5, two polyradii of one sigma
+    # (the diagonal and a corner) and sigma 1/3, 0.0 and -0.0: each set
+    # reads the columns of a fresh dict.
     cls, grid = ExtremalPolydiskUnit, [0.2, -0.0, 0.0, 0.6]
     for name in fun._preset_table():
-        shared = {}
+        spec, shared = preset(name), {}
         for r in (1 / 3, 0.0, -0.0):
             for n in (1, 2, 3, 5):
                 diagonal = (r / n,) * n
@@ -872,10 +894,11 @@ def test_one_sweeps_dict_gives_each_set_the_columns_of_a_fresh_dict():
                 for coords in [diagonal] + [corner] * (n > 1 and r > 0):
                     assert repr(cls(0.0, n).sigma(coords)) == repr(sigma)
                     for interp in (INTERP_LITERAL, INTERP_SLICE):
-                        spec = preset(name).with_interpretation(interp)
-                        columns = fun._grid_columns(spec, cls, n, grid, coords, sigma, shared)
-                        fresh = fun._grid_columns(spec, cls, n, grid, coords, sigma, {})
-                        assert repr(columns) == repr(fresh), (name, r, coords, interp)
+                        args = spec, interp, cls, n, grid, coords, sigma
+                        columns = fun._grid_columns(*args, shared)
+                        assert repr(columns) == repr(fun._grid_columns(*args, {})), (
+                            name, r, coords, interp
+                        )
 
 
 def _rule_columns(spec, cls, n, grid, coords, sigma):
@@ -919,17 +942,19 @@ def _fold_specs():
 @pytest.mark.parametrize("tid, n", [("C", 1), ("T21", 2)])
 def test_grid_totals_drop_zero_weights_bit_for_bit(tid, n, sigma):
     # Every preset, and every spec with weights in {+0.0, -0.0, 0.5}, on
-    # the slice and literal areas: the kernel's total column is the sum of
-    # the five terms of the column rules, on the rules' area and on its own
-    # area column, which is [0.0] * size for a spec that weighs none and
-    # folds its zero terms.
+    # the slice and literal areas, which the kernel reads from its argument,
+    # not from the spec: the kernel's total column is the sum of the five
+    # terms of the column rules, on the rules' area and on its own area
+    # column, which is [0.0] * size for a spec that weighs none and folds
+    # its zero terms.
     grid = [0.3, -0.0, 0.0, 0.3, 0.9, -0.0, 0.0]
     coords, sig, cls = ver._checked_radius(tid, n, sigma / n)
     assert repr(sig) == repr(sigma)
     for base in _fold_specs():
         for interp in (INTERP_SLICE, INTERP_LITERAL):
             spec = base.with_interpretation(interp)
-            columns = fun._grid_columns(spec, cls, n, grid, coords, sigma, {})
+            columns = fun._grid_columns(base, interp, cls, n, grid, coords, sigma, {})
+            assert columns.interpretation == (interp,) * len(grid)
             heads, tails, areas = _rule_columns(spec, cls, n, grid, coords, sigma)
             own = areas if spec.uses_area() else [0.0] * len(grid)
             assert repr(columns[:3]) == repr((tuple(heads), tuple(tails), tuple(own)))
@@ -1024,7 +1049,7 @@ def test_grid_totals_keep_the_negative_zero_of_an_all_negative_zero_spec():
     coords, sigma, cls = ver._checked_radius("B1", 1, -0.0)
     for weights, total in (((-0.0, -0.0, -0.0), "-0.0"), ((-0.0, 0.0, -0.0), "0.0")):
         spec = FunctionalSpec(fun.HEAD_ABS, *weights)
-        columns = fun._grid_columns(spec, cls, 1, [-0.0], coords, sigma, {})
+        columns = fun._grid_columns(spec, INTERP_SLICE, cls, 1, [-0.0], coords, sigma, {})
         assert repr(columns[:2]) == "((-0.0,), (-0.0,))"
         assert repr(columns.total) == f"({total},)"
 
@@ -1494,12 +1519,13 @@ def test_scan_checks_the_radius_once_and_builds_no_breakdown(monkeypatch):
 
 @pytest.mark.parametrize("theorem_id, n", [("C", 1), ("E", 1), ("T21", 2), ("T23", 3)])
 def test_scan_base_column_does_not_depend_on_epsilon(monkeypatch, theorem_id, n):
-    # An unperturbed scan builds no spec at all: its spec is the preset.
+    # A scan builds no spec at all: it reads the preset's weights, and
+    # epsilon = 1e-3 perturbs a tuple of them.
     grid = grid_values(0.0, 0.99, 0.01)
     preset("classic")  # the preset table is built once per process
     built = _count_calls(monkeypatch, FunctionalSpec, "__post_init__")
     reports = [sharpness_scan(theorem_id, grid, n=n, epsilon=eps) for eps in (0.0, -0.0, 1e-3)]
-    assert len(built) == 1  # the perturbed spec of epsilon = 1e-3
+    assert len(built) == 0
     bases = [[repr(row.total) for row in report.rows] for report in reports]
     assert bases[0] == bases[1] == bases[2]
     assert [repr(row.perturbed_total) for row in reports[1].rows] == bases[0]
