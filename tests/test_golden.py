@@ -202,9 +202,10 @@ def _library() -> str:
         ser.MoebiusDisk(0.9),
         ser.ExtremalPolydiskUnit(0.5, 2),
         ser.ExtremalPolydiskUnit(0.3, 3),
+        ser.ExtremalPolydiskScaled(0.4, 3),
     ]
     for family in search_families:
-        for name in ("classic", "thm_c", "thm_d", "thm_e"):
+        for name in ("classic", "thm_a", "thm_b1", "thm_b2", "thm_c", "thm_d", "thm_e", "thm_2_3"):
             add(f"radius_search {name} {family!r}", ver.radius_search(fun.preset(name), family))
 
     blaschke_families = [
