@@ -29,19 +29,22 @@ spec weighs an area, and which; the three weights; ``closed_form``) and
 returns the per-radius evaluation, which takes the checked polyradius and its
 sigma, reads the sigma-dependent terms through the family's methods and
 returns the ten ``TermBreakdown`` fields as a plain tuple.  ``evaluate``
-builds the record from them with ``_breakdown``; a radius search prepares the
-core once and reads the total and certification of each radius it tries from
-the tuple with ``_total_certified``.  The grid kernel ``_grid_columns`` is the
-same core under a given interpretation, for the Moebius-type family of one
-class and n over a grid of a, and builds no family: it reads its columns from
-the class's column rules, once per sigma in a sweep, and returns the ten
-fields of one ``TermBreakdown`` as columns; a scan sums each total column in
-one pass of ``total_grid``, from ``HEADS`` and ``_weights``.  So only this
-module knows the order of an evaluation's fields.  Both sum ``_prepare``'s
-five terms in its order and keep its bits, but a sweep's spec that weighs no
-area folds its three zero terms into one signed zero, w + w_q + w_x: adding
-+-0.0 changes only a -0.0 sum, so head + tail gains the sign the three terms
-in turn give it, -0.0 only when all three weights are.
+builds the record from them with ``_breakdown``.  The grid kernel
+``_grid_columns`` is the same core under a given interpretation, for the
+Moebius-type family of one class and n over a grid of a, and builds no
+family: it reads its columns from the class's column rules, once per sigma in
+a sweep, and returns the ten fields of one ``TermBreakdown`` as columns.  A
+scan reads only the total column, which the class's ``total_grid`` sums in
+one pass from ``HEADS`` and ``_weights``.  A radius search reads only the
+total and certification of each radius it tries, through ``_search_total``:
+the ``total_grid`` of the one-point grid (a,) on a Moebius-type family off the
+literal reading at n > 1, else ``_prepare``'s core read with
+``_total_certified``.  So only this module knows the order of an evaluation's
+fields.  Each sums ``_prepare``'s five terms in its order and keeps its bits,
+but a sweep's spec that weighs no area folds its three zero terms into one
+signed zero, w + w_q + w_x: adding +-0.0 changes only a -0.0 sum, so
+head + tail gains the sign the three terms in turn give it, -0.0 only when
+all three weights are.
 """
 
 from __future__ import annotations
@@ -312,6 +315,24 @@ def _prepare(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tupl
         )
 
     return terms
+
+
+def _search_total(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[..., tuple]:
+    """The (total, certified) of spec on family at a checked polyradius
+    coords of argument radius sigma, as a radius search reads it.  A family
+    that offers the column total (``total_grid``, the Moebius-type classes)
+    sums it at (a,) unless the area is literal at n > 1: the same five terms
+    in ``_prepare``'s order, so the same bits, as |complex(a)| == |a|,
+    x * 1.0 == x, sigma ** 1 == sigma, and a zero weight times a finite
+    A >= 0 is the signed zero it gives 0.0.  Any other pair reads the total
+    from ``_prepare``'s core."""
+    total_grid = getattr(family, "total_grid", None)
+    if total_grid is None or _literal(spec.area_interpretation, family.n):
+        terms = _prepare(spec, family)
+        return lambda coords, sigma: _total_certified(terms(coords, sigma))
+    avals, head, weights = (family.a,), HEADS.index(spec.head), _weights(spec)
+    # Moebius-type heads and tails are exact closed forms: every step is certified.
+    return lambda coords, sigma: (total_grid(avals, sigma, head, weights)[0], True)
 
 
 def _grid_columns(

@@ -14,11 +14,12 @@ tails, the boundary supremum of |f| and the rational form.  Functionals read
 the slice list and sigma.  A Moebius-type class writes each closed form
 once, as a column rule over a grid of a (``sup_grid``, ``majorant_tail_grid``,
 ``area_grid``, ``literal_area_grid``) that its methods read at (a,), except
-``total_grid``: it writes the first three again, inline, to sum a scan's
-slice total in one pass.  Blaschke products sum a slice to a certified
-degree; the literal area weights slice terms (``slice_term_grid``) by W_k
-(``_degree_weights``) up to degrees of (a, sigma) alone, which
-``degree_grid`` searches once for every n.  The unit form is bounded by one
+``total_grid``: it writes the first three again, inline, to sum a scan's and
+a Moebius radius search's slice total in one pass.  Blaschke products sum a
+slice to a certified degree; the literal area weights slice terms
+(``slice_term_grid``) by W_k (``_degree_weights``) up to degrees of
+(a, sigma) alone, which ``degree_grid`` searches once for every n.  The
+unit form is bounded by one
 on the polydisk of polyradius 1/n, every other family on the unit polydisk.
 
 Every certified degree comes from one search, ``truncation``: given a tail

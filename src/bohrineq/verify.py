@@ -24,9 +24,11 @@ each column rule once per sigma and builds each set of equal columns once,
 and keeps a stable sort's order unless n, the radii and the grid strictly
 increase.  ``rows`` builds rows on read; only a flagged sweep reads them in
 its call, to list its violating literal rows.  A radius search checks its
-top radius once, prepares the evaluation core of ``functionals`` once, and
-runs it at the top and at each midpoint, reading the total and
-certification without building a record.  Lemma checks admit only families
+top radius once, takes its total and certification from
+``functionals._search_total`` once, and runs it at the top and at each
+midpoint without building a record: a Moebius-type family's one-pass
+``total_grid`` off the literal reading at n >= 2, else the evaluation core
+of ``functionals``.  Lemma checks admit only families
 bounded by one on the unit polydisk, which is the hypothesis the lemmas
 carry, and sum each family to the degree ``series.truncation`` picks for
 the tail of the lemma.
@@ -183,9 +185,11 @@ def radius_search(
     with nonnegative coefficients.  Bisection therefore needs no presamples,
     and a certified total(lo) <= 1 certifies the whole interval [0, lo].
     hi, near the cap, is checked once; each midpoint lies in (0, hi), so it
-    passes every check of hi.  One core of ``functionals._prepare`` decides
-    hi and each midpoint from its total and certification, building no
-    record.  A total of at most 1 at hi gives hi with binding = False;
+    passes every check of hi.  One ``functionals._search_total`` decides hi
+    and each midpoint from its total and certification, building no record:
+    on a Moebius-type family off the literal reading at n >= 2 it sums the
+    family's ``total_grid`` at (a,), else it runs one core of
+    ``functionals._prepare``, with the same bits either way.  A total of at most 1 at hi gives hi with binding = False;
     ``certified`` holds only when it holds at hi and at every step.
     Bisection stops at width ``tol``, or earlier when the midpoint no longer
     splits the bracket: it then holds two adjacent floats.  ``tol`` is read
@@ -196,9 +200,9 @@ def radius_search(
     n, cap = family.n, family.cap
     hi = cap * (1.0 - 1e-9)
     fun._check_radius_for(family, fun.RadiusSpec.diagonal(n, hi))
-    terms = fun._prepare(spec, family)
+    total_certified = fun._search_total(spec, family)
     coords = (hi,) * n
-    total, certified = fun._total_certified(terms(coords, family.sigma(coords)))
+    total, certified = total_certified(coords, family.sigma(coords))
     if total <= 1.0:
         return RadiusResult(hi, (hi, cap), 0, False, certified)
 
@@ -208,7 +212,7 @@ def radius_search(
         if not lo < mid < hi:
             break
         coords = (mid,) * n
-        total, step_certified = fun._total_certified(terms(coords, family.sigma(coords)))
+        total, step_certified = total_certified(coords, family.sigma(coords))
         certified = certified and step_certified
         if total <= 1.0:
             lo = mid

@@ -267,34 +267,36 @@ def test_classic_radius_law():
         assert abs(result.radius - 1.0 / (1.0 + 2.0 * a)) <= 1e-9
 
 
-def _count_cores(monkeypatch, budget=math.inf):
-    """Record, for each evaluation core ``functionals._prepare`` prepares,
-    the calls of that core; more than budget calls in all raise, which
-    stands in for a timeout."""
-    cores = []
-    prepare = fun._prepare
+def _count_search_steps(monkeypatch, budget=math.inf):
+    """Record the evaluations of a radius search: for each evaluation core
+    ``functionals._prepare`` prepares, the calls of that core, and the calls
+    of the Moebius-type column total ``total_grid``.  More than budget calls
+    in all raise, which stands in for a timeout."""
+    cores, totals = [], []
+    prepare, total_grid = fun._prepare, ser._MoebiusType.total_grid
+
+    def step(calls, run, *args):
+        calls.append(args)
+        if sum(map(len, cores)) + len(totals) > budget:
+            raise RuntimeError("radius search does not terminate")
+        return run(*args)
 
     def counted_prepare(spec, family):
-        terms, calls = prepare(spec, family), []
+        calls = []
         cores.append(calls)
-
-        def counted(*args):
-            calls.append(args)
-            if sum(map(len, cores)) > budget:
-                raise RuntimeError("radius search does not terminate")
-            return terms(*args)
-
-        return counted
+        return partial(step, calls, prepare(spec, family))
 
     monkeypatch.setattr(fun, "_prepare", counted_prepare)
-    return cores
+    monkeypatch.setattr(ser._MoebiusType, "total_grid", staticmethod(partial(step, totals, total_grid)))
+    return cores, totals
 
 
 def test_radius_search_non_binding_constant(monkeypatch):
-    cores = _count_cores(monkeypatch)
+    cores, totals = _count_search_steps(monkeypatch)
     result = radius_search(preset("classic"), ConstantFn(0.3))
     assert not result.binding
     assert [len(calls) for calls in cores] == [1]  # the total at hi decides; nothing is sampled
+    assert totals == []
     assert result.radius == pytest.approx(1.0, abs=1e-8)
 
 
@@ -320,15 +322,17 @@ def test_radius_search_stable_under_tolerance_refinement():
 def test_radius_search_stops_at_adjacent_floats(monkeypatch, tol):
     # Below the float spacing of the bracket the midpoint rounds to one of
     # its ends.  The search must stop there; a budget on calls of the
-    # prepared evaluation core stands in for a timeout.
-    cores = _count_cores(monkeypatch, budget=500)
+    # column total stands in for a timeout.
+    cores, totals = _count_search_steps(monkeypatch, budget=500)
     result = radius_search(preset("classic"), MoebiusDisk(0.5), tol=tol)
     monkeypatch.undo()
     lo, hi = result.bracket
     assert hi == math.nextafter(lo, math.inf)
     assert result.binding and lo <= result.radius <= hi
-    # One core, run at hi and then at every step.
-    assert [len(calls) for calls in cores] == [1 + result.iterations]
+    # No core: the column total, on the one-point grid (a,), runs at hi and
+    # then at every step.
+    assert cores == []
+    assert [avals for avals, *_ in totals] == [(0.5,)] * (1 + result.iterations)
     spec, family = preset("classic"), MoebiusDisk(0.5)
     assert evaluate(spec, family, RadiusSpec.diagonal(1, lo)).total <= 1.0
     assert evaluate(spec, family, RadiusSpec.diagonal(1, hi)).total > 1.0
@@ -380,16 +384,32 @@ _SEARCH_CASES = [
     ("thm_2_2-literal", ExtremalPolydiskScaled(-0.0, 5)),
     ("thm_a-literal", ExtremalPolydiskUnit(0.2, 5)),
     ("thm_c-literal", ExtremalPolydiskScaled(0.7, 2)),
+    ("thm_e-literal", MoebiusDisk(0.5)),
+    ("thm_d-literal", MoebiusDisk(0.9)),
+    ("thm_c-slice", MoebiusDisk(sharp.sharp_constants().a_star1)),
+    ("zeros_constant", MoebiusDisk(0.0)),
+    ("zeros_abs_sq", ExtremalPolydiskUnit(-0.0, 2)),
+    ("zeros_abs", ExtremalPolydiskScaled(0.3, 3)),
+    ("zeros_abs-literal", ExtremalPolydiskUnit(0.6, 3)),
+    ("zeros_abs_sq", FiniteBlaschke((0.4, -0.2j))),
 ]
+
+#: Specs beyond the presets, named in ``_SEARCH_CASES`` like a preset: -0.0
+#: weights, each alone or beside a positive one.
+_USER_SPECS = {
+    "zeros_constant": FunctionalSpec(fun.HEAD_CONSTANT, -0.0, -0.0, -0.0),
+    "zeros_abs_sq": FunctionalSpec(fun.HEAD_ABS_SQ, 0.5, -0.0, -0.0),
+    "zeros_abs": FunctionalSpec(fun.HEAD_ABS, -0.0, 0.5, -0.0),
+}
 
 
 _SEARCH_IDS = [f"{name}-{type(family).__name__}" for name, family in _SEARCH_CASES]
 
 
 def _search_spec(name):
-    """The preset of a case name, under the interpretation after a dash."""
-    preset_name, _, interp = name.partition("-")
-    spec = preset(preset_name)
+    """The preset or user spec of a case name, under the interpretation after a dash."""
+    spec_name, _, interp = name.partition("-")
+    spec = _USER_SPECS[spec_name] if spec_name in _USER_SPECS else preset(spec_name)
     return spec.with_interpretation(interp) if interp else spec
 
 
@@ -405,18 +425,28 @@ def test_radius_search_equals_a_bisection_on_public_evaluate(name, family, tol):
 
 @pytest.mark.parametrize("name, family", _SEARCH_CASES, ids=_SEARCH_IDS)
 def test_radius_search_builds_one_breakdown(monkeypatch, name, family):
-    # Whatever its iterations, a search prepares one core, calls no
-    # ``evaluate`` and builds no record: the core decides hi and every
-    # midpoint, read from its total and certification.
+    # Whatever its iterations, a search calls no ``evaluate`` and builds no
+    # record.  A Moebius-type family off the literal reading at n >= 2 sums
+    # the column total on the one-point grid (a,) at hi and at every
+    # midpoint and prepares no core; any other pair prepares one core,
+    # which decides hi and every midpoint from its total and certification.
     spec = _search_spec(name)
+    column_total = type(family) in (MoebiusDisk, ExtremalPolydiskUnit, ExtremalPolydiskScaled)
+    fused = column_total and not (spec.area_interpretation == INTERP_LITERAL and family.n > 1)
     breakdowns = _count_builds(monkeypatch)
     evaluations = _count_calls(monkeypatch, fun, "evaluate")
-    cores = _count_cores(monkeypatch)
+    cores, totals = _count_search_steps(monkeypatch)
     for tol in (1e-3, 1e-9, 5e-324):
-        for calls in (breakdowns, evaluations, cores):
+        for calls in (breakdowns, evaluations, cores, totals):
             calls.clear()
-        radius_search(spec, family, tol=tol)
-        assert (len(cores), len(evaluations), len(breakdowns)) == (1, 0, 0)
+        steps = 1 + radius_search(spec, family, tol=tol).iterations
+        assert (len(evaluations), len(breakdowns)) == (0, 0)
+        if fused:
+            assert cores == []
+            assert [repr(avals) for avals, *_ in totals] == [repr((family.a,))] * steps
+        else:
+            assert [len(calls) for calls in cores] == [steps]
+            assert totals == []
 
 
 def test_radius_search_rejects_non_monotone_functional():
