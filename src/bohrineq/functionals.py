@@ -324,8 +324,8 @@ def _search_total(spec: FunctionalSpec, family: ser.FamilySpec) -> Callable[...,
     sums it at (a,) unless the area is literal at n > 1: the same five terms
     in ``_prepare``'s order, so the same bits, as |complex(a)| == |a|,
     x * 1.0 == x, sigma ** 1 == sigma, and a zero weight times a finite
-    A >= 0 is the signed zero it gives 0.0.  Any other pair reads the total
-    from ``_prepare``'s core."""
+    A >= 0 is the same signed zero as times 0.0.  Any other pair reads the
+    total from ``_prepare``'s core."""
     total_grid = getattr(family, "total_grid", None)
     if total_grid is None or _literal(spec.area_interpretation, family.n):
         terms = _prepare(spec, family)

@@ -19,8 +19,8 @@ a Moebius radius search's slice total in one pass.  Blaschke products sum a
 slice to a certified degree; the literal area weights slice terms
 (``slice_term_grid``) by W_k (``_degree_weights``) up to degrees of
 (a, sigma) alone, which ``degree_grid`` searches once for every n.  The
-unit form is bounded by one
-on the polydisk of polyradius 1/n, every other family on the unit polydisk.
+unit form is bounded by one on the polydisk of polyradius 1/n, every other
+family on the unit polydisk.
 
 Every certified degree comes from one search, ``truncation``: given a tail
 rule K -> tail(K) it returns the smallest K whose tail is below

@@ -28,10 +28,9 @@ top radius once, takes its total and certification from
 ``functionals._search_total`` once, and runs it at the top and at each
 midpoint without building a record: a Moebius-type family's one-pass
 ``total_grid`` off the literal reading at n >= 2, else the evaluation core
-of ``functionals``.  Lemma checks admit only families
-bounded by one on the unit polydisk, which is the hypothesis the lemmas
-carry, and sum each family to the degree ``series.truncation`` picks for
-the tail of the lemma.
+of ``functionals``.  Lemma checks admit only families bounded by one on the
+unit polydisk, which is the hypothesis the lemmas carry, and sum each
+family to the degree ``series.truncation`` picks for the tail of the lemma.
 """
 
 from __future__ import annotations
@@ -189,8 +188,9 @@ def radius_search(
     and each midpoint from its total and certification, building no record:
     on a Moebius-type family off the literal reading at n >= 2 it sums the
     family's ``total_grid`` at (a,), else it runs one core of
-    ``functionals._prepare``, with the same bits either way.  A total of at most 1 at hi gives hi with binding = False;
-    ``certified`` holds only when it holds at hi and at every step.
+    ``functionals._prepare``, with the same bits either way.  A total of at
+    most 1 at hi gives hi with binding = False; ``certified`` holds only
+    when it holds at hi and at every step.
     Bisection stops at width ``tol``, or earlier when the midpoint no longer
     splits the bracket: it then holds two adjacent floats.  ``tol`` is read
     like a sweep's (``check_tolerance``) and must be positive.

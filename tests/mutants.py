@@ -333,6 +333,22 @@ MUTANTS = [
         "_grid_columns: the head and tail columns are kept per sigma, not shared over sigmas",
         "tests/test_verify.py::test_one_sweeps_dict_gives_each_set_the_columns_of_a_fresh_dict",
     ),
+    # The total a radius search reads at each step.
+    Mutant(
+        "search-literal-fused", "functionals.py",
+        "if total_grid is None or _literal(spec.area_interpretation, family.n):",
+        "if total_grid is None:",
+        "_search_total: a literal reading at n >= 2 keeps _prepare's core, not the slice total",
+        "tests/test_cli.py::test_radius_searches_the_preset_on_the_slice_reading",
+    ),
+    Mutant(
+        "search-head", "functionals.py",
+        "(family.a,), HEADS.index(spec.head), _weights(spec)",
+        "(family.a,), 0, _weights(spec)",
+        "_search_total: the column total reads the spec's head, not |a_0| for every spec",
+        "tests/test_verify.py::test_radius_search_equals_a_bisection_on_public_evaluate"
+        "[thm_e-MoebiusDisk-1e-09]",
+    ),
     # Rounding widenings of the certified Blaschke circle maximum.
     Mutant(
         "blaschke-widen", "series.py",

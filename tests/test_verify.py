@@ -1,5 +1,6 @@
 """Lemma checks, radius search, sharpness scans, and theorem sweeps."""
 
+import inspect
 import itertools
 import math
 import operator
@@ -777,6 +778,8 @@ def test_a_fraction_input_stays_exact():
 
 
 def _count_calls(monkeypatch, owner, name):
+    """Record the arguments of each call of owner.name; a static method stays
+    one, so its calls through an instance count too."""
     calls = []
     original = getattr(owner, name)
 
@@ -784,7 +787,8 @@ def _count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+    static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+    monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
     return calls
 
 
